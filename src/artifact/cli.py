@@ -70,15 +70,15 @@ def cmd_model(cfg: RunConfig, outdir: str) -> None:
     """Write the sweep curve, model port spectra, and rate-fraction summary."""
     air = load_table("air")
     graphite = load_table("graphite")
-    amp = spdc_mod.biphoton_amplitude(cfg.spdc, cfg.grid)
+    intensity = spdc_mod.biphoton_amplitude(cfg.spdc, cfg.grid)
 
-    r_ref = spdc_mod.coincidence_rate(amp, spdc_mod.reflection_filter(cfg.splitter))
+    r_ref = spdc_mod.coincidence_rate(intensity, spdc_mod.reflection_filter(cfg.splitter))
     r_trans = spdc_mod.coincidence_rate(
-        amp, spdc_mod.transmission_filter(cfg.splitter, graphite)
+        intensity, spdc_mod.transmission_filter(cfg.splitter, graphite)
     )
 
     energies, refl_dens, trans_dens = spdc_mod.port_energy_spectra(
-        amp, cfg.splitter, graphite
+        intensity, cfg.splitter, graphite
     )
     _write_rows(
         os.path.join(outdir, "model_spectra.csv"),
@@ -100,17 +100,16 @@ def cmd_model(cfg: RunConfig, outdir: str) -> None:
         fh.write(f"r_transmitted = {r_trans:.6f}\n")
 
 
-def simulate_events(cfg: RunConfig, *, amp=None):
+def simulate_events(cfg: RunConfig):
     """Run the Monte Carlo chain; returns (events, rate_dropped, empty_dropped, pulses)."""
     graphite = load_table("graphite")
     air = load_table("air")
     helium = load_table("helium")
-    if amp is None:
-        amp = spdc_mod.biphoton_amplitude(cfg.spdc, cfg.grid)
+    intensity = spdc_mod.biphoton_amplitude(cfg.spdc, cfg.grid)
     seeds = np.random.SeedSequence(cfg.source.rng_seed).spawn(3)
     rng_pairs, rng_stray, rng_detect = (np.random.default_rng(s) for s in seeds)
     pairs = mc.generate_pairs(
-        amp, cfg.splitter, cfg.source, graphite, air=air, helium=helium, rng=rng_pairs
+        intensity, cfg.splitter, cfg.source, graphite, air=air, helium=helium, rng=rng_pairs
     )
     stray = mc.generate_stray(cfg.source, rng=rng_stray)
     photons = mc.merge_streams(pairs, stray)

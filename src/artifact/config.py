@@ -102,6 +102,10 @@ _DETECTOR_SECTIONS = {
     "detector.ref": DET_REF,
 }
 
+# The coincidence electronics take their pulse widths from the trigger
+# detector, so setting these for an output detector alone would do nothing.
+_TRIGGER_ONLY_KEYS = ("analog_width_ns", "logic_width_ns")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -128,6 +132,11 @@ def _validate(parser: configparser.ConfigParser):
         for key in parser[section]:
             if key not in allowed:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            if key in _TRIGGER_ONLY_KEYS and section in ("detector.trans", "detector.ref"):
+                raise ConfigError(
+                    f"key {key!r} in section [{section}] has no effect: the electronics "
+                    "use the trigger detector's pulse widths ([detector] or [detector.trig])"
+                )
 
 
 def _get(parser, section, key, base=None):
@@ -288,7 +297,7 @@ def _apply_overrides(parser: configparser.ConfigParser, overrides: list[str]):
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"override must look like section.key=value: {item!r}")
         target, value = item.split("=", 1)
-        section, key = target.rsplit(".", 1)
+        section, key = (part.strip() for part in target.rsplit(".", 1))
         if not parser.has_section(section):
             parser.add_section(section)
-        parser.set(section.strip(), key.strip(), value.strip())
+        parser.set(section, key, value.strip())

@@ -116,22 +116,6 @@ def _record_from_window(trigger_ns, peaks, energies, detectors, origins, lo, hi)
     return EventRecord(trigger_ns, e_by, off_by, org_by)
 
 
-def software_filter(trigger_ns: float, pulses, cfg: DaqConfig) -> EventRecord:
-    """Build the event record for one trigger from time-sorted analog pulses."""
-    peaks = pulses["start_ns"] + 0.5 * cfg.analog_width_ns
-    lo = int(np.searchsorted(peaks, trigger_ns - cfg.half_window_ns, side="left"))
-    hi = int(np.searchsorted(peaks, trigger_ns + cfg.half_window_ns, side="right"))
-    return _record_from_window(
-        trigger_ns,
-        peaks,
-        pulses["energy_kev"],
-        pulses["detector"],
-        pulses["origin"],
-        lo,
-        hi,
-    )
-
-
 def build_events(pulses, cfg: DaqConfig):
     """Full chain: triggering, rate cap, software window, empty-trigger pruning.
 

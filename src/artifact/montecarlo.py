@@ -1,8 +1,7 @@
 """Seeded stochastic generation of photon streams and detector pulses.
 
 Photon and pulse streams are numpy structured arrays (cheap for tens of
-millions of entries); ``PhotonState`` offers a per-row dataclass view for
-callers that prefer objects.  All randomness flows from a single 64-bit
+millions of entries).  All randomness flows from a single 64-bit
 seed through ``numpy.random.default_rng`` substreams, so identical
 (config, seed) pairs produce bit-identical streams.
 """
@@ -13,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spdc import JointAmplitude
+from .spdc import PairIntensity
 from .splitter import SplitterSpec, reflectivity, transmission
 from .xoptics import AttenuationTable, transmittance
 
@@ -113,25 +112,6 @@ class DetectorSpec:
         )
 
 
-@dataclass(frozen=True)
-class PhotonState:
-    """Object view of one photon-stream row."""
-
-    time_ns: float
-    energy_kev: float
-    detector: int
-    origin: int
-
-    @classmethod
-    def from_row(cls, row) -> "PhotonState":
-        return cls(
-            float(row["time_ns"]),
-            float(row["energy_kev"]),
-            int(row["detector"]),
-            int(row["origin"]),
-        )
-
-
 def _sorted_by_time(stream):
     order = np.argsort(stream["time_ns"], kind="stable")
     return stream[order]
@@ -151,7 +131,7 @@ def _poisson_times(rng, rate_hz, duration_s):
 
 
 def generate_pairs(
-    amp: JointAmplitude,
+    intensity: PairIntensity,
     splitter: SplitterSpec,
     source: SourceConfig,
     material: AttenuationTable,
@@ -163,8 +143,8 @@ def generate_pairs(
     """Photon stream from correlated pairs routed through the beam splitter.
 
     Pair creation times are a Poisson process at ``source.pair_rate``; each
-    pair's (energy, theta_x, theta_y) is drawn from |amplitude|^2 with the
-    partner energy fixed by energy conservation, and the two photons share
+    pair's (energy, theta_x) is drawn from the theta_y-integrated pair
+    intensity with the partner energy fixed by energy conservation, and the two photons share
     one creation time.  The heralded photon goes to the reflected port with
     probability R^2, the transmitted port with probability T, and is
     absorbed otherwise; both photons are additionally thinned by flight-path
@@ -177,18 +157,17 @@ def generate_pairs(
     if n == 0:
         return np.empty(0, dtype=PHOTON_DTYPE)
 
-    w = amp.weights().ravel()
-    cdf = np.cumsum(w)
+    cdf = intensity.cdf
     if cdf[-1] <= 0:
-        raise ValueError("amplitude weights vanish; nothing to sample")
+        raise ValueError("pair intensity vanishes; nothing to sample")
     idx = np.searchsorted(cdf, rng.random(n) * cdf[-1], side="right")
-    idx = np.minimum(idx, len(w) - 1)
-    i_e, i_x, i_y = np.unravel_index(idx, amp.weights().shape)
-    grid = amp.grid
-    e_h = amp.energies[i_e] + (rng.random(n) - 0.5) * grid.d_energy
-    t_x = amp.theta_x[i_x] + (rng.random(n) - 0.5) * grid.d_theta_x
+    idx = np.minimum(idx, len(cdf) - 1)
+    i_e, i_x = np.unravel_index(idx, intensity.weights.shape)
+    grid = intensity.grid
+    e_h = intensity.energies[i_e] + (rng.random(n) - 0.5) * grid.d_energy
+    t_x = intensity.theta_x[i_x] + (rng.random(n) - 0.5) * grid.d_theta_x
     rng.random(n)  # theta_y jitter drawn for stream stability; unused downstream
-    e_t = amp.config.pump_energy_kev - e_h
+    e_t = intensity.config.pump_energy_kev - e_h
 
     def path_survival(energy):
         s = np.ones_like(energy)

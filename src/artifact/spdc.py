@@ -1,14 +1,21 @@
-"""Biphoton joint spectral-angular amplitude and coincidence-rate quadrature.
+"""Biphoton pair intensity, coincidence-rate quadrature and Bragg-angle sweep.
 
 The parametric source is described by coupled mode equations whose
 first-order (low-gain) solution gives a two-photon amplitude proportional to
 
     kappa_L * sinc(dk_z * L / 2) * exp(i * dk_z * L / 2)
 
-per (energy, transverse-angle) cell, where dk_z is the longitudinal
+per (energy, transverse-angle) point, where dk_z is the longitudinal
 wave-vector mismatch.  Energy conservation fixes the partner energy
 (E_partner = E_pump - E) and transverse momentum conservation fixes the
-partner angles, so a single (E, theta_x, theta_y) grid describes the pair.
+partner angles, so (E, theta_x, theta_y) of one photon describes the pair.
+
+Every consumer (port rates and spectra, the Bragg-angle sweep, the pair
+sampler) needs only the intensity as a function of energy and theta_x: the
+splitter acts on theta_x alone and no observable depends on the phase.  One
+chunked kernel therefore reduces the pair intensity to a 2-D
+(E, theta_x) array W, with theta_y integrated out; ``amplitude_at``
+evaluates the complex amplitude pointwise where it is needed.
 
 The mismatch varies by orders of magnitude within a grid cell along the
 energy axis (the phase-matching ridge is micro-eV thin), so cell weights
@@ -21,12 +28,12 @@ refinement even though the integrand is unresolved pointwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import sici
 
-from .splitter import SplitterSpec, reflectance, transmission
+from .splitter import SplitterSpec, reflectivity, transmission
 from .xoptics import (
     AttenuationTable,
     LatticeSpec,
@@ -142,11 +149,14 @@ def _sinc2_antiderivative(x):
 
 def _sinc2_cell_average(x1, x2):
     """Mean of sinc^2 over [x1, x2]; falls back to the midpoint when degenerate."""
+    x1, x2 = np.broadcast_arrays(x1, x2)
     dx = x2 - x1
-    mid = 0.5 * (x1 + x2)
     with np.errstate(invalid="ignore", divide="ignore"):
-        avg = (_sinc2_antiderivative(x2) - _sinc2_antiderivative(x1)) / dx
-    return np.where(np.abs(dx) < 1e-6, sinc(mid) ** 2, avg)
+        avg = np.asarray((_sinc2_antiderivative(x2) - _sinc2_antiderivative(x1)) / dx)
+    degenerate = np.abs(dx) < 1e-6
+    if degenerate.any():
+        avg[degenerate] = sinc(0.5 * (x1[degenerate] + x2[degenerate])) ** 2
+    return avg
 
 
 class _Kinematics:
@@ -181,158 +191,154 @@ class _Kinematics:
 
 
 @dataclass(frozen=True)
-class JointAmplitude:
-    """Discretized biphoton amplitude on a (energy, theta_x, theta_y) grid."""
+class PairIntensity:
+    """theta_y-integrated pair intensity W(energy, theta_x) on the grid.
+
+    ``weights[i, j]`` is the low-gain intensity kappa_L^2 * <sinc^2(dk_z L/2)>
+    of energy cell i and theta_x cell j, averaged exactly across the energy
+    cell and summed over the theta_y cells times d_theta_y.  Every consumer
+    (rates, spectra, sweep, pair sampler) depends on theta_x and energy only,
+    so theta_y and the phase are integrated out once here.
+    """
 
     config: SpdcConfig
     grid: GridSpec
     energies: np.ndarray  # cell centers, keV
     theta_x: np.ndarray  # cell centers, rad
-    theta_y: np.ndarray  # cell centers, rad
-    amplitude: np.ndarray  # complex, shape (n_energy, n_x, n_y)
+    weights: np.ndarray  # float64, shape (n_energy, n_x)
+    cdf: np.ndarray = field(init=False, repr=False)  # flattened (C order) running sum
+
+    def __post_init__(self):
+        object.__setattr__(self, "cdf", np.cumsum(self.weights))
 
     @property
-    def cell_volume(self) -> float:
-        return self.grid.d_energy * self.grid.d_theta_x * self.grid.d_theta_y
-
-    def weights(self):
-        """|amplitude|^2 per cell."""
-        return np.abs(self.amplitude) ** 2
+    def cell_area(self) -> float:
+        return self.grid.d_energy * self.grid.d_theta_x
 
     def total(self) -> float:
-        """Integral of |amplitude|^2 over the window (1.0 when normalized)."""
-        return float(np.sum(self.weights()) * self.cell_volume)
+        """Integral of the pair intensity over the window (1.0 when normalized)."""
+        return float(np.sum(self.weights) * self.cell_area)
 
     def energy_marginal(self):
         """(energies, density) with the angular axes integrated out."""
-        dens = self.weights().sum(axis=(1, 2)) * self.grid.d_theta_x * self.grid.d_theta_y
-        return self.energies, dens
+        return self.energies, self.weights.sum(axis=1) * self.grid.d_theta_x
 
-    def to_csv(self, path):
-        """Dump one row per cell: energy, theta_x, theta_y, |amplitude|^2."""
-        w = self.weights()
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("energy_kev,theta_x_rad,theta_y_rad,weight\n")
-            for i, e in enumerate(self.energies):
-                for j, tx in enumerate(self.theta_x):
-                    for k, ty in enumerate(self.theta_y):
-                        fh.write(f"{e:.9g},{tx:.9g},{ty:.9g},{w[i, j, k]:.9g}\n")
+
+# Cells of the (energy edge, theta_x, theta_y) block evaluated per kernel
+# chunk; bounds the kernel's temporaries to a few tens of MB.
+CHUNK_CELLS = 4_000_000
+
+
+def _theta_y_summed_sinc2(kin: _Kinematics, grid: GridSpec):
+    """Sum over theta_y cells of the shared-edge sinc^2 cell average.
+
+    Returns an (n_energy, n_x) array; cells whose edges are evanescent
+    contribute zero.
+    """
+    e_edges = grid.energy_edges()[:, None, None]
+    tx = grid.theta_x_centers()
+    ty = grid.theta_y_centers()[None, None, :]
+    out = np.empty((grid.n_energy, grid.n_x))
+    n_chunk = max(1, CHUNK_CELLS // ((grid.n_energy + 1) * grid.n_y))
+    for j0 in range(0, grid.n_x, n_chunk):
+        x_edge = kin.half_phase(e_edges, tx[j0 : j0 + n_chunk][None, :, None], ty)
+        w = _sinc2_cell_average(x_edge[:-1], x_edge[1:])
+        bad = np.isnan(x_edge[:-1]) | np.isnan(x_edge[1:]) | np.isnan(w)
+        out[:, j0 : j0 + n_chunk] = np.where(bad, 0.0, w).sum(axis=2)
+    return out
 
 
 def biphoton_amplitude(
-    config: SpdcConfig,
-    grid: GridSpec | None = None,
-    *,
-    cell_average: bool = True,
-    normalize: bool = True,
-    chunk_cells: int = 4_000_000,
-) -> JointAmplitude:
-    """Evaluate the first-order two-photon amplitude on the grid.
+    config: SpdcConfig, grid: GridSpec | None = None, *, normalize: bool = True
+) -> PairIntensity:
+    """theta_y-integrated pair intensity |amplitude|^2 on the (energy, theta_x) grid.
 
-    With ``cell_average`` (default) the magnitude of each cell is the root
-    mean square of sinc(dk_z L/2) across the cell's energy extent, computed
-    exactly from the sinc^2 antiderivative with shared cell edges; the phase
-    is taken at the cell center.  With ``cell_average=False`` both magnitude
-    and phase are evaluated pointwise at cell centers (useful for comparing
-    against direct integration of the coupled equations).
+    Each cell holds kappa_L^2 times the mean of sinc^2(dk_z L/2) across the
+    cell's energy extent (exact, from the sinc^2 antiderivative with shared
+    cell edges), summed over theta_y with weight d_theta_y.  With
+    ``normalize`` the intensity integrates to 1 over the window.
     """
     if grid is None:
         grid = GridSpec()
-    if not (0.0 < config.kappa_l <= MAX_KAPPA_L):
-        raise ValueError("kappa_l outside the low-gain validity range")
-    kin = _Kinematics(config)
-    e_edges = grid.energy_edges()
-    e_cent = grid.energy_centers()
-    tx = grid.theta_x_centers()
-    ty = grid.theta_y_centers()
-    amp = np.empty((grid.n_energy, grid.n_x, grid.n_y), dtype=np.complex128)
-
-    ty_b = ty[None, None, :]
-    n_chunk = max(1, chunk_cells // ((grid.n_energy + 1) * grid.n_y))
-    for j0 in range(0, grid.n_x, n_chunk):
-        tx_b = tx[j0 : j0 + n_chunk][None, :, None]
-        x_mid = kin.half_phase(e_cent[:, None, None], tx_b, ty_b)
-        phase = np.exp(1j * np.where(np.isnan(x_mid), 0.0, x_mid))
-        if cell_average:
-            x_edge = kin.half_phase(e_edges[:, None, None], tx_b, ty_b)
-            mag2 = _sinc2_cell_average(x_edge[:-1], x_edge[1:])
-            bad = np.isnan(x_edge[:-1]) | np.isnan(x_edge[1:]) | np.isnan(mag2)
-            mag = np.sqrt(np.where(bad, 0.0, mag2))
-        else:
-            mag = np.where(np.isnan(x_mid), 0.0, sinc(np.where(np.isnan(x_mid), 0.0, x_mid)))
-        amp[:, j0 : j0 + n_chunk, :] = config.kappa_l * mag * phase
-
+    w = _theta_y_summed_sinc2(_Kinematics(config), grid)
+    w *= config.kappa_l**2 * grid.d_theta_y
     if normalize:
-        volume = grid.d_energy * grid.d_theta_x * grid.d_theta_y
-        norm = math.sqrt(float(np.sum(np.abs(amp) ** 2)) * volume)
+        norm = float(np.sum(w)) * grid.d_energy * grid.d_theta_x
         if norm == 0.0:
-            raise ValueError("amplitude vanishes identically on this grid")
-        amp /= norm
-    return JointAmplitude(config, grid, e_cent, tx, ty, amp)
+            raise ValueError("pair intensity vanishes identically on this grid")
+        w /= norm
+    return PairIntensity(config, grid, grid.energy_centers(), grid.theta_x_centers(), w)
+
+
+def amplitude_at(config: SpdcConfig, energy_kev, theta_x, theta_y):
+    """Pointwise first-order amplitude kappa_L * sinc(x) * exp(i x), x = dk_z L/2.
+
+    Broadcasts its arguments; zero where the partner is evanescent.
+    """
+    x = _Kinematics(config).half_phase(energy_kev, theta_x, theta_y)
+    bad = np.isnan(x)
+    x = np.where(bad, 0.0, x)
+    return np.where(bad, 0.0, config.kappa_l * sinc(x)) * np.exp(1j * x)
 
 
 def reflection_filter(spec: SplitterSpec):
-    """Amplitude filter for the reflected port of the splitter.
+    """Intensity response (energy, theta_x) -> reflectivity of the reflected port.
 
     The heralded beam's transverse angle theta_x maps one-to-one onto the
     rocking offset of the splitter (dispersion-matched mounting), so the
-    filter is the amplitude reflectance at (energy, dtheta = theta_x).
+    response is the intensity reflectivity at (energy, dtheta = theta_x).
     """
 
-    def apply(energy_kev, theta_x, theta_y):
-        return reflectance(spec, energy_kev, np.degrees(theta_x))
+    def apply(energy_kev, theta_x):
+        return reflectivity(spec, energy_kev, np.degrees(theta_x))
 
     return apply
 
 
 def transmission_filter(spec: SplitterSpec, material: AttenuationTable):
-    """Amplitude-equivalent filter for the transmitted port (sqrt of intensity T)."""
+    """Intensity response (energy, theta_x) -> transmission of the transmitted port."""
 
-    def apply(energy_kev, theta_x, theta_y):
-        return np.sqrt(transmission(spec, energy_kev, np.degrees(theta_x), material))
+    def apply(energy_kev, theta_x):
+        return transmission(spec, energy_kev, np.degrees(theta_x), material)
 
     return apply
 
 
-def coincidence_rate(amp: JointAmplitude, spectral_filter=None, loss=None) -> float:
-    """Quadrature of |amplitude|^2 * |filter|^2 * loss over the grid.
+def coincidence_rate(intensity: PairIntensity, response=None, loss=None) -> float:
+    """Quadrature of the theta_y-integrated pair intensity * response * loss.
 
-    ``spectral_filter`` is a callable (energy, theta_x, theta_y) -> amplitude
+    ``response`` is a callable (energy, theta_x) -> intensity
     response (broadcastable), or None for unit response.  ``loss`` is a
     callable energy -> intensity fraction in [0, 1], or None.  With both
-    absent the result is the amplitude normalization (1.0 for a normalized
+    absent the result is the intensity normalization (1.0 for a normalized
     grid).
     """
-    w = amp.weights()
-    e = amp.energies[:, None, None]
-    tx = amp.theta_x[None, :, None]
-    ty = amp.theta_y[None, None, :]
-    if spectral_filter is not None:
-        response = np.abs(np.broadcast_to(spectral_filter(e, tx, ty), w.shape)) ** 2
-        w = w * response
+    w = intensity.weights
+    e = intensity.energies[:, None]
+    if response is not None:
+        w = w * response(e, intensity.theta_x[None, :])
     if loss is not None:
-        w = w * np.broadcast_to(loss(e), w.shape)
-    return float(np.sum(w) * amp.cell_volume)
+        w = w * loss(e)
+    return float(np.sum(w) * intensity.cell_area)
 
 
 def port_energy_spectra(
-    amp: JointAmplitude, spec: SplitterSpec, material: AttenuationTable
+    intensity: PairIntensity, spec: SplitterSpec, material: AttenuationTable
 ):
     """Model energy spectra behind the splitter.
 
     Returns (energies, reflected_density, transmitted_density): the energy
-    marginal of the pair intensity weighted by the intensity reflectivity and
-    transmission of each output port.
+    marginal of the theta_y-integrated pair intensity weighted by the
+    intensity reflectivity and transmission of each output port.
     """
-    w = amp.weights()
-    e = amp.energies[:, None, None]
-    tx = amp.theta_x[None, :, None]
-    refl = np.abs(reflection_filter(spec)(e, tx, None)) ** 2
-    trans = np.abs(transmission_filter(spec, material)(e, tx, None)) ** 2
-    d_angle = amp.grid.d_theta_x * amp.grid.d_theta_y
-    refl_dens = (w * refl).sum(axis=(1, 2)) * d_angle
-    trans_dens = (w * trans).sum(axis=(1, 2)) * d_angle
-    return amp.energies, refl_dens, trans_dens
+    e = intensity.energies[:, None]
+    tx = intensity.theta_x[None, :]
+    refl = reflection_filter(spec)(e, tx)
+    trans = transmission_filter(spec, material)(e, tx)
+    d_x = intensity.grid.d_theta_x
+    refl_dens = (intensity.weights * refl).sum(axis=1) * d_x
+    trans_dens = (intensity.weights * trans).sum(axis=1) * d_x
+    return intensity.energies, refl_dens, trans_dens
 
 
 def default_splitter_family(base: SplitterSpec):
@@ -360,8 +366,8 @@ def default_splitter_family(base: SplitterSpec):
 
 
 # Finer-than-default internal grid for the Bragg-angle sweep: narrow rocking
-# widths demand high transverse-angle resolution, and the sweep never
-# materializes the amplitude, so the extra resolution is cheap.
+# widths demand high transverse-angle resolution, and the sweep keeps only
+# the 2-D (energy, theta_x) intensity, so the extra resolution is cheap.
 SWEEP_GRID = GridSpec(8.5, 12.5, 2400, 5.0e-3, 500, 20)
 
 
@@ -373,49 +379,32 @@ def bragg_angle_sweep(
     grid: GridSpec | None = None,
     air: AttenuationTable | None = None,
     air_path_cm: float = 10.0,
-    chunk_cells: int = 4_000_000,
 ):
     """Normalized reflected-port rate versus splitter Bragg angle.
 
     For each angle the reflected-port rate (intensity reflectivity folded
-    with the pair intensity and, optionally, air absorption along
-    ``air_path_cm``) is normalized by the total pair intensity at the source.
-    Streams over the grid in chunks; returns a list of (theta_B_deg, rate).
+    with the theta_y-integrated pair intensity and, optionally, air
+    absorption along ``air_path_cm``) is normalized by the total pair
+    intensity at the source.  Returns a list of (theta_B_deg, rate).
     """
     sweep_deg = list(sweep_deg)
     if not sweep_deg:
         return []
     if grid is None:
         grid = SWEEP_GRID
-    kin = _Kinematics(config)
-    e_edges = grid.energy_edges()
-    e_cent = grid.energy_centers()
-    tx = grid.theta_x_centers()
-    ty = grid.theta_y_centers()
     specs = [splitter_family(t) for t in sweep_deg]
     for t in sweep_deg:
         if not (0.0 < t < 90.0):
             raise ValueError("sweep angles must lie in (0, 90) degrees")
-    air_t = transmittance(e_cent, air, air_path_cm) if air is not None else None
-
-    numer = np.zeros(len(specs))
-    denom = 0.0
-    ty_b = ty[None, None, :]
-    n_chunk = max(1, chunk_cells // ((grid.n_energy + 1) * grid.n_y))
-    for j0 in range(0, grid.n_x, n_chunk):
-        tx_b = tx[j0 : j0 + n_chunk][None, :, None]
-        x_edge = kin.half_phase(e_edges[:, None, None], tx_b, ty_b)
-        w = _sinc2_cell_average(x_edge[:-1], x_edge[1:])
-        bad = np.isnan(x_edge[:-1]) | np.isnan(x_edge[1:]) | np.isnan(w)
-        w = np.where(bad, 0.0, w)
-        denom += float(w.sum())
-        w_y = w.sum(axis=2)  # reflectivity depends only on (energy, theta_x)
-        if air_t is not None:
-            w_y = w_y * air_t[:, None]
-        dtheta_deg = np.degrees(tx_b[:, :, 0])
-        for i, spec in enumerate(specs):
-            refl = reflectance(spec, e_cent[:, None], dtheta_deg) ** 2
-            numer[i] += float((w_y * refl).sum())
+    w = _theta_y_summed_sinc2(_Kinematics(config), grid)
+    denom = float(w.sum())
     if denom == 0.0:
         raise ValueError("pair intensity vanishes on the sweep grid")
-    return [(t, float(n / denom)) for t, n in zip(sweep_deg, numer)]
+    e_cent = grid.energy_centers()[:, None]
+    if air is not None:
+        w = w * transmittance(e_cent, air, air_path_cm)
+    dtheta_deg = np.degrees(grid.theta_x_centers())[None, :]
+    return [
+        (t, float((w * reflectivity(spec, e_cent, dtheta_deg)).sum() / denom))
+        for t, spec in zip(sweep_deg, specs)
+    ]

@@ -229,15 +229,15 @@ def test_criterion_08_correlation_degree(pair_dominated_run):
 def test_criterion_09_amplitude_matches_direct_integration(default_config):
     cfg = default_config.spdc
     grid = spdc.GridSpec(9.5, 11.5, 120, 5.0e-3, 40, 8)
-    amp = spdc.biphoton_amplitude(cfg, grid, cell_average=False, normalize=False)
     kin = _Kinematics(cfg)
-    e = amp.energies[:, None, None]
-    tx = amp.theta_x[None, :, None]
-    ty = amp.theta_y[None, None, :]
+    e = grid.energy_centers()[:, None, None]
+    tx = grid.theta_x_centers()[None, :, None]
+    ty = grid.theta_y_centers()[None, None, :]
+    amplitude = spdc.amplitude_at(cfg, e, tx, ty)
     x = kin.half_phase(e, tx, ty)
-    mask = np.isfinite(x) & (np.abs(amp.amplitude) > 0.05 * cfg.kappa_l)
+    mask = np.isfinite(x) & (np.abs(amplitude) > 0.05 * cfg.kappa_l)
     x_sel = x[mask][::7][:300]
-    a_sel = amp.amplitude[mask][::7][:300]
+    a_sel = amplitude[mask][::7][:300]
 
     # Direct fourth-order integration of the coupled-mode equation
     # dB/du = i * kappa_l * exp(2 i x u) over the crystal, u in [0, 1].

@@ -32,6 +32,24 @@ def test_overrides_apply():
     assert cfg.source.rng_seed == 99
 
 
+def test_override_whitespace_is_stripped():
+    cfg = load_default_config([" source . duration_s = 5 "])
+    assert cfg.source.duration_s == 5.0
+
+
+def test_output_detector_pulse_widths_rejected():
+    for key in ("logic_width_ns", "analog_width_ns"):
+        for section in ("detector.ref", "detector.trans"):
+            with pytest.raises(ConfigError, match=key):
+                load_default_config([f"{section}.{key}=500"])
+
+
+def test_trigger_detector_pulse_width_reaches_daq():
+    cfg = load_default_config(["detector.trig.logic_width_ns=500"])
+    assert cfg.daq.logic_width_ns == 500.0
+    assert cfg.detectors[DET_TRIG].logic_width_ns == 500.0
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError):
         load_default_config(["source.typo_rate=1.0"])

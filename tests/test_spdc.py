@@ -1,17 +1,20 @@
-"""Unit tests for the biphoton amplitude, grid handling, and rate quadrature."""
+"""Unit tests for the biphoton pair intensity, grid handling, and rate quadrature."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from artifact import spdc
 from artifact.spdc import (
     GridSpec,
-    JointAmplitude,
+    PairIntensity,
     SpdcConfig,
     biphoton_amplitude,
     coincidence_rate,
     sinc,
+    _Kinematics,
     _sinc2_cell_average,
 )
 
@@ -72,8 +75,11 @@ def test_amplitude_normalization(amp_small):
 
 
 def test_unnormalized_amplitude_scale():
-    amp = biphoton_amplitude(SpdcConfig(), SMALL_GRID, normalize=False)
-    assert np.max(np.abs(amp.amplitude)) <= SpdcConfig().kappa_l + 1e-15
+    # Each (E, theta_x, theta_y) cell carries at most kappa_L^2 (sinc^2 <= 1);
+    # summing n_y cells of width d_theta_y bounds W by kappa_L^2 * angle span.
+    w = biphoton_amplitude(SpdcConfig(), SMALL_GRID, normalize=False)
+    bound = SpdcConfig().kappa_l ** 2 * SMALL_GRID.angle_span_rad
+    assert np.max(w.weights) <= bound * (1 + 1e-12)
 
 
 def test_energy_marginal_integrates_to_total(amp_small):
@@ -87,13 +93,10 @@ def test_coincidence_rate_symmetric_half_filter():
     # filter on the upper half-energy range passes exactly half the rate.
     grid = GridSpec(9.5, 11.5, 100, 5.0e-3, 8, 4)
     e = grid.energy_centers()
-    w = np.exp(-((e[:, None, None] - 10.5) ** 2)) * np.ones((1, grid.n_x, grid.n_y))
-    amp = JointAmplitude(
-        SpdcConfig(), grid, e, grid.theta_x_centers(), grid.theta_y_centers(),
-        np.sqrt(w).astype(complex),
-    )
-    upper = lambda energy, tx, ty: (energy >= 10.5).astype(float)
-    ratio = coincidence_rate(amp, upper) / coincidence_rate(amp)
+    w = np.exp(-((e[:, None] - 10.5) ** 2)) * np.ones((1, grid.n_x))
+    intensity = PairIntensity(SpdcConfig(), grid, e, grid.theta_x_centers(), w)
+    upper = lambda energy, tx: (energy >= 10.5).astype(float)
+    ratio = coincidence_rate(intensity, upper) / coincidence_rate(intensity)
     assert ratio == pytest.approx(0.5, abs=1e-6)
 
 
@@ -113,3 +116,42 @@ def test_cell_average_preserves_total_under_refinement():
     fine = biphoton_amplitude(cfg, GridSpec(9.5, 11.5, 900, 5.0e-3, 60, 10),
                               normalize=False)
     assert coarse.total() == pytest.approx(fine.total(), rel=2e-2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_energy=st.integers(5, 60),
+    n_x=st.integers(1, 12),
+    n_y=st.integers(1, 6),
+    chunk_cols=st.integers(1, 12),
+)
+def test_pair_intensity_kernel_matches_3d_reference(n_energy, n_x, n_y, chunk_cols):
+    cfg = SpdcConfig()
+    grid = GridSpec(8.5, 12.5, n_energy, 5.0e-3, n_x, n_y)
+    # A chunk constant worth ``chunk_cols`` theta_x columns puts chunk
+    # boundaries mid-axis whenever chunk_cols < n_x.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spdc, "CHUNK_CELLS", chunk_cols * (n_energy + 1) * n_y)
+        raw = biphoton_amplitude(cfg, grid, normalize=False)
+        normalized = biphoton_amplitude(cfg, grid)
+
+    x_edge = _Kinematics(cfg).half_phase(
+        grid.energy_edges()[:, None, None],
+        grid.theta_x_centers()[None, :, None],
+        grid.theta_y_centers()[None, None, :],
+    )
+    cell = _sinc2_cell_average(x_edge[:-1], x_edge[1:])
+    bad = np.isnan(x_edge[:-1]) | np.isnan(x_edge[1:]) | np.isnan(cell)
+    expected = np.where(bad, 0.0, cell).sum(axis=2) * cfg.kappa_l**2 * grid.d_theta_y
+
+    assert raw.weights.shape == (n_energy, n_x)
+    np.testing.assert_allclose(raw.weights, expected, rtol=1e-12, atol=0.0)
+    assert np.all(raw.weights >= 0)
+    assert np.all(normalized.weights >= 0)
+    assert normalized.total() == pytest.approx(1.0, rel=1e-12)
+
+
+def test_reference_grid_weights_are_2d(default_config, amp_default):
+    grid = default_config.grid
+    assert amp_default.weights.dtype == np.float64
+    assert amp_default.weights.nbytes == grid.n_energy * grid.n_x * 8
