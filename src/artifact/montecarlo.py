@@ -166,7 +166,6 @@ def generate_pairs(
     grid = intensity.grid
     e_h = intensity.energies[i_e] + (rng.random(n) - 0.5) * grid.d_energy
     t_x = intensity.theta_x[i_x] + (rng.random(n) - 0.5) * grid.d_theta_x
-    rng.random(n)  # theta_y jitter drawn for stream stability; unused downstream
     e_t = intensity.config.pump_energy_kev - e_h
 
     def path_survival(energy):
