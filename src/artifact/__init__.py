@@ -4,7 +4,7 @@ source split on a mosaic Bragg crystal.
 Submodules:
 
 * :mod:`artifact.xoptics`    – energy/wavelength units, Bragg geometry, attenuation
-* :mod:`artifact.spdc`       – theta_y-integrated pair intensity, rate quadrature, Bragg sweep
+* :mod:`artifact.spdc`       – theta_y-integrated pair intensity and rate quadrature
 * :mod:`artifact.splitter`   – Gaussian mosaic-crystal beam-splitter model
 * :mod:`artifact.montecarlo` – seeded photon-stream and detector simulation
 * :mod:`artifact.daq`        – coincidence-electronics emulation

@@ -72,7 +72,9 @@ def cmd_model(cfg: RunConfig, outdir: str) -> None:
     graphite = load_table("graphite")
     intensity = spdc_mod.biphoton_amplitude(cfg.spdc, cfg.grid)
 
-    r_ref = spdc_mod.coincidence_rate(intensity, spdc_mod.reflection_filter(cfg.splitter))
+    r_ref = spdc_mod.coincidence_rate(
+        intensity, spdc_mod.reflection_filter(cfg.splitter)
+    )
     r_trans = spdc_mod.coincidence_rate(
         intensity, spdc_mod.transmission_filter(cfg.splitter, graphite)
     )
@@ -109,7 +111,8 @@ def simulate_events(cfg: RunConfig):
     seeds = np.random.SeedSequence(cfg.source.rng_seed).spawn(3)
     rng_pairs, rng_stray, rng_detect = (np.random.default_rng(s) for s in seeds)
     pairs = mc.generate_pairs(
-        intensity, cfg.splitter, cfg.source, graphite, air=air, helium=helium, rng=rng_pairs
+        intensity, cfg.splitter, cfg.source, graphite,
+        air=air, helium=helium, rng=rng_pairs,
     )
     stray = mc.generate_stray(cfg.source, rng=rng_stray)
     photons = mc.merge_streams(pairs, stray)

@@ -105,6 +105,7 @@ _DETECTOR_SECTIONS = {
 # The coincidence electronics take their pulse widths from the trigger
 # detector, so setting these for an output detector alone would do nothing.
 _TRIGGER_ONLY_KEYS = ("analog_width_ns", "logic_width_ns")
+_OUTPUT_DETECTOR_SECTIONS = ("detector.trans", "detector.ref")
 
 
 @dataclass(frozen=True)
@@ -132,10 +133,11 @@ def _validate(parser: configparser.ConfigParser):
         for key in parser[section]:
             if key not in allowed:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            if key in _TRIGGER_ONLY_KEYS and section in ("detector.trans", "detector.ref"):
+            if key in _TRIGGER_ONLY_KEYS and section in _OUTPUT_DETECTOR_SECTIONS:
                 raise ConfigError(
-                    f"key {key!r} in section [{section}] has no effect: the electronics "
-                    "use the trigger detector's pulse widths ([detector] or [detector.trig])"
+                    f"key {key!r} in section [{section}] has no effect: the "
+                    "electronics use the trigger detector's pulse widths "
+                    "(set it in [detector] or [detector.trig])"
                 )
 
 

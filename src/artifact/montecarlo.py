@@ -144,11 +144,11 @@ def generate_pairs(
 
     Pair creation times are a Poisson process at ``source.pair_rate``; each
     pair's (energy, theta_x) is drawn from the theta_y-integrated pair
-    intensity with the partner energy fixed by energy conservation, and the two photons share
-    one creation time.  The heralded photon goes to the reflected port with
-    probability R^2, the transmitted port with probability T, and is
-    absorbed otherwise; both photons are additionally thinned by flight-path
-    absorption when air/helium tables are supplied.
+    intensity with the partner energy fixed by energy conservation, and the
+    two photons share one creation time.  The heralded photon goes to the
+    reflected port with probability R^2, the transmitted port with
+    probability T, and is absorbed otherwise; both photons are additionally
+    thinned by flight-path absorption when air/helium tables are supplied.
     """
     if rng is None:
         rng = np.random.default_rng(source.rng_seed)
