@@ -118,7 +118,7 @@ def simulate_events(cfg: RunConfig):
     photons = mc.merge_streams(pairs, stray)
     pulses = mc.detect(photons, cfg.detectors, rng_detect)
     events, rate_dropped, empty_dropped = daq_mod.build_events(pulses, cfg.daq)
-    daq_mod.energy_select(events, cfg.daq)
+    events, _heralded = daq_mod.energy_select(events, cfg.daq)
     return events, rate_dropped, empty_dropped, pulses
 
 
@@ -224,14 +224,9 @@ def cmd_analyze(cfg: RunConfig, events_path: str, outdir: str) -> None:
 
     live_time = meta.get("live_time_s")
     if live_time:
-        n_ref = sum(
-            1 for rec in heralded if any(p == DET_REF for p, _t, _o in rec.heralded_pairs)
-        )
-        n_trans = sum(
-            1
-            for rec in heralded
-            if any(p == DET_TRANS for p, _t, _o in rec.heralded_pairs)
-        )
+        heralded_at = ~np.isnan(heralded.herald_kev)
+        n_ref = int(heralded_at[:, DET_REF].sum())
+        n_trans = int(heralded_at[:, DET_TRANS].sum())
         rates = stats_mod.rates_and_ratios(
             n_ref,
             n_trans,

@@ -9,8 +9,8 @@ limit, and energy post-selection flags the heralded subset.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,27 +38,172 @@ class DaqConfig:
             raise ValueError("sum window and rate cap must be positive")
 
 
-@dataclass
-class EventRecord:
-    """One digitizer capture: registered photons per detector.
+DETECTORS = (DET_TRIG, DET_TRANS, DET_REF)
+OUTPUT_PORTS = (DET_TRANS, DET_REF)
 
-    ``energies``/``offsets``/``origins`` map detector id to parallel arrays;
-    offsets are analog-peak times relative to the trigger point and always
-    lie within +-half_window by construction.  Selection flags are filled by
-    ``energy_select``.
+
+def _csr_start(sizes):
+    """CSR offsets (len(sizes) + 1) of consecutive segments of the given sizes."""
+    start = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=start[1:])
+    return start
+
+
+@dataclass(frozen=True, eq=False)
+class EventTable:
+    """Digitizer captures as one CSR table of registered photons.
+
+    Event ``i`` owns photons ``start[i]:start[i + 1]`` of the flat columns
+    ``detector``, ``energy_kev``, ``offset_ns`` and ``origin``.  Within an
+    event they are ordered by detector (TRIG, TRANS, REF) and, within one
+    detector, by analog-peak time.  Offsets are analog-peak times relative to
+    ``trigger_ns[i]`` and lie within +-half_window by construction.
+
+    ``energy_select`` fills the per-event columns ``passes_acceptance``,
+    ``passes_sum`` and ``herald_kev`` (n_events x 3) and records its config
+    in ``selection``.  ``herald_kev[i, port]`` is the output energy of the
+    first qualifying (trigger photon, ``port`` photon) pairing of event ``i``,
+    taking trigger photons first and output photons second in table order,
+    or NaN when no pairing at that port qualifies (the DET_TRIG column is
+    always NaN).
+
+    ``len()`` counts events; indexing and iteration yield ``EventView``s.
     """
 
-    trigger_ns: float
-    energies: dict[int, np.ndarray]
-    offsets: dict[int, np.ndarray]
-    origins: dict[int, np.ndarray]
-    passes_acceptance: bool = False
-    passes_sum: bool = False
-    heralded_pairs: list = field(default_factory=list)  # (port, E_trig, E_port)
+    trigger_ns: np.ndarray
+    start: np.ndarray
+    detector: np.ndarray
+    energy_kev: np.ndarray
+    offset_ns: np.ndarray
+    origin: np.ndarray
+    passes_acceptance: np.ndarray | None = None
+    passes_sum: np.ndarray | None = None
+    herald_kev: np.ndarray | None = None
+    selection: DaqConfig | None = None
 
-    def count(self, detector: int) -> int:
-        return len(self.energies.get(detector, ()))
+    def __len__(self) -> int:
+        return len(self.trigger_ns)
 
+    def __getitem__(self, index: int) -> EventView:
+        n = len(self)
+        if not -n <= index < n:
+            raise IndexError("event index out of range")
+        return EventView(self, index % n)
+
+    def event_index(self) -> np.ndarray:
+        """Event number of every photon."""
+        return np.repeat(np.arange(len(self)), np.diff(self.start))
+
+    def counts(self, photons=None) -> np.ndarray:
+        """Photons per event and detector, (n_events, 3), optionally only
+        those where the boolean photon mask ``photons`` is true."""
+        cell = self.event_index() * len(DETECTORS) + self.detector
+        if photons is not None:
+            cell = cell[photons]
+        n = len(self)
+        return np.bincount(cell, minlength=n * len(DETECTORS)).reshape(n, len(DETECTORS))
+
+    def select(self, keep) -> EventTable:
+        """The events where the boolean mask ``keep`` is true, in order."""
+        keep = np.asarray(keep, dtype=bool)
+        sizes = np.diff(self.start)
+        photons = np.repeat(keep, sizes)
+
+        def per_event(column):
+            return None if column is None else column[keep]
+
+        return EventTable(
+            self.trigger_ns[keep],
+            _csr_start(sizes[keep]),
+            self.detector[photons],
+            self.energy_kev[photons],
+            self.offset_ns[photons],
+            self.origin[photons],
+            per_event(self.passes_acceptance),
+            per_event(self.passes_sum),
+            per_event(self.herald_kev),
+            self.selection,
+        )
+
+    def sum_window_pairs(self, port: int, pump_energy_kev: float, sum_halfwidth_kev: float):
+        """Pairings (trigger photon, ``port`` photon) with
+        |E_trig + E_port - E_pump| <= sum_halfwidth.
+
+        Every pairing of each event is expanded, ordered by event, then
+        trigger photon, then ``port`` photon.  Returns (event, port photon
+        index) of the qualifying pairings in that order.
+        """
+        counts = self.counts()
+        block = self.start[:-1, None] + np.cumsum(counts, axis=1) - counts
+        n_t, n_o = counts[:, DET_TRIG], counts[:, port]
+        per_event = n_t * n_o
+        event = np.repeat(np.arange(len(self)), per_event)
+        k = np.arange(len(event)) - (np.cumsum(per_event) - per_event)[event]
+        trig = block[event, DET_TRIG] + k // n_o[event]
+        out = block[event, port] + k % n_o[event]
+        e = self.energy_kev
+        hit = np.abs(e[trig] + e[out] - pump_energy_kev) <= sum_halfwidth_kev
+        return event[hit], out[hit]
+
+
+class EventView:
+    """Read-only view of one event of an ``EventTable``, built from its
+    columns on demand.  For inspection only: estimators read the columns."""
+
+    __slots__ = ("_table", "_index")
+
+    def __init__(self, table: EventTable, index: int):
+        self._table = table
+        self._index = index
+
+    def _by_detector(self, column) -> dict[int, np.ndarray]:
+        t, i = self._table, self._index
+        photons = slice(t.start[i], t.start[i + 1])
+        detector = t.detector[photons]
+        return {d: column[photons][detector == d] for d in DETECTORS}
+
+    def _flag(self, column) -> bool:
+        return column is not None and bool(column[self._index])
+
+    @property
+    def trigger_ns(self) -> float:
+        return float(self._table.trigger_ns[self._index])
+
+    @property
+    def energies(self) -> dict[int, np.ndarray]:
+        return self._by_detector(self._table.energy_kev)
+
+    @property
+    def offsets(self) -> dict[int, np.ndarray]:
+        return self._by_detector(self._table.offset_ns)
+
+    @property
+    def origins(self) -> dict[int, np.ndarray]:
+        return self._by_detector(self._table.origin)
+
+    @property
+    def passes_acceptance(self) -> bool:
+        return self._flag(self._table.passes_acceptance)
+
+    @property
+    def passes_sum(self) -> bool:
+        return self._flag(self._table.passes_sum)
+
+    @property
+    def heralded_pairs(self) -> list[tuple[int, float, float]]:
+        """Every qualifying (port, E_trig, E_port) pairing, in pairing order;
+        empty before ``energy_select``."""
+        cfg = self._table.selection
+        if cfg is None:
+            return []
+        e = self.energies
+        return [
+            (port, float(e_t), float(e_o))
+            for port in OUTPUT_PORTS
+            for e_t in e[DET_TRIG]
+            for e_o in e[port]
+            if abs(e_t + e_o - cfg.pump_energy_kev) <= cfg.sum_halfwidth_kev
+        ]
 
 def find_triggers(pulses, cfg: DaqConfig):
     """Overlap points of trigger-detector logic pulses with output logic pulses.
@@ -102,162 +247,164 @@ def find_triggers(pulses, cfg: DaqConfig):
     return points[keep], dropped
 
 
-def _record_from_window(trigger_ns, peaks, energies, detectors, origins, lo, hi):
-    e_by, off_by, org_by = {}, {}, {}
-    win_det = detectors[lo:hi]
-    win_off = peaks[lo:hi] - trigger_ns
-    win_e = energies[lo:hi]
-    win_org = origins[lo:hi]
-    for det in (DET_TRIG, DET_TRANS, DET_REF):
-        mask = win_det == det
-        e_by[det] = win_e[mask]
-        off_by[det] = win_off[mask]
-        org_by[det] = win_org[mask]
-    return EventRecord(trigger_ns, e_by, off_by, org_by)
-
-
 def build_events(pulses, cfg: DaqConfig):
     """Full chain: triggering, rate cap, software window, empty-trigger pruning.
 
-    Returns (events, rate_dropped, empty_dropped).  Events whose window
-    contains no trigger-detector photon carry no usable coincidence
-    information and are dropped (counted separately).
+    Returns (events, rate_dropped, empty_dropped) with ``events`` an
+    ``EventTable``.  Events whose window contains no trigger-detector photon
+    carry no usable coincidence information and are dropped (counted
+    separately).
     """
-    order = np.lexsort((pulses["detector"], pulses["start_ns"]))
-    pulses = pulses[order]
     points, rate_dropped = find_triggers(pulses, cfg)
-    # Extract plain arrays once: per-event slicing of a structured array is
-    # far more expensive than slicing contiguous columns.
-    peaks = pulses["start_ns"] + 0.5 * cfg.analog_width_ns
-    energies = np.ascontiguousarray(pulses["energy_kev"])
-    detectors = np.ascontiguousarray(pulses["detector"])
-    origins = np.ascontiguousarray(pulses["origin"])
-    los = np.searchsorted(peaks, points - cfg.half_window_ns, side="left")
-    his = np.searchsorted(peaks, points + cfg.half_window_ns, side="right")
-    events = []
-    empty_dropped = 0
-    for t, lo, hi in zip(points, los, his):
-        rec = _record_from_window(float(t), peaks, energies, detectors, origins, lo, hi)
-        if rec.count(DET_TRIG) == 0:
-            empty_dropped += 1
-            continue
-        events.append(rec)
-    return events, rate_dropped, empty_dropped
+    # Stable time order: within one detector it is the order each window keeps.
+    order = np.argsort(pulses["start_ns"], kind="stable")
+    peaks = pulses["start_ns"][order]
+    peaks += 0.5 * cfg.analog_width_ns
+    lo = np.searchsorted(peaks, points - cfg.half_window_ns, side="left")
+    hi = np.searchsorted(peaks, points + cfg.half_window_ns, side="right")
+    sizes = hi - lo
+    event = np.repeat(np.arange(len(points)), sizes)
+    window = np.arange(len(event)) + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
+    by_detector = np.argsort(
+        event * len(DETECTORS) + pulses["detector"][order[window]], kind="stable"
+    )
+    window, event = window[by_detector], event[by_detector]
+    source = order[window]
+    # The window test compares peak with point +- half_window; the
+    # difference peak - point can round one ulp past that bound.
+    offsets = np.clip(peaks[window] - points[event], -cfg.half_window_ns, cfg.half_window_ns)
+    events = EventTable(
+        points,
+        _csr_start(sizes),
+        pulses["detector"][source],
+        pulses["energy_kev"][source],
+        offsets,
+        pulses["origin"][source],
+    )
+    has_trigger = events.counts()[:, DET_TRIG] > 0
+    empty_dropped = int(len(events) - has_trigger.sum())
+    return events.select(has_trigger), rate_dropped, empty_dropped
 
 
-def _in_acceptance(cfg: DaqConfig, energies) -> bool:
-    lo, hi = cfg.acceptance_kev
-    return bool(np.all((energies >= lo) & (energies <= hi)))
-
-
-def energy_select(events, cfg: DaqConfig):
+def energy_select(events: EventTable, cfg: DaqConfig):
     """Flag events by per-photon acceptance and pair-energy conservation.
 
     An event passes acceptance when every registered photon lies inside the
     per-detector acceptance band.  It passes the sum window when some
     (trigger photon, output photon) pairing satisfies
     |E_trig + E_out - E_pump| <= sum_halfwidth (any pairing suffices).
-    Returns (all events with flags set, heralded subset passing both).
+    Returns (all events with the selection columns set, heralded subset
+    passing both), both ``EventTable``s.
     """
-    heralded = []
-    for rec in events:
-        all_e = np.concatenate([rec.energies[d] for d in (DET_TRIG, DET_TRANS, DET_REF)])
-        rec.passes_acceptance = _in_acceptance(cfg, all_e)
-        rec.heralded_pairs = []
-        for port in (DET_TRANS, DET_REF):
-            for e_t in rec.energies[DET_TRIG]:
-                for e_o in rec.energies[port]:
-                    if (
-                        abs(e_t + e_o - cfg.pump_energy_kev)
-                        <= cfg.sum_halfwidth_kev
-                    ):
-                        rec.heralded_pairs.append((port, float(e_t), float(e_o)))
-        rec.passes_sum = bool(rec.heralded_pairs)
-        if rec.passes_acceptance and rec.passes_sum:
-            heralded.append(rec)
-    return events, heralded
+    lo, hi = cfg.acceptance_kev
+    e = events.energy_kev
+    outside = ~((e >= lo) & (e <= hi))
+    passes_acceptance = np.bincount(events.event_index()[outside], minlength=len(events)) == 0
+    herald_kev = np.full((len(events), len(DETECTORS)), np.nan)
+    for port in OUTPUT_PORTS:
+        event, photon = events.sum_window_pairs(
+            port, cfg.pump_energy_kev, cfg.sum_halfwidth_kev
+        )
+        first = np.ones(len(event), dtype=bool)
+        first[1:] = event[1:] != event[:-1]
+        herald_kev[event[first], port] = e[photon[first]]
+    passes_sum = ~np.isnan(herald_kev[:, OUTPUT_PORTS]).all(axis=1)
+    events = replace(
+        events,
+        passes_acceptance=passes_acceptance,
+        passes_sum=passes_sum,
+        herald_kev=herald_kev,
+        selection=cfg,
+    )
+    return events, events.select(passes_acceptance & passes_sum)
 
 
 EVENT_FORMAT_HEADER = "# eventfile v1"
+EVENT_COLUMNS = "event,trigger_ns,detector,energy_kev,offset_ns,origin"
+_ROW_FORMAT = "%d,%.6f,%d,%.9g,%.6f,%d\n"
+_ROW_DTYPE = np.dtype(
+    [
+        ("event", "i8"),
+        ("trigger_ns", "f8"),
+        ("detector", "i8"),
+        ("energy_kev", "f8"),
+        ("offset_ns", "f8"),
+        ("origin", "i8"),
+    ]
+)
+_ROWS_PER_WRITE = 1 << 16
 
 
-def save_events(path, events, *, live_time_s=None, rate_dropped=0, empty_dropped=0):
-    """Persist events as versioned CSV, one row per registered photon."""
+def save_events(path, events: EventTable, *, live_time_s=None, rate_dropped=0, empty_dropped=0):
+    """Persist events as versioned CSV, one row per registered photon in
+    table order."""
+    event = events.event_index()
+    columns = (
+        event,
+        events.trigger_ns[event],
+        events.detector,
+        events.energy_kev,
+        events.offset_ns,
+        events.origin,
+    )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(EVENT_FORMAT_HEADER + "\n")
         if live_time_s is not None:
             fh.write(f"# live_time_s: {live_time_s:.6f}\n")
         fh.write(f"# rate_dropped: {rate_dropped}\n")
         fh.write(f"# empty_dropped: {empty_dropped}\n")
-        fh.write("event,trigger_ns,detector,energy_kev,offset_ns,origin\n")
-        for i, rec in enumerate(events):
-            for det in (DET_TRIG, DET_TRANS, DET_REF):
-                for e, o, g in zip(rec.energies[det], rec.offsets[det], rec.origins[det]):
-                    fh.write(
-                        f"{i},{rec.trigger_ns:.6f},{det},{e:.9g},{o:.6f},{int(g)}\n"
-                    )
+        fh.write(EVENT_COLUMNS + "\n")
+        # One %-format call per block of rows; the object array turns the
+        # numpy columns into Python ints and floats.
+        for lo in range(0, len(event), _ROWS_PER_WRITE):
+            rows = np.empty((min(_ROWS_PER_WRITE, len(event) - lo), len(columns)), dtype=object)
+            for j, column in enumerate(columns):
+                rows[:, j] = column[lo : lo + len(rows)]
+            fh.write((_ROW_FORMAT * len(rows)) % tuple(rows.ravel()))
 
 
 def load_events(path):
     """Read events written by save_events.
 
-    Returns (events, metadata dict).  Raises ValueError on a format-version
-    mismatch or malformed rows.
+    Metadata comments precede the column-name row.  Returns (events,
+    metadata dict) with ``events`` an ``EventTable``; rows with the same
+    event number in a run form one event.  Raises ValueError on a
+    format-version mismatch or malformed rows.
     """
     meta = {"live_time_s": None, "rate_dropped": 0, "empty_dropped": 0}
-    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != EVENT_FORMAT_HEADER:
             raise ValueError(f"unrecognized event-file format: {header!r}")
         for line in fh:
             line = line.strip()
-            if not line:
-                continue
+            if line.startswith("event,"):
+                break
             if line.startswith("#"):
                 body = line.lstrip("#").strip()
                 for key in meta:
                     if body.startswith(key + ":"):
                         raw = body.split(":", 1)[1]
                         meta[key] = float(raw) if key == "live_time_s" else int(raw)
-                continue
-            if line.startswith("event,"):
-                continue
-            cols = line.split(",")
-            if len(cols) != 6:
-                raise ValueError(f"malformed event row: {line!r}")
-            rows.append(
-                (
-                    int(cols[0]),
-                    float(cols[1]),
-                    int(cols[2]),
-                    float(cols[3]),
-                    float(cols[4]),
-                    int(cols[5]),
-                )
-            )
-    events = []
-    current = None
-    current_idx = -1
-    buffers = None
-    def flush():
-        if current is None:
-            return
-        energies = {d: np.asarray(buffers[d][0], dtype=float) for d in buffers}
-        offsets = {d: np.asarray(buffers[d][1], dtype=float) for d in buffers}
-        origins = {d: np.asarray(buffers[d][2], dtype=np.int8) for d in buffers}
-        events.append(EventRecord(current, energies, offsets, origins))
-
-    for idx, trig, det, energy, offset, origin in rows:
-        if idx != current_idx:
-            flush()
-            current_idx = idx
-            current = trig
-            buffers = {d: ([], [], []) for d in (DET_TRIG, DET_TRANS, DET_REF)}
-        if det not in buffers:
-            raise ValueError(f"unknown detector id {det} in event file")
-        buffers[det][0].append(energy)
-        buffers[det][1].append(offset)
-        buffers[det][2].append(origin)
-    flush()
+            elif line:
+                raise ValueError(f"event row before the column names: {line!r}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a file with no events
+            rows = np.loadtxt(fh, delimiter=",", comments="#", dtype=_ROW_DTYPE, ndmin=1)
+    unknown = np.setdiff1d(rows["detector"], DETECTORS)
+    if len(unknown):
+        raise ValueError(f"unknown detector id {unknown[0]} in event file")
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = rows["event"][1:] != rows["event"][:-1]
+    event = np.cumsum(first) - 1
+    trigger_ns = rows["trigger_ns"][first]
+    rows = rows[np.argsort(event * len(DETECTORS) + rows["detector"], kind="stable")]
+    events = EventTable(
+        trigger_ns,
+        _csr_start(np.bincount(event, minlength=len(trigger_ns))),
+        rows["detector"].astype(np.int8),
+        np.ascontiguousarray(rows["energy_kev"]),
+        np.ascontiguousarray(rows["offset_ns"]),
+        rows["origin"].astype(np.int8),
+    )
     return events, meta

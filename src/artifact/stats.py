@@ -1,5 +1,8 @@
 """Estimators for coincidence runs: anticorrelation ratio, correlation
-degree, spectra, and rates with Poisson errors."""
+degree, spectra, and rates with Poisson errors.
+
+The event estimators read the columns of a ``daq.EventTable`` with per-event
+reductions; none walks the events one by one."""
 
 from __future__ import annotations
 
@@ -8,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .daq import DaqConfig, EventRecord
+from .daq import EventTable
 from .montecarlo import DET_REF, DET_TRANS, DET_TRIG
 
 
@@ -65,29 +68,23 @@ def alpha(counts: CoincCounts) -> AlphaResult:
     return AlphaResult(value, value * rel)
 
 
-def counts_from_events(events) -> CoincCounts:
-    """Tally coincidence categories over event records (any selection applied
-    by the caller beforehand)."""
-    n = nt = nr = ntr = 0
-    for rec in events:
-        has_t = rec.count(DET_TRANS) > 0
-        has_r = rec.count(DET_REF) > 0
-        if rec.count(DET_TRIG) == 0 or not (has_t or has_r):
-            continue
-        n += 1
-        nt += has_t
-        nr += has_r
-        ntr += has_t and has_r
-    return CoincCounts(n, nt, nr, ntr)
-
-
-def _windowed(rec: EventRecord, det: int, window_ns: float):
-    mask = np.abs(rec.offsets[det]) <= window_ns
-    return rec.energies[det][mask]
+def counts_from_events(events: EventTable) -> CoincCounts:
+    """Tally coincidence categories over an event table (any selection
+    applied by the caller beforehand)."""
+    counts = events.counts()
+    has_t = counts[:, DET_TRANS] > 0
+    has_r = counts[:, DET_REF] > 0
+    coinc = (counts[:, DET_TRIG] > 0) & (has_t | has_r)
+    return CoincCounts(
+        int(coinc.sum()),
+        int((coinc & has_t).sum()),
+        int((coinc & has_r).sum()),
+        int((coinc & has_t & has_r).sum()),
+    )
 
 
 def sigma(
-    events,
+    events: EventTable,
     window_ns: float,
     *,
     output: int = DET_TRANS,
@@ -110,31 +107,24 @@ def sigma(
     """
     if energy_mode not in ("open", "sum"):
         raise ValueError("energy_mode must be 'open' or 'sum'")
-    diffs = []
-    sums = []
-    for rec in events:
-        if energy_mode == "sum":
-            all_t = rec.energies[DET_TRIG]
-            all_h = rec.energies[output]
-            paired = np.any(
-                np.abs(all_t[:, None] + all_h[None, :] - pump_energy_kev)
-                <= sum_halfwidth_kev
-            )
-            lone_elastic = len(all_h) == 0 and bool(
-                np.any(np.abs(all_t - pump_energy_kev) <= sum_halfwidth_kev)
-            )
-            if not (paired or lone_elastic):
-                continue
-        n_t = len(_windowed(rec, DET_TRIG, window_ns))
-        n_h = len(_windowed(rec, output, window_ns))
-        if n_t + n_h == 0:
-            continue
-        diffs.append(n_t - n_h)
-        sums.append(n_t + n_h)
-    if len(diffs) < 2:
+    qualifies = np.ones(len(events), dtype=bool)
+    if energy_mode == "sum":
+        paired, _ = events.sum_window_pairs(output, pump_energy_kev, sum_halfwidth_kev)
+        elastic = (events.detector == DET_TRIG) & (
+            np.abs(events.energy_kev - pump_energy_kev) <= sum_halfwidth_kev
+        )
+        lone_elastic = (events.counts()[:, output] == 0) & (
+            events.counts(elastic)[:, DET_TRIG] > 0
+        )
+        qualifies = lone_elastic
+        qualifies[paired] = True
+    windowed = events.counts(np.abs(events.offset_ns) <= window_ns)[qualifies]
+    n_t, n_h = windowed[:, DET_TRIG], windowed[:, output]
+    seen = n_t + n_h > 0
+    if seen.sum() < 2:
         raise ValueError("need at least two qualifying events for sigma")
-    diffs = np.asarray(diffs, dtype=float)
-    sums = np.asarray(sums, dtype=float)
+    diffs = (n_t - n_h)[seen].astype(float)
+    sums = (n_t + n_h)[seen].astype(float)
     return float(diffs.var() / sums.mean())
 
 
@@ -160,22 +150,19 @@ def spectra(
 ) -> Histogram:
     """Energy histogram of the heralded photon at ``detector``.
 
-    Expects events already flagged by energy selection; for each event the
-    photon entering the qualifying pairing at the requested port is binned
-    (one entry per qualifying event at that port).  Left-closed bins;
+    Expects an event table flagged by ``energy_select``; for each event the
+    output photon of the first qualifying pairing at the requested port is
+    binned (one entry per qualifying event at that port).  Left-closed bins;
     entries outside [lo, hi) are tallied as under/overflow.
     """
     if bin_width_kev <= 0:
         raise ValueError("bin width must be positive")
-    values = []
-    for rec in events:
-        for port, _e_t, e_o in rec.heralded_pairs:
-            if port == detector:
-                values.append(e_o)
-                break
+    if events.herald_kev is None:
+        raise ValueError("spectra needs events flagged by energy_select")
+    values = events.herald_kev[:, detector]
+    values = values[~np.isnan(values)]
     n_bins = int(round((hi_kev - lo_kev) / bin_width_kev))
     edges = lo_kev + bin_width_kev * np.arange(n_bins + 1)
-    values = np.asarray(values, dtype=float)
     counts, _ = np.histogram(values, bins=edges)
     underflow = int((values < edges[0]).sum())
     overflow = int((values >= edges[-1]).sum())

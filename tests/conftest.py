@@ -27,6 +27,21 @@ def amp_default(default_config):
     return spdc.biphoton_amplitude(default_config.spdc, default_config.grid)
 
 
+def make_table(events):
+    """EventTable from per-event photon lists of (detector, energy_kev,
+    offset_ns) tuples; photons are stably grouped by detector."""
+    photons = [p for ev in events for p in sorted(ev, key=lambda p: p[0])]
+    columns = np.array(photons, dtype=float).reshape(len(photons), 3)
+    return daq.EventTable(
+        np.zeros(len(events)),
+        np.r_[0, np.cumsum([len(ev) for ev in events])].astype(np.int64),
+        columns[:, 0].astype(np.int8),
+        columns[:, 1].copy(),
+        columns[:, 2].copy(),
+        np.zeros(len(photons), dtype=np.int8),
+    )
+
+
 def run_chain(cfg, amp, tables, seed):
     """Pairs + stray -> detectors -> coincidence electronics -> energy flags."""
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]

@@ -13,7 +13,6 @@ import pytest
 
 from artifact import daq, montecarlo as mc, spdc, stats
 from artifact.cli import EXIT_OK, cmd_model, main
-from artifact.daq import EventRecord
 from artifact.montecarlo import DET_REF, DET_TRANS, DET_TRIG
 from artifact.spdc import _Kinematics
 from artifact.splitter import SplitterSpec
@@ -188,15 +187,19 @@ def test_criterion_07_unsplittability(default_config, amp_default, tables):
 
 
 def _synthetic_events(n_t_arr, n_h_arr):
-    events = []
-    for nt, nh in zip(n_t_arr, n_h_arr):
-        energies = {DET_TRIG: np.full(int(nt), 10.4),
-                    DET_TRANS: np.full(int(nh), 10.6),
-                    DET_REF: np.zeros(0)}
-        offsets = {d: np.zeros(len(v)) for d, v in energies.items()}
-        origins = {d: np.zeros(len(v), dtype=np.int8) for d, v in energies.items()}
-        events.append(EventRecord(0.0, energies, offsets, origins))
-    return events
+    """Event table with n_t trigger photons (10.4 keV) and n_h transmitted
+    photons (10.6 keV) per event, all at zero offset."""
+    sizes = np.column_stack([n_t_arr, n_h_arr]).astype(np.int64)
+    detector = np.repeat(np.tile(np.array([DET_TRIG, DET_TRANS], dtype=np.int8), len(sizes)),
+                         sizes.ravel())
+    return daq.EventTable(
+        np.zeros(len(sizes)),
+        np.r_[0, np.cumsum(sizes.sum(axis=1))],
+        detector,
+        np.where(detector == DET_TRIG, 10.4, 10.6),
+        np.zeros(len(detector)),
+        np.zeros(len(detector), dtype=np.int8),
+    )
 
 
 def test_criterion_08_correlation_degree(pair_dominated_run):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from artifact import daq
 from artifact.montecarlo import DET_REF, DET_TRANS, DET_TRIG, PULSE_DTYPE
@@ -31,7 +32,7 @@ def test_simultaneous_pair_makes_one_event():
     events, rate_dropped, empty_dropped = daq.build_events(pulses, CFG)
     assert (len(events), rate_dropped, empty_dropped) == (1, 0, 0)
     rec = events[0]
-    assert rec.count(DET_TRIG) == 1 and rec.count(DET_REF) == 1
+    assert len(rec.energies[DET_TRIG]) == 1 and len(rec.energies[DET_REF]) == 1
     # Analog peaks sit half a pulse width after the common start time.
     assert rec.offsets[DET_TRIG][0] == pytest.approx(100.0)
     assert rec.offsets[DET_REF][0] == pytest.approx(100.0)
@@ -44,20 +45,20 @@ def test_partner_beyond_window_registers_single():
     events, _, _ = daq.build_events(pulses, CFG)
     assert len(events) == 1
     rec = events[0]
-    assert rec.count(DET_TRIG) == 1
-    assert rec.count(DET_REF) == 0
+    assert len(rec.energies[DET_TRIG]) == 1
+    assert len(rec.energies[DET_REF]) == 0
 
 
 def test_no_overlap_no_event():
     pulses = _pulses([(0.0, 10.4, DET_REF, True), (1500.0, 10.6, DET_TRIG, True)])
     events, _, _ = daq.build_events(pulses, CFG)
-    assert events == []
+    assert len(events) == 0
 
 
 def test_logic_flag_required_for_trigger():
     pulses = _pulses([(1000.0, 10.4, DET_TRIG, False), (1000.0, 10.6, DET_REF, True)])
     events, _, _ = daq.build_events(pulses, CFG)
-    assert events == []
+    assert len(events) == 0
 
 
 def test_empty_trigger_windows_are_dropped():
@@ -65,22 +66,39 @@ def test_empty_trigger_windows_are_dropped():
     # leaves the window and the capture holds no trigger photon at all.
     pulses = _pulses([(0.0, 10.4, DET_TRIG, True), (950.0, 10.6, DET_REF, True)])
     events, rate_dropped, empty_dropped = daq.build_events(pulses, CFG)
-    assert events == []
+    assert len(events) == 0
     assert empty_dropped == 1
 
 
-def test_offsets_within_window_invariant():
-    rng = np.random.default_rng(4)
-    n = 4000
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(300, 1500),
+       span_ns=st.sampled_from([1e5, 1e6]),
+       half_window_ns=st.sampled_from([100.0, 400.0, 800.0, 1500.0]))
+@example(seed=4, n=4000, span_ns=5e8, half_window_ns=800.0)
+def test_offsets_within_window_invariant(seed, n, span_ns, half_window_ns):
+    rng = np.random.default_rng(seed)
     rows = []
-    for t in np.sort(rng.uniform(0, 5e8, n)):
+    for t in np.sort(rng.uniform(0, span_ns, n)):
         rows.append((t, rng.uniform(7, 17), int(rng.integers(0, 3)), True))
-    events, _, _ = daq.build_events(_pulses(rows), CFG)
+    cfg = daq.DaqConfig(half_window_ns=half_window_ns)
+    events, _, _ = daq.build_events(_pulses(rows), cfg)
     assert len(events) > 0
+    # CSR layout: monotone starts from 0 to the photon count, one trigger
+    # time per event, photons grouped by detector within each event.
+    start = events.start
+    assert start[0] == 0 and start[-1] == len(events.energy_kev)
+    assert np.all(np.diff(start) >= 0) and len(start) == len(events) + 1
+    assert all(len(c) == start[-1] for c in
+               (events.detector, events.offset_ns, events.origin))
+    assert np.all(np.diff(events.trigger_ns) >= 0)
+    event = events.event_index()
+    assert np.all(np.diff(event * 3 + events.detector) >= 0)
+    assert np.all(np.abs(events.offset_ns) <= half_window_ns)
+    assert np.all(events.counts()[:, DET_TRIG] >= 1)
     for rec in events:
         for det in (DET_TRIG, DET_TRANS, DET_REF):
-            assert np.all(np.abs(rec.offsets[det]) <= CFG.half_window_ns)
-        assert rec.count(DET_TRIG) >= 1
+            assert np.all(np.abs(rec.offsets[det]) <= half_window_ns)
+        assert len(rec.energies[DET_TRIG]) >= 1
 
 
 def test_shrinking_window_registers_fewer_photons():
@@ -92,7 +110,7 @@ def test_shrinking_window_registers_fewer_photons():
     for half in (800.0, 400.0, 200.0, 100.0):
         cfg = daq.DaqConfig(half_window_ns=half)
         events, _, _ = daq.build_events(pulses, cfg)
-        totals.append(sum(rec.count(d) for rec in events for d in (0, 1, 2)))
+        totals.append(len(events.energy_kev))
     assert all(a >= b for a, b in zip(totals, totals[1:]))
 
 
@@ -116,7 +134,7 @@ def test_energy_select_acceptance_and_sum():
     events, heralded = daq.energy_select(events, CFG)
     assert events[0].passes_acceptance
     assert events[0].passes_sum
-    assert len(heralded) == 1 and heralded[0] is events[0]
+    assert len(heralded) == 1 and heralded[0].trigger_ns == events[0].trigger_ns
     assert events[0].heralded_pairs == [(DET_TRANS, 10.4, 10.6)]
 
 
@@ -128,7 +146,7 @@ def test_energy_select_rejects_nonconserving_pair():
     events, heralded = daq.energy_select(events, CFG)
     assert events[0].passes_acceptance
     assert not events[0].passes_sum
-    assert heralded == []
+    assert len(heralded) == 0
 
 
 def test_energy_select_out_of_band_photon_fails_acceptance():
@@ -140,7 +158,7 @@ def test_energy_select_out_of_band_photon_fails_acceptance():
     events, heralded = daq.energy_select(events, CFG)
     assert events[0].passes_sum  # the conserving pairing is still present
     assert not events[0].passes_acceptance
-    assert heralded == []
+    assert len(heralded) == 0
 
 
 def test_energy_select_any_pairing_passes_triples():

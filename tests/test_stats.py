@@ -4,22 +4,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from artifact import stats
-from artifact.daq import EventRecord
+from artifact import daq, stats
 from artifact.montecarlo import DET_REF, DET_TRANS, DET_TRIG
+
+from conftest import make_table
 
 
 def make_event(n_trig, n_out, out_det=DET_TRANS, *, e_trig=10.4, e_out=10.6,
                offsets=None):
-    energies = {DET_TRIG: np.full(n_trig, e_trig),
-                DET_TRANS: np.zeros(0), DET_REF: np.zeros(0)}
-    energies[out_det] = np.full(n_out, e_out)
-    offs = {d: np.zeros(len(energies[d])) for d in energies}
-    if offsets is not None:
-        offs.update({d: np.asarray(v, dtype=float) for d, v in offsets.items()})
-    origins = {d: np.zeros(len(energies[d]), dtype=np.int8) for d in energies}
-    return EventRecord(0.0, energies, offs, origins)
+    """Photon list of one event: n_trig trigger photons and n_out photons at
+    out_det, at zero offset unless ``offsets`` maps a detector to offsets."""
+    offsets = offsets or {}
+    return [
+        (det, e, off)
+        for det, n, e in ((DET_TRIG, n_trig, e_trig), (out_det, n_out, e_out))
+        for off in offsets.get(det, [0.0] * n)
+    ]
 
 
 def test_counts_validation():
@@ -57,23 +59,20 @@ def test_counts_from_events_categories():
         make_event(1, 1, DET_REF),
         make_event(1, 0),  # trigger photon alone: not a coincidence
     ]
-    both = make_event(1, 1, DET_TRANS)
-    both.energies[DET_REF] = np.array([8.0])
-    both.offsets[DET_REF] = np.zeros(1)
-    both.origins[DET_REF] = np.zeros(1, dtype=np.int8)
+    both = make_event(1, 1, DET_TRANS) + [(DET_REF, 8.0, 0.0)]
     events.append(both)
-    counts = stats.counts_from_events(events)
+    counts = stats.counts_from_events(make_table(events))
     assert counts == stats.CoincCounts(3, 2, 2, 1)
 
 
 def test_sigma_perfect_pairs_is_zero():
-    events = [make_event(1, 1) for _ in range(1000)]
+    events = make_table([make_event(1, 1) for _ in range(1000)])
     assert stats.sigma(events, 800.0) == 0.0
     assert stats.sigma(events, 800.0, energy_mode="sum") == 0.0
 
 
 def test_sigma_rejects_bad_mode_and_small_samples():
-    events = [make_event(1, 1)]
+    events = make_table([make_event(1, 1)])
     with pytest.raises(ValueError):
         stats.sigma(events, 800.0, energy_mode="narrow")
     with pytest.raises(ValueError):
@@ -83,8 +82,8 @@ def test_sigma_rejects_bad_mode_and_small_samples():
 def test_sigma_poisson_limit():
     rng = np.random.default_rng(12)
     lam = 3.0
-    events = [make_event(int(nt), int(nh))
-              for nt, nh in zip(rng.poisson(lam, 60000), rng.poisson(lam, 60000))]
+    events = make_table([make_event(int(nt), int(nh))
+                         for nt, nh in zip(rng.poisson(lam, 60000), rng.poisson(lam, 60000))])
     assert stats.sigma(events, 800.0) == pytest.approx(1.0, abs=0.02)
 
 
@@ -93,11 +92,9 @@ def test_sigma_symmetric_under_port_relabel():
     events = []
     for nt, na, nb in zip(rng.poisson(2.0, 30000), rng.poisson(1.5, 30000),
                           rng.poisson(1.5, 30000)):
-        rec = make_event(int(nt), int(na), DET_TRANS)
-        rec.energies[DET_REF] = np.full(int(nb), 10.6)
-        rec.offsets[DET_REF] = np.zeros(int(nb))
-        rec.origins[DET_REF] = np.zeros(int(nb), dtype=np.int8)
+        rec = make_event(int(nt), int(na), DET_TRANS) + [(DET_REF, 10.6, 0.0)] * int(nb)
         events.append(rec)
+    events = make_table(events)
     s_trans = stats.sigma(events, 800.0, output=DET_TRANS)
     s_ref = stats.sigma(events, 800.0, output=DET_REF)
     assert s_trans == pytest.approx(s_ref, abs=0.02)
@@ -107,9 +104,9 @@ def test_sigma_window_excludes_far_photons():
     # The output photon sits at 500 ns: it counts at 800 ns but not at 100 ns,
     # flipping the per-event difference from 0 to 1.
     events = [make_event(1, 1, offsets={DET_TRANS: [500.0]}) for _ in range(100)]
-    assert stats.sigma(events, 800.0) == 0.0
+    assert stats.sigma(make_table(events), 800.0) == 0.0
     wide = [make_event(1, 1) for _ in range(100)]
-    mixed = events[:50] + wide[:50]
+    mixed = make_table(events[:50] + wide[:50])
     assert stats.sigma(mixed, 100.0) > stats.sigma(mixed, 800.0)
 
 
@@ -118,30 +115,29 @@ def test_sigma_sum_mode_keeps_lone_elastic_trigger():
     # whose partner missed the registration window; it must contribute.
     pairs = [make_event(1, 1) for _ in range(900)]
     singles = [make_event(1, 0, e_trig=21.0) for _ in range(100)]
-    s = stats.sigma(pairs + singles, 800.0, energy_mode="sum")
+    s = stats.sigma(make_table(pairs + singles), 800.0, energy_mode="sum")
     assert s > 0.0
     # In-band lone triggers carry no pair evidence and are excluded.
     in_band = [make_event(1, 0, e_trig=10.4) for _ in range(100)]
-    s_same = stats.sigma(pairs + singles + in_band, 800.0, energy_mode="sum")
+    s_same = stats.sigma(make_table(pairs + singles + in_band), 800.0, energy_mode="sum")
     assert s_same == pytest.approx(s)
 
 
 def test_sigma_sum_mode_ignores_nonconserving_extras():
     # A stray photon does not disqualify a conserving pair, but it does
     # enter the windowed counts.
-    rec = make_event(1, 2)
-    rec.energies[DET_TRANS][1] = 8.0
-    events = [rec] + [make_event(1, 1) for _ in range(99)]
+    rec = make_event(1, 1) + [(DET_TRANS, 8.0, 0.0)]
+    events = make_table([rec] + [make_event(1, 1) for _ in range(99)])
     s = stats.sigma(events, 800.0, energy_mode="sum")
     assert s > 0.0
 
 
 def test_spectra_bins_heralded_pairs():
-    events = []
-    for e in (9.1, 10.6, 10.7, 16.9, 6.0, 18.0):
-        rec = make_event(1, 1, e_trig=21.0 - e, e_out=e)
-        rec.heralded_pairs = [(DET_TRANS, 21.0 - e, e)]
-        events.append(rec)
+    events = make_table([make_event(1, 1, e_trig=21.0 - e, e_out=e)
+                         for e in (9.1, 10.6, 10.7, 16.9, 6.0, 18.0)])
+    events, _heralded = daq.energy_select(events, daq.DaqConfig())
+    assert all(rec.heralded_pairs == [(DET_TRANS, 21.0 - e, e)] for rec, e in
+               zip(events, (9.1, 10.6, 10.7, 16.9, 6.0, 18.0)))
     hist = stats.spectra(events, DET_TRANS, 0.5)
     assert hist.counts.sum() == 4
     assert hist.underflow == 1 and hist.overflow == 1
@@ -163,3 +159,134 @@ def test_rates_and_ratios():
     assert zero.n_ref_err == pytest.approx(0.01)
     with pytest.raises(ValueError):
         stats.rates_and_ratios(1, 1, 0.0, 0.05)
+
+
+# Random small tables: 0-4 photons per detector per event, energies on a
+# 0.1 keV lattice (so pair sums land on the sum-window edges) and offsets on a
+# 50 ns lattice (so photons land on the sigma-window edges).
+_photons = st.lists(st.tuples(st.integers(60, 220), st.integers(-16, 16)), max_size=4)
+_events = st.lists(st.tuples(_photons, _photons, _photons), max_size=25)
+_WINDOWS = (50.0, 100.0, 400.0, 800.0)
+
+
+def _photon_lists(raw):
+    return [[(det, k / 10.0, 50.0 * j) for det in (DET_TRIG, DET_TRANS, DET_REF)
+             for k, j in ev[det]] for ev in raw]
+
+
+def _reference(events, cfg):
+    """Per-event estimators over photon lists, one event at a time."""
+    lo, hi = cfg.acceptance_kev
+    pump, half = cfg.pump_energy_kev, cfg.sum_halfwidth_kev
+    out = {"acceptance": [], "sum": [], "first": [], "pairs": [], "heralded": []}
+    for ev in events:
+        e = {d: [p[1] for p in ev if p[0] == d] for d in (DET_TRIG, DET_TRANS, DET_REF)}
+        pairs = [(port, e_t, e_o) for port in (DET_TRANS, DET_REF)
+                 for e_t in e[DET_TRIG] for e_o in e[port]
+                 if abs(e_t + e_o - pump) <= half]
+        first = {}
+        for port, _e_t, e_o in pairs:
+            first.setdefault(port, e_o)
+        accepted = all(lo <= x <= hi for x in e[DET_TRIG] + e[DET_TRANS] + e[DET_REF])
+        out["acceptance"].append(accepted)
+        out["sum"].append(bool(pairs))
+        out["first"].append(first)
+        out["pairs"].append(pairs)
+        if accepted and pairs:
+            out["heralded"].append(ev)
+    return out
+
+
+def _reference_counts(events):
+    n = nt = nr = ntr = 0
+    for ev in events:
+        dets = [p[0] for p in ev]
+        has_t, has_r = DET_TRANS in dets, DET_REF in dets
+        if DET_TRIG not in dets or not (has_t or has_r):
+            continue
+        n, nt, nr, ntr = n + 1, nt + has_t, nr + has_r, ntr + (has_t and has_r)
+    return stats.CoincCounts(n, nt, nr, ntr)
+
+
+def _reference_sigma(events, window, output, mode, pump=21.0, half=0.5):
+    diffs, sums = [], []
+    for ev in events:
+        if mode == "sum":
+            all_t = [p[1] for p in ev if p[0] == DET_TRIG]
+            all_h = [p[1] for p in ev if p[0] == output]
+            paired = any(abs(t + h - pump) <= half for t in all_t for h in all_h)
+            lone = not all_h and any(abs(t - pump) <= half for t in all_t)
+            if not (paired or lone):
+                continue
+        n_t = sum(1 for p in ev if p[0] == DET_TRIG and abs(p[2]) <= window)
+        n_h = sum(1 for p in ev if p[0] == output and abs(p[2]) <= window)
+        if n_t + n_h:
+            diffs.append(n_t - n_h)
+            sums.append(n_t + n_h)
+    if len(diffs) < 2:
+        return None
+    return float(np.asarray(diffs, dtype=float).var() / np.asarray(sums, dtype=float).mean())
+
+
+def _sigma_or_none(events, window, output, mode):
+    try:
+        return stats.sigma(events, window, output=output, energy_mode=mode)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(_events)
+def test_table_estimators_match_per_event_reference(raw):
+    cfg = daq.DaqConfig()
+    events = _photon_lists(raw)
+    ref = _reference(events, cfg)
+    table, heralded = daq.energy_select(make_table(events), cfg)
+
+    assert table.passes_acceptance.tolist() == ref["acceptance"]
+    assert table.passes_sum.tolist() == ref["sum"]
+    for port in (DET_TRANS, DET_REF):
+        want = [first.get(port, math.nan) for first in ref["first"]]
+        np.testing.assert_array_equal(table.herald_kev[:, port], want)
+    assert [rec.heralded_pairs for rec in table] == ref["pairs"]
+    assert len(heralded) == len(ref["heralded"])
+
+    assert stats.counts_from_events(table) == _reference_counts(events)
+    assert stats.counts_from_events(heralded) == _reference_counts(ref["heralded"])
+    for window in _WINDOWS:
+        for output in (DET_TRANS, DET_REF):
+            for mode in ("open", "sum"):
+                assert _sigma_or_none(table, window, output, mode) == _reference_sigma(
+                    events, window, output, mode)
+
+    for port in (DET_TRANS, DET_REF):
+        hist = stats.spectra(heralded, port, 0.5)
+        values = np.array([first[port] for first, a, s in
+                           zip(ref["first"], ref["acceptance"], ref["sum"])
+                           if a and s and port in first], dtype=float)
+        counts, _ = np.histogram(values, bins=hist.edges)
+        np.testing.assert_array_equal(hist.counts, counts)
+        assert hist.underflow == int((values < hist.edges[0]).sum())
+        assert hist.overflow == int((values >= hist.edges[-1]).sum())
+
+
+@settings(max_examples=80, deadline=None)
+@given(_events)
+def test_alpha_and_sigma_unchanged_when_ports_relabelled(raw):
+    swap = {DET_TRIG: DET_TRIG, DET_TRANS: DET_REF, DET_REF: DET_TRANS}
+    events = _photon_lists(raw)
+    table = make_table(events)
+    relabelled = make_table([[(swap[d], e, o) for d, e, o in ev] for ev in events])
+    c, c_swap = stats.counts_from_events(table), stats.counts_from_events(relabelled)
+    assert (c_swap.n_trig, c_swap.n_trig_t, c_swap.n_trig_r, c_swap.n_trig_t_r) == (
+        c.n_trig, c.n_trig_r, c.n_trig_t, c.n_trig_t_r)
+    a, a_swap = stats.alpha(c), stats.alpha(c_swap)
+    assert a.defined == a_swap.defined
+    if a.defined:  # the error sums the same four terms in another order
+        assert a.alpha == a_swap.alpha
+        assert a.sigma == pytest.approx(a_swap.sigma, rel=1e-12)
+    for window in _WINDOWS:
+        for output in (DET_TRANS, DET_REF):
+            for mode in ("open", "sum"):
+                assert _sigma_or_none(table, window, output, mode) == _sigma_or_none(
+                    relabelled, window, swap[output], mode)
