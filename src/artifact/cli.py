@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,8 +27,8 @@ from . import montecarlo as mc
 from . import spdc as spdc_mod
 from . import stats as stats_mod
 from .config import ConfigError, RunConfig, load_config, load_default_config
-from .montecarlo import DET_REF, DET_TRANS, DET_TRIG
-from .xoptics import load_table, transmittance
+from .montecarlo import DET_REF, DET_TRANS
+from .xoptics import load_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -207,18 +208,13 @@ def cmd_analyze(cfg: RunConfig, events_path: str, outdir: str) -> None:
             "n_trig,n_trig_t,n_trig_r,n_trig_t_r",
             [(counts.n_trig, counts.n_trig_t, counts.n_trig_r, counts.n_trig_t_r)],
         )
-        if result.defined:
-            report_lines.append(
-                f"{label}: alpha = {result.alpha:.6f} +- {result.sigma:.6f} "
-                f"(N={counts.n_trig}, N_T={counts.n_trig_t}, "
-                f"N_R={counts.n_trig_r}, N_TR={counts.n_trig_t_r})"
-            )
-        else:
-            report_lines.append(
-                f"{label}: alpha undefined "
-                f"(N={counts.n_trig}, N_T={counts.n_trig_t}, "
-                f"N_R={counts.n_trig_r}, N_TR={counts.n_trig_t_r})"
-            )
+        value = (
+            f"alpha = {result.alpha:.6f} +- {result.sigma:.6f}" if result.defined else "alpha undefined"
+        )
+        report_lines.append(
+            f"{label}: {value} (N={counts.n_trig}, N_T={counts.n_trig_t}, "
+            f"N_R={counts.n_trig_r}, N_TR={counts.n_trig_t_r})"
+        )
     with open(os.path.join(outdir, "alpha_report.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(report_lines) + "\n")
 
@@ -243,15 +239,16 @@ def cmd_analyze(cfg: RunConfig, events_path: str, outdir: str) -> None:
 
 def cmd_sweep(cfg: RunConfig, outdir: str, start: float, stop: float, num: int, width_scale: float) -> None:
     """Standalone Bragg-angle sweep, optionally scaling the rocking width."""
-    air = load_table("air")
-    base = cfg.splitter
-    if width_scale != 1.0:
-        from dataclasses import replace
-
-        base = replace(base, width_deg=base.width_deg * width_scale)
-    family = spdc_mod.default_splitter_family(base)
+    if num < 1:
+        raise ConfigError(f"--num must be at least 1, got {num}")
+    if not width_scale > 0:
+        raise ConfigError(f"--width-scale must be positive, got {width_scale}")
     angles = np.linspace(start, stop, num).tolist()
-    sweep = spdc_mod.bragg_angle_sweep(cfg.spdc, family, angles, air=air)
+    if not all(0.0 < a < 90.0 for a in angles):
+        raise ConfigError(f"sweep angles must lie in (0, 90) degrees, got {start}..{stop}")
+    base = replace(cfg.splitter, width_deg=cfg.splitter.width_deg * width_scale)
+    family = spdc_mod.default_splitter_family(base)
+    sweep = spdc_mod.bragg_angle_sweep(cfg.spdc, family, angles, air=load_table("air"))
     _write_rows(
         os.path.join(outdir, "bragg_sweep.csv"),
         "bragg_angle_deg,normalized_rate",

@@ -4,13 +4,15 @@ Logic pulses from the trigger detector are compared against logic pulses
 from the two output detectors; an overlap arms the digitizer, which then
 snapshots every analog pulse whose peak falls within a software time window
 around the overlap point.  A rate cap emulates the digitizer's event-buffer
-limit, and energy post-selection flags the heralded subset.
+limit, and energy post-selection flags the heralded subset.  Captures are
+held in one columnar ``EventTable``.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,30 +46,36 @@ OUTPUT_PORTS = (DET_TRANS, DET_REF)
 
 def _csr_start(sizes):
     """CSR offsets (len(sizes) + 1) of consecutive segments of the given sizes."""
-    start = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=start[1:])
-    return start
+    return np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+
+
+class EventView(NamedTuple):
+    """One event of an ``EventTable``, built from its columns when indexed;
+    for inspection only.  The dicts map detector id to that detector's
+    photons; ``heralded_pairs`` lists every qualifying (port, E_trig, E_port)
+    pairing, and it and the flags stay empty/False before ``energy_select``."""
+
+    trigger_ns: float
+    energies: dict
+    offsets: dict
+    origins: dict
+    passes_acceptance: bool
+    passes_sum: bool
+    heralded_pairs: list
 
 
 @dataclass(frozen=True, eq=False)
 class EventTable:
     """Digitizer captures as one CSR table of registered photons.
 
-    Event ``i`` owns photons ``start[i]:start[i + 1]`` of the flat columns
-    ``detector``, ``energy_kev``, ``offset_ns`` and ``origin``.  Within an
-    event they are ordered by detector (TRIG, TRANS, REF) and, within one
-    detector, by analog-peak time.  Offsets are analog-peak times relative to
-    ``trigger_ns[i]`` and lie within +-half_window by construction.
-
-    ``energy_select`` fills the per-event columns ``passes_acceptance``,
-    ``passes_sum`` and ``herald_kev`` (n_events x 3) and records its config
-    in ``selection``.  ``herald_kev[i, port]`` is the output energy of the
-    first qualifying (trigger photon, ``port`` photon) pairing of event ``i``,
-    taking trigger photons first and output photons second in table order,
-    or NaN when no pairing at that port qualifies (the DET_TRIG column is
-    always NaN).
-
-    ``len()`` counts events; indexing and iteration yield ``EventView``s.
+    Event ``i`` owns photons ``start[i]:start[i + 1]`` of the flat photon
+    columns, ordered by detector (TRIG, TRANS, REF) and then by analog-peak
+    time.  Offsets are peak times relative to ``trigger_ns[i]`` and lie
+    within +-half_window.  ``energy_select`` sets the per-event columns and
+    ``selection`` (its config); ``herald_kev[i, port]`` is the output energy
+    of the first qualifying pairing at ``port`` (trigger photon first, then
+    output photon, in table order), NaN where none qualifies.  ``len()``
+    counts events; indexing and iteration build ``EventView``s.
     """
 
     trigger_ns: np.ndarray
@@ -78,25 +86,41 @@ class EventTable:
     origin: np.ndarray
     passes_acceptance: np.ndarray | None = None
     passes_sum: np.ndarray | None = None
-    herald_kev: np.ndarray | None = None
+    herald_kev: np.ndarray | None = None  # (n_events, 3), by detector id
     selection: DaqConfig | None = None
 
     def __len__(self) -> int:
         return len(self.trigger_ns)
 
-    def __getitem__(self, index: int) -> EventView:
-        n = len(self)
-        if not -n <= index < n:
+    def __getitem__(self, i: int) -> EventView:
+        if not 0 <= i < len(self):
             raise IndexError("event index out of range")
-        return EventView(self, index % n)
+        photons = slice(self.start[i], self.start[i + 1])
+        detector = self.detector[photons]
+        energies, offsets, origins = (
+            {d: column[photons][detector == d] for d in DETECTORS}
+            for column in (self.energy_kev, self.offset_ns, self.origin)
+        )
+        cfg = self.selection
+        if cfg is None:
+            return EventView(float(self.trigger_ns[i]), energies, offsets, origins, False, False, [])
+        pairs = [
+            (port, float(e_t), float(e_o))
+            for port in OUTPUT_PORTS
+            for e_t in energies[DET_TRIG]
+            for e_o in energies[port]
+            if abs(e_t + e_o - cfg.pump_energy_kev) <= cfg.sum_halfwidth_kev
+        ]
+        flags = bool(self.passes_acceptance[i]), bool(self.passes_sum[i])
+        return EventView(float(self.trigger_ns[i]), energies, offsets, origins, *flags, pairs)
 
     def event_index(self) -> np.ndarray:
         """Event number of every photon."""
         return np.repeat(np.arange(len(self)), np.diff(self.start))
 
     def counts(self, photons=None) -> np.ndarray:
-        """Photons per event and detector, (n_events, 3), optionally only
-        those where the boolean photon mask ``photons`` is true."""
+        """Photons per event and detector, (n_events, 3); with a boolean
+        photon mask ``photons``, only those where it is true."""
         cell = self.event_index() * len(DETECTORS) + self.detector
         if photons is not None:
             cell = cell[photons]
@@ -105,38 +129,25 @@ class EventTable:
 
     def select(self, keep) -> EventTable:
         """The events where the boolean mask ``keep`` is true, in order."""
-        keep = np.asarray(keep, dtype=bool)
         sizes = np.diff(self.start)
         photons = np.repeat(keep, sizes)
-
-        def per_event(column):
-            return None if column is None else column[keep]
-
         return EventTable(
             self.trigger_ns[keep],
             _csr_start(sizes[keep]),
-            self.detector[photons],
-            self.energy_kev[photons],
-            self.offset_ns[photons],
-            self.origin[photons],
-            per_event(self.passes_acceptance),
-            per_event(self.passes_sum),
-            per_event(self.herald_kev),
+            *(c[photons] for c in (self.detector, self.energy_kev, self.offset_ns, self.origin)),
+            *(None if c is None else c[keep]
+              for c in (self.passes_acceptance, self.passes_sum, self.herald_kev)),
             self.selection,
         )
 
     def sum_window_pairs(self, port: int, pump_energy_kev: float, sum_halfwidth_kev: float):
-        """Pairings (trigger photon, ``port`` photon) with
-        |E_trig + E_port - E_pump| <= sum_halfwidth.
-
-        Every pairing of each event is expanded, ordered by event, then
-        trigger photon, then ``port`` photon.  Returns (event, port photon
-        index) of the qualifying pairings in that order.
-        """
+        """(event, ``port`` photon index) of every (trigger photon, ``port``
+        photon) pairing with |E_trig + E_port - E_pump| <= sum_halfwidth,
+        ordered by event, then trigger photon, then ``port`` photon."""
         counts = self.counts()
         block = self.start[:-1, None] + np.cumsum(counts, axis=1) - counts
-        n_t, n_o = counts[:, DET_TRIG], counts[:, port]
-        per_event = n_t * n_o
+        n_o = counts[:, port]
+        per_event = counts[:, DET_TRIG] * n_o
         event = np.repeat(np.arange(len(self)), per_event)
         k = np.arange(len(event)) - (np.cumsum(per_event) - per_event)[event]
         trig = block[event, DET_TRIG] + k // n_o[event]
@@ -145,65 +156,6 @@ class EventTable:
         hit = np.abs(e[trig] + e[out] - pump_energy_kev) <= sum_halfwidth_kev
         return event[hit], out[hit]
 
-
-class EventView:
-    """Read-only view of one event of an ``EventTable``, built from its
-    columns on demand.  For inspection only: estimators read the columns."""
-
-    __slots__ = ("_table", "_index")
-
-    def __init__(self, table: EventTable, index: int):
-        self._table = table
-        self._index = index
-
-    def _by_detector(self, column) -> dict[int, np.ndarray]:
-        t, i = self._table, self._index
-        photons = slice(t.start[i], t.start[i + 1])
-        detector = t.detector[photons]
-        return {d: column[photons][detector == d] for d in DETECTORS}
-
-    def _flag(self, column) -> bool:
-        return column is not None and bool(column[self._index])
-
-    @property
-    def trigger_ns(self) -> float:
-        return float(self._table.trigger_ns[self._index])
-
-    @property
-    def energies(self) -> dict[int, np.ndarray]:
-        return self._by_detector(self._table.energy_kev)
-
-    @property
-    def offsets(self) -> dict[int, np.ndarray]:
-        return self._by_detector(self._table.offset_ns)
-
-    @property
-    def origins(self) -> dict[int, np.ndarray]:
-        return self._by_detector(self._table.origin)
-
-    @property
-    def passes_acceptance(self) -> bool:
-        return self._flag(self._table.passes_acceptance)
-
-    @property
-    def passes_sum(self) -> bool:
-        return self._flag(self._table.passes_sum)
-
-    @property
-    def heralded_pairs(self) -> list[tuple[int, float, float]]:
-        """Every qualifying (port, E_trig, E_port) pairing, in pairing order;
-        empty before ``energy_select``."""
-        cfg = self._table.selection
-        if cfg is None:
-            return []
-        e = self.energies
-        return [
-            (port, float(e_t), float(e_o))
-            for port in OUTPUT_PORTS
-            for e_t in e[DET_TRIG]
-            for e_o in e[port]
-            if abs(e_t + e_o - cfg.pump_energy_kev) <= cfg.sum_halfwidth_kev
-        ]
 
 def find_triggers(pulses, cfg: DaqConfig):
     """Overlap points of trigger-detector logic pulses with output logic pulses.
@@ -215,36 +167,20 @@ def find_triggers(pulses, cfg: DaqConfig):
     """
     logic = pulses[pulses["logic"]]
     trig_starts = np.sort(logic["start_ns"][logic["detector"] == DET_TRIG])
-    others = logic[(logic["detector"] == DET_TRANS) | (logic["detector"] == DET_REF)]
-    # Tie-break equal start times deterministically: lower detector id first.
-    other_order = np.lexsort((others["detector"], others["start_ns"]))
-    other_starts = others["start_ns"][other_order]
+    other_starts = np.sort(logic["start_ns"][np.isin(logic["detector"], OUTPUT_PORTS)])
 
     w = cfg.logic_width_ns
     lo = np.searchsorted(other_starts, trig_starts - w, side="right")
     hi = np.searchsorted(other_starts, trig_starts + w, side="left")
     has_overlap = lo < hi
-    first_other = other_starts[np.minimum(lo, max(len(other_starts) - 1, 0))] if len(
-        other_starts
-    ) else np.zeros_like(trig_starts)
-    points = np.maximum(trig_starts, first_other)[has_overlap]
-    points = np.sort(points)
-
-    if len(points) == 0:
-        return points, 0
+    first_other = other_starts[np.minimum(lo, len(other_starts) - 1)] if len(other_starts) else trig_starts
+    points = np.sort(np.maximum(trig_starts, first_other)[has_overlap])
     # Digitizer buffer limit: at most max_event_rate_hz captures per
     # one-second bucket of wall-clock time; excess triggers are lost.
     bucket = np.floor(points / 1e9).astype(np.int64)
-    keep = np.ones(len(points), dtype=bool)
-    cap = int(cfg.max_event_rate_hz)
-    start = 0
-    while start < len(points):
-        end = int(np.searchsorted(bucket, bucket[start], side="right"))
-        if end - start > cap:
-            keep[start + cap : end] = False
-        start = end
-    dropped = int((~keep).sum())
-    return points[keep], dropped
+    rank = np.arange(len(points)) - np.searchsorted(bucket, bucket, side="left")
+    keep = rank < int(cfg.max_event_rate_hz)
+    return points[keep], int((~keep).sum())
 
 
 def build_events(pulses, cfg: DaqConfig):
@@ -282,8 +218,7 @@ def build_events(pulses, cfg: DaqConfig):
         pulses["origin"][source],
     )
     has_trigger = events.counts()[:, DET_TRIG] > 0
-    empty_dropped = int(len(events) - has_trigger.sum())
-    return events.select(has_trigger), rate_dropped, empty_dropped
+    return events.select(has_trigger), rate_dropped, int((~has_trigger).sum())
 
 
 def energy_select(events: EventTable, cfg: DaqConfig):
@@ -299,38 +234,24 @@ def energy_select(events: EventTable, cfg: DaqConfig):
     lo, hi = cfg.acceptance_kev
     e = events.energy_kev
     outside = ~((e >= lo) & (e <= hi))
-    passes_acceptance = np.bincount(events.event_index()[outside], minlength=len(events)) == 0
+    accepted = np.bincount(events.event_index()[outside], minlength=len(events)) == 0
     herald_kev = np.full((len(events), len(DETECTORS)), np.nan)
     for port in OUTPUT_PORTS:
-        event, photon = events.sum_window_pairs(
-            port, cfg.pump_energy_kev, cfg.sum_halfwidth_kev
-        )
+        event, photon = events.sum_window_pairs(port, cfg.pump_energy_kev, cfg.sum_halfwidth_kev)
         first = np.ones(len(event), dtype=bool)
         first[1:] = event[1:] != event[:-1]
         herald_kev[event[first], port] = e[photon[first]]
-    passes_sum = ~np.isnan(herald_kev[:, OUTPUT_PORTS]).all(axis=1)
-    events = replace(
-        events,
-        passes_acceptance=passes_acceptance,
-        passes_sum=passes_sum,
-        herald_kev=herald_kev,
-        selection=cfg,
-    )
-    return events, events.select(passes_acceptance & passes_sum)
+    paired = ~np.isnan(herald_kev[:, OUTPUT_PORTS]).all(axis=1)
+    events = replace(events, passes_acceptance=accepted, passes_sum=paired,
+                     herald_kev=herald_kev, selection=cfg)
+    return events, events.select(accepted & paired)
 
 
 EVENT_FORMAT_HEADER = "# eventfile v1"
 EVENT_COLUMNS = "event,trigger_ns,detector,energy_kev,offset_ns,origin"
 _ROW_FORMAT = "%d,%.6f,%d,%.9g,%.6f,%d\n"
 _ROW_DTYPE = np.dtype(
-    [
-        ("event", "i8"),
-        ("trigger_ns", "f8"),
-        ("detector", "i8"),
-        ("energy_kev", "f8"),
-        ("offset_ns", "f8"),
-        ("origin", "i8"),
-    ]
+    {"names": EVENT_COLUMNS.split(","), "formats": ["i8", "f8", "i8", "f8", "f8", "i8"]}
 )
 _ROWS_PER_WRITE = 1 << 16
 
@@ -339,14 +260,8 @@ def save_events(path, events: EventTable, *, live_time_s=None, rate_dropped=0, e
     """Persist events as versioned CSV, one row per registered photon in
     table order."""
     event = events.event_index()
-    columns = (
-        event,
-        events.trigger_ns[event],
-        events.detector,
-        events.energy_kev,
-        events.offset_ns,
-        events.origin,
-    )
+    columns = (event, events.trigger_ns[event], events.detector, events.energy_kev,
+               events.offset_ns, events.origin)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(EVENT_FORMAT_HEADER + "\n")
         if live_time_s is not None:
@@ -354,21 +269,19 @@ def save_events(path, events: EventTable, *, live_time_s=None, rate_dropped=0, e
         fh.write(f"# rate_dropped: {rate_dropped}\n")
         fh.write(f"# empty_dropped: {empty_dropped}\n")
         fh.write(EVENT_COLUMNS + "\n")
-        # One %-format call per block of rows; the object array turns the
-        # numpy columns into Python ints and floats.
+        # One %-format call per block of rows; astype(object) turns the numpy
+        # values into the Python ints and floats the format expects.
         for lo in range(0, len(event), _ROWS_PER_WRITE):
-            rows = np.empty((min(_ROWS_PER_WRITE, len(event) - lo), len(columns)), dtype=object)
-            for j, column in enumerate(columns):
-                rows[:, j] = column[lo : lo + len(rows)]
-            fh.write((_ROW_FORMAT * len(rows)) % tuple(rows.ravel()))
+            block = np.column_stack([c[lo : lo + _ROWS_PER_WRITE].astype(object) for c in columns])
+            fh.write((_ROW_FORMAT * len(block)) % tuple(block.ravel()))
 
 
 def load_events(path):
     """Read events written by save_events.
 
     Metadata comments precede the column-name row.  Returns (events,
-    metadata dict) with ``events`` an ``EventTable``; rows with the same
-    event number in a run form one event.  Raises ValueError on a
+    metadata dict) with ``events`` an ``EventTable``; consecutive rows with
+    the same event number form one event.  Raises ValueError on a
     format-version mismatch or malformed rows.
     """
     meta = {"live_time_s": None, "rate_dropped": 0, "empty_dropped": 0}
@@ -380,14 +293,11 @@ def load_events(path):
             line = line.strip()
             if line.startswith("event,"):
                 break
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                for key in meta:
-                    if body.startswith(key + ":"):
-                        raw = body.split(":", 1)[1]
-                        meta[key] = float(raw) if key == "live_time_s" else int(raw)
-            elif line:
+            if line and not line.startswith("#"):
                 raise ValueError(f"event row before the column names: {line!r}")
+            key, _, raw = line.lstrip("#").partition(":")
+            if key.strip() in meta:
+                meta[key.strip()] = float(raw) if key.strip() == "live_time_s" else int(raw)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a file with no events
             rows = np.loadtxt(fh, delimiter=",", comments="#", dtype=_ROW_DTYPE, ndmin=1)

@@ -254,31 +254,3 @@ def detect(
     pulses["logic"] = (measured >= sca_lo[alive]) & (measured <= sca_hi[alive])
     return pulses
 
-
-PULSE_FORMAT_HEADER = "# pulsestream v1"
-
-
-def save_pulses(path, pulses):
-    """Persist a pulse stream as versioned CSV."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(PULSE_FORMAT_HEADER + "\n")
-        fh.write("start_ns,energy_kev,detector,origin,logic\n")
-        for p in pulses:
-            fh.write(
-                f"{p['start_ns']:.6f},{p['energy_kev']:.9g},"
-                f"{int(p['detector'])},{int(p['origin'])},{int(p['logic'])}\n"
-            )
-
-
-def load_pulses(path):
-    """Read a pulse stream written by save_pulses; validates the version header."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != PULSE_FORMAT_HEADER:
-            raise ValueError(f"unrecognized pulse-stream format: {header!r}")
-        fh.readline()  # column names
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    pulses = np.empty(len(rows), dtype=PULSE_DTYPE)
-    for i, cols in enumerate(rows):
-        pulses[i] = (float(cols[0]), float(cols[1]), int(cols[2]), int(cols[3]), bool(int(cols[4])))
-    return pulses

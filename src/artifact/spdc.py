@@ -392,10 +392,10 @@ def bragg_angle_sweep(
         return []
     if grid is None:
         grid = SWEEP_GRID
-    specs = [splitter_family(t) for t in sweep_deg]
     for t in sweep_deg:
         if not (0.0 < t < 90.0):
             raise ValueError("sweep angles must lie in (0, 90) degrees")
+    specs = [splitter_family(t) for t in sweep_deg]
     w = _theta_y_summed_sinc2(_Kinematics(config), grid)
     denom = float(w.sum())
     if denom == 0.0:

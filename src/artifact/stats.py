@@ -1,8 +1,6 @@
 """Estimators for coincidence runs: anticorrelation ratio, correlation
-degree, spectra, and rates with Poisson errors.
-
-The event estimators read the columns of a ``daq.EventTable`` with per-event
-reductions; none walks the events one by one."""
+degree, spectra, and rates with Poisson errors.  The event estimators reduce
+the columns of a ``daq.EventTable`` per event."""
 
 from __future__ import annotations
 
@@ -75,12 +73,8 @@ def counts_from_events(events: EventTable) -> CoincCounts:
     has_t = counts[:, DET_TRANS] > 0
     has_r = counts[:, DET_REF] > 0
     coinc = (counts[:, DET_TRIG] > 0) & (has_t | has_r)
-    return CoincCounts(
-        int(coinc.sum()),
-        int((coinc & has_t).sum()),
-        int((coinc & has_r).sum()),
-        int((coinc & has_t & has_r).sum()),
-    )
+    tallies = (coinc, coinc & has_t, coinc & has_r, coinc & has_t & has_r)
+    return CoincCounts(*(int(t.sum()) for t in tallies))
 
 
 def sigma(
@@ -110,13 +104,8 @@ def sigma(
     qualifies = np.ones(len(events), dtype=bool)
     if energy_mode == "sum":
         paired, _ = events.sum_window_pairs(output, pump_energy_kev, sum_halfwidth_kev)
-        elastic = (events.detector == DET_TRIG) & (
-            np.abs(events.energy_kev - pump_energy_kev) <= sum_halfwidth_kev
-        )
-        lone_elastic = (events.counts()[:, output] == 0) & (
-            events.counts(elastic)[:, DET_TRIG] > 0
-        )
-        qualifies = lone_elastic
+        elastic = np.abs(events.energy_kev - pump_energy_kev) <= sum_halfwidth_kev
+        qualifies = (events.counts()[:, output] == 0) & (events.counts(elastic)[:, DET_TRIG] > 0)
         qualifies[paired] = True
     windowed = events.counts(np.abs(events.offset_ns) <= window_ns)[qualifies]
     n_t, n_h = windowed[:, DET_TRIG], windowed[:, output]

@@ -15,7 +15,6 @@ from artifact import daq, montecarlo as mc, spdc, stats
 from artifact.cli import EXIT_OK, cmd_model, main
 from artifact.montecarlo import DET_REF, DET_TRANS, DET_TRIG
 from artifact.spdc import _Kinematics
-from artifact.splitter import SplitterSpec
 from artifact.xoptics import LatticeSpec, bragg_angle
 
 from conftest import run_chain

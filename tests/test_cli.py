@@ -54,6 +54,18 @@ def test_sweep_command_writes_monotone_curve(tmp_path):
     assert all(a > b for a, b in zip(rates, rates[1:]))
 
 
+@pytest.mark.parametrize("bounds", [
+    ["--start", "0", "--stop", "10", "--num", "3"],
+    ["--start", "10", "--stop", "90", "--num", "3"],
+    ["--num", "-1"],
+    ["--num", "0"],
+    ["--width-scale", "0"],
+])
+def test_sweep_rejects_bad_range_with_config_code(tmp_path, bounds):
+    assert main(["sweep", "--outdir", str(tmp_path)] + bounds) == EXIT_CONFIG
+    assert not (tmp_path / "bragg_sweep.csv").exists()
+
+
 def test_simulate_then_analyze_pipeline(tmp_path):
     out = tmp_path / "run"
     assert main(["simulate", "--outdir", str(out), "--seed", "21"] + FAST) == EXIT_OK

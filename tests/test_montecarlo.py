@@ -142,25 +142,3 @@ def test_detector_spec_validation():
     with pytest.raises(ValueError):
         mc.DetectorSpec(analog_width_ns=0.0)
 
-
-def test_pulse_roundtrip(tmp_path, cfg):
-    photons = np.zeros(50, dtype=mc.PHOTON_DTYPE)
-    rng = np.random.default_rng(3)
-    photons["time_ns"] = np.sort(rng.uniform(0, 1e6, 50))
-    photons["energy_kev"] = rng.uniform(7, 17, 50)
-    photons["detector"] = rng.integers(0, 3, 50)
-    pulses = mc.detect(photons, cfg.detectors, rng)
-    path = tmp_path / "pulses.csv"
-    mc.save_pulses(path, pulses)
-    loaded = mc.load_pulses(path)
-    np.testing.assert_allclose(loaded["start_ns"], pulses["start_ns"], atol=1e-6)
-    np.testing.assert_allclose(loaded["energy_kev"], pulses["energy_kev"], rtol=1e-8)
-    assert np.array_equal(loaded["detector"], pulses["detector"])
-    assert np.array_equal(loaded["logic"], pulses["logic"])
-
-
-def test_pulse_load_rejects_unknown_format(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("# pulsestream v999\nstart_ns\n")
-    with pytest.raises(ValueError):
-        mc.load_pulses(path)

@@ -155,3 +155,45 @@ def test_reference_grid_weights_are_2d(default_config, amp_default):
     grid = default_config.grid
     assert amp_default.weights.dtype == np.float64
     assert amp_default.weights.nbytes == grid.n_energy * grid.n_x * 8
+
+
+def test_sweep_rejects_out_of_range_angle_before_building_splitters(default_config):
+    # The default family divides by sin(theta_B), so theta_B = 0 must be
+    # rejected before any family member is built.
+    family = spdc.default_splitter_family(default_config.splitter)
+    for angles in ([0.0, 5.0, 10.0], [10.0, 90.0], [-5.0]):
+        with pytest.raises(ValueError, match="0, 90"):
+            spdc.bragg_angle_sweep(default_config.spdc, family, angles)
+
+
+def test_amplitude_matches_direct_integration_on_fine_grid(default_config):
+    """Criterion 09's check on a finer grid, where its mask keeps enough cells
+    for ~300 evenly spaced ones."""
+    cfg = default_config.spdc
+    grid = GridSpec(9.5, 11.5, 1200, 5.0e-3, 160, 8)
+    kin = _Kinematics(cfg)
+    e = grid.energy_centers()[:, None, None]
+    tx = grid.theta_x_centers()[None, :, None]
+    ty = grid.theta_y_centers()[None, None, :]
+    amplitude = spdc.amplitude_at(cfg, e, tx, ty)
+    x = kin.half_phase(e, tx, ty)
+    mask = np.isfinite(x) & (np.abs(amplitude) > 0.05 * cfg.kappa_l)
+    assert mask.sum() == 810
+    pick = np.unique(np.linspace(0, mask.sum() - 1, 300).round().astype(int))
+    x_sel = x[mask][pick]
+    a_sel = amplitude[mask][pick]
+
+    # Fourth-order integration of dB/du = i * kappa_l * exp(2 i x u), u in [0, 1].
+    n_steps = 4000
+    h = 1.0 / n_steps
+    b = np.zeros_like(x_sel, dtype=complex)
+
+    def f(u):
+        return 1j * cfg.kappa_l * np.exp(2j * x_sel * u)
+
+    for i in range(n_steps):
+        u = i * h
+        b += (h / 6.0) * (f(u) + 4.0 * f(u + 0.5 * h) + f(u + h))
+
+    assert len(x_sel) == 300
+    assert np.max(np.abs(b - 1j * a_sel) / np.abs(a_sel)) < 1e-3
