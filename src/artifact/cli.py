@@ -208,9 +208,9 @@ def cmd_analyze(cfg: RunConfig, events_path: str, outdir: str) -> None:
             "n_trig,n_trig_t,n_trig_r,n_trig_t_r",
             [(counts.n_trig, counts.n_trig_t, counts.n_trig_r, counts.n_trig_t_r)],
         )
-        value = (
-            f"alpha = {result.alpha:.6f} +- {result.sigma:.6f}" if result.defined else "alpha undefined"
-        )
+        value = f"alpha = {result.alpha:.6f} +- {result.sigma:.6f}"
+        if not result.defined:
+            value = "alpha undefined"
         report_lines.append(
             f"{label}: {value} (N={counts.n_trig}, N_T={counts.n_trig_t}, "
             f"N_R={counts.n_trig_r}, N_TR={counts.n_trig_t_r})"

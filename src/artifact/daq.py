@@ -101,9 +101,9 @@ class EventTable:
             {d: column[photons][detector == d] for d in DETECTORS}
             for column in (self.energy_kev, self.offset_ns, self.origin)
         )
-        cfg = self.selection
+        cfg, trigger = self.selection, float(self.trigger_ns[i])
         if cfg is None:
-            return EventView(float(self.trigger_ns[i]), energies, offsets, origins, False, False, [])
+            return EventView(trigger, energies, offsets, origins, False, False, [])
         pairs = [
             (port, float(e_t), float(e_o))
             for port in OUTPUT_PORTS
@@ -112,7 +112,7 @@ class EventTable:
             if abs(e_t + e_o - cfg.pump_energy_kev) <= cfg.sum_halfwidth_kev
         ]
         flags = bool(self.passes_acceptance[i]), bool(self.passes_sum[i])
-        return EventView(float(self.trigger_ns[i]), energies, offsets, origins, *flags, pairs)
+        return EventView(trigger, energies, offsets, origins, *flags, pairs)
 
     def event_index(self) -> np.ndarray:
         """Event number of every photon."""
@@ -173,8 +173,7 @@ def find_triggers(pulses, cfg: DaqConfig):
     lo = np.searchsorted(other_starts, trig_starts - w, side="right")
     hi = np.searchsorted(other_starts, trig_starts + w, side="left")
     has_overlap = lo < hi
-    first_other = other_starts[np.minimum(lo, len(other_starts) - 1)] if len(other_starts) else trig_starts
-    points = np.sort(np.maximum(trig_starts, first_other)[has_overlap])
+    points = np.sort(np.maximum(trig_starts[has_overlap], other_starts[lo[has_overlap]]))
     # Digitizer buffer limit: at most max_event_rate_hz captures per
     # one-second bucket of wall-clock time; excess triggers are lost.
     bucket = np.floor(points / 1e9).astype(np.int64)
