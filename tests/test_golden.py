@@ -1,9 +1,12 @@
-"""Golden outputs: sha256 of every file ``simulate`` and ``analyze`` write.
+"""Golden outputs: sha256 of every file ``model``, ``simulate`` and ``analyze``
+write.
 
-The run is criterion 10's reduced configuration at two seeds.  A refactor
-that leaves the random-number consumption unchanged must reproduce these
-bytes exactly; a change that alters the random streams on purpose says so in
-CHANGES.md and regenerates the table once.
+The runs use criterion 10's reduced grid; ``simulate`` and ``analyze`` run at
+two seeds.  ``model`` always sweeps on ``spdc.SWEEP_GRID``, so its hashes pin
+the sweep kernel as well as the amplitude.  A refactor that leaves the
+arithmetic and the random-number consumption unchanged must reproduce these
+bytes exactly; a change that alters them on purpose says so in CHANGES.md and
+regenerates the tables once.
 """
 
 import hashlib
@@ -12,11 +15,19 @@ import pytest
 
 from artifact.cli import EXIT_OK, main
 
-REDUCED = [
+REDUCED_GRID = [
     "--set", "grid.n_energy=400", "--set", "grid.n_x=60",
-    "--set", "grid.n_y=12", "--set", "source.duration_s=30",
-    "--set", "source.pair_rate_hz=3",
+    "--set", "grid.n_y=12",
 ]
+REDUCED = REDUCED_GRID + [
+    "--set", "source.duration_s=30", "--set", "source.pair_rate_hz=3",
+]
+
+MODEL_GOLDEN = {
+    "bragg_sweep.csv": "f805118f2215c442d67e141077369f82576c9ef9ce19321ca9b0cf8f28973fa1",
+    "model_spectra.csv": "a828200d6e6ffb1160ef9c52a15c94cd63337b9da15bc2845bcba78e017d8fb7",
+    "model_summary.txt": "0dfcf1844cf0f7de9125ae1a0031a29c01e367d5c9bab5a060144a1e889f1aed",
+}
 
 GOLDEN = {
     77: {
@@ -70,3 +81,8 @@ def test_simulate_and_analyze_outputs_match_golden_hashes(tmp_path, seed):
                  "--events", str(sim / "events.csv")] + args) == EXIT_OK
     assert _digests(sim) == GOLDEN[seed]["simulate"]
     assert _digests(ana) == GOLDEN[seed]["analyze"]
+
+
+def test_model_outputs_match_golden_hashes(tmp_path):
+    assert main(["model", "--outdir", str(tmp_path)] + REDUCED_GRID) == EXIT_OK
+    assert _digests(tmp_path) == MODEL_GOLDEN
