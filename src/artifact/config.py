@@ -8,6 +8,7 @@ physics parameters cannot pass silently.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -37,7 +38,6 @@ _SCHEMA: dict[str, dict[str, type]] = {
         "thickness_mm": float,
         "detune_deg": float,
         "theta_heralded_deg": float,
-        "theta_trigger_deg": float,
         "kappa_l": float,
     },
     "grid": {
@@ -175,6 +175,21 @@ def _detector_from(parser, section: str) -> DetectorSpec:
     )
 
 
+def _check_incidence(splitter: SplitterSpec, grid: GridSpec):
+    """Reject a mount whose incidence on the splitter planes leaves (0, 180) deg.
+
+    The heralded beam meets the plate at theta_B(nominal) + mount offset +
+    theta_x, with theta_x spanning the grid's angular window.
+    """
+    mount = splitter.nominal_bragg_deg() + splitter.mount_offset_deg
+    half = math.degrees(0.5 * grid.angle_span_rad)
+    if not (0.0 < mount - half and mount + half < 180.0):
+        raise ConfigError(
+            f"splitter incidence {mount - half:g}..{mount + half:g} deg leaves "
+            "(0, 180) deg: check [splitter] mount_offset_deg"
+        )
+
+
 def build_config(parser: configparser.ConfigParser) -> RunConfig:
     """Validate a parsed INI file and construct the typed configuration."""
     _validate(parser)
@@ -188,7 +203,6 @@ def build_config(parser: configparser.ConfigParser) -> RunConfig:
             thickness_mm=_get(parser, "spdc", "thickness_mm"),
             detune_deg=_get(parser, "spdc", "detune_deg"),
             theta_heralded_deg=_get(parser, "spdc", "theta_heralded_deg"),
-            theta_trigger_deg=_get(parser, "spdc", "theta_trigger_deg"),
             kappa_l=_get(parser, "spdc", "kappa_l"),
         )
         grid = GridSpec(
@@ -210,6 +224,7 @@ def build_config(parser: configparser.ConfigParser) -> RunConfig:
             nominal_energy_kev=_get(parser, "splitter", "nominal_energy_kev"),
             mount_offset_deg=_get(parser, "splitter", "mount_offset_deg"),
         )
+        _check_incidence(splitter, grid)
         seed = _get(parser, "run", "seed")
         source = SourceConfig(
             pair_rate=_get(parser, "source", "pair_rate_hz"),

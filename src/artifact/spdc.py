@@ -20,9 +20,10 @@ evaluates the complex amplitude pointwise where it is needed.
 The mismatch varies by orders of magnitude within a grid cell along the
 energy axis (the phase-matching ridge is micro-eV thin), so cell weights
 are computed by *exact* integration of sinc^2 across each energy cell
-(antiderivative of sinc^2 via the sine integral) with cell edges shared
-between neighbours.  This makes integrated rates stable against grid
-refinement even though the integrand is unresolved pointwise.
+(antiderivative F of sinc^2 via the sine integral) with cell edges shared
+between neighbours: F is evaluated once per edge and each cell takes the
+difference of its two edges.  This makes integrated rates stable against
+grid refinement even though the integrand is unresolved pointwise.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ class SpdcConfig:
     thickness_mm: float = 0.8
     detune_deg: float = 0.008  # pump rotation away from the crystal Bragg angle
     theta_heralded_deg: float = 45.59  # central heralded-beam angle to the planes
-    theta_trigger_deg: float = 43.63  # central trigger-beam angle to the planes
     kappa_l: float = 0.01  # dimensionless gain kappa * L
 
     def __post_init__(self):
@@ -147,12 +147,19 @@ def _sinc2_antiderivative(x):
     return si - np.where(small, x, np.sin(safe) ** 2 / safe)
 
 
-def _sinc2_cell_average(x1, x2):
-    """Mean of sinc^2 over [x1, x2]; falls back to the midpoint when degenerate."""
-    x1, x2 = np.broadcast_arrays(x1, x2)
+def _sinc2_cell_average(x_edge):
+    """Mean of sinc^2 over each cell between consecutive edges along axis 0.
+
+    The antiderivative is evaluated once per edge, so an edge shared by two
+    cells costs one ``sici`` call; a cell with |dx| < 1e-6 falls back to
+    sinc^2 at its midpoint.  NaN edges give NaN cells.
+    """
+    x_edge = np.asarray(x_edge, dtype=float)
+    x1, x2 = x_edge[:-1], x_edge[1:]
     dx = x2 - x1
     with np.errstate(invalid="ignore", divide="ignore"):
-        avg = np.asarray((_sinc2_antiderivative(x2) - _sinc2_antiderivative(x1)) / dx)
+        f = _sinc2_antiderivative(x_edge)
+        avg = (f[1:] - f[:-1]) / dx
     degenerate = np.abs(dx) < 1e-6
     if degenerate.any():
         avg[degenerate] = sinc(0.5 * (x1[degenerate] + x2[degenerate])) ** 2
@@ -225,15 +232,16 @@ class PairIntensity:
 
 
 # Cells of the (energy edge, theta_x, theta_y) block evaluated per kernel
-# chunk; bounds the kernel's temporaries to a few tens of MB.
-CHUNK_CELLS = 4_000_000
+# chunk (whole theta_x columns, at least one).
+CHUNK_CELLS = 250_000
 
 
 def _theta_y_summed_sinc2(kin: _Kinematics, grid: GridSpec):
     """Sum over theta_y cells of the shared-edge sinc^2 cell average.
 
-    Returns an (n_energy, n_x) array; cells whose edges are evanescent
-    contribute zero.
+    Works through theta_x in chunks of whole columns; within a chunk the
+    sinc^2 antiderivative is evaluated once per energy edge.  Returns an
+    (n_energy, n_x) array; cells with an evanescent edge contribute zero.
     """
     e_edges = grid.energy_edges()[:, None, None]
     tx = grid.theta_x_centers()
@@ -242,9 +250,9 @@ def _theta_y_summed_sinc2(kin: _Kinematics, grid: GridSpec):
     n_chunk = max(1, CHUNK_CELLS // ((grid.n_energy + 1) * grid.n_y))
     for j0 in range(0, grid.n_x, n_chunk):
         x_edge = kin.half_phase(e_edges, tx[j0 : j0 + n_chunk][None, :, None], ty)
-        w = _sinc2_cell_average(x_edge[:-1], x_edge[1:])
-        bad = np.isnan(x_edge[:-1]) | np.isnan(x_edge[1:]) | np.isnan(w)
-        out[:, j0 : j0 + n_chunk] = np.where(bad, 0.0, w).sum(axis=2)
+        w = _sinc2_cell_average(x_edge)
+        w[np.isnan(w)] = 0.0
+        out[:, j0 : j0 + n_chunk] = w.sum(axis=2)
     return out
 
 

@@ -82,8 +82,8 @@ def transmission(
         + np.asarray(dtheta_deg, dtype=float)
         + spec.mount_offset_deg
     )
-    if np.any(incidence_deg <= 0):
-        raise ValueError("incidence angle to the planes must be positive")
+    if np.any((incidence_deg <= 0) | (incidence_deg >= 180)):
+        raise ValueError("incidence angle to the planes must lie in (0, 180) degrees")
     slant_cm = (spec.thickness_mm / 10.0) / np.sin(np.radians(incidence_deg))
     absorption = np.exp(-material.linear_attenuation(energy_kev) * slant_cm)
     return (1.0 - reflectivity(spec, energy_kev, dtheta_deg)) * absorption

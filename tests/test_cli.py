@@ -24,6 +24,21 @@ def test_unknown_config_key_exits_config_code(tmp_path):
     assert code == EXIT_CONFIG
 
 
+def test_trigger_angle_key_exits_config_code(tmp_path):
+    code = main(["model", "--outdir", str(tmp_path),
+                 "--set", "spdc.theta_trigger_deg=43.63"])
+    assert code == EXIT_CONFIG
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("verb", ["model", "simulate"])
+def test_negative_splitter_incidence_exits_config_code(tmp_path, verb):
+    code = main([verb, "--outdir", str(tmp_path),
+                 "--set", "splitter.mount_offset_deg=-20"])
+    assert code == EXIT_CONFIG
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_config_file_exits_io_code(tmp_path):
     code = main(["simulate", "--outdir", str(tmp_path),
                  "--config", str(tmp_path / "absent.ini")])

@@ -55,6 +55,25 @@ def test_unknown_key_rejected():
         load_default_config(["source.typo_rate=1.0"])
 
 
+def test_trigger_angle_key_rejected():
+    # The trigger direction follows from transverse momentum conservation,
+    # so a configured trigger angle would be ignored.
+    with pytest.raises(ConfigError, match="theta_trigger_deg"):
+        load_default_config(["spdc.theta_trigger_deg=43.63"])
+
+
+@pytest.mark.parametrize("offset", ["-20", "-10.2", "170", "200"])
+def test_splitter_incidence_outside_0_180_rejected(offset):
+    # theta_B(10.5 keV, HOPG) is 10.1 deg and the grid spans +-0.14 deg.
+    with pytest.raises(ConfigError, match="incidence"):
+        load_default_config([f"splitter.mount_offset_deg={offset}"])
+
+
+def test_splitter_incidence_inside_0_180_accepted():
+    cfg = load_default_config(["splitter.mount_offset_deg=-9.8"])
+    assert cfg.splitter.mount_offset_deg == -9.8
+
+
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError):
         load_default_config(["nonsense.value=1.0"])

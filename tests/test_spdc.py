@@ -1,6 +1,7 @@
 """Unit tests for the biphoton pair intensity, grid handling, and rate quadrature."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,15 +38,42 @@ def test_sinc2_cell_average_matches_fine_quadrature():
     x1, x2 = 0.3, 7.9
     fine = np.linspace(x1, x2, 200001)
     expected = np.trapezoid(sinc(fine) ** 2, fine) / (x2 - x1)
-    assert _sinc2_cell_average(np.array(x1), np.array(x2)) == pytest.approx(
+    assert _sinc2_cell_average(np.array([x1, x2]))[0] == pytest.approx(
         expected, rel=1e-9
     )
 
 
 def test_sinc2_cell_average_degenerate_cell():
-    assert _sinc2_cell_average(np.array(1.0), np.array(1.0 + 1e-9)) == pytest.approx(
+    assert _sinc2_cell_average(np.array([1.0, 1.0 + 1e-9]))[0] == pytest.approx(
         sinc(1.0) ** 2, rel=1e-6
     )
+
+
+def _pairwise_cell_average(x1, x2):
+    """Cell average with the antiderivative evaluated separately at both edges."""
+    dx = x2 - x1
+    with np.errstate(invalid="ignore", divide="ignore"):
+        avg = (spdc._sinc2_antiderivative(x2) - spdc._sinc2_antiderivative(x1)) / dx
+    degenerate = np.abs(dx) < 1e-6
+    avg[degenerate] = sinc(0.5 * (x1[degenerate] + x2[degenerate])) ** 2
+    return avg
+
+
+def test_edge_cell_average_matches_pairwise_formula_bit_for_bit():
+    rng = np.random.default_rng(5)
+    x_edge = rng.normal(scale=50.0, size=(401, 3, 4))
+    x_edge[::7] = np.nan  # evanescent edges
+    x_edge[100:140] = x_edge[100] + rng.uniform(-1e-6, 1e-6, size=(40, 3, 4))
+    x_edge[200:220] = rng.uniform(-1e-8, 1e-8, size=(20, 3, 4))  # around x = 0
+    x_edge[300:303] = x_edge[300]  # zero-width cells
+    got = _sinc2_cell_average(x_edge)
+    want = _pairwise_cell_average(x_edge[:-1], x_edge[1:])
+
+    assert got.shape == want.shape == (400, 3, 4)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert nan.any() and not nan.all()
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
 
 
 def test_grid_validation_and_spacings():
@@ -140,7 +168,7 @@ def test_pair_intensity_kernel_matches_3d_reference(n_energy, n_x, n_y, chunk_co
         grid.theta_x_centers()[None, :, None],
         grid.theta_y_centers()[None, None, :],
     )
-    cell = _sinc2_cell_average(x_edge[:-1], x_edge[1:])
+    cell = _sinc2_cell_average(x_edge)
     bad = np.isnan(x_edge[:-1]) | np.isnan(x_edge[1:]) | np.isnan(cell)
     expected = np.where(bad, 0.0, cell).sum(axis=2) * cfg.kappa_l**2 * grid.d_theta_y
 
@@ -149,6 +177,35 @@ def test_pair_intensity_kernel_matches_3d_reference(n_energy, n_x, n_y, chunk_co
     assert np.all(raw.weights >= 0)
     assert np.all(normalized.weights >= 0)
     assert normalized.total() == pytest.approx(1.0, rel=1e-12)
+
+
+def test_kernel_is_identical_for_every_chunk_size(monkeypatch):
+    grid = GridSpec(8.5, 12.5, 300, 5.0e-3, 14, 6)
+    kin = _Kinematics(SpdcConfig())
+    column = (grid.n_energy + 1) * grid.n_y
+    results = []
+    # 1 cell and one column give one-column chunks; 3 and 5 columns leave a
+    # short last chunk; 1000 columns take the whole grid at once.
+    for cells in (1, column, 3 * column, 5 * column + 7, 1000 * column):
+        monkeypatch.setattr(spdc, "CHUNK_CELLS", cells)
+        results.append(spdc._theta_y_summed_sinc2(kin, grid))
+    assert np.count_nonzero(results[0]) > 0
+    for w in results[1:]:
+        assert np.array_equal(w, results[0])
+
+
+def test_reference_grid_kernel_peak_memory():
+    # Deterministic bound on the kernel's temporaries: tracemalloc counts
+    # numpy's buffers, so chunking must keep the peak far below the
+    # hundreds of MB a whole-grid evaluation would take.
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        biphoton_amplitude(SpdcConfig(), GridSpec())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_reference_grid_weights_are_2d(default_config, amp_default):

@@ -81,6 +81,8 @@ def test_transmission_bounded(spec, graphite):
 def test_transmission_rejects_grazing_exit(spec, graphite):
     with pytest.raises(ValueError):
         transmission(spec, 10.5, -15.0, graphite)
+    with pytest.raises(ValueError):
+        transmission(spec, 10.5, 175.0, graphite)
 
 
 def test_spec_validation():
