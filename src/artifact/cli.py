@@ -117,7 +117,9 @@ def simulate_events(cfg: RunConfig):
     )
     stray = mc.generate_stray(cfg.source, rng=rng_stray)
     photons = mc.merge_streams(pairs, stray)
+    del pairs, stray  # hold one full-length stream per stage
     pulses = mc.detect(photons, cfg.detectors, rng_detect)
+    del photons
     events, rate_dropped, empty_dropped = daq_mod.build_events(pulses, cfg.daq)
     events, _heralded = daq_mod.energy_select(events, cfg.daq)
     return events, rate_dropped, empty_dropped, pulses
@@ -134,12 +136,13 @@ def cmd_simulate(cfg: RunConfig, outdir: str) -> None:
         empty_dropped=empty_dropped,
     )
     with open(os.path.join(outdir, "pulse_summary.txt"), "w", encoding="utf-8") as fh:
+        # Row d: (pulses without, with a logic pulse) at detector d.
+        n_det = len(mc.DETECTOR_NAMES)
+        counts = np.bincount(
+            pulses.detector.astype(np.intp) * 2 + pulses.logic, minlength=2 * n_det
+        ).reshape(-1, 2)
         for det, name in mc.DETECTOR_NAMES.items():
-            mask = pulses["detector"] == det
-            fh.write(
-                f"{name}: analog={int(mask.sum())} "
-                f"logic={int((mask & pulses['logic']).sum())}\n"
-            )
+            fh.write(f"{name}: analog={counts[det].sum()} logic={counts[det, 1]}\n")
     with open(os.path.join(outdir, "run_meta.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"seed = {cfg.source.rng_seed}\n")
         fh.write(f"live_time_s = {cfg.source.duration_s:.6f}\n")

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .montecarlo import DET_REF, DET_TRANS, DET_TRIG
+from .montecarlo import DET_REF, DET_TRANS, DET_TRIG, Stream
 
 
 @dataclass(frozen=True)
@@ -157,23 +157,37 @@ class EventTable:
         return event[hit], out[hit]
 
 
-def find_triggers(pulses, cfg: DaqConfig):
+def find_triggers(pulses: Stream, cfg: DaqConfig):
     """Overlap points of trigger-detector logic pulses with output logic pulses.
 
-    One capture at most per trigger-side logic pulse; the overlap point is
+    ``pulses`` must be in time order (raises ValueError otherwise).  One
+    capture at most per trigger-side logic pulse; the overlap point is
     max(start_trig, start_other) for the earliest-overlapping output pulse.
     Captures beyond the digitizer rate cap (counted in whole-second buckets)
     are dropped; returns (trigger_times, dropped_count).
     """
-    logic = pulses[pulses["logic"]]
-    trig_starts = np.sort(logic["start_ns"][logic["detector"] == DET_TRIG])
-    other_starts = np.sort(logic["start_ns"][np.isin(logic["detector"], OUTPUT_PORTS)])
-
+    start = pulses.time_ns
+    if np.any(start[1:] < start[:-1]):
+        raise ValueError("pulse stream is not in time order")
+    detector, logic = pulses.detector, pulses.logic
+    is_trig = logic & (detector == DET_TRIG)
+    is_output = logic & ((detector == DET_TRANS) | (detector == DET_REF))
+    trig_starts = start[is_trig]
+    # In a time-ordered stream the output pulses ahead of a trigger pulse are
+    # those starting no later than it, so the last of them and the first one
+    # after it are the only overlap candidates.  No pulse is both kinds, so
+    # the running count of output pulses at a trigger pulse is the number
+    # ahead of it.  The sentinels stand in for missing neighbours.
+    padded = np.concatenate(([-np.inf], start[is_output], [np.inf]))
+    ahead = np.cumsum(is_output)[is_trig]
     w = cfg.logic_width_ns
-    lo = np.searchsorted(other_starts, trig_starts - w, side="right")
-    hi = np.searchsorted(other_starts, trig_starts + w, side="left")
-    has_overlap = lo < hi
-    points = np.sort(np.maximum(trig_starts[has_overlap], other_starts[lo[has_overlap]]))
+    has_overlap = (padded[ahead] > trig_starts - w) | (padded[ahead + 1] < trig_starts + w)
+    trig_starts = trig_starts[has_overlap]
+    # The earliest-overlapping output pulse is the first one starting after
+    # t - w; the points are nondecreasing because the trigger starts are.
+    output_starts = padded[1:-1]
+    first = np.searchsorted(output_starts, trig_starts - w, side="right")
+    points = np.maximum(trig_starts, output_starts[first])
     # Digitizer buffer limit: at most max_event_rate_hz captures per
     # one-second bucket of wall-clock time; excess triggers are lost.
     bucket = np.floor(points / 1e9).astype(np.int64)
@@ -182,39 +196,34 @@ def find_triggers(pulses, cfg: DaqConfig):
     return points[keep], int((~keep).sum())
 
 
-def build_events(pulses, cfg: DaqConfig):
+def build_events(pulses: Stream, cfg: DaqConfig):
     """Full chain: triggering, rate cap, software window, empty-trigger pruning.
 
-    Returns (events, rate_dropped, empty_dropped) with ``events`` an
-    ``EventTable``.  Events whose window contains no trigger-detector photon
-    carry no usable coincidence information and are dropped (counted
-    separately).
+    ``pulses`` must be in time order (``find_triggers`` checks it).  Returns
+    (events, rate_dropped, empty_dropped) with ``events`` an ``EventTable``.
+    Events whose window contains no trigger-detector photon carry no usable
+    coincidence information and are dropped (counted separately).
     """
     points, rate_dropped = find_triggers(pulses, cfg)
-    # Stable time order: within one detector it is the order each window keeps.
-    order = np.argsort(pulses["start_ns"], kind="stable")
-    peaks = pulses["start_ns"][order]
-    peaks += 0.5 * cfg.analog_width_ns
+    peaks = pulses.time_ns + 0.5 * cfg.analog_width_ns
     lo = np.searchsorted(peaks, points - cfg.half_window_ns, side="left")
     hi = np.searchsorted(peaks, points + cfg.half_window_ns, side="right")
     sizes = hi - lo
     event = np.repeat(np.arange(len(points)), sizes)
     window = np.arange(len(event)) + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
-    by_detector = np.argsort(
-        event * len(DETECTORS) + pulses["detector"][order[window]], kind="stable"
-    )
+    # Stable: within one detector each window keeps time order.
+    by_detector = np.argsort(event * len(DETECTORS) + pulses.detector[window], kind="stable")
     window, event = window[by_detector], event[by_detector]
-    source = order[window]
     # The window test compares peak with point +- half_window; the
     # difference peak - point can round one ulp past that bound.
     offsets = np.clip(peaks[window] - points[event], -cfg.half_window_ns, cfg.half_window_ns)
     events = EventTable(
         points,
         _csr_start(sizes),
-        pulses["detector"][source],
-        pulses["energy_kev"][source],
+        pulses.detector[window],
+        pulses.energy_kev[window],
         offsets,
-        pulses["origin"][source],
+        pulses.origin[window],
     )
     has_trigger = events.counts()[:, DET_TRIG] > 0
     return events.select(has_trigger), rate_dropped, int((~has_trigger).sum())

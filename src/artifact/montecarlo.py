@@ -1,9 +1,11 @@
 """Seeded stochastic generation of photon streams and detector pulses.
 
-Photon and pulse streams are numpy structured arrays (cheap for tens of
-millions of entries).  All randomness flows from a single 64-bit
-seed through ``numpy.random.default_rng`` substreams, so identical
-(config, seed) pairs produce bit-identical streams.
+Photon and pulse streams are ``Stream``s: one contiguous numpy column per
+field (cheap for tens of millions of entries), kept in time order.
+``merge_streams`` is the one place that orders a stream; ``detect`` keeps
+the order.  All randomness flows from a single 64-bit seed through
+``numpy.random.default_rng`` substreams, so identical (config, seed) pairs
+produce bit-identical streams.
 """
 
 from __future__ import annotations
@@ -19,25 +21,6 @@ from .xoptics import AttenuationTable, transmittance
 DET_TRIG, DET_TRANS, DET_REF = 0, 1, 2
 DETECTOR_NAMES = {DET_TRIG: "trig", DET_TRANS: "trans", DET_REF: "ref"}
 ORIGIN_PAIR_TRIGGER, ORIGIN_PAIR_HERALD, ORIGIN_STRAY = 0, 1, 2
-
-PHOTON_DTYPE = np.dtype(
-    [
-        ("time_ns", "f8"),
-        ("energy_kev", "f8"),  # true energy
-        ("detector", "i1"),
-        ("origin", "i1"),
-    ]
-)
-
-PULSE_DTYPE = np.dtype(
-    [
-        ("start_ns", "f8"),
-        ("energy_kev", "f8"),  # measured energy (analog pulse height)
-        ("detector", "i1"),
-        ("origin", "i1"),
-        ("logic", "?"),  # logic pulse emitted (energy inside the SCA window)
-    ]
-)
 
 FWHM_TO_SIGMA = 2.0 * np.sqrt(2.0 * np.log(2.0))
 
@@ -112,17 +95,52 @@ class DetectorSpec:
         )
 
 
-def _sorted_by_time(stream):
-    order = np.argsort(stream["time_ns"], kind="stable")
-    return stream[order]
+@dataclass(frozen=True, eq=False)
+class Stream:
+    """Photons or detector pulses, one contiguous 1-D column per field.
+
+    ``time_ns`` is the arrival time (for a pulse, its start), ``energy_kev``
+    the true energy (for a pulse, the measured analog pulse height),
+    ``detector`` and ``origin`` int8 ids, and ``logic``, for pulses only,
+    whether a logic pulse was emitted (measured energy inside the SCA
+    window).  Streams from ``merge_streams`` and ``detect`` are in time
+    order, equal times in merge order.  ``len()`` counts entries.
+    """
+
+    time_ns: np.ndarray
+    energy_kev: np.ndarray
+    detector: np.ndarray
+    origin: np.ndarray
+    logic: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.time_ns)
 
 
-def merge_streams(*streams):
-    """Concatenate photon streams and stable-sort by arrival time."""
-    parts = [s for s in streams if len(s)]
-    if not parts:
-        return np.empty(0, dtype=PHOTON_DTYPE)
-    return _sorted_by_time(np.concatenate(parts))
+_PHOTON_COLUMNS = (("time_ns", np.float64), ("energy_kev", np.float64),
+                   ("detector", np.int8), ("origin", np.int8))
+
+
+def _photons(time_ns, energy_kev, detector, origin) -> Stream:
+    """Photon stream, not yet ordered; a scalar ``detector`` or ``origin``
+    applies to every photon."""
+    n = len(time_ns)
+    detector, origin = (np.broadcast_to(np.asarray(c, dtype=np.int8), n) for c in (detector, origin))
+    return Stream(time_ns, energy_kev, detector.copy(), origin.copy())
+
+
+def merge_streams(*streams: Stream) -> Stream:
+    """Concatenate photon streams and stable-sort by arrival time: equal
+    times keep argument order, then their order within each stream."""
+
+    def column(name, dtype):
+        # The empty head fixes the dtype when no stream is given.
+        return np.concatenate([np.empty(0, dtype)] + [getattr(s, name) for s in streams])
+
+    time_ns = column("time_ns", np.float64)
+    order = np.argsort(time_ns, kind="stable")
+    time_ns = time_ns[order]
+    return Stream(time_ns, *(column(name, dtype)[order] for name, dtype in _PHOTON_COLUMNS[1:]))
 
 
 def _poisson_times(rng, rate_hz, duration_s):
@@ -155,7 +173,7 @@ def generate_pairs(
     times = _poisson_times(rng, source.pair_rate, source.duration_s)
     n = len(times)
     if n == 0:
-        return np.empty(0, dtype=PHOTON_DTYPE)
+        return merge_streams()
 
     cdf = intensity.cdf
     if cdf[-1] <= 0:
@@ -186,18 +204,10 @@ def generate_pairs(
     herald_alive = (herald_det >= 0) & (rng.random(n) < path_survival(e_h))
     trig_alive = rng.random(n) < path_survival(e_t)
 
-    trig = np.empty(int(trig_alive.sum()), dtype=PHOTON_DTYPE)
-    trig["time_ns"] = times[trig_alive]
-    trig["energy_kev"] = e_t[trig_alive]
-    trig["detector"] = DET_TRIG
-    trig["origin"] = ORIGIN_PAIR_TRIGGER
-
-    herald = np.empty(int(herald_alive.sum()), dtype=PHOTON_DTYPE)
-    herald["time_ns"] = times[herald_alive]
-    herald["energy_kev"] = e_h[herald_alive]
-    herald["detector"] = herald_det[herald_alive]
-    herald["origin"] = ORIGIN_PAIR_HERALD
-
+    trig = _photons(times[trig_alive], e_t[trig_alive], DET_TRIG, ORIGIN_PAIR_TRIGGER)
+    herald = _photons(
+        times[herald_alive], e_h[herald_alive], herald_det[herald_alive], ORIGIN_PAIR_HERALD
+    )
     return merge_streams(trig, herald)
 
 
@@ -208,49 +218,55 @@ def generate_stray(source: SourceConfig, *, rng: np.random.Generator | None = No
     parts = []
     for det, rate in zip((DET_TRIG, DET_TRANS, DET_REF), source.stray_rates):
         times = _poisson_times(rng, rate, source.duration_s)
-        part = np.empty(len(times), dtype=PHOTON_DTYPE)
-        part["time_ns"] = times
-        part["energy_kev"] = source.spectrum.sample(rng, len(times))
-        part["detector"] = det
-        part["origin"] = ORIGIN_STRAY
-        parts.append(part)
+        energies = source.spectrum.sample(rng, len(times))
+        parts.append(_photons(times, energies, det, ORIGIN_STRAY))
     return merge_streams(*parts)
 
 
 def detect(
-    photons,
+    photons: Stream,
     specs: dict[int, DetectorSpec],
     rng: np.random.Generator,
-):
-    """Convert a photon stream to analog/logic pulse records.
+) -> Stream:
+    """Convert a time-ordered photon stream to a pulse stream in the same order.
 
     Each photon survives with its detector's quantum efficiency; the
     measured energy adds Gaussian noise at the detector's resolution; a
     logic pulse accompanies the analog pulse iff the measured energy falls
     inside the SCA window.
     """
-    unknown = set(np.unique(photons["detector"])) - set(specs)
-    if unknown:
-        raise ValueError(f"photon stream references detectors without specs: {sorted(unknown)}")
-    n = len(photons)
-    qe = np.empty(n)
-    sigma = np.empty(n)
-    sca_lo = np.empty(n)
-    sca_hi = np.empty(n)
-    for det, spec in specs.items():
-        mask = photons["detector"] == det
-        qe[mask] = spec.quantum_efficiency
-        sigma[mask] = spec.sigma_kev(photons["energy_kev"][mask])
-        sca_lo[mask] = spec.sca_window_kev[0]
-        sca_hi[mask] = spec.sca_window_kev[1]
-    alive = rng.random(n) < qe
-    kept = photons[alive]
-    measured = kept["energy_kev"] + rng.standard_normal(len(kept)) * sigma[alive]
-    pulses = np.empty(len(kept), dtype=PULSE_DTYPE)
-    pulses["start_ns"] = kept["time_ns"]
-    pulses["energy_kev"] = measured
-    pulses["detector"] = kept["detector"]
-    pulses["origin"] = kept["origin"]
-    pulses["logic"] = (measured >= sca_lo[alive]) & (measured <= sca_hi[alive])
-    return pulses
+    detector = photons.detector
+    ids = range(int(detector.min()), int(detector.max()) + 1) if len(photons) else ()
+    if not set(ids) <= set(specs):  # min and max are cheap; unique only on doubt
+        unknown = set(np.unique(detector).tolist()) - set(specs)
+        if unknown:
+            raise ValueError(f"photon stream references detectors without specs: {sorted(unknown)}")
 
+    def table(value):
+        """Per-detector lookup table, indexed by detector id."""
+        out = np.zeros(max(specs, default=-1) + 1)
+        for det, spec in specs.items():
+            out[det] = value(spec)
+        return out
+
+    qe = table(lambda s: s.quantum_efficiency)
+    # noise = z * c * sqrt(max(E, 0) / E_ref) with c evaluated as in
+    # DetectorSpec.sigma_kev; products and sums commute exactly, so the
+    # pulse heights are bit-identical to E + z * sigma_kev(E).
+    sigma_c = table(lambda s: s.resolution_fwhm_ev / FWHM_TO_SIGMA / 1000.0)
+    ref_kev = table(lambda s: s.reference_energy_kev)
+    sca_lo = table(lambda s: s.sca_window_kev[0])
+    sca_hi = table(lambda s: s.sca_window_kev[1])
+
+    index = detector.astype(np.intp)  # converted once for every table lookup
+    alive = rng.random(len(photons)) < qe[index]
+    index = index[alive]
+    measured = photons.energy_kev[alive]  # true energy, noise added in place
+    noise = np.maximum(measured, 0.0)
+    noise /= ref_kev[index]
+    np.sqrt(noise, out=noise)
+    noise *= sigma_c[index]
+    noise *= rng.standard_normal(len(noise))
+    measured += noise
+    logic = (measured >= sca_lo[index]) & (measured <= sca_hi[index])
+    return Stream(photons.time_ns[alive], measured, detector[alive], photons.origin[alive], logic)

@@ -152,7 +152,7 @@ def test_criterion_07_unsplittability(default_config, amp_default, tables):
         amp_default, clean.splitter, clean.source, tables["graphite"],
         air=tables["air"], helium=tables["helium"], rng=rng,
     )
-    n_pairs = int((pairs["origin"] == mc.ORIGIN_PAIR_TRIGGER).sum())
+    n_pairs = int((pairs.origin == mc.ORIGIN_PAIR_TRIGGER).sum())
     counts_clean = stats.counts_from_events(heralded)
     clean_ok = (
         n_pairs >= 100_000

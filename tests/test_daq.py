@@ -5,17 +5,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from artifact import daq
-from artifact.montecarlo import DET_REF, DET_TRANS, DET_TRIG, PULSE_DTYPE
+from artifact.montecarlo import DET_REF, DET_TRANS, DET_TRIG, Stream
 
 CFG = daq.DaqConfig()
 
 
 def _pulses(rows):
-    """rows: list of (start_ns, energy_kev, detector, logic)."""
-    out = np.zeros(len(rows), dtype=PULSE_DTYPE)
-    for i, (t, e, d, logic) in enumerate(rows):
-        out[i] = (t, e, d, 0, logic)
-    return out
+    """rows: list of (start_ns, energy_kev, detector, logic), in time order."""
+    t, e, d, logic = (np.array(c) for c in zip(*rows))
+    return Stream(t.astype(float), e.astype(float), d.astype(np.int8),
+                  np.zeros(len(rows), dtype=np.int8), logic.astype(bool))
 
 
 def test_config_validation():
@@ -59,6 +58,14 @@ def test_logic_flag_required_for_trigger():
     pulses = _pulses([(1000.0, 10.4, DET_TRIG, False), (1000.0, 10.6, DET_REF, True)])
     events, _, _ = daq.build_events(pulses, CFG)
     assert len(events) == 0
+
+
+def test_out_of_order_pulses_are_rejected():
+    pulses = _pulses([(1000.0, 10.6, DET_REF, True), (0.0, 10.4, DET_TRIG, True)])
+    with pytest.raises(ValueError, match="time order"):
+        daq.find_triggers(pulses, CFG)
+    with pytest.raises(ValueError, match="time order"):
+        daq.build_events(pulses, CFG)
 
 
 def test_empty_trigger_windows_are_dropped():
@@ -124,6 +131,52 @@ def test_rate_cap_drops_excess_triggers():
     events, rate_dropped, _ = daq.build_events(_pulses(rows), CFG)
     assert len(events) == 200
     assert rate_dropped == 300
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_pairs=st.integers(0, 60), n_single=st.integers(0, 60),
+       span_s=st.sampled_from([0.5, 2.0, 5.0]), cap_hz=st.sampled_from([1.0, 2.5, 7.9, 200.0]))
+def test_rate_cap_holds_per_second_and_captures_are_conserved(seed, n_pairs, n_single,
+                                                              span_s, cap_hz):
+    """Coincident pairs plus singles: the cap keeps the first int(cap) overlap
+    points of each 1-s bucket, and every overlap point ends as an event, a
+    rate drop or an empty drop."""
+    rng = np.random.default_rng(seed)
+    pair_t = rng.uniform(0, span_s * 1e9, n_pairs)
+    t = np.concatenate([pair_t, pair_t + rng.uniform(-1500, 1500, n_pairs),
+                        rng.uniform(0, span_s * 1e9, n_single)])
+    d = np.concatenate([np.full(n_pairs, DET_TRIG), rng.choice([DET_TRANS, DET_REF], n_pairs),
+                        rng.integers(0, 3, n_single)])
+    logic = rng.random(len(t)) < 0.9
+    order = np.argsort(t, kind="stable")
+    rows = list(zip(t[order], rng.uniform(7, 17, len(t)), d[order], logic[order]))
+    if not rows:
+        return
+    pulses = _pulses(rows)
+    cfg = daq.DaqConfig(max_event_rate_hz=cap_hz)
+    cap = int(cap_hz)
+
+    # Overlap points before the cap, by brute force over logic pulses.
+    w = cfg.logic_width_ns
+    start, det, on = pulses.time_ns, pulses.detector, pulses.logic
+    others = start[on & (det != DET_TRIG)]
+    uncapped = []
+    for s in start[on & (det == DET_TRIG)]:
+        hit = others[(others > s - w) & (others < s + w)]
+        if len(hit):
+            uncapped.append(max(s, hit.min()))
+    uncapped = np.sort(np.array(uncapped, dtype=float))
+
+    points, rate_dropped = daq.find_triggers(pulses, cfg)
+    events, rate_dropped_b, empty_dropped = daq.build_events(pulses, cfg)
+    assert rate_dropped_b == rate_dropped
+    assert len(events) + rate_dropped + empty_dropped == len(uncapped)
+    for bucket in np.unique(np.floor(uncapped / 1e9)):
+        in_bucket = uncapped[np.floor(uncapped / 1e9) == bucket]
+        np.testing.assert_array_equal(points[np.floor(points / 1e9) == bucket],
+                                      in_bucket[:cap])
+    _, per_bucket = np.unique(np.floor(events.trigger_ns / 1e9), return_counts=True)
+    assert np.all(per_bucket <= cap)
 
 
 def test_energy_select_acceptance_and_sum():

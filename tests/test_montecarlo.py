@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from artifact import montecarlo as mc
 from artifact.config import load_default_config
@@ -11,6 +12,22 @@ from artifact.spdc import GridSpec, SpdcConfig, biphoton_amplitude
 from artifact.xoptics import load_table
 
 SMALL_GRID = GridSpec(9.5, 11.5, 200, 5.0e-3, 40, 10)
+PHOTON_COLUMNS = ("time_ns", "energy_kev", "detector", "origin")
+
+
+def _photons(time_ns, energy_kev=0.0, detector=mc.DET_TRIG, origin=mc.ORIGIN_STRAY):
+    """Photon stream; scalar energy, detector or origin apply to every photon."""
+    n = len(time_ns)
+    return mc.Stream(
+        np.asarray(time_ns, dtype=float),
+        np.broadcast_to(np.asarray(energy_kev, dtype=float), n).copy(),
+        np.broadcast_to(np.asarray(detector, dtype=np.int8), n).copy(),
+        np.broadcast_to(np.asarray(origin, dtype=np.int8), n).copy(),
+    )
+
+
+def _columns(stream):
+    return [getattr(stream, c) for c in PHOTON_COLUMNS]
 
 
 @pytest.fixture(scope="module")
@@ -61,75 +78,155 @@ def test_source_validation():
 
 def test_pairs_conserve_energy_and_time(amp_small, graphite, cfg):
     photons = _pairs(amp_small, graphite, cfg, 5, pair_rate=200.0, duration_s=50.0)
-    trig = photons[photons["origin"] == mc.ORIGIN_PAIR_TRIGGER]
-    herald = photons[photons["origin"] == mc.ORIGIN_PAIR_HERALD]
-    assert len(trig) > 0 and len(herald) > 0
+    trig = photons.origin == mc.ORIGIN_PAIR_TRIGGER
+    herald = photons.origin == mc.ORIGIN_PAIR_HERALD
+    assert trig.sum() > 0 and herald.sum() > 0
     # Pair members share one creation time; match them on it.
     common, ti, hi = np.intersect1d(
-        trig["time_ns"], herald["time_ns"], return_indices=True
+        photons.time_ns[trig], photons.time_ns[herald], return_indices=True
     )
-    assert len(common) > 0.2 * len(trig)
-    total = trig["energy_kev"][ti] + herald["energy_kev"][hi]
+    assert len(common) > 0.2 * trig.sum()
+    total = photons.energy_kev[trig][ti] + photons.energy_kev[herald][hi]
     np.testing.assert_allclose(total, cfg.spdc.pump_energy_kev, atol=1e-9)
-    assert set(np.unique(herald["detector"])) <= {mc.DET_TRANS, mc.DET_REF}
-    assert np.all(trig["detector"] == mc.DET_TRIG)
+    assert set(np.unique(photons.detector[herald])) <= {mc.DET_TRANS, mc.DET_REF}
+    assert np.all(photons.detector[trig] == mc.DET_TRIG)
 
 
 def test_pair_stream_is_seed_deterministic(amp_small, graphite, cfg):
     a = _pairs(amp_small, graphite, cfg, 7, pair_rate=50.0, duration_s=20.0)
     b = _pairs(amp_small, graphite, cfg, 7, pair_rate=50.0, duration_s=20.0)
-    assert np.array_equal(a, b)
+    assert all(np.array_equal(x, y) for x, y in zip(_columns(a), _columns(b)))
     c = _pairs(amp_small, graphite, cfg, 8, pair_rate=50.0, duration_s=20.0)
-    assert not np.array_equal(a, c)
+    assert not all(np.array_equal(x, y) for x, y in zip(_columns(a), _columns(c)))
 
 
 def test_heralded_energies_follow_amplitude_window(amp_small, graphite, cfg):
     photons = _pairs(amp_small, graphite, cfg, 9, pair_rate=500.0, duration_s=20.0)
-    herald = photons[photons["origin"] == mc.ORIGIN_PAIR_HERALD]
-    assert herald["energy_kev"].min() >= SMALL_GRID.energy_lo_kev
-    assert herald["energy_kev"].max() <= SMALL_GRID.energy_hi_kev
+    herald_kev = photons.energy_kev[photons.origin == mc.ORIGIN_PAIR_HERALD]
+    assert herald_kev.min() >= SMALL_GRID.energy_lo_kev
+    assert herald_kev.max() <= SMALL_GRID.energy_hi_kev
 
 
 def test_merge_streams_sorts_by_time():
-    a = np.zeros(3, dtype=mc.PHOTON_DTYPE)
-    a["time_ns"] = [5.0, 1.0, 9.0]
-    b = np.zeros(2, dtype=mc.PHOTON_DTYPE)
-    b["time_ns"] = [2.0, 7.0]
+    a = _photons([5.0, 1.0, 9.0])
+    b = _photons([2.0, 7.0])
     merged = mc.merge_streams(a, b)
-    assert np.all(np.diff(merged["time_ns"]) >= 0)
+    assert np.all(np.diff(merged.time_ns) >= 0)
     assert len(mc.merge_streams()) == 0
 
 
+def _merge_like_simulate(trig, herald, stray):
+    """The merge order of ``cli.simulate_events``: pairs (trigger, herald)
+    inside ``generate_pairs``, stray (TRIG, TRANS, REF) inside
+    ``generate_stray``, then pairs with stray."""
+    return mc.merge_streams(mc.merge_streams(trig, herald), mc.merge_streams(*stray))
+
+
+def test_merge_tie_order_hand_built():
+    # Every photon at one instant: trigger before herald, pairs before
+    # stray, stray in TRIG, TRANS, REF order.
+    t = [100.0]
+    merged = _merge_like_simulate(
+        _photons(t, 1.0, mc.DET_TRIG, mc.ORIGIN_PAIR_TRIGGER),
+        _photons(t, 2.0, mc.DET_REF, mc.ORIGIN_PAIR_HERALD),
+        [_photons(t, 3.0 + d, d, mc.ORIGIN_STRAY) for d in (mc.DET_TRIG, mc.DET_TRANS, mc.DET_REF)],
+    )
+    assert merged.energy_kev.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert merged.detector.tolist() == [mc.DET_TRIG, mc.DET_REF, mc.DET_TRIG, mc.DET_TRANS, mc.DET_REF]
+    assert merged.origin.tolist() == [mc.ORIGIN_PAIR_TRIGGER, mc.ORIGIN_PAIR_HERALD] + [mc.ORIGIN_STRAY] * 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(0, 12), min_size=5, max_size=5), seed=st.integers(0, 2**32 - 1))
+def test_merge_tie_order_matches_one_stable_sort(sizes, seed):
+    """Times on a 4-point lattice, so most photons tie; the cascade of merges
+    equals one stable argsort of the concatenation on every column."""
+    rng = np.random.default_rng(seed)
+    ids = iter(range(sum(sizes)))
+    parts = [
+        _photons(np.sort(rng.integers(0, 4, n) * 100.0), [float(next(ids)) for _ in range(n)],
+                 rng.integers(0, 3, n), origin)
+        for n, origin in zip(sizes, (mc.ORIGIN_PAIR_TRIGGER, mc.ORIGIN_PAIR_HERALD) + (mc.ORIGIN_STRAY,) * 3)
+    ]
+    merged = _merge_like_simulate(parts[0], parts[1], parts[2:])
+    whole = [np.concatenate([getattr(p, c) for p in parts]) for c in PHOTON_COLUMNS]
+    order = np.argsort(whole[0], kind="stable")
+    for column, expected in zip(_columns(merged), whole):
+        assert column.dtype == expected.dtype
+        np.testing.assert_array_equal(column, expected[order])
+
+
 def test_detect_quantum_efficiency_and_logic(cfg):
-    photons = np.zeros(10000, dtype=mc.PHOTON_DTYPE)
-    photons["time_ns"] = np.arange(10000.0)
-    photons["energy_kev"] = np.where(np.arange(10000) % 2 == 0, 10.5, 30.0)
-    photons["detector"] = mc.DET_TRIG
+    photons = _photons(np.arange(10000.0), np.where(np.arange(10000) % 2 == 0, 10.5, 30.0))
     spec = replace(
         cfg.detectors[mc.DET_TRIG], quantum_efficiency=0.25, resolution_fwhm_ev=1.0
     )
     pulses = mc.detect(photons, {mc.DET_TRIG: spec}, np.random.default_rng(1))
     assert len(pulses) == pytest.approx(2500, abs=200)
-    in_band = np.abs(pulses["energy_kev"] - 10.5) < 0.5
-    assert np.all(pulses["logic"][in_band])
-    assert not np.any(pulses["logic"][~in_band])
+    in_band = np.abs(pulses.energy_kev - 10.5) < 0.5
+    assert np.all(pulses.logic[in_band])
+    assert not np.any(pulses.logic[~in_band])
+
+
+def _detect_per_detector_masks(photons, specs, rng):
+    """Reference: the per-detector masked formula, (time, energy, detector,
+    origin, logic) columns of the pulses."""
+    n = len(photons)
+    qe, sigma, sca_lo, sca_hi = (np.empty(n) for _ in range(4))
+    for det, spec in specs.items():
+        mask = photons.detector == det
+        qe[mask] = spec.quantum_efficiency
+        sigma[mask] = spec.sigma_kev(photons.energy_kev[mask])
+        sca_lo[mask] = spec.sca_window_kev[0]
+        sca_hi[mask] = spec.sca_window_kev[1]
+    alive = rng.random(n) < qe
+    measured = photons.energy_kev[alive] + rng.standard_normal(int(alive.sum())) * sigma[alive]
+    logic = (measured >= sca_lo[alive]) & (measured <= sca_hi[alive])
+    return (photons.time_ns[alive], measured, photons.detector[alive], photons.origin[alive], logic)
+
+
+def test_detect_matches_per_detector_masks_bit_for_bit():
+    specs = {
+        mc.DET_TRIG: mc.DetectorSpec(quantum_efficiency=0.9, resolution_fwhm_ev=150.0,
+                                     reference_energy_kev=5.9, sca_window_kev=(6.0, 15.0)),
+        mc.DET_TRANS: mc.DetectorSpec(quantum_efficiency=0.55, resolution_fwhm_ev=420.0,
+                                      reference_energy_kev=10.5, sca_window_kev=(8.5, 12.0)),
+        mc.DET_REF: mc.DetectorSpec(quantum_efficiency=0.3, resolution_fwhm_ev=999.0,
+                                    reference_energy_kev=22.1, sca_window_kev=(-1.0, 0.0)),
+    }
+    rng = np.random.default_rng(12)
+    n = 30000
+    energy = rng.uniform(-3.0, 25.0, n)
+    # Energies <= 0 have zero noise, so some pulses sit exactly on an SCA edge.
+    energy[::7] = 0.0
+    energy[::11] = -0.0
+    energy[::13] = -1.0
+    photons = _photons(np.sort(rng.uniform(0, 1e9, n)), energy, rng.integers(0, 3, n),
+                       rng.integers(0, 3, n))
+    rng_new, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
+    pulses = mc.detect(photons, specs, rng_new)
+    expected = _detect_per_detector_masks(photons, specs, rng_ref)
+    assert 0 < len(pulses) < n
+    for name, column in zip(PHOTON_COLUMNS + ("logic",), expected):
+        got = getattr(pulses, name)
+        assert got.dtype == column.dtype, name
+        assert got.tobytes() == column.tobytes(), name
+    # Same random-number consumption.
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
 def test_detect_energy_blur_scale(cfg):
-    photons = np.zeros(40000, dtype=mc.PHOTON_DTYPE)
-    photons["energy_kev"] = 10.5
-    photons["detector"] = mc.DET_REF
+    photons = _photons(np.zeros(40000), 10.5, mc.DET_REF)
     spec = cfg.detectors[mc.DET_REF]
     pulses = mc.detect(photons, {mc.DET_REF: spec}, np.random.default_rng(2))
-    measured = pulses["energy_kev"]
+    measured = pulses.energy_kev
     expected_sigma = spec.resolution_fwhm_ev / 1000.0 / mc.FWHM_TO_SIGMA
     assert np.std(measured) == pytest.approx(expected_sigma, rel=0.05)
     assert np.mean(measured) == pytest.approx(10.5, abs=0.01)
 
 
 def test_detect_rejects_unknown_detector(cfg):
-    photons = np.zeros(1, dtype=mc.PHOTON_DTYPE)
-    photons["detector"] = 9
+    photons = _photons([0.0], detector=9)
     with pytest.raises(ValueError):
         mc.detect(photons, cfg.detectors, np.random.default_rng(0))
 
