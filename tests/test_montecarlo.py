@@ -140,13 +140,15 @@ def test_merge_tie_order_hand_built():
 @given(sizes=st.lists(st.integers(0, 12), min_size=5, max_size=5), seed=st.integers(0, 2**32 - 1))
 def test_merge_tie_order_matches_one_stable_sort(sizes, seed):
     """Times on a 4-point lattice, so most photons tie; the cascade of merges
-    equals one stable argsort of the concatenation on every column."""
+    equals one stable argsort of the concatenation on every column.  Each
+    photon's energy is its serial number, so any reordering shows."""
     rng = np.random.default_rng(seed)
-    ids = iter(range(sum(sizes)))
+    first = np.cumsum([0] + sizes)
+    origins = (mc.ORIGIN_PAIR_TRIGGER, mc.ORIGIN_PAIR_HERALD) + (mc.ORIGIN_STRAY,) * 3
     parts = [
-        _photons(np.sort(rng.integers(0, 4, n) * 100.0), [float(next(ids)) for _ in range(n)],
+        _photons(np.sort(rng.integers(0, 4, n) * 100.0), np.arange(first[k], first[k] + n),
                  rng.integers(0, 3, n), origin)
-        for n, origin in zip(sizes, (mc.ORIGIN_PAIR_TRIGGER, mc.ORIGIN_PAIR_HERALD) + (mc.ORIGIN_STRAY,) * 3)
+        for k, (n, origin) in enumerate(zip(sizes, origins))
     ]
     merged = _merge_like_simulate(parts[0], parts[1], parts[2:])
     whole = [np.concatenate([getattr(p, c) for p in parts]) for c in PHOTON_COLUMNS]
