@@ -68,10 +68,12 @@ def _fmt(value) -> str:
 
 
 def cmd_model(cfg: RunConfig, outdir: str) -> None:
-    """Write the sweep curve, model port spectra, and rate-fraction summary."""
+    """Write the sweep curve, model port spectra, and rate-fraction summary,
+    all folded from one pair intensity (``spdc.sweep_grid``)."""
     air = load_table("air")
     graphite = load_table("graphite")
-    intensity = spdc_mod.biphoton_amplitude(cfg.spdc, cfg.grid)
+    grid = spdc_mod.sweep_grid(cfg.grid, cfg.splitter.width_deg)
+    intensity = spdc_mod.biphoton_amplitude(cfg.spdc, grid)
 
     r_ref = spdc_mod.coincidence_rate(
         intensity, spdc_mod.reflection_filter(cfg.splitter)
@@ -91,7 +93,7 @@ def cmd_model(cfg: RunConfig, outdir: str) -> None:
 
     sweep_angles = np.linspace(5.0, 45.0, 81).tolist()
     family = spdc_mod.default_splitter_family(cfg.splitter)
-    sweep = spdc_mod.bragg_angle_sweep(cfg.spdc, family, sweep_angles, air=air)
+    sweep = spdc_mod.bragg_angle_sweep(intensity, family, sweep_angles, air=air)
     _write_rows(
         os.path.join(outdir, "bragg_sweep.csv"),
         "bragg_angle_deg,normalized_rate",
@@ -121,7 +123,9 @@ def simulate_events(cfg: RunConfig):
     pulses = mc.detect(photons, cfg.detectors, rng_detect)
     del photons
     events, rate_dropped, empty_dropped = daq_mod.build_events(pulses, cfg.daq)
-    events, _heralded = daq_mod.energy_select(events, cfg.daq)
+    # Select on the values the event file holds, so analyze on the file
+    # reproduces the in-memory selection.
+    events, _heralded = daq_mod.energy_select(daq_mod.as_saved(events), cfg.daq)
     return events, rate_dropped, empty_dropped, pulses
 
 
@@ -241,7 +245,11 @@ def cmd_analyze(cfg: RunConfig, events_path: str, outdir: str) -> None:
 
 
 def cmd_sweep(cfg: RunConfig, outdir: str, start: float, stop: float, num: int, width_scale: float) -> None:
-    """Standalone Bragg-angle sweep, optionally scaling the rocking width."""
+    """Standalone Bragg-angle sweep, optionally scaling the rocking width.
+
+    The pair intensity is built on the config grid with theta_x refined to
+    the scaled width (``spdc.sweep_grid``).
+    """
     if num < 1:
         raise ConfigError(f"--num must be at least 1, got {num}")
     if not width_scale > 0:
@@ -251,7 +259,10 @@ def cmd_sweep(cfg: RunConfig, outdir: str, start: float, stop: float, num: int, 
         raise ConfigError(f"sweep angles must lie in (0, 90) degrees, got {start}..{stop}")
     base = replace(cfg.splitter, width_deg=cfg.splitter.width_deg * width_scale)
     family = spdc_mod.default_splitter_family(base)
-    sweep = spdc_mod.bragg_angle_sweep(cfg.spdc, family, angles, air=load_table("air"))
+    intensity = spdc_mod.biphoton_amplitude(
+        cfg.spdc, spdc_mod.sweep_grid(cfg.grid, base.width_deg)
+    )
+    sweep = spdc_mod.bragg_angle_sweep(intensity, family, angles, air=load_table("air"))
     _write_rows(
         os.path.join(outdir, "bragg_sweep.csv"),
         "bragg_angle_deg,normalized_rate",

@@ -257,11 +257,54 @@ def energy_select(events: EventTable, cfg: DaqConfig):
 
 EVENT_FORMAT_HEADER = "# eventfile v1"
 EVENT_COLUMNS = "event,trigger_ns,detector,energy_kev,offset_ns,origin"
-_ROW_FORMAT = "%d,%.6f,%d,%.9g,%.6f,%d\n"
+_ENERGY_FORMAT, _OFFSET_FORMAT = "%.9g", "%.6f"
+_ROW_FORMAT = f"%d,%.6f,%d,{_ENERGY_FORMAT},{_OFFSET_FORMAT},%d\n"
 _ROW_DTYPE = np.dtype(
     {"names": EVENT_COLUMNS.split(","), "formats": ["i8", "f8", "i8", "f8", "f8", "i8"]}
 )
 _ROWS_PER_WRITE = 1 << 16
+
+
+_POW10 = np.array([float(10**i) for i in range(23)])  # exact doubles
+
+
+def _as_written(x, places, fmt, fast):
+    """float(fmt % v) for each v of ``x``, where fmt writes v rounded to
+    ``places`` decimal places (0-22, one for all or one per value; used
+    where ``fast``).
+
+    x * 10**places is rounded to an integer n and n / 10**places divides it
+    back: n is exact and the division rounds correctly, so the result is
+    the double nearest the written decimal, which is what parsing it gives.
+    Where the product may have rounded across a half-integer (within 1e-6),
+    or is too large for that bound to hold, or ``fast`` is false, the value
+    is formatted and parsed instead.
+    """
+    scale = _POW10[places]
+    p = x * scale
+    out = np.rint(p) / scale
+    with np.errstate(invalid="ignore"):  # inf and NaN fail both tests
+        safe = fast & (np.abs(p - np.floor(p) - 0.5) > 1e-6) & (np.abs(p) < 2.0**31)
+    for i in np.flatnonzero(~safe):
+        out[i] = float(fmt % x[i])
+    return out
+
+
+def as_saved(events: EventTable) -> EventTable:
+    """``events`` with ``energy_kev`` and ``offset_ns`` rounded as
+    ``save_events`` writes them, so ``load_events`` reads them back exactly
+    and estimators on the file match those on the table.  The file bytes
+    are the same as for ``events``."""
+    e = events.energy_kev
+    with np.errstate(divide="ignore", invalid="ignore"):
+        exponent = np.floor(np.log10(np.abs(e)))
+    fast = (exponent >= -13) & (exponent <= 8)  # 9 significant digits: 8 - exponent places
+    places = np.where(fast, 8 - exponent, 0).astype(np.intp)
+    return replace(
+        events,
+        energy_kev=_as_written(e, places, _ENERGY_FORMAT, fast),
+        offset_ns=_as_written(events.offset_ns, 6, _OFFSET_FORMAT, True),
+    )
 
 
 def save_events(path, events: EventTable, *, live_time_s=None, rate_dropped=0, empty_dropped=0):

@@ -14,7 +14,10 @@ Every consumer (port rates and spectra, the Bragg-angle sweep, the pair
 sampler) needs only the intensity as a function of energy and theta_x: the
 splitter acts on theta_x alone and no observable depends on the phase.  One
 chunked kernel therefore reduces the pair intensity to a 2-D
-(E, theta_x) array W, with theta_y integrated out; ``amplitude_at``
+(E, theta_x) array W, with theta_y integrated out, and every consumer folds
+that one W: ``xbsim model`` builds it once for the rates, spectra and sweep.
+A sweep over narrow rocking widths needs finer theta_x cells than the
+rates do; ``sweep_grid`` derives them from the width.  ``amplitude_at``
 evaluates the complex amplitude pointwise where it is needed.
 
 The mismatch varies by orders of magnitude within a grid cell along the
@@ -29,7 +32,7 @@ grid refinement even though the integrand is unresolved pointwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import sici
@@ -118,17 +121,6 @@ class GridSpec:
     @property
     def d_theta_y(self):
         return self.angle_span_rad / self.n_y
-
-    def refined(self, factor: int = 2) -> "GridSpec":
-        """Same window with every axis resolution multiplied by ``factor``."""
-        return GridSpec(
-            self.energy_lo_kev,
-            self.energy_hi_kev,
-            self.n_energy * factor,
-            self.angle_span_rad,
-            self.n_x * factor,
-            self.n_y * factor,
-        )
 
 
 def sinc(x):
@@ -226,17 +218,13 @@ class PairIntensity:
         """Integral of the pair intensity over the window (1.0 when normalized)."""
         return float(np.sum(self.weights) * self.cell_area)
 
-    def energy_marginal(self):
-        """(energies, density) with the angular axes integrated out."""
-        return self.energies, self.weights.sum(axis=1) * self.grid.d_theta_x
-
 
 # Cells of the (energy edge, theta_x, theta_y) block evaluated per kernel
 # chunk (whole theta_x columns, at least one).  A chunk's temporaries take
 # about ten float64 values per cell: at 250k cells the kernel's tracemalloc
-# peak is 17 MB on the reference grid and 27 MB on SWEEP_GRID, 3 and 10 MB
-# of it the output (280 and 290 MB at 4M cells).  Chunks of 62.5k-500k
-# cells ran equally fast; 1M and 4M were about 10% slower.
+# peak is 17 MB on the reference grid and 27 MB on a 2400 x 500 x 20 grid,
+# 3 and 10 MB of it the output (280 and 290 MB at 4M cells).  Chunks of
+# 62.5k-500k cells ran equally fast; 1M and 4M were about 10% slower.
 CHUNK_CELLS = 250_000
 
 
@@ -377,18 +365,34 @@ def default_splitter_family(base: SplitterSpec):
     return family
 
 
-# Finer-than-default internal grid for the Bragg-angle sweep: narrow rocking
-# widths demand high transverse-angle resolution, and the sweep keeps only
-# the 2-D (energy, theta_x) intensity, so the extra resolution is cheap.
-SWEEP_GRID = GridSpec(8.5, 12.5, 2400, 5.0e-3, 500, 20)
+# theta_x cells per rocking width b on the grid of a Bragg-angle sweep.  On
+# the 2400 x n_x x 40 reference window, doubling n_x moved the sweep at the
+# nominal angle by 2.1e-3 from 25 cells per width and by 9.7e-4 from 50 at
+# width x0.01, by 6.9e-5 from 50 at x0.1, and by 3.7e-6 from the 268 the
+# reference grid gives the bundled width.  Far above the nominal angle a
+# narrow rocking curve is also narrower than a few energy cells (5 at x0.1
+# and 45 deg), and there the sweep still moved by 1e-2 (x0.1) and 5e-2
+# (x0.01): theta_x resolution alone does not settle it.
+CELLS_PER_ROCKING_WIDTH = 50
+
+
+def sweep_grid(grid: GridSpec, width_deg: float) -> GridSpec:
+    """``grid`` with at least CELLS_PER_ROCKING_WIDTH theta_x cells per
+    rocking width ``width_deg``: n_x = max(n_x, ceil(span * k / width)).
+
+    Returns ``grid`` itself when it is already fine enough, so a model run
+    at the bundled width builds one pair intensity for the rates, spectra
+    and sweep.
+    """
+    n_x = math.ceil(grid.angle_span_rad * CELLS_PER_ROCKING_WIDTH / math.radians(width_deg))
+    return grid if n_x <= grid.n_x else replace(grid, n_x=n_x)
 
 
 def bragg_angle_sweep(
-    config: SpdcConfig,
+    intensity: PairIntensity,
     splitter_family,
     sweep_deg,
     *,
-    grid: GridSpec | None = None,
     air: AttenuationTable | None = None,
     air_path_cm: float = 10.0,
 ):
@@ -397,26 +401,36 @@ def bragg_angle_sweep(
     For each angle the reflected-port rate (intensity reflectivity folded
     with the theta_y-integrated pair intensity and, optionally, air
     absorption along ``air_path_cm``) is normalized by the total pair
-    intensity at the source.  Returns a list of (theta_B_deg, rate).
+    intensity at the source.  The rocking curve is resolved only as finely
+    as the intensity's theta_x grid; ``sweep_grid`` gives a grid fine
+    enough for a rocking width.  Returns a list of (theta_B_deg, rate).
     """
     sweep_deg = list(sweep_deg)
     if not sweep_deg:
         return []
-    if grid is None:
-        grid = SWEEP_GRID
     for t in sweep_deg:
         if not (0.0 < t < 90.0):
             raise ValueError("sweep angles must lie in (0, 90) degrees")
     specs = [splitter_family(t) for t in sweep_deg]
-    w = _theta_y_summed_sinc2(_Kinematics(config), grid)
+    w = intensity.weights
     denom = float(w.sum())
     if denom == 0.0:
         raise ValueError("pair intensity vanishes on the sweep grid")
-    e_cent = grid.energy_centers()[:, None]
     if air is not None:
-        w = w * transmittance(e_cent, air, air_path_cm)
-    dtheta_deg = np.degrees(grid.theta_x_centers())[None, :]
-    return [
-        (t, float((w * reflectivity(spec, e_cent, dtheta_deg)).sum() / denom))
-        for t, spec in zip(sweep_deg, specs)
-    ]
+        w = w * transmittance(intensity.energies[:, None], air, air_path_cm)
+    dtheta_deg = np.degrees(intensity.theta_x)
+    # splitter.reflectivity, A * exp(-(arg / b)^2) with
+    # arg = dtheta + theta_B(nominal) - theta_B(E), evaluated in one reused
+    # (n_energy, n_x) buffer; only the energy part of arg depends on the
+    # angle's lattice, and A scales the folded sum.
+    arg = np.empty_like(w)
+    rates = []
+    for t, spec in zip(sweep_deg, specs):
+        energy_part = spec.nominal_bragg_deg() - bragg_angle(intensity.energies, spec.lattice)
+        b = spec.width_deg
+        np.add((energy_part / b)[:, None], (dtheta_deg / b)[None, :], out=arg)
+        np.square(arg, out=arg)
+        np.negative(arg, out=arg)
+        np.exp(arg, out=arg)
+        rates.append((t, spec.peak_reflectivity * float(np.vdot(w, arg)) / denom))
+    return rates

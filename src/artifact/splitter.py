@@ -2,14 +2,13 @@
 
 The mosaic crystal reflects a narrow band around the Bragg condition with a
 Gaussian rocking profile and transmits the rest, attenuated by absorption
-along the slant path through the plate.  ``reflectance`` is an *amplitude*
-(its peak is sqrt(A)); all intensity bookkeeping uses its square, so the
-peak intensity reflectivity equals A.
+along the slant path through the plate.  All bookkeeping is in intensities:
+the reflectivity peaks at A, and the rocking width parameter b is that of
+the amplitude profile sqrt(A) * exp(-arg^2 / (2 b^2)).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,31 +39,20 @@ class SplitterSpec:
         return float(bragg_angle(self.nominal_energy_kev, self.lattice))
 
 
-def rocking_argument(spec: SplitterSpec, energy_kev, dtheta_deg):
-    """Gaussian argument (degrees): dtheta + theta_B(nominal) - theta_B(energy)."""
-    return (
+def reflectivity(spec: SplitterSpec, energy_kev, dtheta_deg):
+    """Intensity reflectivity A * exp(-arg^2 / b^2), peaking at A.
+
+    ``dtheta_deg`` is the deviation of the incidence angle from the nominal
+    mount angle, and arg = dtheta + theta_B(nominal) - theta_B(energy) in
+    degrees: the reflectivity peaks on the locus where the incidence angle
+    equals the Bragg angle for ``energy_kev``.
+    """
+    arg = (
         np.asarray(dtheta_deg, dtype=float)
         + spec.nominal_bragg_deg()
         - bragg_angle(energy_kev, spec.lattice)
     )
-
-
-def reflectance(spec: SplitterSpec, energy_kev, dtheta_deg):
-    """Amplitude reflectance sqrt(A) * exp(-arg^2 / (2 b^2)), peak sqrt(A).
-
-    ``dtheta_deg`` is the deviation of the incidence angle from the nominal
-    mount angle; the reflectance peaks on the locus where the incidence
-    angle equals the Bragg angle for ``energy_kev``.
-    """
-    arg = rocking_argument(spec, energy_kev, dtheta_deg)
-    return math.sqrt(spec.peak_reflectivity) * np.exp(
-        -0.5 * (arg / spec.width_deg) ** 2
-    )
-
-
-def reflectivity(spec: SplitterSpec, energy_kev, dtheta_deg):
-    """Intensity reflectivity R^2, peaking at A."""
-    return reflectance(spec, energy_kev, dtheta_deg) ** 2
+    return spec.peak_reflectivity * np.exp(-((arg / spec.width_deg) ** 2))
 
 
 def transmission(
@@ -72,10 +60,11 @@ def transmission(
 ):
     """Intensity transmission through the plate.
 
-    T = (1 - R^2) * exp(-mu * t / sin(incidence)), where the incidence angle
-    to the atomic planes is theta_B(nominal) + dtheta + mount offset.  The
-    reflective (Bragg) channel removes R^2; the remainder is absorbed along
-    the slant path through the plate thickness.
+    T = (1 - R) * exp(-mu * t / sin(incidence)), where R is the intensity
+    reflectivity and the incidence angle to the atomic planes is
+    theta_B(nominal) + dtheta + mount offset.  The reflective (Bragg)
+    channel removes R; the remainder is absorbed along the slant path
+    through the plate thickness.
     """
     incidence_deg = (
         spec.nominal_bragg_deg()

@@ -60,14 +60,6 @@ def bragg_angle(energy_kev, lattice: LatticeSpec):
     return np.degrees(np.arcsin(s))
 
 
-def bragg_energy(angle_deg, lattice: LatticeSpec):
-    """Photon energy (keV) whose Bragg angle equals ``angle_deg`` (inverse of bragg_angle)."""
-    angle = np.radians(np.asarray(angle_deg, dtype=float))
-    if np.any(angle <= 0) or np.any(angle > math.pi / 2):
-        raise ValueError("Bragg angle must lie in (0, 90] degrees")
-    return HC_KEV_ANGSTROM / (2.0 * lattice.d_spacing * np.sin(angle))
-
-
 @dataclass(frozen=True)
 class AttenuationTable:
     """Mass-attenuation samples for one material with log-log interpolation."""
@@ -152,17 +144,3 @@ def transmittance(energy_kev, table: AttenuationTable, path_cm):
         raise ValueError("path length must be non-negative")
     return np.exp(-table.linear_attenuation(energy_kev) * path)
 
-
-def phase_mismatch(pump_kev, heralded_kev, trigger_kev, angles_rad):
-    """Longitudinal wave-vector mismatch (1/Angstrom) of the three-wave process.
-
-    ``angles_rad`` is the triple (theta_pump, theta_heralded, theta_trigger),
-    each measured from the atomic planes.  Returns
-    k_p cos(theta_p) - k_h cos(theta_h) - k_t cos(theta_t).
-    """
-    theta_p, theta_h, theta_t = angles_rad
-    return (
-        wavenumber(pump_kev) * np.cos(theta_p)
-        - wavenumber(heralded_kev) * np.cos(theta_h)
-        - wavenumber(trigger_kev) * np.cos(theta_t)
-    )

@@ -72,18 +72,24 @@ def test_criterion_03_port_rate_fractions(model_outputs):
     _report(3, ok, f"r_reflected={r_r:.4f}, r_transmitted={r_t:.4f}")
 
 
-def test_criterion_04_rocking_width_scaling(default_config, tables):
+def test_criterion_04_rocking_width_scaling(default_config, amp_default, tables):
     base = default_config.splitter
     theta = base.nominal_bragg_deg()
     # Widening the rocking width by x100, from a perfect-crystal-like
-    # profile up to the mosaic width, at fixed geometry.
+    # profile up to the mosaic width, at fixed geometry.  Each side folds a
+    # pair intensity on the grid the sweep rule gives for its width; for the
+    # mosaic width that is the reference grid itself.
     narrow_spec = replace(base, width_deg=base.width_deg / 100.0)
+    narrow_amp = spdc.biphoton_amplitude(
+        default_config.spdc, spdc.sweep_grid(default_config.grid, narrow_spec.width_deg)
+    )
     narrow = spdc.bragg_angle_sweep(
-        default_config.spdc, spdc.default_splitter_family(narrow_spec), [theta],
+        narrow_amp, spdc.default_splitter_family(narrow_spec), [theta],
         air=tables["air"],
     )[0][1]
+    assert spdc.sweep_grid(default_config.grid, base.width_deg) is amp_default.grid
     wide = spdc.bragg_angle_sweep(
-        default_config.spdc, spdc.default_splitter_family(base), [theta],
+        amp_default, spdc.default_splitter_family(base), [theta],
         air=tables["air"],
     )[0][1]
     ratio = wide / narrow

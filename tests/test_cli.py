@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from artifact import spdc
 from artifact.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SCHEMA, main
 
 # Coarse grid + short run so simulate/analyze stay fast; physics fidelity is
@@ -121,3 +122,24 @@ def test_model_outputs(tmp_path):
     assert np.all(spectra[:, 1:] >= 0)
     sweep = np.loadtxt(tmp_path / "bragg_sweep.csv", delimiter=",", skiprows=1)
     assert sweep.shape == (81, 2)
+
+
+@pytest.mark.parametrize("verb", [["model"], ["sweep", "--num", "5"]])
+def test_verb_builds_one_pair_intensity(tmp_path, monkeypatch, verb):
+    # The rates, spectra and sweep fold one pair intensity: the kernel runs
+    # once per verb.
+    kernel = spdc._theta_y_summed_sinc2
+    grids = []
+
+    def counting(kin, grid):
+        grids.append(grid)
+        return kernel(kin, grid)
+
+    monkeypatch.setattr(spdc, "_theta_y_summed_sinc2", counting)
+    code = main(verb + ["--outdir", str(tmp_path),
+                        "--set", "grid.n_energy=300",
+                        "--set", "grid.n_x=40",
+                        "--set", "grid.n_y=8"])
+    assert code == EXIT_OK
+    assert len(grids) == 1
+    assert (grids[0].n_energy, grids[0].n_x, grids[0].n_y) == (300, 40, 8)

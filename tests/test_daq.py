@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from artifact import daq
+from artifact import daq, stats
+from artifact.cli import SIGMA_WINDOWS_NS, simulate_events
+from artifact.config import load_default_config
 from artifact.montecarlo import DET_REF, DET_TRANS, DET_TRIG, Stream
 
 CFG = daq.DaqConfig()
@@ -245,6 +247,89 @@ def test_event_roundtrip(tmp_path):
         for det in (DET_TRIG, DET_TRANS, DET_REF):
             np.testing.assert_allclose(a.energies[det], b.energies[det], rtol=1e-8)
             np.testing.assert_allclose(a.offsets[det], b.offsets[det], atol=1e-6)
+
+
+def test_as_saved_matches_format_then_parse():
+    rng = np.random.default_rng(8)
+    # Decimals one digit longer than the file keeps and ending in 5 sit on
+    # a rounding tie; the nearest double lies just off it on either side.
+    ties_e = [float(f"{v:.9e}"[:-5] + "5" + f"{v:.9e}"[-4:]) for v in rng.uniform(7, 17, 2000)]
+    ties_o = [float(f"{v:.6f}5") for v in rng.uniform(-800, 800, 2000)]
+    specials = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-20, -3e-14, 1e9, 4.2e12,
+                9.9999999996, 0.5, 1.0, -1.0, 1 / 128, -1e-7]
+    energy = np.r_[rng.normal(10.0, 4.0, 5500), rng.uniform(-2, 2, 500),
+                   10.0 ** rng.uniform(-16, 13, 500), ties_e, specials]
+    offset = np.r_[rng.uniform(-800, 800, 5000), rng.uniform(-1e-5, 1e-5, 500),
+                   np.arange(-500, 500) / 128, ties_o, specials]
+    table = daq.EventTable(np.zeros(1), np.array([0, len(energy)]),
+                           np.zeros(len(energy), dtype=np.int8), energy, offset,
+                           np.zeros(len(energy), dtype=np.int8))
+    saved = daq.as_saved(table)
+    want_e = np.array([float("%.9g" % v) for v in energy])
+    want_o = np.array([float("%.6f" % v) for v in offset])
+    for got, want in ((saved.energy_kev, want_e), (saved.offset_ns, want_o)):
+        np.testing.assert_array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _analyze_estimates(events, cfg):
+    """Every estimator ``xbsim analyze`` reports, as arrays (NaN where a
+    sigma is undefined)."""
+    events, heralded = daq.energy_select(events, cfg.daq)
+    out = {
+        "passes": np.column_stack([events.passes_acceptance, events.passes_sum]),
+        "herald_kev": events.herald_kev,
+    }
+    for det in (DET_TRANS, DET_REF):
+        hist = stats.spectra(heralded, det, cfg.bin_width_kev,
+                             lo_kev=cfg.daq.acceptance_kev[0], hi_kev=cfg.daq.acceptance_kev[1])
+        out[f"spectrum_{det}"] = np.r_[hist.counts, hist.underflow, hist.overflow]
+    sigmas = []
+    for window in SIGMA_WINDOWS_NS:
+        for det in (DET_TRANS, DET_REF):
+            for mode in ("sum", "open"):
+                try:
+                    sigmas.append(stats.sigma(
+                        events, window, output=det, energy_mode=mode,
+                        pump_energy_kev=cfg.daq.pump_energy_kev,
+                        sum_halfwidth_kev=cfg.daq.sum_halfwidth_kev,
+                    ))
+                except ValueError:
+                    sigmas.append(np.nan)
+    out["sigma"] = np.array(sigmas)
+    for label, subset in (("heralded", heralded), ("all", events)):
+        counts = stats.counts_from_events(subset)
+        result = stats.alpha(counts)
+        out[f"alpha_{label}"] = np.array([counts.n_trig, counts.n_trig_t, counts.n_trig_r,
+                                          counts.n_trig_t_r, result.alpha, result.sigma])
+    return out
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sum_halfwidth_kev=st.floats(0.05, 1.5),
+       acceptance_hi_kev=st.floats(11.0, 22.0))
+def test_simulated_events_round_trip_exactly(tmp_path_factory, seed, sum_halfwidth_kev,
+                                             acceptance_hi_kev):
+    cfg = load_default_config([
+        f"run.seed={seed}", "grid.n_energy=400", "grid.n_x=60", "grid.n_y=12",
+        "source.duration_s=10", "source.pair_rate_hz=5",
+        f"daq.sum_halfwidth_kev={sum_halfwidth_kev!r}",
+        f"daq.acceptance_hi_kev={acceptance_hi_kev!r}",
+    ])
+    events, rate_dropped, empty_dropped, _pulses = simulate_events(cfg)
+    path = tmp_path_factory.mktemp("roundtrip") / "events.csv"
+    daq.save_events(path, events, live_time_s=cfg.source.duration_s,
+                    rate_dropped=rate_dropped, empty_dropped=empty_dropped)
+    loaded, _meta = daq.load_events(path)
+
+    assert len(events) > 0
+    for column in ("start", "detector", "energy_kev", "offset_ns", "origin"):
+        np.testing.assert_array_equal(getattr(loaded, column), getattr(events, column))
+    want = _analyze_estimates(events, cfg)
+    got = _analyze_estimates(loaded, cfg)
+    assert got.keys() == want.keys()
+    for key in want:
+        np.testing.assert_array_equal(got[key], want[key], err_msg=key)
 
 
 def test_event_load_rejects_bad_format(tmp_path):

@@ -2,11 +2,12 @@
 write.
 
 The runs use criterion 10's reduced grid; ``simulate`` and ``analyze`` run at
-two seeds.  ``model`` always sweeps on ``spdc.SWEEP_GRID``, so its hashes pin
-the sweep kernel as well as the amplitude.  A refactor that leaves the
-arithmetic and the random-number consumption unchanged must reproduce these
-bytes exactly; a change that alters them on purpose says so in CHANGES.md and
-regenerates the tables once.
+two seeds.  ``model`` folds its rates, spectra and sweep from one pair
+intensity on that grid (fine enough for the bundled rocking width, so
+``spdc.sweep_grid`` leaves it unchanged), so its hashes pin the kernel and
+the sweep fold.  A refactor that leaves the arithmetic and the random-number
+consumption unchanged must reproduce these bytes exactly; a change that
+alters them on purpose says so in CHANGES.md and regenerates the tables once.
 """
 
 import hashlib
@@ -24,7 +25,7 @@ REDUCED = REDUCED_GRID + [
 ]
 
 MODEL_GOLDEN = {
-    "bragg_sweep.csv": "f805118f2215c442d67e141077369f82576c9ef9ce19321ca9b0cf8f28973fa1",
+    "bragg_sweep.csv": "0703de097f05b7c3a177668d84ff63f54cf2e949104b9dbdd6fda0a7e62aaa43",
     "model_spectra.csv": "a828200d6e6ffb1160ef9c52a15c94cd63337b9da15bc2845bcba78e017d8fb7",
     "model_summary.txt": "0dfcf1844cf0f7de9125ae1a0031a29c01e367d5c9bab5a060144a1e889f1aed",
 }

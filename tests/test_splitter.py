@@ -6,13 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from artifact.splitter import (
-    SplitterSpec,
-    reflectance,
-    reflectivity,
-    rocking_argument,
-    transmission,
-)
+from artifact.splitter import SplitterSpec, reflectivity, transmission
 from artifact.xoptics import LatticeSpec, bragg_angle, load_table
 
 HOPG = LatticeSpec(3.354, "HOPG(002)")
@@ -29,23 +23,25 @@ def graphite():
 
 
 def test_peak_reflectivity_at_matched_condition(spec):
-    assert reflectance(spec, 10.5, 0.0) == pytest.approx(math.sqrt(0.5))
     assert reflectivity(spec, 10.5, 0.0) == pytest.approx(0.5)
 
 
 def test_one_sigma_point_of_rocking_curve(spec):
     # An argument offset equal to the width parameter b drops the amplitude
-    # by exactly exp(-1/2).
-    r = reflectance(spec, 10.5, spec.width_deg)
-    assert r == pytest.approx(math.sqrt(0.5) * math.exp(-0.5))
+    # by exp(-1/2), so the intensity by exp(-1).
+    r = reflectivity(spec, 10.5, spec.width_deg)
+    assert r == pytest.approx(0.5 * math.exp(-1.0))
 
 
 def test_energy_angle_compensation(spec):
     # Rotating by the Bragg-angle difference restores the peak for a
-    # detuned energy.
+    # detuned energy; without the rotation it sits 1.85 widths off the
+    # peak.
     dtheta = bragg_angle(11.5, spec.lattice) - spec.nominal_bragg_deg()
-    assert rocking_argument(spec, 11.5, dtheta) == pytest.approx(0.0, abs=1e-12)
-    assert reflectivity(spec, 11.5, dtheta) == pytest.approx(0.5)
+    assert reflectivity(spec, 11.5, dtheta) == pytest.approx(0.5, rel=1e-12)
+    assert reflectivity(spec, 11.5, 0.0) == pytest.approx(
+        0.5 * math.exp(-((dtheta / spec.width_deg) ** 2)), rel=1e-9
+    )
 
 
 def test_reflectivity_decays_off_peak(spec):

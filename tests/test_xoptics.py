@@ -1,19 +1,19 @@
 """Unit tests for energy/wavelength conversions, Bragg geometry, and
-attenuation tables."""
+attenuation tables, and for the pair kinematics against the three-wave
+phase mismatch."""
 
 import math
 
 import numpy as np
 import pytest
 
+from artifact.spdc import SpdcConfig, _Kinematics
 from artifact.xoptics import (
     HC_KEV_ANGSTROM,
     AttenuationTable,
     LatticeSpec,
     bragg_angle,
-    bragg_energy,
     load_table,
-    phase_mismatch,
     transmittance,
     wavelength,
     wavenumber,
@@ -21,6 +21,23 @@ from artifact.xoptics import (
 
 HOPG = LatticeSpec(3.354, "HOPG(002)")
 C660 = LatticeSpec(3.56712 / math.sqrt(72.0), "C(660)")
+
+
+def bragg_energy(angle_deg, lattice):
+    """Reference inverse of bragg_angle: E = hc / (2 d sin(theta_B))."""
+    return HC_KEV_ANGSTROM / (2.0 * lattice.d_spacing * np.sin(np.radians(angle_deg)))
+
+
+def phase_mismatch(pump_kev, heralded_kev, trigger_kev, angles_rad):
+    """Reference longitudinal wave-vector mismatch (1/Angstrom) of the
+    three-wave process, k_p cos(theta_p) - k_h cos(theta_h) - k_t cos(theta_t),
+    with each angle of ``angles_rad`` measured from the atomic planes."""
+    theta_p, theta_h, theta_t = angles_rad
+    return (
+        wavenumber(pump_kev) * np.cos(theta_p)
+        - wavenumber(heralded_kev) * np.cos(theta_h)
+        - wavenumber(trigger_kev) * np.cos(theta_t)
+    )
 
 
 def test_wavelength_wavenumber_consistency():
@@ -42,8 +59,6 @@ def test_bragg_energy_inverts_bragg_angle():
 def test_bragg_angle_rejects_long_wavelengths():
     with pytest.raises(ValueError):
         bragg_angle(1.0, HOPG)  # wavelength 12.4 A exceeds 2d = 6.7 A
-    with pytest.raises(ValueError):
-        bragg_energy(0.0, HOPG)
 
 
 def test_lattice_requires_positive_spacing():
@@ -98,3 +113,20 @@ def test_phase_mismatch_sign():
     # projections, so the mismatch turns positive.
     dk = phase_mismatch(21.0, 10.5, 10.5, (0.3, 0.35, 0.25))
     assert dk > 0
+
+
+@pytest.mark.parametrize("energy_kev, theta_x", [(10.5, 0.0), (9.1, 1.2e-3), (11.8, -2.0e-3)])
+def test_kinematics_half_phase_matches_three_wave_mismatch(energy_kev, theta_x):
+    # In the theta_y = 0 plane the kinematics' mismatch is the three-wave one
+    # with the trigger angle fixed by transverse momentum conservation.
+    cfg = SpdcConfig()
+    kin = _Kinematics(cfg)
+    k_t = wavenumber(cfg.pump_energy_kev - energy_kev)
+    s_t = kin.s_total - wavenumber(energy_kev) * math.sin(kin.theta_h0 + theta_x)
+    angles = (math.radians(cfg.pump_angle_deg()), kin.theta_h0 + theta_x,
+              math.asin(s_t / k_t))
+    dk = phase_mismatch(cfg.pump_energy_kev, energy_kev,
+                        cfg.pump_energy_kev - energy_kev, angles)
+    assert kin.half_phase(energy_kev, theta_x, 0.0) == pytest.approx(
+        dk * kin.half_length, rel=1e-9, abs=1e-6
+    )
