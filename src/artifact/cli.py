@@ -67,10 +67,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_sweep(cfg: RunConfig, outdir: str, intensity, splitter, angles) -> None:
+    """bragg_sweep.csv: the sweep of ``splitter``'s family over ``angles``,
+    through air along ``[source] air_path_cm``."""
+    sweep = spdc_mod.bragg_angle_sweep(
+        intensity, spdc_mod.default_splitter_family(splitter), angles,
+        air=load_table("air"), air_path_cm=cfg.source.air_path_cm,
+    )
+    _write_rows(os.path.join(outdir, "bragg_sweep.csv"), "bragg_angle_deg,normalized_rate", sweep)
+
+
 def cmd_model(cfg: RunConfig, outdir: str) -> None:
     """Write the sweep curve, model port spectra, and rate-fraction summary,
     all folded from one pair intensity (``spdc.sweep_grid``)."""
-    air = load_table("air")
     graphite = load_table("graphite")
     grid = spdc_mod.sweep_grid(cfg.grid, cfg.splitter.width_deg)
     intensity = spdc_mod.biphoton_amplitude(cfg.spdc, grid)
@@ -91,34 +100,25 @@ def cmd_model(cfg: RunConfig, outdir: str) -> None:
         zip(energies.tolist(), refl_dens.tolist(), trans_dens.tolist()),
     )
 
-    sweep_angles = np.linspace(5.0, 45.0, 81).tolist()
-    family = spdc_mod.default_splitter_family(cfg.splitter)
-    sweep = spdc_mod.bragg_angle_sweep(intensity, family, sweep_angles, air=air)
-    _write_rows(
-        os.path.join(outdir, "bragg_sweep.csv"),
-        "bragg_angle_deg,normalized_rate",
-        sweep,
-    )
+    _write_sweep(cfg, outdir, intensity, cfg.splitter, np.linspace(5.0, 45.0, 81).tolist())
 
     with open(os.path.join(outdir, "model_summary.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"r_reflected = {r_ref:.6f}\n")
         fh.write(f"r_transmitted = {r_trans:.6f}\n")
 
 
-def simulate_events(cfg: RunConfig):
-    """Run the Monte Carlo chain; returns (events, rate_dropped, empty_dropped, pulses)."""
-    graphite = load_table("graphite")
-    air = load_table("air")
-    helium = load_table("helium")
-    intensity = spdc_mod.biphoton_amplitude(cfg.spdc, cfg.grid)
+def simulate_events(cfg: RunConfig, intensity: spdc_mod.PairIntensity):
+    """Run the Monte Carlo chain on ``intensity`` from ``cfg.source.rng_seed``;
+    returns (events, rate_dropped, empty_dropped, pulses)."""
     seeds = np.random.SeedSequence(cfg.source.rng_seed).spawn(3)
     rng_pairs, rng_stray, rng_detect = (np.random.default_rng(s) for s in seeds)
     pairs = mc.generate_pairs(
-        intensity, cfg.splitter, cfg.source, graphite,
-        air=air, helium=helium, rng=rng_pairs,
+        intensity, cfg.splitter, cfg.source, load_table("graphite"),
+        air=load_table("air"), helium=load_table("helium"), rng=rng_pairs,
     )
     stray = mc.generate_stray(cfg.source, rng=rng_stray)
-    photons = mc.merge_streams(pairs, stray)
+    # One stable sort; equal times keep the part order.
+    photons = mc.merge_streams(*pairs, *stray)
     del pairs, stray  # hold one full-length stream per stage
     pulses = mc.detect(photons, cfg.detectors, rng_detect)
     del photons
@@ -131,7 +131,8 @@ def simulate_events(cfg: RunConfig):
 
 def cmd_simulate(cfg: RunConfig, outdir: str) -> None:
     """Generate an event file plus pulse-stream and run summaries."""
-    events, rate_dropped, empty_dropped, pulses = simulate_events(cfg)
+    intensity = spdc_mod.biphoton_amplitude(cfg.spdc, cfg.grid)
+    events, rate_dropped, empty_dropped, pulses = simulate_events(cfg, intensity)
     daq_mod.save_events(
         os.path.join(outdir, "events.csv"),
         events,
@@ -258,16 +259,10 @@ def cmd_sweep(cfg: RunConfig, outdir: str, start: float, stop: float, num: int, 
     if not all(0.0 < a < 90.0 for a in angles):
         raise ConfigError(f"sweep angles must lie in (0, 90) degrees, got {start}..{stop}")
     base = replace(cfg.splitter, width_deg=cfg.splitter.width_deg * width_scale)
-    family = spdc_mod.default_splitter_family(base)
     intensity = spdc_mod.biphoton_amplitude(
         cfg.spdc, spdc_mod.sweep_grid(cfg.grid, base.width_deg)
     )
-    sweep = spdc_mod.bragg_angle_sweep(intensity, family, angles, air=load_table("air"))
-    _write_rows(
-        os.path.join(outdir, "bragg_sweep.csv"),
-        "bragg_angle_deg,normalized_rate",
-        sweep,
-    )
+    _write_sweep(cfg, outdir, intensity, base, angles)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -36,8 +36,10 @@ class DaqConfig:
             raise ValueError("all window and pulse widths must be positive")
         if not self.acceptance_kev[0] < self.acceptance_kev[1]:
             raise ValueError("acceptance window must satisfy lo < hi")
-        if self.sum_halfwidth_kev <= 0 or self.max_event_rate_hz <= 0:
-            raise ValueError("sum window and rate cap must be positive")
+        if self.sum_halfwidth_kev <= 0:
+            raise ValueError("sum window must be positive")
+        if not self.max_event_rate_hz >= 1:  # the cap keeps int(cap) captures per second
+            raise ValueError(f"max_event_rate_hz must be at least 1, got {self.max_event_rate_hz}")
 
 
 DETECTORS = (DET_TRIG, DET_TRANS, DET_REF)
@@ -257,8 +259,8 @@ def energy_select(events: EventTable, cfg: DaqConfig):
 
 EVENT_FORMAT_HEADER = "# eventfile v1"
 EVENT_COLUMNS = "event,trigger_ns,detector,energy_kev,offset_ns,origin"
-_ENERGY_FORMAT, _OFFSET_FORMAT = "%.9g", "%.6f"
-_ROW_FORMAT = f"%d,%.6f,%d,{_ENERGY_FORMAT},{_OFFSET_FORMAT},%d\n"
+_TRIGGER_FORMAT, _ENERGY_FORMAT, _OFFSET_FORMAT = "%.6f", "%.9g", "%.6f"
+_ROW_FORMAT = f"%d,{_TRIGGER_FORMAT},%d,{_ENERGY_FORMAT},{_OFFSET_FORMAT},%d\n"
 _ROW_DTYPE = np.dtype(
     {"names": EVENT_COLUMNS.split(","), "formats": ["i8", "f8", "i8", "f8", "f8", "i8"]}
 )
@@ -276,25 +278,28 @@ def _as_written(x, places, fmt, fast):
     x * 10**places is rounded to an integer n and n / 10**places divides it
     back: n is exact and the division rounds correctly, so the result is
     the double nearest the written decimal, which is what parsing it gives.
-    Where the product may have rounded across a half-integer (within 1e-6),
-    or is too large for that bound to hold, or ``fast`` is false, the value
-    is formatted and parsed instead.
+    Where the spacing of doubles at x exceeds 2 * 10**-places, x is its
+    own result: its neighbours lie over 10**-places away, the decimal within
+    half that.  Elsewhere, where the product may have rounded across a
+    half-integer (within 1e-6), or is too large for that bound to hold, or
+    ``fast`` is false, the value is formatted and parsed instead.
     """
     scale = _POW10[places]
     p = x * scale
-    out = np.rint(p) / scale
-    with np.errstate(invalid="ignore"):  # inf and NaN fail both tests
+    with np.errstate(invalid="ignore"):  # inf and NaN fail every test
+        exact = fast & (np.spacing(np.abs(x)) > 2.0 / scale)
         safe = fast & (np.abs(p - np.floor(p) - 0.5) > 1e-6) & (np.abs(p) < 2.0**31)
-    for i in np.flatnonzero(~safe):
+    out = np.where(exact, x, np.rint(p) / scale)
+    for i in np.flatnonzero(~(exact | safe)):
         out[i] = float(fmt % x[i])
     return out
 
 
 def as_saved(events: EventTable) -> EventTable:
-    """``events`` with ``energy_kev`` and ``offset_ns`` rounded as
-    ``save_events`` writes them, so ``load_events`` reads them back exactly
-    and estimators on the file match those on the table.  The file bytes
-    are the same as for ``events``."""
+    """``events`` with ``trigger_ns``, ``energy_kev`` and ``offset_ns``
+    rounded as ``save_events`` writes them, so ``load_events`` reads them
+    back exactly and estimators on the file match those on the table.  The
+    file bytes are the same as for ``events``."""
     e = events.energy_kev
     with np.errstate(divide="ignore", invalid="ignore"):
         exponent = np.floor(np.log10(np.abs(e)))
@@ -302,6 +307,7 @@ def as_saved(events: EventTable) -> EventTable:
     places = np.where(fast, 8 - exponent, 0).astype(np.intp)
     return replace(
         events,
+        trigger_ns=_as_written(events.trigger_ns, 6, _TRIGGER_FORMAT, True),
         energy_kev=_as_written(e, places, _ENERGY_FORMAT, fast),
         offset_ns=_as_written(events.offset_ns, 6, _OFFSET_FORMAT, True),
     )

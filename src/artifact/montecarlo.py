@@ -1,11 +1,11 @@
 """Seeded stochastic generation of photon streams and detector pulses.
 
 Photon and pulse streams are ``Stream``s: one contiguous numpy column per
-field (cheap for tens of millions of entries), kept in time order.
-``merge_streams`` is the one place that orders a stream; ``detect`` keeps
-the order.  All randomness flows from a single 64-bit seed through
-``numpy.random.default_rng`` substreams, so identical (config, seed) pairs
-produce bit-identical streams.
+field (cheap for tens of millions of entries).  The generators return their
+parts, each in time order; ``merge_streams`` is the one place that orders a
+whole stream, and ``detect`` keeps the order.  Every generator takes the
+``numpy.random.Generator`` it draws from, so identical (config, generator
+state) pairs produce bit-identical streams.
 """
 
 from __future__ import annotations
@@ -103,8 +103,8 @@ class Stream:
     the true energy (for a pulse, the measured analog pulse height),
     ``detector`` and ``origin`` int8 ids, and ``logic``, for pulses only,
     whether a logic pulse was emitted (measured energy inside the SCA
-    window).  Streams from ``merge_streams`` and ``detect`` are in time
-    order, equal times in merge order.  ``len()`` counts entries.
+    window).  Streams are kept in time order, equal times in merge order.
+    ``len()`` counts entries.
     """
 
     time_ns: np.ndarray
@@ -156,9 +156,10 @@ def generate_pairs(
     *,
     air: AttenuationTable | None = None,
     helium: AttenuationTable | None = None,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ):
-    """Photon stream from correlated pairs routed through the beam splitter.
+    """Photons from correlated pairs routed through the beam splitter, as
+    two time-ordered parts ``(trigger, herald)``.
 
     Pair creation times are a Poisson process at ``source.pair_rate``; each
     pair's (energy, theta_x) is drawn from the theta_y-integrated pair
@@ -168,13 +169,8 @@ def generate_pairs(
     probability T, and is absorbed otherwise; both photons are additionally
     thinned by flight-path absorption when air/helium tables are supplied.
     """
-    if rng is None:
-        rng = np.random.default_rng(source.rng_seed)
     times = _poisson_times(rng, source.pair_rate, source.duration_s)
     n = len(times)
-    if n == 0:
-        return merge_streams()
-
     cdf = intensity.cdf
     if cdf[-1] <= 0:
         raise ValueError("pair intensity vanishes; nothing to sample")
@@ -208,19 +204,18 @@ def generate_pairs(
     herald = _photons(
         times[herald_alive], e_h[herald_alive], herald_det[herald_alive], ORIGIN_PAIR_HERALD
     )
-    return merge_streams(trig, herald)
+    return trig, herald
 
 
-def generate_stray(source: SourceConfig, *, rng: np.random.Generator | None = None):
-    """Independent Poisson background per detector with i.i.d. energies."""
-    if rng is None:
-        rng = np.random.default_rng(source.rng_seed + 1)
+def generate_stray(source: SourceConfig, *, rng: np.random.Generator):
+    """Independent Poisson background per detector with i.i.d. energies, as
+    three time-ordered parts (TRIG, TRANS, REF)."""
     parts = []
     for det, rate in zip((DET_TRIG, DET_TRANS, DET_REF), source.stray_rates):
         times = _poisson_times(rng, rate, source.duration_s)
         energies = source.spectrum.sample(rng, len(times))
         parts.append(_photons(times, energies, det, ORIGIN_STRAY))
-    return merge_streams(*parts)
+    return tuple(parts)
 
 
 def detect(

@@ -394,16 +394,17 @@ def bragg_angle_sweep(
     sweep_deg,
     *,
     air: AttenuationTable | None = None,
-    air_path_cm: float = 10.0,
+    air_path_cm: float | None = None,
 ):
     """Normalized reflected-port rate versus splitter Bragg angle.
 
     For each angle the reflected-port rate (intensity reflectivity folded
-    with the theta_y-integrated pair intensity and, optionally, air
-    absorption along ``air_path_cm``) is normalized by the total pair
-    intensity at the source.  The rocking curve is resolved only as finely
-    as the intensity's theta_x grid; ``sweep_grid`` gives a grid fine
-    enough for a rocking width.  Returns a list of (theta_B_deg, rate).
+    with the theta_y-integrated pair intensity and, when ``air`` is given,
+    absorption along ``air_path_cm``, which must then be given too) is
+    normalized by the total pair intensity at the source.  The rocking
+    curve is resolved only as finely as the intensity's theta_x grid;
+    ``sweep_grid`` gives a grid fine enough for a rocking width.  Returns a
+    list of (theta_B_deg, rate).
     """
     sweep_deg = list(sweep_deg)
     if not sweep_deg:
@@ -417,6 +418,8 @@ def bragg_angle_sweep(
     if denom == 0.0:
         raise ValueError("pair intensity vanishes on the sweep grid")
     if air is not None:
+        if air_path_cm is None:
+            raise ValueError("an air table needs air_path_cm")
         w = w * transmittance(intensity.energies[:, None], air, air_path_cm)
     dtheta_deg = np.degrees(intensity.theta_x)
     # splitter.reflectivity, A * exp(-(arg / b)^2) with

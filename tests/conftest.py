@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from artifact import daq, montecarlo as mc, spdc
+from artifact import daq, spdc
+from artifact.cli import simulate_events
 from artifact.config import load_default_config
 from artifact.xoptics import load_table
 
@@ -42,27 +43,18 @@ def make_table(events):
     )
 
 
-def run_chain(cfg, amp, tables, seed):
-    """Pairs + stray -> detectors -> coincidence electronics -> energy flags."""
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
-    pairs = mc.generate_pairs(
-        amp,
-        cfg.splitter,
-        cfg.source,
-        tables["graphite"],
-        air=tables["air"],
-        helium=tables["helium"],
-        rng=rngs[0],
-    )
-    stray = mc.generate_stray(cfg.source, rng=rngs[1])
-    pulses = mc.detect(mc.merge_streams(pairs, stray), cfg.detectors, rngs[2])
-    events, rate_dropped, empty_dropped = daq.build_events(pulses, cfg.daq)
-    events, heralded = daq.energy_select(events, cfg.daq)
+def run_chain(cfg, amp, seed):
+    """``cli.simulate_events`` at ``seed``: pairs + stray -> detectors ->
+    coincidence electronics -> energy flags.  Returns (events, heralded,
+    rate_dropped, empty_dropped)."""
+    cfg = replace(cfg, source=replace(cfg.source, rng_seed=seed))
+    events, rate_dropped, empty_dropped, _pulses = simulate_events(cfg, amp)
+    heralded = events.select(events.passes_acceptance & events.passes_sum)
     return events, heralded, rate_dropped, empty_dropped
 
 
 @pytest.fixture(scope="session")
-def pair_dominated_run(default_config, amp_default, tables):
+def pair_dominated_run(default_config, amp_default):
     """Long run with the pair rate raised so heralded statistics are ample."""
     cfg = default_config
     source = replace(
@@ -72,7 +64,7 @@ def pair_dominated_run(default_config, amp_default, tables):
         duration_s=1500.0,
     )
     cfg = replace(cfg, source=source)
-    events, heralded, rate_dropped, empty_dropped = run_chain(cfg, amp_default, tables, 11)
+    events, heralded, rate_dropped, empty_dropped = run_chain(cfg, amp_default, 11)
     return {
         "config": cfg,
         "events": events,

@@ -85,12 +85,12 @@ def test_criterion_04_rocking_width_scaling(default_config, amp_default, tables)
     )
     narrow = spdc.bragg_angle_sweep(
         narrow_amp, spdc.default_splitter_family(narrow_spec), [theta],
-        air=tables["air"],
+        air=tables["air"], air_path_cm=default_config.source.air_path_cm,
     )[0][1]
     assert spdc.sweep_grid(default_config.grid, base.width_deg) is amp_default.grid
     wide = spdc.bragg_angle_sweep(
         amp_default, spdc.default_splitter_family(base), [theta],
-        air=tables["air"],
+        air=tables["air"], air_path_cm=default_config.source.air_path_cm,
     )[0][1]
     ratio = wide / narrow
     ok = 80.0 <= ratio <= 100.0
@@ -152,13 +152,13 @@ def test_criterion_07_unsplittability(default_config, amp_default, tables):
     clean = replace(cfg, source=replace(
         cfg.source, pair_rate=1.2, stray_rates=(0.0, 0.0, 0.0), duration_s=1.0e5,
     ))
-    _events, heralded, _rd, _ed = run_chain(clean, amp_default, tables, 23)
+    _events, heralded, _rd, _ed = run_chain(clean, amp_default, 23)
     rng = np.random.default_rng(np.random.SeedSequence(23).spawn(3)[0])
-    pairs = mc.generate_pairs(
+    trig, _herald = mc.generate_pairs(
         amp_default, clean.splitter, clean.source, tables["graphite"],
         air=tables["air"], helium=tables["helium"], rng=rng,
     )
-    n_pairs = int((pairs.origin == mc.ORIGIN_PAIR_TRIGGER).sum())
+    n_pairs = len(trig)
     counts_clean = stats.counts_from_events(heralded)
     clean_ok = (
         n_pairs >= 100_000
@@ -168,12 +168,12 @@ def test_criterion_07_unsplittability(default_config, amp_default, tables):
 
     # Stray-dominated stream, open energy windows, two run lengths.
     small_cfg = replace(cfg, source=replace(cfg.source, duration_s=41.4))
-    ev_small, _, _, _ = run_chain(small_cfg, amp_default, tables, 31)
+    ev_small, _, _, _ = run_chain(small_cfg, amp_default, 31)
     c_small = stats.counts_from_events(ev_small)
     totals = np.zeros(4, dtype=int)
     for k in range(9):
         shard_cfg = replace(cfg, source=replace(cfg.source, duration_s=480.0))
-        ev_shard, _, _, _ = run_chain(shard_cfg, amp_default, tables, 41 + k)
+        ev_shard, _, _, _ = run_chain(shard_cfg, amp_default, 41 + k)
         c = stats.counts_from_events(ev_shard)
         totals += (c.n_trig, c.n_trig_t, c.n_trig_r, c.n_trig_t_r)
     c_big = stats.CoincCounts(*(int(v) for v in totals))

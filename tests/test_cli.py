@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from artifact import spdc
+from artifact import montecarlo as mc, spdc
 from artifact.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SCHEMA, main
+from artifact.config import load_default_config
 
 # Coarse grid + short run so simulate/analyze stay fast; physics fidelity is
 # covered elsewhere.
@@ -36,6 +37,14 @@ def test_trigger_angle_key_exits_config_code(tmp_path):
 def test_negative_splitter_incidence_exits_config_code(tmp_path, verb):
     code = main([verb, "--outdir", str(tmp_path),
                  "--set", "splitter.mount_offset_deg=-20"])
+    assert code == EXIT_CONFIG
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_rate_cap_below_one_exits_config_code(tmp_path):
+    # int(cap) captures per second: a cap below 1 would keep none.
+    code = main(["simulate", "--outdir", str(tmp_path),
+                 "--set", "daq.max_event_rate_hz=0.5"])
     assert code == EXIT_CONFIG
     assert list(tmp_path.iterdir()) == []
 
@@ -143,3 +152,39 @@ def test_verb_builds_one_pair_intensity(tmp_path, monkeypatch, verb):
     assert code == EXIT_OK
     assert len(grids) == 1
     assert (grids[0].n_energy, grids[0].n_x, grids[0].n_y) == (300, 40, 8)
+
+
+def test_model_sweep_follows_air_path(tmp_path):
+    # [source] air_path_cm reaches the sweep: no air at 0 cm, less rate at
+    # every angle at 200 cm than at the bundled 10 cm.
+    coarse = ["grid.n_energy=300", "grid.n_x=40", "grid.n_y=8"]
+
+    def sweep_file(path_cm):
+        out = tmp_path / path_cm
+        sets = coarse + [f"source.air_path_cm={path_cm}"]
+        assert main(["model", "--outdir", str(out)] + [a for s in sets for a in ("--set", s)]) == EXIT_OK
+        return out / "bragg_sweep.csv"
+
+    cfg = load_default_config(coarse)
+    intensity = spdc.biphoton_amplitude(cfg.spdc, spdc.sweep_grid(cfg.grid, cfg.splitter.width_deg))
+    no_air = spdc.bragg_angle_sweep(intensity, spdc.default_splitter_family(cfg.splitter),
+                                    np.linspace(5.0, 45.0, 81).tolist())
+    expected = "bragg_angle_deg,normalized_rate\n" + "".join(f"{t:.9g},{r:.9g}\n" for t, r in no_air)
+    assert sweep_file("0").read_text() == expected
+    r10, r200 = (np.loadtxt(sweep_file(p), delimiter=",", skiprows=1)[:, 1] for p in ("10", "200"))
+    assert np.all(r200 < r10)
+
+
+def test_simulate_merges_photon_streams_once(tmp_path, monkeypatch):
+    # The generators return time-ordered parts; simulate orders the whole
+    # photon stream with one merge of all five.
+    merge = mc.merge_streams
+    calls = []
+
+    def counting(*streams):
+        calls.append(len(streams))
+        return merge(*streams)
+
+    monkeypatch.setattr(mc, "merge_streams", counting)
+    assert main(["simulate", "--outdir", str(tmp_path)] + FAST) == EXIT_OK
+    assert calls == [5]

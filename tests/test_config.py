@@ -74,6 +74,13 @@ def test_splitter_incidence_inside_0_180_accepted():
     assert cfg.splitter.mount_offset_deg == -9.8
 
 
+@pytest.mark.parametrize("cap", ["0.5", "0.999", "nan"])
+def test_rate_cap_below_one_rejected(cap):
+    with pytest.raises(ConfigError, match="max_event_rate_hz"):
+        load_default_config([f"daq.max_event_rate_hz={cap}"])
+    assert load_default_config(["daq.max_event_rate_hz=1"]).daq.max_event_rate_hz == 1.0
+
+
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError):
         load_default_config(["nonsense.value=1.0"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from artifact import daq, stats
+from artifact import daq, spdc, stats
 from artifact.cli import SIGMA_WINDOWS_NS, simulate_events
 from artifact.config import load_default_config
 from artifact.montecarlo import DET_REF, DET_TRANS, DET_TRIG, Stream
@@ -261,13 +261,21 @@ def test_as_saved_matches_format_then_parse():
                    10.0 ** rng.uniform(-16, 13, 500), ties_e, specials]
     offset = np.r_[rng.uniform(-800, 800, 5000), rng.uniform(-1e-5, 1e-5, 500),
                    np.arange(-500, 500) / 128, ties_o, specials]
-    table = daq.EventTable(np.zeros(1), np.array([0, len(energy)]),
+    # Trigger times over a long run, ties, and doubles on either side of
+    # 2**33 and 2**34 ns, where the spacing passes 1e-6 and 2e-6 ns.
+    edges = [np.nextafter(2.0**k, d) for k in (33, 34) for d in (0, np.inf)] + [2.0**33, 2.0**34]
+    trigger = np.r_[rng.uniform(0, 3e12, 3000), rng.uniform(0, 2e10, 3000),
+                    [float(f"{v:.6f}5") for v in rng.uniform(0, 2e9, 1000)], edges, specials]
+    # One event holds every photon; the others are empty.
+    table = daq.EventTable(trigger, np.r_[0, np.full(len(trigger), len(energy))],
                            np.zeros(len(energy), dtype=np.int8), energy, offset,
                            np.zeros(len(energy), dtype=np.int8))
     saved = daq.as_saved(table)
+    want_t = np.array([float("%.6f" % v) for v in trigger])
     want_e = np.array([float("%.9g" % v) for v in energy])
     want_o = np.array([float("%.6f" % v) for v in offset])
-    for got, want in ((saved.energy_kev, want_e), (saved.offset_ns, want_o)):
+    for got, want in ((saved.trigger_ns, want_t), (saved.energy_kev, want_e),
+                      (saved.offset_ns, want_o)):
         np.testing.assert_array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -316,14 +324,15 @@ def test_simulated_events_round_trip_exactly(tmp_path_factory, seed, sum_halfwid
         f"daq.sum_halfwidth_kev={sum_halfwidth_kev!r}",
         f"daq.acceptance_hi_kev={acceptance_hi_kev!r}",
     ])
-    events, rate_dropped, empty_dropped, _pulses = simulate_events(cfg)
+    intensity = spdc.biphoton_amplitude(cfg.spdc, cfg.grid)
+    events, rate_dropped, empty_dropped, _pulses = simulate_events(cfg, intensity)
     path = tmp_path_factory.mktemp("roundtrip") / "events.csv"
     daq.save_events(path, events, live_time_s=cfg.source.duration_s,
                     rate_dropped=rate_dropped, empty_dropped=empty_dropped)
     loaded, _meta = daq.load_events(path)
 
     assert len(events) > 0
-    for column in ("start", "detector", "energy_kev", "offset_ns", "origin"):
+    for column in ("trigger_ns", "start", "detector", "energy_kev", "offset_ns", "origin"):
         np.testing.assert_array_equal(getattr(loaded, column), getattr(events, column))
     want = _analyze_estimates(events, cfg)
     got = _analyze_estimates(loaded, cfg)

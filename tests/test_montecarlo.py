@@ -77,34 +77,48 @@ def test_source_validation():
 
 
 def test_pairs_conserve_energy_and_time(amp_small, graphite, cfg):
-    photons = _pairs(amp_small, graphite, cfg, 5, pair_rate=200.0, duration_s=50.0)
-    trig = photons.origin == mc.ORIGIN_PAIR_TRIGGER
-    herald = photons.origin == mc.ORIGIN_PAIR_HERALD
-    assert trig.sum() > 0 and herald.sum() > 0
+    trig, herald = _pairs(amp_small, graphite, cfg, 5, pair_rate=200.0, duration_s=50.0)
+    assert len(trig) > 0 and len(herald) > 0
     # Pair members share one creation time; match them on it.
-    common, ti, hi = np.intersect1d(
-        photons.time_ns[trig], photons.time_ns[herald], return_indices=True
-    )
-    assert len(common) > 0.2 * trig.sum()
-    total = photons.energy_kev[trig][ti] + photons.energy_kev[herald][hi]
+    common, ti, hi = np.intersect1d(trig.time_ns, herald.time_ns, return_indices=True)
+    assert len(common) > 0.2 * len(trig)
+    total = trig.energy_kev[ti] + herald.energy_kev[hi]
     np.testing.assert_allclose(total, cfg.spdc.pump_energy_kev, atol=1e-9)
-    assert set(np.unique(photons.detector[herald])) <= {mc.DET_TRANS, mc.DET_REF}
-    assert np.all(photons.detector[trig] == mc.DET_TRIG)
+    assert set(np.unique(herald.detector)) <= {mc.DET_TRANS, mc.DET_REF}
+    assert np.all(trig.detector == mc.DET_TRIG)
+
+
+def test_generators_return_time_ordered_parts(amp_small, graphite, cfg):
+    trig, herald = _pairs(amp_small, graphite, cfg, 6, pair_rate=200.0, duration_s=5.0)
+    stray = mc.generate_stray(replace(cfg.source, duration_s=0.5), rng=np.random.default_rng(6))
+    parts = [trig, herald, *stray]
+    origins = [mc.ORIGIN_PAIR_TRIGGER, mc.ORIGIN_PAIR_HERALD] + [mc.ORIGIN_STRAY] * 3
+    assert all(len(p) > 0 for p in parts)
+    for part, origin in zip(parts, origins):
+        assert np.all(np.diff(part.time_ns) >= 0)
+        assert np.all(part.origin == origin)
+    for part, det in zip(stray, (mc.DET_TRIG, mc.DET_TRANS, mc.DET_REF)):
+        assert np.all(part.detector == det)
+    # No pairs: still two parts, empty, with the photon dtypes.
+    for part in _pairs(amp_small, graphite, cfg, 6, pair_rate=0.0):
+        assert len(part) == 0
+        assert [c.dtype for c in _columns(part)] == [np.float64, np.float64, np.int8, np.int8]
 
 
 def test_pair_stream_is_seed_deterministic(amp_small, graphite, cfg):
-    a = _pairs(amp_small, graphite, cfg, 7, pair_rate=50.0, duration_s=20.0)
-    b = _pairs(amp_small, graphite, cfg, 7, pair_rate=50.0, duration_s=20.0)
-    assert all(np.array_equal(x, y) for x, y in zip(_columns(a), _columns(b)))
-    c = _pairs(amp_small, graphite, cfg, 8, pair_rate=50.0, duration_s=20.0)
-    assert not all(np.array_equal(x, y) for x, y in zip(_columns(a), _columns(c)))
+    def columns(seed):
+        parts = _pairs(amp_small, graphite, cfg, seed, pair_rate=50.0, duration_s=20.0)
+        return [c for part in parts for c in _columns(part)]
+
+    a, b, c = columns(7), columns(7), columns(8)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert not all(np.array_equal(x, y) for x, y in zip(a, c))
 
 
 def test_heralded_energies_follow_amplitude_window(amp_small, graphite, cfg):
-    photons = _pairs(amp_small, graphite, cfg, 9, pair_rate=500.0, duration_s=20.0)
-    herald_kev = photons.energy_kev[photons.origin == mc.ORIGIN_PAIR_HERALD]
-    assert herald_kev.min() >= SMALL_GRID.energy_lo_kev
-    assert herald_kev.max() <= SMALL_GRID.energy_hi_kev
+    _trig, herald = _pairs(amp_small, graphite, cfg, 9, pair_rate=500.0, duration_s=20.0)
+    assert herald.energy_kev.min() >= SMALL_GRID.energy_lo_kev
+    assert herald.energy_kev.max() <= SMALL_GRID.energy_hi_kev
 
 
 def test_merge_streams_sorts_by_time():
@@ -116,10 +130,9 @@ def test_merge_streams_sorts_by_time():
 
 
 def _merge_like_simulate(trig, herald, stray):
-    """The merge order of ``cli.simulate_events``: pairs (trigger, herald)
-    inside ``generate_pairs``, stray (TRIG, TRANS, REF) inside
-    ``generate_stray``, then pairs with stray."""
-    return mc.merge_streams(mc.merge_streams(trig, herald), mc.merge_streams(*stray))
+    """The one merge of ``cli.simulate_events``: the pair parts (trigger,
+    herald), then the stray parts (TRIG, TRANS, REF)."""
+    return mc.merge_streams(trig, herald, *stray)
 
 
 def test_merge_tie_order_hand_built():
@@ -139,7 +152,7 @@ def test_merge_tie_order_hand_built():
 @settings(max_examples=60, deadline=None)
 @given(sizes=st.lists(st.integers(0, 12), min_size=5, max_size=5), seed=st.integers(0, 2**32 - 1))
 def test_merge_tie_order_matches_one_stable_sort(sizes, seed):
-    """Times on a 4-point lattice, so most photons tie; the cascade of merges
+    """Times on a 4-point lattice, so most photons tie; the five-part merge
     equals one stable argsort of the concatenation on every column.  Each
     photon's energy is its serial number, so any reordering shows."""
     rng = np.random.default_rng(seed)

@@ -255,10 +255,13 @@ def test_sweep_fold_matches_full_grid_reference(
     family = spdc.default_splitter_family(spec)
     angles = [5.0, 9.0, spec.nominal_bragg_deg(), 10.5, 20.0, 45.0]
     air = tables["air"] if with_air else None
-    got = bragg_angle_sweep(amp_small, family, angles, air=air)
+    got = bragg_angle_sweep(amp_small, family, angles, air=air, air_path_cm=10.0)
     assert [t for t, _ in got] == angles
     rates = np.array([r for _, r in got])
     want = _full_grid_sweep(amp_small, family, angles, air=air)
+    if with_air:
+        with pytest.raises(ValueError, match="air_path_cm"):
+            bragg_angle_sweep(amp_small, family, angles, air=air)
     assert np.all(want > 0)
     np.testing.assert_allclose(rates, want, rtol=1e-12, atol=0.0)
     # splitter.reflectivity is the same square, computed directly.
@@ -306,7 +309,8 @@ def test_sweep_converges_under_theta_x_refinement(
     coarse = amp_default if grid is cfg.grid else biphoton_amplitude(cfg.spdc, grid)
     fine = biphoton_amplitude(cfg.spdc, replace(grid, n_x=2 * grid.n_x))
     rates = [
-        np.array([r for _, r in bragg_angle_sweep(amp, family, angles, air=tables["air"])])
+        np.array([r for _, r in bragg_angle_sweep(amp, family, angles, air=tables["air"],
+                                                  air_path_cm=cfg.source.air_path_cm)])
         for amp in (coarse, fine)
     ]
     np.testing.assert_allclose(rates[0], rates[1], rtol=1e-3, atol=0.0)
