@@ -107,51 +107,81 @@ def cmd_model(cfg: RunConfig, outdir: str) -> None:
         fh.write(f"r_transmitted = {r_trans:.6f}\n")
 
 
+def _slice_pulses(cfg: RunConfig, intensity: spdc_mod.PairIntensity, tally: np.ndarray):
+    """Yield (end_ns, pulses) per time slice of the run (``slice_edges_s``),
+    adding each slice's pulses to ``tally`` by (detector, origin, logic).
+
+    Slice k draws from three generators (pairs, stray, detect) spawned from
+    the k-th child of the run seed, and merges its five photon parts once.
+    """
+    edges = mc.slice_edges_s(cfg.source)
+    graphite, air, helium = load_table("graphite"), load_table("air"), load_table("helium")
+    for k, window in enumerate(zip(edges[:-1].tolist(), edges[1:].tolist())):
+        seeds = np.random.SeedSequence(cfg.source.rng_seed, spawn_key=(k,)).spawn(3)
+        rng_pairs, rng_stray, rng_detect = (np.random.default_rng(s) for s in seeds)
+        pairs = mc.generate_pairs(
+            intensity, cfg.splitter, cfg.source, graphite,
+            air=air, helium=helium, rng=rng_pairs, window_s=window,
+        )
+        stray = mc.generate_stray(cfg.source, rng=rng_stray, window_s=window)
+        # One stable sort; equal times keep the part order.
+        photons = mc.merge_streams(*pairs, *stray)
+        del pairs, stray  # hold one copy of the slice per stage
+        pulses = mc.detect(photons, cfg.detectors, rng_detect)
+        del photons
+        cell = (pulses.detector.astype(np.intp) * mc.N_ORIGINS + pulses.origin) * 2 + pulses.logic
+        tally += np.bincount(cell, minlength=tally.size).reshape(tally.shape)
+        yield window[1] * 1e9, pulses
+
+
+def _pulse_tally() -> np.ndarray:
+    """Zeroed pulse counts by [detector, origin, logic]."""
+    return np.zeros((len(mc.DETECTOR_NAMES), mc.N_ORIGINS, 2), dtype=np.int64)
+
+
+def simulate_slices(cfg: RunConfig, intensity: spdc_mod.PairIntensity, tally: np.ndarray):
+    """The Monte Carlo chain on ``intensity`` from ``cfg.source.rng_seed``,
+    one time slice at a time, so memory does not grow with the run length.
+
+    Yields (events, rate_dropped, empty_dropped) per slice, with the events
+    energy-selected on the values the event file holds (so analyze on the
+    file reproduces the in-memory selection), and adds every slice's pulses
+    to ``tally`` (``_pulse_tally``).
+    """
+    built = daq_mod.build_events_in_slices(_slice_pulses(cfg, intensity, tally), cfg.daq)
+    for events, rate_dropped, empty_dropped in built:
+        events, _heralded = daq_mod.energy_select(daq_mod.as_saved(events), cfg.daq)
+        yield events, rate_dropped, empty_dropped
+
+
 def simulate_events(cfg: RunConfig, intensity: spdc_mod.PairIntensity):
-    """Run the Monte Carlo chain on ``intensity`` from ``cfg.source.rng_seed``;
-    returns (events, rate_dropped, empty_dropped, pulses)."""
-    seeds = np.random.SeedSequence(cfg.source.rng_seed).spawn(3)
-    rng_pairs, rng_stray, rng_detect = (np.random.default_rng(s) for s in seeds)
-    pairs = mc.generate_pairs(
-        intensity, cfg.splitter, cfg.source, load_table("graphite"),
-        air=load_table("air"), helium=load_table("helium"), rng=rng_pairs,
-    )
-    stray = mc.generate_stray(cfg.source, rng=rng_stray)
-    # One stable sort; equal times keep the part order.
-    photons = mc.merge_streams(*pairs, *stray)
-    del pairs, stray  # hold one full-length stream per stage
-    pulses = mc.detect(photons, cfg.detectors, rng_detect)
-    del photons
-    events, rate_dropped, empty_dropped = daq_mod.build_events(pulses, cfg.daq)
-    # Select on the values the event file holds, so analyze on the file
-    # reproduces the in-memory selection.
-    events, _heralded = daq_mod.energy_select(daq_mod.as_saved(events), cfg.daq)
-    return events, rate_dropped, empty_dropped, pulses
+    """``simulate_slices`` gathered: returns (events, rate_dropped,
+    empty_dropped, pulse_counts), the events of every slice in one table,
+    the summed drop counts and the pulses counted by [detector, origin,
+    logic] over the slices."""
+    tally = _pulse_tally()
+    tables, rate_dropped, empty_dropped = zip(*simulate_slices(cfg, intensity, tally))
+    return daq_mod.concat_events(tables), sum(rate_dropped), sum(empty_dropped), tally
 
 
 def cmd_simulate(cfg: RunConfig, outdir: str) -> None:
-    """Generate an event file plus pulse-stream and run summaries."""
+    """Generate an event file plus pulse-stream and run summaries, writing
+    the events slice by slice."""
     intensity = spdc_mod.biphoton_amplitude(cfg.spdc, cfg.grid)
-    events, rate_dropped, empty_dropped, pulses = simulate_events(cfg, intensity)
-    daq_mod.save_events(
+    tally = _pulse_tally()
+    n_events, rate_dropped, empty_dropped = daq_mod.save_events(
         os.path.join(outdir, "events.csv"),
-        events,
+        simulate_slices(cfg, intensity, tally),
         live_time_s=cfg.source.duration_s,
-        rate_dropped=rate_dropped,
-        empty_dropped=empty_dropped,
     )
     with open(os.path.join(outdir, "pulse_summary.txt"), "w", encoding="utf-8") as fh:
-        # Row d: (pulses without, with a logic pulse) at detector d.
-        n_det = len(mc.DETECTOR_NAMES)
-        counts = np.bincount(
-            pulses.detector.astype(np.intp) * 2 + pulses.logic, minlength=2 * n_det
-        ).reshape(-1, 2)
         for det, name in mc.DETECTOR_NAMES.items():
-            fh.write(f"{name}: analog={counts[det].sum()} logic={counts[det, 1]}\n")
+            counts = tally[det].sum(axis=0)  # (without, with) a logic pulse
+            fh.write(f"{name}: analog={counts.sum()} logic={counts[1]}\n")
     with open(os.path.join(outdir, "run_meta.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"seed = {cfg.source.rng_seed}\n")
         fh.write(f"live_time_s = {cfg.source.duration_s:.6f}\n")
-        fh.write(f"events = {len(events)}\n")
+        fh.write(f"events = {n_events}\n")
         fh.write(f"rate_dropped = {rate_dropped}\n")
         fh.write(f"empty_dropped = {empty_dropped}\n")
 

@@ -5,18 +5,23 @@ from the two output detectors; an overlap arms the digitizer, which then
 snapshots every analog pulse whose peak falls within a software time window
 around the overlap point.  A rate cap emulates the digitizer's event-buffer
 limit, and energy post-selection flags the heralded subset.  Captures are
-held in one columnar ``EventTable``.
+held in one columnar ``EventTable``.  A run's pulse stream may arrive in
+time slices (``build_events_in_slices``), and its events are written slice
+by slice (``save_events``).
 """
 
 from __future__ import annotations
 
+import os
+import shutil
+import tempfile
 import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .montecarlo import DET_REF, DET_TRANS, DET_TRIG, Stream
+from .montecarlo import DET_REF, DET_TRANS, DET_TRIG, Stream, join_streams
 
 
 @dataclass(frozen=True)
@@ -32,11 +37,12 @@ class DaqConfig:
     pump_energy_kev: float = 21.0
 
     def __post_init__(self):
-        if min(self.half_window_ns, self.logic_width_ns, self.analog_width_ns) <= 0:
+        # Written so that NaN fails every check.
+        if not all(w > 0 for w in (self.half_window_ns, self.logic_width_ns, self.analog_width_ns)):
             raise ValueError("all window and pulse widths must be positive")
         if not self.acceptance_kev[0] < self.acceptance_kev[1]:
             raise ValueError("acceptance window must satisfy lo < hi")
-        if self.sum_halfwidth_kev <= 0:
+        if not self.sum_halfwidth_kev > 0:
             raise ValueError("sum window must be positive")
         if not self.max_event_rate_hz >= 1:  # the cap keeps int(cap) captures per second
             raise ValueError(f"max_event_rate_hz must be at least 1, got {self.max_event_rate_hz}")
@@ -159,12 +165,13 @@ class EventTable:
         return event[hit], out[hit]
 
 
-def find_triggers(pulses: Stream, cfg: DaqConfig):
+def find_triggers(pulses: Stream, cfg: DaqConfig, span=None):
     """Overlap points of trigger-detector logic pulses with output logic pulses.
 
     ``pulses`` must be in time order (raises ValueError otherwise).  One
     capture at most per trigger-side logic pulse; the overlap point is
     max(start_trig, start_other) for the earliest-overlapping output pulse.
+    With ``span`` = (lo, hi) ns, only the points in [lo, hi) are kept.
     Captures beyond the digitizer rate cap (counted in whole-second buckets)
     are dropped; returns (trigger_times, dropped_count).
     """
@@ -190,6 +197,8 @@ def find_triggers(pulses: Stream, cfg: DaqConfig):
     output_starts = padded[1:-1]
     first = np.searchsorted(output_starts, trig_starts - w, side="right")
     points = np.maximum(trig_starts, output_starts[first])
+    if span is not None:
+        points = points[slice(*np.searchsorted(points, span, side="left"))]
     # Digitizer buffer limit: at most max_event_rate_hz captures per
     # one-second bucket of wall-clock time; excess triggers are lost.
     bucket = np.floor(points / 1e9).astype(np.int64)
@@ -198,15 +207,17 @@ def find_triggers(pulses: Stream, cfg: DaqConfig):
     return points[keep], int((~keep).sum())
 
 
-def build_events(pulses: Stream, cfg: DaqConfig):
+def build_events(pulses: Stream, cfg: DaqConfig, span=None):
     """Full chain: triggering, rate cap, software window, empty-trigger pruning.
 
-    ``pulses`` must be in time order (``find_triggers`` checks it).  Returns
-    (events, rate_dropped, empty_dropped) with ``events`` an ``EventTable``.
-    Events whose window contains no trigger-detector photon carry no usable
-    coincidence information and are dropped (counted separately).
+    ``pulses`` must be in time order (``find_triggers`` checks it); with
+    ``span`` = (lo, hi) ns, only the overlap points in [lo, hi) are built.
+    Returns (events, rate_dropped, empty_dropped) with ``events`` an
+    ``EventTable``.  Events whose window contains no trigger-detector photon
+    carry no usable coincidence information and are dropped (counted
+    separately).
     """
-    points, rate_dropped = find_triggers(pulses, cfg)
+    points, rate_dropped = find_triggers(pulses, cfg, span)
     peaks = pulses.time_ns + 0.5 * cfg.analog_width_ns
     lo = np.searchsorted(peaks, points - cfg.half_window_ns, side="left")
     hi = np.searchsorted(peaks, points + cfg.half_window_ns, side="right")
@@ -229,6 +240,58 @@ def build_events(pulses: Stream, cfg: DaqConfig):
     )
     has_trigger = events.counts()[:, DET_TRIG] > 0
     return events.select(has_trigger), rate_dropped, int((~has_trigger).sum())
+
+
+def build_events_in_slices(slices, cfg: DaqConfig):
+    """``build_events`` over a pulse stream that arrives in time slices.
+
+    ``slices`` yields (end_ns, pulses) in time order: a slice's pulses start
+    before its end and not before the previous slice's end.  Each overlap
+    point belongs to the slice that contains it (the first slice has no
+    lower end, the last no upper one), and ends are whole seconds, so no
+    rate-cap bucket straddles one.  Yields (events, rate_dropped,
+    empty_dropped) per slice; concatenated, they equal ``build_events`` on
+    the whole stream.
+
+    A point depends on the pulses starting up to 2 logic widths before it
+    (its trigger pulse and the output pulses ahead of that) and on those
+    whose peaks lie within half a window of it.  So each slice is built
+    together with the pulses within ``reach`` of its ends: carried over
+    from the previous slice, and looked ahead into the next, which is read
+    before the slice is built.  At most three slices are held at once.
+    """
+    reach = 2.0 * cfg.logic_width_ns + cfg.half_window_ns + cfg.analog_width_ns
+    slices = iter(slices)
+    lo, behind = -np.inf, None
+    current = next(slices, None)
+    while current is not None:
+        ahead = next(slices, None)
+        end, pulses = current
+        hi = np.inf if ahead is None else end
+        parts = [pulses]
+        if behind is not None:
+            parts.insert(0, behind.between(lo - reach, np.inf))
+        if ahead is not None:
+            parts.append(ahead[1].between(-np.inf, hi + reach))
+        yield build_events(join_streams(*parts), cfg, span=(lo, hi))
+        lo, behind, current = end, pulses, ahead
+
+
+def concat_events(tables) -> EventTable:
+    """The events of ``tables`` in order, as one table; a selection column is
+    kept where every table has it, with the first table's ``selection``."""
+
+    def column(name):
+        parts = [getattr(t, name) for t in tables]
+        return None if any(p is None for p in parts) else np.concatenate(parts)
+
+    return EventTable(
+        column("trigger_ns"),
+        _csr_start(np.concatenate([np.diff(t.start) for t in tables])),
+        *(column(name) for name in ("detector", "energy_kev", "offset_ns", "origin",
+                                    "passes_acceptance", "passes_sum", "herald_kev")),
+        tables[0].selection,
+    )
 
 
 def energy_select(events: EventTable, cfg: DaqConfig):
@@ -265,6 +328,7 @@ _ROW_DTYPE = np.dtype(
     {"names": EVENT_COLUMNS.split(","), "formats": ["i8", "f8", "i8", "f8", "f8", "i8"]}
 )
 _ROWS_PER_WRITE = 1 << 16
+_COPY_CHARS = 1 << 20
 
 
 _POW10 = np.array([float(10**i) for i in range(23)])  # exact doubles
@@ -313,24 +377,42 @@ def as_saved(events: EventTable) -> EventTable:
     )
 
 
-def save_events(path, events: EventTable, *, live_time_s=None, rate_dropped=0, empty_dropped=0):
+def save_events(path, slices, *, live_time_s=None):
     """Persist events as versioned CSV, one row per registered photon in
-    table order."""
-    event = events.event_index()
-    columns = (event, events.trigger_ns[event], events.detector, events.energy_kev,
-               events.offset_ns, events.origin)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(EVENT_FORMAT_HEADER + "\n")
-        if live_time_s is not None:
-            fh.write(f"# live_time_s: {live_time_s:.6f}\n")
-        fh.write(f"# rate_dropped: {rate_dropped}\n")
-        fh.write(f"# empty_dropped: {empty_dropped}\n")
-        fh.write(EVENT_COLUMNS + "\n")
-        # One %-format call per block of rows; astype(object) turns the numpy
-        # values into the Python ints and floats the format expects.
-        for lo in range(0, len(event), _ROWS_PER_WRITE):
-            block = np.column_stack([c[lo : lo + _ROWS_PER_WRITE].astype(object) for c in columns])
-            fh.write((_ROW_FORMAT * len(block)) % tuple(block.ravel()))
+    table order.
+
+    ``slices`` yields (events, rate_dropped, empty_dropped) per time slice,
+    in order; a whole table is one slice.  Event numbers run on across
+    slices and the header carries the summed drop counts, so the rows wait
+    in a temporary file beside ``path`` until the last slice is read: one
+    slice's events are held at a time.  Returns the (events, rate_dropped,
+    empty_dropped) totals.
+    """
+    n_events = rate_dropped = empty_dropped = 0
+    directory = os.path.dirname(os.path.abspath(path))
+    with tempfile.TemporaryFile("w+", encoding="utf-8", dir=directory) as rows:
+        for events, rate, empty in slices:
+            event = events.event_index()
+            columns = (event + n_events, events.trigger_ns[event], events.detector,
+                       events.energy_kev, events.offset_ns, events.origin)
+            # One %-format call per block of rows; astype(object) turns the
+            # numpy values into the Python ints and floats the format expects.
+            for lo in range(0, len(event), _ROWS_PER_WRITE):
+                block = np.column_stack([c[lo : lo + _ROWS_PER_WRITE].astype(object) for c in columns])
+                rows.write((_ROW_FORMAT * len(block)) % tuple(block.ravel()))
+            n_events += len(events)
+            rate_dropped += rate
+            empty_dropped += empty
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(EVENT_FORMAT_HEADER + "\n")
+            if live_time_s is not None:
+                fh.write(f"# live_time_s: {live_time_s:.6f}\n")
+            fh.write(f"# rate_dropped: {rate_dropped}\n")
+            fh.write(f"# empty_dropped: {empty_dropped}\n")
+            fh.write(EVENT_COLUMNS + "\n")
+            rows.seek(0)
+            shutil.copyfileobj(rows, fh, _COPY_CHARS)
+    return n_events, rate_dropped, empty_dropped
 
 
 def load_events(path):

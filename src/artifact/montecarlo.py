@@ -1,15 +1,18 @@
 """Seeded stochastic generation of photon streams and detector pulses.
 
 Photon and pulse streams are ``Stream``s: one contiguous numpy column per
-field (cheap for tens of millions of entries).  The generators return their
-parts, each in time order; ``merge_streams`` is the one place that orders a
-whole stream, and ``detect`` keeps the order.  Every generator takes the
-``numpy.random.Generator`` it draws from, so identical (config, generator
-state) pairs produce bit-identical streams.
+field (cheap for tens of millions of entries).  The generators draw over a
+window [t0, t1) of the run (``simulate`` runs it in the time slices of
+``slice_edges_s``) and return their parts, each in time order;
+``merge_streams`` is the one place that orders a stream, and ``detect``
+keeps the order.  Every generator takes the ``numpy.random.Generator`` it
+draws from, so identical (config, generator state) pairs produce
+bit-identical streams.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +24,7 @@ from .xoptics import AttenuationTable, transmittance
 DET_TRIG, DET_TRANS, DET_REF = 0, 1, 2
 DETECTOR_NAMES = {DET_TRIG: "trig", DET_TRANS: "trans", DET_REF: "ref"}
 ORIGIN_PAIR_TRIGGER, ORIGIN_PAIR_HERALD, ORIGIN_STRAY = 0, 1, 2
+N_ORIGINS = 3
 
 FWHM_TO_SIGMA = 2.0 * np.sqrt(2.0 * np.log(2.0))
 
@@ -59,10 +63,18 @@ class SourceConfig:
     helium_path_cm: float = 90.0
 
     def __post_init__(self):
-        if self.pair_rate < 0 or any(r < 0 for r in self.stray_rates):
-            raise ValueError("rates must be non-negative")
+        # Written so that NaN fails every check.
+        if not all(0 <= r < math.inf for r in (self.pair_rate, *self.stray_rates)):
+            raise ValueError("rates must be finite and non-negative")
         if not self.duration_s > 0:
             raise ValueError("duration must be positive")
+        if not (self.air_path_cm >= 0 and self.helium_path_cm >= 0):
+            raise ValueError("flight paths must be non-negative")
+
+    def photon_rate_hz(self) -> float:
+        """Expected photons per second before any loss: two per pair plus
+        the stray rates."""
+        return 2.0 * self.pair_rate + sum(self.stray_rates)
 
 
 @dataclass(frozen=True)
@@ -77,9 +89,14 @@ class DetectorSpec:
     sca_window_kev: tuple[float, float] = (7.0, 22.0)
 
     def __post_init__(self):
+        # Written so that NaN fails every check.
         if not (0.0 <= self.quantum_efficiency <= 1.0):
             raise ValueError("quantum efficiency must lie in [0, 1]")
-        if self.analog_width_ns <= 0 or self.logic_width_ns <= 0:
+        if not self.resolution_fwhm_ev >= 0:
+            raise ValueError("resolution must be non-negative")
+        if not self.reference_energy_kev > 0:
+            raise ValueError("reference energy must be positive")
+        if not (self.analog_width_ns > 0 and self.logic_width_ns > 0):
             raise ValueError("pulse widths must be positive")
         if not self.sca_window_kev[0] < self.sca_window_kev[1]:
             raise ValueError("SCA window must satisfy lo < hi")
@@ -116,6 +133,23 @@ class Stream:
     def __len__(self) -> int:
         return len(self.time_ns)
 
+    def _columns(self):
+        return (self.time_ns, self.energy_kev, self.detector, self.origin, self.logic)
+
+    def between(self, lo_ns: float, hi_ns: float) -> Stream:
+        """The entries with lo_ns <= time_ns < hi_ns, as views of the columns."""
+        i, j = np.searchsorted(self.time_ns, (lo_ns, hi_ns), side="left")
+        return Stream(*(None if c is None else c[i:j] for c in self._columns()))
+
+
+def join_streams(*streams: Stream) -> Stream:
+    """Concatenate streams that follow one another in time, without sorting;
+    all of them or none carry ``logic``."""
+    return Stream(*(
+        None if columns[0] is None else np.concatenate(columns)
+        for columns in zip(*(s._columns() for s in streams))
+    ))
+
 
 _PHOTON_COLUMNS = (("time_ns", np.float64), ("energy_kev", np.float64),
                    ("detector", np.int8), ("origin", np.int8))
@@ -143,9 +177,30 @@ def merge_streams(*streams: Stream) -> Stream:
     return Stream(time_ns, *(column(name, dtype)[order] for name, dtype in _PHOTON_COLUMNS[1:]))
 
 
-def _poisson_times(rng, rate_hz, duration_s):
-    n = rng.poisson(rate_hz * duration_s)
-    return np.sort(rng.uniform(0.0, duration_s * 1e9, n))
+# Photons expected per time slice of ``simulate``; the slice length follows
+# from the source's photon rate (``slice_edges_s``).  Part of the stream
+# definition: each slice draws from its own generators.  Measured with
+# ``xbsim simulate`` on the reference profile, 600 s at seed 7, one pinned
+# CPU (wall time after the pair intensity, median of 3, and peak RSS):
+# 25k photons 1.50 s / 75 MB, 50k 1.23 s / 76 MB, 100k 1.22 s / 87 MB, 200k
+# 1.18 s / 94 MB, 400k 1.03 s / 119 MB, one slice 1.84 s / 465 MB.  The
+# pair-intensity kernel peaks at 75 MB before the first slice.
+PHOTONS_PER_SLICE = 50_000
+
+
+def slice_edges_s(source: SourceConfig) -> np.ndarray:
+    """Edges in seconds of the time slices ``simulate`` runs one at a time:
+    0, L, 2L, ... and ``duration_s`` last, with L = max(1,
+    floor(PHOTONS_PER_SLICE / expected photon rate)) whole seconds."""
+    rate = source.photon_rate_hz()
+    length = max(1, math.floor(PHOTONS_PER_SLICE / rate)) if rate > 0 else math.inf
+    return np.append(np.arange(0.0, source.duration_s, length), source.duration_s)
+
+
+def _poisson_times(rng, rate_hz, window_s):
+    t0, t1 = window_s
+    n = rng.poisson(rate_hz * (t1 - t0))
+    return np.sort(rng.uniform(t0 * 1e9, t1 * 1e9, n))
 
 
 def generate_pairs(
@@ -157,11 +212,13 @@ def generate_pairs(
     air: AttenuationTable | None = None,
     helium: AttenuationTable | None = None,
     rng: np.random.Generator,
+    window_s: tuple[float, float] | None = None,
 ):
     """Photons from correlated pairs routed through the beam splitter, as
     two time-ordered parts ``(trigger, herald)``.
 
-    Pair creation times are a Poisson process at ``source.pair_rate``; each
+    Pair creation times are a Poisson process at ``source.pair_rate`` over
+    ``window_s`` = [t0, t1) seconds (default the whole run); each
     pair's (energy, theta_x) is drawn from the theta_y-integrated pair
     intensity with the partner energy fixed by energy conservation, and the
     two photons share one creation time.  The heralded photon goes to the
@@ -169,7 +226,7 @@ def generate_pairs(
     probability T, and is absorbed otherwise; both photons are additionally
     thinned by flight-path absorption when air/helium tables are supplied.
     """
-    times = _poisson_times(rng, source.pair_rate, source.duration_s)
+    times = _poisson_times(rng, source.pair_rate, window_s or (0.0, source.duration_s))
     n = len(times)
     cdf = intensity.cdf
     if cdf[-1] <= 0:
@@ -207,12 +264,18 @@ def generate_pairs(
     return trig, herald
 
 
-def generate_stray(source: SourceConfig, *, rng: np.random.Generator):
-    """Independent Poisson background per detector with i.i.d. energies, as
-    three time-ordered parts (TRIG, TRANS, REF)."""
+def generate_stray(
+    source: SourceConfig,
+    *,
+    rng: np.random.Generator,
+    window_s: tuple[float, float] | None = None,
+):
+    """Independent Poisson background per detector with i.i.d. energies over
+    ``window_s`` = [t0, t1) seconds (default the whole run), as three
+    time-ordered parts (TRIG, TRANS, REF)."""
     parts = []
     for det, rate in zip((DET_TRIG, DET_TRANS, DET_REF), source.stray_rates):
-        times = _poisson_times(rng, rate, source.duration_s)
+        times = _poisson_times(rng, rate, window_s or (0.0, source.duration_s))
         energies = source.spectrum.sample(rng, len(times))
         parts.append(_photons(times, energies, det, ORIGIN_STRAY))
     return tuple(parts)

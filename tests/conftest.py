@@ -46,11 +46,12 @@ def make_table(events):
 def run_chain(cfg, amp, seed):
     """``cli.simulate_events`` at ``seed``: pairs + stray -> detectors ->
     coincidence electronics -> energy flags.  Returns (events, heralded,
-    rate_dropped, empty_dropped)."""
+    rate_dropped, empty_dropped, pulse_counts), the counts by [detector,
+    origin, logic]."""
     cfg = replace(cfg, source=replace(cfg.source, rng_seed=seed))
-    events, rate_dropped, empty_dropped, _pulses = simulate_events(cfg, amp)
+    events, rate_dropped, empty_dropped, pulse_counts = simulate_events(cfg, amp)
     heralded = events.select(events.passes_acceptance & events.passes_sum)
-    return events, heralded, rate_dropped, empty_dropped
+    return events, heralded, rate_dropped, empty_dropped, pulse_counts
 
 
 @pytest.fixture(scope="session")
@@ -64,7 +65,7 @@ def pair_dominated_run(default_config, amp_default):
         duration_s=1500.0,
     )
     cfg = replace(cfg, source=source)
-    events, heralded, rate_dropped, empty_dropped = run_chain(cfg, amp_default, 11)
+    events, heralded, rate_dropped, empty_dropped, _counts = run_chain(cfg, amp_default, 11)
     return {
         "config": cfg,
         "events": events,

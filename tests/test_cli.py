@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line front end and its exit codes."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -176,15 +178,22 @@ def test_model_sweep_follows_air_path(tmp_path):
 
 
 def test_simulate_merges_photon_streams_once(tmp_path, monkeypatch):
-    # The generators return time-ordered parts; simulate orders the whole
-    # photon stream with one merge of all five.
-    merge = mc.merge_streams
-    calls = []
-
-    def counting(*streams):
-        calls.append(len(streams))
-        return merge(*streams)
-
-    monkeypatch.setattr(mc, "merge_streams", counting)
-    assert main(["simulate", "--outdir", str(tmp_path)] + FAST) == EXIT_OK
-    assert calls == [5]
+    # Each whole-second time slice draws its photons over its own window and
+    # orders them with one merge of all five parts; a run shorter than one
+    # slice is a single slice.
+    merge, stray = mc.merge_streams, mc.generate_stray
+    merges, windows = [], []
+    monkeypatch.setattr(mc, "merge_streams", lambda *s: merges.append(len(s)) or merge(*s))
+    monkeypatch.setattr(mc, "generate_stray",
+                        lambda source, **kw: windows.append(kw["window_s"]) or stray(source, **kw))
+    rate = load_default_config([a for a in FAST if a != "--set"]).source.photon_rate_hz()
+    length = math.floor(mc.PHOTONS_PER_SLICE / rate)
+    assert length > 5.0  # so the 5 s run is shorter than one slice
+    for duration_s in (5.0, 20.0, 47.5):
+        merges.clear()
+        windows.clear()
+        args = FAST + ["--set", f"source.duration_s={duration_s}"]
+        assert main(["simulate", "--outdir", str(tmp_path / str(duration_s))] + args) == EXIT_OK
+        edges = [*range(0, math.ceil(duration_s / length) * length, length), duration_s]
+        assert windows == list(zip(edges[:-1], edges[1:]))
+        assert merges == [5] * len(windows)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from artifact.cli import EXIT_CONFIG, main
 from artifact.config import (
     ConfigError,
     default_config_path,
@@ -79,6 +80,27 @@ def test_rate_cap_below_one_rejected(cap):
     with pytest.raises(ConfigError, match="max_event_rate_hz"):
         load_default_config([f"daq.max_event_rate_hz={cap}"])
     assert load_default_config(["daq.max_event_rate_hz=1"]).daq.max_event_rate_hz == 1.0
+
+
+@pytest.mark.parametrize("setting", [
+    "daq.half_window_ns=nan",
+    "detector.trig.logic_width_ns=nan",
+    "detector.analog_width_ns=nan",
+    "daq.sum_halfwidth_kev=nan",
+    "source.pair_rate_hz=nan",
+    "source.pair_rate_hz=inf",
+    "source.stray_rate_ref_hz=nan",
+    "source.air_path_cm=nan",
+    "source.helium_path_cm=-1",
+    "detector.resolution_fwhm_ev=-300",
+    "detector.resolution_fwhm_ev=nan",
+    "detector.reference_energy_kev=nan",
+])
+def test_nan_and_negative_values_exit_config_code(tmp_path, setting):
+    # Checks written as ``not x > 0`` reject NaN; ``x <= 0`` let it through.
+    code = main(["simulate", "--outdir", str(tmp_path / "out"), "--set", setting])
+    assert code == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_section_rejected():

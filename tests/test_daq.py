@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from artifact import daq, spdc, stats
+from artifact import daq, montecarlo as mc, spdc, stats
 from artifact.cli import SIGMA_WINDOWS_NS, simulate_events
 from artifact.config import load_default_config
 from artifact.montecarlo import DET_REF, DET_TRANS, DET_TRIG, Stream
@@ -181,6 +181,96 @@ def test_rate_cap_holds_per_second_and_captures_are_conserved(seed, n_pairs, n_s
     assert np.all(per_bucket <= cap)
 
 
+def _split(pulses, ends_ns):
+    """(end, pulses starting in [previous end, end)) per slice; the last
+    slice also takes the pulses past its end."""
+    cuts = np.searchsorted(pulses.time_ns, ends_ns, side="left")
+    cuts[-1] = len(pulses)  # the last slice takes any pulse past its end
+    return [(end, Stream(*(c[i:j] for c in (pulses.time_ns, pulses.energy_kev, pulses.detector,
+                                             pulses.origin, pulses.logic))))
+            for end, i, j in zip(ends_ns, np.r_[0, cuts[:-1]], cuts)]
+
+
+def _assert_slices_match_whole(pulses, ends_ns, cfg):
+    whole, rate_dropped, empty_dropped = daq.build_events(pulses, cfg)
+    built = list(daq.build_events_in_slices(_split(pulses, ends_ns), cfg))
+    assert len(built) == len(ends_ns)
+    sliced = daq.concat_events([events for events, _, _ in built])
+    assert sum(r for _, r, _ in built) == rate_dropped
+    assert sum(e for _, _, e in built) == empty_dropped
+    for column in ("trigger_ns", "start", "detector", "energy_kev", "offset_ns", "origin"):
+        np.testing.assert_array_equal(getattr(sliced, column), getattr(whole, column), column)
+    # Each slice holds exactly the points inside it.
+    for lo, hi, (events, _, _) in zip(np.r_[-np.inf, ends_ns[:-1]], np.r_[ends_ns[:-1], np.inf], built):
+        assert np.all((events.trigger_ns >= lo) & (events.trigger_ns < hi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       lengths_s=st.lists(st.integers(1, 3), min_size=1, max_size=5),
+       per_edge=st.integers(0, 40), n_inner=st.integers(0, 30),
+       logic_width_ns=st.sampled_from([100.0, 1000.0, 2500.0]),
+       half_window_ns=st.sampled_from([50.0, 800.0, 3000.0]),
+       cap_hz=st.sampled_from([1.0, 2.5, 200.0]))
+def test_build_events_over_slices_matches_whole_stream(seed, lengths_s, per_edge, n_inner,
+                                                       logic_width_ns, half_window_ns, cap_hz):
+    """Slices with carry-over and look-ahead build exactly the whole stream's
+    events: pulses crowd each slice edge on a 50 ns lattice (equal times,
+    starts on the edge itself, windows and logic pulses across it), and
+    slices are as short as 1 s."""
+    rng = np.random.default_rng(seed)
+    ends_ns = np.cumsum(lengths_s) * 1e9
+    near = (np.repeat(np.r_[0.0, ends_ns], per_edge)
+            + 50.0 * rng.integers(-120, 120, per_edge * (len(ends_ns) + 1)))
+    t = np.sort(np.concatenate([near, rng.uniform(0, ends_ns[-1], n_inner)]))
+    t = t[t >= 0]
+    pulses = Stream(t, rng.uniform(7, 17, len(t)), rng.integers(0, 3, len(t)).astype(np.int8),
+                    rng.integers(0, 3, len(t)).astype(np.int8), rng.random(len(t)) < 0.9)
+    cfg = daq.DaqConfig(logic_width_ns=logic_width_ns, half_window_ns=half_window_ns,
+                        max_event_rate_hz=cap_hz)
+
+    _assert_slices_match_whole(pulses, ends_ns, cfg)
+
+
+def test_slice_carry_over_covers_two_logic_widths():
+    """A trigger pulse just before an edge with its only overlap further
+    back: the next slice must see that output pulse too, or it takes the
+    output pulse just after the edge for a new overlap point."""
+    edge = 1e9
+    pulses = _pulses([(edge - 3000.0, 10.0, DET_TRANS, True),
+                      (edge - 1000.0, 10.0, DET_TRIG, True),
+                      (edge + 500.0, 10.0, DET_REF, True)])
+    cfg = daq.DaqConfig(logic_width_ns=2500.0, half_window_ns=200.0)
+    _assert_slices_match_whole(pulses, np.array([edge, 2 * edge]), cfg)
+
+
+def test_simulate_equals_one_build_over_its_joined_slices(monkeypatch):
+    """The production chain's sliced events, drops and pulse counts equal one
+    build over the whole pulse stream its slices make up."""
+    cfg = load_default_config(["grid.n_energy=400", "grid.n_x=60", "grid.n_y=12",
+                               "source.duration_s=20", "source.pair_rate_hz=5", "run.seed=5"])
+    slices = []
+    build = daq.build_events_in_slices
+
+    def keeping(pulse_slices, daq_cfg):
+        return build(((end, slices.append(p) or p) for end, p in pulse_slices), daq_cfg)
+
+    monkeypatch.setattr(daq, "build_events_in_slices", keeping)
+    events, rate_dropped, empty_dropped, pulse_counts = simulate_events(
+        cfg, spdc.biphoton_amplitude(cfg.spdc, cfg.grid))
+
+    assert len(slices) >= 3
+    pulses = mc.join_streams(*slices)
+    whole, whole_rate, whole_empty = daq.build_events(pulses, cfg.daq)
+    whole, _heralded = daq.energy_select(daq.as_saved(whole), cfg.daq)
+    assert (rate_dropped, empty_dropped) == (whole_rate, whole_empty)
+    for column in ("trigger_ns", "start", "detector", "energy_kev", "offset_ns", "origin",
+                   "passes_acceptance", "passes_sum", "herald_kev"):
+        np.testing.assert_array_equal(getattr(events, column), getattr(whole, column), column)
+    cell = (pulses.detector.astype(np.intp) * mc.N_ORIGINS + pulses.origin) * 2 + pulses.logic
+    np.testing.assert_array_equal(pulse_counts.ravel(), np.bincount(cell, minlength=pulse_counts.size))
+
+
 def test_energy_select_acceptance_and_sum():
     pulses = _pulses([
         (1000.0, 10.4, DET_TRIG, True), (1000.0, 10.6, DET_TRANS, True),
@@ -234,9 +324,15 @@ def test_event_roundtrip(tmp_path):
     rows = [(t, rng.uniform(7, 17), int(rng.integers(0, 3)), True)
             for t in np.sort(rng.uniform(0, 1e8, 500))]
     events, rate_dropped, empty_dropped = daq.build_events(_pulses(rows), CFG)
-    path = tmp_path / "events.csv"
-    daq.save_events(path, events, live_time_s=0.1, rate_dropped=rate_dropped,
-                    empty_dropped=empty_dropped)
+    path, whole = tmp_path / "events.csv", tmp_path / "whole.csv"
+    # Written in two slices: event numbers run on and the drops add up, to
+    # the bytes of one write of the whole table.
+    half = np.arange(len(events)) < len(events) // 2
+    slices = [(events.select(half), rate_dropped, 0), (events.select(~half), 0, empty_dropped)]
+    assert daq.save_events(path, slices, live_time_s=0.1) == (len(events), rate_dropped, empty_dropped)
+    daq.save_events(whole, [(events, rate_dropped, empty_dropped)], live_time_s=0.1)
+    assert path.read_bytes() == whole.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["events.csv", "whole.csv"]
     loaded, meta = daq.load_events(path)
     assert meta["live_time_s"] == pytest.approx(0.1)
     assert meta["rate_dropped"] == rate_dropped
@@ -327,8 +423,8 @@ def test_simulated_events_round_trip_exactly(tmp_path_factory, seed, sum_halfwid
     intensity = spdc.biphoton_amplitude(cfg.spdc, cfg.grid)
     events, rate_dropped, empty_dropped, _pulses = simulate_events(cfg, intensity)
     path = tmp_path_factory.mktemp("roundtrip") / "events.csv"
-    daq.save_events(path, events, live_time_s=cfg.source.duration_s,
-                    rate_dropped=rate_dropped, empty_dropped=empty_dropped)
+    daq.save_events(path, [(events, rate_dropped, empty_dropped)],
+                    live_time_s=cfg.source.duration_s)
     loaded, _meta = daq.load_events(path)
 
     assert len(events) > 0

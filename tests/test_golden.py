@@ -33,34 +33,34 @@ MODEL_GOLDEN = {
 GOLDEN = {
     77: {
         "simulate": {
-            "events.csv": "4b8c4c187dfdd5640918a60faf22babfa388666af863d7ebcc1e2a660ec25f5f",
-            "pulse_summary.txt": "41d5254e1e9054ba35d60e8a15c1351a543671045b9b82b45750a315e1d135bd",
-            "run_meta.txt": "bcc330139ab5c8857a58031fe7f987368a0d281872364b5743217d8b3a856183",
+            "events.csv": "86d8721a5b16a759629f0527f8680c42ccc54b81ef38352097dc1961be5f9212",
+            "pulse_summary.txt": "5712f71c01010279eab9548764e9c0043ef3880c32b6b83816c51570f607d07f",
+            "run_meta.txt": "3b5c0db6b8bc6684b343e0bfb751287dc89f6cf4ec9be698d75c50d19777bfe3",
         },
         "analyze": {
-            "alpha_report.txt": "ecb53f37df0b6cf73214845801d1ce8c5644fcb3141b4a5484e3509ad0c93d75",
-            "counts_all.csv": "875b914edf33302f8673ec1f40b2de0eeb4ee2a62dbfc396235073866fb2616a",
-            "counts_heralded.csv": "d215cfd77c0aebad94e0a14145f52557ed0babd08212fc97fe52488c32e3212a",
-            "rates.txt": "191f7b72aaf5d356013a71fef8e782bde4be3819bd7ca90433190c0ac9f6d95a",
-            "sigma_curves.csv": "7e385eef9e80698a09eb2c3d8133457deecb23d9e4e7f0203951d52fd8d07144",
-            "spectrum_ref.csv": "b432da4ed0e0f835639c4aa73127da278d2b8d8c1d13837ab37aaa1471ad2f30",
-            "spectrum_trans.csv": "191afce09dcc52240ef2c99a805c14eabf8082f1df9360cdd4908c92639c7ebc",
+            "alpha_report.txt": "0e46e24bef8b1c91a6ce494fc970cee191b60e46f488c34781e324f9554d8178",
+            "counts_all.csv": "4e004313d5838a30f71f7725000b6b23d7154f694420dabc86ee49cc86665998",
+            "counts_heralded.csv": "db7a7d15e0064db6740b817d2d9229ff5ce694c7c99a1e7adab5ff8b4abaf4a2",
+            "rates.txt": "561349604106001f9a32934db5ae6a17bfd09b50add8a3f55e86b355ac631f45",
+            "sigma_curves.csv": "578ca4d12cfb01c260774adadd373500b79b5b402d9e756a6acb7e9cedc555a0",
+            "spectrum_ref.csv": "93e14a6d24958c6d02e5e709794c432698f4e56d4a247b9516f906025e622bb1",
+            "spectrum_trans.csv": "83d9c489a79b0c4df367d2a3e129ea5261c43086d1d4b56b674d7d046ba2797f",
         },
     },
     78: {
         "simulate": {
-            "events.csv": "8312070494f68c6d31da17b2fb37d6788d66c1eacb9ba42dae14d7a8cd6bce36",
-            "pulse_summary.txt": "347aa0580586b0e316c65ad0bc0dd216fa76c4ac0ec799b58f2ef262bfc58725",
-            "run_meta.txt": "45c60bb3940e1ef02a7fdd1e3e463e8dc87ca7209a94938dca7b347b2ad88023",
+            "events.csv": "bd5d3ce035c92e65b26dfbddbda4616112828c710e9be63b3e3b637a61efdb72",
+            "pulse_summary.txt": "15b506d841757f391c3817c87ac876959bd52817eea9481227e04aa9ed98b4ab",
+            "run_meta.txt": "9808d7c6fbf526add0454e68a2d136bbc5981885f35621f207aac9c0c5af44fb",
         },
         "analyze": {
-            "alpha_report.txt": "94883dbd382ed42c7e17060accd4b60b496d73e22a1295fecb606aafc2b3e509",
-            "counts_all.csv": "313e3ea024e425b11074041f43d9b40323a71c3b9e3e56b35828c5a7f2a4144b",
-            "counts_heralded.csv": "7d512318ee306118958203d73c3da0403d3b58f2c971d34b70c4363dea4288c8",
-            "rates.txt": "52d39e95715f8824dcfb755ab416ff6ad2e01d56edc77465e3c97fb3c5248a5a",
-            "sigma_curves.csv": "f73dad30bb2462a7ef4a9cc0c24397b848df32c58bdfddcbfb19fd1395349326",
-            "spectrum_ref.csv": "63a5070c4bf43244edf148ab4868346e31f2c626c946a483c0799cd8855b3033",
-            "spectrum_trans.csv": "aaaadddee3567bc0d75df43c2d145244fd52133cbabc0e0b4637db0708dd7c94",
+            "alpha_report.txt": "73d07793ddf6c0fac1d747402b053c2c12eb4a8e4440bad0096cd7d0bac4963e",
+            "counts_all.csv": "4047000140973befbf2582d5a6002dbb1b9d8933f909942f9aaa29e8cb85ba7a",
+            "counts_heralded.csv": "189f6da9b27c52bc5fcca44ed7676d9b1646984e3475b6ddcb966dec0e82d271",
+            "rates.txt": "f4dc5ba44ca3c0b4836e6eb2c71a990fd87e6c16812563d9c84b22301c718d91",
+            "sigma_curves.csv": "77fce1fbad99e39955201595b4c366f81af0797d114d896cb2a5e25565d11527",
+            "spectrum_ref.csv": "87ecfb092e28ab229d0ddd53f0db4f6a290d3ba9483bb5e1b781ff3bd4de55d3",
+            "spectrum_trans.csv": "e164619846c4b44c60fd24b94b2aafc3aa12bd72c3f10e4cb78124b12cb723dd",
         },
     },
 }

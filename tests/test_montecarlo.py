@@ -1,5 +1,6 @@
 """Unit tests for photon-stream generation and the detector response."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -103,6 +104,39 @@ def test_generators_return_time_ordered_parts(amp_small, graphite, cfg):
     for part in _pairs(amp_small, graphite, cfg, 6, pair_rate=0.0):
         assert len(part) == 0
         assert [c.dtype for c in _columns(part)] == [np.float64, np.float64, np.int8, np.int8]
+
+
+def test_generators_draw_inside_their_window(amp_small, graphite, cfg):
+    t0, t1 = 7.0, 9.0
+    source = replace(cfg.source, pair_rate=200.0)
+    pairs = mc.generate_pairs(amp_small, cfg.splitter, source, graphite,
+                              rng=np.random.default_rng(3), window_s=(t0, t1))
+    stray = mc.generate_stray(source, rng=np.random.default_rng(4), window_s=(t0, t1))
+    for part in (*pairs, *stray):
+        assert len(part) > 0
+        assert np.all((part.time_ns >= t0 * 1e9) & (part.time_ns < t1 * 1e9))
+    # Mean counts follow the window length, not the run length.
+    assert abs(len(stray[0]) - 2.0 * source.stray_rates[0]) < 5 * np.sqrt(2.0 * source.stray_rates[0])
+
+
+def test_slice_edges_follow_the_photon_rate(cfg):
+    # Reference profile: whole-second slices of about PHOTONS_PER_SLICE photons.
+    edges = mc.slice_edges_s(replace(cfg.source, duration_s=100.0))
+    length = math.floor(mc.PHOTONS_PER_SLICE / cfg.source.photon_rate_hz())
+    assert length >= 1
+    np.testing.assert_array_equal(np.diff(edges)[:-1], length)
+    assert edges[0] == 0.0 and edges[-1] == 100.0 and 0 < edges[-1] - edges[-2] <= length
+    # A run shorter than one slice is a single slice.
+    short = replace(cfg.source, duration_s=0.5 * length)
+    assert mc.slice_edges_s(short).tolist() == [0.0, 0.5 * length]
+    # Criterion 07's sparse clean run (1e5 s at 1.2 pairs/s, no stray
+    # photons) is only a few slices, and a source without photons one.
+    sparse = replace(cfg.source, pair_rate=1.2, stray_rates=(0.0, 0.0, 0.0), duration_s=1.0e5)
+    assert 2 <= len(mc.slice_edges_s(sparse)) - 1 <= 5
+    assert mc.slice_edges_s(replace(sparse, pair_rate=0.0)).tolist() == [0.0, 1.0e5]
+    # A source brighter than PHOTONS_PER_SLICE per second gets 1 s slices.
+    bright = replace(cfg.source, stray_rates=(mc.PHOTONS_PER_SLICE, 0.0, 0.0), duration_s=3.5)
+    assert mc.slice_edges_s(bright).tolist() == [0.0, 1.0, 2.0, 3.0, 3.5]
 
 
 def test_pair_stream_is_seed_deterministic(amp_small, graphite, cfg):
