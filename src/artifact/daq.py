@@ -248,8 +248,8 @@ def build_events_in_slices(slices, cfg: DaqConfig):
     ``slices`` yields (end_ns, pulses) in time order: a slice's pulses start
     before its end and not before the previous slice's end.  Each overlap
     point belongs to the slice that contains it (the first slice has no
-    lower end, the last no upper one), and ends are whole seconds, so no
-    rate-cap bucket straddles one.  Yields (events, rate_dropped,
+    lower end, the last no upper one).  Ends must be whole seconds, so that
+    no rate-cap bucket straddles one.  Yields (events, rate_dropped,
     empty_dropped) per slice; concatenated, they equal ``build_events`` on
     the whole stream.
 
@@ -258,7 +258,8 @@ def build_events_in_slices(slices, cfg: DaqConfig):
     whose peaks lie within half a window of it.  So each slice is built
     together with the pulses within ``reach`` of its ends: carried over
     from the previous slice, and looked ahead into the next, which is read
-    before the slice is built.  At most three slices are held at once.
+    before the slice is built.  At most three slices are held at once, and
+    every slice must be longer than ``reach`` (a few microseconds).
     """
     reach = 2.0 * cfg.logic_width_ns + cfg.half_window_ns + cfg.analog_width_ns
     slices = iter(slices)

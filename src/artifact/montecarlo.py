@@ -43,6 +43,8 @@ class StraySpectrum:
             raise ValueError("flat band must satisfy 0 < lo < hi")
         if not (0.0 <= self.line_fraction <= 1.0):
             raise ValueError("line fraction must lie in [0, 1]")
+        if not self.line_energy_kev > 0:
+            raise ValueError("line energy must be positive")
 
     def sample(self, rng: np.random.Generator, n: int):
         flat = rng.uniform(self.flat_lo_kev, self.flat_hi_kev, n)

@@ -90,6 +90,7 @@ def test_rate_cap_below_one_rejected(cap):
     "source.pair_rate_hz=nan",
     "source.pair_rate_hz=inf",
     "source.stray_rate_ref_hz=nan",
+    "source.stray_line_kev=nan",
     "source.air_path_cm=nan",
     "source.helium_path_cm=-1",
     "detector.resolution_fwhm_ev=-300",

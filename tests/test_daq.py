@@ -181,14 +181,14 @@ def test_rate_cap_holds_per_second_and_captures_are_conserved(seed, n_pairs, n_s
     assert np.all(per_bucket <= cap)
 
 
+def _spans(ends_ns):
+    """[lo, hi) of each slice; the first and last are open-ended."""
+    return zip(np.r_[-np.inf, ends_ns[:-1]], np.r_[ends_ns[:-1], np.inf])
+
+
 def _split(pulses, ends_ns):
-    """(end, pulses starting in [previous end, end)) per slice; the last
-    slice also takes the pulses past its end."""
-    cuts = np.searchsorted(pulses.time_ns, ends_ns, side="left")
-    cuts[-1] = len(pulses)  # the last slice takes any pulse past its end
-    return [(end, Stream(*(c[i:j] for c in (pulses.time_ns, pulses.energy_kev, pulses.detector,
-                                             pulses.origin, pulses.logic))))
-            for end, i, j in zip(ends_ns, np.r_[0, cuts[:-1]], cuts)]
+    """(end, pulses starting in the slice's span) per slice."""
+    return [(end, pulses.between(lo, hi)) for end, (lo, hi) in zip(ends_ns, _spans(ends_ns))]
 
 
 def _assert_slices_match_whole(pulses, ends_ns, cfg):
@@ -201,7 +201,7 @@ def _assert_slices_match_whole(pulses, ends_ns, cfg):
     for column in ("trigger_ns", "start", "detector", "energy_kev", "offset_ns", "origin"):
         np.testing.assert_array_equal(getattr(sliced, column), getattr(whole, column), column)
     # Each slice holds exactly the points inside it.
-    for lo, hi, (events, _, _) in zip(np.r_[-np.inf, ends_ns[:-1]], np.r_[ends_ns[:-1], np.inf], built):
+    for (lo, hi), (events, _, _) in zip(_spans(ends_ns), built):
         assert np.all((events.trigger_ns >= lo) & (events.trigger_ns < hi))
 
 
@@ -260,6 +260,8 @@ def test_simulate_equals_one_build_over_its_joined_slices(monkeypatch):
         cfg, spdc.biphoton_amplitude(cfg.spdc, cfg.grid))
 
     assert len(slices) >= 3
+    # Each slice draws from its own generators.
+    assert not np.array_equal(slices[0].energy_kev[:50], slices[1].energy_kev[:50])
     pulses = mc.join_streams(*slices)
     whole, whole_rate, whole_empty = daq.build_events(pulses, cfg.daq)
     whole, _heralded = daq.energy_select(daq.as_saved(whole), cfg.daq)
