@@ -329,7 +329,6 @@ _ROW_DTYPE = np.dtype(
     {"names": EVENT_COLUMNS.split(","), "formats": ["i8", "f8", "i8", "f8", "f8", "i8"]}
 )
 _ROWS_PER_WRITE = 1 << 16
-_COPY_CHARS = 1 << 20
 
 
 _POW10 = np.array([float(10**i) for i in range(23)])  # exact doubles
@@ -412,7 +411,7 @@ def save_events(path, slices, *, live_time_s=None):
             fh.write(f"# empty_dropped: {empty_dropped}\n")
             fh.write(EVENT_COLUMNS + "\n")
             rows.seek(0)
-            shutil.copyfileobj(rows, fh, _COPY_CHARS)
+            shutil.copyfileobj(rows, fh)
     return n_events, rate_dropped, empty_dropped
 
 
