@@ -123,6 +123,15 @@ class RunConfig:
     baseline_rate_err_hz: float
     seed: int
 
+    def __post_init__(self):
+        # Written so that NaN fails every check.
+        if not 0.0 < self.bin_width_kev < math.inf:
+            raise ValueError("[analysis] bin_width_kev must be finite and positive")
+        if not 0.0 < self.baseline_rate_hz < math.inf:
+            raise ValueError("[analysis] baseline_rate_hz must be finite and positive")
+        if not 0.0 <= self.baseline_rate_err_hz < math.inf:
+            raise ValueError("[analysis] baseline_rate_err_hz must be finite and non-negative")
+
 
 def _validate(parser: configparser.ConfigParser):
     for section in parser.sections():

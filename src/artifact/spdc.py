@@ -20,6 +20,12 @@ A sweep over narrow rocking widths needs finer theta_x cells than the
 rates do; ``sweep_grid`` derives them from the width.  ``amplitude_at``
 evaluates the complex amplitude pointwise where it is needed.
 
+The pair's theta_y momenta are q_y and -q_y, so the mismatch depends on
+theta_y only through sin^2(theta_y) and is even in it.  The grid's theta_y
+cells mirror each other about zero, so the kernel evaluates only the
+non-negative half of them and counts each of those rows twice (the
+theta_y = 0 row of an odd n_y once): half the work for the same W.
+
 The mismatch varies by orders of magnitude within a grid cell along the
 energy axis (the phase-matching ridge is micro-eV thin), so cell weights
 are computed by *exact* integration of sinc^2 across each energy cell
@@ -62,6 +68,12 @@ class SpdcConfig:
     kappa_l: float = 0.01  # dimensionless gain kappa * L
 
     def __post_init__(self):
+        # Written so that NaN fails every check.
+        if not 0.0 < self.pump_energy_kev < math.inf:
+            raise ValueError("pump energy must be finite and positive")
+        if not (math.isfinite(self.detune_deg) and math.isfinite(self.theta_heralded_deg)):
+            raise ValueError("detune_deg and theta_heralded_deg must be finite")
+        self.pump_angle_deg()  # raises when the crystal cannot reflect the pump
         if not (0.0 < self.kappa_l <= MAX_KAPPA_L):
             raise ValueError(
                 f"kappa_l must lie in (0, {MAX_KAPPA_L}] for the first-order solution"
@@ -219,32 +231,43 @@ class PairIntensity:
         return float(np.sum(self.weights) * self.cell_area)
 
 
-# Cells of the (energy edge, theta_x, theta_y) block evaluated per kernel
+# Cells of the (energy edge, theta_x, evaluated theta_y) block per kernel
 # chunk (whole theta_x columns, at least one).  A chunk's temporaries take
-# about ten float64 values per cell: at 250k cells the kernel's tracemalloc
-# peak is 17 MB on the reference grid and 27 MB on a 2400 x 500 x 20 grid,
-# 3 and 10 MB of it the output (280 and 290 MB at 4M cells).  Chunks of
-# 62.5k-500k cells ran equally fast; 1M and 4M were about 10% slower.
-CHUNK_CELLS = 250_000
+# about ten float64 values per cell: at 125k cells (two columns of the
+# reference grid's 20 evaluated theta_y rows) the kernel's tracemalloc peak
+# is 10 MB on the reference grid and 18 MB on a 2400 x 500 x 20 grid, 3 and
+# 9 MB of it the output.  62.5k-250k cells ran equally fast; 250k raised the
+# reference peak to 20 MB and 500k was about 15% slower.
+CHUNK_CELLS = 125_000
 
 
 def _theta_y_summed_sinc2(kin: _Kinematics, grid: GridSpec):
     """Sum over theta_y cells of the shared-edge sinc^2 cell average.
 
-    Works through theta_x in chunks of whole columns; within a chunk the
-    sinc^2 antiderivative is evaluated once per energy edge.  Returns an
-    (n_energy, n_x) array; cells with an evanescent edge contribute zero.
+    theta_y enters the mismatch only through q_y^2 (the partner carries
+    -q_y), and the grid's theta_y centres are symmetric about zero, so the
+    sum is folded onto the non-negative half ``theta_y_centers()[n_y // 2:]``:
+    each evaluated row counts twice, except the centre row of an odd n_y,
+    which counts once.  Works through theta_x in chunks of whole columns;
+    within a chunk the sinc^2 antiderivative is evaluated once per energy
+    edge.  Returns an (n_energy, n_x) array; cells with an evanescent edge
+    contribute zero.
     """
     e_edges = grid.energy_edges()[:, None, None]
     tx = grid.theta_x_centers()
-    ty = grid.theta_y_centers()[None, None, :]
+    ty = grid.theta_y_centers()[grid.n_y // 2 :][None, None, :]
+    centre = grid.n_y % 2  # 1 when row 0 is the theta_y = 0 row, counted once
     out = np.empty((grid.n_energy, grid.n_x))
-    n_chunk = max(1, CHUNK_CELLS // ((grid.n_energy + 1) * grid.n_y))
+    n_chunk = max(1, CHUNK_CELLS // ((grid.n_energy + 1) * ty.size))
     for j0 in range(0, grid.n_x, n_chunk):
         x_edge = kin.half_phase(e_edges, tx[j0 : j0 + n_chunk][None, :, None], ty)
         w = _sinc2_cell_average(x_edge)
         w[np.isnan(w)] = 0.0
-        out[:, j0 : j0 + n_chunk] = w.sum(axis=2)
+        half = w[:, :, centre:].sum(axis=2)
+        half *= 2.0
+        if centre:
+            half += w[:, :, 0]
+        out[:, j0 : j0 + n_chunk] = half
     return out
 
 

@@ -104,6 +104,56 @@ def test_nan_and_negative_values_exit_config_code(tmp_path, setting):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("setting", [
+    "spdc.pump_energy_kev=nan",
+    "spdc.pump_energy_kev=inf",
+    "spdc.pump_energy_kev=0",
+    "spdc.pump_energy_kev=-21",
+    "spdc.pump_energy_kev=1",  # below the crystal's Bragg cut-off
+    "spdc.detune_deg=nan",
+    "spdc.detune_deg=inf",
+    "spdc.theta_heralded_deg=nan",
+    "spdc.theta_heralded_deg=-inf",
+])
+def test_bad_spdc_values_exit_config_code(tmp_path, setting):
+    # These used to pass the config and crash the pair-intensity kernel.
+    code = main(["model", "--outdir", str(tmp_path / "out"), "--set", setting])
+    assert code == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def small_events_file(tmp_path_factory):
+    out = tmp_path_factory.mktemp("run")
+    assert main(["simulate", "--outdir", str(out), "--seed", "3",
+                 "--set", "grid.n_energy=200", "--set", "grid.n_x=20",
+                 "--set", "grid.n_y=4", "--set", "source.duration_s=4"]) == 0
+    return out / "events.csv"
+
+
+@pytest.mark.parametrize("setting", [
+    "analysis.bin_width_kev=nan",
+    "analysis.bin_width_kev=inf",
+    "analysis.bin_width_kev=0",
+    "analysis.bin_width_kev=-0.5",
+    "analysis.baseline_rate_hz=nan",
+    "analysis.baseline_rate_hz=inf",
+    "analysis.baseline_rate_hz=0",
+    "analysis.baseline_rate_err_hz=nan",
+    "analysis.baseline_rate_err_hz=inf",
+    "analysis.baseline_rate_err_hz=-0.01",
+])
+def test_bad_analysis_values_exit_config_code(tmp_path, small_events_file, setting):
+    code = main(["analyze", "--outdir", str(tmp_path / "out"),
+                 "--events", str(small_events_file), "--set", setting])
+    assert code == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_baseline_error_accepted():
+    assert load_default_config(["analysis.baseline_rate_err_hz=0"]).baseline_rate_err_hz == 0.0
+
+
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError):
         load_default_config(["nonsense.value=1.0"])

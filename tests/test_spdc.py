@@ -148,20 +148,59 @@ def test_cell_average_preserves_total_under_refinement():
     assert coarse.total() == pytest.approx(fine.total(), rel=2e-2)
 
 
+def _evaluated_rows(n_y):
+    """theta_y rows the kernel evaluates: the non-negative half, ceil(n_y / 2)."""
+    return n_y - n_y // 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    energy=st.floats(-30.0, 30.0),
+    theta_x=st.floats(-0.5, 0.5),
+    theta_y=st.floats(-1.6, 1.6),
+)
+def test_half_phase_is_even_in_theta_y_bit_for_bit(energy, theta_x, theta_y):
+    # The kernel's mirror fold relies on this exactly, evanescent NaNs included.
+    kin = _Kinematics(SpdcConfig())
+    with np.errstate(invalid="ignore", divide="ignore"):
+        plus = np.asarray(kin.half_phase(energy, theta_x, theta_y))
+        minus = np.asarray(kin.half_phase(energy, theta_x, -theta_y))
+    assert plus.tobytes() == minus.tobytes()
+
+
+@pytest.mark.parametrize("n_y", [1, 2, 5, 6])
+def test_kernel_evaluates_the_non_negative_theta_y_half(monkeypatch, n_y):
+    grid = GridSpec(8.5, 12.5, 30, 5.0e-3, 7, n_y)
+    evaluated = []
+    half_phase = _Kinematics.half_phase
+
+    def counting(self, energy_kev, theta_x, theta_y):
+        x = half_phase(self, energy_kev, theta_x, theta_y)
+        evaluated.append((x.size, np.min(theta_y)))
+        return x
+
+    monkeypatch.setattr(_Kinematics, "half_phase", counting)
+    spdc._theta_y_summed_sinc2(_Kinematics(SpdcConfig()), grid)
+    assert sum(n for n, _ in evaluated) == (30 + 1) * 7 * math.ceil(n_y / 2)
+    assert min(lo for _, lo in evaluated) > -1e-15
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n_energy=st.integers(5, 60),
     n_x=st.integers(1, 12),
-    n_y=st.integers(1, 6),
+    n_y=st.integers(1, 9),
     chunk_cols=st.integers(1, 12),
 )
 def test_pair_intensity_kernel_matches_3d_reference(n_energy, n_x, n_y, chunk_cols):
+    # The reference evaluates every theta_y row; the kernel folds the mirror
+    # rows (odd n_y leaves a centre row counted once).
     cfg = SpdcConfig()
     grid = GridSpec(8.5, 12.5, n_energy, 5.0e-3, n_x, n_y)
-    # A chunk constant worth ``chunk_cols`` theta_x columns puts chunk
-    # boundaries mid-axis whenever chunk_cols < n_x.
+    # A chunk constant worth ``chunk_cols`` theta_x columns of the evaluated
+    # theta_y rows puts chunk boundaries mid-axis whenever chunk_cols < n_x.
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spdc, "CHUNK_CELLS", chunk_cols * (n_energy + 1) * n_y)
+        mp.setattr(spdc, "CHUNK_CELLS", chunk_cols * (n_energy + 1) * _evaluated_rows(n_y))
         raw = biphoton_amplitude(cfg, grid, normalize=False)
         normalized = biphoton_amplitude(cfg, grid)
 
@@ -184,7 +223,7 @@ def test_pair_intensity_kernel_matches_3d_reference(n_energy, n_x, n_y, chunk_co
 def test_kernel_is_identical_for_every_chunk_size(monkeypatch):
     grid = GridSpec(8.5, 12.5, 300, 5.0e-3, 14, 6)
     kin = _Kinematics(SpdcConfig())
-    column = (grid.n_energy + 1) * grid.n_y
+    column = (grid.n_energy + 1) * _evaluated_rows(grid.n_y)
     results = []
     # 1 cell and one column give one-column chunks; 3 and 5 columns leave a
     # short last chunk; 1000 columns take the whole grid at once.
