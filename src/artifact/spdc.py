@@ -78,8 +78,8 @@ class SpdcConfig:
             raise ValueError(
                 f"kappa_l must lie in (0, {MAX_KAPPA_L}] for the first-order solution"
             )
-        if not self.thickness_mm > 0:
-            raise ValueError("crystal thickness must be positive")
+        if not 0.0 < self.thickness_mm < math.inf:
+            raise ValueError("crystal thickness must be finite and positive")
 
     def pump_angle_deg(self) -> float:
         """Pump incidence angle to the planes: Bragg angle plus detune."""

@@ -114,6 +114,7 @@ def test_nan_and_negative_values_exit_config_code(tmp_path, setting):
     "spdc.detune_deg=inf",
     "spdc.theta_heralded_deg=nan",
     "spdc.theta_heralded_deg=-inf",
+    "spdc.thickness_mm=inf",
 ])
 def test_bad_spdc_values_exit_config_code(tmp_path, setting):
     # These used to pass the config and crash the pair-intensity kernel.

@@ -149,8 +149,8 @@ def test_cell_average_preserves_total_under_refinement():
 
 
 def _evaluated_rows(n_y):
-    """theta_y rows the kernel evaluates: the non-negative half, ceil(n_y / 2)."""
-    return n_y - n_y // 2
+    """theta_y rows the kernel evaluates: the non-negative half."""
+    return math.ceil(n_y / 2)
 
 
 @settings(max_examples=200, deadline=None)
@@ -181,7 +181,7 @@ def test_kernel_evaluates_the_non_negative_theta_y_half(monkeypatch, n_y):
 
     monkeypatch.setattr(_Kinematics, "half_phase", counting)
     spdc._theta_y_summed_sinc2(_Kinematics(SpdcConfig()), grid)
-    assert sum(n for n, _ in evaluated) == (30 + 1) * 7 * math.ceil(n_y / 2)
+    assert sum(n for n, _ in evaluated) == (30 + 1) * 7 * _evaluated_rows(n_y)
     assert min(lo for _, lo in evaluated) > -1e-15
 
 
