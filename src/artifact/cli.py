@@ -68,32 +68,26 @@ def _fmt(value) -> str:
 
 
 def _write_sweep(cfg: RunConfig, outdir: str, intensity, splitter, angles) -> None:
-    """bragg_sweep.csv: the sweep of ``splitter``'s family over ``angles``,
-    through air along ``[source] air_path_cm``."""
+    """bragg_sweep.csv: the sweep of ``splitter`` retuned to each of
+    ``angles``, through air along ``[source] air_path_cm``."""
     sweep = spdc_mod.bragg_angle_sweep(
-        intensity, spdc_mod.default_splitter_family(splitter), angles,
-        air=load_table("air"), air_path_cm=cfg.source.air_path_cm,
+        intensity, splitter, angles, air=load_table("air"), air_path_cm=cfg.source.air_path_cm,
     )
     _write_rows(os.path.join(outdir, "bragg_sweep.csv"), "bragg_angle_deg,normalized_rate", sweep)
 
 
 def cmd_model(cfg: RunConfig, outdir: str) -> None:
     """Write the sweep curve, model port spectra, and rate-fraction summary,
-    all folded from one pair intensity (``spdc.sweep_grid``)."""
-    graphite = load_table("graphite")
+    all folded from one pair intensity (``spdc.sweep_grid``); a port's rate
+    fraction is the energy integral of its spectrum."""
     grid = spdc_mod.sweep_grid(cfg.grid, cfg.splitter.width_deg)
     intensity = spdc_mod.biphoton_amplitude(cfg.spdc, grid)
 
-    r_ref = spdc_mod.coincidence_rate(
-        intensity, spdc_mod.reflection_filter(cfg.splitter)
-    )
-    r_trans = spdc_mod.coincidence_rate(
-        intensity, spdc_mod.transmission_filter(cfg.splitter, graphite)
-    )
-
     energies, refl_dens, trans_dens = spdc_mod.port_energy_spectra(
-        intensity, cfg.splitter, graphite
+        intensity, cfg.splitter, load_table("graphite")
     )
+    r_ref = float(refl_dens.sum() * grid.d_energy)
+    r_trans = float(trans_dens.sum() * grid.d_energy)
     _write_rows(
         os.path.join(outdir, "model_spectra.csv"),
         "energy_kev,reflected_density,transmitted_density",

@@ -167,19 +167,22 @@ def _get(parser, section, key, base=None):
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
 
 
+def _detector_get(parser, section: str, key: str):
+    """``key`` of a detector section; per-detector sections override
+    individual keys, and anything not set there falls back to the shared
+    [detector] section."""
+    use = section if parser.has_option(section, key) else "detector"
+    return _get(parser, use, key, "detector")
+
+
 def _detector_from(parser, section: str) -> DetectorSpec:
     def get(key):
-        # Per-detector sections override individual keys; anything not set
-        # there falls back to the shared [detector] section.
-        use = section if parser.has_option(section, key) else "detector"
-        return _get(parser, use, key, "detector")
+        return _detector_get(parser, section, key)
 
     return DetectorSpec(
         quantum_efficiency=get("quantum_efficiency"),
         resolution_fwhm_ev=get("resolution_fwhm_ev"),
         reference_energy_kev=get("reference_energy_kev"),
-        analog_width_ns=get("analog_width_ns"),
-        logic_width_ns=get("logic_width_ns"),
         sca_window_kev=(get("sca_lo_kev"), get("sca_hi_kev")),
     )
 
@@ -253,14 +256,12 @@ def build_config(parser: configparser.ConfigParser) -> RunConfig:
             air_path_cm=_get(parser, "source", "air_path_cm"),
             helium_path_cm=_get(parser, "source", "helium_path_cm"),
         )
-        detectors = {}
-        for section, det in _DETECTOR_SECTIONS.items():
-            use = section if parser.has_section(section) else "detector"
-            detectors[det] = _detector_from(parser, use)
+        detectors = {det: _detector_from(parser, section)
+                     for section, det in _DETECTOR_SECTIONS.items()}
         daq = DaqConfig(
             half_window_ns=_get(parser, "daq", "half_window_ns"),
-            logic_width_ns=detectors[DET_TRIG].logic_width_ns,
-            analog_width_ns=detectors[DET_TRIG].analog_width_ns,
+            logic_width_ns=_detector_get(parser, "detector.trig", "logic_width_ns"),
+            analog_width_ns=_detector_get(parser, "detector.trig", "analog_width_ns"),
             max_event_rate_hz=_get(parser, "daq", "max_event_rate_hz"),
             acceptance_kev=(
                 _get(parser, "daq", "acceptance_lo_kev"),

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spdc import PairIntensity
-from .splitter import SplitterSpec, reflectivity, transmission
+from .splitter import SplitterSpec, response
 from .xoptics import AttenuationTable, transmittance
 
 DET_TRIG, DET_TRANS, DET_REF = 0, 1, 2
@@ -81,13 +81,15 @@ class SourceConfig:
 
 @dataclass(frozen=True)
 class DetectorSpec:
-    """Response of one energy-resolving detector and its pulse shaping."""
+    """Response of one energy-resolving detector and its SCA window.
+
+    The pulse widths the coincidence electronics use are the trigger
+    detector's and live in ``daq.DaqConfig``.
+    """
 
     quantum_efficiency: float = 1.0
     resolution_fwhm_ev: float = 300.0  # at the reference energy
     reference_energy_kev: float = 10.5
-    analog_width_ns: float = 200.0
-    logic_width_ns: float = 1000.0
     sca_window_kev: tuple[float, float] = (7.0, 22.0)
 
     def __post_init__(self):
@@ -98,8 +100,6 @@ class DetectorSpec:
             raise ValueError("resolution must be non-negative")
         if not self.reference_energy_kev > 0:
             raise ValueError("reference energy must be positive")
-        if not (self.analog_width_ns > 0 and self.logic_width_ns > 0):
-            raise ValueError("pulse widths must be positive")
         if not self.sca_window_kev[0] < self.sca_window_kev[1]:
             raise ValueError("SCA window must satisfy lo < hi")
 
@@ -224,9 +224,10 @@ def generate_pairs(
     pair's (energy, theta_x) is drawn from the theta_y-integrated pair
     intensity with the partner energy fixed by energy conservation, and the
     two photons share one creation time.  The heralded photon goes to the
-    reflected port with probability R^2, the transmitted port with
-    probability T, and is absorbed otherwise; both photons are additionally
-    thinned by flight-path absorption when air/helium tables are supplied.
+    reflected port with probability R and the transmitted port with
+    probability T (``splitter.response``), and is absorbed otherwise; both
+    photons are additionally thinned by flight-path absorption when
+    air/helium tables are supplied.
     """
     times = _poisson_times(rng, source.pair_rate, window_s or (0.0, source.duration_s))
     n = len(times)
@@ -249,9 +250,7 @@ def generate_pairs(
             s = s * transmittance(energy, helium, source.helium_path_cm)
         return s
 
-    dtheta_deg = np.degrees(t_x)
-    p_ref = reflectivity(splitter, e_h, dtheta_deg)
-    p_trans = transmission(splitter, e_h, dtheta_deg, material)
+    p_ref, p_trans = response(splitter, e_h, np.degrees(t_x), material)
     u_route = rng.random(n)
     herald_det = np.where(
         u_route < p_ref, DET_REF, np.where(u_route < p_ref + p_trans, DET_TRANS, -1)

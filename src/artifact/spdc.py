@@ -1,4 +1,4 @@
-"""Biphoton pair intensity, coincidence-rate quadrature and Bragg-angle sweep.
+"""Biphoton pair intensity, port spectra and Bragg-angle sweep.
 
 The parametric source is described by coupled mode equations whose
 first-order (low-gain) solution gives a two-photon amplitude proportional to
@@ -10,12 +10,14 @@ wave-vector mismatch.  Energy conservation fixes the partner energy
 (E_partner = E_pump - E) and transverse momentum conservation fixes the
 partner angles, so (E, theta_x, theta_y) of one photon describes the pair.
 
-Every consumer (port rates and spectra, the Bragg-angle sweep, the pair
+Every consumer (port spectra and rates, the Bragg-angle sweep, the pair
 sampler) needs only the intensity as a function of energy and theta_x: the
 splitter acts on theta_x alone and no observable depends on the phase.  One
 chunked kernel therefore reduces the pair intensity to a 2-D
 (E, theta_x) array W, with theta_y integrated out, and every consumer folds
-that one W: ``xbsim model`` builds it once for the rates, spectra and sweep.
+that one W: ``xbsim model`` builds it once for the spectra and sweep.  The
+port spectra fold W with the splitter response (``splitter.response``) once,
+and a port's rate fraction is the energy integral of its spectrum.
 A sweep over narrow rocking widths needs finer theta_x cells than the
 rates do; ``sweep_grid`` derives them from the width.  ``amplitude_at``
 evaluates the complex amplitude pointwise where it is needed.
@@ -43,7 +45,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import sici
 
-from .splitter import SplitterSpec, reflectivity, transmission
+from .splitter import SplitterSpec, response
 from .xoptics import (
     AttenuationTable,
     LatticeSpec,
@@ -98,12 +100,13 @@ class GridSpec:
     n_y: int = 40
 
     def __post_init__(self):
-        if not (self.energy_hi_kev > self.energy_lo_kev > 0):
-            raise ValueError("energy window must satisfy 0 < lo < hi")
+        # Written so that NaN and infinity fail.
+        if not 0.0 < self.energy_lo_kev < self.energy_hi_kev < math.inf:
+            raise ValueError("energy window must satisfy 0 < lo < hi < inf")
         if min(self.n_energy, self.n_x, self.n_y) < 1:
             raise ValueError("grid must have at least one cell per axis")
-        if not self.angle_span_rad > 0:
-            raise ValueError("angle span must be positive")
+        if not 0.0 < self.angle_span_rad < math.inf:
+            raise ValueError("angle span must be finite and positive")
 
     def energy_edges(self):
         return np.linspace(self.energy_lo_kev, self.energy_hi_kev, self.n_energy + 1)
@@ -304,47 +307,6 @@ def amplitude_at(config: SpdcConfig, energy_kev, theta_x, theta_y):
     return np.where(bad, 0.0, config.kappa_l * sinc(x)) * np.exp(1j * x)
 
 
-def reflection_filter(spec: SplitterSpec):
-    """Intensity response (energy, theta_x) -> reflectivity of the reflected port.
-
-    The heralded beam's transverse angle theta_x maps one-to-one onto the
-    rocking offset of the splitter (dispersion-matched mounting), so the
-    response is the intensity reflectivity at (energy, dtheta = theta_x).
-    """
-
-    def apply(energy_kev, theta_x):
-        return reflectivity(spec, energy_kev, np.degrees(theta_x))
-
-    return apply
-
-
-def transmission_filter(spec: SplitterSpec, material: AttenuationTable):
-    """Intensity response (energy, theta_x) -> transmission of the transmitted port."""
-
-    def apply(energy_kev, theta_x):
-        return transmission(spec, energy_kev, np.degrees(theta_x), material)
-
-    return apply
-
-
-def coincidence_rate(intensity: PairIntensity, response=None, loss=None) -> float:
-    """Quadrature of the theta_y-integrated pair intensity * response * loss.
-
-    ``response`` is a callable (energy, theta_x) -> intensity
-    response (broadcastable), or None for unit response.  ``loss`` is a
-    callable energy -> intensity fraction in [0, 1], or None.  With both
-    absent the result is the intensity normalization (1.0 for a normalized
-    grid).
-    """
-    w = intensity.weights
-    e = intensity.energies[:, None]
-    if response is not None:
-        w = w * response(e, intensity.theta_x[None, :])
-    if loss is not None:
-        w = w * loss(e)
-    return float(np.sum(w) * intensity.cell_area)
-
-
 def port_energy_spectra(
     intensity: PairIntensity, spec: SplitterSpec, material: AttenuationTable
 ):
@@ -352,40 +314,27 @@ def port_energy_spectra(
 
     Returns (energies, reflected_density, transmitted_density): the energy
     marginal of the theta_y-integrated pair intensity weighted by the
-    intensity reflectivity and transmission of each output port.
+    intensity reflectivity and transmission of each output port
+    (``splitter.response``).  The heralded beam's transverse angle theta_x
+    maps one-to-one onto the rocking offset of the splitter
+    (dispersion-matched mounting), so the response is taken at
+    dtheta = theta_x.  Each density integrates over energy to that port's
+    rate fraction.
     """
-    e = intensity.energies[:, None]
-    tx = intensity.theta_x[None, :]
-    refl = reflection_filter(spec)(e, tx)
-    trans = transmission_filter(spec, material)(e, tx)
+    refl, trans = response(
+        spec, intensity.energies[:, None], np.degrees(intensity.theta_x)[None, :], material
+    )
     d_x = intensity.grid.d_theta_x
     refl_dens = (intensity.weights * refl).sum(axis=1) * d_x
     trans_dens = (intensity.weights * trans).sum(axis=1) * d_x
     return intensity.energies, refl_dens, trans_dens
 
 
-def default_splitter_family(base: SplitterSpec):
-    """Family theta_B -> SplitterSpec with the mount retuned to each Bragg angle.
-
-    Each member keeps the base peak reflectivity, rocking width, and
-    thickness but uses a lattice spacing chosen so the nominal energy's
-    Bragg angle equals the requested theta_B.
-    """
-
-    def family(theta_b_deg: float) -> SplitterSpec:
-        d = float(wavelength(base.nominal_energy_kev)) / (
-            2.0 * math.sin(math.radians(theta_b_deg))
-        )
-        return SplitterSpec(
-            lattice=LatticeSpec(d, f"family({theta_b_deg:g} deg)"),
-            peak_reflectivity=base.peak_reflectivity,
-            width_deg=base.width_deg,
-            thickness_mm=base.thickness_mm,
-            nominal_energy_kev=base.nominal_energy_kev,
-            mount_offset_deg=base.mount_offset_deg,
-        )
-
-    return family
+def _retuned(base: SplitterSpec, theta_b_deg: float) -> SplitterSpec:
+    """``base`` with a lattice spacing chosen so the nominal energy's Bragg
+    angle equals ``theta_b_deg``; every other parameter is kept."""
+    d = float(wavelength(base.nominal_energy_kev)) / (2.0 * math.sin(math.radians(theta_b_deg)))
+    return replace(base, lattice=LatticeSpec(d, f"family({theta_b_deg:g} deg)"))
 
 
 # theta_x cells per rocking width b on the grid of a Bragg-angle sweep.  On
@@ -413,21 +362,22 @@ def sweep_grid(grid: GridSpec, width_deg: float) -> GridSpec:
 
 def bragg_angle_sweep(
     intensity: PairIntensity,
-    splitter_family,
+    splitter: SplitterSpec,
     sweep_deg,
     *,
-    air: AttenuationTable | None = None,
-    air_path_cm: float | None = None,
+    air: AttenuationTable,
+    air_path_cm: float,
 ):
     """Normalized reflected-port rate versus splitter Bragg angle.
 
-    For each angle the reflected-port rate (intensity reflectivity folded
-    with the theta_y-integrated pair intensity and, when ``air`` is given,
-    absorption along ``air_path_cm``, which must then be given too) is
-    normalized by the total pair intensity at the source.  The rocking
-    curve is resolved only as finely as the intensity's theta_x grid;
-    ``sweep_grid`` gives a grid fine enough for a rocking width.  Returns a
-    list of (theta_B_deg, rate).
+    At each angle ``splitter`` is retuned so that its nominal energy
+    reflects at that Bragg angle (peak reflectivity, rocking width and
+    thickness kept).  Its reflected-port rate (intensity reflectivity folded
+    with the theta_y-integrated pair intensity and absorption in ``air``
+    along ``air_path_cm``) is normalized by the total pair intensity at the
+    source.  The rocking curve is resolved only as finely as the
+    intensity's theta_x grid; ``sweep_grid`` gives a grid fine enough for a
+    rocking width.  Returns a list of (theta_B_deg, rate).
     """
     sweep_deg = list(sweep_deg)
     if not sweep_deg:
@@ -435,15 +385,11 @@ def bragg_angle_sweep(
     for t in sweep_deg:
         if not (0.0 < t < 90.0):
             raise ValueError("sweep angles must lie in (0, 90) degrees")
-    specs = [splitter_family(t) for t in sweep_deg]
     w = intensity.weights
     denom = float(w.sum())
     if denom == 0.0:
         raise ValueError("pair intensity vanishes on the sweep grid")
-    if air is not None:
-        if air_path_cm is None:
-            raise ValueError("an air table needs air_path_cm")
-        w = w * transmittance(intensity.energies[:, None], air, air_path_cm)
+    w = w * transmittance(intensity.energies[:, None], air, air_path_cm)
     dtheta_deg = np.degrees(intensity.theta_x)
     # splitter.reflectivity, A * exp(-(arg / b)^2) with
     # arg = dtheta + theta_B(nominal) - theta_B(E), evaluated in one reused
@@ -451,7 +397,8 @@ def bragg_angle_sweep(
     # angle's lattice, and A scales the folded sum.
     arg = np.empty_like(w)
     rates = []
-    for t, spec in zip(sweep_deg, specs):
+    for t in sweep_deg:
+        spec = _retuned(splitter, t)
         energy_part = spec.nominal_bragg_deg() - bragg_angle(intensity.energies, spec.lattice)
         b = spec.width_deg
         np.add((energy_part / b)[:, None], (dtheta_deg / b)[None, :], out=arg)

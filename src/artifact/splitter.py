@@ -2,13 +2,16 @@
 
 The mosaic crystal reflects a narrow band around the Bragg condition with a
 Gaussian rocking profile and transmits the rest, attenuated by absorption
-along the slant path through the plate.  All bookkeeping is in intensities:
+along the slant path through the plate.  ``response`` gives both port
+responses from one reflectivity evaluation; the model spectra, the port
+rates and the pair sampler all use it.  All bookkeeping is in intensities:
 the reflectivity peaks at A, and the rocking width parameter b is that of
 the amplitude profile sqrt(A) * exp(-arg^2 / (2 b^2)).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +33,11 @@ class SplitterSpec:
     def __post_init__(self):
         if not (0.0 < self.peak_reflectivity <= 1.0):
             raise ValueError("peak_reflectivity must lie in (0, 1]")
-        if not self.width_deg > 0:
-            raise ValueError("width parameter must be positive")
-        if not self.thickness_mm > 0:
-            raise ValueError("thickness must be positive")
+        # Written so that NaN and infinity fail.
+        if not 0.0 < self.width_deg < math.inf:
+            raise ValueError("width parameter must be finite and positive")
+        if not 0.0 < self.thickness_mm < math.inf:
+            raise ValueError("thickness must be finite and positive")
 
     def nominal_bragg_deg(self) -> float:
         return float(bragg_angle(self.nominal_energy_kev, self.lattice))
@@ -55,16 +59,13 @@ def reflectivity(spec: SplitterSpec, energy_kev, dtheta_deg):
     return spec.peak_reflectivity * np.exp(-((arg / spec.width_deg) ** 2))
 
 
-def transmission(
-    spec: SplitterSpec, energy_kev, dtheta_deg, material: AttenuationTable
-):
-    """Intensity transmission through the plate.
+def response(spec: SplitterSpec, energy_kev, dtheta_deg, material: AttenuationTable):
+    """Intensity reflectivity R and transmission T of the plate, as (R, T).
 
-    T = (1 - R) * exp(-mu * t / sin(incidence)), where R is the intensity
-    reflectivity and the incidence angle to the atomic planes is
-    theta_B(nominal) + dtheta + mount offset.  The reflective (Bragg)
-    channel removes R; the remainder is absorbed along the slant path
-    through the plate thickness.
+    R is ``reflectivity``.  T = (1 - R) * exp(-mu * t / sin(incidence)),
+    where the incidence angle to the atomic planes is theta_B(nominal) +
+    dtheta + mount offset: the reflective (Bragg) channel removes R and the
+    remainder is absorbed along the slant path through the plate thickness.
     """
     incidence_deg = (
         spec.nominal_bragg_deg()
@@ -75,4 +76,5 @@ def transmission(
         raise ValueError("incidence angle to the planes must lie in (0, 180) degrees")
     slant_cm = (spec.thickness_mm / 10.0) / np.sin(np.radians(incidence_deg))
     absorption = np.exp(-material.linear_attenuation(energy_kev) * slant_cm)
-    return (1.0 - reflectivity(spec, energy_kev, dtheta_deg)) * absorption
+    r = reflectivity(spec, energy_kev, dtheta_deg)
+    return r, (1.0 - r) * absorption

@@ -42,8 +42,8 @@ class LatticeSpec:
     name: str = ""
 
     def __post_init__(self):
-        if not self.d_spacing > 0:
-            raise ValueError(f"d_spacing must be positive, got {self.d_spacing}")
+        if not 0.0 < self.d_spacing < math.inf:  # NaN fails too
+            raise ValueError(f"d_spacing must be finite and positive, got {self.d_spacing}")
 
 
 def bragg_angle(energy_kev, lattice: LatticeSpec):

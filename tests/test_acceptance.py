@@ -84,12 +84,12 @@ def test_criterion_04_rocking_width_scaling(default_config, amp_default, tables)
         default_config.spdc, spdc.sweep_grid(default_config.grid, narrow_spec.width_deg)
     )
     narrow = spdc.bragg_angle_sweep(
-        narrow_amp, spdc.default_splitter_family(narrow_spec), [theta],
+        narrow_amp, narrow_spec, [theta],
         air=tables["air"], air_path_cm=default_config.source.air_path_cm,
     )[0][1]
     assert spdc.sweep_grid(default_config.grid, base.width_deg) is amp_default.grid
     wide = spdc.bragg_angle_sweep(
-        amp_default, spdc.default_splitter_family(base), [theta],
+        amp_default, base, [theta],
         air=tables["air"], air_path_cm=default_config.source.air_path_cm,
     )[0][1]
     ratio = wide / narrow

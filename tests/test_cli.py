@@ -8,6 +8,8 @@ import pytest
 from artifact import montecarlo as mc, spdc
 from artifact.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SCHEMA, main
 from artifact.config import load_default_config
+from artifact.xoptics import load_table
+from conftest import port_rate_quadrature
 
 # Coarse grid + short run so simulate/analyze stay fast; physics fidelity is
 # covered elsewhere.
@@ -117,8 +119,16 @@ def test_simulate_then_analyze_pipeline(tmp_path):
     assert n > 0 and nt + nr >= n
 
 
-def test_model_outputs(tmp_path):
+def test_model_outputs(tmp_path, monkeypatch):
     # Coarse grid: this checks plumbing, not the calibrated ratios.
+    intensities = []
+    build = spdc.biphoton_amplitude
+
+    def keep(*args, **kwargs):
+        intensities.append(build(*args, **kwargs))
+        return intensities[-1]
+
+    monkeypatch.setattr(spdc, "biphoton_amplitude", keep)
     code = main(["model", "--outdir", str(tmp_path),
                  "--set", "grid.n_energy=300",
                  "--set", "grid.n_x=40",
@@ -128,6 +138,11 @@ def test_model_outputs(tmp_path):
     values = dict(line.split(" = ") for line in summary.strip().splitlines())
     assert 0.0 < float(values["r_reflected"]) < 1.0
     assert 0.0 < float(values["r_transmitted"]) < 1.0
+    # The rate fractions are the quadrature of the one pair intensity with
+    # the port responses, to the six digits written.
+    cfg = load_default_config()
+    want = port_rate_quadrature(intensities[0], cfg.splitter, load_table("graphite"))
+    assert (values["r_reflected"], values["r_transmitted"]) == tuple(f"{r:.6f}" for r in want)
     spectra = np.loadtxt(tmp_path / "model_spectra.csv", delimiter=",", skiprows=1)
     assert spectra.shape[1] == 3
     assert np.all(spectra[:, 1:] >= 0)
@@ -169,8 +184,8 @@ def test_model_sweep_follows_air_path(tmp_path):
 
     cfg = load_default_config(coarse)
     intensity = spdc.biphoton_amplitude(cfg.spdc, spdc.sweep_grid(cfg.grid, cfg.splitter.width_deg))
-    no_air = spdc.bragg_angle_sweep(intensity, spdc.default_splitter_family(cfg.splitter),
-                                    np.linspace(5.0, 45.0, 81).tolist())
+    no_air = spdc.bragg_angle_sweep(intensity, cfg.splitter, np.linspace(5.0, 45.0, 81).tolist(),
+                                    air=load_table("air"), air_path_cm=0.0)
     expected = "bragg_angle_deg,normalized_rate\n" + "".join(f"{t:.9g},{r:.9g}\n" for t, r in no_air)
     assert sweep_file("0").read_text() == expected
     r10, r200 = (np.loadtxt(sweep_file(p), delimiter=",", skiprows=1)[:, 1] for p in ("10", "200"))

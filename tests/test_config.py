@@ -46,9 +46,10 @@ def test_output_detector_pulse_widths_rejected():
 
 
 def test_trigger_detector_pulse_width_reaches_daq():
-    cfg = load_default_config(["detector.trig.logic_width_ns=500"])
+    # [detector.trig] overrides a width; the other falls back to [detector].
+    cfg = load_default_config(["detector.trig.logic_width_ns=500", "detector.analog_width_ns=150"])
     assert cfg.daq.logic_width_ns == 500.0
-    assert cfg.detectors[DET_TRIG].logic_width_ns == 500.0
+    assert cfg.daq.analog_width_ns == 150.0
 
 
 def test_unknown_key_rejected():
@@ -118,6 +119,23 @@ def test_nan_and_negative_values_exit_config_code(tmp_path, setting):
 ])
 def test_bad_spdc_values_exit_config_code(tmp_path, setting):
     # These used to pass the config and crash the pair-intensity kernel.
+    code = main(["model", "--outdir", str(tmp_path / "out"), "--set", setting])
+    assert code == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("setting", [
+    "grid.energy_lo_kev=inf",
+    "grid.energy_hi_kev=inf",
+    "grid.angle_span_mrad=inf",
+    "spdc.crystal_d_angstrom=inf",
+    "splitter.d_angstrom=inf",
+    "splitter.width_deg=inf",
+    "splitter.thickness_mm=inf",
+])
+def test_infinite_grid_lattice_splitter_values_exit_config_code(tmp_path, setting):
+    # Checks written as ``x > 0`` let infinity through to the kernel and the
+    # attenuation tables.
     code = main(["model", "--outdir", str(tmp_path / "out"), "--set", setting])
     assert code == EXIT_CONFIG
     assert not (tmp_path / "out").exists()

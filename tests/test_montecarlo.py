@@ -286,5 +286,5 @@ def test_detector_spec_validation():
     with pytest.raises(ValueError):
         mc.DetectorSpec(sca_window_kev=(17.0, 7.0))
     with pytest.raises(ValueError):
-        mc.DetectorSpec(analog_width_ns=0.0)
+        mc.DetectorSpec(reference_energy_kev=0.0)
 

@@ -1,4 +1,4 @@
-"""Unit tests for the biphoton pair intensity, grid handling, and rate quadrature."""
+"""Unit tests for the biphoton pair intensity, grid handling, port spectra and sweep."""
 
 import math
 import tracemalloc
@@ -11,18 +11,18 @@ from hypothesis import given, settings, strategies as st
 from artifact import spdc
 from artifact.spdc import (
     GridSpec,
-    PairIntensity,
     SpdcConfig,
     biphoton_amplitude,
     bragg_angle_sweep,
-    coincidence_rate,
+    port_energy_spectra,
     sinc,
     sweep_grid,
     _Kinematics,
     _sinc2_cell_average,
 )
 from artifact.splitter import reflectivity
-from artifact.xoptics import bragg_angle, transmittance
+from artifact.xoptics import LatticeSpec, bragg_angle, transmittance, wavelength
+from conftest import port_rate_quadrature
 
 SMALL_GRID = GridSpec(9.5, 11.5, 200, 5.0e-3, 40, 10)
 
@@ -86,6 +86,10 @@ def test_grid_validation_and_spacings():
         GridSpec(energy_lo_kev=11.0, energy_hi_kev=9.0)
     with pytest.raises(ValueError):
         GridSpec(n_x=0)
+    for bad in (math.inf, math.nan):
+        for key in ("energy_lo_kev", "energy_hi_kev", "angle_span_rad"):
+            with pytest.raises(ValueError):
+                GridSpec(**{key: bad})
     g = SMALL_GRID
     assert g.d_energy == pytest.approx(2.0 / 200)
     assert len(g.energy_edges()) == g.n_energy + 1
@@ -101,7 +105,6 @@ def test_config_rejects_high_gain():
 
 def test_amplitude_normalization(amp_small):
     assert amp_small.total() == pytest.approx(1.0, rel=1e-12)
-    assert coincidence_rate(amp_small) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_unnormalized_amplitude_scale():
@@ -118,23 +121,22 @@ def test_energy_marginal_integrates_to_total(amp_small):
     assert np.all(density >= 0)
 
 
-def test_coincidence_rate_symmetric_half_filter():
-    # A synthetic amplitude symmetric about the window center: an indicator
-    # filter on the upper half-energy range passes exactly half the rate.
-    grid = GridSpec(9.5, 11.5, 100, 5.0e-3, 8, 4)
-    e = grid.energy_centers()
-    w = np.exp(-((e[:, None] - 10.5) ** 2)) * np.ones((1, grid.n_x))
-    intensity = PairIntensity(SpdcConfig(), grid, e, grid.theta_x_centers(), w)
-    upper = lambda energy, tx: (energy >= 10.5).astype(float)
-    ratio = coincidence_rate(intensity, upper) / coincidence_rate(intensity)
-    assert ratio == pytest.approx(0.5, abs=1e-6)
-
-
-def test_coincidence_rate_with_loss():
-    grid = GridSpec(9.5, 11.5, 50, 5.0e-3, 4, 2)
-    amp = biphoton_amplitude(SpdcConfig(), grid)
-    half = coincidence_rate(amp, None, lambda e: 0.5 * np.ones_like(e))
-    assert half == pytest.approx(0.5 * coincidence_rate(amp), rel=1e-12)
+@pytest.mark.parametrize("grid", [
+    SMALL_GRID,
+    GridSpec(8.5, 12.5, 300, 5.0e-3, 40, 8),
+    GridSpec(9.0, 12.0, 150, 4.0e-3, 61, 5),
+])
+def test_port_spectra_integrate_to_the_rate_quadrature(default_config, tables, grid):
+    # xbsim model writes each port's rate fraction as the energy integral of
+    # its spectrum.
+    intensity = biphoton_amplitude(default_config.spdc, grid)
+    spec = replace(default_config.splitter, mount_offset_deg=0.05)
+    energies, refl, trans = port_energy_spectra(intensity, spec, tables["graphite"])
+    assert np.array_equal(energies, intensity.energies)
+    want = port_rate_quadrature(intensity, spec, tables["graphite"])
+    got = (refl.sum() * grid.d_energy, trans.sum() * grid.d_energy)
+    assert 0.0 < want[0] < 1.0 and 0.0 < want[1] < 1.0
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_cell_average_preserves_total_under_refinement():
@@ -256,19 +258,20 @@ def test_reference_grid_weights_are_2d(default_config, amp_default):
 
 
 def test_sweep_rejects_out_of_range_angle_before_building_splitters(
-    default_config, amp_small
+    default_config, amp_small, tables
 ):
-    # The default family divides by sin(theta_B), so theta_B = 0 must be
-    # rejected before any family member is built.
-    family = spdc.default_splitter_family(default_config.splitter)
+    # Retuning the splitter divides by sin(theta_B), so theta_B = 0 must be
+    # rejected before any angle's splitter is built.
     for angles in ([0.0, 5.0, 10.0], [10.0, 90.0], [-5.0]):
         with pytest.raises(ValueError, match="0, 90"):
-            bragg_angle_sweep(amp_small, family, angles)
+            bragg_angle_sweep(amp_small, default_config.splitter, angles,
+                              air=tables["air"], air_path_cm=10.0)
 
 
-def _full_grid_sweep(intensity, family, angles, air=None, air_path_cm=10.0):
+def _full_grid_sweep(intensity, base, angles, air=None, air_path_cm=10.0):
     """The sweep as one full-grid product per angle, (W * R).sum() / W.sum(),
-    with R the square of the amplitude sqrt(A) * exp(-arg^2 / (2 b^2))."""
+    with R the square of the amplitude sqrt(A) * exp(-arg^2 / (2 b^2)) of
+    ``base`` on planes spaced so the nominal energy reflects at each angle."""
     w = intensity.weights
     e = intensity.energies[:, None]
     dtheta = np.degrees(intensity.theta_x)[None, :]
@@ -277,7 +280,9 @@ def _full_grid_sweep(intensity, family, angles, air=None, air_path_cm=10.0):
         w = w * transmittance(e, air, air_path_cm)
     rates = []
     for t in angles:
-        spec = family(t)
+        d = wavelength(base.nominal_energy_kev) / (2.0 * math.sin(math.radians(t)))
+        spec = replace(base, lattice=LatticeSpec(float(d)))
+        assert spec.nominal_bragg_deg() == pytest.approx(t, rel=1e-12)
         arg = dtheta + spec.nominal_bragg_deg() - bragg_angle(e, spec.lattice)
         amplitude = math.sqrt(spec.peak_reflectivity) * np.exp(-0.5 * (arg / spec.width_deg) ** 2)
         rates.append(float((w * amplitude**2).sum() / denom))
@@ -291,16 +296,14 @@ def test_sweep_fold_matches_full_grid_reference(
 ):
     spec = replace(default_config.splitter,
                    width_deg=default_config.splitter.width_deg * width_scale)
-    family = spdc.default_splitter_family(spec)
     angles = [5.0, 9.0, spec.nominal_bragg_deg(), 10.5, 20.0, 45.0]
-    air = tables["air"] if with_air else None
-    got = bragg_angle_sweep(amp_small, family, angles, air=air, air_path_cm=10.0)
+    # A 0 cm air path multiplies W by exp(-0) = 1 and matches the reference
+    # without air.
+    path_cm = 10.0 if with_air else 0.0
+    got = bragg_angle_sweep(amp_small, spec, angles, air=tables["air"], air_path_cm=path_cm)
     assert [t for t, _ in got] == angles
     rates = np.array([r for _, r in got])
-    want = _full_grid_sweep(amp_small, family, angles, air=air)
-    if with_air:
-        with pytest.raises(ValueError, match="air_path_cm"):
-            bragg_angle_sweep(amp_small, family, angles, air=air)
+    want = _full_grid_sweep(amp_small, spec, angles, air=tables["air"] if with_air else None)
     assert np.all(want > 0)
     np.testing.assert_allclose(rates, want, rtol=1e-12, atol=0.0)
     # splitter.reflectivity is the same square, computed directly.
@@ -340,7 +343,6 @@ def test_sweep_converges_under_theta_x_refinement(
     # CELLS_PER_ROCKING_WIDTH).
     cfg = default_config
     spec = replace(cfg.splitter, width_deg=cfg.splitter.width_deg * width_scale)
-    family = spdc.default_splitter_family(spec)
     angles = [spec.nominal_bragg_deg()]
     if model_angles:
         angles += np.linspace(5.0, 45.0, 81).tolist()
@@ -348,7 +350,7 @@ def test_sweep_converges_under_theta_x_refinement(
     coarse = amp_default if grid is cfg.grid else biphoton_amplitude(cfg.spdc, grid)
     fine = biphoton_amplitude(cfg.spdc, replace(grid, n_x=2 * grid.n_x))
     rates = [
-        np.array([r for _, r in bragg_angle_sweep(amp, family, angles, air=tables["air"],
+        np.array([r for _, r in bragg_angle_sweep(amp, spec, angles, air=tables["air"],
                                                   air_path_cm=cfg.source.air_path_cm)])
         for amp in (coarse, fine)
     ]

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from artifact.splitter import SplitterSpec, reflectivity, transmission
+from artifact.splitter import SplitterSpec, reflectivity, response
 from artifact.xoptics import LatticeSpec, bragg_angle, load_table
 
 HOPG = LatticeSpec(3.354, "HOPG(002)")
@@ -51,15 +51,33 @@ def test_reflectivity_decays_off_peak(spec):
     assert r[-1] < 1e-9
 
 
+def _absorption(spec, energy_kev, dtheta_deg, material):
+    """exp(-mu * t / sin(incidence)) along the slant path through the plate."""
+    incidence = np.radians(spec.nominal_bragg_deg() + np.asarray(dtheta_deg) + spec.mount_offset_deg)
+    return np.exp(-material.linear_attenuation(energy_kev) * (spec.thickness_mm / 10.0) / np.sin(incidence))
+
+
+@pytest.mark.parametrize("offset_deg", [0.0, -3.0, 4.0])
+def test_response_is_reflectivity_and_absorbed_remainder(spec, graphite, offset_deg):
+    mounted = replace(spec, mount_offset_deg=offset_deg)
+    e = np.linspace(9.0, 12.0, 31)[:, None]
+    d = np.linspace(-2.0, 2.0, 17)[None, :]
+    r, t = response(mounted, e, d, graphite)
+    assert r.shape == t.shape == (31, 17)
+    assert np.array_equal(r.view(np.uint64), reflectivity(mounted, e, d).view(np.uint64))
+    np.testing.assert_allclose(t, (1.0 - r) * _absorption(mounted, e, d, graphite),
+                               rtol=1e-15, atol=0.0)
+
+
 def test_transmission_complements_reflection(spec, graphite):
     # On the rocking peak the transmitted fraction is (1 - A) times the
     # slant-path absorption factor.
-    t = transmission(spec, 10.5, 0.0, graphite)
+    t = response(spec, 10.5, 0.0, graphite)[1]
     mu = graphite.linear_attenuation(10.5)
     slant = (spec.thickness_mm / 10.0) / math.sin(math.radians(spec.nominal_bragg_deg()))
     assert t == pytest.approx(0.5 * math.exp(-mu * slant))
     # Far from the peak nothing reflects and only absorption remains.
-    t_far = transmission(spec, 10.5, 5.0, graphite)
+    t_far = response(spec, 10.5, 5.0, graphite)[1]
     slant_far = (spec.thickness_mm / 10.0) / math.sin(
         math.radians(spec.nominal_bragg_deg() + 5.0)
     )
@@ -68,17 +86,16 @@ def test_transmission_complements_reflection(spec, graphite):
 
 def test_transmission_bounded(spec, graphite):
     d = np.linspace(-2.0, 5.0, 101)
-    t = transmission(spec, 10.5, d, graphite)
-    r = reflectivity(spec, 10.5, d)
+    r, t = response(spec, 10.5, d, graphite)
     assert np.all(t >= 0)
     assert np.all(t <= 1.0 - r + 1e-12)
 
 
 def test_transmission_rejects_grazing_exit(spec, graphite):
     with pytest.raises(ValueError):
-        transmission(spec, 10.5, -15.0, graphite)
+        response(spec, 10.5, -15.0, graphite)
     with pytest.raises(ValueError):
-        transmission(spec, 10.5, 175.0, graphite)
+        response(spec, 10.5, 175.0, graphite)
 
 
 def test_spec_validation():
@@ -88,10 +105,15 @@ def test_spec_validation():
         SplitterSpec(lattice=HOPG, width_deg=0.0)
     with pytest.raises(ValueError):
         SplitterSpec(lattice=HOPG, thickness_mm=-1.0)
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            SplitterSpec(lattice=HOPG, width_deg=value)
+        with pytest.raises(ValueError):
+            SplitterSpec(lattice=HOPG, thickness_mm=value)
+        with pytest.raises(ValueError):
+            LatticeSpec(value)
 
 
 def test_thicker_plate_transmits_less(spec, graphite):
     thick = replace(spec, thickness_mm=2.0)
-    assert transmission(thick, 10.5, 1.0, graphite) < transmission(
-        spec, 10.5, 1.0, graphite
-    )
+    assert response(thick, 10.5, 1.0, graphite)[1] < response(spec, 10.5, 1.0, graphite)[1]
