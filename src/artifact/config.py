@@ -23,7 +23,7 @@ from .montecarlo import (
 )
 from .spdc import GridSpec, SpdcConfig
 from .splitter import SplitterSpec
-from .xoptics import LatticeSpec
+from .xoptics import LatticeSpec, load_table
 
 
 class ConfigError(Exception):
@@ -202,6 +202,32 @@ def _check_incidence(splitter: SplitterSpec, grid: GridSpec):
         )
 
 
+# Attenuation tables each photon of a pair passes: the heralded photon the
+# graphite splitter and both flight paths, the trigger photon the flight
+# paths (air, then helium).
+_HERALDED_TABLES = ("graphite", "air", "helium")
+_TRIGGER_TABLES = ("air", "helium")
+
+
+def _check_energy_windows(grid: GridSpec, pump_energy_kev: float):
+    """Reject a grid window whose heralded energies [lo, hi], or trigger
+    energies [E_pump - hi, E_pump - lo], leave the range of an attenuation
+    table those photons pass."""
+    lo, hi = grid.energy_lo_kev, grid.energy_hi_kev
+    for photon, window, tables in (
+        ("heralded", (lo, hi), _HERALDED_TABLES),
+        ("trigger", (pump_energy_kev - hi, pump_energy_kev - lo), _TRIGGER_TABLES),
+    ):
+        for material in tables:
+            energies = load_table(material).energies_kev
+            if not (energies[0] <= window[0] and window[1] <= energies[-1]):
+                raise ConfigError(
+                    f"{photon} energies {window[0]:g}..{window[1]:g} keV leave the {material} "
+                    f"attenuation table's {energies[0]:g}..{energies[-1]:g} keV: check [grid] "
+                    "energy_lo_kev and energy_hi_kev"
+                )
+
+
 def build_config(parser: configparser.ConfigParser) -> RunConfig:
     """Validate a parsed INI file and construct the typed configuration."""
     _validate(parser)
@@ -237,6 +263,7 @@ def build_config(parser: configparser.ConfigParser) -> RunConfig:
             mount_offset_deg=_get(parser, "splitter", "mount_offset_deg"),
         )
         _check_incidence(splitter, grid)
+        _check_energy_windows(grid, spdc.pump_energy_kev)
         seed = _get(parser, "run", "seed")
         source = SourceConfig(
             pair_rate=_get(parser, "source", "pair_rate_hz"),

@@ -184,9 +184,10 @@ def merge_streams(*streams: Stream) -> Stream:
 # definition: each slice draws from its own generators.  Measured with
 # ``xbsim simulate`` on the reference profile, 600 s at seed 7, one pinned
 # CPU (wall time after the pair intensity, median of 3, and peak RSS):
-# 25k photons 1.50 s / 75 MB, 50k 1.23 s / 76 MB, 100k 1.22 s / 87 MB, 200k
-# 1.18 s / 94 MB, 400k 1.03 s / 119 MB, one slice 1.84 s / 465 MB.  The
-# pair-intensity kernel peaks at 75 MB before the first slice.
+# 25k photons 1.94 s / 69 MB, 50k 1.79 s / 76 MB, 100k 1.64 s / 87 MB, 200k
+# 1.60 s / 94 MB, 400k 1.59 s / 121 MB, one slice 2.14 s / 465 MB.  The
+# process peaks at 62 MB before the first slice, after building the pair
+# intensity, so the slices set the peak.
 PHOTONS_PER_SLICE = 50_000
 
 

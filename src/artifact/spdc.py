@@ -12,29 +12,32 @@ partner angles, so (E, theta_x, theta_y) of one photon describes the pair.
 
 Every consumer (port spectra and rates, the Bragg-angle sweep, the pair
 sampler) needs only the intensity as a function of energy and theta_x: the
-splitter acts on theta_x alone and no observable depends on the phase.  One
-chunked kernel therefore reduces the pair intensity to a 2-D
-(E, theta_x) array W, with theta_y integrated out, and every consumer folds
-that one W: ``xbsim model`` builds it once for the spectra and sweep.  The
-port spectra fold W with the splitter response (``splitter.response``) once,
-and a port's rate fraction is the energy integral of its spectrum.
-A sweep over narrow rocking widths needs finer theta_x cells than the
-rates do; ``sweep_grid`` derives them from the width.  ``amplitude_at``
-evaluates the complex amplitude pointwise where it is needed.
+splitter acts on theta_x alone and no observable depends on the phase.  The
+pair intensity is therefore reduced once to a 2-D (E, theta_x) array W, with
+theta_y integrated out, and every consumer folds that one W: ``xbsim model``
+builds it once for the spectra and sweep.  The port spectra fold W with the
+splitter response (``splitter.response``) once, and a port's rate fraction
+is the energy integral of its spectrum.  A sweep over narrow rocking widths
+needs finer theta_x cells than the rates do; ``sweep_grid`` derives them
+from the width.  ``amplitude_at`` evaluates the complex amplitude pointwise
+where it is needed.
+
+W is built from the phase-matching ridge.  At fixed (theta_x, theta_y) the
+intensity is one sinc^2 line in energy around the zero E0 of the mismatch,
+where x = dk_z L / 2 rises by about 1.57e4 per keV: the first zero of sinc^2
+lies about 0.2 eV from E0, inside the 1.67 eV energy cells of the bundled
+grid, but a line puts a median 3% (mean 7%) of its mass in the cells around
+the one holding E0.  So each line is integrated exactly across the energy
+cells around E0 (sinc^2 antiderivative via the sine integral, with x
+linearised about E0) rather than dropped into one cell as a point weight.
+This keeps the integrated rates stable against grid refinement even though
+the line is unresolved pointwise.
 
 The pair's theta_y momenta are q_y and -q_y, so the mismatch depends on
 theta_y only through sin^2(theta_y) and is even in it.  The grid's theta_y
-cells mirror each other about zero, so the kernel evaluates only the
-non-negative half of them and counts each of those rows twice (the
-theta_y = 0 row of an odd n_y once): half the work for the same W.
-
-The mismatch varies by orders of magnitude within a grid cell along the
-energy axis (the phase-matching ridge is micro-eV thin), so cell weights
-are computed by *exact* integration of sinc^2 across each energy cell
-(antiderivative F of sinc^2 via the sine integral) with cell edges shared
-between neighbours: F is evaluated once per edge and each cell takes the
-difference of its two edges.  This makes integrated rates stable against
-grid refinement even though the integrand is unresolved pointwise.
+cells mirror each other about zero, so only the ridge of the non-negative
+half of them is solved, and each of those rows counts twice (the
+theta_y = 0 row of an odd n_y once).
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from scipy.special import sici
 
 from .splitter import SplitterSpec, response
 from .xoptics import (
+    HC_KEV_ANGSTROM,
     AttenuationTable,
     LatticeSpec,
     bragg_angle,
@@ -154,25 +158,6 @@ def _sinc2_antiderivative(x):
     return si - np.where(small, x, np.sin(safe) ** 2 / safe)
 
 
-def _sinc2_cell_average(x_edge):
-    """Mean of sinc^2 over each cell between consecutive edges along axis 0.
-
-    The antiderivative is evaluated once per edge, so an edge shared by two
-    cells costs one ``sici`` call; a cell with |dx| < 1e-6 falls back to
-    sinc^2 at its midpoint.  NaN edges give NaN cells.
-    """
-    x_edge = np.asarray(x_edge, dtype=float)
-    x1, x2 = x_edge[:-1], x_edge[1:]
-    dx = x2 - x1
-    with np.errstate(invalid="ignore", divide="ignore"):
-        f = _sinc2_antiderivative(x_edge)
-        avg = (f[1:] - f[:-1]) / dx
-    degenerate = np.abs(dx) < 1e-6
-    if degenerate.any():
-        avg[degenerate] = sinc(0.5 * (x1[degenerate] + x2[degenerate])) ** 2
-    return avg
-
-
 class _Kinematics:
     """Precomputed central-geometry quantities for mismatch evaluation."""
 
@@ -203,16 +188,37 @@ class _Kinematics:
         dkz = self.k_pz - kz_h - kz_t
         return np.where(bad, np.nan, dkz * self.half_length)
 
+    def half_phase_slope(self, energy_kev, theta_x, theta_y):
+        """d(half_phase)/dE in 1/keV on broadcastable arrays, where the
+        partner propagates.
+
+        The heralded wave vector scales with E at fixed angles, so
+        d(kz_h)/dE = kz_h / E; the partner's k_t falls with E while its
+        transverse momentum s_total - s_h falls and q_y rises.
+        """
+        dk = 2.0 * math.pi / HC_KEV_ANGSTROM  # dk/dE
+        k_h = wavenumber(energy_kev)
+        k_t = wavenumber(self.pump_kev - energy_kev)
+        sin_h = np.sin(self.theta_h0 + theta_x)
+        sin_y = np.sin(theta_y)
+        s_t = self.s_total - k_h * sin_h
+        q_y = k_h * sin_y
+        kz_h = k_h * np.sqrt(1.0 - sin_h**2 - sin_y**2)
+        kz_t = np.sqrt(k_t**2 - s_t**2 - q_y**2)
+        dkz_t = dk * (s_t * sin_h - k_t - q_y * sin_y) / kz_t
+        return -(kz_h / energy_kev + dkz_t) * self.half_length
+
 
 @dataclass(frozen=True)
 class PairIntensity:
     """theta_y-integrated pair intensity W(energy, theta_x) on the grid.
 
     ``weights[i, j]`` is the low-gain intensity kappa_L^2 * <sinc^2(dk_z L/2)>
-    of energy cell i and theta_x cell j, averaged exactly across the energy
-    cell and summed over the theta_y cells times d_theta_y.  Every consumer
-    (rates, spectra, sweep, pair sampler) depends on theta_x and energy only,
-    so theta_y and the phase are integrated out once here.
+    of energy cell i and theta_x cell j, averaged across the energy cell
+    (``biphoton_amplitude``) and summed over the theta_y cells times
+    d_theta_y.  Every consumer (rates, spectra, sweep, pair sampler) depends
+    on theta_x and energy only, so theta_y and the phase are integrated out
+    once here.
     """
 
     config: SpdcConfig
@@ -234,44 +240,67 @@ class PairIntensity:
         return float(np.sum(self.weights) * self.cell_area)
 
 
-# Cells of the (energy edge, theta_x, evaluated theta_y) block per kernel
-# chunk (whole theta_x columns, at least one).  A chunk's temporaries take
-# about ten float64 values per cell: at 125k cells (two columns of the
-# reference grid's 20 evaluated theta_y rows) the kernel's tracemalloc peak
-# is 10 MB on the reference grid and 18 MB on a 2400 x 500 x 20 grid, 3 and
-# 9 MB of it the output.  62.5k-250k cells ran equally fast; 250k raised the
-# reference peak to 20 MB and 500k was about 15% slower.
-CHUNK_CELLS = 125_000
+# Half-width X, in x = dk_z L / 2, of the band each ridge line is deposited
+# over.  At X a multiple of pi the sinc^2 mass beyond |x| = X is
+# 1 - 2 Si(2X) / pi < 1 / (pi X); X is the smallest such multiple that drops
+# less than 3e-4 of every line: 338 pi, about 68 eV either side of E0 on the
+# bundled geometry.
+LINE_HALF_WIDTH = math.pi * math.ceil(1.0 / (math.pi**2 * 3e-4))
 
 
-def _theta_y_summed_sinc2(kin: _Kinematics, grid: GridSpec):
-    """Sum over theta_y cells of the shared-edge sinc^2 cell average.
+def _ridge(kin: _Kinematics, grid: GridSpec):
+    """The phase-matching ridge: every zero E0 of ``half_phase`` in
+    0 < E < E_pump, for each theta_x centre and each non-negative theta_y
+    centre ``theta_y_centers()[n_y // 2:]``.
 
-    theta_y enters the mismatch only through q_y^2 (the partner carries
-    -q_y), and the grid's theta_y centres are symmetric about zero, so the
-    sum is folded onto the non-negative half ``theta_y_centers()[n_y // 2:]``:
-    each evaluated row counts twice, except the centre row of an odd n_y,
-    which counts once.  Works through theta_x in chunks of whole columns;
-    within a chunk the sinc^2 antiderivative is evaluated once per energy
-    edge.  Returns an (n_energy, n_x) array; cells with an evanescent edge
-    contribute zero.
+    Each theta_y row brackets the sign changes of ``half_phase`` between 63
+    energies E_pump / 64 apart (an evanescent sample brackets nothing, and
+    two zeros within one spacing are missed); all brackets are then bisected
+    together down to adjacent floating-point energies.  Returns flat arrays
+    (e0, slope, column, row): the zero in keV, |dx/dE| there in 1/keV, the
+    theta_x index and the index of the non-negative theta_y row.
     """
-    e_edges = grid.energy_edges()[:, None, None]
     tx = grid.theta_x_centers()
-    ty = grid.theta_y_centers()[grid.n_y // 2 :][None, None, :]
-    centre = grid.n_y % 2  # 1 when row 0 is the theta_y = 0 row, counted once
-    out = np.empty((grid.n_energy, grid.n_x))
-    n_chunk = max(1, CHUNK_CELLS // ((grid.n_energy + 1) * ty.size))
-    for j0 in range(0, grid.n_x, n_chunk):
-        x_edge = kin.half_phase(e_edges, tx[j0 : j0 + n_chunk][None, :, None], ty)
-        w = _sinc2_cell_average(x_edge)
-        w[np.isnan(w)] = 0.0
-        half = w[:, :, centre:].sum(axis=2)
-        half *= 2.0
-        if centre:
-            half += w[:, :, 0]
-        out[:, j0 : j0 + n_chunk] = half
-    return out
+    ty = grid.theta_y_centers()[grid.n_y // 2 :]
+    energies = np.linspace(0.0, kin.pump_kev, 65)[1:-1]
+    brackets = []
+    for row, theta_y in enumerate(ty):
+        x = kin.half_phase(energies[:, None], tx, theta_y)
+        k, column = np.nonzero(np.sign(x[:-1]) * np.sign(x[1:]) < 0)
+        brackets.append((k, column, np.full(k.size, row)))
+    k, column, row = (np.concatenate(parts) for parts in zip(*brackets))
+    theta_x, theta_y = tx[column], ty[row]
+    lo, hi = energies[k], energies[k + 1]
+    lo_sign = np.sign(kin.half_phase(lo, theta_x, theta_y))
+    mid = 0.5 * (lo + hi)
+    while np.any((lo < mid) & (mid < hi)):
+        right = np.sign(kin.half_phase(mid, theta_x, theta_y)) == lo_sign
+        lo = np.where(right, mid, lo)
+        hi = np.where(right, hi, mid)
+        mid = 0.5 * (lo + hi)
+    return mid, np.abs(kin.half_phase_slope(mid, theta_x, theta_y)), column, row
+
+
+def _deposit_lines(w, edges, e0, slope, column, weight):
+    """Add ``weight`` times the integral of sinc^2(slope * (E - e0)) over
+    each energy cell between ``edges``, within |x| <= LINE_HALF_WIDTH, to
+    column ``column`` of ``w`` (n_energy, n_x), one line per entry of the
+    1-D arrays.  The part of a line outside the window is dropped."""
+    n_energy = len(edges) - 1
+    reach = LINE_HALF_WIDTH / slope
+    first = np.clip(np.searchsorted(edges, e0 - reach, side="right") - 1, 0, n_energy)
+    stop = np.minimum(np.searchsorted(edges, e0 + reach), n_energy)
+    hit = stop > first
+    if not hit.any():
+        return
+    e0, slope, column, first = e0[hit], slope[hit], column[hit], first[hit]
+    # Cells past a line's band, or past the window, get zero-width x steps.
+    edge = np.minimum(first[:, None] + np.arange((stop[hit] - first).max() + 1), n_energy)
+    x = slope[:, None] * (edges[edge] - e0[:, None])
+    np.clip(x, -LINE_HALF_WIDTH, LINE_HALF_WIDTH, out=x)
+    mass = np.diff(_sinc2_antiderivative(x), axis=1)
+    mass *= (weight / slope)[:, None]
+    np.add.at(w, (np.minimum(edge[:, :-1], n_energy - 1), column[:, None]), mass)
 
 
 def biphoton_amplitude(
@@ -279,15 +308,34 @@ def biphoton_amplitude(
 ) -> PairIntensity:
     """theta_y-integrated pair intensity |amplitude|^2 on the (energy, theta_x) grid.
 
-    Each cell holds kappa_L^2 times the mean of sinc^2(dk_z L/2) across the
-    cell's energy extent (exact, from the sinc^2 antiderivative with shared
-    cell edges), summed over theta_y with weight d_theta_y.  With
+    Each cell holds kappa_L^2 times the mean, across the cell's energy
+    extent, of the sinc^2 lines of the ridge (``_ridge``) in its theta_x
+    column, summed over theta_y with weight d_theta_y.  A line is
+    sinc^2(x) with x linearised about its zero, x = s (E - E0), integrated
+    exactly over every energy cell within |x| <= X = LINE_HALF_WIDTH, so it
+    carries pi / s less two errors, each a share of its mass:
+
+    * the dropped tail, at most 1 / (pi X) (3e-4);
+    * the linearisation: with |d^2x/dE^2| <= c across the band, at most
+      c (ln 2X + 1 + N) / (pi s^2) moves between cells, N the cell edges
+      the band spans (4e-4 on the bundled grid, where c is about 3.3e3 per
+      keV^2 and s 1.57e4 per keV).
+
+    A line whose band misses the energy window deposits nothing.  The
+    temporaries are one theta_y row's lines by the cells each spans.  With
     ``normalize`` the intensity integrates to 1 over the window.
     """
     if grid is None:
         grid = GridSpec()
-    w = _theta_y_summed_sinc2(_Kinematics(config), grid)
-    w *= config.kappa_l**2 * grid.d_theta_y
+    e0, slope, column, row = _ridge(_Kinematics(config), grid)
+    w = np.zeros((grid.n_energy, grid.n_x))
+    edges = grid.energy_edges()
+    centre = grid.n_y % 2  # 1 when row 0 is the theta_y = 0 row, counted once
+    for r in range(grid.n_y - grid.n_y // 2):
+        on = row == r
+        weight = 1.0 if centre and r == 0 else 2.0
+        _deposit_lines(w, edges, e0[on], slope[on], column[on], weight)
+    w *= config.kappa_l**2 * grid.d_theta_y / grid.d_energy
     if normalize:
         norm = float(np.sum(w)) * grid.d_energy * grid.d_theta_x
         if norm == 0.0:

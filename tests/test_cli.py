@@ -152,16 +152,16 @@ def test_model_outputs(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("verb", [["model"], ["sweep", "--num", "5"]])
 def test_verb_builds_one_pair_intensity(tmp_path, monkeypatch, verb):
-    # The rates, spectra and sweep fold one pair intensity: the kernel runs
-    # once per verb.
-    kernel = spdc._theta_y_summed_sinc2
+    # The rates, spectra and sweep fold one pair intensity: the ridge is
+    # solved once per verb.
+    ridge = spdc._ridge
     grids = []
 
     def counting(kin, grid):
         grids.append(grid)
-        return kernel(kin, grid)
+        return ridge(kin, grid)
 
-    monkeypatch.setattr(spdc, "_theta_y_summed_sinc2", counting)
+    monkeypatch.setattr(spdc, "_ridge", counting)
     code = main(verb + ["--outdir", str(tmp_path),
                         "--set", "grid.n_energy=300",
                         "--set", "grid.n_x=40",

@@ -141,6 +141,21 @@ def test_infinite_grid_lattice_splitter_values_exit_config_code(tmp_path, settin
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("setting", [
+    "grid.energy_lo_kev=2.5",  # heralded below graphite and air (3 keV)
+    "grid.energy_hi_kev=31",  # heralded above graphite (30 keV)
+    "grid.energy_hi_kev=18.5",  # trigger from 2.5 keV, below air
+    "spdc.pump_energy_kev=60",  # trigger 47.5-51.5 keV, above air (40 keV)
+])
+def test_energy_window_outside_the_attenuation_tables_exits_config_code(tmp_path, setting):
+    # A window the tables do not cover used to pass the config and crash
+    # the port spectra.
+    code = main(["model", "--outdir", str(tmp_path / "out"), "--set", setting,
+                 "--set", "grid.n_energy=200", "--set", "grid.n_x=20", "--set", "grid.n_y=4"])
+    assert code == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.fixture(scope="module")
 def small_events_file(tmp_path_factory):
     out = tmp_path_factory.mktemp("run")

@@ -4,8 +4,8 @@ write.
 The runs use criterion 10's reduced grid; ``simulate`` and ``analyze`` run at
 two seeds.  ``model`` folds its rates, spectra and sweep from one pair
 intensity on that grid (fine enough for the bundled rocking width, so
-``spdc.sweep_grid`` leaves it unchanged), so its hashes pin the kernel and
-the sweep fold.  A refactor that leaves the arithmetic and the random-number
+``spdc.sweep_grid`` leaves it unchanged), so its hashes pin the ridge
+build of the pair intensity and the sweep fold.  A refactor that leaves the arithmetic and the random-number
 consumption unchanged must reproduce these bytes exactly; a change that
 alters them on purpose says so in CHANGES.md and regenerates the tables once.
 """
@@ -25,9 +25,9 @@ REDUCED = REDUCED_GRID + [
 ]
 
 MODEL_GOLDEN = {
-    "bragg_sweep.csv": "0703de097f05b7c3a177668d84ff63f54cf2e949104b9dbdd6fda0a7e62aaa43",
-    "model_spectra.csv": "a828200d6e6ffb1160ef9c52a15c94cd63337b9da15bc2845bcba78e017d8fb7",
-    "model_summary.txt": "0dfcf1844cf0f7de9125ae1a0031a29c01e367d5c9bab5a060144a1e889f1aed",
+    "bragg_sweep.csv": "0d134627344753dd1b6537b598234bc4351b947227f4bf3780b1b13f45cb0f1c",
+    "model_spectra.csv": "08d12881263621fbfe9c19d767fb694b80bd04133325f05110b1484df271ec49",
+    "model_summary.txt": "f760caaa17507cfc64f1b84c4965a4dd2c0447e76c73ab5501dce6162faadbe5",
 }
 
 GOLDEN = {

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from artifact import spdc
 from artifact.spdc import (
@@ -18,7 +18,6 @@ from artifact.spdc import (
     sinc,
     sweep_grid,
     _Kinematics,
-    _sinc2_cell_average,
 )
 from artifact.splitter import reflectivity
 from artifact.xoptics import LatticeSpec, bragg_angle, transmittance, wavelength
@@ -39,23 +38,11 @@ def test_sinc_limits():
     np.testing.assert_allclose(sinc(x), np.sinc(x / math.pi), atol=1e-12)
 
 
-def test_sinc2_cell_average_matches_fine_quadrature():
-    x1, x2 = 0.3, 7.9
-    fine = np.linspace(x1, x2, 200001)
-    expected = np.trapezoid(sinc(fine) ** 2, fine) / (x2 - x1)
-    assert _sinc2_cell_average(np.array([x1, x2]))[0] == pytest.approx(
-        expected, rel=1e-9
-    )
-
-
-def test_sinc2_cell_average_degenerate_cell():
-    assert _sinc2_cell_average(np.array([1.0, 1.0 + 1e-9]))[0] == pytest.approx(
-        sinc(1.0) ** 2, rel=1e-6
-    )
-
-
-def _pairwise_cell_average(x1, x2):
-    """Cell average with the antiderivative evaluated separately at both edges."""
+def _cell_average(x_edge):
+    """Reference mean of sinc^2 over each cell between consecutive edges
+    along axis 0, from the antiderivative at both edges; sinc^2 at the
+    midpoint where |dx| < 1e-6.  NaN edges give NaN cells."""
+    x1, x2 = x_edge[:-1], x_edge[1:]
     dx = x2 - x1
     with np.errstate(invalid="ignore", divide="ignore"):
         avg = (spdc._sinc2_antiderivative(x2) - spdc._sinc2_antiderivative(x1)) / dx
@@ -64,21 +51,17 @@ def _pairwise_cell_average(x1, x2):
     return avg
 
 
-def test_edge_cell_average_matches_pairwise_formula_bit_for_bit():
-    rng = np.random.default_rng(5)
-    x_edge = rng.normal(scale=50.0, size=(401, 3, 4))
-    x_edge[::7] = np.nan  # evanescent edges
-    x_edge[100:140] = x_edge[100] + rng.uniform(-1e-6, 1e-6, size=(40, 3, 4))
-    x_edge[200:220] = rng.uniform(-1e-8, 1e-8, size=(20, 3, 4))  # around x = 0
-    x_edge[300:303] = x_edge[300]  # zero-width cells
-    got = _sinc2_cell_average(x_edge)
-    want = _pairwise_cell_average(x_edge[:-1], x_edge[1:])
+def test_sinc2_cell_average_matches_fine_quadrature():
+    x1, x2 = 0.3, 7.9
+    fine = np.linspace(x1, x2, 200001)
+    expected = np.trapezoid(sinc(fine) ** 2, fine) / (x2 - x1)
+    assert _cell_average(np.array([x1, x2]))[0] == pytest.approx(expected, rel=1e-9)
 
-    assert got.shape == want.shape == (400, 3, 4)
-    nan = np.isnan(want)
-    assert np.array_equal(np.isnan(got), nan)
-    assert nan.any() and not nan.all()
-    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+def test_sinc2_cell_average_degenerate_cell():
+    assert _cell_average(np.array([1.0, 1.0 + 1e-9]))[0] == pytest.approx(
+        sinc(1.0) ** 2, rel=1e-6
+    )
 
 
 def test_grid_validation_and_spacings():
@@ -140,19 +123,14 @@ def test_port_spectra_integrate_to_the_rate_quadrature(default_config, tables, g
 
 
 def test_cell_average_preserves_total_under_refinement():
-    # The shared-edge quadrature makes the integrated intensity stable even
-    # though the ridge is far narrower than an energy cell.
+    # Integrating each ridge line across the cells makes the integrated
+    # intensity stable even though the line is far narrower than a cell.
     cfg = SpdcConfig()
     coarse = biphoton_amplitude(cfg, GridSpec(9.5, 11.5, 300, 5.0e-3, 60, 10),
                                 normalize=False)
     fine = biphoton_amplitude(cfg, GridSpec(9.5, 11.5, 900, 5.0e-3, 60, 10),
                               normalize=False)
     assert coarse.total() == pytest.approx(fine.total(), rel=2e-2)
-
-
-def _evaluated_rows(n_y):
-    """theta_y rows the kernel evaluates: the non-negative half."""
-    return math.ceil(n_y / 2)
 
 
 @settings(max_examples=200, deadline=None)
@@ -162,7 +140,7 @@ def _evaluated_rows(n_y):
     theta_y=st.floats(-1.6, 1.6),
 )
 def test_half_phase_is_even_in_theta_y_bit_for_bit(energy, theta_x, theta_y):
-    # The kernel's mirror fold relies on this exactly, evanescent NaNs included.
+    # The ridge's mirror fold relies on this exactly, evanescent NaNs included.
     kin = _Kinematics(SpdcConfig())
     with np.errstate(invalid="ignore", divide="ignore"):
         plus = np.asarray(kin.half_phase(energy, theta_x, theta_y))
@@ -172,75 +150,180 @@ def test_half_phase_is_even_in_theta_y_bit_for_bit(energy, theta_x, theta_y):
 
 @pytest.mark.parametrize("n_y", [1, 2, 5, 6])
 def test_kernel_evaluates_the_non_negative_theta_y_half(monkeypatch, n_y):
+    # The ridge is solved on the non-negative theta_y rows only.
     grid = GridSpec(8.5, 12.5, 30, 5.0e-3, 7, n_y)
     evaluated = []
-    half_phase = _Kinematics.half_phase
+    half_phase, slope = _Kinematics.half_phase, _Kinematics.half_phase_slope
 
-    def counting(self, energy_kev, theta_x, theta_y):
-        x = half_phase(self, energy_kev, theta_x, theta_y)
-        evaluated.append((x.size, np.min(theta_y)))
-        return x
+    def counting(method):
+        def call(self, energy_kev, theta_x, theta_y):
+            evaluated.append(np.unique(theta_y))
+            return method(self, energy_kev, theta_x, theta_y)
+        return call
 
-    monkeypatch.setattr(_Kinematics, "half_phase", counting)
-    spdc._theta_y_summed_sinc2(_Kinematics(SpdcConfig()), grid)
-    assert sum(n for n, _ in evaluated) == (30 + 1) * 7 * _evaluated_rows(n_y)
-    assert min(lo for _, lo in evaluated) > -1e-15
+    monkeypatch.setattr(_Kinematics, "half_phase", counting(half_phase))
+    monkeypatch.setattr(_Kinematics, "half_phase_slope", counting(slope))
+    biphoton_amplitude(SpdcConfig(), grid)
+    rows = grid.theta_y_centers()[n_y // 2 :]
+    assert rows.size == math.ceil(n_y / 2) and np.all(rows > -1e-15)
+    assert np.array_equal(np.unique(np.concatenate(evaluated)), rows)
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    n_energy=st.integers(5, 60),
-    n_x=st.integers(1, 12),
-    n_y=st.integers(1, 9),
-    chunk_cols=st.integers(1, 12),
-)
-def test_pair_intensity_kernel_matches_3d_reference(n_energy, n_x, n_y, chunk_cols):
-    # The reference evaluates every theta_y row; the kernel folds the mirror
-    # rows (odd n_y leaves a centre row counted once).
-    cfg = SpdcConfig()
-    grid = GridSpec(8.5, 12.5, n_energy, 5.0e-3, n_x, n_y)
-    # A chunk constant worth ``chunk_cols`` theta_x columns of the evaluated
-    # theta_y rows puts chunk boundaries mid-axis whenever chunk_cols < n_x.
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spdc, "CHUNK_CELLS", chunk_cols * (n_energy + 1) * _evaluated_rows(n_y))
-        raw = biphoton_amplitude(cfg, grid, normalize=False)
-        normalized = biphoton_amplitude(cfg, grid)
-
+def _exact_cell_average(cfg, grid, sub_kev):
+    """Mean of sinc^2 of the exact mismatch over each (energy, theta_x,
+    theta_y) cell, summed over theta_y: each energy cell is split into
+    sub-cells no wider than ``sub_kev``, and each sub-cell integrates
+    sinc^2 of the secant of x across it.  Evanescent sub-cells count zero.
+    Returns (cell averages (n_energy, n_x), the sub-cell width)."""
+    m = math.ceil(grid.d_energy / sub_kev)
+    fine = np.linspace(grid.energy_lo_kev, grid.energy_hi_kev, grid.n_energy * m + 1)
     x_edge = _Kinematics(cfg).half_phase(
-        grid.energy_edges()[:, None, None],
+        fine[:, None, None],
         grid.theta_x_centers()[None, :, None],
         grid.theta_y_centers()[None, None, :],
     )
-    cell = _sinc2_cell_average(x_edge)
-    bad = np.isnan(x_edge[:-1]) | np.isnan(x_edge[1:]) | np.isnan(cell)
-    expected = np.where(bad, 0.0, cell).sum(axis=2) * cfg.kappa_l**2 * grid.d_theta_y
+    sub = _cell_average(x_edge)
+    sub[np.isnan(sub)] = 0.0
+    return sub.sum(axis=2).reshape(grid.n_energy, m, grid.n_x).mean(axis=1), grid.d_energy / m
 
+
+def _line_bound(cfg, grid, sub_kev):
+    """Upper bound on sum |W_ridge - W_exact| dE dtheta_x, from the error
+    terms ``biphoton_amplitude`` states plus the reference's own.  Each
+    (theta_x, theta_y) point's line carries kappa_L^2 d_theta_y d_theta_x
+    pi / s; as shares of that, the ridge may drop the tail beyond |x| = X,
+    at most 1 / (pi X), and misplace c (ln 2X + 1 + N) / (pi s^2) by the
+    linearisation, with N <= 2X / (s dE) + 3 cell and window edges in its
+    band; the reference's secant across a sub-cell of width ``sub_kev``
+    misstates the slope, and so the mass, by at most c * sub_kev / s.  s
+    and c = max |x''| (at E0 and the band ends) are central differences at
+    the ridge's zeros, and every theta_y row counts, the mirrored ones
+    included.  Where a line's band misses the window the exact W holds at
+    most its tail.  Returns (bound, number of zeros)."""
+    kin = _Kinematics(cfg)
+    e0, _slope, column, row = spdc._ridge(kin, grid)
+    tx = grid.theta_x_centers()[column]
+    ty = grid.theta_y_centers()[grid.n_y // 2 :][row]
+    h = 1e-3
+
+    def x(e):
+        return kin.half_phase(e, tx, ty)
+
+    s = np.abs(x(e0 + h) - x(e0 - h)) / (2 * h)
+    X = spdc.LINE_HALF_WIDTH
+    reach = X / s
+    c = np.max([np.abs(x(e + h) - 2 * x(e) + x(e - h)) / h**2
+                for e in (e0 - reach, e0, e0 + reach)], axis=0)
+    n_edges = 2 * X / (s * grid.d_energy) + 3
+    share = (1 / (math.pi * X) + c * (math.log(2 * X) + 1 + n_edges) / (math.pi * s**2)
+             + c * sub_kev / s)
+    mult = np.where((grid.n_y % 2 == 1) & (row == 0), 1.0, 2.0)
+    mass = cfg.kappa_l**2 * grid.d_theta_y * grid.d_theta_x * math.pi / s
+    return float(np.sum(mult * mass * share)), e0.size
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lo=st.floats(8.6, 11.9),
+    width=st.floats(0.02, 2.0),
+    n_energy=st.integers(5, 300),
+    n_x=st.integers(1, 12),
+    n_y=st.integers(1, 9),
+)
+# Windows whose edges cut the lowest lines (E0 from 8.714 keV) within
+# their 68 eV bands, and one that holds no line at all.
+@example(lo=8.75, width=0.5, n_energy=300, n_x=12, n_y=9)
+@example(lo=8.6, width=0.13, n_energy=100, n_x=12, n_y=4)
+@example(lo=11.9, width=0.5, n_energy=50, n_x=5, n_y=3)
+def test_pair_intensity_kernel_matches_3d_reference(lo, width, n_energy, n_x, n_y):
+    # The reference integrates sinc^2 of the exact mismatch across every
+    # (energy, theta_x, theta_y) cell of the window, in sub-cells of at
+    # most 0.25 eV; the ridge deposits each line from its zero.  They
+    # differ by at most the dropped tails, the linearisation and the
+    # reference's secants (_line_bound).
+    cfg = SpdcConfig()
+    grid = GridSpec(lo, lo + width, n_energy, 5.0e-3, n_x, n_y)
+    raw = biphoton_amplitude(cfg, grid, normalize=False)
+    average, sub_kev = _exact_cell_average(cfg, grid, 2.5e-4)
+    expected = average * cfg.kappa_l**2 * grid.d_theta_y
+
+    bound, n_lines = _line_bound(cfg, grid, sub_kev)
+    assert n_lines == n_x * math.ceil(n_y / 2)
     assert raw.weights.shape == (n_energy, n_x)
-    np.testing.assert_allclose(raw.weights, expected, rtol=1e-12, atol=0.0)
     assert np.all(raw.weights >= 0)
-    assert np.all(normalized.weights >= 0)
-    assert normalized.total() == pytest.approx(1.0, rel=1e-12)
+    error = np.abs(raw.weights - expected).sum() * raw.cell_area
+    assert error <= bound
+    if raw.total() > 0:
+        normalized = biphoton_amplitude(cfg, grid)
+        assert np.all(normalized.weights >= 0)
+        assert normalized.total() == pytest.approx(1.0, rel=1e-12)
 
 
-def test_kernel_is_identical_for_every_chunk_size(monkeypatch):
-    grid = GridSpec(8.5, 12.5, 300, 5.0e-3, 14, 6)
-    kin = _Kinematics(SpdcConfig())
-    column = (grid.n_energy + 1) * _evaluated_rows(grid.n_y)
-    results = []
-    # 1 cell and one column give one-column chunks; 3 and 5 columns leave a
-    # short last chunk; 1000 columns take the whole grid at once.
-    for cells in (1, column, 3 * column, 5 * column + 7, 1000 * column):
-        monkeypatch.setattr(spdc, "CHUNK_CELLS", cells)
-        results.append(spdc._theta_y_summed_sinc2(kin, grid))
-    assert np.count_nonzero(results[0]) > 0
-    for w in results[1:]:
-        assert np.array_equal(w, results[0])
+@pytest.fixture(scope="module")
+def reference_ridge(default_config):
+    """The ridge of the bundled profile on its reference grid, with the
+    angles of each zero."""
+    grid = default_config.grid
+    kin = _Kinematics(default_config.spdc)
+    e0, slope, column, row = spdc._ridge(kin, grid)
+    tx = grid.theta_x_centers()[column]
+    ty = grid.theta_y_centers()[grid.n_y // 2 :][row]
+    return grid, kin, e0, slope, column, row, tx, ty
+
+
+def test_reference_grid_has_one_ridge_zero_per_point_in_the_window(reference_ridge):
+    grid, _kin, e0, _slope, column, row, _tx, _ty = reference_ridge
+    assert e0.size == grid.n_x * grid.n_y // 2 == 3200
+    assert np.unique(row * grid.n_x + column).size == e0.size
+    assert np.all((e0 > grid.energy_lo_kev) & (e0 < grid.energy_hi_kev))
+
+
+def test_ridge_zeros_and_slopes(reference_ridge):
+    _grid, kin, e0, slope, _column, _row, tx, ty = reference_ridge
+    # Bisection stops at adjacent energies, where x moves by s * 2e-15 keV
+    # = 3e-11; rounding of dk_z L / 2, a difference of terms near 1e7,
+    # leaves 1.4e-7.
+    assert np.max(np.abs(kin.half_phase(e0, tx, ty))) < 1e-6
+    h = 1e-4
+    central = (kin.half_phase(e0 + h, tx, ty) - kin.half_phase(e0 - h, tx, ty)) / (2 * h)
+    np.testing.assert_allclose(slope, np.abs(central), rtol=1e-6)
+    assert 1.5e4 < slope.min() and slope.max() < 1.7e4
+
+
+def test_line_carries_pi_over_slope_less_the_dropped_tail():
+    X = spdc.LINE_HALF_WIDTH
+    tail = 1.0 - 2.0 * float(spdc._sinc2_antiderivative(X)) / math.pi
+    assert (X / math.pi) == round(X / math.pi)
+    assert 0.0 < tail < 1.0 / (math.pi * X) < 3e-4
+    # One theta_y row (counted once) and a window holding every band whole:
+    # each theta_x column carries its one line's mass.
+    cfg, grid = SpdcConfig(), GridSpec(8.5, 12.5, 700, 5.0e-3, 9, 1)
+    e0, slope, column, _row = spdc._ridge(_Kinematics(cfg), grid)
+    assert np.array_equal(np.sort(column), np.arange(grid.n_x))
+    assert np.all((e0 - X / slope > 8.5) & (e0 + X / slope < 12.5))
+    w = biphoton_amplitude(cfg, grid, normalize=False).weights
+    want = cfg.kappa_l**2 * grid.d_theta_y * math.pi / slope[np.argsort(column)] * (1.0 - tail)
+    np.testing.assert_allclose(w.sum(axis=0) * grid.d_energy, want, rtol=1e-12)
+
+
+def test_point_without_a_root_in_the_window_carries_no_weight():
+    # On a 20 mrad span the ridge runs from about 5.3 to 17.5 keV, so a
+    # 9-11 keV window leaves theta_x columns all of whose lines miss it.
+    cfg, grid = SpdcConfig(), GridSpec(9.0, 11.0, 200, 2.0e-2, 41, 6)
+    e0, slope, column, _row = spdc._ridge(_Kinematics(cfg), grid)
+    reach = spdc.LINE_HALF_WIDTH / slope
+    meets = (e0 + reach > grid.energy_lo_kev) & (e0 - reach < grid.energy_hi_kev)
+    lit = np.zeros(grid.n_x, dtype=bool)
+    lit[column[meets]] = True
+    assert lit.any() and not lit.all()
+    w = biphoton_amplitude(cfg, grid, normalize=False).weights
+    assert np.array_equal(w.any(axis=0), lit)
 
 
 def test_reference_grid_kernel_peak_memory():
     # Deterministic bound on the kernel's temporaries: tracemalloc counts
-    # numpy's buffers, so chunking must keep the peak far below the
-    # hundreds of MB a whole-grid evaluation would take.
+    # numpy's buffers, so the ridge's per-row temporaries must keep the
+    # peak far below the hundreds of MB a whole-grid evaluation would take.
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
