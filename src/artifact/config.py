@@ -202,27 +202,25 @@ def _check_incidence(splitter: SplitterSpec, grid: GridSpec):
         )
 
 
-# Attenuation tables each photon of a pair passes: the heralded photon the
-# graphite splitter and both flight paths, the trigger photon the flight
-# paths (air, then helium).
-_HERALDED_TABLES = ("graphite", "air", "helium")
-_TRIGGER_TABLES = ("air", "helium")
-
-
 def _check_energy_windows(grid: GridSpec, pump_energy_kev: float):
     """Reject a grid window whose heralded energies [lo, hi], or trigger
     energies [E_pump - hi, E_pump - lo], leave the range of an attenuation
-    table those photons pass."""
+    table those photons pass: the heralded photon crosses the graphite
+    splitter and both flight paths (air, then helium), the trigger photon
+    the flight paths."""
     lo, hi = grid.energy_lo_kev, grid.energy_hi_kev
-    for photon, window, tables in (
-        ("heralded", (lo, hi), _HERALDED_TABLES),
-        ("trigger", (pump_energy_kev - hi, pump_energy_kev - lo), _TRIGGER_TABLES),
+    heralded = ("heralded", lo, hi)
+    trigger = ("trigger", pump_energy_kev - hi, pump_energy_kev - lo)
+    for material, photons in (
+        ("graphite", (heralded,)),
+        ("air", (heralded, trigger)),
+        ("helium", (heralded, trigger)),
     ):
-        for material in tables:
-            energies = load_table(material).energies_kev
-            if not (energies[0] <= window[0] and window[1] <= energies[-1]):
+        energies = load_table(material).energies_kev
+        for photon, e_lo, e_hi in photons:
+            if not (energies[0] <= e_lo and e_hi <= energies[-1]):
                 raise ConfigError(
-                    f"{photon} energies {window[0]:g}..{window[1]:g} keV leave the {material} "
+                    f"{photon} energies {e_lo:g}..{e_hi:g} keV leave the {material} "
                     f"attenuation table's {energies[0]:g}..{energies[-1]:g} keV: check [grid] "
                     "energy_lo_kev and energy_hi_kev"
                 )

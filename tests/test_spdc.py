@@ -155,14 +155,14 @@ def test_kernel_evaluates_the_non_negative_theta_y_half(monkeypatch, n_y):
     evaluated = []
     half_phase, slope = _Kinematics.half_phase, _Kinematics.half_phase_slope
 
-    def counting(method):
+    def recording(method):
         def call(self, energy_kev, theta_x, theta_y):
             evaluated.append(np.unique(theta_y))
             return method(self, energy_kev, theta_x, theta_y)
         return call
 
-    monkeypatch.setattr(_Kinematics, "half_phase", counting(half_phase))
-    monkeypatch.setattr(_Kinematics, "half_phase_slope", counting(slope))
+    monkeypatch.setattr(_Kinematics, "half_phase", recording(half_phase))
+    monkeypatch.setattr(_Kinematics, "half_phase_slope", recording(slope))
     biphoton_amplitude(SpdcConfig(), grid)
     rows = grid.theta_y_centers()[n_y // 2 :]
     assert rows.size == math.ceil(n_y / 2) and np.all(rows > -1e-15)
