@@ -67,21 +67,31 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_sweep(cfg: RunConfig, outdir: str, intensity, splitter, angles) -> None:
+def _require_ridge_zeros(ridge) -> None:
+    """The sweep is normalized by the weight of the ridge zeros in the
+    energy window; a window that holds none has no sweep."""
+    if ridge.energies.size == 0:
+        raise ConfigError("the [grid] energy window holds no zero of the phase-matching ridge")
+
+
+def _write_sweep(cfg: RunConfig, outdir: str, ridge, splitter, angles) -> None:
     """bragg_sweep.csv: the sweep of ``splitter`` retuned to each of
-    ``angles``, through air along ``[source] air_path_cm``."""
+    ``angles``, folded on ``ridge`` through air along ``[source]
+    air_path_cm``."""
     sweep = spdc_mod.bragg_angle_sweep(
-        intensity, splitter, angles, air=load_table("air"), air_path_cm=cfg.source.air_path_cm,
+        ridge, splitter, angles, air=load_table("air"), air_path_cm=cfg.source.air_path_cm,
     )
     _write_rows(os.path.join(outdir, "bragg_sweep.csv"), "bragg_angle_deg,normalized_rate", sweep)
 
 
 def cmd_model(cfg: RunConfig, outdir: str) -> None:
     """Write the sweep curve, model port spectra, and rate-fraction summary,
-    all folded from one pair intensity (``spdc.sweep_grid``); a port's rate
-    fraction is the energy integral of its spectrum."""
+    all folded from one pair intensity (``spdc.sweep_grid``): the spectra
+    from its W, the sweep from its ridge.  A port's rate fraction is the
+    energy integral of its spectrum."""
     grid = spdc_mod.sweep_grid(cfg.grid, cfg.splitter.width_deg)
     intensity = spdc_mod.biphoton_amplitude(cfg.spdc, grid)
+    _require_ridge_zeros(intensity.ridge)
 
     energies, refl_dens, trans_dens = spdc_mod.port_energy_spectra(
         intensity, cfg.splitter, load_table("graphite")
@@ -94,7 +104,7 @@ def cmd_model(cfg: RunConfig, outdir: str) -> None:
         zip(energies.tolist(), refl_dens.tolist(), trans_dens.tolist()),
     )
 
-    _write_sweep(cfg, outdir, intensity, cfg.splitter, np.linspace(5.0, 45.0, 81).tolist())
+    _write_sweep(cfg, outdir, intensity.ridge, cfg.splitter, np.linspace(5.0, 45.0, 81).tolist())
 
     with open(os.path.join(outdir, "model_summary.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"r_reflected = {r_ref:.6f}\n")
@@ -272,8 +282,9 @@ def cmd_analyze(cfg: RunConfig, events_path: str, outdir: str) -> None:
 def cmd_sweep(cfg: RunConfig, outdir: str, start: float, stop: float, num: int, width_scale: float) -> None:
     """Standalone Bragg-angle sweep, optionally scaling the rocking width.
 
-    The pair intensity is built on the config grid with theta_x refined to
-    the scaled width (``spdc.sweep_grid``).
+    The ridge of the pair intensity is solved on the config grid with
+    theta_x refined to the scaled width (``spdc.sweep_grid``); the 2-D W is
+    not built.
     """
     if num < 1:
         raise ConfigError(f"--num must be at least 1, got {num}")
@@ -283,10 +294,9 @@ def cmd_sweep(cfg: RunConfig, outdir: str, start: float, stop: float, num: int, 
     if not all(0.0 < a < 90.0 for a in angles):
         raise ConfigError(f"sweep angles must lie in (0, 90) degrees, got {start}..{stop}")
     base = replace(cfg.splitter, width_deg=cfg.splitter.width_deg * width_scale)
-    intensity = spdc_mod.biphoton_amplitude(
-        cfg.spdc, spdc_mod.sweep_grid(cfg.grid, base.width_deg)
-    )
-    _write_sweep(cfg, outdir, intensity, base, angles)
+    ridge = spdc_mod.pair_ridge(cfg.spdc, spdc_mod.sweep_grid(cfg.grid, base.width_deg))
+    _require_ridge_zeros(ridge)
+    _write_sweep(cfg, outdir, ridge, base, angles)
 
 
 def build_parser() -> argparse.ArgumentParser:

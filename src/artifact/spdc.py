@@ -14,13 +14,15 @@ Every consumer (port spectra and rates, the Bragg-angle sweep, the pair
 sampler) needs only the intensity as a function of energy and theta_x: the
 splitter acts on theta_x alone and no observable depends on the phase.  The
 pair intensity is therefore reduced once to a 2-D (E, theta_x) array W, with
-theta_y integrated out, and every consumer folds that one W: ``xbsim model``
-builds it once for the spectra and sweep.  The port spectra fold W with the
-splitter response (``splitter.response``) once, and a port's rate fraction
-is the energy integral of its spectrum.  A sweep over narrow rocking widths
-needs finer theta_x cells than the rates do; ``sweep_grid`` derives them
-from the width.  ``amplitude_at`` evaluates the complex amplitude pointwise
-where it is needed.
+theta_y integrated out: ``xbsim model`` builds it once.  The port spectra
+fold W with the splitter response (``splitter.response``) once, and a port's
+rate fraction is the energy integral of its spectrum; the pair sampler draws
+from W.  The Bragg-angle sweep folds no W: it folds the rocking curve at
+each zero E0 of the ridge (``Ridge``), weighted by its whole line.  A sweep
+over narrow rocking widths needs finer theta_x cells than the rates do;
+``sweep_grid`` derives them from the width, and ``pair_ridge`` solves the
+ridge on such a grid without building W.  ``amplitude_at`` evaluates the
+complex amplitude pointwise where it is needed.
 
 W is built from the phase-matching ridge.  At fixed (theta_x, theta_y) the
 intensity is one sinc^2 line in energy around the zero E0 of the mismatch,
@@ -210,15 +212,31 @@ class _Kinematics:
 
 
 @dataclass(frozen=True)
+class Ridge:
+    """The zeros E0 of the phase-matching ridge that lie in the energy
+    window, one per (theta_x, theta_y >= 0) grid point at most.
+
+    ``weights`` is the whole sinc^2 line's low-gain intensity,
+    kappa_L^2 * pi / s * d_theta_y * d_theta_x with s = |dx/dE| at E0,
+    doubled for the theta_y rows that stand for their mirror row too.
+    """
+
+    energies: np.ndarray  # E0, keV
+    theta_x: np.ndarray  # theta_x cell centre of each zero, rad
+    weights: np.ndarray
+
+
+@dataclass(frozen=True)
 class PairIntensity:
     """theta_y-integrated pair intensity W(energy, theta_x) on the grid.
 
     ``weights[i, j]`` is the low-gain intensity kappa_L^2 * <sinc^2(dk_z L/2)>
     of energy cell i and theta_x cell j, averaged across the energy cell
     (``biphoton_amplitude``) and summed over the theta_y cells times
-    d_theta_y.  Every consumer (rates, spectra, sweep, pair sampler) depends
-    on theta_x and energy only, so theta_y and the phase are integrated out
-    once here.
+    d_theta_y.  Every consumer (rates, spectra, pair sampler) depends on
+    theta_x and energy only, so theta_y and the phase are integrated out
+    once here.  ``ridge`` holds the zeros in the window that the lines are
+    deposited from; the Bragg-angle sweep folds those.
     """
 
     config: SpdcConfig
@@ -226,6 +244,7 @@ class PairIntensity:
     energies: np.ndarray  # cell centers, keV
     theta_x: np.ndarray  # cell centers, rad
     weights: np.ndarray  # float64, shape (n_energy, n_x)
+    ridge: Ridge  # the zeros the weights are deposited from
     cdf: np.ndarray = field(init=False, repr=False)  # flattened (C order) running sum
 
     def __post_init__(self):
@@ -285,7 +304,8 @@ def _deposit_lines(w, edges, e0, slope, column, weight):
     """Add ``weight`` times the integral of sinc^2(slope * (E - e0)) over
     each energy cell between ``edges``, within |x| <= LINE_HALF_WIDTH, to
     column ``column`` of ``w`` (n_energy, n_x), one line per entry of the
-    1-D arrays.  The part of a line outside the window is dropped."""
+    1-D arrays (``weight`` included).  The part of a line outside the
+    window is dropped."""
     n_energy = len(edges) - 1
     reach = LINE_HALF_WIDTH / slope
     first = np.clip(np.searchsorted(edges, e0 - reach, side="right") - 1, 0, n_energy)
@@ -293,7 +313,7 @@ def _deposit_lines(w, edges, e0, slope, column, weight):
     hit = stop > first
     if not hit.any():
         return
-    e0, slope, column, first = e0[hit], slope[hit], column[hit], first[hit]
+    e0, slope, column, weight, first = e0[hit], slope[hit], column[hit], weight[hit], first[hit]
     # Cells past a line's band, or past the window, get zero-width x steps.
     edge = np.minimum(first[:, None] + np.arange((stop[hit] - first).max() + 1), n_energy)
     x = slope[:, None] * (edges[edge] - e0[:, None])
@@ -301,6 +321,30 @@ def _deposit_lines(w, edges, e0, slope, column, weight):
     mass = np.diff(_sinc2_antiderivative(x), axis=1)
     mass *= (weight / slope)[:, None]
     np.add.at(w, (np.minimum(edge[:, :-1], n_energy - 1), column[:, None]), mass)
+
+
+def _mirror_weight(grid: GridSpec, row):
+    """Multiplicity of each non-negative theta_y row index in ``row``: 1 for
+    the theta_y = 0 row of an odd n_y, 2 for a row that stands for its
+    mirror row too."""
+    return np.where((grid.n_y % 2 == 1) & (row == 0), 1.0, 2.0)
+
+
+def _window_ridge(config: SpdcConfig, grid: GridSpec, e0, slope, column, mirror) -> Ridge:
+    """The ``Ridge`` of the zeros (``_ridge``) that lie in the energy window."""
+    inside = (e0 >= grid.energy_lo_kev) & (e0 <= grid.energy_hi_kev)
+    scale = config.kappa_l**2 * math.pi * grid.d_theta_y * grid.d_theta_x
+    return Ridge(
+        e0[inside], grid.theta_x_centers()[column[inside]], scale * mirror[inside] / slope[inside]
+    )
+
+
+def pair_ridge(config: SpdcConfig, grid: GridSpec | None = None) -> Ridge:
+    """The ridge ``biphoton_amplitude`` keeps, solved without depositing W."""
+    if grid is None:
+        grid = GridSpec()
+    e0, slope, column, row = _ridge(_Kinematics(config), grid)
+    return _window_ridge(config, grid, e0, slope, column, _mirror_weight(grid, row))
 
 
 def biphoton_amplitude(
@@ -323,25 +367,26 @@ def biphoton_amplitude(
 
     A line whose band misses the energy window deposits nothing.  The
     temporaries are one theta_y row's lines by the cells each spans.  With
-    ``normalize`` the intensity integrates to 1 over the window.
+    ``normalize`` the intensity integrates to 1 over the window.  The
+    result keeps the zeros in the window as its ``ridge``.
     """
     if grid is None:
         grid = GridSpec()
     e0, slope, column, row = _ridge(_Kinematics(config), grid)
+    mirror = _mirror_weight(grid, row)
     w = np.zeros((grid.n_energy, grid.n_x))
     edges = grid.energy_edges()
-    centre = grid.n_y % 2  # 1 when row 0 is the theta_y = 0 row, counted once
     for r in range(grid.n_y - grid.n_y // 2):
         on = row == r
-        weight = 1.0 if centre and r == 0 else 2.0
-        _deposit_lines(w, edges, e0[on], slope[on], column[on], weight)
+        _deposit_lines(w, edges, e0[on], slope[on], column[on], mirror[on])
     w *= config.kappa_l**2 * grid.d_theta_y / grid.d_energy
     if normalize:
         norm = float(np.sum(w)) * grid.d_energy * grid.d_theta_x
         if norm == 0.0:
             raise ValueError("pair intensity vanishes identically on this grid")
         w /= norm
-    return PairIntensity(config, grid, grid.energy_centers(), grid.theta_x_centers(), w)
+    ridge = _window_ridge(config, grid, e0, slope, column, mirror)
+    return PairIntensity(config, grid, grid.energy_centers(), grid.theta_x_centers(), w, ridge)
 
 
 def amplitude_at(config: SpdcConfig, energy_kev, theta_x, theta_y):
@@ -386,13 +431,11 @@ def _retuned(base: SplitterSpec, theta_b_deg: float) -> SplitterSpec:
 
 
 # theta_x cells per rocking width b on the grid of a Bragg-angle sweep.  On
-# the 2400 x n_x x 40 reference window, doubling n_x moved the sweep at the
-# nominal angle by 2.1e-3 from 25 cells per width and by 9.7e-4 from 50 at
-# width x0.01, by 6.9e-5 from 50 at x0.1, and by 3.7e-6 from the 268 the
-# reference grid gives the bundled width.  Far above the nominal angle a
-# narrow rocking curve is also narrower than a few energy cells (5 at x0.1
-# and 45 deg), and there the sweep still moved by 1e-2 (x0.1) and 5e-2
-# (x0.01): theta_x resolution alone does not settle it.
+# the reference window (n_y = 40), doubling n_x from the rule's grid moves
+# no angle of the 5-45 deg ridge sweep by more than 4.4e-6 at the bundled
+# width (268 cells per width), 4.0e-4 at x0.1 or 1.6e-4 at x0.01 (50 each).
+# The rocking curve must still be resolved in theta_x: at x0.01 the 45 deg
+# value moves by 10% from n_x = 1000 to 2000 (17 to 34 cells per width).
 CELLS_PER_ROCKING_WIDTH = 50
 
 
@@ -409,7 +452,7 @@ def sweep_grid(grid: GridSpec, width_deg: float) -> GridSpec:
 
 
 def bragg_angle_sweep(
-    intensity: PairIntensity,
+    ridge: Ridge,
     splitter: SplitterSpec,
     sweep_deg,
     *,
@@ -420,12 +463,21 @@ def bragg_angle_sweep(
 
     At each angle ``splitter`` is retuned so that its nominal energy
     reflects at that Bragg angle (peak reflectivity, rocking width and
-    thickness kept).  Its reflected-port rate (intensity reflectivity folded
-    with the theta_y-integrated pair intensity and absorption in ``air``
-    along ``air_path_cm``) is normalized by the total pair intensity at the
-    source.  The rocking curve is resolved only as finely as the
-    intensity's theta_x grid; ``sweep_grid`` gives a grid fine enough for a
-    rocking width.  Returns a list of (theta_B_deg, rate).
+    thickness kept).  Its reflected-port rate is the intensity reflectivity
+    times the transmission through ``air`` along ``air_path_cm``, taken at
+    each zero E0 of ``ridge`` (those in the energy window) and weighted by
+    that line's whole intensity, pi / s; the sum is normalized by the
+    ridge's total weight.  A zero whose wavelength exceeds the retuned 2d
+    reflects nothing.
+
+    A fold over the 2-D W instead takes the splitter at the energy cell
+    centres across each line's band (+-68 eV of E0 hold all but 3e-4 of
+    the line, the same share for every line, so the normalization cancels
+    it).  The two differ by that energy binning: 2.7e-5 (relative, at 45
+    deg) on the reference grid, 1.9e-4 on a 400-cell energy grid.  The
+    rocking curve is resolved only as finely as the ridge's theta_x grid;
+    ``sweep_grid`` gives a grid fine enough for a rocking width.  Returns a
+    list of (theta_B_deg, rate).
     """
     sweep_deg = list(sweep_deg)
     if not sweep_deg:
@@ -433,25 +485,20 @@ def bragg_angle_sweep(
     for t in sweep_deg:
         if not (0.0 < t < 90.0):
             raise ValueError("sweep angles must lie in (0, 90) degrees")
-    w = intensity.weights
-    denom = float(w.sum())
-    if denom == 0.0:
-        raise ValueError("pair intensity vanishes on the sweep grid")
-    w = w * transmittance(intensity.energies[:, None], air, air_path_cm)
-    dtheta_deg = np.degrees(intensity.theta_x)
-    # splitter.reflectivity, A * exp(-(arg / b)^2) with
-    # arg = dtheta + theta_B(nominal) - theta_B(E), evaluated in one reused
-    # (n_energy, n_x) buffer; only the energy part of arg depends on the
-    # angle's lattice, and A scales the folded sum.
-    arg = np.empty_like(w)
+    total = float(ridge.weights.sum())
+    if total == 0.0:
+        raise ValueError("the pair ridge has no zero in the energy window")
+    w = ridge.weights * transmittance(ridge.energies, air, air_path_cm)
+    half_lambda = 0.5 * wavelength(ridge.energies)
+    dtheta_deg = np.degrees(ridge.theta_x)
     rates = []
     for t in sweep_deg:
         spec = _retuned(splitter, t)
-        energy_part = spec.nominal_bragg_deg() - bragg_angle(intensity.energies, spec.lattice)
-        b = spec.width_deg
-        np.add((energy_part / b)[:, None], (dtheta_deg / b)[None, :], out=arg)
-        np.square(arg, out=arg)
-        np.negative(arg, out=arg)
-        np.exp(arg, out=arg)
-        rates.append((t, spec.peak_reflectivity * float(np.vdot(w, arg)) / denom))
+        # sin(theta_B(E0)); splitter.reflectivity's arg, with R = 0 where
+        # lambda > 2d instead of raising.
+        s = half_lambda / spec.lattice.d_spacing
+        reflects = s <= 1.0
+        arg = dtheta_deg + spec.nominal_bragg_deg() - np.degrees(np.arcsin(np.where(reflects, s, 1.0)))
+        r = np.where(reflects, np.exp(-((arg / spec.width_deg) ** 2)), 0.0)
+        rates.append((t, spec.peak_reflectivity * float(w @ r) / total))
     return rates

@@ -76,20 +76,20 @@ def test_criterion_04_rocking_width_scaling(default_config, amp_default, tables)
     base = default_config.splitter
     theta = base.nominal_bragg_deg()
     # Widening the rocking width by x100, from a perfect-crystal-like
-    # profile up to the mosaic width, at fixed geometry.  Each side folds a
-    # pair intensity on the grid the sweep rule gives for its width; for the
+    # profile up to the mosaic width, at fixed geometry.  Each side folds
+    # the pair ridge on the grid the sweep rule gives for its width; for the
     # mosaic width that is the reference grid itself.
     narrow_spec = replace(base, width_deg=base.width_deg / 100.0)
-    narrow_amp = spdc.biphoton_amplitude(
+    narrow_ridge = spdc.pair_ridge(
         default_config.spdc, spdc.sweep_grid(default_config.grid, narrow_spec.width_deg)
     )
     narrow = spdc.bragg_angle_sweep(
-        narrow_amp, narrow_spec, [theta],
+        narrow_ridge, narrow_spec, [theta],
         air=tables["air"], air_path_cm=default_config.source.air_path_cm,
     )[0][1]
     assert spdc.sweep_grid(default_config.grid, base.width_deg) is amp_default.grid
     wide = spdc.bragg_angle_sweep(
-        amp_default, base, [theta],
+        amp_default.ridge, base, [theta],
         air=tables["air"], air_path_cm=default_config.source.air_path_cm,
     )[0][1]
     ratio = wide / narrow

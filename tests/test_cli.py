@@ -171,6 +171,43 @@ def test_verb_builds_one_pair_intensity(tmp_path, monkeypatch, verb):
     assert (grids[0].n_energy, grids[0].n_x, grids[0].n_y) == (300, 40, 8)
 
 
+def test_narrow_sweep_solves_the_ridge_without_building_w(tmp_path, monkeypatch):
+    # At x0.01 the sweep rule refines theta_x to 2985 columns; the sweep
+    # folds the ridge there and never deposits the 2-D pair intensity.
+    def no_w(*args, **kwargs):
+        raise AssertionError("sweep built the 2-D pair intensity")
+
+    monkeypatch.setattr(spdc, "biphoton_amplitude", no_w)
+    code = main(["sweep", "--outdir", str(tmp_path), "--num", "5", "--width-scale", "0.01",
+                 "--set", "grid.n_energy=300", "--set", "grid.n_y=4"])
+    assert code == EXIT_OK
+    assert len((tmp_path / "bragg_sweep.csv").read_text().strip().splitlines()) == 6
+
+
+def test_model_over_a_window_below_the_sweep_cutoff_exits_ok(tmp_path):
+    # A family retuned to 45 deg reflects nothing below 7.42 keV; a window
+    # from 6 keV reaches there, and the sweep counts no reflection rather
+    # than failing.
+    code = main(["model", "--outdir", str(tmp_path),
+                 "--set", "grid.energy_lo_kev=6.0", "--set", "grid.n_energy=200",
+                 "--set", "grid.n_x=20", "--set", "grid.n_y=4"])
+    assert code == EXIT_OK
+    sweep = np.loadtxt(tmp_path / "bragg_sweep.csv", delimiter=",", skiprows=1)
+    assert sweep.shape == (81, 2) and np.all(np.diff(sweep[:, 1]) < 0)
+
+
+@pytest.mark.parametrize("verb", [["model"], ["sweep", "--num", "5", "--width-scale", "2"]])
+def test_window_without_a_ridge_zero_exits_config_code(tmp_path, verb):
+    # On this 20-column grid the ridge zeros end at 11.74 keV, and their
+    # lines' bands reach to 11.81 keV: a window from 11.80 keV holds some of
+    # W but no zero to normalize the sweep by.  (Width x2 keeps the grid.)
+    code = main(verb + ["--outdir", str(tmp_path),
+                        "--set", "grid.energy_lo_kev=11.80", "--set", "grid.n_energy=200",
+                        "--set", "grid.n_x=20", "--set", "grid.n_y=4"])
+    assert code == EXIT_CONFIG
+    assert not any(tmp_path.iterdir())
+
+
 def test_model_sweep_follows_air_path(tmp_path):
     # [source] air_path_cm reaches the sweep: no air at 0 cm, less rate at
     # every angle at 200 cm than at the bundled 10 cm.
@@ -183,8 +220,8 @@ def test_model_sweep_follows_air_path(tmp_path):
         return out / "bragg_sweep.csv"
 
     cfg = load_default_config(coarse)
-    intensity = spdc.biphoton_amplitude(cfg.spdc, spdc.sweep_grid(cfg.grid, cfg.splitter.width_deg))
-    no_air = spdc.bragg_angle_sweep(intensity, cfg.splitter, np.linspace(5.0, 45.0, 81).tolist(),
+    ridge = spdc.pair_ridge(cfg.spdc, spdc.sweep_grid(cfg.grid, cfg.splitter.width_deg))
+    no_air = spdc.bragg_angle_sweep(ridge, cfg.splitter, np.linspace(5.0, 45.0, 81).tolist(),
                                     air=load_table("air"), air_path_cm=0.0)
     expected = "bragg_angle_deg,normalized_rate\n" + "".join(f"{t:.9g},{r:.9g}\n" for t, r in no_air)
     assert sweep_file("0").read_text() == expected

@@ -2,12 +2,14 @@
 write.
 
 The runs use criterion 10's reduced grid; ``simulate`` and ``analyze`` run at
-two seeds.  ``model`` folds its rates, spectra and sweep from one pair
-intensity on that grid (fine enough for the bundled rocking width, so
-``spdc.sweep_grid`` leaves it unchanged), so its hashes pin the ridge
-build of the pair intensity and the sweep fold.  A refactor that leaves the arithmetic and the random-number
-consumption unchanged must reproduce these bytes exactly; a change that
-alters them on purpose says so in CHANGES.md and regenerates the tables once.
+two seeds.  ``model`` builds one pair intensity on that grid (fine enough
+for the bundled rocking width, so ``spdc.sweep_grid`` leaves it unchanged):
+its rates and spectra fold the 2-D W, its sweep folds the ridge zeros W is
+deposited from.  So its hashes pin the ridge build of the pair intensity,
+the spectra fold and the ridge sweep fold.  A refactor that leaves the
+arithmetic and the random-number consumption unchanged must reproduce these
+bytes exactly; a change that alters them on purpose says so in CHANGES.md
+and regenerates the tables once.
 """
 
 import hashlib
@@ -25,7 +27,7 @@ REDUCED = REDUCED_GRID + [
 ]
 
 MODEL_GOLDEN = {
-    "bragg_sweep.csv": "0d134627344753dd1b6537b598234bc4351b947227f4bf3780b1b13f45cb0f1c",
+    "bragg_sweep.csv": "88bd4c31a20f96b37f19836339fdc5918c17b85d905c0f7504a51451530586ef",
     "model_spectra.csv": "08d12881263621fbfe9c19d767fb694b80bd04133325f05110b1484df271ec49",
     "model_summary.txt": "f760caaa17507cfc64f1b84c4965a4dd2c0447e76c73ab5501dce6162faadbe5",
 }
