@@ -185,9 +185,9 @@ def test_narrow_sweep_solves_the_ridge_without_building_w(tmp_path, monkeypatch)
 
 
 def test_model_over_a_window_below_the_sweep_cutoff_exits_ok(tmp_path):
-    # A family retuned to 45 deg reflects nothing below 7.42 keV; a window
-    # from 6 keV reaches there, and the sweep counts no reflection rather
-    # than failing.
+    # A family retuned to 45 deg reflects nothing below 7.42 keV, and this
+    # window starts at 6 keV: the sweep runs instead of failing on the
+    # energies the family cannot reflect.
     code = main(["model", "--outdir", str(tmp_path),
                  "--set", "grid.energy_lo_kev=6.0", "--set", "grid.n_energy=200",
                  "--set", "grid.n_x=20", "--set", "grid.n_y=4"])
