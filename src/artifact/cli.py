@@ -67,13 +67,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _require_ridge_zeros(ridge) -> None:
-    """The sweep is normalized by the weight of the ridge zeros in the
-    energy window; a window that holds none has no sweep."""
-    if ridge.energies.size == 0:
-        raise ConfigError("the [grid] energy window holds no zero of the phase-matching ridge")
-
-
 def _write_sweep(cfg: RunConfig, outdir: str, ridge, splitter, angles) -> None:
     """bragg_sweep.csv: the sweep of ``splitter`` retuned to each of
     ``angles``, folded on ``ridge`` through air along ``[source]
@@ -88,10 +81,11 @@ def cmd_model(cfg: RunConfig, outdir: str) -> None:
     """Write the sweep curve, model port spectra, and rate-fraction summary,
     all folded from one pair intensity (``spdc.sweep_grid``): the spectra
     from its W, the sweep from its ridge.  A port's rate fraction is the
-    energy integral of its spectrum."""
+    energy integral of its spectrum.  The sweep, which fails on a window
+    without a ridge zero, is written first."""
     grid = spdc_mod.sweep_grid(cfg.grid, cfg.splitter.width_deg)
     intensity = spdc_mod.biphoton_amplitude(cfg.spdc, grid)
-    _require_ridge_zeros(intensity.ridge)
+    _write_sweep(cfg, outdir, intensity.ridge, cfg.splitter, np.linspace(5.0, 45.0, 81).tolist())
 
     energies, refl_dens, trans_dens = spdc_mod.port_energy_spectra(
         intensity, cfg.splitter, load_table("graphite")
@@ -103,8 +97,6 @@ def cmd_model(cfg: RunConfig, outdir: str) -> None:
         "energy_kev,reflected_density,transmitted_density",
         zip(energies.tolist(), refl_dens.tolist(), trans_dens.tolist()),
     )
-
-    _write_sweep(cfg, outdir, intensity.ridge, cfg.splitter, np.linspace(5.0, 45.0, 81).tolist())
 
     with open(os.path.join(outdir, "model_summary.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"r_reflected = {r_ref:.6f}\n")
@@ -143,39 +135,30 @@ def _pulse_tally() -> np.ndarray:
     return np.zeros((len(mc.DETECTOR_NAMES), mc.N_ORIGINS, 2), dtype=np.int64)
 
 
-def simulate_slices(cfg: RunConfig, intensity: spdc_mod.PairIntensity, tally: np.ndarray):
-    """The Monte Carlo chain on ``intensity`` from ``cfg.source.rng_seed``,
-    one time slice at a time, so memory does not grow with the run length.
-
-    Yields (events, rate_dropped, empty_dropped) per slice, with the events
-    energy-selected on the values the event file holds (so analyze on the
-    file reproduces the in-memory selection), and adds every slice's pulses
-    to ``tally`` (``_pulse_tally``).
-    """
-    built = daq_mod.build_events_in_slices(_slice_pulses(cfg, intensity, tally), cfg.daq)
-    for events, rate_dropped, empty_dropped in built:
-        events, _heralded = daq_mod.energy_select(daq_mod.as_saved(events), cfg.daq)
-        yield events, rate_dropped, empty_dropped
-
-
 def simulate_events(cfg: RunConfig, intensity: spdc_mod.PairIntensity):
-    """``simulate_slices`` gathered: returns (events, rate_dropped,
-    empty_dropped, pulse_counts), the events of every slice in one table,
-    the summed drop counts and the pulses counted by [detector, origin,
-    logic] over the slices."""
+    """The events ``xbsim simulate`` writes, in one table, with the values
+    rounded as the file holds them (``daq.as_saved``) and energy-selected,
+    so analyze on the file reproduces the in-memory selection.  Returns
+    (events, rate_dropped, empty_dropped, pulse_counts): the summed drop
+    counts and the pulses counted by [detector, origin, logic]."""
     tally = _pulse_tally()
-    tables, rate_dropped, empty_dropped = zip(*simulate_slices(cfg, intensity, tally))
-    return daq_mod.concat_events(tables), sum(rate_dropped), sum(empty_dropped), tally
+    built = daq_mod.build_events_in_slices(_slice_pulses(cfg, intensity, tally), cfg.daq)
+    tables, rate_dropped, empty_dropped = zip(*built)
+    events = daq_mod.as_saved(daq_mod.concat_events(tables))
+    events, _heralded = daq_mod.energy_select(events, cfg.daq)
+    return events, sum(rate_dropped), sum(empty_dropped), tally
 
 
 def cmd_simulate(cfg: RunConfig, outdir: str) -> None:
-    """Generate an event file plus pulse-stream and run summaries, writing
-    the events slice by slice."""
+    """Generate an event file plus pulse-stream and run summaries.  The
+    Monte Carlo chain runs one time slice at a time and each slice's events
+    are written as they are built, so memory does not grow with the run
+    length."""
     intensity = spdc_mod.biphoton_amplitude(cfg.spdc, cfg.grid)
     tally = _pulse_tally()
     n_events, rate_dropped, empty_dropped = daq_mod.save_events(
         os.path.join(outdir, "events.csv"),
-        simulate_slices(cfg, intensity, tally),
+        daq_mod.build_events_in_slices(_slice_pulses(cfg, intensity, tally), cfg.daq),
         live_time_s=cfg.source.duration_s,
     )
     with open(os.path.join(outdir, "pulse_summary.txt"), "w", encoding="utf-8") as fh:
@@ -295,7 +278,6 @@ def cmd_sweep(cfg: RunConfig, outdir: str, start: float, stop: float, num: int, 
         raise ConfigError(f"sweep angles must lie in (0, 90) degrees, got {start}..{stop}")
     base = replace(cfg.splitter, width_deg=cfg.splitter.width_deg * width_scale)
     ridge = spdc_mod.pair_ridge(cfg.spdc, spdc_mod.sweep_grid(cfg.grid, base.width_deg))
-    _require_ridge_zeros(ridge)
     _write_sweep(cfg, outdir, ridge, base, angles)
 
 
@@ -344,7 +326,7 @@ def main(argv=None) -> int:
             cmd_analyze(cfg, args.events, outdir)
         elif args.command == "sweep":
             cmd_sweep(cfg, outdir, args.start, args.stop, args.num, args.width_scale)
-    except ConfigError as exc:
+    except (ConfigError, spdc_mod.EmptyWindowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SchemaError as exc:

@@ -38,7 +38,6 @@ _SCHEMA: dict[str, dict[str, type]] = {
         "thickness_mm": float,
         "detune_deg": float,
         "theta_heralded_deg": float,
-        "kappa_l": float,
     },
     "grid": {
         "energy_lo_kev": float,
@@ -239,7 +238,6 @@ def build_config(parser: configparser.ConfigParser) -> RunConfig:
             thickness_mm=_get(parser, "spdc", "thickness_mm"),
             detune_deg=_get(parser, "spdc", "detune_deg"),
             theta_heralded_deg=_get(parser, "spdc", "theta_heralded_deg"),
-            kappa_l=_get(parser, "spdc", "kappa_l"),
         )
         grid = GridSpec(
             energy_lo_kev=_get(parser, "grid", "energy_lo_kev"),

@@ -279,19 +279,12 @@ def build_events_in_slices(slices, cfg: DaqConfig):
 
 
 def concat_events(tables) -> EventTable:
-    """The events of ``tables`` in order, as one table; a selection column is
-    kept where every table has it, with the first table's ``selection``."""
-
-    def column(name):
-        parts = [getattr(t, name) for t in tables]
-        return None if any(p is None for p in parts) else np.concatenate(parts)
-
+    """The events of ``tables`` (none energy-selected) in order, as one table."""
     return EventTable(
-        column("trigger_ns"),
+        np.concatenate([t.trigger_ns for t in tables]),
         _csr_start(np.concatenate([np.diff(t.start) for t in tables])),
-        *(column(name) for name in ("detector", "energy_kev", "offset_ns", "origin",
-                                    "passes_acceptance", "passes_sum", "herald_kev")),
-        tables[0].selection,
+        *(np.concatenate([getattr(t, name) for t in tables])
+          for name in ("detector", "energy_kev", "offset_ns", "origin")),
     )
 
 

@@ -9,6 +9,9 @@ per (energy, transverse-angle) point, where dk_z is the longitudinal
 wave-vector mismatch.  Energy conservation fixes the partner energy
 (E_partner = E_pump - E) and transverse momentum conservation fixes the
 partner angles, so (E, theta_x, theta_y) of one photon describes the pair.
+The intensities here are per unit kappa_L^2 (amplitudes per unit kappa_L):
+every consumer uses the intensity as a shape, and the pair rate is the
+calibrated ``[source] pair_rate_hz``.
 
 Every consumer (port spectra and rates, the Bragg-angle sweep, the pair
 sampler) needs only the intensity as a function of energy and theta_x: the
@@ -61,7 +64,10 @@ from .xoptics import (
     wavenumber,
 )
 
-MAX_KAPPA_L = 0.01  # validity bound of the first-order solution
+
+class EmptyWindowError(ValueError):
+    """The energy window holds nothing to normalize by: no pair intensity,
+    or no zero of the phase-matching ridge."""
 
 
 @dataclass(frozen=True)
@@ -73,7 +79,6 @@ class SpdcConfig:
     thickness_mm: float = 0.8
     detune_deg: float = 0.008  # pump rotation away from the crystal Bragg angle
     theta_heralded_deg: float = 45.59  # central heralded-beam angle to the planes
-    kappa_l: float = 0.01  # dimensionless gain kappa * L
 
     def __post_init__(self):
         # Written so that NaN fails every check.
@@ -82,10 +87,6 @@ class SpdcConfig:
         if not (math.isfinite(self.detune_deg) and math.isfinite(self.theta_heralded_deg)):
             raise ValueError("detune_deg and theta_heralded_deg must be finite")
         self.pump_angle_deg()  # raises when the crystal cannot reflect the pump
-        if not (0.0 < self.kappa_l <= MAX_KAPPA_L):
-            raise ValueError(
-                f"kappa_l must lie in (0, {MAX_KAPPA_L}] for the first-order solution"
-            )
         if not 0.0 < self.thickness_mm < math.inf:
             raise ValueError("crystal thickness must be finite and positive")
 
@@ -216,8 +217,8 @@ class Ridge:
     """The zeros E0 of the phase-matching ridge that lie in the energy
     window, one per (theta_x, theta_y >= 0) grid point at most.
 
-    ``weights`` is the whole sinc^2 line's low-gain intensity,
-    kappa_L^2 * pi / s * d_theta_y * d_theta_x with s = |dx/dE| at E0,
+    ``weights`` is the whole sinc^2 line's low-gain intensity per unit
+    kappa_L^2, pi / s * d_theta_y * d_theta_x with s = |dx/dE| at E0,
     doubled for the theta_y rows that stand for their mirror row too.
     """
 
@@ -230,12 +231,12 @@ class Ridge:
 class PairIntensity:
     """theta_y-integrated pair intensity W(energy, theta_x) on the grid.
 
-    ``weights[i, j]`` is the low-gain intensity kappa_L^2 * <sinc^2(dk_z L/2)>
-    of energy cell i and theta_x cell j, averaged across the energy cell
-    (``biphoton_amplitude``) and summed over the theta_y cells times
-    d_theta_y.  Every consumer (rates, spectra, pair sampler) depends on
-    theta_x and energy only, so theta_y and the phase are integrated out
-    once here.  ``ridge`` holds the zeros in the window that the lines are
+    ``weights[i, j]`` is the low-gain intensity per unit kappa_L^2,
+    <sinc^2(dk_z L/2)>, of energy cell i and theta_x cell j, averaged across
+    the energy cell (``biphoton_amplitude``) and summed over the theta_y
+    cells times d_theta_y.  Every consumer (rates, spectra, pair sampler)
+    depends on theta_x and energy only, so theta_y and the phase are
+    integrated out once here.  ``ridge`` holds the zeros in the window that the lines are
     deposited from; the Bragg-angle sweep folds those.
     """
 
@@ -330,10 +331,10 @@ def _mirror_weight(grid: GridSpec, row):
     return np.where((grid.n_y % 2 == 1) & (row == 0), 1.0, 2.0)
 
 
-def _window_ridge(config: SpdcConfig, grid: GridSpec, e0, slope, column, mirror) -> Ridge:
+def _window_ridge(grid: GridSpec, e0, slope, column, mirror) -> Ridge:
     """The ``Ridge`` of the zeros (``_ridge``) that lie in the energy window."""
     inside = (e0 >= grid.energy_lo_kev) & (e0 <= grid.energy_hi_kev)
-    scale = config.kappa_l**2 * math.pi * grid.d_theta_y * grid.d_theta_x
+    scale = math.pi * grid.d_theta_y * grid.d_theta_x
     return Ridge(
         e0[inside], grid.theta_x_centers()[column[inside]], scale * mirror[inside] / slope[inside]
     )
@@ -344,7 +345,7 @@ def pair_ridge(config: SpdcConfig, grid: GridSpec | None = None) -> Ridge:
     if grid is None:
         grid = GridSpec()
     e0, slope, column, row = _ridge(_Kinematics(config), grid)
-    return _window_ridge(config, grid, e0, slope, column, _mirror_weight(grid, row))
+    return _window_ridge(grid, e0, slope, column, _mirror_weight(grid, row))
 
 
 def biphoton_amplitude(
@@ -352,8 +353,8 @@ def biphoton_amplitude(
 ) -> PairIntensity:
     """theta_y-integrated pair intensity |amplitude|^2 on the (energy, theta_x) grid.
 
-    Each cell holds kappa_L^2 times the mean, across the cell's energy
-    extent, of the sinc^2 lines of the ridge (``_ridge``) in its theta_x
+    Each cell holds, per unit kappa_L^2, the mean across the cell's energy
+    extent of the sinc^2 lines of the ridge (``_ridge``) in its theta_x
     column, summed over theta_y with weight d_theta_y.  A line is
     sinc^2(x) with x linearised about its zero, x = s (E - E0), integrated
     exactly over every energy cell within |x| <= X = LINE_HALF_WIDTH, so it
@@ -367,7 +368,8 @@ def biphoton_amplitude(
 
     A line whose band misses the energy window deposits nothing.  The
     temporaries are one theta_y row's lines by the cells each spans.  With
-    ``normalize`` the intensity integrates to 1 over the window.  The
+    ``normalize`` the intensity integrates to 1 over the window, and
+    ``EmptyWindowError`` is raised where it vanishes there.  The
     result keeps the zeros in the window as its ``ridge``.
     """
     if grid is None:
@@ -379,25 +381,26 @@ def biphoton_amplitude(
     for r in range(grid.n_y - grid.n_y // 2):
         on = row == r
         _deposit_lines(w, edges, e0[on], slope[on], column[on], mirror[on])
-    w *= config.kappa_l**2 * grid.d_theta_y / grid.d_energy
+    w *= grid.d_theta_y / grid.d_energy
     if normalize:
         norm = float(np.sum(w)) * grid.d_energy * grid.d_theta_x
         if norm == 0.0:
-            raise ValueError("pair intensity vanishes identically on this grid")
+            raise EmptyWindowError("the pair intensity vanishes on the [grid] energy window")
         w /= norm
-    ridge = _window_ridge(config, grid, e0, slope, column, mirror)
+    ridge = _window_ridge(grid, e0, slope, column, mirror)
     return PairIntensity(config, grid, grid.energy_centers(), grid.theta_x_centers(), w, ridge)
 
 
 def amplitude_at(config: SpdcConfig, energy_kev, theta_x, theta_y):
-    """Pointwise first-order amplitude kappa_L * sinc(x) * exp(i x), x = dk_z L/2.
+    """Pointwise first-order amplitude per unit kappa_L, sinc(x) * exp(i x),
+    x = dk_z L/2.
 
     Broadcasts its arguments; zero where the partner is evanescent.
     """
     x = _Kinematics(config).half_phase(energy_kev, theta_x, theta_y)
     bad = np.isnan(x)
     x = np.where(bad, 0.0, x)
-    return np.where(bad, 0.0, config.kappa_l * sinc(x)) * np.exp(1j * x)
+    return np.where(bad, 0.0, sinc(x)) * np.exp(1j * x)
 
 
 def port_energy_spectra(
@@ -467,7 +470,8 @@ def bragg_angle_sweep(
     times the transmission through ``air`` along ``air_path_cm``, taken at
     each zero E0 of ``ridge`` (those in the energy window) and weighted by
     that line's whole intensity, pi / s; the sum is normalized by the
-    ridge's total weight.  A zero whose wavelength exceeds the retuned 2d
+    ridge's total weight (``EmptyWindowError`` when the ridge holds no
+    zero).  A zero whose wavelength exceeds the retuned 2d
     reflects nothing.
 
     A fold over the 2-D W instead takes the splitter at the energy cell
@@ -487,7 +491,7 @@ def bragg_angle_sweep(
             raise ValueError("sweep angles must lie in (0, 90) degrees")
     total = float(ridge.weights.sum())
     if total == 0.0:
-        raise ValueError("the pair ridge has no zero in the energy window")
+        raise EmptyWindowError("the [grid] energy window holds no zero of the phase-matching ridge")
     w = ridge.weights * transmittance(ridge.energies, air, air_path_cm)
     half_lambda = 0.5 * wavelength(ridge.energies)
     dtheta_deg = np.degrees(ridge.theta_x)

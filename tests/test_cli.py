@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from artifact import montecarlo as mc, spdc
+from artifact import daq, montecarlo as mc, spdc
 from artifact.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SCHEMA, main
 from artifact.config import load_default_config
 from artifact.xoptics import load_table
@@ -30,9 +30,12 @@ def test_unknown_config_key_exits_config_code(tmp_path):
     assert code == EXIT_CONFIG
 
 
-def test_trigger_angle_key_exits_config_code(tmp_path):
-    code = main(["model", "--outdir", str(tmp_path),
-                 "--set", "spdc.theta_trigger_deg=43.63"])
+@pytest.mark.parametrize("setting", ["spdc.theta_trigger_deg=43.63", "spdc.kappa_l=0.01"])
+def test_trigger_angle_key_exits_config_code(tmp_path, setting):
+    # Neither key is read: the trigger direction follows from momentum
+    # conservation, and the pair intensity is a shape whose rate is the
+    # calibrated [source] pair_rate_hz.
+    code = main(["model", "--outdir", str(tmp_path), "--set", setting])
     assert code == EXIT_CONFIG
     assert list(tmp_path.iterdir()) == []
 
@@ -184,6 +187,19 @@ def test_narrow_sweep_solves_the_ridge_without_building_w(tmp_path, monkeypatch)
     assert len((tmp_path / "bragg_sweep.csv").read_text().strip().splitlines()) == 6
 
 
+def test_simulate_writes_events_without_selecting_them(tmp_path, monkeypatch):
+    # The event file holds no selection column, so simulate neither rounds
+    # the events as saved nor energy-selects them; analyze selects on the
+    # file.
+    def unused(*args, **kwargs):
+        raise AssertionError("simulate selected the events it writes")
+
+    monkeypatch.setattr(daq, "energy_select", unused)
+    monkeypatch.setattr(daq, "as_saved", unused)
+    assert main(["simulate", "--outdir", str(tmp_path), "--seed", "21"] + FAST) == EXIT_OK
+    assert (tmp_path / "events.csv").stat().st_size > 0
+
+
 def test_model_over_a_window_below_the_sweep_cutoff_exits_ok(tmp_path):
     # A family retuned to 45 deg reflects nothing below 7.42 keV, and this
     # window starts at 6 keV: the sweep runs instead of failing on the
@@ -196,13 +212,18 @@ def test_model_over_a_window_below_the_sweep_cutoff_exits_ok(tmp_path):
     assert sweep.shape == (81, 2) and np.all(np.diff(sweep[:, 1]) < 0)
 
 
-@pytest.mark.parametrize("verb", [["model"], ["sweep", "--num", "5", "--width-scale", "2"]])
+@pytest.mark.parametrize("verb", [
+    ["model", "--set", "grid.energy_lo_kev=11.80"],
+    ["sweep", "--num", "5", "--width-scale", "2", "--set", "grid.energy_lo_kev=11.80"],
+    ["model", "--set", "grid.energy_lo_kev=12.0"],
+    ["simulate", "--set", "grid.energy_lo_kev=12.0"],
+])
 def test_window_without_a_ridge_zero_exits_config_code(tmp_path, verb):
     # On this 20-column grid the ridge zeros end at 11.74 keV, and their
     # lines' bands reach to 11.81 keV: a window from 11.80 keV holds some of
-    # W but no zero to normalize the sweep by.  (Width x2 keeps the grid.)
-    code = main(verb + ["--outdir", str(tmp_path),
-                        "--set", "grid.energy_lo_kev=11.80", "--set", "grid.n_energy=200",
+    # W but no zero to normalize the sweep by, and one from 12.0 keV holds
+    # no W either.  (Width x2 keeps the grid.)
+    code = main(verb + ["--outdir", str(tmp_path), "--set", "grid.n_energy=200",
                         "--set", "grid.n_x=20", "--set", "grid.n_y=4"])
     assert code == EXIT_CONFIG
     assert not any(tmp_path.iterdir())

@@ -200,7 +200,7 @@ def test_bad_value_rejected():
 
 def test_invalid_physics_value_rejected():
     with pytest.raises(ConfigError):
-        load_default_config(["spdc.kappa_l=0.5"])
+        load_default_config(["spdc.thickness_mm=-1"])
 
 
 def test_malformed_override_rejected():

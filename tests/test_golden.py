@@ -2,10 +2,11 @@
 write.
 
 The runs use criterion 10's reduced grid; ``simulate`` and ``analyze`` run at
-two seeds.  ``model`` builds one pair intensity on that grid (fine enough
-for the bundled rocking width, so ``spdc.sweep_grid`` leaves it unchanged):
-its rates and spectra fold the 2-D W, its sweep folds the ridge zeros W is
-deposited from.  So its hashes pin the ridge build of the pair intensity,
+two seeds, and ``model`` runs on the bundled reference grid too.  ``model``
+builds one pair intensity on each grid (both fine enough for the bundled
+rocking width, so ``spdc.sweep_grid`` leaves them unchanged): its rates and
+spectra fold the 2-D W, its sweep folds the ridge zeros W is deposited
+from.  So its hashes pin the ridge build of the pair intensity,
 the spectra fold and the ridge sweep fold.  A refactor that leaves the
 arithmetic and the random-number consumption unchanged must reproduce these
 bytes exactly; a change that alters them on purpose says so in CHANGES.md
@@ -30,6 +31,12 @@ MODEL_GOLDEN = {
     "bragg_sweep.csv": "88bd4c31a20f96b37f19836339fdc5918c17b85d905c0f7504a51451530586ef",
     "model_spectra.csv": "08d12881263621fbfe9c19d767fb694b80bd04133325f05110b1484df271ec49",
     "model_summary.txt": "f760caaa17507cfc64f1b84c4965a4dd2c0447e76c73ab5501dce6162faadbe5",
+}
+
+REFERENCE_MODEL_GOLDEN = {
+    "bragg_sweep.csv": "4b6ad67ca0f95e4b2a2873ffe48f7c2cb0f93f4a4d60f3a6a2e555f3d24f1e88",
+    "model_spectra.csv": "be31b1d6312b80ba4699b51502b66392fc408d57b008a8b73e7454e8a2ebab8d",
+    "model_summary.txt": "9ff6f96e41a2c1bbfc834d570e11d9b76ae8c6adfb8ae3d0237b700d67fbb8ae",
 }
 
 GOLDEN = {
@@ -89,3 +96,8 @@ def test_simulate_and_analyze_outputs_match_golden_hashes(tmp_path, seed):
 def test_model_outputs_match_golden_hashes(tmp_path):
     assert main(["model", "--outdir", str(tmp_path)] + REDUCED_GRID) == EXIT_OK
     assert _digests(tmp_path) == MODEL_GOLDEN
+
+
+def test_reference_grid_model_outputs_match_golden_hashes(tmp_path):
+    assert main(["model", "--outdir", str(tmp_path)]) == EXIT_OK
+    assert _digests(tmp_path) == REFERENCE_MODEL_GOLDEN

@@ -79,22 +79,16 @@ def test_grid_validation_and_spacings():
     assert len(g.theta_x_centers()) == g.n_x
 
 
-def test_config_rejects_high_gain():
-    with pytest.raises(ValueError):
-        SpdcConfig(kappa_l=0.02)
-    with pytest.raises(ValueError):
-        SpdcConfig(kappa_l=0.0)
-
-
 def test_amplitude_normalization(amp_small):
     assert amp_small.total() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_unnormalized_amplitude_scale():
-    # Each (E, theta_x, theta_y) cell carries at most kappa_L^2 (sinc^2 <= 1);
-    # summing n_y cells of width d_theta_y bounds W by kappa_L^2 * angle span.
+    # Per unit kappa_L^2 each (E, theta_x, theta_y) cell carries at most 1
+    # (sinc^2 <= 1); summing n_y cells of width d_theta_y bounds W by the
+    # angle span.
     w = biphoton_amplitude(SpdcConfig(), SMALL_GRID, normalize=False)
-    bound = SpdcConfig().kappa_l ** 2 * SMALL_GRID.angle_span_rad
+    bound = SMALL_GRID.angle_span_rad
     assert np.max(w.weights) <= bound * (1 + 1e-12)
 
 
@@ -190,9 +184,9 @@ def _exact_cell_average(cfg, grid, sub_kev):
 def _line_bound(cfg, grid, sub_kev):
     """Upper bound on sum |W_ridge - W_exact| dE dtheta_x, from the error
     terms ``biphoton_amplitude`` states plus the reference's own.  Each
-    (theta_x, theta_y) point's line carries kappa_L^2 d_theta_y d_theta_x
-    pi / s; as shares of that, the ridge may drop the tail beyond |x| = X,
-    at most 1 / (pi X), and misplace c (ln 2X + 1 + N) / (pi s^2) by the
+    (theta_x, theta_y) point's line carries d_theta_y d_theta_x pi / s per
+    unit kappa_L^2; as shares of that, the ridge may drop the tail beyond
+    |x| = X, at most 1 / (pi X), and misplace c (ln 2X + 1 + N) / (pi s^2) by the
     linearisation, with N <= 2X / (s dE) + 3 cell and window edges in its
     band; the reference's secant across a sub-cell of width ``sub_kev``
     misstates the slope, and so the mass, by at most c * sub_kev / s.  s
@@ -218,7 +212,7 @@ def _line_bound(cfg, grid, sub_kev):
     share = (1 / (math.pi * X) + c * (math.log(2 * X) + 1 + n_edges) / (math.pi * s**2)
              + c * sub_kev / s)
     mult = np.where((grid.n_y % 2 == 1) & (row == 0), 1.0, 2.0)
-    mass = cfg.kappa_l**2 * grid.d_theta_y * grid.d_theta_x * math.pi / s
+    mass = grid.d_theta_y * grid.d_theta_x * math.pi / s
     return float(np.sum(mult * mass * share)), e0.size
 
 
@@ -245,7 +239,7 @@ def test_pair_intensity_kernel_matches_3d_reference(lo, width, n_energy, n_x, n_
     grid = GridSpec(lo, lo + width, n_energy, 5.0e-3, n_x, n_y)
     raw = biphoton_amplitude(cfg, grid, normalize=False)
     average, sub_kev = _exact_cell_average(cfg, grid, 2.5e-4)
-    expected = average * cfg.kappa_l**2 * grid.d_theta_y
+    expected = average * grid.d_theta_y
 
     bound, n_lines = _line_bound(cfg, grid, sub_kev)
     assert n_lines == n_x * math.ceil(n_y / 2)
@@ -302,7 +296,7 @@ def test_line_carries_pi_over_slope_less_the_dropped_tail():
     assert np.array_equal(np.sort(column), np.arange(grid.n_x))
     assert np.all((e0 - X / slope > 8.5) & (e0 + X / slope < 12.5))
     w = biphoton_amplitude(cfg, grid, normalize=False).weights
-    want = cfg.kappa_l**2 * grid.d_theta_y * math.pi / slope[np.argsort(column)] * (1.0 - tail)
+    want = grid.d_theta_y * math.pi / slope[np.argsort(column)] * (1.0 - tail)
     np.testing.assert_allclose(w.sum(axis=0) * grid.d_energy, want, rtol=1e-12)
 
 
@@ -372,7 +366,7 @@ def test_ridge_keeps_the_zeros_in_the_window_with_their_line_weights(default_con
     raw = biphoton_amplitude(cfg, grid, normalize=False)
     e0, slope, column, row = spdc._ridge(kin, grid)
     mirror = np.where(row == 0, 1.0, 2.0)
-    want = cfg.kappa_l**2 * math.pi * grid.d_theta_y * grid.d_theta_x * mirror / slope
+    want = math.pi * grid.d_theta_y * grid.d_theta_x * mirror / slope
     np.testing.assert_allclose(raw.ridge.weights, want, rtol=1e-15)
     tail = 1.0 - 2.0 * float(spdc._sinc2_antiderivative(spdc.LINE_HALF_WIDTH)) / math.pi
     assert raw.total() == pytest.approx(raw.ridge.weights.sum() * (1.0 - tail), rel=1e-12)
@@ -546,19 +540,20 @@ def test_amplitude_matches_direct_integration_on_fine_grid(default_config):
     ty = grid.theta_y_centers()[None, None, :]
     amplitude = spdc.amplitude_at(cfg, e, tx, ty)
     x = kin.half_phase(e, tx, ty)
-    mask = np.isfinite(x) & (np.abs(amplitude) > 0.05 * cfg.kappa_l)
+    mask = np.isfinite(x) & (np.abs(amplitude) > 0.05)
     assert mask.sum() == 810
     pick = np.unique(np.linspace(0, mask.sum() - 1, 300).round().astype(int))
     x_sel = x[mask][pick]
     a_sel = amplitude[mask][pick]
 
-    # Fourth-order integration of dB/du = i * kappa_l * exp(2 i x u), u in [0, 1].
+    # Fourth-order integration of dB/du = i * exp(2 i x u), u in [0, 1]: the
+    # amplitude per unit kappa_L (the equation is linear in kappa_L).
     n_steps = 4000
     h = 1.0 / n_steps
     b = np.zeros_like(x_sel, dtype=complex)
 
     def f(u):
-        return 1j * cfg.kappa_l * np.exp(2j * x_sel * u)
+        return 1j * np.exp(2j * x_sel * u)
 
     for i in range(n_steps):
         u = i * h
