@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -130,32 +131,13 @@ def _slice_pulses(cfg: RunConfig, intensity: spdc_mod.PairIntensity, tally: np.n
         yield window[1] * 1e9, pulses
 
 
-def _pulse_tally() -> np.ndarray:
-    """Zeroed pulse counts by [detector, origin, logic]."""
-    return np.zeros((len(mc.DETECTOR_NAMES), mc.N_ORIGINS, 2), dtype=np.int64)
-
-
-def simulate_events(cfg: RunConfig, intensity: spdc_mod.PairIntensity):
-    """The events ``xbsim simulate`` writes, in one table, with the values
-    rounded as the file holds them (``daq.as_saved``) and energy-selected,
-    so analyze on the file reproduces the in-memory selection.  Returns
-    (events, rate_dropped, empty_dropped, pulse_counts): the summed drop
-    counts and the pulses counted by [detector, origin, logic]."""
-    tally = _pulse_tally()
-    built = daq_mod.build_events_in_slices(_slice_pulses(cfg, intensity, tally), cfg.daq)
-    tables, rate_dropped, empty_dropped = zip(*built)
-    events = daq_mod.as_saved(daq_mod.concat_events(tables))
-    events, _heralded = daq_mod.energy_select(events, cfg.daq)
-    return events, sum(rate_dropped), sum(empty_dropped), tally
-
-
-def cmd_simulate(cfg: RunConfig, outdir: str) -> None:
+def cmd_simulate(cfg: RunConfig, outdir: str) -> np.ndarray:
     """Generate an event file plus pulse-stream and run summaries.  The
     Monte Carlo chain runs one time slice at a time and each slice's events
     are written as they are built, so memory does not grow with the run
-    length."""
+    length.  Returns the pulse counts by [detector, origin, logic]."""
     intensity = spdc_mod.biphoton_amplitude(cfg.spdc, cfg.grid)
-    tally = _pulse_tally()
+    tally = np.zeros((len(mc.DETECTOR_NAMES), mc.N_ORIGINS, 2), dtype=np.int64)
     n_events, rate_dropped, empty_dropped = daq_mod.save_events(
         os.path.join(outdir, "events.csv"),
         daq_mod.build_events_in_slices(_slice_pulses(cfg, intensity, tally), cfg.daq),
@@ -171,6 +153,19 @@ def cmd_simulate(cfg: RunConfig, outdir: str) -> None:
         fh.write(f"events = {n_events}\n")
         fh.write(f"rate_dropped = {rate_dropped}\n")
         fh.write(f"empty_dropped = {empty_dropped}\n")
+    return tally
+
+
+def simulate_events(cfg: RunConfig):
+    """The events ``xbsim simulate`` writes, read back from its event file
+    and energy-selected as ``analyze`` selects them.  Returns (events,
+    rate_dropped, empty_dropped, pulse_counts): the file's drop counts and
+    the pulses counted by [detector, origin, logic]."""
+    with tempfile.TemporaryDirectory() as outdir:
+        tally = cmd_simulate(cfg, outdir)
+        events, meta = daq_mod.load_events(os.path.join(outdir, "events.csv"))
+    events, _heralded = daq_mod.energy_select(events, cfg.daq)
+    return events, meta["rate_dropped"], meta["empty_dropped"], tally
 
 
 SIGMA_WINDOWS_NS = (100.0, 200.0, 400.0, 600.0, 800.0)

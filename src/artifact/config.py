@@ -120,7 +120,6 @@ class RunConfig:
     bin_width_kev: float
     baseline_rate_hz: float
     baseline_rate_err_hz: float
-    seed: int
 
     def __post_init__(self):
         # Written so that NaN fails every check.
@@ -260,7 +259,6 @@ def build_config(parser: configparser.ConfigParser) -> RunConfig:
         )
         _check_incidence(splitter, grid)
         _check_energy_windows(grid, spdc.pump_energy_kev)
-        seed = _get(parser, "run", "seed")
         source = SourceConfig(
             pair_rate=_get(parser, "source", "pair_rate_hz"),
             stray_rates=(
@@ -275,7 +273,7 @@ def build_config(parser: configparser.ConfigParser) -> RunConfig:
                 line_fraction=_get(parser, "source", "stray_line_fraction"),
             ),
             duration_s=_get(parser, "source", "duration_s"),
-            rng_seed=seed,
+            rng_seed=_get(parser, "run", "seed"),
             air_path_cm=_get(parser, "source", "air_path_cm"),
             helium_path_cm=_get(parser, "source", "helium_path_cm"),
         )
@@ -303,7 +301,6 @@ def build_config(parser: configparser.ConfigParser) -> RunConfig:
             bin_width_kev=_get(parser, "analysis", "bin_width_kev"),
             baseline_rate_hz=_get(parser, "analysis", "baseline_rate_hz"),
             baseline_rate_err_hz=_get(parser, "analysis", "baseline_rate_err_hz"),
-            seed=seed,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -278,16 +278,6 @@ def build_events_in_slices(slices, cfg: DaqConfig):
         lo, behind, current = end, pulses, ahead
 
 
-def concat_events(tables) -> EventTable:
-    """The events of ``tables`` (none energy-selected) in order, as one table."""
-    return EventTable(
-        np.concatenate([t.trigger_ns for t in tables]),
-        _csr_start(np.concatenate([np.diff(t.start) for t in tables])),
-        *(np.concatenate([getattr(t, name) for t in tables])
-          for name in ("detector", "energy_kev", "offset_ns", "origin")),
-    )
-
-
 def energy_select(events: EventTable, cfg: DaqConfig):
     """Flag events by per-photon acceptance and pair-energy conservation.
 
@@ -316,58 +306,11 @@ def energy_select(events: EventTable, cfg: DaqConfig):
 
 EVENT_FORMAT_HEADER = "# eventfile v1"
 EVENT_COLUMNS = "event,trigger_ns,detector,energy_kev,offset_ns,origin"
-_TRIGGER_FORMAT, _ENERGY_FORMAT, _OFFSET_FORMAT = "%.6f", "%.9g", "%.6f"
-_ROW_FORMAT = f"%d,{_TRIGGER_FORMAT},%d,{_ENERGY_FORMAT},{_OFFSET_FORMAT},%d\n"
+_ROW_FORMAT = "%d,%.6f,%d,%.9g,%.6f,%d\n"
 _ROW_DTYPE = np.dtype(
     {"names": EVENT_COLUMNS.split(","), "formats": ["i8", "f8", "i8", "f8", "f8", "i8"]}
 )
 _ROWS_PER_WRITE = 1 << 16
-
-
-_POW10 = np.array([float(10**i) for i in range(23)])  # exact doubles
-
-
-def _as_written(x, places, fmt, fast):
-    """float(fmt % v) for each v of ``x``, where fmt writes v rounded to
-    ``places`` decimal places (0-22, one for all or one per value; used
-    where ``fast``).
-
-    x * 10**places is rounded to an integer n and n / 10**places divides it
-    back: n is exact and the division rounds correctly, so the result is
-    the double nearest the written decimal, which is what parsing it gives.
-    Where the spacing of doubles at x exceeds 2 * 10**-places, x is its
-    own result: its neighbours lie over 10**-places away, the decimal within
-    half that.  Elsewhere, where the product may have rounded across a
-    half-integer (within 1e-6), or is too large for that bound to hold, or
-    ``fast`` is false, the value is formatted and parsed instead.
-    """
-    scale = _POW10[places]
-    p = x * scale
-    with np.errstate(invalid="ignore"):  # inf and NaN fail every test
-        exact = fast & (np.spacing(np.abs(x)) > 2.0 / scale)
-        safe = fast & (np.abs(p - np.floor(p) - 0.5) > 1e-6) & (np.abs(p) < 2.0**31)
-    out = np.where(exact, x, np.rint(p) / scale)
-    for i in np.flatnonzero(~(exact | safe)):
-        out[i] = float(fmt % x[i])
-    return out
-
-
-def as_saved(events: EventTable) -> EventTable:
-    """``events`` with ``trigger_ns``, ``energy_kev`` and ``offset_ns``
-    rounded as ``save_events`` writes them, so ``load_events`` reads them
-    back exactly and estimators on the file match those on the table.  The
-    file bytes are the same as for ``events``."""
-    e = events.energy_kev
-    with np.errstate(divide="ignore", invalid="ignore"):
-        exponent = np.floor(np.log10(np.abs(e)))
-    fast = (exponent >= -13) & (exponent <= 8)  # 9 significant digits: 8 - exponent places
-    places = np.where(fast, 8 - exponent, 0).astype(np.intp)
-    return replace(
-        events,
-        trigger_ns=_as_written(events.trigger_ns, 6, _TRIGGER_FORMAT, True),
-        energy_kev=_as_written(e, places, _ENERGY_FORMAT, fast),
-        offset_ns=_as_written(events.offset_ns, 6, _OFFSET_FORMAT, True),
-    )
 
 
 def save_events(path, slices, *, live_time_s=None):
@@ -414,7 +357,9 @@ def load_events(path):
     Metadata comments precede the column-name row.  Returns (events,
     metadata dict) with ``events`` an ``EventTable``; consecutive rows with
     the same event number form one event.  Raises ValueError on a
-    format-version mismatch or malformed rows.
+    format-version mismatch, malformed rows, event numbers that do not start
+    at 0 and step by 0 or 1, rows of one event with different trigger
+    times, or a live time that is negative or not finite (0 means none).
     """
     meta = {"live_time_s": None, "rate_dropped": 0, "empty_dropped": 0}
     with open(path, "r", encoding="utf-8") as fh:
@@ -430,16 +375,24 @@ def load_events(path):
             key, _, raw = line.lstrip("#").partition(":")
             if key.strip() in meta:
                 meta[key.strip()] = float(raw) if key.strip() == "live_time_s" else int(raw)
+        live = meta["live_time_s"]
+        if live is not None and not 0 <= live < np.inf:  # NaN fails too
+            raise ValueError(f"live_time_s must be finite and not negative, got {live}")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a file with no events
             rows = np.loadtxt(fh, delimiter=",", comments="#", dtype=_ROW_DTYPE, ndmin=1)
     unknown = np.setdiff1d(rows["detector"], DETECTORS)
     if len(unknown):
         raise ValueError(f"unknown detector id {unknown[0]} in event file")
+    event, trigger = rows["event"], rows["trigger_ns"]
+    step = np.diff(event)
+    if (len(event) and event[0] != 0) or np.any((step != 0) & (step != 1)):
+        raise ValueError("event numbers must start at 0 and step by 0 or 1")
+    if np.any((trigger[1:] != trigger[:-1]) & (step == 0)):
+        raise ValueError("rows of one event carry different trigger_ns values")
     first = np.ones(len(rows), dtype=bool)
-    first[1:] = rows["event"][1:] != rows["event"][:-1]
-    event = np.cumsum(first) - 1
-    trigger_ns = rows["trigger_ns"][first]
+    first[1:] = step == 1
+    trigger_ns = trigger[first]
     rows = rows[np.argsort(event * len(DETECTORS) + rows["detector"], kind="stable")]
     events = EventTable(
         trigger_ns,

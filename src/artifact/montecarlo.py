@@ -212,8 +212,8 @@ def generate_pairs(
     source: SourceConfig,
     material: AttenuationTable,
     *,
-    air: AttenuationTable | None = None,
-    helium: AttenuationTable | None = None,
+    air: AttenuationTable,
+    helium: AttenuationTable,
     rng: np.random.Generator,
     window_s: tuple[float, float] | None = None,
 ):
@@ -227,8 +227,9 @@ def generate_pairs(
     two photons share one creation time.  The heralded photon goes to the
     reflected port with probability R and the transmitted port with
     probability T (``splitter.response``), and is absorbed otherwise; both
-    photons are additionally thinned by flight-path absorption when
-    air/helium tables are supplied.
+    photons are additionally thinned by flight-path absorption through
+    ``source.air_path_cm`` of ``air`` and ``source.helium_path_cm`` of
+    ``helium``.
     """
     times = _poisson_times(rng, source.pair_rate, window_s or (0.0, source.duration_s))
     n = len(times)
@@ -244,12 +245,8 @@ def generate_pairs(
     e_t = intensity.config.pump_energy_kev - e_h
 
     def path_survival(energy):
-        s = np.ones_like(energy)
-        if air is not None:
-            s = s * transmittance(energy, air, source.air_path_cm)
-        if helium is not None:
-            s = s * transmittance(energy, helium, source.helium_path_cm)
-        return s
+        return (transmittance(energy, air, source.air_path_cm)
+                * transmittance(energy, helium, source.helium_path_cm))
 
     p_ref, p_trans = response(splitter, e_h, np.degrees(t_x), material)
     u_route = rng.random(n)

@@ -183,9 +183,10 @@ def rates_and_ratios(
     the one-sided error 1/time); ratio errors combine the count and baseline
     relative errors in quadrature.
     """
-    if live_time_s <= 0:
+    # Written so that NaN fails every check.
+    if not live_time_s > 0:
         raise ValueError("live time must be positive")
-    if baseline_rate <= 0:
+    if not baseline_rate > 0:
         raise ValueError("baseline rate must be positive")
 
     def rate(count):

@@ -58,19 +58,19 @@ def port_rate_quadrature(intensity, spec, material):
     return float(np.sum(intensity.weights * r) * area), float(np.sum(intensity.weights * t) * area)
 
 
-def run_chain(cfg, amp, seed):
+def run_chain(cfg, seed):
     """``cli.simulate_events`` at ``seed``: pairs + stray -> detectors ->
-    coincidence electronics -> energy flags.  Returns (events, heralded,
-    rate_dropped, empty_dropped, pulse_counts), the counts by [detector,
-    origin, logic]."""
+    coincidence electronics -> event file -> energy flags.  Returns (events,
+    heralded, rate_dropped, empty_dropped, pulse_counts), the counts by
+    [detector, origin, logic]."""
     cfg = replace(cfg, source=replace(cfg.source, rng_seed=seed))
-    events, rate_dropped, empty_dropped, pulse_counts = simulate_events(cfg, amp)
+    events, rate_dropped, empty_dropped, pulse_counts = simulate_events(cfg)
     heralded = events.select(events.passes_acceptance & events.passes_sum)
     return events, heralded, rate_dropped, empty_dropped, pulse_counts
 
 
 @pytest.fixture(scope="session")
-def pair_dominated_run(default_config, amp_default):
+def pair_dominated_run(default_config):
     """Long run with the pair rate raised so heralded statistics are ample."""
     cfg = default_config
     source = replace(
@@ -80,7 +80,7 @@ def pair_dominated_run(default_config, amp_default):
         duration_s=1500.0,
     )
     cfg = replace(cfg, source=source)
-    events, heralded, rate_dropped, empty_dropped, _counts = run_chain(cfg, amp_default, 11)
+    events, heralded, rate_dropped, empty_dropped, _counts = run_chain(cfg, 11)
     return {
         "config": cfg,
         "events": events,

@@ -146,13 +146,13 @@ def test_criterion_06_spectral_shape(
                    f"measured dip z={z:.2f}")
 
 
-def test_criterion_07_unsplittability(default_config, amp_default):
+def test_criterion_07_unsplittability(default_config):
     cfg = default_config
     # Background-free heralded pairs: a single photon never takes both ports.
     clean = replace(cfg, source=replace(
         cfg.source, pair_rate=1.2, stray_rates=(0.0, 0.0, 0.0), duration_s=1.0e5,
     ))
-    _events, heralded, _rd, _ed, pulse_counts = run_chain(clean, amp_default, 23)
+    _events, heralded, _rd, _ed, pulse_counts = run_chain(clean, 23)
     # Pairs whose trigger photon was detected (every one that survived the
     # flight path: the quantum efficiency is 1), counted by the run itself.
     n_pairs = int(pulse_counts[DET_TRIG, mc.ORIGIN_PAIR_TRIGGER].sum())
@@ -165,12 +165,12 @@ def test_criterion_07_unsplittability(default_config, amp_default):
 
     # Stray-dominated stream, open energy windows, two run lengths.
     small_cfg = replace(cfg, source=replace(cfg.source, duration_s=41.4))
-    ev_small, _, _, _, _ = run_chain(small_cfg, amp_default, 31)
+    ev_small, _, _, _, _ = run_chain(small_cfg, 31)
     c_small = stats.counts_from_events(ev_small)
     totals = np.zeros(4, dtype=int)
     for k in range(9):
         shard_cfg = replace(cfg, source=replace(cfg.source, duration_s=480.0))
-        ev_shard, _, _, _, _ = run_chain(shard_cfg, amp_default, 41 + k)
+        ev_shard, _, _, _, _ = run_chain(shard_cfg, 41 + k)
         c = stats.counts_from_events(ev_shard)
         totals += (c.n_trig, c.n_trig_t, c.n_trig_r, c.n_trig_t_r)
     c_big = stats.CoincCounts(*(int(v) for v in totals))

@@ -75,6 +75,43 @@ def test_malformed_events_file_exits_schema_code(tmp_path):
     assert code == EXIT_SCHEMA
 
 
+def _event_file(path, live_time_s="5.000000", rows=((0, 1000.0), (0, 1000.0))):
+    """A small event file; ``rows`` are (event number, trigger_ns), each a
+    trigger photon at 10.4 keV."""
+    path.write_text(
+        f"# eventfile v1\n# live_time_s: {live_time_s}\n# rate_dropped: 0\n"
+        "# empty_dropped: 0\nevent,trigger_ns,detector,energy_kev,offset_ns,origin\n"
+        + "".join(f"{n},{t:.6f},0,10.4,100.000000,2\n" for n, t in rows)
+    )
+    return path
+
+
+@pytest.mark.parametrize("live_time_s,rates", [("5.000000", True), ("0.000000", False)])
+def test_analyze_reads_live_time(tmp_path, live_time_s, rates):
+    # 0 is what save_events writes for a run under 0.5 us: no rates.txt.
+    events = _event_file(tmp_path / "events.csv", live_time_s)
+    out = tmp_path / "out"
+    assert main(["analyze", "--outdir", str(out), "--events", str(events)]) == EXIT_OK
+    assert (out / "rates.txt").exists() == rates
+
+
+@pytest.mark.parametrize("fields", [
+    {"live_time_s": "-5"},
+    {"live_time_s": "nan"},
+    {"live_time_s": "inf"},
+    {"rows": ((0, 1.0), (0, 1.0), (7, 2.0), (7, 2.0), (0, 3.0), (3, 4.0))},
+    {"rows": ((1, 1.0), (2, 2.0))},
+    {"rows": ((0, 1.0), (2, 2.0))},
+    {"rows": ((0, 1.0), (0, 1.5))},
+], ids=["live-negative", "live-nan", "live-inf", "numbers-jump-back", "numbers-start-at-1",
+        "numbers-skip", "trigger-differs-in-event"])
+def test_analyze_rejects_bad_event_file_with_schema_code(tmp_path, fields):
+    events = _event_file(tmp_path / "events.csv", **fields)
+    out = tmp_path / "out"
+    assert main(["analyze", "--outdir", str(out), "--events", str(events)]) == EXIT_SCHEMA
+    assert list(out.iterdir()) == []
+
+
 def test_sweep_command_writes_monotone_curve(tmp_path):
     code = main(["sweep", "--outdir", str(tmp_path),
                  "--start", "8", "--stop", "16", "--num", "5"])
@@ -188,14 +225,12 @@ def test_narrow_sweep_solves_the_ridge_without_building_w(tmp_path, monkeypatch)
 
 
 def test_simulate_writes_events_without_selecting_them(tmp_path, monkeypatch):
-    # The event file holds no selection column, so simulate neither rounds
-    # the events as saved nor energy-selects them; analyze selects on the
-    # file.
+    # The event file holds no selection column, so simulate does not
+    # energy-select the events; analyze selects on the file.
     def unused(*args, **kwargs):
         raise AssertionError("simulate selected the events it writes")
 
     monkeypatch.setattr(daq, "energy_select", unused)
-    monkeypatch.setattr(daq, "as_saved", unused)
     assert main(["simulate", "--outdir", str(tmp_path), "--seed", "21"] + FAST) == EXIT_OK
     assert (tmp_path / "events.csv").stat().st_size > 0
 

@@ -18,7 +18,6 @@ def test_default_profile_loads():
     assert cfg.splitter.nominal_energy_kev == 10.5
     assert cfg.daq.acceptance_kev == (7.0, 17.0)
     assert set(cfg.detectors) == {DET_TRIG, DET_TRANS, DET_REF}
-    assert cfg.source.rng_seed == cfg.seed
 
 
 def test_default_path_matches_bundled_profile():
@@ -29,7 +28,6 @@ def test_default_path_matches_bundled_profile():
 def test_overrides_apply():
     cfg = load_default_config(["source.duration_s=12.5", "run.seed=99"])
     assert cfg.source.duration_s == 12.5
-    assert cfg.seed == 99
     assert cfg.source.rng_seed == 99
 
 

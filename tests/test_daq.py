@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from artifact import daq, montecarlo as mc, spdc, stats
-from artifact.cli import SIGMA_WINDOWS_NS, simulate_events
+from artifact import daq, montecarlo as mc, stats
+from artifact.cli import SIGMA_WINDOWS_NS, cmd_simulate, simulate_events
 from artifact.config import load_default_config
 from artifact.montecarlo import DET_REF, DET_TRANS, DET_TRIG, Stream
 
@@ -195,11 +195,14 @@ def _assert_slices_match_whole(pulses, ends_ns, cfg):
     whole, rate_dropped, empty_dropped = daq.build_events(pulses, cfg)
     built = list(daq.build_events_in_slices(_split(pulses, ends_ns), cfg))
     assert len(built) == len(ends_ns)
-    sliced = daq.concat_events([events for events, _, _ in built])
+    tables = [events for events, _, _ in built]
     assert sum(r for _, r, _ in built) == rate_dropped
     assert sum(e for _, _, e in built) == empty_dropped
-    for column in ("trigger_ns", "start", "detector", "energy_kev", "offset_ns", "origin"):
-        np.testing.assert_array_equal(getattr(sliced, column), getattr(whole, column), column)
+    np.testing.assert_array_equal(np.concatenate([np.diff(t.start) for t in tables]),
+                                  np.diff(whole.start), "event sizes")
+    for column in ("trigger_ns", "detector", "energy_kev", "offset_ns", "origin"):
+        np.testing.assert_array_equal(np.concatenate([getattr(t, column) for t in tables]),
+                                      getattr(whole, column), column)
     # Each slice holds exactly the points inside it.
     for (lo, hi), (events, _, _) in zip(_spans(ends_ns), built):
         assert np.all((events.trigger_ns >= lo) & (events.trigger_ns < hi))
@@ -244,9 +247,10 @@ def test_slice_carry_over_covers_two_logic_widths():
     _assert_slices_match_whole(pulses, np.array([edge, 2 * edge]), cfg)
 
 
-def test_simulate_equals_one_build_over_its_joined_slices(monkeypatch):
+def test_simulate_equals_one_build_over_its_joined_slices(tmp_path, monkeypatch):
     """The production chain's sliced events, drops and pulse counts equal one
-    build over the whole pulse stream its slices make up."""
+    build over the whole pulse stream its slices make up, saved and read
+    back."""
     cfg = load_default_config(["grid.n_energy=400", "grid.n_x=60", "grid.n_y=12",
                                "source.duration_s=20", "source.pair_rate_hz=5", "run.seed=5"])
     slices = []
@@ -256,15 +260,16 @@ def test_simulate_equals_one_build_over_its_joined_slices(monkeypatch):
         return build(((end, slices.append(p) or p) for end, p in pulse_slices), daq_cfg)
 
     monkeypatch.setattr(daq, "build_events_in_slices", keeping)
-    events, rate_dropped, empty_dropped, pulse_counts = simulate_events(
-        cfg, spdc.biphoton_amplitude(cfg.spdc, cfg.grid))
+    events, rate_dropped, empty_dropped, pulse_counts = simulate_events(cfg)
 
     assert len(slices) >= 3
     # Each slice draws from its own generators.
     assert not np.array_equal(slices[0].energy_kev[:50], slices[1].energy_kev[:50])
     pulses = mc.join_streams(*slices)
     whole, whole_rate, whole_empty = daq.build_events(pulses, cfg.daq)
-    whole, _heralded = daq.energy_select(daq.as_saved(whole), cfg.daq)
+    daq.save_events(tmp_path / "whole.csv", [(whole, whole_rate, whole_empty)])
+    whole, _meta = daq.load_events(tmp_path / "whole.csv")
+    whole, _heralded = daq.energy_select(whole, cfg.daq)
     assert (rate_dropped, empty_dropped) == (whole_rate, whole_empty)
     for column in ("trigger_ns", "start", "detector", "energy_kev", "offset_ns", "origin",
                    "passes_acceptance", "passes_sum", "herald_kev"):
@@ -347,37 +352,6 @@ def test_event_roundtrip(tmp_path):
             np.testing.assert_allclose(a.offsets[det], b.offsets[det], atol=1e-6)
 
 
-def test_as_saved_matches_format_then_parse():
-    rng = np.random.default_rng(8)
-    # Decimals one digit longer than the file keeps and ending in 5 sit on
-    # a rounding tie; the nearest double lies just off it on either side.
-    ties_e = [float(f"{v:.9e}"[:-5] + "5" + f"{v:.9e}"[-4:]) for v in rng.uniform(7, 17, 2000)]
-    ties_o = [float(f"{v:.6f}5") for v in rng.uniform(-800, 800, 2000)]
-    specials = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-20, -3e-14, 1e9, 4.2e12,
-                9.9999999996, 0.5, 1.0, -1.0, 1 / 128, -1e-7]
-    energy = np.r_[rng.normal(10.0, 4.0, 5500), rng.uniform(-2, 2, 500),
-                   10.0 ** rng.uniform(-16, 13, 500), ties_e, specials]
-    offset = np.r_[rng.uniform(-800, 800, 5000), rng.uniform(-1e-5, 1e-5, 500),
-                   np.arange(-500, 500) / 128, ties_o, specials]
-    # Trigger times over a long run, ties, and doubles on either side of
-    # 2**33 and 2**34 ns, where the spacing passes 1e-6 and 2e-6 ns.
-    edges = [np.nextafter(2.0**k, d) for k in (33, 34) for d in (0, np.inf)] + [2.0**33, 2.0**34]
-    trigger = np.r_[rng.uniform(0, 3e12, 3000), rng.uniform(0, 2e10, 3000),
-                    [float(f"{v:.6f}5") for v in rng.uniform(0, 2e9, 1000)], edges, specials]
-    # One event holds every photon; the others are empty.
-    table = daq.EventTable(trigger, np.r_[0, np.full(len(trigger), len(energy))],
-                           np.zeros(len(energy), dtype=np.int8), energy, offset,
-                           np.zeros(len(energy), dtype=np.int8))
-    saved = daq.as_saved(table)
-    want_t = np.array([float("%.6f" % v) for v in trigger])
-    want_e = np.array([float("%.9g" % v) for v in energy])
-    want_o = np.array([float("%.6f" % v) for v in offset])
-    for got, want in ((saved.trigger_ns, want_t), (saved.energy_kev, want_e),
-                      (saved.offset_ns, want_o)):
-        np.testing.assert_array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
-
-
 def _analyze_estimates(events, cfg):
     """Every estimator ``xbsim analyze`` reports, as arrays (NaN where a
     sigma is undefined)."""
@@ -422,12 +396,14 @@ def test_simulated_events_round_trip_exactly(tmp_path_factory, seed, sum_halfwid
         f"daq.sum_halfwidth_kev={sum_halfwidth_kev!r}",
         f"daq.acceptance_hi_kev={acceptance_hi_kev!r}",
     ])
-    intensity = spdc.biphoton_amplitude(cfg.spdc, cfg.grid)
-    events, rate_dropped, empty_dropped, _pulses = simulate_events(cfg, intensity)
-    path = tmp_path_factory.mktemp("roundtrip") / "events.csv"
-    daq.save_events(path, [(events, rate_dropped, empty_dropped)],
-                    live_time_s=cfg.source.duration_s)
-    loaded, _meta = daq.load_events(path)
+    outdir = tmp_path_factory.mktemp("roundtrip")
+    cmd_simulate(cfg, str(outdir))
+    events, meta = daq.load_events(outdir / "events.csv")
+    # The file is a fixed point of load then save.
+    daq.save_events(outdir / "again.csv", [(events, meta["rate_dropped"], meta["empty_dropped"])],
+                    live_time_s=meta["live_time_s"])
+    assert (outdir / "again.csv").read_bytes() == (outdir / "events.csv").read_bytes()
+    loaded, _meta = daq.load_events(outdir / "again.csv")
 
     assert len(events) > 0
     for column in ("trigger_ns", "start", "detector", "energy_kev", "offset_ns", "origin"):

@@ -46,10 +46,13 @@ def cfg():
     return load_default_config()
 
 
-def _pairs(amp_small, graphite, cfg, seed, **source_kw):
-    source = replace(cfg.source, **source_kw)
-    rng = np.random.default_rng(seed)
-    return mc.generate_pairs(amp_small, cfg.splitter, source, graphite, rng=rng)
+def _pairs(amp_small, graphite, cfg, seed, window_s=None, **source_kw):
+    # Zero air and helium paths: exp(-0) = 1 exactly, so flight-path
+    # absorption keeps every photon.
+    source = replace(cfg.source, air_path_cm=0.0, helium_path_cm=0.0, **source_kw)
+    return mc.generate_pairs(amp_small, cfg.splitter, source, graphite,
+                             air=load_table("air"), helium=load_table("helium"),
+                             rng=np.random.default_rng(seed), window_s=window_s)
 
 
 def test_stray_spectrum_band_and_line():
@@ -109,8 +112,7 @@ def test_generators_return_time_ordered_parts(amp_small, graphite, cfg):
 def test_generators_draw_inside_their_window(amp_small, graphite, cfg):
     t0, t1 = 7.0, 9.0
     source = replace(cfg.source, pair_rate=200.0)
-    pairs = mc.generate_pairs(amp_small, cfg.splitter, source, graphite,
-                              rng=np.random.default_rng(3), window_s=(t0, t1))
+    pairs = _pairs(amp_small, graphite, cfg, 3, window_s=(t0, t1), pair_rate=200.0)
     stray = mc.generate_stray(source, rng=np.random.default_rng(4), window_s=(t0, t1))
     for part in (*pairs, *stray):
         assert len(part) > 0

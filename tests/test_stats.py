@@ -157,8 +157,9 @@ def test_rates_and_ratios():
     assert r.r_trans_err == pytest.approx(18.0 * rel)
     zero = stats.rates_and_ratios(0, 10, 100.0, 0.05)
     assert zero.n_ref_err == pytest.approx(0.01)
-    with pytest.raises(ValueError):
-        stats.rates_and_ratios(1, 1, 0.0, 0.05)
+    for live_time_s, baseline in ((0.0, 0.05), (-5.0, 0.05), (math.nan, 0.05), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            stats.rates_and_ratios(1, 1, live_time_s, baseline)
 
 
 # Random small tables: 0-4 photons per detector per event, energies on a
