@@ -126,7 +126,8 @@ def _slice_pulses(cfg: RunConfig, intensity: spdc_mod.PairIntensity, tally: np.n
         del pairs, stray  # hold one copy of the slice per stage
         pulses = mc.detect(photons, cfg.detectors, rng_detect)
         del photons
-        cell = (pulses.detector.astype(np.intp) * mc.N_ORIGINS + pulses.origin) * 2 + pulses.logic
+        # int8 arithmetic: the cells run to 17.
+        cell = (pulses.detector * mc.N_ORIGINS + pulses.origin) * 2 + pulses.logic
         tally += np.bincount(cell, minlength=tally.size).reshape(tally.shape)
         yield window[1] * 1e9, pulses
 

@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line front end and its exit codes."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -110,6 +113,38 @@ def test_analyze_rejects_bad_event_file_with_schema_code(tmp_path, fields):
     out = tmp_path / "out"
     assert main(["analyze", "--outdir", str(out), "--events", str(events)]) == EXIT_SCHEMA
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("old,new", [
+    ("# rate_dropped: 0", "# rate_dropped: -3"),
+    ("# empty_dropped: 0", "# empty_dropped: -1"),
+    ("100.000000,2\n", "100.000000,9\n"),
+    ("100.000000,2\n", "100.000000,-1\n"),
+    (",10.4,", ",nan,"),
+    (",10.4,", ",inf,"),
+    (",100.000000,", ",nan,"),
+    ("1000.000000,", "inf,"),
+], ids=["rate-dropped-negative", "empty-dropped-negative", "origin-9", "origin-negative",
+        "energy-nan", "energy-inf", "offset-nan", "trigger-inf"])
+def test_analyze_rejects_rows_save_events_never_writes(tmp_path, old, new):
+    # A good two-row file, edited by hand in both rows (or its header).
+    events = _event_file(tmp_path / "events.csv")
+    text = events.read_text()
+    assert old in text
+    events.write_text(text.replace(old, new))
+    out = tmp_path / "out"
+    assert main(["analyze", "--outdir", str(out), "--events", str(events)]) == EXIT_SCHEMA
+    assert list(out.iterdir()) == []
+
+
+def test_cli_import_loads_no_scipy():
+    # Every verb starts with numpy alone.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spdc.__file__)))
+    probe = "import sys, artifact.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True)
+    assert run.stdout.strip() == "[]"
 
 
 def test_sweep_command_writes_monotone_curve(tmp_path):

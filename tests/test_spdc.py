@@ -64,6 +64,43 @@ def test_sinc2_cell_average_degenerate_cell():
     )
 
 
+def _si_points():
+    """2,600 points over [-2200, 2200]: zero, both sides of every edge where
+    Si changes method (4 and 64) and of 40 and 100, a spread on each side of
+    zero and a dense run near it."""
+    edges = [spdc._SI_SERIES_TO, 40.0, spdc._SI_ASYMPTOTIC_FROM, 100.0]
+    around = [np.nextafter(e, d) for e in edges for d in (0.0, np.inf)] + edges
+    spread = np.linspace(1e-3, 2200.0, 2001)
+    t = np.concatenate([[0.0, 1e-300], around, spread, np.geomspace(1e-12, 4.0, 300)])
+    return np.concatenate([t, -t[1:300]])
+
+
+def _si(t):
+    """Si by the method ``_sinc2_antiderivative`` takes at each point."""
+    cos_t, sin_t = np.cos(t), np.sin(t)
+    near = np.abs(t) < spdc._SI_ASYMPTOTIC_FROM
+    si = np.empty_like(t)
+    si[near] = spdc._si_near(t[near], cos_t[near], sin_t[near])
+    far = ~near
+    si[far] = spdc._si_asymptotic(t[far], cos_t[far], sin_t[far])
+    return si
+
+
+def test_sine_integral_matches_40_digit_values():
+    mpmath = pytest.importorskip("mpmath")
+    t = _si_points()
+    with mpmath.workdps(40):
+        si = np.array([float(mpmath.si(v)) for v in t.tolist()])
+        half = [mpmath.mpf(v) / 2 for v in t.tolist()]
+        sinc2 = np.array([float(mpmath.si(2 * x) - mpmath.sin(x) ** 2 / x) if x else 0.0
+                          for x in half])
+    assert t.size >= 2000
+    assert np.abs(_si(t) - si).max() <= 2e-15
+    assert np.abs(spdc._sinc2_antiderivative(t / 2) - sinc2).max() <= 2e-15
+    # Odd in t, exactly.
+    assert np.array_equal(_si(-t), -_si(t))
+
+
 def test_grid_validation_and_spacings():
     with pytest.raises(ValueError):
         GridSpec(energy_lo_kev=11.0, energy_hi_kev=9.0)
@@ -316,7 +353,7 @@ def test_point_without_a_root_in_the_window_carries_no_weight():
 
 def test_reference_grid_kernel_peak_memory():
     # Deterministic bound on the kernel's temporaries: tracemalloc counts
-    # numpy's buffers, so the ridge's per-row temporaries must keep the
+    # numpy's buffers, so the ridge's line-by-cell temporaries must keep the
     # peak far below the hundreds of MB a whole-grid evaluation would take.
     tracemalloc.start()
     tracemalloc.reset_peak()
