@@ -16,6 +16,9 @@ schema error.
 from __future__ import annotations
 
 import argparse
+# argparse's gettext imports locale with the first parser: load it at
+# start-up, not inside a verb.
+import locale  # noqa: F401
 import os
 import sys
 import tempfile

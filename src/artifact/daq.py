@@ -49,7 +49,6 @@ class DaqConfig:
 
 
 DETECTORS = (DET_TRIG, DET_TRANS, DET_REF)
-ORIGINS = tuple(range(N_ORIGINS))
 OUTPUT_PORTS = (DET_TRANS, DET_REF)
 
 
@@ -391,11 +390,12 @@ def load_events(path):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a file with no events
             rows = np.loadtxt(fh, delimiter=",", comments="#", dtype=_ROW_DTYPE, ndmin=1)
-    for column, known in (("detector", DETECTORS), ("origin", ORIGINS)):
+    # Detector and origin ids run from 0 to their count - 1.
+    for column, count in (("detector", len(DETECTORS)), ("origin", N_ORIGINS)):
         ids = rows[column]
-        unknown = ids[~np.isin(ids, known)]
-        if len(unknown):
-            raise ValueError(f"unknown {column} id {unknown.min()} in event file")
+        if len(ids) and not 0 <= ids.min() <= ids.max() < count:
+            smallest = ids[(ids < 0) | (ids >= count)].min()
+            raise ValueError(f"unknown {column} id {smallest} in event file")
     for column in ("trigger_ns", "energy_kev", "offset_ns"):
         if not np.isfinite(rows[column]).all():
             raise ValueError(f"{column} must be finite in every row")

@@ -422,9 +422,11 @@ def _ridge(kin: _Kinematics, grid: GridSpec):
     return mid, np.abs(kin.half_phase_slope(mid, theta_x, theta_y)), column, row
 
 
-# Line edges per pass of ``_deposit_lines``.  The reference model grid
-# (268,800) takes one pass, whose float64 temporaries are about 2 MB each;
-# finer grids take more.
+# Line edges per pass of ``_deposit_lines``.  The reference grid's 268,800
+# take one pass, whose float64 temporaries are about 2 MB each; finer grids
+# take more passes.  Few passes keep the continued fraction of
+# ``_sinc2_antiderivative`` in few calls: one per theta_y row (20 calls of a
+# few hundred points) cost more than its asymptotic series over every point.
 _EDGES_PER_PASS = 1 << 19
 
 

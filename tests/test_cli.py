@@ -140,7 +140,7 @@ def test_analyze_rejects_rows_save_events_never_writes(tmp_path, old, new):
 def test_cli_import_loads_no_scipy():
     # Every verb starts with numpy alone.
     src = os.path.dirname(os.path.dirname(os.path.abspath(spdc.__file__)))
-    probe = "import sys, artifact.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    probe = "import sys, artifact.cli; print([m for m in sys.modules if m.startswith('scipy')])"
     env = dict(os.environ, PYTHONPATH=src)
     run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True)
