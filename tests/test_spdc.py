@@ -351,6 +351,15 @@ def test_point_without_a_root_in_the_window_carries_no_weight():
     assert np.array_equal(w.any(axis=0), lit)
 
 
+@pytest.mark.parametrize("edges_per_pass", [1, 500, 1 << 19])
+def test_kernel_is_identical_for_every_pass_size(monkeypatch, amp_small, edges_per_pass):
+    # The passes add the lines in the same order, so W is the same bit for
+    # bit (1 edge gives one line per pass).
+    monkeypatch.setattr(spdc, "_EDGES_PER_PASS", edges_per_pass)
+    w = biphoton_amplitude(SpdcConfig(), SMALL_GRID).weights
+    assert w.tobytes() == amp_small.weights.tobytes()
+
+
 def test_reference_grid_kernel_peak_memory():
     # Deterministic bound on the kernel's temporaries: tracemalloc counts
     # numpy's buffers, so the ridge's line-by-cell temporaries must keep the
