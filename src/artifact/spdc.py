@@ -260,9 +260,11 @@ def _sinc2_antiderivative(x):
     """Antiderivative of sinc^2: F(x) = Si(2x) - sin^2(x)/x, odd in x and
     within 2e-15 of its exact value.
 
-    The asymptotic series of Si runs over every point, block by block; the
-    points where it does not hold, |2x| < _SI_ASYMPTOTIC_FROM, are then
-    redone together by ``_si_near``.
+    Si(t) comes from its power series for |t| <= 4, the continued fraction
+    of E1(it) for |t| < 64 and the asymptotic series of its auxiliary
+    functions above.  The asymptotic series runs over every point, block by
+    block; the points where it does not hold, |2x| < _SI_ASYMPTOTIC_FROM,
+    are then redone together by ``_si_near``.
     """
     shape = np.shape(x)
     x = np.ravel(np.asarray(x, dtype=float))
