@@ -390,38 +390,65 @@ class PairIntensity:
 # bundled geometry.
 LINE_HALF_WIDTH = math.pi * math.ceil(1.0 / (math.pi**2 * 3e-4))
 
+# Newton steps of ``_ridge`` after its secant step.  On the bundled geometry
+# the secant step and 2 Newton steps already reach the zeros within 1.3e-11
+# keV, where |x| is at the 2e-7 rounding floor of ``half_phase``.
+_NEWTON_STEPS = 3
+
 
 def _ridge(kin: _Kinematics, grid: GridSpec):
-    """The phase-matching ridge: every zero E0 of ``half_phase`` in
-    0 < E < E_pump, for each theta_x centre and each non-negative theta_y
-    centre ``theta_y_centers()[n_y // 2:]``.
+    """The phase-matching ridge near the energy window: the zeros E0 of
+    ``half_phase`` within a margin of ``[grid] energy_lo_kev..energy_hi_kev``,
+    for each theta_x centre and each non-negative theta_y centre
+    ``theta_y_centers()[n_y // 2:]``.
 
-    Each theta_y row brackets the sign changes of ``half_phase`` between 63
-    energies E_pump / 64 apart (an evanescent sample brackets nothing, and
-    two zeros within one spacing are missed); all brackets are then bisected
-    together down to adjacent floating-point energies.  Returns flat arrays
-    (e0, slope, column, row): the zero in keV, |dx/dE| there in 1/keV, the
-    theta_x index and the index of the non-negative theta_y row.
+    The energies E_pump / 64 apart in 0 < E < E_pump are the nodes.  Only
+    the nodes from the last one at or below lo - margin to the first one at
+    or above hi + margin are evaluated, so every point within the margin of
+    the window lies in a bracket, even a window between two adjacent nodes.
+    Each theta_y row brackets the sign changes of ``half_phase`` between
+    those nodes (an evanescent node brackets nothing, and two zeros within
+    one spacing are missed).  From each bracket one secant step through its
+    end values, then _NEWTON_STEPS Newton steps with ``half_phase_slope``,
+    each clipped to the bracket, reach the zero to the rounding floor of
+    ``half_phase``; the steps are a fixed number, since rounding keeps the
+    iterates moving by a few ulps.
+
+    The margin starts at two node spacings.  A zero outside it is dropped,
+    which is right while its line band, LINE_HALF_WIDTH / s either side,
+    misses the window.  So the solve is accepted only when LINE_HALF_WIDTH / s
+    is below the margin at every zero found (the bundled geometry needs
+    s >= 1.6e3 per keV and has about 1.57e4); otherwise, or when no zero is
+    found, the margin is doubled and the ridge solved again, up to the whole
+    of 0 < E < E_pump.  Returns flat arrays (e0, slope, column, row), in the
+    order row, then bracket, then column: the zero in keV, |dx/dE| there in
+    1/keV, the theta_x index and the index of the non-negative theta_y row.
     """
     tx = grid.theta_x_centers()
     ty = grid.theta_y_centers()[grid.n_y // 2 :]
-    energies = np.linspace(0.0, kin.pump_kev, 65)[1:-1]
-    brackets = []
-    for row, theta_y in enumerate(ty):
-        x = kin.half_phase(energies[:, None], tx, theta_y)
-        k, column = np.nonzero(np.sign(x[:-1]) * np.sign(x[1:]) < 0)
-        brackets.append((k, column, np.full(k.size, row)))
-    k, column, row = (np.concatenate(parts) for parts in zip(*brackets))
-    theta_x, theta_y = tx[column], ty[row]
-    lo, hi = energies[k], energies[k + 1]
-    lo_sign = np.sign(kin.half_phase(lo, theta_x, theta_y))
-    mid = 0.5 * (lo + hi)
-    while np.any((lo < mid) & (mid < hi)):
-        right = np.sign(kin.half_phase(mid, theta_x, theta_y)) == lo_sign
-        lo = np.where(right, mid, lo)
-        hi = np.where(right, hi, mid)
-        mid = 0.5 * (lo + hi)
-    return mid, np.abs(kin.half_phase_slope(mid, theta_x, theta_y)), column, row
+    nodes = np.linspace(0.0, kin.pump_kev, 65)[1:-1]
+    margin = 2.0 * kin.pump_kev / 64
+    while True:
+        first = max(int(np.searchsorted(nodes, grid.energy_lo_kev - margin, side="right")) - 1, 0)
+        stop = min(int(np.searchsorted(nodes, grid.energy_hi_kev + margin)) + 1, nodes.size)
+        energies = nodes[first:stop]
+        brackets = []
+        for row, theta_y in enumerate(ty):
+            x = kin.half_phase(energies[:, None], tx, theta_y)
+            k, column = np.nonzero(np.sign(x[:-1]) * np.sign(x[1:]) < 0)
+            brackets.append((k, column, np.full(k.size, row), x[k, column], x[k + 1, column]))
+        k, column, row, x_lo, x_hi = (np.concatenate(parts) for parts in zip(*brackets))
+        theta_x, theta_y = tx[column], ty[row]
+        lo, hi = energies[k], energies[k + 1]
+        e0 = lo - x_lo * (hi - lo) / (x_hi - x_lo)
+        for _ in range(_NEWTON_STEPS):
+            e0 -= kin.half_phase(e0, theta_x, theta_y) / kin.half_phase_slope(e0, theta_x, theta_y)
+            np.clip(e0, lo, hi, out=e0)
+        slope = np.abs(kin.half_phase_slope(e0, theta_x, theta_y))
+        whole = first == 0 and stop == nodes.size
+        if whole or (e0.size > 0 and np.all(LINE_HALF_WIDTH / slope < margin)):
+            return e0, slope, column, row
+        margin *= 2.0
 
 
 # Line edges per pass of ``_deposit_lines``.  The reference grid's 268,800

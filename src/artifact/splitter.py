@@ -51,12 +51,19 @@ def reflectivity(spec: SplitterSpec, energy_kev, dtheta_deg):
     degrees: the reflectivity peaks on the locus where the incidence angle
     equals the Bragg angle for ``energy_kev``.
     """
-    arg = (
+    # The chain works in one buffer.  asarray makes a scalar arg a writable
+    # 0-d array, and [()] returns a scalar for it again.
+    r = np.asarray(
         np.asarray(dtheta_deg, dtype=float)
         + spec.nominal_bragg_deg()
         - bragg_angle(energy_kev, spec.lattice)
     )
-    return spec.peak_reflectivity * np.exp(-((arg / spec.width_deg) ** 2))
+    r /= spec.width_deg
+    np.square(r, out=r)
+    np.negative(r, out=r)
+    np.exp(r, out=r)
+    r *= spec.peak_reflectivity
+    return r[()]
 
 
 def response(spec: SplitterSpec, energy_kev, dtheta_deg, material: AttenuationTable):
@@ -75,6 +82,9 @@ def response(spec: SplitterSpec, energy_kev, dtheta_deg, material: AttenuationTa
     if np.any((incidence_deg <= 0) | (incidence_deg >= 180)):
         raise ValueError("incidence angle to the planes must lie in (0, 180) degrees")
     slant_cm = (spec.thickness_mm / 10.0) / np.sin(np.radians(incidence_deg))
-    absorption = np.exp(-material.linear_attenuation(energy_kev) * slant_cm)
+    absorption = np.asarray(np.multiply(-material.linear_attenuation(energy_kev), slant_cm))
+    np.exp(absorption, out=absorption)
     r = reflectivity(spec, energy_kev, dtheta_deg)
-    return r, (1.0 - r) * absorption
+    t = np.subtract(1.0, r)
+    t *= absorption
+    return r, t

@@ -29,13 +29,13 @@ REDUCED = REDUCED_GRID + [
 
 MODEL_GOLDEN = {
     "bragg_sweep.csv": "88bd4c31a20f96b37f19836339fdc5918c17b85d905c0f7504a51451530586ef",
-    "model_spectra.csv": "08d12881263621fbfe9c19d767fb694b80bd04133325f05110b1484df271ec49",
+    "model_spectra.csv": "585afd1a2bfd614db435247be7e85646444845cad0f6d17a42e378da1263c93f",
     "model_summary.txt": "f760caaa17507cfc64f1b84c4965a4dd2c0447e76c73ab5501dce6162faadbe5",
 }
 
 REFERENCE_MODEL_GOLDEN = {
     "bragg_sweep.csv": "4b6ad67ca0f95e4b2a2873ffe48f7c2cb0f93f4a4d60f3a6a2e555f3d24f1e88",
-    "model_spectra.csv": "be31b1d6312b80ba4699b51502b66392fc408d57b008a8b73e7454e8a2ebab8d",
+    "model_spectra.csv": "7693c94752c3a92b6caed42be8a6c9859d820ff1e999b9b60e6ed7758d736155",
     "model_summary.txt": "9ff6f96e41a2c1bbfc834d570e11d9b76ae8c6adfb8ae3d0237b700d67fbb8ae",
 }
 

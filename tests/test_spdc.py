@@ -218,7 +218,50 @@ def _exact_cell_average(cfg, grid, sub_kev):
     return sub.sum(axis=2).reshape(grid.n_energy, m, grid.n_x).mean(axis=1), grid.d_energy / m
 
 
-def _line_bound(cfg, grid, sub_kev):
+def _bisected_ridge(kin, grid):
+    """The phase-matching ridge by bisection, as a reference for
+    ``spdc._ridge``: every zero of ``half_phase`` in 0 < E < E_pump,
+    bracketed between the 63 nodes E_pump / 64 apart and bisected down to
+    adjacent floats.  Returns (e0, slope, column, row, key), in the order
+    row, then bracket, then column; ``key`` (``_ridge_key``) rises along
+    that order."""
+    tx = grid.theta_x_centers()
+    ty = grid.theta_y_centers()[grid.n_y // 2 :]
+    nodes = np.linspace(0.0, kin.pump_kev, 65)[1:-1]
+    brackets = []
+    for row, theta_y in enumerate(ty):
+        x = kin.half_phase(nodes[:, None], tx, theta_y)
+        k, column = np.nonzero(np.sign(x[:-1]) * np.sign(x[1:]) < 0)
+        brackets.append((k, column, np.full(k.size, row)))
+    k, column, row = (np.concatenate(parts) for parts in zip(*brackets))
+    theta_x, theta_y = tx[column], ty[row]
+    lo, hi = nodes[k], nodes[k + 1]
+    lo_sign = np.sign(kin.half_phase(lo, theta_x, theta_y))
+    mid = 0.5 * (lo + hi)
+    while np.any((lo < mid) & (mid < hi)):
+        right = np.sign(kin.half_phase(mid, theta_x, theta_y)) == lo_sign
+        lo = np.where(right, mid, lo)
+        hi = np.where(right, hi, mid)
+        mid = 0.5 * (lo + hi)
+    slope = np.abs(kin.half_phase_slope(mid, theta_x, theta_y))
+    return mid, slope, column, row, _ridge_key(kin, grid, mid, column, row)
+
+
+def _ridge_key(kin, grid, e0, column, row):
+    """(row, bracket, column) of each zero as one integer, the bracket
+    being the node interval that holds E0."""
+    nodes = np.linspace(0.0, kin.pump_kev, 65)[1:-1]
+    bracket = np.searchsorted(nodes, e0, side="right") - 1
+    return (row * nodes.size + bracket) * grid.n_x + column
+
+
+def _band_meets_window(grid, e0, slope):
+    """Whether each line's band, E0 +- LINE_HALF_WIDTH / s, meets the window."""
+    reach = spdc.LINE_HALF_WIDTH / slope
+    return (e0 + reach > grid.energy_lo_kev) & (e0 - reach < grid.energy_hi_kev)
+
+
+def _line_bound(cfg, grid, sub_kev, ridge):
     """Upper bound on sum |W_ridge - W_exact| dE dtheta_x, from the error
     terms ``biphoton_amplitude`` states plus the reference's own.  Each
     (theta_x, theta_y) point's line carries d_theta_y d_theta_x pi / s per
@@ -230,9 +273,10 @@ def _line_bound(cfg, grid, sub_kev):
     and c = max |x''| (at E0 and the band ends) are central differences at
     the ridge's zeros, and every theta_y row counts, the mirrored ones
     included.  Where a line's band misses the window the exact W holds at
-    most its tail.  Returns (bound, number of zeros)."""
+    most its tail.  ``ridge`` is ``_bisected_ridge``'s, every zero in
+    0 < E < E_pump."""
     kin = _Kinematics(cfg)
-    e0, _slope, column, row = spdc._ridge(kin, grid)
+    e0, _slope, column, row, _key = ridge
     tx = grid.theta_x_centers()[column]
     ty = grid.theta_y_centers()[grid.n_y // 2 :][row]
     h = 1e-3
@@ -250,7 +294,7 @@ def _line_bound(cfg, grid, sub_kev):
              + c * sub_kev / s)
     mult = np.where((grid.n_y % 2 == 1) & (row == 0), 1.0, 2.0)
     mass = grid.d_theta_y * grid.d_theta_x * math.pi / s
-    return float(np.sum(mult * mass * share)), e0.size
+    return float(np.sum(mult * mass * share))
 
 
 @settings(max_examples=40, deadline=None)
@@ -278,8 +322,14 @@ def test_pair_intensity_kernel_matches_3d_reference(lo, width, n_energy, n_x, n_
     average, sub_kev = _exact_cell_average(cfg, grid, 2.5e-4)
     expected = average * grid.d_theta_y
 
-    bound, n_lines = _line_bound(cfg, grid, sub_kev)
-    assert n_lines == n_x * math.ceil(n_y / 2)
+    # The ridge solve keeps every zero whose line band meets the window.
+    kin = _Kinematics(cfg)
+    reference = _bisected_ridge(kin, grid)
+    e0, slope, _column, _row, key = reference
+    solved = spdc._ridge(kin, grid)
+    assert np.isin(key[_band_meets_window(grid, e0, slope)],
+                   _ridge_key(kin, grid, solved[0], *solved[2:])).all()
+    bound = _line_bound(cfg, grid, sub_kev, reference)
     assert raw.weights.shape == (n_energy, n_x)
     assert np.all(raw.weights >= 0)
     error = np.abs(raw.weights - expected).sum() * raw.cell_area
@@ -311,14 +361,79 @@ def test_reference_grid_has_one_ridge_zero_per_point_in_the_window(reference_rid
 
 def test_ridge_zeros_and_slopes(reference_ridge):
     _grid, kin, e0, slope, _column, _row, tx, ty = reference_ridge
-    # Bisection stops at adjacent energies, where x moves by s * 2e-15 keV
-    # = 3e-11; rounding of dk_z L / 2, a difference of terms near 1e7,
-    # leaves 1.4e-7.
+    # The Newton steps stop where rounding of dk_z L / 2, a difference of
+    # terms near 1e7, leaves x at 1.8e-7; adjacent energies move it by only
+    # s * 2e-15 keV = 3e-11.
     assert np.max(np.abs(kin.half_phase(e0, tx, ty))) < 1e-6
     h = 1e-4
     central = (kin.half_phase(e0 + h, tx, ty) - kin.half_phase(e0 - h, tx, ty)) / (2 * h)
     np.testing.assert_allclose(slope, np.abs(central), rtol=1e-6)
     assert 1.5e4 < slope.min() and slope.max() < 1.7e4
+
+
+# Windows with an even and an odd n_y; one whose lower edge cuts the
+# lowest lines (E0 from 8.714 keV) within their 68 eV bands; one narrower
+# than a node spacing and one between two adjacent nodes (10.17 and 10.5
+# keV); one above the ridge, where the margin widens to every node; and
+# the n_x = 2985 grid of ``sweep --width-scale 0.01``.
+RIDGE_GRIDS = {
+    "even_n_y": SMALL_GRID,
+    "odd_n_y": GridSpec(9.0, 11.0, 100, 5.0e-3, 25, 7),
+    "edge_cuts_band": GridSpec(8.75, 9.25, 300, 5.0e-3, 12, 9),
+    "narrow": GridSpec(10.0, 10.05, 50, 5.0e-3, 30, 4),
+    "between_nodes": GridSpec(10.2, 10.45, 50, 5.0e-3, 30, 5),
+    "above_ridge": GridSpec(13.0, 13.5, 50, 5.0e-3, 20, 3),
+    "sweep_x0.01": replace(GridSpec(), n_x=2985),
+}
+
+
+@pytest.mark.parametrize("grid", RIDGE_GRIDS.values(), ids=RIDGE_GRIDS.keys())
+def test_ridge_solve_matches_bisection(grid):
+    kin = _Kinematics(SpdcConfig())
+    ref_e0, ref_slope, _column, _row, ref_key = _bisected_ridge(kin, grid)
+    e0, slope, column, row = spdc._ridge(kin, grid)
+    key = _ridge_key(kin, grid, e0, column, row)
+    # The same zeros in the same order: a subsequence of the reference's.
+    assert np.all(np.diff(ref_key) > 0) and np.all(np.diff(key) > 0)
+    at = np.minimum(np.searchsorted(ref_key, key), ref_key.size - 1)
+    assert np.array_equal(ref_key[at], key)
+    np.testing.assert_allclose(e0, ref_e0[at], rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(slope, ref_slope[at], rtol=1e-9)
+    # Every zero whose line band meets the window is among them.
+    meets = _band_meets_window(grid, ref_e0, ref_slope)
+    assert meets.any() == (grid is not RIDGE_GRIDS["above_ridge"])
+    assert np.isin(ref_key[meets], key).all()
+
+
+def test_ridge_margin_widens_to_every_line_band(monkeypatch):
+    # Bands of LINE_HALF_WIDTH / s = 0.95 keV exceed the first margin of
+    # two node spacings (0.66 keV), so the solve widens it until they fit.
+    monkeypatch.setattr(spdc, "LINE_HALF_WIDTH", 1.5e4)
+    kin, grid = _Kinematics(SpdcConfig()), GridSpec(10.4, 10.6, 50, 5.0e-3, 20, 4)
+    ref_e0, ref_slope, _column, _row, ref_key = _bisected_ridge(kin, grid)
+    e0, slope, column, row = spdc._ridge(kin, grid)
+    assert np.all(spdc.LINE_HALF_WIDTH / slope > 2 * kin.pump_kev / 64)
+    meets = _band_meets_window(grid, ref_e0, ref_slope)
+    assert not meets.all()
+    assert np.isin(ref_key[meets], _ridge_key(kin, grid, e0, column, row)).all()
+
+
+def test_sweep_grid_ridge_peak_memory(default_config):
+    # The ridge evaluates its bracket nodes one theta_y row at a time:
+    # 12.8 MiB of tracemalloc peak on the n_x = 2985 grid of
+    # ``sweep --width-scale 0.01``, against 15.9 MiB when every node in
+    # 0 < E < E_pump was bracketed and 60 MiB for one (row, node, column)
+    # array.
+    grid = sweep_grid(default_config.grid, 0.01 * default_config.splitter.width_deg)
+    assert grid.n_x == 2985
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        spdc.pair_ridge(default_config.spdc, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * 2**20
 
 
 def test_line_carries_pi_over_slope_less_the_dropped_tail():
