@@ -326,9 +326,9 @@ def test_pair_intensity_kernel_matches_3d_reference(lo, width, n_energy, n_x, n_
     kin = _Kinematics(cfg)
     reference = _bisected_ridge(kin, grid)
     e0, slope, _column, _row, key = reference
-    solved = spdc._ridge(kin, grid)
-    assert np.isin(key[_band_meets_window(grid, e0, slope)],
-                   _ridge_key(kin, grid, solved[0], *solved[2:])).all()
+    solved_e0, _slope, solved_column, solved_row = spdc._ridge(kin, grid)
+    solved_key = _ridge_key(kin, grid, solved_e0, solved_column, solved_row)
+    assert np.isin(key[_band_meets_window(grid, e0, slope)], solved_key).all()
     bound = _line_bound(cfg, grid, sub_kev, reference)
     assert raw.weights.shape == (n_energy, n_x)
     assert np.all(raw.weights >= 0)
@@ -419,11 +419,11 @@ def test_ridge_margin_widens_to_every_line_band(monkeypatch):
 
 
 def test_sweep_grid_ridge_peak_memory(default_config):
-    # The ridge evaluates its bracket nodes one theta_y row at a time:
-    # 12.8 MiB of tracemalloc peak on the n_x = 2985 grid of
-    # ``sweep --width-scale 0.01``, against 15.9 MiB when every node in
-    # 0 < E < E_pump was bracketed and 60 MiB for one (row, node, column)
-    # array.
+    # The ridge evaluates only the nodes near the window, one theta_y row
+    # at a time: 12.8 MiB of tracemalloc peak on the n_x = 2985 grid of
+    # ``sweep --width-scale 0.01``.  Bracketing every node in
+    # 0 < E < E_pump takes 15.9 MiB, and one (row, node, column) array
+    # about 60 MiB.
     grid = sweep_grid(default_config.grid, 0.01 * default_config.splitter.width_deg)
     assert grid.n_x == 2985
     tracemalloc.start()
