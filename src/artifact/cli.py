@@ -201,22 +201,16 @@ def cmd_analyze(cfg: RunConfig, events_path: str, outdir: str) -> None:
             ),
         )
 
-    sigma_rows = []
-    for window in SIGMA_WINDOWS_NS:
-        for det, name in ((DET_TRANS, "trans"), (DET_REF, "ref")):
-            for mode in ("sum", "open"):
-                try:
-                    value = stats_mod.sigma(
-                        events,
-                        window,
-                        output=det,
-                        energy_mode=mode,
-                        pump_energy_kev=cfg.daq.pump_energy_kev,
-                        sum_halfwidth_kev=cfg.daq.sum_halfwidth_kev,
-                    )
-                except ValueError:
-                    value = float("nan")
-                sigma_rows.append((window, name, mode, value))
+    names, modes = ("trans", "ref"), ("sum", "open")
+    table = stats_mod.sigma_curves(events, SIGMA_WINDOWS_NS, outputs=(DET_TRANS, DET_REF),
+                                   energy_modes=modes, pump_energy_kev=cfg.daq.pump_energy_kev,
+                                   sum_halfwidth_kev=cfg.daq.sum_halfwidth_kev)
+    sigma_rows = [
+        (window, name, mode, value)
+        for window, by_output in zip(SIGMA_WINDOWS_NS, table.tolist())
+        for name, by_mode in zip(names, by_output)
+        for mode, value in zip(modes, by_mode)
+    ]
     _write_rows(
         os.path.join(outdir, "sigma_curves.csv"),
         "window_ns,output,energy_mode,sigma",

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .daq import EventTable
+from .daq import DETECTORS, EventTable
 from .montecarlo import DET_REF, DET_TRANS, DET_TRIG
 
 
@@ -97,24 +97,67 @@ def sigma(
     partner that fell outside the registration window leaves such a
     single-photon record).  Events with no windowed photon at either
     detector are excluded.  Returns 0 for perfectly correlated unit pairs
-    and 1 in the independent-Poisson limit.
+    and 1 in the independent-Poisson limit.  Raises ValueError when fewer
+    than two events qualify.
     """
-    if energy_mode not in ("open", "sum"):
-        raise ValueError("energy_mode must be 'open' or 'sum'")
-    qualifies = np.ones(len(events), dtype=bool)
-    if energy_mode == "sum":
-        paired, _ = events.sum_window_pairs(output, pump_energy_kev, sum_halfwidth_kev)
-        elastic = np.abs(events.energy_kev - pump_energy_kev) <= sum_halfwidth_kev
-        qualifies = (events.counts()[:, output] == 0) & (events.counts(elastic)[:, DET_TRIG] > 0)
-        qualifies[paired] = True
-    windowed = events.counts(np.abs(events.offset_ns) <= window_ns)[qualifies]
-    n_t, n_h = windowed[:, DET_TRIG], windowed[:, output]
-    seen = n_t + n_h > 0
-    if seen.sum() < 2:
+    value = sigma_curves(events, [window_ns], outputs=[output], energy_modes=[energy_mode],
+                         pump_energy_kev=pump_energy_kev,
+                         sum_halfwidth_kev=sum_halfwidth_kev)[0, 0, 0]
+    if np.isnan(value):
         raise ValueError("need at least two qualifying events for sigma")
-    diffs = (n_t - n_h)[seen].astype(float)
-    sums = (n_t + n_h)[seen].astype(float)
-    return float(diffs.var() / sums.mean())
+    return float(value)
+
+
+def sigma_curves(
+    events: EventTable,
+    windows_ns,
+    *,
+    outputs=(DET_TRANS, DET_REF),
+    energy_modes=("sum", "open"),
+    pump_energy_kev: float = 21.0,
+    sum_halfwidth_kev: float = 0.5,
+) -> np.ndarray:
+    """``sigma`` for every (window, output, energy mode): a float array of
+    shape (len(windows_ns), len(outputs), len(energy_modes)).
+
+    An entry is NaN where fewer than two events qualify (where ``sigma``
+    raises); every other entry is bit-identical to ``sigma`` with the same
+    arguments.  Each (output, mode)'s qualifying events are found once, and
+    one photon count per window serves every output and mode.  Raises
+    ValueError for an energy mode other than "open" or "sum".
+    """
+    if not set(energy_modes) <= {"open", "sum"}:
+        raise ValueError("energy_mode must be 'open' or 'sum'")
+    n, n_det = len(events), len(DETECTORS)
+    cell = events.event_index() * n_det + events.detector
+
+    def counts(photons=slice(None)):
+        return np.bincount(cell[photons], minlength=n * n_det).reshape(n, n_det)
+
+    unwindowed = counts()
+    elastic = np.abs(events.energy_kev - pump_energy_kev) <= sum_halfwidth_kev
+    elastic_trigger = counts(elastic)[:, DET_TRIG] > 0
+    qualifying = []
+    for output in outputs:
+        for mode in energy_modes:
+            qualifies = slice(None)  # every event
+            if mode == "sum":
+                paired, _ = events.sum_window_pairs(output, pump_energy_kev, sum_halfwidth_kev)
+                qualifies = (unwindowed[:, output] == 0) & elastic_trigger
+                qualifies[paired] = True
+            qualifying.append((output, qualifies))
+    distance = np.abs(events.offset_ns)
+    table = np.full((len(windows_ns), len(qualifying)), np.nan)
+    for i, window_ns in enumerate(windows_ns):
+        windowed = counts(distance <= window_ns)
+        for j, (output, qualifies) in enumerate(qualifying):
+            n_t, n_h = windowed[qualifies, DET_TRIG], windowed[qualifies, output]
+            seen = n_t + n_h > 0
+            if seen.sum() >= 2:
+                diffs = (n_t - n_h)[seen].astype(float)
+                sums = (n_t + n_h)[seen].astype(float)
+                table[i, j] = diffs.var() / sums.mean()
+    return table.reshape(len(windows_ns), len(outputs), len(energy_modes))
 
 
 @dataclass(frozen=True)
@@ -152,7 +195,8 @@ def spectra(
     values = values[~np.isnan(values)]
     n_bins = int(round((hi_kev - lo_kev) / bin_width_kev))
     edges = lo_kev + bin_width_kev * np.arange(n_bins + 1)
-    counts, _ = np.histogram(values, bins=edges)
+    # np.histogram closes its last bin; a value at edges[-1] is overflow.
+    counts, _ = np.histogram(values[(values >= edges[0]) & (values < edges[-1])], bins=edges)
     underflow = int((values < edges[0]).sum())
     overflow = int((values >= edges[-1]).sum())
     return Histogram(edges, counts, underflow, overflow)

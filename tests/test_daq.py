@@ -32,11 +32,9 @@ def test_simultaneous_pair_makes_one_event():
     pulses = _pulses([(1000.0, 10.4, DET_TRIG, True), (1000.0, 10.6, DET_REF, True)])
     events, rate_dropped, empty_dropped = daq.build_events(pulses, CFG)
     assert (len(events), rate_dropped, empty_dropped) == (1, 0, 0)
-    rec = events[0]
-    assert len(rec.energies[DET_TRIG]) == 1 and len(rec.energies[DET_REF]) == 1
+    assert events.detector.tolist() == [DET_TRIG, DET_REF]
     # Analog peaks sit half a pulse width after the common start time.
-    assert rec.offsets[DET_TRIG][0] == pytest.approx(100.0)
-    assert rec.offsets[DET_REF][0] == pytest.approx(100.0)
+    assert events.offset_ns.tolist() == pytest.approx([100.0, 100.0])
 
 
 def test_partner_beyond_window_registers_single():
@@ -45,9 +43,7 @@ def test_partner_beyond_window_registers_single():
     pulses = _pulses([(0.0, 10.4, DET_REF, True), (950.0, 10.6, DET_TRIG, True)])
     events, _, _ = daq.build_events(pulses, CFG)
     assert len(events) == 1
-    rec = events[0]
-    assert len(rec.energies[DET_TRIG]) == 1
-    assert len(rec.energies[DET_REF]) == 0
+    assert events.detector.tolist() == [DET_TRIG]
 
 
 def test_no_overlap_no_event():
@@ -104,10 +100,6 @@ def test_offsets_within_window_invariant(seed, n, span_ns, half_window_ns):
     assert np.all(np.diff(event * 3 + events.detector) >= 0)
     assert np.all(np.abs(events.offset_ns) <= half_window_ns)
     assert np.all(events.counts()[:, DET_TRIG] >= 1)
-    for rec in events:
-        for det in (DET_TRIG, DET_TRANS, DET_REF):
-            assert np.all(np.abs(rec.offsets[det]) <= half_window_ns)
-        assert len(rec.energies[DET_TRIG]) >= 1
 
 
 def test_shrinking_window_registers_fewer_photons():
@@ -284,10 +276,11 @@ def test_energy_select_acceptance_and_sum():
     ])
     events, _, _ = daq.build_events(pulses, CFG)
     events, heralded = daq.energy_select(events, CFG)
-    assert events[0].passes_acceptance
-    assert events[0].passes_sum
-    assert len(heralded) == 1 and heralded[0].trigger_ns == events[0].trigger_ns
-    assert events[0].heralded_pairs == [(DET_TRANS, 10.4, 10.6)]
+    assert events.passes_acceptance.tolist() == [True]
+    assert events.passes_sum.tolist() == [True]
+    assert len(heralded) == 1 and heralded.trigger_ns[0] == events.trigger_ns[0]
+    # The one pairing heralds 10.6 keV at TRANS; REF has none (NaN).
+    np.testing.assert_array_equal(events.herald_kev, [[np.nan, 10.6, np.nan]])
 
 
 def test_energy_select_rejects_nonconserving_pair():
@@ -296,8 +289,8 @@ def test_energy_select_rejects_nonconserving_pair():
     ])
     events, _, _ = daq.build_events(pulses, CFG)
     events, heralded = daq.energy_select(events, CFG)
-    assert events[0].passes_acceptance
-    assert not events[0].passes_sum
+    assert events.passes_acceptance.tolist() == [True]
+    assert events.passes_sum.tolist() == [False]
     assert len(heralded) == 0
 
 
@@ -308,8 +301,8 @@ def test_energy_select_out_of_band_photon_fails_acceptance():
     ])
     events, _, _ = daq.build_events(pulses, CFG)
     events, heralded = daq.energy_select(events, CFG)
-    assert events[0].passes_sum  # the conserving pairing is still present
-    assert not events[0].passes_acceptance
+    assert events.passes_sum.tolist() == [True]  # the conserving pairing is still present
+    assert events.passes_acceptance.tolist() == [False]
     assert len(heralded) == 0
 
 
@@ -321,9 +314,8 @@ def test_energy_select_any_pairing_passes_triples():
     ])
     events, _, _ = daq.build_events(pulses, CFG)
     events, heralded = daq.energy_select(events, CFG)
-    assert events[0].passes_sum
-    ports = [p for p, _t, _o in events[0].heralded_pairs]
-    assert ports == [DET_TRANS]
+    assert events.passes_sum.tolist() == [True]
+    np.testing.assert_array_equal(events.herald_kev, [[np.nan, 10.6, np.nan]])  # TRANS only
 
 
 def test_event_roundtrip(tmp_path):
@@ -345,11 +337,11 @@ def test_event_roundtrip(tmp_path):
     assert meta["rate_dropped"] == rate_dropped
     assert meta["empty_dropped"] == empty_dropped
     assert len(loaded) == len(events)
-    for a, b in zip(loaded, events):
-        assert a.trigger_ns == pytest.approx(b.trigger_ns, abs=1e-6)
-        for det in (DET_TRIG, DET_TRANS, DET_REF):
-            np.testing.assert_allclose(a.energies[det], b.energies[det], rtol=1e-8)
-            np.testing.assert_allclose(a.offsets[det], b.offsets[det], atol=1e-6)
+    np.testing.assert_array_equal(loaded.start, events.start)
+    np.testing.assert_array_equal(loaded.detector, events.detector)
+    np.testing.assert_allclose(loaded.trigger_ns, events.trigger_ns, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(loaded.energy_kev, events.energy_kev, rtol=1e-8)
+    np.testing.assert_allclose(loaded.offset_ns, events.offset_ns, atol=1e-6)
 
 
 def _analyze_estimates(events, cfg):
@@ -364,19 +356,10 @@ def _analyze_estimates(events, cfg):
         hist = stats.spectra(heralded, det, cfg.bin_width_kev,
                              lo_kev=cfg.daq.acceptance_kev[0], hi_kev=cfg.daq.acceptance_kev[1])
         out[f"spectrum_{det}"] = np.r_[hist.counts, hist.underflow, hist.overflow]
-    sigmas = []
-    for window in SIGMA_WINDOWS_NS:
-        for det in (DET_TRANS, DET_REF):
-            for mode in ("sum", "open"):
-                try:
-                    sigmas.append(stats.sigma(
-                        events, window, output=det, energy_mode=mode,
-                        pump_energy_kev=cfg.daq.pump_energy_kev,
-                        sum_halfwidth_kev=cfg.daq.sum_halfwidth_kev,
-                    ))
-                except ValueError:
-                    sigmas.append(np.nan)
-    out["sigma"] = np.array(sigmas)
+    out["sigma"] = stats.sigma_curves(
+        events, SIGMA_WINDOWS_NS, outputs=(DET_TRANS, DET_REF), energy_modes=("sum", "open"),
+        pump_energy_kev=cfg.daq.pump_energy_kev, sum_halfwidth_kev=cfg.daq.sum_halfwidth_kev,
+    )
     for label, subset in (("heralded", heralded), ("all", events)):
         counts = stats.counts_from_events(subset)
         result = stats.alpha(counts)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from artifact import daq, stats
 from artifact.montecarlo import DET_REF, DET_TRANS, DET_TRIG
@@ -133,11 +133,11 @@ def test_sigma_sum_mode_ignores_nonconserving_extras():
 
 
 def test_spectra_bins_heralded_pairs():
-    events = make_table([make_event(1, 1, e_trig=21.0 - e, e_out=e)
-                         for e in (9.1, 10.6, 10.7, 16.9, 6.0, 18.0)])
+    energies = (9.1, 10.6, 10.7, 16.9, 6.0, 18.0)
+    events = make_table([make_event(1, 1, e_trig=21.0 - e, e_out=e) for e in energies])
     events, _heralded = daq.energy_select(events, daq.DaqConfig())
-    assert all(rec.heralded_pairs == [(DET_TRANS, 21.0 - e, e)] for rec, e in
-               zip(events, (9.1, 10.6, 10.7, 16.9, 6.0, 18.0)))
+    np.testing.assert_array_equal(events.herald_kev[:, DET_TRANS], energies)
+    assert np.isnan(events.herald_kev[:, DET_REF]).all()
     hist = stats.spectra(events, DET_TRANS, 0.5)
     assert hist.counts.sum() == 4
     assert hist.underflow == 1 and hist.overflow == 1
@@ -146,6 +146,16 @@ def test_spectra_bins_heralded_pairs():
     assert stats.spectra(events, DET_REF, 0.5).total == 0
     with pytest.raises(ValueError):
         stats.spectra(events, DET_TRANS, 0.0)
+
+
+def test_spectra_counts_a_value_at_hi_once_as_overflow():
+    # np.histogram closes its last bin, so a value at hi would also land in it.
+    events = make_table([make_event(1, 1, e_trig=21.0 - e, e_out=e) for e in (17.0, 7.0, 16.9)])
+    events, _heralded = daq.energy_select(events, daq.DaqConfig())
+    hist = stats.spectra(events, DET_TRANS, 0.5, lo_kev=7.0, hi_kev=17.0)
+    assert hist.edges[-1] == 17.0
+    assert hist.counts.sum() == 2 and hist.counts[0] == 1 and hist.counts[-1] == 1
+    assert (hist.underflow, hist.overflow, hist.total) == (0, 1, 3)
 
 
 def test_rates_and_ratios():
@@ -249,7 +259,11 @@ def test_table_estimators_match_per_event_reference(raw):
     for port in (DET_TRANS, DET_REF):
         want = [first.get(port, math.nan) for first in ref["first"]]
         np.testing.assert_array_equal(table.herald_kev[:, port], want)
-    assert [rec.heralded_pairs for rec in table] == ref["pairs"]
+    for port in (DET_TRANS, DET_REF):
+        event, photon = table.sum_window_pairs(port, cfg.pump_energy_kev, cfg.sum_halfwidth_kev)
+        want = [(i, e_o) for i, pairs in enumerate(ref["pairs"]) for p, _e_t, e_o in pairs
+                if p == port]
+        assert list(zip(event.tolist(), table.energy_kev[photon].tolist())) == want
     assert len(heralded) == len(ref["heralded"])
 
     assert stats.counts_from_events(table) == _reference_counts(events)
@@ -269,6 +283,7 @@ def test_table_estimators_match_per_event_reference(raw):
         np.testing.assert_array_equal(hist.counts, counts)
         assert hist.underflow == int((values < hist.edges[0]).sum())
         assert hist.overflow == int((values >= hist.edges[-1]).sum())
+        assert hist.total == len(values)
 
 
 @settings(max_examples=80, deadline=None)
@@ -291,3 +306,27 @@ def test_alpha_and_sigma_unchanged_when_ports_relabelled(raw):
             for mode in ("open", "sum"):
                 assert _sigma_or_none(table, window, output, mode) == _sigma_or_none(
                     relabelled, window, swap[output], mode)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_events, st.booleans(), st.permutations((DET_TRANS, DET_REF)),
+       st.permutations(("open", "sum")))
+@example([], False, (DET_TRANS, DET_REF), ("sum", "open"))
+@example([], True, (DET_REF, DET_TRANS), ("open", "sum"))
+def test_sigma_curves_match_per_event_reference(raw, descending, outputs, modes):
+    events = _photon_lists(raw)
+    windows = sorted(_WINDOWS, reverse=descending)
+    table = stats.sigma_curves(make_table(events), windows, outputs=outputs, energy_modes=modes)
+    assert table.shape == (len(windows), len(outputs), len(modes))
+    for i, window in enumerate(windows):
+        for j, output in enumerate(outputs):
+            for k, mode in enumerate(modes):
+                want = _reference_sigma(events, window, output, mode)
+                got = table[i, j, k]
+                assert np.isnan(got) if want is None else got == want, (window, output, mode)
+
+
+def test_sigma_curves_rejects_an_unknown_mode():
+    events = make_table([make_event(1, 1) for _ in range(10)])
+    with pytest.raises(ValueError):
+        stats.sigma_curves(events, [800.0], energy_modes=("open", "narrow"))
