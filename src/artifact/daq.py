@@ -17,6 +17,7 @@ import shutil
 import tempfile
 import warnings
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +57,21 @@ def _csr_start(sizes):
     return np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
 
 
+class EventView(NamedTuple):
+    """One event of an ``EventTable``, built from its columns when indexed;
+    for inspection only.  The dicts map detector id to that detector's
+    photons; ``heralded_pairs`` lists every qualifying (port, E_trig, E_port)
+    pairing, and it and the flags stay empty/False before ``energy_select``."""
+
+    trigger_ns: float
+    energies: dict
+    offsets: dict
+    origins: dict
+    passes_acceptance: bool
+    passes_sum: bool
+    heralded_pairs: list
+
+
 @dataclass(frozen=True, eq=False)
 class EventTable:
     """Digitizer captures as one CSR table of registered photons.
@@ -67,7 +83,7 @@ class EventTable:
     ``selection`` (its config); ``herald_kev[i, port]`` is the output energy
     of the first qualifying pairing at ``port`` (trigger photon first, then
     output photon, in table order), NaN where none qualifies.  ``len()``
-    counts events.
+    counts events; indexing and iteration build ``EventView``s.
     """
 
     trigger_ns: np.ndarray
@@ -83,6 +99,28 @@ class EventTable:
 
     def __len__(self) -> int:
         return len(self.trigger_ns)
+
+    def __getitem__(self, i: int) -> EventView:
+        if not 0 <= i < len(self):
+            raise IndexError("event index out of range")
+        photons = slice(self.start[i], self.start[i + 1])
+        detector = self.detector[photons]
+        energies, offsets, origins = (
+            {d: column[photons][detector == d] for d in DETECTORS}
+            for column in (self.energy_kev, self.offset_ns, self.origin)
+        )
+        cfg, trigger = self.selection, float(self.trigger_ns[i])
+        if cfg is None:
+            return EventView(trigger, energies, offsets, origins, False, False, [])
+        pairs = [
+            (port, float(e_t), float(e_o))
+            for port in OUTPUT_PORTS
+            for e_t in energies[DET_TRIG]
+            for e_o in energies[port]
+            if abs(e_t + e_o - cfg.pump_energy_kev) <= cfg.sum_halfwidth_kev
+        ]
+        flags = bool(self.passes_acceptance[i]), bool(self.passes_sum[i])
+        return EventView(trigger, energies, offsets, origins, *flags, pairs)
 
     def event_index(self) -> np.ndarray:
         """Event number of every photon."""

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .daq import DETECTORS, EventTable
+from .daq import EventTable
 from .montecarlo import DET_REF, DET_TRANS, DET_TRIG
 
 
@@ -128,15 +128,10 @@ def sigma_curves(
     """
     if not set(energy_modes) <= {"open", "sum"}:
         raise ValueError("energy_mode must be 'open' or 'sum'")
-    n, n_det = len(events), len(DETECTORS)
-    cell = events.event_index() * n_det + events.detector
-
-    def counts(photons=slice(None)):
-        return np.bincount(cell[photons], minlength=n * n_det).reshape(n, n_det)
-
-    unwindowed = counts()
-    elastic = np.abs(events.energy_kev - pump_energy_kev) <= sum_halfwidth_kev
-    elastic_trigger = counts(elastic)[:, DET_TRIG] > 0
+    if "sum" in energy_modes:
+        unwindowed = events.counts()
+        elastic = np.abs(events.energy_kev - pump_energy_kev) <= sum_halfwidth_kev
+        elastic_trigger = events.counts(elastic)[:, DET_TRIG] > 0
     qualifying = []
     for output in outputs:
         for mode in energy_modes:
@@ -149,7 +144,7 @@ def sigma_curves(
     distance = np.abs(events.offset_ns)
     table = np.full((len(windows_ns), len(qualifying)), np.nan)
     for i, window_ns in enumerate(windows_ns):
-        windowed = counts(distance <= window_ns)
+        windowed = events.counts(distance <= window_ns)
         for j, (output, qualifies) in enumerate(qualifying):
             n_t, n_h = windowed[qualifies, DET_TRIG], windowed[qualifies, output]
             seen = n_t + n_h > 0
