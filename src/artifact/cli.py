@@ -184,13 +184,7 @@ def cmd_analyze(cfg: RunConfig, events_path: str, outdir: str) -> None:
     events, heralded = daq_mod.energy_select(events, cfg.daq)
 
     for det, stem in ((DET_TRANS, "trans"), (DET_REF, "ref")):
-        hist = stats_mod.spectra(
-            heralded,
-            det,
-            cfg.bin_width_kev,
-            lo_kev=cfg.daq.acceptance_kev[0],
-            hi_kev=cfg.daq.acceptance_kev[1],
-        )
+        hist = stats_mod.spectra(heralded, det, cfg.bin_width_kev)
         _write_rows(
             os.path.join(outdir, f"spectrum_{stem}.csv"),
             "bin_lo_kev,bin_hi_kev,count",
@@ -203,8 +197,7 @@ def cmd_analyze(cfg: RunConfig, events_path: str, outdir: str) -> None:
 
     names, modes = ("trans", "ref"), ("sum", "open")
     table = stats_mod.sigma_curves(events, SIGMA_WINDOWS_NS, outputs=(DET_TRANS, DET_REF),
-                                   energy_modes=modes, pump_energy_kev=cfg.daq.pump_energy_kev,
-                                   sum_halfwidth_kev=cfg.daq.sum_halfwidth_kev)
+                                   energy_modes=modes)
     sigma_rows = [
         (window, name, mode, value)
         for window, by_output in zip(SIGMA_WINDOWS_NS, table.tolist())

@@ -37,15 +37,18 @@ class DaqConfig:
     pump_energy_kev: float = 21.0
 
     def __post_init__(self):
-        # Written so that NaN fails every check.
-        if not all(w > 0 for w in (self.half_window_ns, self.logic_width_ns, self.analog_width_ns)):
-            raise ValueError("all window and pulse widths must be positive")
-        if not self.acceptance_kev[0] < self.acceptance_kev[1]:
-            raise ValueError("acceptance window must satisfy lo < hi")
+        # Written so that NaN fails every check; ``spectra`` bins the
+        # acceptance band and the cap keeps int(cap) captures per second, so
+        # those and the windows must be finite.
+        widths = (self.half_window_ns, self.logic_width_ns, self.analog_width_ns)
+        if not all(0 < w < np.inf for w in widths):
+            raise ValueError("all window and pulse widths must be finite and positive")
+        if not -np.inf < self.acceptance_kev[0] < self.acceptance_kev[1] < np.inf:
+            raise ValueError("acceptance window must be finite and satisfy lo < hi")
         if not self.sum_halfwidth_kev > 0:
             raise ValueError("sum window must be positive")
-        if not self.max_event_rate_hz >= 1:  # the cap keeps int(cap) captures per second
-            raise ValueError(f"max_event_rate_hz must be at least 1, got {self.max_event_rate_hz}")
+        if not 1 <= self.max_event_rate_hz < np.inf:
+            raise ValueError(f"max_event_rate_hz must be finite and at least 1, got {self.max_event_rate_hz}")
 
 
 DETECTORS = (DET_TRIG, DET_TRANS, DET_REF)

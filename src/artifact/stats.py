@@ -83,26 +83,22 @@ def sigma(
     *,
     output: int = DET_TRANS,
     energy_mode: str = "open",
-    pump_energy_kev: float = 21.0,
-    sum_halfwidth_kev: float = 0.5,
 ) -> float:
     """Degree of correlation Var(N_t - N_h) / Mean(N_t + N_h).
 
     Per event, N_t is the number of trigger-detector photons and N_h the
     number of photons at ``output``, both restricted to |offset| <=
-    ``window_ns``.  With energy_mode="sum" an event qualifies on its full
-    registered record: either some (trigger, output) photon pairing
-    satisfies the pair-energy window, or the output detector registered
-    nothing and a trigger photon carries the full pump energy (a pair
-    partner that fell outside the registration window leaves such a
-    single-photon record).  Events with no windowed photon at either
-    detector are excluded.  Returns 0 for perfectly correlated unit pairs
-    and 1 in the independent-Poisson limit.  Raises ValueError when fewer
-    than two events qualify.
+    ``window_ns``.  With energy_mode="sum", on a table flagged by
+    ``energy_select``, an event qualifies on its full registered record:
+    either it is heralded at ``output``, or the output detector registered
+    nothing and a trigger photon carries the pump energy within the
+    selection's sum window (a pair partner that fell outside the
+    registration window leaves such a single-photon record).  Events with no
+    windowed photon at either detector are excluded.  Returns 0 for
+    perfectly correlated unit pairs and 1 in the independent-Poisson limit.
+    Raises ValueError when fewer than two events qualify.
     """
-    value = sigma_curves(events, [window_ns], outputs=[output], energy_modes=[energy_mode],
-                         pump_energy_kev=pump_energy_kev,
-                         sum_halfwidth_kev=sum_halfwidth_kev)[0, 0, 0]
+    value = sigma_curves(events, [window_ns], outputs=[output], energy_modes=[energy_mode])[0, 0, 0]
     if np.isnan(value):
         raise ValueError("need at least two qualifying events for sigma")
     return float(value)
@@ -114,8 +110,6 @@ def sigma_curves(
     *,
     outputs=(DET_TRANS, DET_REF),
     energy_modes=("sum", "open"),
-    pump_energy_kev: float = 21.0,
-    sum_halfwidth_kev: float = 0.5,
 ) -> np.ndarray:
     """``sigma`` for every (window, output, energy mode): a float array of
     shape (len(windows_ns), len(outputs), len(energy_modes)).
@@ -124,22 +118,25 @@ def sigma_curves(
     raises); every other entry is bit-identical to ``sigma`` with the same
     arguments.  Each (output, mode)'s qualifying events are found once, and
     one photon count per window serves every output and mode.  Raises
-    ValueError for an energy mode other than "open" or "sum".
+    ValueError for an energy mode other than "open" or "sum", and for sum
+    mode on a table that ``energy_select`` has not flagged.
     """
     if not set(energy_modes) <= {"open", "sum"}:
         raise ValueError("energy_mode must be 'open' or 'sum'")
     if "sum" in energy_modes:
+        cfg = events.selection
+        if cfg is None:
+            raise ValueError("sum mode needs events flagged by energy_select")
         unwindowed = events.counts()
-        elastic = np.abs(events.energy_kev - pump_energy_kev) <= sum_halfwidth_kev
+        elastic = np.abs(events.energy_kev - cfg.pump_energy_kev) <= cfg.sum_halfwidth_kev
         elastic_trigger = events.counts(elastic)[:, DET_TRIG] > 0
     qualifying = []
     for output in outputs:
         for mode in energy_modes:
             qualifies = slice(None)  # every event
             if mode == "sum":
-                paired, _ = events.sum_window_pairs(output, pump_energy_kev, sum_halfwidth_kev)
-                qualifies = (unwindowed[:, output] == 0) & elastic_trigger
-                qualifies[paired] = True
+                lone = (unwindowed[:, output] == 0) & elastic_trigger
+                qualifies = np.isfinite(events.herald_kev[:, output]) | lone
             qualifying.append((output, qualifies))
     distance = np.abs(events.offset_ns)
     table = np.full((len(windows_ns), len(qualifying)), np.nan)
@@ -167,20 +164,16 @@ class Histogram:
         return int(self.counts.sum()) + self.underflow + self.overflow
 
 
-def spectra(
-    events,
-    detector: int,
-    bin_width_kev: float = 0.5,
-    *,
-    lo_kev: float = 7.0,
-    hi_kev: float = 17.0,
-) -> Histogram:
-    """Energy histogram of the heralded photon at ``detector``.
+def spectra(events, detector: int, bin_width_kev: float = 0.5) -> Histogram:
+    """Energy histogram of the heralded photon at ``detector`` over the
+    selection's acceptance band [lo, hi).
 
     Expects an event table flagged by ``energy_select``; for each event the
     output photon of the first qualifying pairing at the requested port is
-    binned (one entry per qualifying event at that port).  Left-closed bins;
-    entries outside [lo, hi) are tallied as under/overflow.
+    binned (one entry per qualifying event at that port).  Left-closed bins
+    of ``bin_width_kev`` from lo; when the band is not a whole number of
+    bins, the last one is narrower and ends at hi.  Entries outside [lo, hi)
+    are tallied as under/overflow.
     """
     if bin_width_kev <= 0:
         raise ValueError("bin width must be positive")
@@ -188,8 +181,13 @@ def spectra(
         raise ValueError("spectra needs events flagged by energy_select")
     values = events.herald_kev[:, detector]
     values = values[~np.isnan(values)]
-    n_bins = int(round((hi_kev - lo_kev) / bin_width_kev))
-    edges = lo_kev + bin_width_kev * np.arange(n_bins + 1)
+    lo_kev, hi_kev = events.selection.acceptance_kev
+    n_bins = (hi_kev - lo_kev) / bin_width_kev
+    whole = round(n_bins)
+    if math.isclose(n_bins, whole, rel_tol=1e-9):
+        edges = lo_kev + bin_width_kev * np.arange(whole + 1)
+    else:
+        edges = np.append(lo_kev + bin_width_kev * np.arange(math.ceil(n_bins)), hi_kev)
     # np.histogram closes its last bin; a value at edges[-1] is overflow.
     counts, _ = np.histogram(values[(values >= edges[0]) & (values < edges[-1])], bins=edges)
     underflow = int((values < edges[0]).sum())

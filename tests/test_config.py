@@ -95,6 +95,13 @@ def test_rate_cap_below_one_rejected(cap):
     "detector.resolution_fwhm_ev=-300",
     "detector.resolution_fwhm_ev=nan",
     "detector.reference_energy_kev=nan",
+    # ``x > 0`` and ``x >= 1`` let infinity through to the electronics.
+    "daq.max_event_rate_hz=inf",
+    "daq.half_window_ns=inf",
+    "detector.trig.logic_width_ns=inf",
+    "detector.analog_width_ns=inf",
+    "daq.acceptance_lo_kev=-inf",
+    "daq.acceptance_hi_kev=inf",
 ])
 def test_nan_and_negative_values_exit_config_code(tmp_path, setting):
     # Checks written as ``not x > 0`` reject NaN; ``x <= 0`` let it through.

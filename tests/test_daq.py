@@ -353,12 +353,10 @@ def _analyze_estimates(events, cfg):
         "herald_kev": events.herald_kev,
     }
     for det in (DET_TRANS, DET_REF):
-        hist = stats.spectra(heralded, det, cfg.bin_width_kev,
-                             lo_kev=cfg.daq.acceptance_kev[0], hi_kev=cfg.daq.acceptance_kev[1])
+        hist = stats.spectra(heralded, det, cfg.bin_width_kev)
         out[f"spectrum_{det}"] = np.r_[hist.counts, hist.underflow, hist.overflow]
     out["sigma"] = stats.sigma_curves(
         events, SIGMA_WINDOWS_NS, outputs=(DET_TRANS, DET_REF), energy_modes=("sum", "open"),
-        pump_energy_kev=cfg.daq.pump_energy_kev, sum_halfwidth_kev=cfg.daq.sum_halfwidth_kev,
     )
     for label, subset in (("heralded", heralded), ("all", events)):
         counts = stats.counts_from_events(subset)

@@ -74,6 +74,23 @@ GOLDEN = {
     },
 }
 
+# ``analyze`` of the seed-77 file under a non-default selection: spectra and
+# sigma read the band and the sum window from the flagged table, so a
+# version that falls back to the defaults changes the last three files.
+SELECTION = [
+    "--set", "daq.sum_halfwidth_kev=0.3", "--set", "daq.acceptance_lo_kev=7.5",
+    "--set", "daq.acceptance_hi_kev=16.5",
+]
+SELECTION_GOLDEN = {
+    "alpha_report.txt": "0e46e24bef8b1c91a6ce494fc970cee191b60e46f488c34781e324f9554d8178",
+    "counts_all.csv": "4e004313d5838a30f71f7725000b6b23d7154f694420dabc86ee49cc86665998",
+    "counts_heralded.csv": "db7a7d15e0064db6740b817d2d9229ff5ce694c7c99a1e7adab5ff8b4abaf4a2",
+    "rates.txt": "561349604106001f9a32934db5ae6a17bfd09b50add8a3f55e86b355ac631f45",
+    "sigma_curves.csv": "e9e43e4e61bef7b4a059d9bb6ebc4968fb645d52e578c8148f8389ae9cf79197",
+    "spectrum_ref.csv": "ffc879b180572a81e2b4cd30635d3db6abc21731f7bb7761af19a9e42eb23737",
+    "spectrum_trans.csv": "efa5aa3a1f455b419cdac324e07b90157089afbd6a48eb1b33ab031886f9fa00",
+}
+
 
 def _digests(directory):
     return {
@@ -91,6 +108,15 @@ def test_simulate_and_analyze_outputs_match_golden_hashes(tmp_path, seed):
                  "--events", str(sim / "events.csv")] + args) == EXIT_OK
     assert _digests(sim) == GOLDEN[seed]["simulate"]
     assert _digests(ana) == GOLDEN[seed]["analyze"]
+
+
+def test_analyze_under_a_nondefault_selection_matches_golden_hashes(tmp_path):
+    sim, ana = tmp_path / "sim", tmp_path / "ana"
+    args = ["--seed", "77"] + REDUCED
+    assert main(["simulate", "--outdir", str(sim)] + args) == EXIT_OK
+    assert main(["analyze", "--outdir", str(ana),
+                 "--events", str(sim / "events.csv")] + args + SELECTION) == EXIT_OK
+    assert _digests(ana) == SELECTION_GOLDEN
 
 
 def test_model_outputs_match_golden_hashes(tmp_path):

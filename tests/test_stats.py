@@ -24,6 +24,11 @@ def make_event(n_trig, n_out, out_det=DET_TRANS, *, e_trig=10.4, e_out=10.6,
     ]
 
 
+def flagged(events, cfg=daq.DaqConfig()):
+    """``make_table(events)`` flagged by ``energy_select`` under ``cfg``."""
+    return daq.energy_select(make_table(events), cfg)[0]
+
+
 def test_counts_validation():
     with pytest.raises(ValueError):
         stats.CoincCounts(-1, 0, 0, 0)
@@ -66,7 +71,7 @@ def test_counts_from_events_categories():
 
 
 def test_sigma_perfect_pairs_is_zero():
-    events = make_table([make_event(1, 1) for _ in range(1000)])
+    events = flagged([make_event(1, 1) for _ in range(1000)])
     assert stats.sigma(events, 800.0) == 0.0
     assert stats.sigma(events, 800.0, energy_mode="sum") == 0.0
 
@@ -115,11 +120,11 @@ def test_sigma_sum_mode_keeps_lone_elastic_trigger():
     # whose partner missed the registration window; it must contribute.
     pairs = [make_event(1, 1) for _ in range(900)]
     singles = [make_event(1, 0, e_trig=21.0) for _ in range(100)]
-    s = stats.sigma(make_table(pairs + singles), 800.0, energy_mode="sum")
+    s = stats.sigma(flagged(pairs + singles), 800.0, energy_mode="sum")
     assert s > 0.0
     # In-band lone triggers carry no pair evidence and are excluded.
     in_band = [make_event(1, 0, e_trig=10.4) for _ in range(100)]
-    s_same = stats.sigma(make_table(pairs + singles + in_band), 800.0, energy_mode="sum")
+    s_same = stats.sigma(flagged(pairs + singles + in_band), 800.0, energy_mode="sum")
     assert s_same == pytest.approx(s)
 
 
@@ -127,9 +132,18 @@ def test_sigma_sum_mode_ignores_nonconserving_extras():
     # A stray photon does not disqualify a conserving pair, but it does
     # enter the windowed counts.
     rec = make_event(1, 1) + [(DET_TRANS, 8.0, 0.0)]
-    events = make_table([rec] + [make_event(1, 1) for _ in range(99)])
+    events = flagged([rec] + [make_event(1, 1) for _ in range(99)])
     s = stats.sigma(events, 800.0, energy_mode="sum")
     assert s > 0.0
+
+
+def test_sigma_sum_mode_needs_a_flagged_table():
+    events = make_table([make_event(1, 1) for _ in range(10)])
+    assert stats.sigma(events, 800.0) == 0.0  # open mode reads no selection
+    with pytest.raises(ValueError, match="energy_select"):
+        stats.sigma(events, 800.0, energy_mode="sum")
+    with pytest.raises(ValueError, match="energy_select"):
+        stats.sigma_curves(events, [800.0])
 
 
 def test_spectra_bins_heralded_pairs():
@@ -150,12 +164,29 @@ def test_spectra_bins_heralded_pairs():
 
 def test_spectra_counts_a_value_at_hi_once_as_overflow():
     # np.histogram closes its last bin, so a value at hi would also land in it.
-    events = make_table([make_event(1, 1, e_trig=21.0 - e, e_out=e) for e in (17.0, 7.0, 16.9)])
-    events, _heralded = daq.energy_select(events, daq.DaqConfig())
-    hist = stats.spectra(events, DET_TRANS, 0.5, lo_kev=7.0, hi_kev=17.0)
+    events = flagged([make_event(1, 1, e_trig=21.0 - e, e_out=e) for e in (17.0, 7.0, 16.9)])
+    hist = stats.spectra(events, DET_TRANS, 0.5)
     assert hist.edges[-1] == 17.0
     assert hist.counts.sum() == 2 and hist.counts[0] == 1 and hist.counts[-1] == 1
     assert (hist.underflow, hist.overflow, hist.total) == (0, 1, 3)
+
+
+def test_spectra_bins_the_selection_band():
+    cfg = daq.DaqConfig(acceptance_kev=(7.5, 16.5))
+    events = flagged([make_event(1, 1, e_trig=21.0 - e, e_out=e) for e in (7.4, 7.5, 16.5)], cfg)
+    hist = stats.spectra(events, DET_TRANS, 0.5)
+    assert (hist.edges[0], hist.edges[-1], len(hist.edges)) == (7.5, 16.5, 19)
+    assert (hist.counts[0], hist.underflow, hist.overflow) == (1, 1, 1)
+
+
+def test_spectra_last_bin_ends_at_hi_when_the_band_is_not_whole_bins():
+    # 10 keV in 0.3 keV bins: 33 whole bins end at 16.9 keV, and a
+    # 0.1 keV bin covers the rest of the band.
+    events = flagged([make_event(1, 1, e_trig=21.0 - e, e_out=e) for e in (16.95, 17.0)])
+    hist = stats.spectra(events, DET_TRANS, 0.3)
+    assert len(hist.counts) == 34 and hist.edges[-1] == 17.0
+    assert hist.edges[-2] == pytest.approx(16.9)
+    assert (hist.counts[-1], hist.counts.sum(), hist.overflow) == (1, 1, 1)
 
 
 def test_rates_and_ratios():
@@ -293,8 +324,8 @@ def test_table_estimators_match_per_event_reference(raw):
 def test_alpha_and_sigma_unchanged_when_ports_relabelled(raw):
     swap = {DET_TRIG: DET_TRIG, DET_TRANS: DET_REF, DET_REF: DET_TRANS}
     events = _photon_lists(raw)
-    table = make_table(events)
-    relabelled = make_table([[(swap[d], e, o) for d, e, o in ev] for ev in events])
+    table = flagged(events)
+    relabelled = flagged([[(swap[d], e, o) for d, e, o in ev] for ev in events])
     c, c_swap = stats.counts_from_events(table), stats.counts_from_events(relabelled)
     assert (c_swap.n_trig, c_swap.n_trig_t, c_swap.n_trig_r, c_swap.n_trig_t_r) == (
         c.n_trig, c.n_trig_r, c.n_trig_t, c.n_trig_t_r)
@@ -318,7 +349,7 @@ def test_alpha_and_sigma_unchanged_when_ports_relabelled(raw):
 def test_sigma_curves_match_per_event_reference(raw, descending, outputs, modes):
     events = _photon_lists(raw)
     windows = sorted(_WINDOWS, reverse=descending)
-    table = stats.sigma_curves(make_table(events), windows, outputs=outputs, energy_modes=modes)
+    table = stats.sigma_curves(flagged(events), windows, outputs=outputs, energy_modes=modes)
     assert table.shape == (len(windows), len(outputs), len(modes))
     for i, window in enumerate(windows):
         for j, output in enumerate(outputs):
@@ -332,3 +363,20 @@ def test_sigma_curves_rejects_an_unknown_mode():
     events = make_table([make_event(1, 1) for _ in range(10)])
     with pytest.raises(ValueError):
         stats.sigma_curves(events, [800.0], energy_modes=("open", "narrow"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_events, st.integers(150, 260), st.integers(1, 20))
+# A lone trigger photon at an 18 keV pump counts in sum mode; at 21 keV it would not.
+@example([([(180, 0)], [], []), ([(90, 0)], [(90, 0)], []), ([(90, 0)], [(90, 0)], [])], 180, 3)
+def test_sigma_curves_follow_the_table_selection(raw, pump_tenths, half_tenths):
+    pump, half = pump_tenths / 10.0, half_tenths / 10.0
+    cfg = daq.DaqConfig(pump_energy_kev=pump, sum_halfwidth_kev=half)
+    events = _photon_lists(raw)
+    table = stats.sigma_curves(flagged(events, cfg), _WINDOWS)
+    for i, window in enumerate(_WINDOWS):
+        for j, output in enumerate((DET_TRANS, DET_REF)):
+            for k, mode in enumerate(("sum", "open")):
+                want = _reference_sigma(events, window, output, mode, pump, half)
+                got = table[i, j, k]
+                assert np.isnan(got) if want is None else got == want, (window, output, mode)
