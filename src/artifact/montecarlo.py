@@ -72,6 +72,8 @@ class SourceConfig:
             raise ValueError("duration must be positive")
         if not (self.air_path_cm >= 0 and self.helium_path_cm >= 0):
             raise ValueError("flight paths must be non-negative")
+        if not self.rng_seed >= 0:  # numpy's SeedSequence takes none below 0
+            raise ValueError(f"seed must be non-negative, got {self.rng_seed}")
 
     def photon_rate_hz(self) -> float:
         """Expected photons per second before any loss: two per pair plus
@@ -182,12 +184,13 @@ def merge_streams(*streams: Stream) -> Stream:
 # Photons expected per time slice of ``simulate``; the slice length follows
 # from the source's photon rate (``slice_edges_s``).  Part of the stream
 # definition: each slice draws from its own generators.  Measured with
-# ``xbsim simulate`` on the reference profile, 600 s at seed 7, one pinned
-# CPU (wall time after the pair intensity, median of 3, and peak RSS):
-# 25k photons 1.94 s / 69 MB, 50k 1.79 s / 76 MB, 100k 1.64 s / 87 MB, 200k
-# 1.60 s / 94 MB, 400k 1.59 s / 121 MB, one slice 2.14 s / 465 MB.  The
-# process peaks at 62 MB before the first slice, after building the pair
-# intensity, so the slices set the peak.
+# ``cli.cmd_simulate`` on the reference profile, 600 s at seed 7, one pinned
+# CPU, Python 3.11 and numpy 2.4 on a 2-CPU x86-64 host (wall time after the
+# pair intensity, median of 3, and peak RSS): 25k photons 0.91-0.99 s /
+# 49 MB, 50k 0.74-0.76 s / 56 MB, 100k 0.73-0.75 s / 66 MB, 200k
+# 0.70-0.73 s / 71 MB, 400k 0.74 s / 97 MB, one slice 0.87-0.90 s / 463 MB.
+# The process peaks at 42 MB before the first slice, after building the
+# pair intensity, so the slices set the peak.
 PHOTONS_PER_SLICE = 50_000
 
 
@@ -236,6 +239,12 @@ def generate_pairs(
     cdf = intensity.cdf
     if cdf[-1] <= 0:
         raise ValueError("pair intensity vanishes; nothing to sample")
+    if n == 0:
+        # Most slices of the reference profile draw no pair; skip their
+        # splitter and flight-path lookups.  Draws of size 0 consume no
+        # random numbers, so the stream is the same either way.
+        return (_photons(times, times, DET_TRIG, ORIGIN_PAIR_TRIGGER),
+                _photons(times, times, DET_REF, ORIGIN_PAIR_HERALD))
     idx = np.searchsorted(cdf, rng.random(n) * cdf[-1], side="right")
     idx = np.minimum(idx, len(cdf) - 1)
     i_e, i_x = np.unravel_index(idx, intensity.weights.shape)
@@ -290,7 +299,8 @@ def detect(
     Each photon survives with its detector's quantum efficiency; the
     measured energy adds Gaussian noise at the detector's resolution; a
     logic pulse accompanies the analog pulse iff the measured energy falls
-    inside the SCA window.
+    inside the SCA window.  When every photon survives, the pulses share the
+    photons' time, detector and origin arrays.
     """
     detector = photons.detector
     ids = range(int(detector.min()), int(detector.max()) + 1) if len(photons) else ()
@@ -299,31 +309,44 @@ def detect(
         if unknown:
             raise ValueError(f"photon stream references detectors without specs: {sorted(unknown)}")
 
-    def table(value):
-        """Per-detector lookup table, indexed by detector id."""
-        out = np.zeros(max(specs, default=-1) + 1)
-        for det, spec in specs.items():
-            out[det] = value(spec)
+    def per_detector(value):
+        """``value(spec)`` as one number when every spec gives the same float
+        (``float.hex`` tells -0.0 from 0.0), else as a lookup table indexed
+        by detector id.  Arithmetic and comparisons against one number give
+        the same bits as against a per-photon gather of it."""
+        values = [float(value(spec)) for spec in specs.values()]
+        if len({v.hex() for v in values}) <= 1:
+            return values[0] if values else 0.0
+        out = np.zeros(max(specs) + 1)
+        out[list(specs)] = values
         return out
 
-    qe = table(lambda s: s.quantum_efficiency)
+    qe = per_detector(lambda s: s.quantum_efficiency)
     # noise = z * c * sqrt(max(E, 0) / E_ref) with c evaluated as in
     # DetectorSpec.sigma_kev; products and sums commute exactly, so the
     # pulse heights are bit-identical to E + z * sigma_kev(E).
-    sigma_c = table(lambda s: s.resolution_fwhm_ev / FWHM_TO_SIGMA / 1000.0)
-    ref_kev = table(lambda s: s.reference_energy_kev)
-    sca_lo = table(lambda s: s.sca_window_kev[0])
-    sca_hi = table(lambda s: s.sca_window_kev[1])
+    sigma_c = per_detector(lambda s: s.resolution_fwhm_ev / FWHM_TO_SIGMA / 1000.0)
+    ref_kev = per_detector(lambda s: s.reference_energy_kev)
+    sca_lo = per_detector(lambda s: s.sca_window_kev[0])
+    sca_hi = per_detector(lambda s: s.sca_window_kev[1])
+    # Detector ids become table indices, once, only when some value differs.
+    differs = any(isinstance(v, np.ndarray) for v in (qe, sigma_c, ref_kev, sca_lo, sca_hi))
+    index = detector.astype(np.intp) if differs else None
 
-    index = detector.astype(np.intp)  # converted once for every table lookup
-    alive = rng.random(len(photons)) < qe[index]
-    index = index[alive]
-    measured = photons.energy_kev[alive]  # true energy, noise added in place
-    noise = np.maximum(measured, 0.0)
-    noise /= ref_kev[index]
+    def at(value):
+        return value[index] if isinstance(value, np.ndarray) else value
+
+    alive = rng.random(len(photons)) < at(qe)
+    columns = (photons.time_ns, photons.energy_kev, detector, photons.origin)
+    if not alive.all():  # with QE 1 every photon survives: no column is copied
+        columns = tuple(c[alive] for c in columns)
+        index = None if index is None else index[alive]
+    time_ns, energy, detector, origin = columns
+    noise = np.maximum(energy, 0.0)
+    noise /= at(ref_kev)
     np.sqrt(noise, out=noise)
-    noise *= sigma_c[index]
+    noise *= at(sigma_c)
     noise *= rng.standard_normal(len(noise))
-    measured += noise
-    logic = (measured >= sca_lo[index]) & (measured <= sca_hi[index])
-    return Stream(photons.time_ns[alive], measured, detector[alive], photons.origin[alive], logic)
+    measured = energy + noise
+    logic = (measured >= at(sca_lo)) & (measured <= at(sca_hi))
+    return Stream(time_ns, measured, detector, origin, logic)

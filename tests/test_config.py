@@ -102,10 +102,17 @@ def test_rate_cap_below_one_rejected(cap):
     "detector.analog_width_ns=inf",
     "daq.acceptance_lo_kev=-inf",
     "daq.acceptance_hi_kev=inf",
+    "run.seed=-5",  # numpy's SeedSequence raised after the pair intensity
 ])
 def test_nan_and_negative_values_exit_config_code(tmp_path, setting):
     # Checks written as ``not x > 0`` reject NaN; ``x <= 0`` let it through.
     code = main(["simulate", "--outdir", str(tmp_path / "out"), "--set", setting])
+    assert code == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_flag_exits_config_code(tmp_path):
+    code = main(["simulate", "--outdir", str(tmp_path / "out"), "--seed", "-1"])
     assert code == EXIT_CONFIG
     assert not (tmp_path / "out").exists()
 

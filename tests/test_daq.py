@@ -1,5 +1,7 @@
 """Unit tests for the coincidence-electronics emulation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -171,6 +173,63 @@ def test_rate_cap_holds_per_second_and_captures_are_conserved(seed, n_pairs, n_s
                                       in_bucket[:cap])
     _, per_bucket = np.unique(np.floor(events.trigger_ns / 1e9), return_counts=True)
     assert np.all(per_bucket <= cap)
+
+
+def _reference_triggers(pulses, cfg, span):
+    """find_triggers by brute force: each trigger logic pulse takes the
+    earliest output logic pulse starting within +-logic_width, at the later
+    of the two starts; then the span, then the first int(cap) points of each
+    whole second."""
+    w = cfg.logic_width_ns
+    start, det, logic = pulses.time_ns.tolist(), pulses.detector.tolist(), pulses.logic.tolist()
+    outputs = [s for s, d, on in zip(start, det, logic) if on and d != DET_TRIG]
+    points = []
+    for s, d, on in zip(start, det, logic):
+        if on and d == DET_TRIG:
+            near = [o for o in outputs if s - w < o < s + w]
+            if near:
+                points.append(max(s, min(near)))
+    if span is not None:
+        points = [p for p in points if span[0] <= p < span[1]]
+    kept, per_second = [], {}
+    for p in points:
+        second = math.floor(p / 1e9)
+        per_second[second] = per_second.get(second, 0) + 1
+        if per_second[second] <= int(cfg.max_event_rate_hz):
+            kept.append(p)
+    return kept, len(points) - len(kept)
+
+
+# A start-time lattice of whole seconds plus quarter logic widths: equal
+# starts, starts exactly one logic width apart, several points per second.
+_LATTICE = st.builds(lambda second, k: second * 1e9 + 250.0 * k,
+                     st.integers(0, 2), st.integers(0, 8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(_LATTICE, st.sampled_from(daq.DETECTORS), st.booleans()),
+                     max_size=40),
+       span=st.none() | st.lists(_LATTICE, min_size=2, max_size=2).map(sorted),
+       cap_hz=st.sampled_from([1.0, 2.5, 200.0]))
+# The output pulse exactly one logic width ahead does not overlap: the
+# later one does, and sets the point.
+@example(rows=[(0.0, DET_REF, True), (1000.0, DET_TRIG, True), (1250.0, DET_TRANS, True)],
+         span=None, cap_hz=200.0)
+# A span holds its low end and not its high end.
+@example(rows=[(1000.0, DET_TRIG, True), (1000.0, DET_REF, True)], span=[250.0, 1000.0],
+         cap_hz=200.0)
+@example(rows=[(1000.0, DET_TRIG, True), (1000.0, DET_REF, True)], span=[1000.0, 1250.0],
+         cap_hz=200.0)
+@example(rows=[(0.0, DET_TRIG, True), (0.0, DET_REF, True), (500.0, DET_TRIG, True)],
+         span=None, cap_hz=1.0)
+def test_find_triggers_matches_brute_force(rows, span, cap_hz):
+    rows.sort(key=lambda row: row[0])  # stable: equal starts keep a random order
+    pulses = Stream(np.array([r[0] for r in rows], dtype=float), np.full(len(rows), 10.0),
+                    np.array([r[1] for r in rows], dtype=np.int8), np.zeros(len(rows), np.int8),
+                    np.array([r[2] for r in rows], dtype=bool))
+    cfg = daq.DaqConfig(max_event_rate_hz=cap_hz)
+    points, rate_dropped = daq.find_triggers(pulses, cfg, span)
+    assert (points.tolist(), rate_dropped) == _reference_triggers(pulses, cfg, span)
 
 
 def _spans(ends_ns):

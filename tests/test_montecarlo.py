@@ -109,6 +109,28 @@ def test_generators_return_time_ordered_parts(amp_small, graphite, cfg):
         assert [c.dtype for c in _columns(part)] == [np.float64, np.float64, np.int8, np.int8]
 
 
+def test_pairs_in_a_window_without_a_pair(amp_small, graphite, cfg):
+    # The reference pair rate draws no pair in most 1 s windows.
+    rate = cfg.source.pair_rate
+    seed = next(s for s in range(100) if np.random.default_rng(s).poisson(rate) == 0)
+    rng = np.random.default_rng(seed)
+    parts = mc.generate_pairs(amp_small, cfg.splitter, cfg.source, graphite,
+                              air=load_table("air"), helium=load_table("helium"),
+                              rng=rng, window_s=(0.0, 1.0))
+    for part in parts:
+        assert len(part) == 0
+        assert [c.dtype for c in _columns(part)] == [np.float64, np.float64, np.int8, np.int8]
+    stray = mc.generate_stray(replace(cfg.source, duration_s=0.01), rng=np.random.default_rng(1))
+    merged = mc.merge_streams(*parts, *stray)
+    for column, expected in zip(_columns(merged), _columns(mc.merge_streams(*stray))):
+        assert column.dtype == expected.dtype
+        np.testing.assert_array_equal(column, expected)
+    # Only the Poisson draws were made.
+    reference = np.random.default_rng(seed)
+    mc._poisson_times(reference, rate, (0.0, 1.0))
+    assert rng.random() == reference.random()
+
+
 def test_generators_draw_inside_their_window(amp_small, graphite, cfg):
     t0, t1 = 7.0, 9.0
     source = replace(cfg.source, pair_rate=200.0)
@@ -236,6 +258,31 @@ def _detect_per_detector_masks(photons, specs, rng):
     return (photons.time_ns[alive], measured, photons.detector[alive], photons.origin[alive], logic)
 
 
+def _assert_detect_matches_reference(photons, specs):
+    rng_new, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
+    pulses = mc.detect(photons, specs, rng_new)
+    expected = _detect_per_detector_masks(photons, specs, rng_ref)
+    for name, column in zip(PHOTON_COLUMNS + ("logic",), expected):
+        got = getattr(pulses, name)
+        assert got.dtype == column.dtype, name
+        assert got.tobytes() == column.tobytes(), name
+    # Same random-number consumption.
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+    return pulses
+
+
+def _edge_photons(seed, n=30000):
+    """Photons on every detector, with energies on and around 0: energies
+    <= 0 have zero noise, so some pulses sit exactly on an SCA edge."""
+    rng = np.random.default_rng(seed)
+    energy = rng.uniform(-3.0, 25.0, n)
+    energy[::7] = 0.0
+    energy[::11] = -0.0
+    energy[::13] = -1.0
+    return _photons(np.sort(rng.uniform(0, 1e9, n)), energy, rng.integers(0, 3, n),
+                    rng.integers(0, 3, n))
+
+
 def test_detect_matches_per_detector_masks_bit_for_bit():
     specs = {
         mc.DET_TRIG: mc.DetectorSpec(quantum_efficiency=0.9, resolution_fwhm_ev=150.0,
@@ -245,25 +292,41 @@ def test_detect_matches_per_detector_masks_bit_for_bit():
         mc.DET_REF: mc.DetectorSpec(quantum_efficiency=0.3, resolution_fwhm_ev=999.0,
                                     reference_energy_kev=22.1, sca_window_kev=(-1.0, 0.0)),
     }
-    rng = np.random.default_rng(12)
-    n = 30000
-    energy = rng.uniform(-3.0, 25.0, n)
-    # Energies <= 0 have zero noise, so some pulses sit exactly on an SCA edge.
-    energy[::7] = 0.0
-    energy[::11] = -0.0
-    energy[::13] = -1.0
-    photons = _photons(np.sort(rng.uniform(0, 1e9, n)), energy, rng.integers(0, 3, n),
-                       rng.integers(0, 3, n))
-    rng_new, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
-    pulses = mc.detect(photons, specs, rng_new)
-    expected = _detect_per_detector_masks(photons, specs, rng_ref)
-    assert 0 < len(pulses) < n
-    for name, column in zip(PHOTON_COLUMNS + ("logic",), expected):
-        got = getattr(pulses, name)
-        assert got.dtype == column.dtype, name
-        assert got.tobytes() == column.tobytes(), name
-    # Same random-number consumption.
-    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+    photons = _edge_photons(12)
+    assert 0 < len(_assert_detect_matches_reference(photons, specs)) < len(photons)
+
+
+def test_detect_with_one_shared_spec_matches_per_detector_masks():
+    # Every value is one number: no lookup by detector, and with QE 1 no
+    # photon is dropped.
+    spec = mc.DetectorSpec(quantum_efficiency=1.0, resolution_fwhm_ev=300.0,
+                           reference_energy_kev=10.5, sca_window_kev=(0.0, 22.0))
+    specs = dict.fromkeys((mc.DET_TRIG, mc.DET_TRANS, mc.DET_REF), spec)
+    photons = _edge_photons(13)
+    pulses = _assert_detect_matches_reference(photons, specs)
+    assert len(pulses) == len(photons)
+    assert 0 < pulses.logic.sum() < len(pulses)
+
+
+def test_detect_with_some_shared_values_matches_per_detector_masks():
+    # Shared SCA edges and reference energy; QE below 1 and resolution differ.
+    shared = dict(reference_energy_kev=10.5, sca_window_kev=(0.0, 12.0))
+    specs = {
+        mc.DET_TRIG: mc.DetectorSpec(quantum_efficiency=0.9, resolution_fwhm_ev=150.0, **shared),
+        mc.DET_TRANS: mc.DetectorSpec(quantum_efficiency=0.55, resolution_fwhm_ev=420.0, **shared),
+        mc.DET_REF: mc.DetectorSpec(quantum_efficiency=0.3, resolution_fwhm_ev=0.0, **shared),
+    }
+    photons = _edge_photons(14)
+    pulses = _assert_detect_matches_reference(photons, specs)
+    assert 0 < len(pulses) < len(photons)
+    assert 0 < pulses.logic.sum() < len(pulses)
+
+
+def test_detect_of_an_empty_stream_without_specs():
+    pulses = mc.detect(_photons([]), {}, np.random.default_rng(0))
+    assert len(pulses) == 0
+    assert [c.dtype for c in _columns(pulses)] == [np.float64, np.float64, np.int8, np.int8]
+    assert pulses.logic.dtype == bool and len(pulses.logic) == 0
 
 
 def test_detect_energy_blur_scale(cfg):
