@@ -83,19 +83,17 @@ def _write_sweep(cfg: RunConfig, outdir: str, ridge, splitter, angles) -> None:
 
 def cmd_model(cfg: RunConfig, outdir: str) -> None:
     """Write the sweep curve, model port spectra, and rate-fraction summary,
-    all folded from one pair intensity (``spdc.sweep_grid``): the spectra
-    from its W, the sweep from its ridge.  A port's rate fraction is the
-    energy integral of its spectrum.  The sweep, which fails on a window
-    without a ridge zero, is written first."""
+    all folded from one pair intensity (``spdc.sweep_grid``): the sweep and
+    the rate fractions (``spdc.port_rates``) from its ridge zeros, the
+    spectra from its W.  The sweep, which fails on a window without a ridge
+    zero, is written first."""
     grid = spdc_mod.sweep_grid(cfg.grid, cfg.splitter.width_deg)
     intensity = spdc_mod.biphoton_amplitude(cfg.spdc, grid)
     _write_sweep(cfg, outdir, intensity.ridge, cfg.splitter, np.linspace(5.0, 45.0, 81).tolist())
 
-    energies, refl_dens, trans_dens = spdc_mod.port_energy_spectra(
-        intensity, cfg.splitter, load_table("graphite")
-    )
-    r_ref = float(refl_dens.sum() * grid.d_energy)
-    r_trans = float(trans_dens.sum() * grid.d_energy)
+    graphite = load_table("graphite")
+    r_ref, r_trans = spdc_mod.port_rates(intensity.ridge, cfg.splitter, graphite)
+    energies, refl_dens, trans_dens = spdc_mod.port_energy_spectra(intensity, cfg.splitter, graphite)
     _write_rows(
         os.path.join(outdir, "model_spectra.csv"),
         "energy_kev,reflected_density,transmitted_density",
@@ -107,7 +105,7 @@ def cmd_model(cfg: RunConfig, outdir: str) -> None:
         fh.write(f"r_transmitted = {r_trans:.6f}\n")
 
 
-def _slice_pulses(cfg: RunConfig, intensity: spdc_mod.PairIntensity, tally: np.ndarray):
+def _slice_pulses(cfg: RunConfig, ridge: spdc_mod.Ridge, tally: np.ndarray):
     """Yield (end_ns, pulses) per time slice of the run (``slice_edges_s``),
     adding each slice's pulses to ``tally`` by (detector, origin, logic).
 
@@ -120,7 +118,7 @@ def _slice_pulses(cfg: RunConfig, intensity: spdc_mod.PairIntensity, tally: np.n
         seeds = np.random.SeedSequence(cfg.source.rng_seed, spawn_key=(k,)).spawn(3)
         rng_pairs, rng_stray, rng_detect = (np.random.default_rng(s) for s in seeds)
         pairs = mc.generate_pairs(
-            intensity, cfg.splitter, cfg.source, graphite,
+            ridge, cfg.spdc.pump_energy_kev, cfg.splitter, cfg.source, graphite,
             air=air, helium=helium, rng=rng_pairs, window_s=window,
         )
         stray = mc.generate_stray(cfg.source, rng=rng_stray, window_s=window)
@@ -137,14 +135,16 @@ def _slice_pulses(cfg: RunConfig, intensity: spdc_mod.PairIntensity, tally: np.n
 
 def cmd_simulate(cfg: RunConfig, outdir: str) -> np.ndarray:
     """Generate an event file plus pulse-stream and run summaries.  The
-    Monte Carlo chain runs one time slice at a time and each slice's events
-    are written as they are built, so memory does not grow with the run
-    length.  Returns the pulse counts by [detector, origin, logic]."""
-    intensity = spdc_mod.biphoton_amplitude(cfg.spdc, cfg.grid)
+    Monte Carlo chain draws its pairs from the ridge zeros
+    (``spdc.pair_ridge``) and runs one time slice at a time; each slice's
+    events are written as they are built, so memory does not grow with the
+    run length.  Returns the pulse counts by [detector, origin, logic]."""
+    ridge = spdc_mod.pair_ridge(cfg.spdc, cfg.grid)
+    ridge.total()  # a window without a zero exits before any file is written
     tally = np.zeros((len(mc.DETECTOR_NAMES), mc.N_ORIGINS, 2), dtype=np.int64)
     n_events, rate_dropped, empty_dropped = daq_mod.save_events(
         os.path.join(outdir, "events.csv"),
-        daq_mod.build_events_in_slices(_slice_pulses(cfg, intensity, tally), cfg.daq),
+        daq_mod.build_events_in_slices(_slice_pulses(cfg, ridge, tally), cfg.daq),
         live_time_s=cfg.source.duration_s,
     )
     with open(os.path.join(outdir, "pulse_summary.txt"), "w", encoding="utf-8") as fh:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spdc import PairIntensity
+from .spdc import Ridge
 from .splitter import SplitterSpec, response
 from .xoptics import AttenuationTable, transmittance
 
@@ -39,12 +39,12 @@ class StraySpectrum:
     line_fraction: float = 0.1
 
     def __post_init__(self):
-        if not (self.flat_hi_kev > self.flat_lo_kev > 0):
-            raise ValueError("flat band must satisfy 0 < lo < hi")
+        if not 0.0 < self.flat_lo_kev < self.flat_hi_kev < math.inf:
+            raise ValueError("flat band must satisfy 0 < lo < hi < inf")
         if not (0.0 <= self.line_fraction <= 1.0):
             raise ValueError("line fraction must lie in [0, 1]")
-        if not self.line_energy_kev > 0:
-            raise ValueError("line energy must be positive")
+        if not 0.0 < self.line_energy_kev < math.inf:
+            raise ValueError("line energy must be finite and positive")
 
     def sample(self, rng: np.random.Generator, n: int):
         flat = rng.uniform(self.flat_lo_kev, self.flat_hi_kev, n)
@@ -65,13 +65,13 @@ class SourceConfig:
     helium_path_cm: float = 90.0
 
     def __post_init__(self):
-        # Written so that NaN fails every check.
+        # Written so that NaN and infinity fail every check.
         if not all(0 <= r < math.inf for r in (self.pair_rate, *self.stray_rates)):
             raise ValueError("rates must be finite and non-negative")
-        if not self.duration_s > 0:
-            raise ValueError("duration must be positive")
-        if not (self.air_path_cm >= 0 and self.helium_path_cm >= 0):
-            raise ValueError("flight paths must be non-negative")
+        if not 0.0 < self.duration_s < math.inf:
+            raise ValueError("duration must be finite and positive")
+        if not (0.0 <= self.air_path_cm < math.inf and 0.0 <= self.helium_path_cm < math.inf):
+            raise ValueError("flight paths must be finite and non-negative")
         if not self.rng_seed >= 0:  # numpy's SeedSequence takes none below 0
             raise ValueError(f"seed must be non-negative, got {self.rng_seed}")
 
@@ -95,15 +95,15 @@ class DetectorSpec:
     sca_window_kev: tuple[float, float] = (7.0, 22.0)
 
     def __post_init__(self):
-        # Written so that NaN fails every check.
+        # Written so that NaN and infinity fail every check.
         if not (0.0 <= self.quantum_efficiency <= 1.0):
             raise ValueError("quantum efficiency must lie in [0, 1]")
-        if not self.resolution_fwhm_ev >= 0:
-            raise ValueError("resolution must be non-negative")
-        if not self.reference_energy_kev > 0:
-            raise ValueError("reference energy must be positive")
-        if not self.sca_window_kev[0] < self.sca_window_kev[1]:
-            raise ValueError("SCA window must satisfy lo < hi")
+        if not 0.0 <= self.resolution_fwhm_ev < math.inf:
+            raise ValueError("resolution must be finite and non-negative")
+        if not 0.0 < self.reference_energy_kev < math.inf:
+            raise ValueError("reference energy must be finite and positive")
+        if not -math.inf < self.sca_window_kev[0] < self.sca_window_kev[1] < math.inf:
+            raise ValueError("SCA window must satisfy -inf < lo < hi < inf")
 
     def sigma_kev(self, energy_kev):
         """Gaussian energy-noise sigma, scaling as sqrt(E) from the reference."""
@@ -189,8 +189,8 @@ def merge_streams(*streams: Stream) -> Stream:
 # pair intensity, median of 3, and peak RSS): 25k photons 0.91-0.99 s /
 # 49 MB, 50k 0.74-0.76 s / 56 MB, 100k 0.73-0.75 s / 66 MB, 200k
 # 0.70-0.73 s / 71 MB, 400k 0.74 s / 97 MB, one slice 0.87-0.90 s / 463 MB.
-# The process peaks at 42 MB before the first slice, after building the
-# pair intensity, so the slices set the peak.
+# Before the first slice, after solving the pair ridge, the process peaks
+# at 30 MB, so the slices set the peak.
 PHOTONS_PER_SLICE = 50_000
 
 
@@ -210,7 +210,8 @@ def _poisson_times(rng, rate_hz, window_s):
 
 
 def generate_pairs(
-    intensity: PairIntensity,
+    ridge: Ridge,
+    pump_energy_kev: float,
     splitter: SplitterSpec,
     source: SourceConfig,
     material: AttenuationTable,
@@ -224,10 +225,11 @@ def generate_pairs(
     two time-ordered parts ``(trigger, herald)``.
 
     Pair creation times are a Poisson process at ``source.pair_rate`` over
-    ``window_s`` = [t0, t1) seconds (default the whole run); each
-    pair's (energy, theta_x) is drawn from the theta_y-integrated pair
-    intensity with the partner energy fixed by energy conservation, and the
-    two photons share one creation time.  The heralded photon goes to the
+    ``window_s`` = [t0, t1) seconds (default the whole run); each pair is
+    one zero of the phase-matching ridge, drawn with probability
+    proportional to its weight: the heralded photon takes its energy E0 and
+    theta_x, the partner the energy ``pump_energy_kev`` - E0, and the two
+    photons share one creation time.  The heralded photon goes to the
     reflected port with probability R and the transmitted port with
     probability T (``splitter.response``), and is absorbed otherwise; both
     photons are additionally thinned by flight-path absorption through
@@ -236,22 +238,17 @@ def generate_pairs(
     """
     times = _poisson_times(rng, source.pair_rate, window_s or (0.0, source.duration_s))
     n = len(times)
-    cdf = intensity.cdf
-    if cdf[-1] <= 0:
-        raise ValueError("pair intensity vanishes; nothing to sample")
     if n == 0:
         # Most slices of the reference profile draw no pair; skip their
         # splitter and flight-path lookups.  Draws of size 0 consume no
         # random numbers, so the stream is the same either way.
         return (_photons(times, times, DET_TRIG, ORIGIN_PAIR_TRIGGER),
                 _photons(times, times, DET_REF, ORIGIN_PAIR_HERALD))
-    idx = np.searchsorted(cdf, rng.random(n) * cdf[-1], side="right")
-    idx = np.minimum(idx, len(cdf) - 1)
-    i_e, i_x = np.unravel_index(idx, intensity.weights.shape)
-    grid = intensity.grid
-    e_h = intensity.energies[i_e] + (rng.random(n) - 0.5) * grid.d_energy
-    t_x = intensity.theta_x[i_x] + (rng.random(n) - 0.5) * grid.d_theta_x
-    e_t = intensity.config.pump_energy_kev - e_h
+    cdf = np.cumsum(ridge.weights)
+    # u * cdf[-1] may round up to cdf[-1]: the last zero takes it.
+    zero = np.minimum(np.searchsorted(cdf, rng.random(n) * cdf[-1], side="right"), cdf.size - 1)
+    e_h, t_x = ridge.energies[zero], ridge.theta_x[zero]
+    e_t = pump_energy_kev - e_h
 
     def path_survival(energy):
         return (transmittance(energy, air, source.air_path_cm)

@@ -13,19 +13,17 @@ The intensities here are per unit kappa_L^2 (amplitudes per unit kappa_L):
 every consumer uses the intensity as a shape, and the pair rate is the
 calibrated ``[source] pair_rate_hz``.
 
-Every consumer (port spectra and rates, the Bragg-angle sweep, the pair
-sampler) needs only the intensity as a function of energy and theta_x: the
-splitter acts on theta_x alone and no observable depends on the phase.  The
-pair intensity is therefore reduced once to a 2-D (E, theta_x) array W, with
-theta_y integrated out: ``xbsim model`` builds it once.  The port spectra
-fold W with the splitter response (``splitter.response``) once, and a port's
-rate fraction is the energy integral of its spectrum; the pair sampler draws
-from W.  The Bragg-angle sweep folds no W: it folds the rocking curve at
-each zero E0 of the ridge (``Ridge``), weighted by its whole line.  A sweep
-over narrow rocking widths needs finer theta_x cells than the rates do;
-``sweep_grid`` derives them from the width, and ``pair_ridge`` solves the
-ridge on such a grid without building W.  ``amplitude_at`` evaluates the
-complex amplitude pointwise where it is needed.
+Every consumer needs the intensity only as a function of energy and
+theta_x: the splitter acts on theta_x alone and no observable depends on the
+phase.  One kernel, the zeros E0 of the phase-matching ridge (``Ridge``) each
+weighted by its whole sinc^2 line, serves the port rates (``port_rates``)
+and the Bragg-angle sweep, which fold the splitter at each zero, and the
+pair sampler, which draws zeros by weight; ``pair_ridge`` solves it, on a
+theta_x grid fine enough for the rocking width (``sweep_grid``) for the
+sweep.  Only the model port spectra spread the lines over energy:
+``biphoton_amplitude`` deposits them into a 2-D (E, theta_x) array W, with
+theta_y integrated out.  ``amplitude_at`` evaluates the complex amplitude
+pointwise where it is needed.
 
 W is built from the phase-matching ridge.  At fixed (theta_x, theta_y) the
 intensity is one sinc^2 line in energy around the zero E0 of the mismatch,
@@ -51,11 +49,11 @@ theta_y = 0 row of an odd n_y once).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .splitter import SplitterSpec, response
+from .splitter import SplitterSpec, reflectivity, response
 from .xoptics import (
     HC_KEV_ANGSTROM,
     AttenuationTable,
@@ -338,7 +336,8 @@ class _Kinematics:
 @dataclass(frozen=True)
 class Ridge:
     """The zeros E0 of the phase-matching ridge that lie in the energy
-    window, one per (theta_x, theta_y >= 0) grid point at most.
+    window, one per (theta_x, theta_y >= 0) grid point at most: the pair
+    kernel of the rates, the sweep and the sampler.
 
     ``weights`` is the whole sinc^2 line's low-gain intensity per unit
     kappa_L^2, pi / s * d_theta_y * d_theta_x with s = |dx/dE| at E0,
@@ -349,6 +348,13 @@ class Ridge:
     theta_x: np.ndarray  # theta_x cell centre of each zero, rad
     weights: np.ndarray
 
+    def total(self) -> float:
+        """The weights' sum; ``EmptyWindowError`` when the window holds no zero."""
+        total = float(self.weights.sum())
+        if total == 0.0:
+            raise EmptyWindowError("the [grid] energy window holds no zero of the phase-matching ridge")
+        return total
+
 
 @dataclass(frozen=True)
 class PairIntensity:
@@ -357,22 +363,16 @@ class PairIntensity:
     ``weights[i, j]`` is the low-gain intensity per unit kappa_L^2,
     <sinc^2(dk_z L/2)>, of energy cell i and theta_x cell j, averaged across
     the energy cell (``biphoton_amplitude``) and summed over the theta_y
-    cells times d_theta_y.  Every consumer (rates, spectra, pair sampler)
-    depends on theta_x and energy only, so theta_y and the phase are
-    integrated out once here.  ``ridge`` holds the zeros in the window that the lines are
-    deposited from; the Bragg-angle sweep folds those.
+    cells times d_theta_y.  W serves the model port spectra alone.  ``ridge``
+    holds the zeros in the window that the lines are deposited from; the
+    rates and the Bragg-angle sweep fold those.
     """
 
-    config: SpdcConfig
     grid: GridSpec
     energies: np.ndarray  # cell centers, keV
     theta_x: np.ndarray  # cell centers, rad
     weights: np.ndarray  # float64, shape (n_energy, n_x)
     ridge: Ridge  # the zeros the weights are deposited from
-    cdf: np.ndarray = field(init=False, repr=False)  # flattened (C order) running sum
-
-    def __post_init__(self):
-        object.__setattr__(self, "cdf", np.cumsum(self.weights))
 
     @property
     def cell_area(self) -> float:
@@ -555,7 +555,7 @@ def biphoton_amplitude(
             raise EmptyWindowError("the pair intensity vanishes on the [grid] energy window")
         w /= norm
     ridge = _window_ridge(grid, e0, slope, column, mirror)
-    return PairIntensity(config, grid, grid.energy_centers(), grid.theta_x_centers(), w, ridge)
+    return PairIntensity(grid, grid.energy_centers(), grid.theta_x_centers(), w, ridge)
 
 
 def amplitude_at(config: SpdcConfig, energy_kev, theta_x, theta_y):
@@ -582,7 +582,7 @@ def port_energy_spectra(
     maps one-to-one onto the rocking offset of the splitter
     (dispersion-matched mounting), so the response is taken at
     dtheta = theta_x.  Each density integrates over energy to that port's
-    rate fraction.
+    rate fraction on W, which ``port_rates`` takes from the ridge.
     """
     refl, trans = response(
         spec, intensity.energies[:, None], np.degrees(intensity.theta_x)[None, :], material
@@ -591,6 +591,17 @@ def port_energy_spectra(
     refl_dens = (intensity.weights * refl).sum(axis=1) * d_x
     trans_dens = (intensity.weights * trans).sum(axis=1) * d_x
     return intensity.energies, refl_dens, trans_dens
+
+
+def port_rates(ridge: Ridge, spec: SplitterSpec, material: AttenuationTable):
+    """Reflected and transmitted rate fractions: the port responses R and T
+    (``splitter.response``) at each zero E0 of ``ridge`` and dtheta =
+    theta_x, folded as ``bragg_angle_sweep`` folds the rocking curve.  The
+    port spectra's energy integrals take them at W's energy cell centres
+    instead, and differ from these by that energy binning."""
+    refl, trans = response(spec, ridge.energies, np.degrees(ridge.theta_x), material)
+    total = ridge.total()
+    return float(ridge.weights @ refl) / total, float(ridge.weights @ trans) / total
 
 
 def _retuned(base: SplitterSpec, theta_b_deg: float) -> SplitterSpec:
@@ -634,42 +645,27 @@ def bragg_angle_sweep(
     At each angle ``splitter`` is retuned so that its nominal energy
     reflects at that Bragg angle (peak reflectivity, rocking width and
     thickness kept).  Its reflected-port rate is the intensity reflectivity
-    times the transmission through ``air`` along ``air_path_cm``, taken at
-    each zero E0 of ``ridge`` (those in the energy window) and weighted by
-    that line's whole intensity, pi / s; the sum is normalized by the
-    ridge's total weight (``EmptyWindowError`` when the ridge holds no
-    zero).  A zero whose wavelength exceeds the retuned 2d
-    reflects nothing.
+    (``splitter.reflectivity``, 0 where the wavelength exceeds the retuned
+    2d) times the transmission through ``air`` along ``air_path_cm``, taken
+    at each zero E0 of ``ridge`` and weighted by that line's whole
+    intensity, pi / s; the sum is normalized by the ridge's total weight
+    (``Ridge.total``).
 
-    A fold over the 2-D W instead takes the splitter at the energy cell
-    centres across each line's band (+-68 eV of E0 hold all but 3e-4 of
-    the line, the same share for every line, so the normalization cancels
-    it).  The two differ by that energy binning: 2.7e-5 (relative, at 45
-    deg) on the reference grid, 1.9e-4 on a 400-cell energy grid.  The
-    rocking curve is resolved only as finely as the ridge's theta_x grid;
-    ``sweep_grid`` gives a grid fine enough for a rocking width.  Returns a
-    list of (theta_B_deg, rate).
+    A fold over the 2-D W takes the splitter at the energy cell centres
+    across each line's band instead, and differs by that energy binning:
+    2.7e-5 (relative, at 45 deg) on the reference grid, 1.9e-4 on a
+    400-cell energy grid.  The rocking curve is resolved only as finely as
+    the ridge's theta_x grid (``sweep_grid``).  Returns a list of
+    (theta_B_deg, rate).
     """
     sweep_deg = list(sweep_deg)
-    if not sweep_deg:
-        return []
     for t in sweep_deg:
         if not (0.0 < t < 90.0):
             raise ValueError("sweep angles must lie in (0, 90) degrees")
-    total = float(ridge.weights.sum())
-    if total == 0.0:
-        raise EmptyWindowError("the [grid] energy window holds no zero of the phase-matching ridge")
+    total = ridge.total()
     w = ridge.weights * transmittance(ridge.energies, air, air_path_cm)
-    half_lambda = 0.5 * wavelength(ridge.energies)
     dtheta_deg = np.degrees(ridge.theta_x)
-    rates = []
-    for t in sweep_deg:
-        spec = _retuned(splitter, t)
-        # sin(theta_B(E0)); splitter.reflectivity's arg, with R = 0 where
-        # lambda > 2d instead of raising.
-        s = half_lambda / spec.lattice.d_spacing
-        reflects = s <= 1.0
-        arg = dtheta_deg + spec.nominal_bragg_deg() - np.degrees(np.arcsin(np.where(reflects, s, 1.0)))
-        r = np.where(reflects, np.exp(-((arg / spec.width_deg) ** 2)), 0.0)
-        rates.append((t, spec.peak_reflectivity * float(w @ r) / total))
-    return rates
+    return [
+        (t, float(w @ reflectivity(_retuned(splitter, t), ridge.energies, dtheta_deg)) / total)
+        for t in sweep_deg
+    ]

@@ -4,9 +4,10 @@ The mosaic crystal reflects a narrow band around the Bragg condition with a
 Gaussian rocking profile and transmits the rest, attenuated by absorption
 along the slant path through the plate.  ``response`` gives both port
 responses from one reflectivity evaluation; the model spectra, the port
-rates and the pair sampler all use it.  All bookkeeping is in intensities:
-the reflectivity peaks at A, and the rocking width parameter b is that of
-the amplitude profile sqrt(A) * exp(-arg^2 / (2 b^2)).
+rates and the pair sampler use it, and the Bragg sweep ``reflectivity``.
+All bookkeeping is in intensities: the reflectivity peaks at A, and the
+rocking width parameter b is that of the amplitude profile
+sqrt(A) * exp(-arg^2 / (2 b^2)).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .xoptics import AttenuationTable, LatticeSpec, bragg_angle
+from .xoptics import AttenuationTable, LatticeSpec, bragg_angle, wavelength
 
 
 @dataclass(frozen=True)
@@ -44,25 +45,29 @@ class SplitterSpec:
 
 
 def reflectivity(spec: SplitterSpec, energy_kev, dtheta_deg):
-    """Intensity reflectivity A * exp(-arg^2 / b^2), peaking at A.
+    """Intensity reflectivity A * exp(-arg^2 / b^2), peaking at A, and 0
+    where the wavelength exceeds 2d and no Bragg reflection exists.
 
     ``dtheta_deg`` is the deviation of the incidence angle from the nominal
     mount angle, and arg = dtheta + theta_B(nominal) - theta_B(energy) in
     degrees: the reflectivity peaks on the locus where the incidence angle
     equals the Bragg angle for ``energy_kev``.
     """
+    # sin(theta_B) as xoptics.bragg_angle takes it; R = 0 where it exceeds 1.
+    s = wavelength(energy_kev) / (2.0 * spec.lattice.d_spacing)
     # The chain works in one buffer.  asarray makes a scalar arg a writable
     # 0-d array, and [()] returns a scalar for it again.
     r = np.asarray(
         np.asarray(dtheta_deg, dtype=float)
         + spec.nominal_bragg_deg()
-        - bragg_angle(energy_kev, spec.lattice)
+        - np.degrees(np.arcsin(np.minimum(s, 1.0)))
     )
     r /= spec.width_deg
     np.square(r, out=r)
     np.negative(r, out=r)
     np.exp(r, out=r)
     r *= spec.peak_reflectivity
+    r *= s <= 1.0
     return r[()]
 
 

@@ -12,7 +12,6 @@ from artifact import daq, montecarlo as mc, spdc
 from artifact.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SCHEMA, main
 from artifact.config import load_default_config
 from artifact.xoptics import load_table
-from conftest import port_rate_quadrature
 
 # Coarse grid + short run so simulate/analyze stay fast; physics fidelity is
 # covered elsewhere.
@@ -213,10 +212,10 @@ def test_model_outputs(tmp_path, monkeypatch):
     values = dict(line.split(" = ") for line in summary.strip().splitlines())
     assert 0.0 < float(values["r_reflected"]) < 1.0
     assert 0.0 < float(values["r_transmitted"]) < 1.0
-    # The rate fractions are the quadrature of the one pair intensity with
-    # the port responses, to the six digits written.
+    # The rate fractions fold the port responses at the ridge zeros of the
+    # one pair intensity, to the six digits written.
     cfg = load_default_config()
-    want = port_rate_quadrature(intensities[0], cfg.splitter, load_table("graphite"))
+    want = spdc.port_rates(intensities[0].ridge, cfg.splitter, load_table("graphite"))
     assert (values["r_reflected"], values["r_transmitted"]) == tuple(f"{r:.6f}" for r in want)
     spectra = np.loadtxt(tmp_path / "model_spectra.csv", delimiter=",", skiprows=1)
     assert spectra.shape[1] == 3
@@ -259,6 +258,34 @@ def test_narrow_sweep_solves_the_ridge_without_building_w(tmp_path, monkeypatch)
     assert len((tmp_path / "bragg_sweep.csv").read_text().strip().splitlines()) == 6
 
 
+def test_simulate_samples_the_ridge_without_building_w(tmp_path, monkeypatch):
+    # simulate draws its pairs from the ridge zeros alone: it never
+    # deposits the 2-D pair intensity.
+    def no_w(*args, **kwargs):
+        raise AssertionError("simulate built the 2-D pair intensity")
+
+    monkeypatch.setattr(spdc, "biphoton_amplitude", no_w)
+    assert main(["simulate", "--outdir", str(tmp_path), "--seed", "21"] + FAST) == EXIT_OK
+    meta = (tmp_path / "run_meta.txt").read_text()
+    assert "events = 0" not in meta
+
+
+@pytest.mark.parametrize("verb", [
+    ["model"],
+    ["simulate", "--set", "source.duration_s=20", "--set", "source.pair_rate_hz=5"],
+])
+def test_splitter_cutoff_inside_the_window_exits_ok(tmp_path, verb):
+    # 2d = 1.1 A: energies below 11.27 keV, most of the 8.5-12.5 keV
+    # window, meet no Bragg reflection; they are transmitted (R = 0) and
+    # the run goes on.
+    code = main(verb + ["--outdir", str(tmp_path),
+                        "--set", "splitter.d_angstrom=0.55",
+                        "--set", "splitter.nominal_energy_kev=12",
+                        "--set", "grid.n_energy=200", "--set", "grid.n_x=20",
+                        "--set", "grid.n_y=4"])
+    assert code == EXIT_OK
+
+
 def test_simulate_writes_events_without_selecting_them(tmp_path, monkeypatch):
     # The event file holds no selection column, so simulate does not
     # energy-select the events; analyze selects on the file.
@@ -287,12 +314,14 @@ def test_model_over_a_window_below_the_sweep_cutoff_exits_ok(tmp_path):
     ["sweep", "--num", "5", "--width-scale", "2", "--set", "grid.energy_lo_kev=11.80"],
     ["model", "--set", "grid.energy_lo_kev=12.0"],
     ["simulate", "--set", "grid.energy_lo_kev=12.0"],
+    ["simulate", "--set", "grid.energy_lo_kev=11.80"],
 ])
 def test_window_without_a_ridge_zero_exits_config_code(tmp_path, verb):
     # On this 20-column grid the ridge zeros end at 11.74 keV, and their
     # lines' bands reach to 11.81 keV: a window from 11.80 keV holds some of
-    # W but no zero to normalize the sweep by, and one from 12.0 keV holds
-    # no W either.  (Width x2 keeps the grid.)
+    # W but no zero to normalize the sweep, the rates or the pair sampler
+    # by, and one from 12.0 keV holds no W either.  (Width x2 keeps the
+    # grid.)
     code = main(verb + ["--outdir", str(tmp_path), "--set", "grid.n_energy=200",
                         "--set", "grid.n_x=20", "--set", "grid.n_y=4"])
     assert code == EXIT_CONFIG

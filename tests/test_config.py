@@ -103,6 +103,17 @@ def test_rate_cap_below_one_rejected(cap):
     "daq.acceptance_lo_kev=-inf",
     "daq.acceptance_hi_kev=inf",
     "run.seed=-5",  # numpy's SeedSequence raised after the pair intensity
+    # Every [source] and [detector] value is finite.  Infinite ones crashed
+    # simulate (the flat band's edge, the duration), gave NaN pulse heights
+    # (the line energy, the resolution) or zeroed the resolution (the
+    # reference energy).
+    "source.stray_flat_hi_kev=inf",
+    "source.duration_s=inf",
+    "source.stray_line_kev=inf",
+    "source.air_path_cm=inf",
+    "detector.resolution_fwhm_ev=inf",
+    "detector.reference_energy_kev=inf",
+    "detector.sca_hi_kev=inf",
 ])
 def test_nan_and_negative_values_exit_config_code(tmp_path, setting):
     # Checks written as ``not x > 0`` reject NaN; ``x <= 0`` let it through.

@@ -4,14 +4,14 @@ write.
 The runs use criterion 10's reduced grid; ``simulate`` and ``analyze`` run at
 two seeds, and ``model`` runs on the bundled reference grid too.  ``model``
 builds one pair intensity on each grid (both fine enough for the bundled
-rocking width, so ``spdc.sweep_grid`` leaves them unchanged): its rates and
-spectra fold the 2-D W, its sweep folds the ridge zeros W is deposited
-from.  So its hashes pin the ridge build of the pair intensity,
-the spectra fold and the ridge sweep fold.  A refactor that leaves the
-arithmetic and the random-number consumption unchanged must reproduce these
-bytes exactly; a change that alters them on purpose says so in CHANGES.md
-and regenerates the tables once.
-"""
+rocking width, so ``spdc.sweep_grid`` leaves them unchanged): its spectra
+fold the 2-D W, its sweep and rate fractions fold the ridge zeros W is
+deposited from.  ``simulate`` solves only the ridge and draws its pairs from
+those zeros.  So the hashes pin the ridge solve, the deposit of W, the
+spectra fold, the ridge folds and the pair sampler.  A refactor that leaves
+the arithmetic and the random-number consumption unchanged must reproduce
+these bytes exactly; a change that alters them on purpose says so in
+CHANGES.md and regenerates the tables once."""
 
 import hashlib
 
@@ -30,46 +30,46 @@ REDUCED = REDUCED_GRID + [
 MODEL_GOLDEN = {
     "bragg_sweep.csv": "88bd4c31a20f96b37f19836339fdc5918c17b85d905c0f7504a51451530586ef",
     "model_spectra.csv": "585afd1a2bfd614db435247be7e85646444845cad0f6d17a42e378da1263c93f",
-    "model_summary.txt": "f760caaa17507cfc64f1b84c4965a4dd2c0447e76c73ab5501dce6162faadbe5",
+    "model_summary.txt": "ef34ef3e2d816b77bf5d75f4954001610c70d1f84949d0990c12bc715a904315",
 }
 
 REFERENCE_MODEL_GOLDEN = {
     "bragg_sweep.csv": "4b6ad67ca0f95e4b2a2873ffe48f7c2cb0f93f4a4d60f3a6a2e555f3d24f1e88",
     "model_spectra.csv": "7693c94752c3a92b6caed42be8a6c9859d820ff1e999b9b60e6ed7758d736155",
-    "model_summary.txt": "9ff6f96e41a2c1bbfc834d570e11d9b76ae8c6adfb8ae3d0237b700d67fbb8ae",
+    "model_summary.txt": "716018fab23108adf602531ed6c4c69f4239c28e16a373c144a0cb70a9aacaf2",
 }
 
 GOLDEN = {
     77: {
         "simulate": {
-            "events.csv": "86d8721a5b16a759629f0527f8680c42ccc54b81ef38352097dc1961be5f9212",
-            "pulse_summary.txt": "5712f71c01010279eab9548764e9c0043ef3880c32b6b83816c51570f607d07f",
-            "run_meta.txt": "3b5c0db6b8bc6684b343e0bfb751287dc89f6cf4ec9be698d75c50d19777bfe3",
+            "events.csv": "345c1cdcb45de964d0d9d31297b62354540aa7320acef99038837c8571a8afcb",
+            "pulse_summary.txt": "afee2829aa7c83d892af33de6bd7b6f6f4c83247af1d18c4ef084c9d0934bead",
+            "run_meta.txt": "b6175598d40b5f73ca35913eb19db5f91865c86a27822c4b839b8aca9e97b6e0",
         },
         "analyze": {
-            "alpha_report.txt": "0e46e24bef8b1c91a6ce494fc970cee191b60e46f488c34781e324f9554d8178",
-            "counts_all.csv": "4e004313d5838a30f71f7725000b6b23d7154f694420dabc86ee49cc86665998",
-            "counts_heralded.csv": "db7a7d15e0064db6740b817d2d9229ff5ce694c7c99a1e7adab5ff8b4abaf4a2",
-            "rates.txt": "561349604106001f9a32934db5ae6a17bfd09b50add8a3f55e86b355ac631f45",
-            "sigma_curves.csv": "578ca4d12cfb01c260774adadd373500b79b5b402d9e756a6acb7e9cedc555a0",
-            "spectrum_ref.csv": "93e14a6d24958c6d02e5e709794c432698f4e56d4a247b9516f906025e622bb1",
-            "spectrum_trans.csv": "83d9c489a79b0c4df367d2a3e129ea5261c43086d1d4b56b674d7d046ba2797f",
+            "alpha_report.txt": "6b0ba789601e39cb72f9b843050e03226d9608cc43e80ac6739a41b1296d770e",
+            "counts_all.csv": "436bbd165b16cc4b49d3ab667d5bf18dbe68e96cf4786bbf42a675ac4a208e12",
+            "counts_heralded.csv": "ace6022527971f704a0f3c1d6388c1540e794b0d2b9d599f274b1d59000ec865",
+            "rates.txt": "9a445e17ebfda4025cb8688b6c635f6d8c4a02a6d08e3ffc733e573318eb027f",
+            "sigma_curves.csv": "b73b2f0c9f8718dd68c4f4654045dbe6a752bdf561cf9fafdcd34e8d74d85c8f",
+            "spectrum_ref.csv": "a3b08ad31f632e9cc58eaa0c2cd737e74d7fd35b60155af2bd55f28eb327329a",
+            "spectrum_trans.csv": "1e368a75e3309549cb264161c7cf894fe07c3cb382f08ca30103e83ad2aaa96c",
         },
     },
     78: {
         "simulate": {
-            "events.csv": "bd5d3ce035c92e65b26dfbddbda4616112828c710e9be63b3e3b637a61efdb72",
-            "pulse_summary.txt": "15b506d841757f391c3817c87ac876959bd52817eea9481227e04aa9ed98b4ab",
-            "run_meta.txt": "9808d7c6fbf526add0454e68a2d136bbc5981885f35621f207aac9c0c5af44fb",
+            "events.csv": "30ebad185b7b1e247941e721753bcbebc36a4879a2bb024bfb7bb5ec45b8d77d",
+            "pulse_summary.txt": "8c26a12e8ebc91db2713896a332d612d0ba923ffbf00d688c98cae3e93364f5e",
+            "run_meta.txt": "5d9c524dc9a097cb15891cbb926e063b12007bdf75ffc9fa2cbbfdf199ae5d03",
         },
         "analyze": {
-            "alpha_report.txt": "73d07793ddf6c0fac1d747402b053c2c12eb4a8e4440bad0096cd7d0bac4963e",
-            "counts_all.csv": "4047000140973befbf2582d5a6002dbb1b9d8933f909942f9aaa29e8cb85ba7a",
-            "counts_heralded.csv": "189f6da9b27c52bc5fcca44ed7676d9b1646984e3475b6ddcb966dec0e82d271",
-            "rates.txt": "f4dc5ba44ca3c0b4836e6eb2c71a990fd87e6c16812563d9c84b22301c718d91",
-            "sigma_curves.csv": "77fce1fbad99e39955201595b4c366f81af0797d114d896cb2a5e25565d11527",
-            "spectrum_ref.csv": "87ecfb092e28ab229d0ddd53f0db4f6a290d3ba9483bb5e1b781ff3bd4de55d3",
-            "spectrum_trans.csv": "e164619846c4b44c60fd24b94b2aafc3aa12bd72c3f10e4cb78124b12cb723dd",
+            "alpha_report.txt": "3e3551648cc91bf203486be84f12d98315f5d55f017f2cd703c89e45c82d9734",
+            "counts_all.csv": "beec32e4e5a63dc98274035fe74916abd57cdf2ab6d5e7cd6aa2953121defc5c",
+            "counts_heralded.csv": "e6860a4de3e3cfb379a4785654e8260a0ca7db466bc33434fd9d0cc71003a6be",
+            "rates.txt": "ceb23d74c0b03cd3fb69b44c15006bc905395b9cb762f36d0f6c9240e8392567",
+            "sigma_curves.csv": "60872ea6cdbe00216151538dd8acc2ed22e79296a24bf2406d837fd490011422",
+            "spectrum_ref.csv": "dc38d54c9b7a2f19016979762031f5f4913512487469f9fd7a537b73d2237d36",
+            "spectrum_trans.csv": "6f041058ae2486be2250b7e12310d42e0a067cec56c36584afdcc887af28d746",
         },
     },
 }
@@ -82,13 +82,13 @@ SELECTION = [
     "--set", "daq.acceptance_hi_kev=16.5",
 ]
 SELECTION_GOLDEN = {
-    "alpha_report.txt": "0e46e24bef8b1c91a6ce494fc970cee191b60e46f488c34781e324f9554d8178",
-    "counts_all.csv": "4e004313d5838a30f71f7725000b6b23d7154f694420dabc86ee49cc86665998",
-    "counts_heralded.csv": "db7a7d15e0064db6740b817d2d9229ff5ce694c7c99a1e7adab5ff8b4abaf4a2",
-    "rates.txt": "561349604106001f9a32934db5ae6a17bfd09b50add8a3f55e86b355ac631f45",
-    "sigma_curves.csv": "e9e43e4e61bef7b4a059d9bb6ebc4968fb645d52e578c8148f8389ae9cf79197",
-    "spectrum_ref.csv": "ffc879b180572a81e2b4cd30635d3db6abc21731f7bb7761af19a9e42eb23737",
-    "spectrum_trans.csv": "efa5aa3a1f455b419cdac324e07b90157089afbd6a48eb1b33ab031886f9fa00",
+    "alpha_report.txt": "06f0f57aaf7ecfb6161cb48ffd7d26f0f9a4a3864ce5df095f8ed66eb5db92a6",
+    "counts_all.csv": "436bbd165b16cc4b49d3ab667d5bf18dbe68e96cf4786bbf42a675ac4a208e12",
+    "counts_heralded.csv": "282a7c3e2705aa08e028b992b5635974e1942537e2728cff5507f4b7cc273651",
+    "rates.txt": "42763f07d60f9b9ea0b32a02850c93e784bbae31e08cf04c5716d02c3642d139",
+    "sigma_curves.csv": "727b104b591c0e7b7051a113f3cf184e4625162ced415b2d47861e14be496cad",
+    "spectrum_ref.csv": "209f876fa6d0dafce6b277643384f9a25fba683f0da487e22925accec6b55d8f",
+    "spectrum_trans.csv": "ef5b587b3acaa570afba165daffa7564dea5e642ae15bdfe8e2f0e8b732004bd",
 }
 
 

@@ -9,7 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from artifact import montecarlo as mc
 from artifact.config import load_default_config
-from artifact.spdc import GridSpec, SpdcConfig, biphoton_amplitude
+from artifact.spdc import (
+    GridSpec,
+    Ridge,
+    SpdcConfig,
+    biphoton_amplitude,
+    pair_ridge,
+    port_energy_spectra,
+)
 from artifact.xoptics import load_table
 
 SMALL_GRID = GridSpec(9.5, 11.5, 200, 5.0e-3, 40, 10)
@@ -32,8 +39,8 @@ def _columns(stream):
 
 
 @pytest.fixture(scope="module")
-def amp_small():
-    return biphoton_amplitude(SpdcConfig(), SMALL_GRID)
+def ridge_small():
+    return pair_ridge(SpdcConfig(), SMALL_GRID)
 
 
 @pytest.fixture(scope="module")
@@ -46,11 +53,11 @@ def cfg():
     return load_default_config()
 
 
-def _pairs(amp_small, graphite, cfg, seed, window_s=None, **source_kw):
+def _pairs(ridge_small, graphite, cfg, seed, window_s=None, **source_kw):
     # Zero air and helium paths: exp(-0) = 1 exactly, so flight-path
     # absorption keeps every photon.
     source = replace(cfg.source, air_path_cm=0.0, helium_path_cm=0.0, **source_kw)
-    return mc.generate_pairs(amp_small, cfg.splitter, source, graphite,
+    return mc.generate_pairs(ridge_small, cfg.spdc.pump_energy_kev, cfg.splitter, source, graphite,
                              air=load_table("air"), helium=load_table("helium"),
                              rng=np.random.default_rng(seed), window_s=window_s)
 
@@ -80,8 +87,8 @@ def test_source_validation():
         mc.SourceConfig(duration_s=0.0)
 
 
-def test_pairs_conserve_energy_and_time(amp_small, graphite, cfg):
-    trig, herald = _pairs(amp_small, graphite, cfg, 5, pair_rate=200.0, duration_s=50.0)
+def test_pairs_conserve_energy_and_time(ridge_small, graphite, cfg):
+    trig, herald = _pairs(ridge_small, graphite, cfg, 5, pair_rate=200.0, duration_s=50.0)
     assert len(trig) > 0 and len(herald) > 0
     # Pair members share one creation time; match them on it.
     common, ti, hi = np.intersect1d(trig.time_ns, herald.time_ns, return_indices=True)
@@ -92,8 +99,8 @@ def test_pairs_conserve_energy_and_time(amp_small, graphite, cfg):
     assert np.all(trig.detector == mc.DET_TRIG)
 
 
-def test_generators_return_time_ordered_parts(amp_small, graphite, cfg):
-    trig, herald = _pairs(amp_small, graphite, cfg, 6, pair_rate=200.0, duration_s=5.0)
+def test_generators_return_time_ordered_parts(ridge_small, graphite, cfg):
+    trig, herald = _pairs(ridge_small, graphite, cfg, 6, pair_rate=200.0, duration_s=5.0)
     stray = mc.generate_stray(replace(cfg.source, duration_s=0.5), rng=np.random.default_rng(6))
     parts = [trig, herald, *stray]
     origins = [mc.ORIGIN_PAIR_TRIGGER, mc.ORIGIN_PAIR_HERALD] + [mc.ORIGIN_STRAY] * 3
@@ -104,17 +111,18 @@ def test_generators_return_time_ordered_parts(amp_small, graphite, cfg):
     for part, det in zip(stray, (mc.DET_TRIG, mc.DET_TRANS, mc.DET_REF)):
         assert np.all(part.detector == det)
     # No pairs: still two parts, empty, with the photon dtypes.
-    for part in _pairs(amp_small, graphite, cfg, 6, pair_rate=0.0):
+    for part in _pairs(ridge_small, graphite, cfg, 6, pair_rate=0.0):
         assert len(part) == 0
         assert [c.dtype for c in _columns(part)] == [np.float64, np.float64, np.int8, np.int8]
 
 
-def test_pairs_in_a_window_without_a_pair(amp_small, graphite, cfg):
+def test_pairs_in_a_window_without_a_pair(ridge_small, graphite, cfg):
     # The reference pair rate draws no pair in most 1 s windows.
     rate = cfg.source.pair_rate
     seed = next(s for s in range(100) if np.random.default_rng(s).poisson(rate) == 0)
     rng = np.random.default_rng(seed)
-    parts = mc.generate_pairs(amp_small, cfg.splitter, cfg.source, graphite,
+    parts = mc.generate_pairs(ridge_small, cfg.spdc.pump_energy_kev, cfg.splitter, cfg.source,
+                              graphite,
                               air=load_table("air"), helium=load_table("helium"),
                               rng=rng, window_s=(0.0, 1.0))
     for part in parts:
@@ -131,10 +139,10 @@ def test_pairs_in_a_window_without_a_pair(amp_small, graphite, cfg):
     assert rng.random() == reference.random()
 
 
-def test_generators_draw_inside_their_window(amp_small, graphite, cfg):
+def test_generators_draw_inside_their_window(ridge_small, graphite, cfg):
     t0, t1 = 7.0, 9.0
     source = replace(cfg.source, pair_rate=200.0)
-    pairs = _pairs(amp_small, graphite, cfg, 3, window_s=(t0, t1), pair_rate=200.0)
+    pairs = _pairs(ridge_small, graphite, cfg, 3, window_s=(t0, t1), pair_rate=200.0)
     stray = mc.generate_stray(source, rng=np.random.default_rng(4), window_s=(t0, t1))
     for part in (*pairs, *stray):
         assert len(part) > 0
@@ -163,9 +171,9 @@ def test_slice_edges_follow_the_photon_rate(cfg):
     assert mc.slice_edges_s(bright).tolist() == [0.0, 1.0, 2.0, 3.0, 3.5]
 
 
-def test_pair_stream_is_seed_deterministic(amp_small, graphite, cfg):
+def test_pair_stream_is_seed_deterministic(ridge_small, graphite, cfg):
     def columns(seed):
-        parts = _pairs(amp_small, graphite, cfg, seed, pair_rate=50.0, duration_s=20.0)
+        parts = _pairs(ridge_small, graphite, cfg, seed, pair_rate=50.0, duration_s=20.0)
         return [c for part in parts for c in _columns(part)]
 
     a, b, c = columns(7), columns(7), columns(8)
@@ -173,10 +181,47 @@ def test_pair_stream_is_seed_deterministic(amp_small, graphite, cfg):
     assert not all(np.array_equal(x, y) for x, y in zip(a, c))
 
 
-def test_heralded_energies_follow_amplitude_window(amp_small, graphite, cfg):
-    _trig, herald = _pairs(amp_small, graphite, cfg, 9, pair_rate=500.0, duration_s=20.0)
+def test_heralded_energies_follow_amplitude_window(ridge_small, graphite, cfg):
+    _trig, herald = _pairs(ridge_small, graphite, cfg, 9, pair_rate=500.0, duration_s=20.0)
     assert herald.energy_kev.min() >= SMALL_GRID.energy_lo_kev
     assert herald.energy_kev.max() <= SMALL_GRID.energy_hi_kev
+    assert np.isin(herald.energy_kev, ridge_small.energies).all()
+
+
+def test_pairs_draw_zeros_in_proportion_to_their_weights(graphite, cfg):
+    ridge = Ridge(np.array([9.8, 10.6]), np.zeros(2), np.array([1.0, 3.0]))
+    trig, _herald = _pairs(ridge, graphite, cfg, 2, pair_rate=1000.0, duration_s=10.0)
+    n = len(trig)
+    at_low = int(np.sum(trig.energy_kev == cfg.spdc.pump_energy_kev - 9.8))
+    assert np.isin(trig.energy_kev, cfg.spdc.pump_energy_kev - ridge.energies).all()
+    assert abs(at_low - 0.25 * n) < 5.0 * math.sqrt(0.25 * 0.75 * n)
+
+
+def test_heralded_energies_follow_the_w_port_spectra(ridge_small, graphite, cfg):
+    # The sampler draws whole lines at their zeros E0; W spreads the same
+    # lines over energy cells.  In 0.1 keV bins, wide against the lines'
+    # central lobes (about 0.2 eV), the heralded photons counted per bin and
+    # port follow W's port spectra (``port_energy_spectra``, whose cells
+    # take the splitter at their centres): chi^2 within 5 sigma of its
+    # degrees of freedom.  The two differ by the line tails W carries across
+    # bin edges (up to a few percent of a line whose zero lies within an eV
+    # of an edge), which adds about 10 to chi^2 at 4e5 pairs.
+    trig, herald = _pairs(ridge_small, graphite, cfg, 4, pair_rate=40_000.0, duration_s=10.0)
+    n_pairs = len(trig)  # no flight-path loss: one trigger per pair
+    energies, refl, trans = port_energy_spectra(biphoton_amplitude(SpdcConfig(), SMALL_GRID),
+                                                cfg.splitter, graphite)
+    cells_per_bin = 10
+    assert SMALL_GRID.n_energy % cells_per_bin == 0
+    edges = SMALL_GRID.energy_edges()[::cells_per_bin]
+    chi2, dof = 0.0, 0
+    for det, density in ((mc.DET_REF, refl), (mc.DET_TRANS, trans)):
+        want = n_pairs * density.reshape(-1, cells_per_bin).sum(axis=1) * SMALL_GRID.d_energy
+        got = np.histogram(herald.energy_kev[herald.detector == det], edges)[0]
+        kept = want >= 5.0
+        chi2 += float(np.sum((got[kept] - want[kept]) ** 2 / want[kept]))
+        dof += int(kept.sum())
+    assert dof >= 30
+    assert chi2 < dof + 5.0 * math.sqrt(2.0 * dof)
 
 
 def test_merge_streams_sorts_by_time():

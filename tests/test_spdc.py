@@ -19,7 +19,7 @@ from artifact.spdc import (
     sweep_grid,
     _Kinematics,
 )
-from artifact.splitter import reflectivity
+from artifact.splitter import reflectivity, response
 from artifact.xoptics import LatticeSpec, bragg_angle, transmittance, wavelength
 from conftest import port_rate_quadrature
 
@@ -612,6 +612,29 @@ def _full_grid_sweep(intensity, base, angles, air, air_path_cm):
                      for t in angles])
 
 
+def _binning_moments(cfg, grid):
+    """For each line k of the ridge on ``grid``, whose window holds every
+    line's band whole: its zero E0_k, the theta_x of its column in degrees,
+    and the first and second moments D1_k, D2_k of its deposits about E0_k
+    at the energy cell centres, each divided by the total deposited mass."""
+    e0, slope, column, row = spdc._ridge(_Kinematics(cfg.spdc), grid)
+    assert np.all((e0 >= grid.energy_lo_kev) & (e0 <= grid.energy_hi_kev))
+    lines = np.zeros((grid.n_energy, e0.size))  # one column per line
+    spdc._deposit_lines(lines, grid.energy_edges(), e0, slope, np.arange(e0.size),
+                        spdc._mirror_weight(grid, row))
+    offset = grid.energy_centers()[:, None] - e0
+    d1 = (lines * offset).sum(axis=0) / lines.sum()
+    d2 = (lines * offset**2).sum(axis=0) / lines.sum()
+    return e0, np.degrees(grid.theta_x_centers()[column]), d1, d2
+
+
+def _binning_terms(f, e0, d1, d2, h=1e-4):
+    """(sum_k f'(E0_k) D1_k, (1/2) sum_k |f''(E0_k)| D2_k) by central
+    differences, ``f`` taking the energies of every line at once."""
+    lo, mid, hi = f(e0 - h), f(e0), f(e0 + h)
+    return np.sum((hi - lo) / (2 * h) * d1), 0.5 * np.sum(np.abs(hi - 2 * mid + lo) / h**2 * d2)
+
+
 def test_sweep_fold_matches_the_w_fold_up_to_energy_binning(default_config, tables):
     # W holds each ridge line k as masses m_ki in the energy cells i around
     # its zero E0_k, and the W fold evaluates f = R * T_air at the cell
@@ -634,23 +657,38 @@ def test_sweep_fold_matches_the_w_fold_up_to_energy_binning(default_config, tabl
                                                      air=air, air_path_cm=path_cm)])
     diff = _full_grid_sweep(intensity, cfg.splitter, angles, air, path_cm) - got
 
-    e0, slope, column, row = spdc._ridge(_Kinematics(cfg.spdc), grid)
-    assert np.all((e0 >= grid.energy_lo_kev) & (e0 <= grid.energy_hi_kev))
-    lines = np.zeros((grid.n_energy, e0.size))  # one column per line
-    spdc._deposit_lines(lines, grid.energy_edges(), e0, slope, np.arange(e0.size),
-                        spdc._mirror_weight(grid, row))
-    offset = grid.energy_centers()[:, None] - e0
-    d1 = (lines * offset).sum(axis=0) / lines.sum()
-    d2 = (lines * offset**2).sum(axis=0) / lines.sum()
-    dtheta = np.degrees(grid.theta_x_centers()[column])
-    h = 1e-4
+    e0, dtheta, d1, d2 = _binning_moments(cfg, grid)
     for t, rate, gap in zip(angles, got, diff):
         spec = _retuned_spec(cfg.splitter, t)
-        f = [_rocking(spec, e, dtheta) * transmittance(e, air, path_cm) for e in (e0 - h, e0, e0 + h)]
-        first = np.sum((f[2] - f[0]) / (2 * h) * d1)
-        second = 0.5 * np.sum(np.abs(f[2] - 2 * f[1] + f[0]) / h**2 * d2)
+        first, second = _binning_terms(
+            lambda e: _rocking(spec, e, dtheta) * transmittance(e, air, path_cm), e0, d1, d2)
         assert abs(gap - first) <= second
         assert abs(first) + second < 1.5e-3 * rate
+
+
+@pytest.mark.parametrize("shape", [(400, 60, 12), (300, 40, 8), (150, 61, 5)])
+def test_ridge_rates_match_the_w_rates_up_to_energy_binning(default_config, tables, shape):
+    # The rate fractions fold R and T at the ridge zeros; the energy
+    # integrals of the port spectra fold them over W at the cell centres.
+    # As for the sweep, the W rate less the ridge rate is the first-order
+    # term sum_k f'(E0_k) D1_k / M up to (1/2) sum_k |f''(E0_k)| D2_k / M,
+    # with f = R or T at each line's theta_x.  On these grids, whose window
+    # holds every line's band whole, the two differ by 1.5e-5 to 7.1e-4
+    # (4.6e-3 of the rate, on the 150-cell energy grid), and by 1e-6 on the
+    # reference grid.
+    cfg = default_config
+    n_energy, n_x, n_y = shape
+    grid = replace(cfg.grid, n_energy=n_energy, n_x=n_x, n_y=n_y)
+    intensity = biphoton_amplitude(cfg.spdc, grid)
+    graphite = tables["graphite"]
+    got = spdc.port_rates(intensity.ridge, cfg.splitter, graphite)
+    want = port_rate_quadrature(intensity, cfg.splitter, graphite)
+    e0, dtheta, d1, d2 = _binning_moments(cfg, grid)
+    for port, (rate, w_rate) in enumerate(zip(got, want)):
+        first, second = _binning_terms(
+            lambda e: response(cfg.splitter, e, dtheta, graphite)[port], e0, d1, d2)
+        assert abs(w_rate - rate - first) <= second
+        assert abs(first) + second < 1e-3
 
 
 def test_sweep_grid_resolves_the_rocking_width(default_config):

@@ -51,6 +51,30 @@ def test_reflectivity_decays_off_peak(spec):
     assert r[-1] < 1e-9
 
 
+@pytest.mark.filterwarnings("error")
+def test_reflectivity_is_zero_past_the_cutoff_and_keeps_its_bits_below(spec, graphite):
+    # 2d = 1.1 A: lambda = 2d at 11.27 keV, and lower energies meet no
+    # Bragg reflection.  There R is 0 (without an arcsin of s > 1), so T is
+    # the absorption alone; above it R is A exp(-arg^2 / b^2) as before, bit
+    # for bit, with theta_B from xoptics.bragg_angle.
+    cut = replace(spec, lattice=LatticeSpec(0.55, "cut"), nominal_energy_kev=12.0)
+    cutoff_kev = 12.39842 / 1.1
+    e = np.linspace(8.5, 12.5, 41)[:, None]
+    d = np.linspace(-2.0, 2.0, 9)[None, :]
+    below = (e < cutoff_kev).ravel()
+    assert below.any() and not below.all()
+    r, t = response(cut, e, d, graphite)
+    assert np.all(r[below] == 0.0)
+    np.testing.assert_allclose(t[below], _absorption(cut, e, d, graphite)[below], rtol=1e-15, atol=0.0)
+    e_up = e[~below]
+    arg = d + cut.nominal_bragg_deg() - bragg_angle(e_up, cut.lattice)
+    want = np.exp(-np.square(arg / cut.width_deg)) * cut.peak_reflectivity
+    assert np.array_equal(r[~below].view(np.uint64), want.view(np.uint64))
+    assert r[~below].max() > 0.1
+    # A scalar below the cutoff gives a scalar 0.
+    assert reflectivity(cut, 9.0, 0.0) == 0.0
+
+
 def _absorption(spec, energy_kev, dtheta_deg, material):
     """exp(-mu * t / sin(incidence)) along the slant path through the plate."""
     incidence = np.radians(spec.nominal_bragg_deg() + np.asarray(dtheta_deg) + spec.mount_offset_deg)
