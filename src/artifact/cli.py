@@ -83,17 +83,17 @@ def _write_sweep(cfg: RunConfig, outdir: str, ridge, splitter, angles) -> None:
 
 def cmd_model(cfg: RunConfig, outdir: str) -> None:
     """Write the sweep curve, model port spectra, and rate-fraction summary,
-    all folded from one pair intensity (``spdc.sweep_grid``): the sweep and
-    the rate fractions (``spdc.port_rates``) from its ridge zeros, the
-    spectra from its W.  The sweep, which fails on a window without a ridge
-    zero, is written first."""
+    all folded from one ridge (``spdc.pair_ridge`` on ``spdc.sweep_grid``):
+    the sweep and the rate fractions (``spdc.port_rates``) at its zeros, the
+    spectra from its lines.  The sweep, which fails on a window without a
+    ridge zero, is written first."""
     grid = spdc_mod.sweep_grid(cfg.grid, cfg.splitter.width_deg)
-    intensity = spdc_mod.biphoton_amplitude(cfg.spdc, grid)
-    _write_sweep(cfg, outdir, intensity.ridge, cfg.splitter, np.linspace(5.0, 45.0, 81).tolist())
+    ridge = spdc_mod.pair_ridge(cfg.spdc, grid)
+    _write_sweep(cfg, outdir, ridge, cfg.splitter, np.linspace(5.0, 45.0, 81).tolist())
 
     graphite = load_table("graphite")
-    r_ref, r_trans = spdc_mod.port_rates(intensity.ridge, cfg.splitter, graphite)
-    energies, refl_dens, trans_dens = spdc_mod.port_energy_spectra(intensity, cfg.splitter, graphite)
+    r_ref, r_trans = spdc_mod.port_rates(ridge, cfg.splitter, graphite)
+    energies, refl_dens, trans_dens = spdc_mod.port_energy_spectra(ridge, grid, cfg.splitter, graphite)
     _write_rows(
         os.path.join(outdir, "model_spectra.csv"),
         "energy_kev,reflected_density,transmitted_density",
@@ -251,9 +251,8 @@ def cmd_analyze(cfg: RunConfig, events_path: str, outdir: str) -> None:
 def cmd_sweep(cfg: RunConfig, outdir: str, start: float, stop: float, num: int, width_scale: float) -> None:
     """Standalone Bragg-angle sweep, optionally scaling the rocking width.
 
-    The ridge of the pair intensity is solved on the config grid with
-    theta_x refined to the scaled width (``spdc.sweep_grid``); the 2-D W is
-    not built.
+    The pair ridge is solved on the config grid with theta_x refined to the
+    scaled width (``spdc.sweep_grid``).
     """
     if num < 1:
         raise ConfigError(f"--num must be at least 1, got {num}")

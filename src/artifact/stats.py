@@ -77,33 +77,6 @@ def counts_from_events(events: EventTable) -> CoincCounts:
     return CoincCounts(*(int(t.sum()) for t in tallies))
 
 
-def sigma(
-    events: EventTable,
-    window_ns: float,
-    *,
-    output: int = DET_TRANS,
-    energy_mode: str = "open",
-) -> float:
-    """Degree of correlation Var(N_t - N_h) / Mean(N_t + N_h).
-
-    Per event, N_t is the number of trigger-detector photons and N_h the
-    number of photons at ``output``, both restricted to |offset| <=
-    ``window_ns``.  With energy_mode="sum", on a table flagged by
-    ``energy_select``, an event qualifies on its full registered record:
-    either it is heralded at ``output``, or the output detector registered
-    nothing and a trigger photon carries the pump energy within the
-    selection's sum window (a pair partner that fell outside the
-    registration window leaves such a single-photon record).  Events with no
-    windowed photon at either detector are excluded.  Returns 0 for
-    perfectly correlated unit pairs and 1 in the independent-Poisson limit.
-    Raises ValueError when fewer than two events qualify.
-    """
-    value = sigma_curves(events, [window_ns], outputs=[output], energy_modes=[energy_mode])[0, 0, 0]
-    if np.isnan(value):
-        raise ValueError("need at least two qualifying events for sigma")
-    return float(value)
-
-
 def sigma_curves(
     events: EventTable,
     windows_ns,
@@ -111,15 +84,25 @@ def sigma_curves(
     outputs=(DET_TRANS, DET_REF),
     energy_modes=("sum", "open"),
 ) -> np.ndarray:
-    """``sigma`` for every (window, output, energy mode): a float array of
-    shape (len(windows_ns), len(outputs), len(energy_modes)).
+    """Degree of correlation Var(N_t - N_h) / Mean(N_t + N_h) for every
+    (window, output, energy mode): a float array of shape
+    (len(windows_ns), len(outputs), len(energy_modes)).
 
-    An entry is NaN where fewer than two events qualify (where ``sigma``
-    raises); every other entry is bit-identical to ``sigma`` with the same
-    arguments.  Each (output, mode)'s qualifying events are found once, and
-    one photon count per window serves every output and mode.  Raises
-    ValueError for an energy mode other than "open" or "sum", and for sum
-    mode on a table that ``energy_select`` has not flagged.
+    Per event, N_t is the number of trigger-detector photons and N_h the
+    number of photons at the output, both restricted to |offset| <= the
+    window.  In "sum" mode, on a table flagged by ``energy_select``, an
+    event qualifies on its full registered record: either it is heralded at
+    the output, or the output detector registered nothing and a trigger
+    photon carries the pump energy within the selection's sum window (a
+    pair partner that fell outside the registration window leaves such a
+    single-photon record); "open" mode takes every event.  Events with no
+    windowed photon at either detector are excluded.  An entry is 0 for
+    perfectly correlated unit pairs, 1 in the independent-Poisson limit and
+    NaN where fewer than two events qualify.  Each (output, mode)'s
+    qualifying events are found once, and one photon count per window
+    serves every output and mode.  Raises ValueError for an energy mode
+    other than "open" or "sum", and for sum mode on a table that
+    ``energy_select`` has not flagged.
     """
     if not set(energy_modes) <= {"open", "sum"}:
         raise ValueError("energy_mode must be 'open' or 'sum'")

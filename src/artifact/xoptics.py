@@ -65,8 +65,8 @@ class AttenuationTable:
     """Mass-attenuation samples for one material with log-log interpolation."""
 
     energies_kev: np.ndarray  # strictly increasing, keV
-    mu_over_rho: np.ndarray  # cm^2/g, positive
-    density: float  # g/cm^3
+    mu_over_rho: np.ndarray  # cm^2/g, finite and positive
+    density: float  # g/cm^3, finite and positive
     name: str = ""
 
     def __post_init__(self):
@@ -74,12 +74,13 @@ class AttenuationTable:
         m = np.asarray(self.mu_over_rho, dtype=float)
         if e.ndim != 1 or e.size < 2 or m.shape != e.shape:
             raise ValueError("attenuation table needs matching 1-D energy/value arrays")
-        if np.any(np.diff(e) <= 0):
+        # Written so that NaN and infinity fail.
+        if not np.all((e > 0) & (e < math.inf) & (m > 0) & (m < math.inf)):
+            raise ValueError("attenuation samples must be finite and positive")
+        if not np.all(np.diff(e) > 0):
             raise ValueError("attenuation energies must be strictly increasing")
-        if np.any(e <= 0) or np.any(m <= 0):
-            raise ValueError("attenuation samples must be positive")
-        if not self.density > 0:
-            raise ValueError("density must be positive")
+        if not 0.0 < self.density < math.inf:
+            raise ValueError("density must be finite and positive")
         object.__setattr__(self, "energies_kev", e)
         object.__setattr__(self, "mu_over_rho", m)
 

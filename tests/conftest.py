@@ -1,5 +1,6 @@
-"""Shared fixtures: reference configuration, amplitude grids, and a reusable
-Monte Carlo run sized so that pair statistics dominate the event stream."""
+"""Shared fixtures: reference configuration, the reference-grid pair ridge,
+and a reusable Monte Carlo run sized so that pair statistics dominate the
+event stream."""
 
 from dataclasses import replace
 
@@ -9,7 +10,6 @@ import pytest
 from artifact import daq, spdc
 from artifact.cli import simulate_events
 from artifact.config import load_default_config
-from artifact.splitter import reflectivity
 from artifact.xoptics import load_table
 
 
@@ -24,9 +24,9 @@ def tables():
 
 
 @pytest.fixture(scope="session")
-def amp_default(default_config):
-    """Biphoton amplitude on the reference grid (expensive; built once)."""
-    return spdc.biphoton_amplitude(default_config.spdc, default_config.grid)
+def ridge_default(default_config):
+    """The pair ridge on the reference grid, solved once."""
+    return spdc.pair_ridge(default_config.spdc, default_config.grid)
 
 
 def make_table(events):
@@ -42,20 +42,6 @@ def make_table(events):
         columns[:, 2].copy(),
         np.zeros(len(photons), dtype=np.int8),
     )
-
-
-def port_rate_quadrature(intensity, spec, material):
-    """Reflected and transmitted rate fractions as full-grid quadratures
-    sum(W * R) * dE * dtheta_x and sum(W * T) * dE * dtheta_x, with
-    T = (1 - R) * exp(-mu * t / sin(incidence))."""
-    e = intensity.energies[:, None]
-    dtheta = np.degrees(intensity.theta_x)[None, :]
-    r = reflectivity(spec, e, dtheta)
-    incidence = np.radians(spec.nominal_bragg_deg() + dtheta + spec.mount_offset_deg)
-    t = (1.0 - r) * np.exp(-material.linear_attenuation(e) * (spec.thickness_mm / 10.0)
-                           / np.sin(incidence))
-    area = intensity.grid.d_energy * intensity.grid.d_theta_x
-    return float(np.sum(intensity.weights * r) * area), float(np.sum(intensity.weights * t) * area)
 
 
 def run_chain(cfg, seed):

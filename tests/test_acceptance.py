@@ -72,7 +72,7 @@ def test_criterion_03_port_rate_fractions(model_outputs):
     _report(3, ok, f"r_reflected={r_r:.4f}, r_transmitted={r_t:.4f}")
 
 
-def test_criterion_04_rocking_width_scaling(default_config, amp_default, tables):
+def test_criterion_04_rocking_width_scaling(default_config, ridge_default, tables):
     base = default_config.splitter
     theta = base.nominal_bragg_deg()
     # Widening the rocking width by x100, from a perfect-crystal-like
@@ -87,9 +87,9 @@ def test_criterion_04_rocking_width_scaling(default_config, amp_default, tables)
         narrow_ridge, narrow_spec, [theta],
         air=tables["air"], air_path_cm=default_config.source.air_path_cm,
     )[0][1]
-    assert spdc.sweep_grid(default_config.grid, base.width_deg) is amp_default.grid
+    assert spdc.sweep_grid(default_config.grid, base.width_deg) is default_config.grid
     wide = spdc.bragg_angle_sweep(
-        amp_default.ridge, base, [theta],
+        ridge_default, base, [theta],
         air=tables["air"], air_path_cm=default_config.source.air_path_cm,
     )[0][1]
     ratio = wide / narrow
@@ -110,10 +110,10 @@ def test_criterion_05_sweep_monotone(model_outputs):
 
 
 def test_criterion_06_spectral_shape(
-    default_config, amp_default, tables, pair_dominated_run
+    default_config, ridge_default, tables, pair_dominated_run
 ):
     energies, _refl, trans = spdc.port_energy_spectra(
-        amp_default, default_config.splitter, tables["graphite"]
+        ridge_default, default_config.grid, default_config.splitter, tables["graphite"]
     )
     window = (energies > 9.8) & (energies < 11.2)
     seg_e, seg = energies[window], trans[window]
@@ -206,20 +206,22 @@ def _synthetic_events(n_t_arr, n_h_arr):
 
 def test_criterion_08_correlation_degree(pair_dominated_run):
     unit = _synthetic_events(np.ones(1000), np.ones(1000))
-    zero_ok = stats.sigma(unit, 800.0) == 0.0
+    zero_ok = stats.sigma_curves(unit, [800.0], outputs=[DET_TRANS],
+                                 energy_modes=["open"])[0, 0, 0] == 0.0
 
     rng = np.random.default_rng(19)
     poisson = _synthetic_events(rng.poisson(4.0, 1_000_000),
                                 rng.poisson(4.0, 1_000_000))
-    s_poisson = stats.sigma(poisson, 800.0)
+    s_poisson = stats.sigma_curves(poisson, [800.0], outputs=[DET_TRANS],
+                                   energy_modes=["open"])[0, 0, 0]
     poisson_ok = abs(s_poisson - 1.0) <= 0.05
 
     events = pair_dominated_run["events"]
     windows = (100.0, 200.0, 400.0, 600.0, 800.0)
     curves = {}
     for port in (DET_TRANS, DET_REF):
-        curves[port] = [stats.sigma(events, w, output=port, energy_mode="sum")
-                        for w in windows]
+        curves[port] = stats.sigma_curves(events, windows, outputs=[port],
+                                          energy_modes=["sum"])[:, 0, 0].tolist()
     monotone_ok = all(
         all(a < b for a, b in zip(curve, curve[1:])) and curve[0] > 0.01
         for curve in curves.values()

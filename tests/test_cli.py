@@ -195,14 +195,14 @@ def test_simulate_then_analyze_pipeline(tmp_path):
 
 def test_model_outputs(tmp_path, monkeypatch):
     # Coarse grid: this checks plumbing, not the calibrated ratios.
-    intensities = []
-    build = spdc.biphoton_amplitude
+    ridges = []
+    solve = spdc.pair_ridge
 
     def keep(*args, **kwargs):
-        intensities.append(build(*args, **kwargs))
-        return intensities[-1]
+        ridges.append(solve(*args, **kwargs))
+        return ridges[-1]
 
-    monkeypatch.setattr(spdc, "biphoton_amplitude", keep)
+    monkeypatch.setattr(spdc, "pair_ridge", keep)
     code = main(["model", "--outdir", str(tmp_path),
                  "--set", "grid.n_energy=300",
                  "--set", "grid.n_x=40",
@@ -212,10 +212,11 @@ def test_model_outputs(tmp_path, monkeypatch):
     values = dict(line.split(" = ") for line in summary.strip().splitlines())
     assert 0.0 < float(values["r_reflected"]) < 1.0
     assert 0.0 < float(values["r_transmitted"]) < 1.0
-    # The rate fractions fold the port responses at the ridge zeros of the
-    # one pair intensity, to the six digits written.
+    # The rate fractions fold the port responses at the zeros of the one
+    # ridge, to the six digits written.
     cfg = load_default_config()
-    want = spdc.port_rates(intensities[0].ridge, cfg.splitter, load_table("graphite"))
+    assert len(ridges) == 1
+    want = spdc.port_rates(ridges[0], cfg.splitter, load_table("graphite"))
     assert (values["r_reflected"], values["r_transmitted"]) == tuple(f"{r:.6f}" for r in want)
     spectra = np.loadtxt(tmp_path / "model_spectra.csv", delimiter=",", skiprows=1)
     assert spectra.shape[1] == 3
@@ -224,10 +225,14 @@ def test_model_outputs(tmp_path, monkeypatch):
     assert sweep.shape == (81, 2)
 
 
-@pytest.mark.parametrize("verb", [["model"], ["sweep", "--num", "5"]])
+@pytest.mark.parametrize("verb", [
+    ["model"],
+    ["sweep", "--num", "5"],
+    ["simulate", "--set", "source.duration_s=5", "--set", "source.pair_rate_hz=3"],
+])
 def test_verb_builds_one_pair_intensity(tmp_path, monkeypatch, verb):
-    # The rates, spectra and sweep fold one pair intensity: the ridge is
-    # solved once per verb.
+    # The rates, spectra, sweep and pair sampler fold one pair kernel: the
+    # ridge is solved once per verb, on the config grid.
     ridge = spdc._ridge
     grids = []
 
@@ -247,11 +252,12 @@ def test_verb_builds_one_pair_intensity(tmp_path, monkeypatch, verb):
 
 def test_narrow_sweep_solves_the_ridge_without_building_w(tmp_path, monkeypatch):
     # At x0.01 the sweep rule refines theta_x to 2985 columns; the sweep
-    # folds the ridge there and never deposits the 2-D pair intensity.
-    def no_w(*args, **kwargs):
-        raise AssertionError("sweep built the 2-D pair intensity")
+    # folds the ridge there and never spreads its lines over energy.
+    def no_spectra(*args, **kwargs):
+        raise AssertionError("sweep built the port spectra")
 
-    monkeypatch.setattr(spdc, "biphoton_amplitude", no_w)
+    monkeypatch.setattr(spdc, "port_energy_spectra", no_spectra)
+    monkeypatch.setattr(spdc, "_deposit_lines", no_spectra)
     code = main(["sweep", "--outdir", str(tmp_path), "--num", "5", "--width-scale", "0.01",
                  "--set", "grid.n_energy=300", "--set", "grid.n_y=4"])
     assert code == EXIT_OK
@@ -259,12 +265,13 @@ def test_narrow_sweep_solves_the_ridge_without_building_w(tmp_path, monkeypatch)
 
 
 def test_simulate_samples_the_ridge_without_building_w(tmp_path, monkeypatch):
-    # simulate draws its pairs from the ridge zeros alone: it never
-    # deposits the 2-D pair intensity.
-    def no_w(*args, **kwargs):
-        raise AssertionError("simulate built the 2-D pair intensity")
+    # simulate draws its pairs from the ridge zeros alone: it never spreads
+    # their lines over energy.
+    def no_spectra(*args, **kwargs):
+        raise AssertionError("simulate built the port spectra")
 
-    monkeypatch.setattr(spdc, "biphoton_amplitude", no_w)
+    monkeypatch.setattr(spdc, "port_energy_spectra", no_spectra)
+    monkeypatch.setattr(spdc, "_deposit_lines", no_spectra)
     assert main(["simulate", "--outdir", str(tmp_path), "--seed", "21"] + FAST) == EXIT_OK
     meta = (tmp_path / "run_meta.txt").read_text()
     assert "events = 0" not in meta

@@ -13,7 +13,6 @@ from artifact.spdc import (
     GridSpec,
     Ridge,
     SpdcConfig,
-    biphoton_amplitude,
     pair_ridge,
     port_energy_spectra,
 )
@@ -189,7 +188,7 @@ def test_heralded_energies_follow_amplitude_window(ridge_small, graphite, cfg):
 
 
 def test_pairs_draw_zeros_in_proportion_to_their_weights(graphite, cfg):
-    ridge = Ridge(np.array([9.8, 10.6]), np.zeros(2), np.array([1.0, 3.0]))
+    ridge = Ridge(np.array([9.8, 10.6]), np.zeros(2), np.array([1.0, 3.0]), np.full(2, 1.6e4))
     trig, _herald = _pairs(ridge, graphite, cfg, 2, pair_rate=1000.0, duration_s=10.0)
     n = len(trig)
     at_low = int(np.sum(trig.energy_kev == cfg.spdc.pump_energy_kev - 9.8))
@@ -198,18 +197,18 @@ def test_pairs_draw_zeros_in_proportion_to_their_weights(graphite, cfg):
 
 
 def test_heralded_energies_follow_the_w_port_spectra(ridge_small, graphite, cfg):
-    # The sampler draws whole lines at their zeros E0; W spreads the same
-    # lines over energy cells.  In 0.1 keV bins, wide against the lines'
-    # central lobes (about 0.2 eV), the heralded photons counted per bin and
-    # port follow W's port spectra (``port_energy_spectra``, whose cells
-    # take the splitter at their centres): chi^2 within 5 sigma of its
-    # degrees of freedom.  The two differ by the line tails W carries across
-    # bin edges (up to a few percent of a line whose zero lies within an eV
-    # of an edge), which adds about 10 to chi^2 at 4e5 pairs.
+    # The sampler draws whole lines at their zeros E0; the model port
+    # spectra (``port_energy_spectra``) spread the same lines, weighted by
+    # the same R and T at each zero, over the energy cells.  In 0.1 keV
+    # bins, wide against the lines' central lobes (about 0.2 eV), the
+    # heralded photons counted per bin and port follow those spectra: chi^2
+    # within 5 sigma of its degrees of freedom.  The two differ by the line
+    # tails the spectra carry across bin edges (up to a few percent of a
+    # line whose zero lies within an eV of an edge), which adds about 10 to
+    # chi^2 at 4e5 pairs.
     trig, herald = _pairs(ridge_small, graphite, cfg, 4, pair_rate=40_000.0, duration_s=10.0)
     n_pairs = len(trig)  # no flight-path loss: one trigger per pair
-    energies, refl, trans = port_energy_spectra(biphoton_amplitude(SpdcConfig(), SMALL_GRID),
-                                                cfg.splitter, graphite)
+    energies, refl, trans = port_energy_spectra(ridge_small, SMALL_GRID, cfg.splitter, graphite)
     cells_per_bin = 10
     assert SMALL_GRID.n_energy % cells_per_bin == 0
     edges = SMALL_GRID.energy_edges()[::cells_per_bin]

@@ -1,4 +1,4 @@
-"""Unit tests for the biphoton pair intensity, grid handling, port spectra and sweep."""
+"""Unit tests for the pair ridge, grid handling, port spectra and sweep."""
 
 import math
 import tracemalloc
@@ -12,23 +12,41 @@ from artifact import spdc
 from artifact.spdc import (
     GridSpec,
     SpdcConfig,
-    biphoton_amplitude,
     bragg_angle_sweep,
+    pair_ridge,
     port_energy_spectra,
+    port_rates,
     sinc,
     sweep_grid,
     _Kinematics,
 )
 from artifact.splitter import reflectivity, response
 from artifact.xoptics import LatticeSpec, bragg_angle, transmittance, wavelength
-from conftest import port_rate_quadrature
 
 SMALL_GRID = GridSpec(9.5, 11.5, 200, 5.0e-3, 40, 10)
 
 
 @pytest.fixture(scope="module")
-def amp_small():
-    return biphoton_amplitude(SpdcConfig(), SMALL_GRID)
+def ridge_small():
+    return pair_ridge(SpdcConfig(), SMALL_GRID)
+
+
+def _tail():
+    """The share of a sinc^2 line beyond |x| = LINE_HALF_WIDTH."""
+    return 1.0 - 2.0 * float(spdc._sinc2_antiderivative(spdc.LINE_HALF_WIDTH)) / math.pi
+
+
+def _unit_spectrum(ridge, grid):
+    """The mass of the ridge's lines in each energy cell of ``grid`` under a
+    unit response (R = 1 at every zero), before normalization."""
+    return spdc._deposit_lines(grid.energy_edges(), ridge.energies, ridge.slopes,
+                               ridge.weights[:, None])[0]
+
+
+def _whole_bands(ridge, grid):
+    """Whether the window holds each line's band, E0 +- LINE_HALF_WIDTH / s, whole."""
+    reach = spdc.LINE_HALF_WIDTH / ridge.slopes
+    return (ridge.energies - reach > grid.energy_lo_kev) & (ridge.energies + reach < grid.energy_hi_kev)
 
 
 def test_sinc_limits():
@@ -116,52 +134,93 @@ def test_grid_validation_and_spacings():
     assert len(g.theta_x_centers()) == g.n_x
 
 
-def test_amplitude_normalization(amp_small):
-    assert amp_small.total() == pytest.approx(1.0, rel=1e-12)
+def test_amplitude_normalization(ridge_small, default_config, tables):
+    # The spectra are normalized by the ridge's total weight: scaling every
+    # weight by a power of two leaves them the same bit for bit, and a
+    # window without a zero has nothing to normalize by.
+    args = (SMALL_GRID, default_config.splitter, tables["graphite"])
+    want = port_energy_spectra(ridge_small, *args)
+    scaled = replace(ridge_small, weights=ridge_small.weights * 8.0)
+    for got, expected in zip(port_energy_spectra(scaled, *args), want):
+        assert np.array_equal(got, expected)
+    empty = pair_ridge(SpdcConfig(), GridSpec(13.0, 13.5, 50, 5.0e-3, 20, 3))
+    assert empty.energies.size == 0
+    with pytest.raises(spdc.EmptyWindowError):
+        port_energy_spectra(empty, *args)
 
 
-def test_unnormalized_amplitude_scale():
-    # Per unit kappa_L^2 each (E, theta_x, theta_y) cell carries at most 1
-    # (sinc^2 <= 1); summing n_y cells of width d_theta_y bounds W by the
-    # angle span.
-    w = biphoton_amplitude(SpdcConfig(), SMALL_GRID, normalize=False)
-    bound = SMALL_GRID.angle_span_rad
-    assert np.max(w.weights) <= bound * (1 + 1e-12)
+def test_unnormalized_amplitude_scale(ridge_small):
+    # Per unit kappa_L^2 the line of a (theta_x, theta_y) point of area
+    # a = d_theta_x d_theta_y (doubled for a mirrored row) averages at most
+    # 1 across an energy cell (sinc^2 <= 1), and puts at most its whole
+    # mass a pi / s in it.  So each cell holds at most the sum of
+    # a min(dE, pi / s) over the lines whose band covers it.
+    grid, ridge = SMALL_GRID, ridge_small
+    mass = _unit_spectrum(ridge, grid)
+    edges = grid.energy_edges()
+    reach = (spdc.LINE_HALF_WIDTH / ridge.slopes)[:, None]
+    covers = ((ridge.energies[:, None] + reach > edges[:-1])
+              & (ridge.energies[:, None] - reach < edges[1:]))
+    area = ridge.weights * ridge.slopes / math.pi
+    bound = (area * np.minimum(grid.d_energy, math.pi / ridge.slopes)) @ covers
+    assert np.all(mass <= bound * (1 + 1e-12))
 
 
-def test_energy_marginal_integrates_to_total(amp_small):
-    density = amp_small.weights.sum(axis=1) * amp_small.grid.d_theta_x
-    assert np.sum(density) * amp_small.grid.d_energy == pytest.approx(1.0, rel=1e-12)
-    assert np.all(density >= 0)
+def test_energy_marginal_integrates_to_total(ridge_small):
+    # Each line's cells telescope to its share within the window and the
+    # band, F(x_hi) - F(x_lo) over pi with x = s (E - E0) at the window
+    # edges clipped to +-LINE_HALF_WIDTH, even where an edge cuts the band.
+    mass = _unit_spectrum(ridge_small, SMALL_GRID)
+    assert np.all(mass >= 0)
+    X = spdc.LINE_HALF_WIDTH
+    window = np.array([SMALL_GRID.energy_lo_kev, SMALL_GRID.energy_hi_kev])
+    x = np.clip(ridge_small.slopes[:, None] * (window - ridge_small.energies[:, None]), -X, X)
+    share = np.diff(spdc._sinc2_antiderivative(x), axis=1)[:, 0] / math.pi
+    want = float(ridge_small.weights @ share)
+    assert mass.sum() == pytest.approx(want, rel=1e-12)
+    # The window cuts some bands, so less than every whole line is left.
+    assert not _whole_bands(ridge_small, SMALL_GRID).all()
+    assert want < ridge_small.total() * (1.0 - _tail())
 
 
-@pytest.mark.parametrize("grid", [
-    SMALL_GRID,
+# Windows that hold every line's band whole.
+WHOLE_BAND_GRIDS = [
+    GridSpec(8.5, 12.5, 700, 5.0e-3, 9, 3),
     GridSpec(8.5, 12.5, 300, 5.0e-3, 40, 8),
-    GridSpec(9.0, 12.0, 150, 4.0e-3, 61, 5),
-])
+    GridSpec(8.5, 12.5, 150, 4.0e-3, 61, 5),
+]
+
+
+@pytest.mark.parametrize("grid", WHOLE_BAND_GRIDS)
 def test_port_spectra_integrate_to_the_rate_quadrature(default_config, tables, grid):
-    # xbsim model writes each port's rate fraction as the energy integral of
-    # its spectrum.
-    intensity = biphoton_amplitude(default_config.spdc, grid)
+    # Each port density integrates over energy to that port's rate fraction
+    # (``port_rates``, the quadrature of R or T over the ridge zeros) times
+    # the share of a line within |x| <= LINE_HALF_WIDTH.
+    ridge = pair_ridge(default_config.spdc, grid)
+    assert _whole_bands(ridge, grid).all()
     spec = replace(default_config.splitter, mount_offset_deg=0.05)
-    energies, refl, trans = port_energy_spectra(intensity, spec, tables["graphite"])
-    assert np.array_equal(energies, intensity.energies)
-    want = port_rate_quadrature(intensity, spec, tables["graphite"])
+    energies, refl, trans = port_energy_spectra(ridge, grid, spec, tables["graphite"])
+    assert np.array_equal(energies, grid.energy_centers())
+    want = np.array(port_rates(ridge, spec, tables["graphite"])) * (1.0 - _tail())
     got = (refl.sum() * grid.d_energy, trans.sum() * grid.d_energy)
-    assert 0.0 < want[0] < 1.0 and 0.0 < want[1] < 1.0
+    assert np.all((0.0 < want) & (want < 1.0))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_cell_average_preserves_total_under_refinement():
-    # Integrating each ridge line across the cells makes the integrated
-    # intensity stable even though the line is far narrower than a cell.
+    # Integrating each ridge line across the cells makes the spectra stable
+    # under energy refinement even though the line is far narrower than a
+    # cell: a grid three times finer holds the same mass, and its cells
+    # summed in threes give the coarse cells.
     cfg = SpdcConfig()
-    coarse = biphoton_amplitude(cfg, GridSpec(9.5, 11.5, 300, 5.0e-3, 60, 10),
-                                normalize=False)
-    fine = biphoton_amplitude(cfg, GridSpec(9.5, 11.5, 900, 5.0e-3, 60, 10),
-                              normalize=False)
-    assert coarse.total() == pytest.approx(fine.total(), rel=2e-2)
+    coarse_grid = GridSpec(9.5, 11.5, 300, 5.0e-3, 60, 10)
+    fine_grid = replace(coarse_grid, n_energy=900)
+    ridge = pair_ridge(cfg, coarse_grid)
+    assert np.array_equal(pair_ridge(cfg, fine_grid).energies, ridge.energies)
+    coarse, fine = _unit_spectrum(ridge, coarse_grid), _unit_spectrum(ridge, fine_grid)
+    assert fine.sum() == pytest.approx(coarse.sum(), rel=1e-12)
+    np.testing.assert_allclose(fine.reshape(-1, 3).sum(axis=1), coarse,
+                               rtol=0.0, atol=1e-12 * coarse.max())
 
 
 @settings(max_examples=200, deadline=None)
@@ -194,7 +253,7 @@ def test_kernel_evaluates_the_non_negative_theta_y_half(monkeypatch, n_y):
 
     monkeypatch.setattr(_Kinematics, "half_phase", recording(half_phase))
     monkeypatch.setattr(_Kinematics, "half_phase_slope", recording(slope))
-    biphoton_amplitude(SpdcConfig(), grid)
+    pair_ridge(SpdcConfig(), grid)
     rows = grid.theta_y_centers()[n_y // 2 :]
     assert rows.size == math.ceil(n_y / 2) and np.all(rows > -1e-15)
     assert np.array_equal(np.unique(np.concatenate(evaluated)), rows)
@@ -255,15 +314,14 @@ def _ridge_key(kin, grid, e0, column, row):
     return (row * nodes.size + bracket) * grid.n_x + column
 
 
-def _band_meets_window(grid, e0, slope):
-    """Whether each line's band, E0 +- LINE_HALF_WIDTH / s, meets the window."""
-    reach = spdc.LINE_HALF_WIDTH / slope
-    return (e0 + reach > grid.energy_lo_kev) & (e0 - reach < grid.energy_hi_kev)
+def _in_window(grid, e0):
+    return (e0 >= grid.energy_lo_kev) & (e0 <= grid.energy_hi_kev)
 
 
 def _line_bound(cfg, grid, sub_kev, ridge):
-    """Upper bound on sum |W_ridge - W_exact| dE dtheta_x, from the error
-    terms ``biphoton_amplitude`` states plus the reference's own.  Each
+    """Upper bound on the summed |kernel - exact| mass of the (energy,
+    theta_x) cells, from the error terms ``port_energy_spectra`` states
+    plus the reference's own.  Each
     (theta_x, theta_y) point's line carries d_theta_y d_theta_x pi / s per
     unit kappa_L^2; as shares of that, the ridge may drop the tail beyond
     |x| = X, at most 1 / (pi X), and misplace c (ln 2X + 1 + N) / (pi s^2) by the
@@ -272,9 +330,9 @@ def _line_bound(cfg, grid, sub_kev, ridge):
     misstates the slope, and so the mass, by at most c * sub_kev / s.  s
     and c = max |x''| (at E0 and the band ends) are central differences at
     the ridge's zeros, and every theta_y row counts, the mirrored ones
-    included.  Where a line's band misses the window the exact W holds at
-    most its tail.  ``ridge`` is ``_bisected_ridge``'s, every zero in
-    0 < E < E_pump."""
+    included.  Where a line's band misses the window the exact intensity
+    holds at most its tail.  ``ridge`` is ``_bisected_ridge``'s, every zero
+    in 0 < E < E_pump."""
     kin = _Kinematics(cfg)
     e0, _slope, column, row, _key = ridge
     tx = grid.theta_x_centers()[column]
@@ -313,31 +371,36 @@ def _line_bound(cfg, grid, sub_kev, ridge):
 def test_pair_intensity_kernel_matches_3d_reference(lo, width, n_energy, n_x, n_y):
     # The reference integrates sinc^2 of the exact mismatch across every
     # (energy, theta_x, theta_y) cell of the window, in sub-cells of at
-    # most 0.25 eV; the ridge deposits each line from its zero.  They
-    # differ by at most the dropped tails, the linearisation and the
-    # reference's secants (_line_bound).
+    # most 0.25 eV, and sums over the angles; the kernel spreads the line
+    # of each zero in the window from that zero, here under a unit
+    # response.  They differ by at most the dropped tails, the
+    # linearisation and the reference's secants (_line_bound), plus the
+    # mass in the window of the lines whose zeros lie outside it, which the
+    # kernel leaves out.
     cfg = SpdcConfig()
     grid = GridSpec(lo, lo + width, n_energy, 5.0e-3, n_x, n_y)
-    raw = biphoton_amplitude(cfg, grid, normalize=False)
+    mass = _unit_spectrum(pair_ridge(cfg, grid), grid)
     average, sub_kev = _exact_cell_average(cfg, grid, 2.5e-4)
-    expected = average * grid.d_theta_y
+    expected = average.sum(axis=1) * grid.d_theta_y * grid.d_theta_x * grid.d_energy
 
-    # The ridge solve keeps every zero whose line band meets the window.
+    # The ridge solve keeps every zero in the window.
     kin = _Kinematics(cfg)
     reference = _bisected_ridge(kin, grid)
-    e0, slope, _column, _row, key = reference
+    e0, slope, _column, row, key = reference
+    inside = _in_window(grid, e0)
     solved_e0, _slope, solved_column, solved_row = spdc._ridge(kin, grid)
-    solved_key = _ridge_key(kin, grid, solved_e0, solved_column, solved_row)
-    assert np.isin(key[_band_meets_window(grid, e0, slope)], solved_key).all()
-    bound = _line_bound(cfg, grid, sub_kev, reference)
-    assert raw.weights.shape == (n_energy, n_x)
-    assert np.all(raw.weights >= 0)
-    error = np.abs(raw.weights - expected).sum() * raw.cell_area
-    assert error <= bound
-    if raw.total() > 0:
-        normalized = biphoton_amplitude(cfg, grid)
-        assert np.all(normalized.weights >= 0)
-        assert normalized.total() == pytest.approx(1.0, rel=1e-12)
+    assert np.array_equal(_ridge_key(kin, grid, solved_e0, solved_column, solved_row), key[inside])
+
+    X = spdc.LINE_HALF_WIDTH
+    window = np.array([grid.energy_lo_kev, grid.energy_hi_kev])
+    x = np.clip(slope[:, None] * (window - e0[:, None]), -X, X)
+    share = np.diff(spdc._sinc2_antiderivative(x), axis=1)[:, 0] / math.pi
+    mult = np.where((grid.n_y % 2 == 1) & (row == 0), 1.0, 2.0)
+    left_out = np.sum((mult * grid.d_theta_y * grid.d_theta_x * math.pi / slope * share)[~inside])
+    bound = _line_bound(cfg, grid, sub_kev, reference) + left_out
+    assert mass.shape == (n_energy,)
+    assert np.all(mass >= 0)
+    assert np.abs(mass - expected).sum() <= bound
 
 
 @pytest.fixture(scope="module")
@@ -374,8 +437,8 @@ def test_ridge_zeros_and_slopes(reference_ridge):
 # Windows with an even and an odd n_y; one whose lower edge cuts the
 # lowest lines (E0 from 8.714 keV) within their 68 eV bands; one narrower
 # than a node spacing and one between two adjacent nodes (10.17 and 10.5
-# keV); one above the ridge, where the margin widens to every node; and
-# the n_x = 2985 grid of ``sweep --width-scale 0.01``.
+# keV); one above the ridge, which holds no zero; and the n_x = 2985 grid
+# of ``sweep --width-scale 0.01``.
 RIDGE_GRIDS = {
     "even_n_y": SMALL_GRID,
     "odd_n_y": GridSpec(9.0, 11.0, 100, 5.0e-3, 25, 7),
@@ -392,35 +455,18 @@ def test_ridge_solve_matches_bisection(grid):
     kin = _Kinematics(SpdcConfig())
     ref_e0, ref_slope, _column, _row, ref_key = _bisected_ridge(kin, grid)
     e0, slope, column, row = spdc._ridge(kin, grid)
-    key = _ridge_key(kin, grid, e0, column, row)
-    # The same zeros in the same order: a subsequence of the reference's.
-    assert np.all(np.diff(ref_key) > 0) and np.all(np.diff(key) > 0)
-    at = np.minimum(np.searchsorted(ref_key, key), ref_key.size - 1)
-    assert np.array_equal(ref_key[at], key)
-    np.testing.assert_allclose(e0, ref_e0[at], rtol=0.0, atol=1e-10)
-    np.testing.assert_allclose(slope, ref_slope[at], rtol=1e-9)
-    # Every zero whose line band meets the window is among them.
-    meets = _band_meets_window(grid, ref_e0, ref_slope)
-    assert meets.any() == (grid is not RIDGE_GRIDS["above_ridge"])
-    assert np.isin(ref_key[meets], key).all()
-
-
-def test_ridge_margin_widens_to_every_line_band(monkeypatch):
-    # Bands of LINE_HALF_WIDTH / s = 0.95 keV exceed the first margin of
-    # two node spacings (0.66 keV), so the solve widens it until they fit.
-    monkeypatch.setattr(spdc, "LINE_HALF_WIDTH", 1.5e4)
-    kin, grid = _Kinematics(SpdcConfig()), GridSpec(10.4, 10.6, 50, 5.0e-3, 20, 4)
-    ref_e0, ref_slope, _column, _row, ref_key = _bisected_ridge(kin, grid)
-    e0, slope, column, row = spdc._ridge(kin, grid)
-    assert np.all(spdc.LINE_HALF_WIDTH / slope > 2 * kin.pump_kev / 64)
-    meets = _band_meets_window(grid, ref_e0, ref_slope)
-    assert not meets.all()
-    assert np.isin(ref_key[meets], _ridge_key(kin, grid, e0, column, row)).all()
+    # The same zeros in the same order: the reference's zeros in the window.
+    inside = _in_window(grid, ref_e0)
+    assert inside.any() == (grid is not RIDGE_GRIDS["above_ridge"])
+    assert np.all(np.diff(ref_key) > 0)
+    assert np.array_equal(_ridge_key(kin, grid, e0, column, row), ref_key[inside])
+    np.testing.assert_allclose(e0, ref_e0[inside], rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(slope, ref_slope[inside], rtol=1e-9)
 
 
 def test_sweep_grid_ridge_peak_memory(default_config):
-    # The ridge evaluates only the nodes near the window, one theta_y row
-    # at a time: 12.8 MiB of tracemalloc peak on the n_x = 2985 grid of
+    # The ridge evaluates only the nodes that span the window, one theta_y
+    # row at a time: 12.7 MiB of tracemalloc peak on the n_x = 2985 grid of
     # ``sweep --width-scale 0.01``.  Bracketing every node in
     # 0 < E < E_pump takes 15.9 MiB, and one (row, node, column) array
     # about 60 MiB.
@@ -438,99 +484,97 @@ def test_sweep_grid_ridge_peak_memory(default_config):
 
 def test_line_carries_pi_over_slope_less_the_dropped_tail():
     X = spdc.LINE_HALF_WIDTH
-    tail = 1.0 - 2.0 * float(spdc._sinc2_antiderivative(X)) / math.pi
+    tail = _tail()
     assert (X / math.pi) == round(X / math.pi)
     assert 0.0 < tail < 1.0 / (math.pi * X) < 3e-4
     # One theta_y row (counted once) and a window holding every band whole:
-    # each theta_x column carries its one line's mass.
+    # each line's cells carry its weight pi / s * d_theta_y * d_theta_x
+    # less the tail it drops.
     cfg, grid = SpdcConfig(), GridSpec(8.5, 12.5, 700, 5.0e-3, 9, 1)
-    e0, slope, column, _row = spdc._ridge(_Kinematics(cfg), grid)
-    assert np.array_equal(np.sort(column), np.arange(grid.n_x))
-    assert np.all((e0 - X / slope > 8.5) & (e0 + X / slope < 12.5))
-    w = biphoton_amplitude(cfg, grid, normalize=False).weights
-    want = grid.d_theta_y * math.pi / slope[np.argsort(column)] * (1.0 - tail)
-    np.testing.assert_allclose(w.sum(axis=0) * grid.d_energy, want, rtol=1e-12)
+    ridge = pair_ridge(cfg, grid)
+    assert np.array_equal(np.sort(ridge.theta_x), grid.theta_x_centers())
+    assert _whole_bands(ridge, grid).all()
+    lines = spdc._deposit_lines(grid.energy_edges(), ridge.energies, ridge.slopes,
+                                np.diag(ridge.weights))
+    want = grid.d_theta_y * grid.d_theta_x * math.pi / ridge.slopes * (1.0 - tail)
+    np.testing.assert_allclose(lines.sum(axis=1), want, rtol=1e-12)
 
 
 def test_point_without_a_root_in_the_window_carries_no_weight():
     # On a 20 mrad span the ridge runs from about 5.3 to 17.5 keV, so a
-    # 9-11 keV window leaves theta_x columns all of whose lines miss it.
+    # 9-11 keV window leaves theta_x columns without a zero in it: the
+    # ridge, and every fold of it, carries no weight there.
     cfg, grid = SpdcConfig(), GridSpec(9.0, 11.0, 200, 2.0e-2, 41, 6)
-    e0, slope, column, _row = spdc._ridge(_Kinematics(cfg), grid)
-    reach = spdc.LINE_HALF_WIDTH / slope
-    meets = (e0 + reach > grid.energy_lo_kev) & (e0 - reach < grid.energy_hi_kev)
+    e0, _slope, column, _row, _key = _bisected_ridge(_Kinematics(cfg), grid)
     lit = np.zeros(grid.n_x, dtype=bool)
-    lit[column[meets]] = True
+    lit[column[_in_window(grid, e0)]] = True
     assert lit.any() and not lit.all()
-    w = biphoton_amplitude(cfg, grid, normalize=False).weights
-    assert np.array_equal(w.any(axis=0), lit)
+    ridge = pair_ridge(cfg, grid)
+    assert np.array_equal(np.isin(grid.theta_x_centers(), ridge.theta_x), lit)
 
 
 @pytest.mark.parametrize("edges_per_pass", [1, 500, 1 << 19])
-def test_kernel_is_identical_for_every_pass_size(monkeypatch, amp_small, edges_per_pass):
-    # The passes add the lines in the same order, so W is the same bit for
-    # bit (1 edge gives one line per pass).
+def test_kernel_is_identical_for_every_pass_size(
+    monkeypatch, ridge_small, default_config, tables, edges_per_pass
+):
+    # The passes add the lines in the same order, so the spectra are the
+    # same bit for bit (1 edge gives one line per pass).
+    args = (ridge_small, SMALL_GRID, default_config.splitter, tables["graphite"])
+    want = port_energy_spectra(*args)
     monkeypatch.setattr(spdc, "_EDGES_PER_PASS", edges_per_pass)
-    w = biphoton_amplitude(SpdcConfig(), SMALL_GRID).weights
-    assert w.tobytes() == amp_small.weights.tobytes()
+    for got, expected in zip(port_energy_spectra(*args), want):
+        assert got.tobytes() == expected.tobytes()
 
 
-def test_reference_grid_kernel_peak_memory():
+def test_reference_grid_kernel_peak_memory(default_config, tables):
     # Deterministic bound on the kernel's temporaries: tracemalloc counts
-    # numpy's buffers, so the ridge's line-by-cell temporaries must keep the
-    # peak far below the hundreds of MB a whole-grid evaluation would take.
+    # numpy's buffers, so the ridge solve and the line-by-cell temporaries
+    # of the spectra must keep the peak far below the hundreds of MB a
+    # whole-grid evaluation would take.
+    grid = GridSpec()
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
-        biphoton_amplitude(SpdcConfig(), GridSpec())
+        ridge = pair_ridge(SpdcConfig(), grid)
+        port_energy_spectra(ridge, grid, default_config.splitter, tables["graphite"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
 
 
-def test_reference_grid_weights_are_2d(default_config, amp_default):
-    grid = default_config.grid
-    assert amp_default.weights.dtype == np.float64
-    assert amp_default.weights.nbytes == grid.n_energy * grid.n_x * 8
-
-
 def test_sweep_rejects_out_of_range_angle_before_building_splitters(
-    default_config, amp_small, tables
+    default_config, ridge_small, tables
 ):
     # Retuning the splitter divides by sin(theta_B), so theta_B = 0 must be
     # rejected before any angle's splitter is built.
     for angles in ([0.0, 5.0, 10.0], [10.0, 90.0], [-5.0]):
         with pytest.raises(ValueError, match="0, 90"):
-            bragg_angle_sweep(amp_small.ridge, default_config.splitter, angles,
+            bragg_angle_sweep(ridge_small, default_config.splitter, angles,
                               air=tables["air"], air_path_cm=10.0)
 
 
-def test_ridge_keeps_the_zeros_in_the_window_with_their_line_weights(default_config):
-    cfg = default_config.spdc
-    # The 9.5-11.5 keV window leaves out some zeros of the 8.7-11.8 keV ridge.
+def test_ridge_keeps_the_zeros_in_the_window_with_their_line_weights():
+    cfg = SpdcConfig()
     kin = _Kinematics(cfg)
-    e0, slope, column, row = spdc._ridge(kin, SMALL_GRID)
-    inside = (e0 >= SMALL_GRID.energy_lo_kev) & (e0 <= SMALL_GRID.energy_hi_kev)
+    # The 9.5-11.5 keV window leaves out some zeros of the 8.7-11.8 keV
+    # ridge; the solve returns only the ones in it.
+    ref_e0 = _bisected_ridge(kin, SMALL_GRID)[0]
+    inside = _in_window(SMALL_GRID, ref_e0)
     assert inside.any() and not inside.all()
-    ridge = biphoton_amplitude(cfg, SMALL_GRID).ridge
-    assert np.array_equal(ridge.energies, e0[inside])
-    assert np.array_equal(ridge.theta_x, SMALL_GRID.theta_x_centers()[column[inside]])
-    # pair_ridge solves the same ridge without depositing W.
-    alone = spdc.pair_ridge(cfg, SMALL_GRID)
-    for name in ("energies", "theta_x", "weights"):
-        assert np.array_equal(getattr(alone, name), getattr(ridge, name))
-    # A window holding every line's band whole, with an odd n_y: W carries
-    # each line's weight less the tail it drops, the same share for every
-    # line, and the theta_y = 0 row counts once.
+    e0 = spdc._ridge(kin, SMALL_GRID)[0]
+    assert e0.size == inside.sum() and _in_window(SMALL_GRID, e0).all()
+    # pair_ridge keeps them with their angles, slopes and whole-line
+    # weights; with an odd n_y the theta_y = 0 row counts once.
     grid = GridSpec(8.5, 12.5, 700, 5.0e-3, 9, 3)
-    raw = biphoton_amplitude(cfg, grid, normalize=False)
+    ridge = pair_ridge(cfg, grid)
     e0, slope, column, row = spdc._ridge(kin, grid)
+    assert np.array_equal(ridge.energies, e0)
+    assert np.array_equal(ridge.theta_x, grid.theta_x_centers()[column])
+    assert np.array_equal(ridge.slopes, slope)
     mirror = np.where(row == 0, 1.0, 2.0)
     want = math.pi * grid.d_theta_y * grid.d_theta_x * mirror / slope
-    np.testing.assert_allclose(raw.ridge.weights, want, rtol=1e-15)
-    tail = 1.0 - 2.0 * float(spdc._sinc2_antiderivative(spdc.LINE_HALF_WIDTH)) / math.pi
-    assert raw.total() == pytest.approx(raw.ridge.weights.sum() * (1.0 - tail), rel=1e-12)
+    np.testing.assert_allclose(ridge.weights, want, rtol=1e-15)
 
 
 def _retuned_spec(base, t):
@@ -564,7 +608,7 @@ def _ridge_sweep(ridge, base, angles, air=None, air_path_cm=10.0):
 @pytest.mark.parametrize("width_scale", [1.0, 0.1, 0.01])
 @pytest.mark.parametrize("with_air", [False, True])
 def test_sweep_fold_matches_ridge_reference(
-    default_config, amp_small, tables, width_scale, with_air
+    default_config, ridge_small, tables, width_scale, with_air
 ):
     spec = replace(default_config.splitter,
                    width_deg=default_config.splitter.width_deg * width_scale)
@@ -572,7 +616,7 @@ def test_sweep_fold_matches_ridge_reference(
     # A 0 cm air path multiplies each weight by exp(-0) = 1 and matches the
     # reference without air.
     path_cm = 10.0 if with_air else 0.0
-    ridge = amp_small.ridge
+    ridge = ridge_small
     got = bragg_angle_sweep(ridge, spec, angles, air=tables["air"], air_path_cm=path_cm)
     assert [t for t, _ in got] == angles
     rates = np.array([r for _, r in got])
@@ -591,7 +635,7 @@ def test_sweep_counts_no_reflection_beyond_the_retuned_cutoff(default_config, ta
     # 10.5 / sqrt(2) = 7.42 keV, where lambda exceeds 2d: a zero at 7 keV
     # adds weight to the total and no rate, without an arcsin of s > 1.
     spec = default_config.splitter
-    ridge = spdc.Ridge(np.array([7.0, 10.5]), np.zeros(2), np.ones(2))
+    ridge = spdc.Ridge(np.array([7.0, 10.5]), np.zeros(2), np.ones(2), np.full(2, 1.6e4))
     with pytest.raises(ValueError, match="no Bragg reflection"):
         bragg_angle(7.0, _retuned_spec(spec, 45.0).lattice)
     got = dict(bragg_angle_sweep(ridge, spec, [10.0, 45.0], air=tables["air"], air_path_cm=0.0))
@@ -601,31 +645,30 @@ def test_sweep_counts_no_reflection_beyond_the_retuned_cutoff(default_config, ta
                                       rel=1e-12)
 
 
-def _full_grid_sweep(intensity, base, angles, air, air_path_cm):
-    """The sweep folded over the 2-D W, (W * T_air * R).sum() / W.sum(),
-    with the splitter and the air evaluated at the energy cell centres."""
-    w = intensity.weights
-    e = intensity.energies[:, None]
-    dtheta = np.degrees(intensity.theta_x)[None, :]
-    w_air = w * transmittance(e, air, air_path_cm)
-    return np.array([float((w_air * _rocking(_retuned_spec(base, t), e, dtheta)).sum() / w.sum())
-                     for t in angles])
+def _spread_lines(cfg, grid):
+    """The ridge on ``grid``, whose window holds every line's band whole,
+    and its lines spread over the energy cells: masses m_ki, one row per
+    line k."""
+    ridge = pair_ridge(cfg.spdc, grid)
+    assert _whole_bands(ridge, grid).all()
+    lines = spdc._deposit_lines(grid.energy_edges(), ridge.energies, ridge.slopes,
+                                np.diag(ridge.weights))
+    return ridge, lines
 
 
-def _binning_moments(cfg, grid):
-    """For each line k of the ridge on ``grid``, whose window holds every
-    line's band whole: its zero E0_k, the theta_x of its column in degrees,
-    and the first and second moments D1_k, D2_k of its deposits about E0_k
-    at the energy cell centres, each divided by the total deposited mass."""
-    e0, slope, column, row = spdc._ridge(_Kinematics(cfg.spdc), grid)
-    assert np.all((e0 >= grid.energy_lo_kev) & (e0 <= grid.energy_hi_kev))
-    lines = np.zeros((grid.n_energy, e0.size))  # one column per line
-    spdc._deposit_lines(lines, grid.energy_edges(), e0, slope, np.arange(e0.size),
-                        spdc._mirror_weight(grid, row))
-    offset = grid.energy_centers()[:, None] - e0
-    d1 = (lines * offset).sum(axis=0) / lines.sum()
-    d2 = (lines * offset**2).sum(axis=0) / lines.sum()
-    return e0, np.degrees(grid.theta_x_centers()[column]), d1, d2
+def _cell_fold(ridge, lines, grid, f):
+    """sum_ki m_ki f(E_i, theta_x_k) / sum_ki m_ki: the fold with ``f``
+    taken at the energy cell centres E_i, theta_x in degrees."""
+    values = f(grid.energy_centers(), np.degrees(ridge.theta_x)[:, None])
+    return float((lines * values).sum() / lines.sum())
+
+
+def _binning_moments(ridge, lines, grid):
+    """For each line k: the first and second moments D1_k, D2_k of its
+    masses about E0_k at the energy cell centres, each divided by the
+    total mass."""
+    offset = grid.energy_centers() - ridge.energies[:, None]
+    return (lines * offset).sum(axis=1) / lines.sum(), (lines * offset**2).sum(axis=1) / lines.sum()
 
 
 def _binning_terms(f, e0, d1, d2, h=1e-4):
@@ -636,13 +679,13 @@ def _binning_terms(f, e0, d1, d2, h=1e-4):
 
 
 def test_sweep_fold_matches_the_w_fold_up_to_energy_binning(default_config, tables):
-    # W holds each ridge line k as masses m_ki in the energy cells i around
-    # its zero E0_k, and the W fold evaluates f = R * T_air at the cell
-    # centres E_i where the ridge fold takes E0_k.  So, with
-    # M = sum_ki m_ki, the W fold less the ridge fold is
+    # Spread over the energy cells, each ridge line k is masses m_ki in the
+    # cells i around its zero E0_k.  A fold of them evaluates f = R * T_air
+    # at the cell centres E_i where the ridge fold takes E0_k.  So, with
+    # M = sum_ki m_ki, the cell fold less the ridge fold is
     # sum_ki m_ki (f(E_i) - f(E0_k)) / M.  To first order that is
     # sum_k f'(E0_k) D1_k / M, D1_k = sum_i m_ki (E_i - E0_k), which the
-    # deposits give; what remains is about (1/2) sum_k |f''(E0_k)| D2_k / M,
+    # masses give; what remains is about (1/2) sum_k |f''(E0_k)| D2_k / M,
     # D2_k = sum_i m_ki (E_i - E0_k)^2.  Both sides normalise by their total
     # line weight, which differ by the dropped tail, the same share for
     # every line.  At the bundled width on the golden's reduced grid that
@@ -650,44 +693,49 @@ def test_sweep_fold_matches_the_w_fold_up_to_energy_binning(default_config, tabl
     # differ by up to 1.9e-4 there, and by 2.7e-5 on the reference grid.
     cfg = default_config
     grid = replace(cfg.grid, n_energy=400, n_x=60, n_y=12)
-    intensity = biphoton_amplitude(cfg.spdc, grid)
+    ridge, lines = _spread_lines(cfg, grid)
     air, path_cm = tables["air"], cfg.source.air_path_cm
     angles = np.linspace(5.0, 45.0, 81)
-    got = np.array([r for _, r in bragg_angle_sweep(intensity.ridge, cfg.splitter, angles,
-                                                     air=air, air_path_cm=path_cm)])
-    diff = _full_grid_sweep(intensity, cfg.splitter, angles, air, path_cm) - got
-
-    e0, dtheta, d1, d2 = _binning_moments(cfg, grid)
-    for t, rate, gap in zip(angles, got, diff):
+    got = [r for _, r in bragg_angle_sweep(ridge, cfg.splitter, angles, air=air,
+                                           air_path_cm=path_cm)]
+    d1, d2 = _binning_moments(ridge, lines, grid)
+    dtheta = np.degrees(ridge.theta_x)
+    for t, rate in zip(angles, got):
         spec = _retuned_spec(cfg.splitter, t)
-        first, second = _binning_terms(
-            lambda e: _rocking(spec, e, dtheta) * transmittance(e, air, path_cm), e0, d1, d2)
+
+        def f(e, dtheta_deg):
+            return _rocking(spec, e, dtheta_deg) * transmittance(e, air, path_cm)
+
+        gap = _cell_fold(ridge, lines, grid, f) - rate
+        first, second = _binning_terms(lambda e: f(e, dtheta), ridge.energies, d1, d2)
         assert abs(gap - first) <= second
         assert abs(first) + second < 1.5e-3 * rate
 
 
 @pytest.mark.parametrize("shape", [(400, 60, 12), (300, 40, 8), (150, 61, 5)])
 def test_ridge_rates_match_the_w_rates_up_to_energy_binning(default_config, tables, shape):
-    # The rate fractions fold R and T at the ridge zeros; the energy
-    # integrals of the port spectra fold them over W at the cell centres.
-    # As for the sweep, the W rate less the ridge rate is the first-order
-    # term sum_k f'(E0_k) D1_k / M up to (1/2) sum_k |f''(E0_k)| D2_k / M,
-    # with f = R or T at each line's theta_x.  On these grids, whose window
-    # holds every line's band whole, the two differ by 1.5e-5 to 7.1e-4
-    # (4.6e-3 of the rate, on the 150-cell energy grid), and by 1e-6 on the
-    # reference grid.
+    # The rate fractions fold R and T at the ridge zeros; a fold of the
+    # lines spread over the energy cells takes them at the cell centres.
+    # As for the sweep, the cell rate less the ridge rate is the
+    # first-order term sum_k f'(E0_k) D1_k / M up to
+    # (1/2) sum_k |f''(E0_k)| D2_k / M, with f = R or T at each line's
+    # theta_x.  On these grids, whose window holds every line's band whole,
+    # the two differ by 1.5e-5 to 7.1e-4 (4.6e-3 of the rate, on the
+    # 150-cell energy grid), and by 1e-6 on the reference grid.
     cfg = default_config
     n_energy, n_x, n_y = shape
     grid = replace(cfg.grid, n_energy=n_energy, n_x=n_x, n_y=n_y)
-    intensity = biphoton_amplitude(cfg.spdc, grid)
+    ridge, lines = _spread_lines(cfg, grid)
     graphite = tables["graphite"]
-    got = spdc.port_rates(intensity.ridge, cfg.splitter, graphite)
-    want = port_rate_quadrature(intensity, cfg.splitter, graphite)
-    e0, dtheta, d1, d2 = _binning_moments(cfg, grid)
-    for port, (rate, w_rate) in enumerate(zip(got, want)):
-        first, second = _binning_terms(
-            lambda e: response(cfg.splitter, e, dtheta, graphite)[port], e0, d1, d2)
-        assert abs(w_rate - rate - first) <= second
+    d1, d2 = _binning_moments(ridge, lines, grid)
+    dtheta = np.degrees(ridge.theta_x)
+    for port, rate in enumerate(port_rates(ridge, cfg.splitter, graphite)):
+        def f(e, dtheta_deg):
+            return response(cfg.splitter, e, dtheta_deg, graphite)[port]
+
+        cell_rate = _cell_fold(ridge, lines, grid, f)
+        first, second = _binning_terms(lambda e: f(e, dtheta), ridge.energies, d1, d2)
+        assert abs(cell_rate - rate - first) <= second
         assert abs(first) + second < 1e-3
 
 
@@ -708,17 +756,17 @@ def test_sweep_grid_resolves_the_rocking_width(default_config):
 
 
 @pytest.mark.parametrize("width_scale", [1.0, 0.1, 0.01])
-def test_sweep_converges_under_theta_x_refinement(default_config, amp_default, tables, width_scale):
+def test_sweep_converges_under_theta_x_refinement(default_config, ridge_default, tables,
+                                                 width_scale):
     # The sweep on the rule's grid moves by less than 1e-3 at every one of
     # the 81 angles of ``xbsim model`` and at the nominal angle (where
     # criterion 04 reads it) when theta_x is refined 2x, on the full
-    # production window and theta_y resolution.  The ridge is solved alone,
-    # without W, as ``xbsim sweep`` does.
+    # production window and theta_y resolution.
     cfg = default_config
     spec = replace(cfg.splitter, width_deg=cfg.splitter.width_deg * width_scale)
     angles = [spec.nominal_bragg_deg()] + np.linspace(5.0, 45.0, 81).tolist()
     grid = sweep_grid(cfg.grid, spec.width_deg)
-    coarse = amp_default.ridge if grid is cfg.grid else spdc.pair_ridge(cfg.spdc, grid)
+    coarse = ridge_default if grid is cfg.grid else pair_ridge(cfg.spdc, grid)
     fine = spdc.pair_ridge(cfg.spdc, replace(grid, n_x=2 * grid.n_x))
     rates = [
         np.array([r for _, r in bragg_angle_sweep(ridge, spec, angles, air=tables["air"],

@@ -70,18 +70,25 @@ def test_counts_from_events_categories():
     assert counts == stats.CoincCounts(3, 2, 2, 1)
 
 
+def sigma(events, window_ns, *, output=DET_TRANS, energy_mode="open"):
+    """The correlation degree at one window, output and energy mode: the
+    single entry of ``stats.sigma_curves``."""
+    return stats.sigma_curves(events, [window_ns], outputs=[output],
+                              energy_modes=[energy_mode])[0, 0, 0]
+
+
 def test_sigma_perfect_pairs_is_zero():
     events = flagged([make_event(1, 1) for _ in range(1000)])
-    assert stats.sigma(events, 800.0) == 0.0
-    assert stats.sigma(events, 800.0, energy_mode="sum") == 0.0
+    assert sigma(events, 800.0) == 0.0
+    assert sigma(events, 800.0, energy_mode="sum") == 0.0
 
 
 def test_sigma_rejects_bad_mode_and_small_samples():
     events = make_table([make_event(1, 1)])
     with pytest.raises(ValueError):
-        stats.sigma(events, 800.0, energy_mode="narrow")
-    with pytest.raises(ValueError):
-        stats.sigma(events, 800.0)
+        sigma(events, 800.0, energy_mode="narrow")
+    # Fewer than two qualifying events leave sigma undefined.
+    assert math.isnan(sigma(events, 800.0))
 
 
 def test_sigma_poisson_limit():
@@ -89,7 +96,7 @@ def test_sigma_poisson_limit():
     lam = 3.0
     events = make_table([make_event(int(nt), int(nh))
                          for nt, nh in zip(rng.poisson(lam, 60000), rng.poisson(lam, 60000))])
-    assert stats.sigma(events, 800.0) == pytest.approx(1.0, abs=0.02)
+    assert sigma(events, 800.0) == pytest.approx(1.0, abs=0.02)
 
 
 def test_sigma_symmetric_under_port_relabel():
@@ -100,8 +107,8 @@ def test_sigma_symmetric_under_port_relabel():
         rec = make_event(int(nt), int(na), DET_TRANS) + [(DET_REF, 10.6, 0.0)] * int(nb)
         events.append(rec)
     events = make_table(events)
-    s_trans = stats.sigma(events, 800.0, output=DET_TRANS)
-    s_ref = stats.sigma(events, 800.0, output=DET_REF)
+    s_trans = sigma(events, 800.0, output=DET_TRANS)
+    s_ref = sigma(events, 800.0, output=DET_REF)
     assert s_trans == pytest.approx(s_ref, abs=0.02)
 
 
@@ -109,10 +116,10 @@ def test_sigma_window_excludes_far_photons():
     # The output photon sits at 500 ns: it counts at 800 ns but not at 100 ns,
     # flipping the per-event difference from 0 to 1.
     events = [make_event(1, 1, offsets={DET_TRANS: [500.0]}) for _ in range(100)]
-    assert stats.sigma(make_table(events), 800.0) == 0.0
+    assert sigma(make_table(events), 800.0) == 0.0
     wide = [make_event(1, 1) for _ in range(100)]
     mixed = make_table(events[:50] + wide[:50])
-    assert stats.sigma(mixed, 100.0) > stats.sigma(mixed, 800.0)
+    assert sigma(mixed, 100.0) > sigma(mixed, 800.0)
 
 
 def test_sigma_sum_mode_keeps_lone_elastic_trigger():
@@ -120,11 +127,11 @@ def test_sigma_sum_mode_keeps_lone_elastic_trigger():
     # whose partner missed the registration window; it must contribute.
     pairs = [make_event(1, 1) for _ in range(900)]
     singles = [make_event(1, 0, e_trig=21.0) for _ in range(100)]
-    s = stats.sigma(flagged(pairs + singles), 800.0, energy_mode="sum")
+    s = sigma(flagged(pairs + singles), 800.0, energy_mode="sum")
     assert s > 0.0
     # In-band lone triggers carry no pair evidence and are excluded.
     in_band = [make_event(1, 0, e_trig=10.4) for _ in range(100)]
-    s_same = stats.sigma(flagged(pairs + singles + in_band), 800.0, energy_mode="sum")
+    s_same = sigma(flagged(pairs + singles + in_band), 800.0, energy_mode="sum")
     assert s_same == pytest.approx(s)
 
 
@@ -133,15 +140,15 @@ def test_sigma_sum_mode_ignores_nonconserving_extras():
     # enter the windowed counts.
     rec = make_event(1, 1) + [(DET_TRANS, 8.0, 0.0)]
     events = flagged([rec] + [make_event(1, 1) for _ in range(99)])
-    s = stats.sigma(events, 800.0, energy_mode="sum")
+    s = sigma(events, 800.0, energy_mode="sum")
     assert s > 0.0
 
 
 def test_sigma_sum_mode_needs_a_flagged_table():
     events = make_table([make_event(1, 1) for _ in range(10)])
-    assert stats.sigma(events, 800.0) == 0.0  # open mode reads no selection
+    assert sigma(events, 800.0) == 0.0  # open mode reads no selection
     with pytest.raises(ValueError, match="energy_select"):
-        stats.sigma(events, 800.0, energy_mode="sum")
+        sigma(events, 800.0, energy_mode="sum")
     with pytest.raises(ValueError, match="energy_select"):
         stats.sigma_curves(events, [800.0])
 
@@ -271,10 +278,8 @@ def _reference_sigma(events, window, output, mode, pump=21.0, half=0.5):
 
 
 def _sigma_or_none(events, window, output, mode):
-    try:
-        return stats.sigma(events, window, output=output, energy_mode=mode)
-    except ValueError:
-        return None
+    value = sigma(events, window, output=output, energy_mode=mode)
+    return None if math.isnan(value) else float(value)
 
 
 @settings(max_examples=150, deadline=None)

@@ -102,6 +102,23 @@ def test_attenuation_range_and_validation():
         AttenuationTable(np.array([1.0, 2.0]), np.array([1.0, -1.0]), 1.0)
 
 
+@pytest.mark.parametrize("energies, values, density", [
+    ([1.0, math.nan], [1.0, 1.0], 1.0),
+    ([math.nan, 2.0], [1.0, 1.0], 1.0),
+    ([1.0, math.inf], [1.0, 1.0], 1.0),
+    ([1.0, 2.0], [1.0, math.nan], 1.0),
+    ([1.0, 2.0], [math.inf, 1.0], 1.0),
+    ([1.0, 2.0], [1.0, 1.0], math.nan),
+    ([1.0, 2.0], [1.0, 1.0], math.inf),
+], ids=["energy-nan-last", "energy-nan-first", "energy-inf", "mu-nan", "mu-inf",
+        "density-nan", "density-inf"])
+def test_attenuation_table_rejects_nan_and_infinity(energies, values, density):
+    # NaN fails no comparison-based check that asks "<= 0", and infinity
+    # passes "> 0"; the table must refuse both.
+    with pytest.raises(ValueError):
+        AttenuationTable(np.array(energies), np.array(values), density)
+
+
 def test_phase_mismatch_vanishes_for_closed_triangle():
     # Degenerate collinear split: two 10.5 keV photons along the pump direction.
     dk = phase_mismatch(21.0, 10.5, 10.5, (0.3, 0.3, 0.3))
