@@ -362,10 +362,11 @@ def save_events(path, slices, *, live_time_s=None):
 def load_events(path):
     """Read events written by save_events.
 
-    Metadata comments precede the column-name row.  Returns (events,
-    metadata dict) with ``events`` an ``EventTable``; consecutive rows with
-    the same event number form one event.  Raises ValueError on a
-    format-version mismatch, malformed rows, event numbers that do not start
+    Metadata comments precede the column-name row, which must be
+    ``EVENT_COLUMNS``.  Returns (events, metadata dict) with ``events`` an
+    ``EventTable``; consecutive rows with the same event number form one
+    event.  Raises ValueError on a format-version mismatch, a missing or
+    other column-name row, malformed rows, event numbers that do not start
     at 0 and step by 0 or 1, rows of one event with different trigger
     times, a live time that is negative or not finite (0 means none), a
     negative drop count, a detector or origin id that save_events never
@@ -378,15 +379,17 @@ def load_events(path):
         header = fh.readline().strip()
         if header != EVENT_FORMAT_HEADER:
             raise ValueError(f"unrecognized event-file format: {header!r}")
+        columns = None
         for line in fh:
             line = line.strip()
-            if line.startswith("event,"):
-                break
             if line and not line.startswith("#"):
-                raise ValueError(f"event row before the column names: {line!r}")
+                columns = line
+                break
             key, _, raw = line.lstrip("#").partition(":")
             if key.strip() in meta:
                 meta[key.strip()] = float(raw) if key.strip() == "live_time_s" else int(raw)
+        if columns != EVENT_COLUMNS:
+            raise ValueError(f"expected the column names {EVENT_COLUMNS!r}, got {columns!r}")
         live = meta["live_time_s"]
         if live is not None and not 0 <= live < np.inf:  # NaN fails too
             raise ValueError(f"live_time_s must be finite and not negative, got {live}")

@@ -362,60 +362,53 @@ class Ridge:
 # bundled geometry.
 LINE_HALF_WIDTH = math.pi * math.ceil(1.0 / (math.pi**2 * 3e-4))
 
-# Newton steps of ``_ridge`` after its secant step.  On the bundled geometry
-# the secant step and 2 Newton steps already reach the zeros within 1.3e-11
-# keV, where |x| is at the 2e-7 rounding floor of ``half_phase``.
-_NEWTON_STEPS = 3
-
 
 def _ridge(kin: _Kinematics, grid: GridSpec):
-    """The phase-matching ridge in the energy window: the zeros E0 of
-    ``half_phase`` in ``[grid] energy_lo_kev..energy_hi_kev``, for each
-    theta_x centre and each non-negative theta_y centre
-    ``theta_y_centers()[n_y // 2:]``.
+    """The zeros E0 of ``half_phase`` in ``[grid] energy_lo_kev..energy_hi_kev``
+    for each theta_x centre and each non-negative theta_y centre
+    ``theta_y_centers()[n_y // 2:]``, in closed form.
 
-    The energies E_pump / 64 apart in 0 < E < E_pump are the nodes.  Only
-    the nodes from the last one at or below lo to the first one at or above
-    hi are evaluated, so every point of the window lies in a bracket, even a
-    window between two adjacent nodes.  Each theta_y row brackets the sign
-    changes of ``half_phase`` between those nodes (an evanescent node
-    brackets nothing, and two zeros within one spacing are missed).  From
-    each bracket one secant step through its end values, then _NEWTON_STEPS
-    Newton steps with ``half_phase_slope``, each clipped to the bracket,
-    reach the zero to the rounding floor of ``half_phase``; the steps are a
-    fixed number, since rounding keeps the iterates moving by a few ulps.
-    The zeros outside the window are dropped.  Returns flat arrays (e0,
-    slope, column, row), in the order row, then bracket, then column: the
-    zero in keV, |dx/dE| there in 1/keV, the theta_x index and the index of
-    the non-negative theta_y row.
+    With a = 2 pi / hc (k = a E), sigma = sin(theta_h0 + theta_x), eta =
+    sin(theta_y), c = sqrt(1 - sigma^2 - eta^2) and S = ``s_total``, the
+    heralded kz_h = a E c is linear in E, and dk_z = 0 asks that kz_t =
+    k_pz - a E c, where kz_t^2 = a^2 (E_pump - E)^2 - (S - a E sigma)^2 -
+    a^2 eta^2 E^2.  Squaring cancels every E^2 term (c^2 + sigma^2 + eta^2
+    = 1) and leaves one linear equation, so a point has at most one zero:
+
+        E0 = (k_p^2 - k_pz^2 - S^2) / (2 a (k_p - k_pz c - S sigma)),
+
+    k_p = a E_pump.  E0 is a zero where 1 - sigma^2 - eta^2 > 0, the
+    denominator is nonzero, k_pz - a E0 c > 0 (a root of dk_z, not only of
+    its square) and 0 < E0 < E_pump.  Returns flat arrays (e0, slope,
+    column, row) of the zeros in the window: E0 in keV, |dx/dE| there in
+    1/keV, the theta_x index and the index of the non-negative theta_y row.
     """
+    a = 2.0 * math.pi / HC_KEV_ANGSTROM
+    k_p = a * kin.pump_kev
     tx = grid.theta_x_centers()
     ty = grid.theta_y_centers()[grid.n_y // 2 :]
-    nodes = np.linspace(0.0, kin.pump_kev, 65)[1:-1]
-    first = max(int(np.searchsorted(nodes, grid.energy_lo_kev, side="right")) - 1, 0)
-    energies = nodes[first : int(np.searchsorted(nodes, grid.energy_hi_kev)) + 1]
-    brackets = []
-    for row, theta_y in enumerate(ty):
-        x = kin.half_phase(energies[:, None], tx, theta_y)
-        k, column = np.nonzero(np.sign(x[:-1]) * np.sign(x[1:]) < 0)
-        brackets.append((k, column, np.full(k.size, row), x[k, column], x[k + 1, column]))
-    k, column, row, x_lo, x_hi = (np.concatenate(parts) for parts in zip(*brackets))
-    theta_x, theta_y = tx[column], ty[row]
-    lo, hi = energies[k], energies[k + 1]
-    e0 = lo - x_lo * (hi - lo) / (x_hi - x_lo)
-    for _ in range(_NEWTON_STEPS):
-        e0 -= kin.half_phase(e0, theta_x, theta_y) / kin.half_phase_slope(e0, theta_x, theta_y)
-        np.clip(e0, lo, hi, out=e0)
-    inside = (e0 >= grid.energy_lo_kev) & (e0 <= grid.energy_hi_kev)
-    e0, column, row = e0[inside], column[inside], row[inside]
-    slope = np.abs(kin.half_phase_slope(e0, theta_x[inside], theta_y[inside]))
+    sigma = np.sin(kin.theta_h0 + tx)
+    c_sq = 1.0 - sigma**2 - np.sin(ty)[:, None] ** 2
+    c = np.sqrt(np.where(c_sq > 0, c_sq, 0.0))
+    denominator = 2.0 * a * (k_p - kin.k_pz * c - kin.s_total * sigma)
+    e0 = (k_p**2 - kin.k_pz**2 - kin.s_total**2) / np.where(denominator == 0, 1.0, denominator)
+    found = (c_sq > 0) & (denominator != 0) & (kin.k_pz - a * e0 * c > 0) & (e0 < kin.pump_kev)
+    found &= (e0 >= grid.energy_lo_kev) & (e0 <= grid.energy_hi_kev)  # lo > 0 bounds E0 below
+    row, column = np.nonzero(found)
+    e0 = e0[row, column]
+    # Order the zeros by row, then by the band between the nodes E_pump / 64
+    # apart that holds E0, then by column: the pair sampler maps each
+    # uniform draw to the zero at its place in the cumulative weights, so
+    # the seeded outputs of ``simulate`` (the golden hashes) rest on it.
+    band = np.searchsorted(np.linspace(0.0, kin.pump_kev, 65)[1:-1], e0, side="right")
+    order = np.lexsort((column, band, row))
+    e0, column, row = e0[order], column[order], row[order]
+    slope = np.abs(kin.half_phase_slope(e0, tx[column], ty[row]))
     return e0, slope, column, row
 
 
-def pair_ridge(config: SpdcConfig, grid: GridSpec | None = None) -> Ridge:
+def pair_ridge(config: SpdcConfig, grid: GridSpec) -> Ridge:
     """The ``Ridge`` of the zeros (``_ridge``) in ``grid``'s energy window."""
-    if grid is None:
-        grid = GridSpec()
     e0, slope, column, row = _ridge(_Kinematics(config), grid)
     mirror = np.where((grid.n_y % 2 == 1) & (row == 0), 1.0, 2.0)
     scale = math.pi * grid.d_theta_y * grid.d_theta_x

@@ -39,6 +39,8 @@ class SplitterSpec:
             raise ValueError("width parameter must be finite and positive")
         if not 0.0 < self.thickness_mm < math.inf:
             raise ValueError("thickness must be finite and positive")
+        if not (0.0 < self.nominal_energy_kev < math.inf and math.isfinite(self.mount_offset_deg)):
+            raise ValueError("nominal energy must be finite and positive, mount offset finite")
 
     def nominal_bragg_deg(self) -> float:
         return float(bragg_angle(self.nominal_energy_kev, self.lattice))

@@ -102,14 +102,14 @@ class AttenuationTable:
         return self.mass_attenuation(energy_kev) * self.density
 
     @classmethod
-    def from_file(cls, path, density: float | None = None, name: str = "") -> "AttenuationTable":
+    def from_file(cls, path, name: str = "") -> "AttenuationTable":
         """Load a two-column (keV, cm^2/g) text table.
 
         Lines starting with '#' are comments; a comment of the form
-        ``# density_g_cm3: <value>`` supplies the default density.
+        ``# density_g_cm3: <value>`` gives the density, which is required.
         """
         energies, values = [], []
-        file_density = None
+        density = None
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
@@ -118,17 +118,16 @@ class AttenuationTable:
                 if line.startswith("#"):
                     body = line.lstrip("#").strip()
                     if body.lower().startswith("density_g_cm3:"):
-                        file_density = float(body.split(":", 1)[1])
+                        density = float(body.split(":", 1)[1])
                     continue
                 cols = line.split()
                 if len(cols) < 2:
                     raise ValueError(f"malformed attenuation line: {line!r}")
                 energies.append(float(cols[0]))
                 values.append(float(cols[1]))
-        rho = density if density is not None else file_density
-        if rho is None:
+        if density is None:
             raise ValueError(f"no density given for attenuation table {path}")
-        return cls(np.asarray(energies), np.asarray(values), rho, name=name)
+        return cls(np.asarray(energies), np.asarray(values), density, name=name)
 
 
 def load_table(material: str) -> AttenuationTable:

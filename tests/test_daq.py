@@ -460,6 +460,15 @@ def test_event_load_rejects_bad_format(tmp_path):
     path.write_text("not an event file\n")
     with pytest.raises(ValueError):
         daq.load_events(path)
-    path.write_text("# eventfile v1\nevent,trigger_ns\n0,1.0,2\n")
-    with pytest.raises(ValueError):
-        daq.load_events(path)
+    for text in (
+        "# eventfile v1\nevent,trigger_ns\n0,1.0,2\n",
+        # No column-name row at all.
+        "# eventfile v1\n# live_time_s: 10\n",
+        # The columns of save_events in another order.
+        "# eventfile v1\nevent,detector,trigger_ns,energy_kev,offset_ns,origin\n0,5.0,1,10.0,0.0,0\n",
+        # An event row where the column names belong.
+        "# eventfile v1\n0,1.0,0,10.0,0.0,0\n",
+    ):
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            daq.load_events(path)

@@ -2,9 +2,10 @@
 write.
 
 The runs use criterion 10's reduced grid; ``simulate`` and ``analyze`` run at
-two seeds, and ``model`` runs on the bundled reference grid too.  Every verb
-solves one pair ridge (``spdc.pair_ridge``; both grids are fine enough for
-the bundled rocking width, so ``spdc.sweep_grid`` leaves them unchanged).
+two seeds, and ``model`` runs on the bundled reference grid too.  ``model``
+and ``simulate`` each solve one pair ridge (``spdc.pair_ridge``), as
+``sweep`` does; ``analyze`` solves none.  Both grids are fine enough for the
+bundled rocking width, so ``spdc.sweep_grid`` leaves them unchanged.
 ``model`` folds its sweep and rate fractions at the ridge zeros and spreads
 their lines over the energy cells for its spectra; ``simulate`` draws its
 pairs from those zeros.  So the hashes pin the ridge solve, the line
@@ -29,13 +30,13 @@ REDUCED = REDUCED_GRID + [
 
 MODEL_GOLDEN = {
     "bragg_sweep.csv": "88bd4c31a20f96b37f19836339fdc5918c17b85d905c0f7504a51451530586ef",
-    "model_spectra.csv": "aa64e1ff8476189877d6f23ea33109a39d5a9eff4afa1e40571865a2a6b66d54",
+    "model_spectra.csv": "bb3a0c6c85db8a979ef6944f6395be7e018a9bfbf0e84d08a08334b2be58c64b",
     "model_summary.txt": "ef34ef3e2d816b77bf5d75f4954001610c70d1f84949d0990c12bc715a904315",
 }
 
 REFERENCE_MODEL_GOLDEN = {
     "bragg_sweep.csv": "4b6ad67ca0f95e4b2a2873ffe48f7c2cb0f93f4a4d60f3a6a2e555f3d24f1e88",
-    "model_spectra.csv": "f98fd777e33fbe3d557c429637ba210ebeadc89cdd190dd1d98e1dd406588c08",
+    "model_spectra.csv": "76c276439808f7d63bfffbd000c97fee77a69decf6808f3545c71cf93bad7474",
     "model_summary.txt": "716018fab23108adf602531ed6c4c69f4239c28e16a373c144a0cb70a9aacaf2",
 }
 

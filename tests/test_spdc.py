@@ -424,7 +424,7 @@ def test_reference_grid_has_one_ridge_zero_per_point_in_the_window(reference_rid
 
 def test_ridge_zeros_and_slopes(reference_ridge):
     _grid, kin, e0, slope, _column, _row, tx, ty = reference_ridge
-    # The Newton steps stop where rounding of dk_z L / 2, a difference of
+    # The closed form lands where rounding of dk_z L / 2, a difference of
     # terms near 1e7, leaves x at 1.8e-7; adjacent energies move it by only
     # s * 2e-15 keV = 3e-11.
     assert np.max(np.abs(kin.half_phase(e0, tx, ty))) < 1e-6
@@ -437,8 +437,10 @@ def test_ridge_zeros_and_slopes(reference_ridge):
 # Windows with an even and an odd n_y; one whose lower edge cuts the
 # lowest lines (E0 from 8.714 keV) within their 68 eV bands; one narrower
 # than a node spacing and one between two adjacent nodes (10.17 and 10.5
-# keV); one above the ridge, which holds no zero; and the n_x = 2985 grid
-# of ``sweep --width-scale 0.01``.
+# keV); one above the ridge, which holds no zero; the n_x = 2985 grid of
+# ``sweep --width-scale 0.01``; and wide windows on 20 mrad, 1 rad and
+# 3 rad spans, the last with points where sigma^2 + eta^2 >= 1, so that
+# the heralded photon cannot propagate.
 RIDGE_GRIDS = {
     "even_n_y": SMALL_GRID,
     "odd_n_y": GridSpec(9.0, 11.0, 100, 5.0e-3, 25, 7),
@@ -447,6 +449,9 @@ RIDGE_GRIDS = {
     "between_nodes": GridSpec(10.2, 10.45, 50, 5.0e-3, 30, 5),
     "above_ridge": GridSpec(13.0, 13.5, 50, 5.0e-3, 20, 3),
     "sweep_x0.01": replace(GridSpec(), n_x=2985),
+    "span_20mrad": GridSpec(1.0, 20.0, 200, 2.0e-2, 41, 6),
+    "span_1rad": GridSpec(1.0, 20.9, 10, 1.0, 41, 9),
+    "span_3rad": GridSpec(8.5, 12.5, 10, 3.0, 41, 9),
 }
 
 
@@ -465,11 +470,10 @@ def test_ridge_solve_matches_bisection(grid):
 
 
 def test_sweep_grid_ridge_peak_memory(default_config):
-    # The ridge evaluates only the nodes that span the window, one theta_y
-    # row at a time: 12.7 MiB of tracemalloc peak on the n_x = 2985 grid of
-    # ``sweep --width-scale 0.01``.  Bracketing every node in
-    # 0 < E < E_pump takes 15.9 MiB, and one (row, node, column) array
-    # about 60 MiB.
+    # The closed-form ridge evaluates each (theta_y >= 0 row, theta_x
+    # centre) point once: 9.2 MiB of tracemalloc peak on the n_x = 2985 grid
+    # of ``sweep --width-scale 0.01``, about half of it the (row, column)
+    # arrays of the solve and half the slopes at its 59,700 zeros.
     grid = sweep_grid(default_config.grid, 0.01 * default_config.splitter.width_deg)
     assert grid.n_x == 2985
     tracemalloc.start()
@@ -479,7 +483,7 @@ def test_sweep_grid_ridge_peak_memory(default_config):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 14 * 2**20
+    assert peak < 11 * 2**20
 
 
 def test_line_carries_pi_over_slope_less_the_dropped_tail():

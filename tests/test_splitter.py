@@ -138,6 +138,20 @@ def test_spec_validation():
             LatticeSpec(value)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -10.5])
+def test_spec_rejects_a_nominal_energy_or_mount_offset_out_of_range(value):
+    # Every value is out of range for the nominal energy, which must be
+    # finite and positive; only the non-finite ones are for the mount
+    # offset, which may be zero or negative.
+    with pytest.raises(ValueError):
+        SplitterSpec(lattice=HOPG, nominal_energy_kev=value)
+    if math.isfinite(value):
+        SplitterSpec(lattice=HOPG, mount_offset_deg=value)
+    else:
+        with pytest.raises(ValueError):
+            SplitterSpec(lattice=HOPG, mount_offset_deg=value)
+
+
 def test_thicker_plate_transmits_less(spec, graphite):
     thick = replace(spec, thickness_mm=2.0)
     assert response(thick, 10.5, 1.0, graphite)[1] < response(spec, 10.5, 1.0, graphite)[1]

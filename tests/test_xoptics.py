@@ -119,6 +119,15 @@ def test_attenuation_table_rejects_nan_and_infinity(energies, values, density):
         AttenuationTable(np.array(energies), np.array(values), density)
 
 
+def test_table_file_gives_its_density(tmp_path):
+    path = tmp_path / "table.txt"
+    path.write_text("# density_g_cm3: 2.2\n5.0 10.0\n10.0 2.0\n")
+    assert AttenuationTable.from_file(path).density == 2.2
+    path.write_text("5.0 10.0\n10.0 2.0\n")
+    with pytest.raises(ValueError, match="no density"):
+        AttenuationTable.from_file(path)
+
+
 def test_phase_mismatch_vanishes_for_closed_triangle():
     # Degenerate collinear split: two 10.5 keV photons along the pump direction.
     dk = phase_mismatch(21.0, 10.5, 10.5, (0.3, 0.3, 0.3))
