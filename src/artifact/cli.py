@@ -110,7 +110,9 @@ def _slice_pulses(cfg: RunConfig, ridge: spdc_mod.Ridge, tally: np.ndarray):
     adding each slice's pulses to ``tally`` by (detector, origin, logic).
 
     Slice k draws from three generators (pairs, stray, detect) spawned from
-    the k-th child of the run seed, and merges its five photon parts once.
+    the k-th child of the run seed.  Each of its six photon parts holds one
+    detector's photons and is detected with that detector's spec; the
+    pulse parts are then merged once.
     """
     edges = mc.slice_edges_s(cfg.source)
     graphite, air, helium = load_table("graphite"), load_table("air"), load_table("helium")
@@ -122,11 +124,13 @@ def _slice_pulses(cfg: RunConfig, ridge: spdc_mod.Ridge, tally: np.ndarray):
             air=air, helium=helium, rng=rng_pairs, window_s=window,
         )
         stray = mc.generate_stray(cfg.source, rng=rng_stray, window_s=window)
-        # One stable sort; equal times keep the part order.
-        photons = mc.merge_streams(*pairs, *stray)
+        # Both generators return their parts in TRIG, TRANS, REF order.
+        parts = [mc.detect(part, cfg.detectors[det], rng_detect)
+                 for part, det in zip(pairs + stray, 2 * mc.DETECTORS)]
         del pairs, stray  # hold one copy of the slice per stage
-        pulses = mc.detect(photons, cfg.detectors, rng_detect)
-        del photons
+        # One stable sort; equal times keep the part order.
+        pulses = mc.merge_streams(*parts)
+        del parts
         # int8 arithmetic: the cells run to 17.
         cell = (pulses.detector * mc.N_ORIGINS + pulses.origin) * 2 + pulses.logic
         tally += np.bincount(cell, minlength=tally.size).reshape(tally.shape)

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .montecarlo import DET_REF, DET_TRANS, DET_TRIG, N_ORIGINS, Stream, join_streams
+from .montecarlo import DET_REF, DET_TRANS, DET_TRIG, DETECTORS, N_ORIGINS, Stream, join_streams
 
 
 @dataclass(frozen=True)
@@ -45,13 +45,12 @@ class DaqConfig:
             raise ValueError("all window and pulse widths must be finite and positive")
         if not -np.inf < self.acceptance_kev[0] < self.acceptance_kev[1] < np.inf:
             raise ValueError("acceptance window must be finite and satisfy lo < hi")
-        if not self.sum_halfwidth_kev > 0:
-            raise ValueError("sum window must be positive")
+        if not 0 < self.sum_halfwidth_kev < np.inf:
+            raise ValueError("sum window must be finite and positive")
         if not 1 <= self.max_event_rate_hz < np.inf:
             raise ValueError(f"max_event_rate_hz must be finite and at least 1, got {self.max_event_rate_hz}")
 
 
-DETECTORS = (DET_TRIG, DET_TRANS, DET_REF)
 OUTPUT_PORTS = (DET_TRANS, DET_REF)
 
 

@@ -3,11 +3,12 @@
 Photon and pulse streams are ``Stream``s: one contiguous numpy column per
 field (cheap for tens of millions of entries).  The generators draw over a
 window [t0, t1) of the run (``simulate`` runs it in the time slices of
-``slice_edges_s``) and return their parts, each in time order;
-``merge_streams`` is the one place that orders a stream, and ``detect``
-keeps the order.  Every generator takes the ``numpy.random.Generator`` it
-draws from, so identical (config, generator state) pairs produce
-bit-identical streams.
+``slice_edges_s``) and return their parts, each in time order and of one
+detector, in TRIG, TRANS, REF order; ``detect`` turns one part into
+pulses with its detector's spec and keeps the order, and
+``merge_streams`` is the one place that orders a stream.  Every generator
+takes the ``numpy.random.Generator`` it draws from, so identical (config,
+generator state) pairs produce bit-identical streams.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .splitter import SplitterSpec, response
 from .xoptics import AttenuationTable, transmittance
 
 DET_TRIG, DET_TRANS, DET_REF = 0, 1, 2
+DETECTORS = (DET_TRIG, DET_TRANS, DET_REF)
 DETECTOR_NAMES = {DET_TRIG: "trig", DET_TRANS: "trans", DET_REF: "ref"}
 ORIGIN_PAIR_TRIGGER, ORIGIN_PAIR_HERALD, ORIGIN_STRAY = 0, 1, 2
 N_ORIGINS = 3
@@ -155,30 +157,18 @@ def join_streams(*streams: Stream) -> Stream:
     ))
 
 
-_PHOTON_COLUMNS = (("time_ns", np.float64), ("energy_kev", np.float64),
-                   ("detector", np.int8), ("origin", np.int8))
-
-
 def _photons(time_ns, energy_kev, detector, origin) -> Stream:
-    """Photon stream, not yet ordered; a scalar ``detector`` or ``origin``
-    applies to every photon."""
+    """Photon stream of one detector and one origin."""
     n = len(time_ns)
-    detector, origin = (np.broadcast_to(np.asarray(c, dtype=np.int8), n) for c in (detector, origin))
-    return Stream(time_ns, energy_kev, detector.copy(), origin.copy())
+    return Stream(time_ns, energy_kev, np.full(n, detector, np.int8), np.full(n, origin, np.int8))
 
 
 def merge_streams(*streams: Stream) -> Stream:
-    """Concatenate photon streams and stable-sort by arrival time: equal
-    times keep argument order, then their order within each stream."""
-
-    def column(name, dtype):
-        # The empty head fixes the dtype when no stream is given.
-        return np.concatenate([np.empty(0, dtype)] + [getattr(s, name) for s in streams])
-
-    time_ns = column("time_ns", np.float64)
-    order = np.argsort(time_ns, kind="stable")
-    time_ns = time_ns[order]
-    return Stream(time_ns, *(column(name, dtype)[order] for name, dtype in _PHOTON_COLUMNS[1:]))
+    """Join streams and stable-sort them by time: equal times keep argument
+    order, then their order within each stream."""
+    joined = join_streams(*streams)
+    order = np.argsort(joined.time_ns, kind="stable")
+    return Stream(*(None if c is None else c[order] for c in joined._columns()))
 
 
 # Photons expected per time slice of ``simulate``; the slice length follows
@@ -219,31 +209,33 @@ def generate_pairs(
     air: AttenuationTable,
     helium: AttenuationTable,
     rng: np.random.Generator,
-    window_s: tuple[float, float] | None = None,
+    window_s: tuple[float, float],
 ):
     """Photons from correlated pairs routed through the beam splitter, as
-    two time-ordered parts ``(trigger, herald)``.
+    three time-ordered parts: the triggers, the heralded photons at TRANS
+    and those at REF.
 
     Pair creation times are a Poisson process at ``source.pair_rate`` over
-    ``window_s`` = [t0, t1) seconds (default the whole run); each pair is
-    one zero of the phase-matching ridge, drawn with probability
-    proportional to its weight: the heralded photon takes its energy E0 and
-    theta_x, the partner the energy ``pump_energy_kev`` - E0, and the two
-    photons share one creation time.  The heralded photon goes to the
-    reflected port with probability R and the transmitted port with
-    probability T (``splitter.response``), and is absorbed otherwise; both
-    photons are additionally thinned by flight-path absorption through
+    ``window_s`` = [t0, t1) seconds; each pair is one zero of the
+    phase-matching ridge, drawn with probability proportional to its
+    weight: the heralded photon takes its energy E0 and theta_x, the
+    partner the energy ``pump_energy_kev`` - E0, and the two photons share
+    one creation time.  The heralded photon goes to the reflected port with
+    probability R and the transmitted port with probability T
+    (``splitter.response``), and is absorbed otherwise; both photons are
+    additionally thinned by flight-path absorption through
     ``source.air_path_cm`` of ``air`` and ``source.helium_path_cm`` of
     ``helium``.
     """
-    times = _poisson_times(rng, source.pair_rate, window_s or (0.0, source.duration_s))
+    routes = ((DET_TRIG, ORIGIN_PAIR_TRIGGER), (DET_TRANS, ORIGIN_PAIR_HERALD),
+              (DET_REF, ORIGIN_PAIR_HERALD))
+    times = _poisson_times(rng, source.pair_rate, window_s)
     n = len(times)
     if n == 0:
         # Most slices of the reference profile draw no pair; skip their
         # splitter and flight-path lookups.  Draws of size 0 consume no
         # random numbers, so the stream is the same either way.
-        return (_photons(times, times, DET_TRIG, ORIGIN_PAIR_TRIGGER),
-                _photons(times, times, DET_REF, ORIGIN_PAIR_HERALD))
+        return tuple(_photons(times, times, det, origin) for det, origin in routes)
     cdf = np.cumsum(ridge.weights)
     # u * cdf[-1] may round up to cdf[-1]: the last zero takes it.
     zero = np.minimum(np.searchsorted(cdf, rng.random(n) * cdf[-1], side="right"), cdf.size - 1)
@@ -256,94 +248,49 @@ def generate_pairs(
 
     p_ref, p_trans = response(splitter, e_h, np.degrees(t_x), material)
     u_route = rng.random(n)
-    herald_det = np.where(
-        u_route < p_ref, DET_REF, np.where(u_route < p_ref + p_trans, DET_TRANS, -1)
-    ).astype(np.int8)
-    herald_alive = (herald_det >= 0) & (rng.random(n) < path_survival(e_h))
+    herald_alive = rng.random(n) < path_survival(e_h)
     trig_alive = rng.random(n) < path_survival(e_t)
-
-    trig = _photons(times[trig_alive], e_t[trig_alive], DET_TRIG, ORIGIN_PAIR_TRIGGER)
-    herald = _photons(
-        times[herald_alive], e_h[herald_alive], herald_det[herald_alive], ORIGIN_PAIR_HERALD
+    at_ref = herald_alive & (u_route < p_ref)
+    at_trans = herald_alive & (u_route >= p_ref) & (u_route < p_ref + p_trans)
+    return tuple(
+        _photons(times[alive], energy[alive], det, origin)
+        for alive, energy, (det, origin) in zip((trig_alive, at_trans, at_ref), (e_t, e_h, e_h), routes)
     )
-    return trig, herald
 
 
-def generate_stray(
-    source: SourceConfig,
-    *,
-    rng: np.random.Generator,
-    window_s: tuple[float, float] | None = None,
-):
+def generate_stray(source: SourceConfig, *, rng: np.random.Generator, window_s: tuple[float, float]):
     """Independent Poisson background per detector with i.i.d. energies over
-    ``window_s`` = [t0, t1) seconds (default the whole run), as three
-    time-ordered parts (TRIG, TRANS, REF)."""
+    ``window_s`` = [t0, t1) seconds, as three time-ordered parts (TRIG,
+    TRANS, REF)."""
     parts = []
-    for det, rate in zip((DET_TRIG, DET_TRANS, DET_REF), source.stray_rates):
-        times = _poisson_times(rng, rate, window_s or (0.0, source.duration_s))
+    for det, rate in zip(DETECTORS, source.stray_rates):
+        times = _poisson_times(rng, rate, window_s)
         energies = source.spectrum.sample(rng, len(times))
         parts.append(_photons(times, energies, det, ORIGIN_STRAY))
     return tuple(parts)
 
 
-def detect(
-    photons: Stream,
-    specs: dict[int, DetectorSpec],
-    rng: np.random.Generator,
-) -> Stream:
-    """Convert a time-ordered photon stream to a pulse stream in the same order.
+def detect(photons: Stream, spec: DetectorSpec, rng: np.random.Generator) -> Stream:
+    """Convert a time-ordered stream of one detector's photons to a pulse
+    stream in the same order.
 
-    Each photon survives with its detector's quantum efficiency; the
-    measured energy adds Gaussian noise at the detector's resolution; a
-    logic pulse accompanies the analog pulse iff the measured energy falls
-    inside the SCA window.  When every photon survives, the pulses share the
-    photons' time, detector and origin arrays.
+    Each photon survives with ``spec``'s quantum efficiency; the measured
+    energy adds Gaussian noise z * ``spec.sigma_kev``(E); a logic pulse
+    accompanies the analog pulse iff the measured energy falls inside the
+    SCA window.  When every photon survives, the pulses share the photons'
+    time, detector and origin arrays.
     """
-    detector = photons.detector
-    ids = range(int(detector.min()), int(detector.max()) + 1) if len(photons) else ()
-    if not set(ids) <= set(specs):  # min and max are cheap; unique only on doubt
-        unknown = set(np.unique(detector).tolist()) - set(specs)
-        if unknown:
-            raise ValueError(f"photon stream references detectors without specs: {sorted(unknown)}")
-
-    def per_detector(value):
-        """``value(spec)`` as one number when every spec gives the same float
-        (``float.hex`` tells -0.0 from 0.0), else as a lookup table indexed
-        by detector id.  Arithmetic and comparisons against one number give
-        the same bits as against a per-photon gather of it."""
-        values = [float(value(spec)) for spec in specs.values()]
-        if len({v.hex() for v in values}) <= 1:
-            return values[0] if values else 0.0
-        out = np.zeros(max(specs) + 1)
-        out[list(specs)] = values
-        return out
-
-    qe = per_detector(lambda s: s.quantum_efficiency)
-    # noise = z * c * sqrt(max(E, 0) / E_ref) with c evaluated as in
-    # DetectorSpec.sigma_kev; products and sums commute exactly, so the
-    # pulse heights are bit-identical to E + z * sigma_kev(E).
-    sigma_c = per_detector(lambda s: s.resolution_fwhm_ev / FWHM_TO_SIGMA / 1000.0)
-    ref_kev = per_detector(lambda s: s.reference_energy_kev)
-    sca_lo = per_detector(lambda s: s.sca_window_kev[0])
-    sca_hi = per_detector(lambda s: s.sca_window_kev[1])
-    # Detector ids become table indices, once, only when some value differs.
-    differs = any(isinstance(v, np.ndarray) for v in (qe, sigma_c, ref_kev, sca_lo, sca_hi))
-    index = detector.astype(np.intp) if differs else None
-
-    def at(value):
-        return value[index] if isinstance(value, np.ndarray) else value
-
-    alive = rng.random(len(photons)) < at(qe)
-    columns = (photons.time_ns, photons.energy_kev, detector, photons.origin)
+    alive = rng.random(len(photons)) < spec.quantum_efficiency
+    columns = (photons.time_ns, photons.energy_kev, photons.detector, photons.origin)
     if not alive.all():  # with QE 1 every photon survives: no column is copied
         columns = tuple(c[alive] for c in columns)
-        index = None if index is None else index[alive]
     time_ns, energy, detector, origin = columns
+    # sigma_kev(E), in place.
     noise = np.maximum(energy, 0.0)
-    noise /= at(ref_kev)
+    noise /= spec.reference_energy_kev
     np.sqrt(noise, out=noise)
-    noise *= at(sigma_c)
+    noise *= spec.resolution_fwhm_ev / FWHM_TO_SIGMA / 1000.0
     noise *= rng.standard_normal(len(noise))
     measured = energy + noise
-    logic = (measured >= at(sca_lo)) & (measured <= at(sca_hi))
-    return Stream(time_ns, measured, detector, origin, logic)
+    sca_lo, sca_hi = spec.sca_window_kev
+    return Stream(time_ns, measured, detector, origin, (measured >= sca_lo) & (measured <= sca_hi))

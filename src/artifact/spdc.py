@@ -380,8 +380,9 @@ def _ridge(kin: _Kinematics, grid: GridSpec):
     k_p = a E_pump.  E0 is a zero where 1 - sigma^2 - eta^2 > 0, the
     denominator is nonzero, k_pz - a E0 c > 0 (a root of dk_z, not only of
     its square) and 0 < E0 < E_pump.  Returns flat arrays (e0, slope,
-    column, row) of the zeros in the window: E0 in keV, |dx/dE| there in
-    1/keV, the theta_x index and the index of the non-negative theta_y row.
+    column, row) of the zeros in the window, by row, then column: E0 in
+    keV, |dx/dE| there in 1/keV, the theta_x index and the index of the
+    non-negative theta_y row.
     """
     a = 2.0 * math.pi / HC_KEV_ANGSTROM
     k_p = a * kin.pump_kev
@@ -396,13 +397,6 @@ def _ridge(kin: _Kinematics, grid: GridSpec):
     found &= (e0 >= grid.energy_lo_kev) & (e0 <= grid.energy_hi_kev)  # lo > 0 bounds E0 below
     row, column = np.nonzero(found)
     e0 = e0[row, column]
-    # Order the zeros by row, then by the band between the nodes E_pump / 64
-    # apart that holds E0, then by column: the pair sampler maps each
-    # uniform draw to the zero at its place in the cumulative weights, so
-    # the seeded outputs of ``simulate`` (the golden hashes) rest on it.
-    band = np.searchsorted(np.linspace(0.0, kin.pump_kev, 65)[1:-1], e0, side="right")
-    order = np.lexsort((column, band, row))
-    e0, column, row = e0[order], column[order], row[order]
     slope = np.abs(kin.half_phase_slope(e0, tx[column], ty[row]))
     return e0, slope, column, row
 

@@ -357,9 +357,9 @@ def test_model_sweep_follows_air_path(tmp_path):
 
 
 def test_simulate_merges_photon_streams_once(tmp_path, monkeypatch):
-    # Each whole-second time slice draws its photons over its own window and
-    # orders them with one merge of all five parts; a run shorter than one
-    # slice is a single slice.
+    # Each whole-second time slice draws its photons over its own window,
+    # detects each of its six parts and orders the pulses with one merge;
+    # a run shorter than one slice is a single slice.
     merge, stray = mc.merge_streams, mc.generate_stray
     merges, windows = [], []
     monkeypatch.setattr(mc, "merge_streams", lambda *s: merges.append(len(s)) or merge(*s))
@@ -375,4 +375,18 @@ def test_simulate_merges_photon_streams_once(tmp_path, monkeypatch):
         assert main(["simulate", "--outdir", str(tmp_path / str(duration_s))] + args) == EXIT_OK
         edges = [*range(0, math.ceil(duration_s / length) * length, length), duration_s]
         assert windows == list(zip(edges[:-1], edges[1:]))
-        assert merges == [5] * len(windows)
+        assert merges == [6] * len(windows)
+
+
+@pytest.mark.parametrize("name", ["ref", "trans"])
+def test_each_part_is_detected_with_its_detectors_spec(tmp_path, name):
+    # A blind output detector counts no pulse; the other two still count
+    # theirs, so each part met its own detector's spec.
+    args = FAST + ["--set", f"detector.{name}.quantum_efficiency=0"]
+    assert main(["simulate", "--outdir", str(tmp_path)] + args) == EXIT_OK
+    lines = (tmp_path / "pulse_summary.txt").read_text().splitlines()
+    counts = {line.split(":")[0]: line for line in lines}
+    assert counts[name] == f"{name}: analog=0 logic=0"
+    for other in set(mc.DETECTOR_NAMES.values()) - {name}:
+        analog, logic = (int(v.split("=")[1]) for v in counts[other].split(": ")[1].split())
+        assert analog > 0 and logic > 0

@@ -86,6 +86,7 @@ def test_rate_cap_below_one_rejected(cap):
     "detector.trig.logic_width_ns=nan",
     "detector.analog_width_ns=nan",
     "daq.sum_halfwidth_kev=nan",
+    "daq.sum_halfwidth_kev=inf",
     "source.pair_rate_hz=nan",
     "source.pair_rate_hz=inf",
     "source.stray_rate_ref_hz=nan",

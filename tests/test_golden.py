@@ -43,34 +43,34 @@ REFERENCE_MODEL_GOLDEN = {
 GOLDEN = {
     77: {
         "simulate": {
-            "events.csv": "345c1cdcb45de964d0d9d31297b62354540aa7320acef99038837c8571a8afcb",
-            "pulse_summary.txt": "afee2829aa7c83d892af33de6bd7b6f6f4c83247af1d18c4ef084c9d0934bead",
-            "run_meta.txt": "b6175598d40b5f73ca35913eb19db5f91865c86a27822c4b839b8aca9e97b6e0",
+            "events.csv": "2c5614aa64bbbefd41bfb28e80ff1d8873cb790918998a35f8eef7f90b8fbdfd",
+            "pulse_summary.txt": "94b4abc687c82459661ef189e9ce64b78cd0b4f50cdc77f9cfe30714027f82af",
+            "run_meta.txt": "0f03f39f0e7b50000af69f877adb41f863874f89edb253ac4b3e2ba1fc2e8226",
         },
         "analyze": {
-            "alpha_report.txt": "6b0ba789601e39cb72f9b843050e03226d9608cc43e80ac6739a41b1296d770e",
-            "counts_all.csv": "436bbd165b16cc4b49d3ab667d5bf18dbe68e96cf4786bbf42a675ac4a208e12",
-            "counts_heralded.csv": "ace6022527971f704a0f3c1d6388c1540e794b0d2b9d599f274b1d59000ec865",
-            "rates.txt": "9a445e17ebfda4025cb8688b6c635f6d8c4a02a6d08e3ffc733e573318eb027f",
-            "sigma_curves.csv": "b73b2f0c9f8718dd68c4f4654045dbe6a752bdf561cf9fafdcd34e8d74d85c8f",
-            "spectrum_ref.csv": "a3b08ad31f632e9cc58eaa0c2cd737e74d7fd35b60155af2bd55f28eb327329a",
-            "spectrum_trans.csv": "1e368a75e3309549cb264161c7cf894fe07c3cb382f08ca30103e83ad2aaa96c",
+            "alpha_report.txt": "02e1c77c22aebf7b55dc9bedb9f9e194c9d6d62906d92be42739d48c390f81bc",
+            "counts_all.csv": "3283ecf5cc0face3c0952cb8c8384721cae7d37b786ba47ad53227beda8b1f09",
+            "counts_heralded.csv": "3a02f8ef0a7178ca7d5fb48fedbd40ea145e1a620c30e2202470fbb9a85c0d94",
+            "rates.txt": "0d3721ca36daa55110ea5579ba804242d7f5f9d495aca3293e2eb52ca5aec212",
+            "sigma_curves.csv": "02e8a1a52fd50ebb92f84f5bbeb0d187233ed3425ca3558a39f96be3caa100ae",
+            "spectrum_ref.csv": "9b794091b9937d319035b5a294325afa17884bca2f1e96dbd8bc8bf29a716576",
+            "spectrum_trans.csv": "24671749edcbf6a5e37069f7fca531c1cd8a8747006baf33ff40433db591266b",
         },
     },
     78: {
         "simulate": {
-            "events.csv": "30ebad185b7b1e247941e721753bcbebc36a4879a2bb024bfb7bb5ec45b8d77d",
-            "pulse_summary.txt": "8c26a12e8ebc91db2713896a332d612d0ba923ffbf00d688c98cae3e93364f5e",
-            "run_meta.txt": "5d9c524dc9a097cb15891cbb926e063b12007bdf75ffc9fa2cbbfdf199ae5d03",
+            "events.csv": "a30e338a374da771c0c12ff42fc3e27cfb0a6863cc3d71450d4b76e7cc4ea474",
+            "pulse_summary.txt": "7f21768a9086829993551359e5f411fa56b0c876bb16ca4c99d0c5f48e888725",
+            "run_meta.txt": "8b79ed91b23d5e2026ca92c14ae0593b0da16347bd0454a7b6711dc1c4465687",
         },
         "analyze": {
-            "alpha_report.txt": "3e3551648cc91bf203486be84f12d98315f5d55f017f2cd703c89e45c82d9734",
-            "counts_all.csv": "beec32e4e5a63dc98274035fe74916abd57cdf2ab6d5e7cd6aa2953121defc5c",
-            "counts_heralded.csv": "e6860a4de3e3cfb379a4785654e8260a0ca7db466bc33434fd9d0cc71003a6be",
-            "rates.txt": "ceb23d74c0b03cd3fb69b44c15006bc905395b9cb762f36d0f6c9240e8392567",
-            "sigma_curves.csv": "60872ea6cdbe00216151538dd8acc2ed22e79296a24bf2406d837fd490011422",
-            "spectrum_ref.csv": "dc38d54c9b7a2f19016979762031f5f4913512487469f9fd7a537b73d2237d36",
-            "spectrum_trans.csv": "6f041058ae2486be2250b7e12310d42e0a067cec56c36584afdcc887af28d746",
+            "alpha_report.txt": "815e272a46de7e709bd780b071f3ae0759a1886552c12b61e3abb3885ca54bf4",
+            "counts_all.csv": "44dde358668374ec3f6cd7a4b6f1008a3c7d52808e89f50f4282bc2a0f22f620",
+            "counts_heralded.csv": "9d92d6c4fdf151e68366cf87ebfe62ab3e5b2e2f2a0bbba717bdafd5d942c58b",
+            "rates.txt": "57f8846726eec78f8dba5b8d01a6f20044221244b90df2ab25a273fa6e210f0d",
+            "sigma_curves.csv": "5df79f7592ae41dc11b047f4d4f50f6e6bc7e5d2d0dcf9fb11bb99f27032224f",
+            "spectrum_ref.csv": "e5467167d620df4bae8c20e62c33d35caf65955bd98c489f2d154c7d4a478ccb",
+            "spectrum_trans.csv": "17b998dc28dd1d9f07a9eb2a13776fdc1c22a676d8db62ca894b5a24c38451f8",
         },
     },
 }
@@ -83,13 +83,13 @@ SELECTION = [
     "--set", "daq.acceptance_hi_kev=16.5",
 ]
 SELECTION_GOLDEN = {
-    "alpha_report.txt": "06f0f57aaf7ecfb6161cb48ffd7d26f0f9a4a3864ce5df095f8ed66eb5db92a6",
-    "counts_all.csv": "436bbd165b16cc4b49d3ab667d5bf18dbe68e96cf4786bbf42a675ac4a208e12",
-    "counts_heralded.csv": "282a7c3e2705aa08e028b992b5635974e1942537e2728cff5507f4b7cc273651",
-    "rates.txt": "42763f07d60f9b9ea0b32a02850c93e784bbae31e08cf04c5716d02c3642d139",
-    "sigma_curves.csv": "727b104b591c0e7b7051a113f3cf184e4625162ced415b2d47861e14be496cad",
-    "spectrum_ref.csv": "209f876fa6d0dafce6b277643384f9a25fba683f0da487e22925accec6b55d8f",
-    "spectrum_trans.csv": "ef5b587b3acaa570afba165daffa7564dea5e642ae15bdfe8e2f0e8b732004bd",
+    "alpha_report.txt": "bc5967e5fd0852f955e9acdcd1698bea065448ceb84fcbfd633dc5c85d4e6532",
+    "counts_all.csv": "3283ecf5cc0face3c0952cb8c8384721cae7d37b786ba47ad53227beda8b1f09",
+    "counts_heralded.csv": "bea330118abbafd09f1de07667a8fdd7fee0bd740e08e84a61fa722045280593",
+    "rates.txt": "dd9b12c1a3876b45cf0ebb738de4f706798902f295fc337214d170e6d0adffbc",
+    "sigma_curves.csv": "33983618d7b7cb178916fd025f9fcf6f5fd6eb155a5cc67bc7b2a0d523600ddd",
+    "spectrum_ref.csv": "84ae5216d3ed0730cd3b5c43f59ef8c5d247644b62930a6a228af51f2f812890",
+    "spectrum_trans.csv": "2f5edc58e97f8d9f0d830263744116b47d58c532df58288d56fbd3441437d634",
 }
 
 

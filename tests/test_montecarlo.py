@@ -22,14 +22,16 @@ SMALL_GRID = GridSpec(9.5, 11.5, 200, 5.0e-3, 40, 10)
 PHOTON_COLUMNS = ("time_ns", "energy_kev", "detector", "origin")
 
 
-def _photons(time_ns, energy_kev=0.0, detector=mc.DET_TRIG, origin=mc.ORIGIN_STRAY):
-    """Photon stream; scalar energy, detector or origin apply to every photon."""
+def _photons(time_ns, energy_kev=0.0, detector=mc.DET_TRIG, origin=mc.ORIGIN_STRAY, logic=None):
+    """Photon stream, or pulse stream if ``logic`` is given; scalar energy,
+    detector, origin or logic apply to every entry."""
     n = len(time_ns)
     return mc.Stream(
         np.asarray(time_ns, dtype=float),
         np.broadcast_to(np.asarray(energy_kev, dtype=float), n).copy(),
         np.broadcast_to(np.asarray(detector, dtype=np.int8), n).copy(),
         np.broadcast_to(np.asarray(origin, dtype=np.int8), n).copy(),
+        None if logic is None else np.broadcast_to(np.asarray(logic, dtype=bool), n).copy(),
     )
 
 
@@ -53,12 +55,15 @@ def cfg():
 
 
 def _pairs(ridge_small, graphite, cfg, seed, window_s=None, **source_kw):
+    """The (trigger, TRANS herald, REF herald) parts over ``window_s``,
+    by default the whole run."""
     # Zero air and helium paths: exp(-0) = 1 exactly, so flight-path
     # absorption keeps every photon.
     source = replace(cfg.source, air_path_cm=0.0, helium_path_cm=0.0, **source_kw)
     return mc.generate_pairs(ridge_small, cfg.spdc.pump_energy_kev, cfg.splitter, source, graphite,
                              air=load_table("air"), helium=load_table("helium"),
-                             rng=np.random.default_rng(seed), window_s=window_s)
+                             rng=np.random.default_rng(seed),
+                             window_s=window_s or (0.0, source.duration_s))
 
 
 def test_stray_spectrum_band_and_line():
@@ -87,29 +92,30 @@ def test_source_validation():
 
 
 def test_pairs_conserve_energy_and_time(ridge_small, graphite, cfg):
-    trig, herald = _pairs(ridge_small, graphite, cfg, 5, pair_rate=200.0, duration_s=50.0)
-    assert len(trig) > 0 and len(herald) > 0
+    trig, trans, ref = _pairs(ridge_small, graphite, cfg, 5, pair_rate=200.0, duration_s=50.0)
+    assert len(trig) > 0 and len(trans) > 0 and len(ref) > 0
+    herald = mc.merge_streams(trans, ref)
     # Pair members share one creation time; match them on it.
     common, ti, hi = np.intersect1d(trig.time_ns, herald.time_ns, return_indices=True)
     assert len(common) > 0.2 * len(trig)
     total = trig.energy_kev[ti] + herald.energy_kev[hi]
     np.testing.assert_allclose(total, cfg.spdc.pump_energy_kev, atol=1e-9)
-    assert set(np.unique(herald.detector)) <= {mc.DET_TRANS, mc.DET_REF}
-    assert np.all(trig.detector == mc.DET_TRIG)
+    for part, det in zip((trig, trans, ref), mc.DETECTORS):
+        assert np.all(part.detector == det)
 
 
 def test_generators_return_time_ordered_parts(ridge_small, graphite, cfg):
-    trig, herald = _pairs(ridge_small, graphite, cfg, 6, pair_rate=200.0, duration_s=5.0)
-    stray = mc.generate_stray(replace(cfg.source, duration_s=0.5), rng=np.random.default_rng(6))
-    parts = [trig, herald, *stray]
-    origins = [mc.ORIGIN_PAIR_TRIGGER, mc.ORIGIN_PAIR_HERALD] + [mc.ORIGIN_STRAY] * 3
+    pairs = _pairs(ridge_small, graphite, cfg, 6, pair_rate=200.0, duration_s=5.0)
+    stray = mc.generate_stray(cfg.source, rng=np.random.default_rng(6), window_s=(0.0, 0.5))
+    parts = [*pairs, *stray]
+    origins = [mc.ORIGIN_PAIR_TRIGGER] + [mc.ORIGIN_PAIR_HERALD] * 2 + [mc.ORIGIN_STRAY] * 3
     assert all(len(p) > 0 for p in parts)
-    for part, origin in zip(parts, origins):
+    # Each part holds one detector's photons, in TRIG, TRANS, REF order.
+    for part, origin, det in zip(parts, origins, 2 * mc.DETECTORS):
         assert np.all(np.diff(part.time_ns) >= 0)
         assert np.all(part.origin == origin)
-    for part, det in zip(stray, (mc.DET_TRIG, mc.DET_TRANS, mc.DET_REF)):
         assert np.all(part.detector == det)
-    # No pairs: still two parts, empty, with the photon dtypes.
+    # No pairs: still three parts, empty, with the photon dtypes.
     for part in _pairs(ridge_small, graphite, cfg, 6, pair_rate=0.0):
         assert len(part) == 0
         assert [c.dtype for c in _columns(part)] == [np.float64, np.float64, np.int8, np.int8]
@@ -127,7 +133,7 @@ def test_pairs_in_a_window_without_a_pair(ridge_small, graphite, cfg):
     for part in parts:
         assert len(part) == 0
         assert [c.dtype for c in _columns(part)] == [np.float64, np.float64, np.int8, np.int8]
-    stray = mc.generate_stray(replace(cfg.source, duration_s=0.01), rng=np.random.default_rng(1))
+    stray = mc.generate_stray(cfg.source, rng=np.random.default_rng(1), window_s=(0.0, 0.01))
     merged = mc.merge_streams(*parts, *stray)
     for column, expected in zip(_columns(merged), _columns(mc.merge_streams(*stray))):
         assert column.dtype == expected.dtype
@@ -181,7 +187,8 @@ def test_pair_stream_is_seed_deterministic(ridge_small, graphite, cfg):
 
 
 def test_heralded_energies_follow_amplitude_window(ridge_small, graphite, cfg):
-    _trig, herald = _pairs(ridge_small, graphite, cfg, 9, pair_rate=500.0, duration_s=20.0)
+    _trig, *heralds = _pairs(ridge_small, graphite, cfg, 9, pair_rate=500.0, duration_s=20.0)
+    herald = mc.join_streams(*heralds)
     assert herald.energy_kev.min() >= SMALL_GRID.energy_lo_kev
     assert herald.energy_kev.max() <= SMALL_GRID.energy_hi_kev
     assert np.isin(herald.energy_kev, ridge_small.energies).all()
@@ -189,7 +196,7 @@ def test_heralded_energies_follow_amplitude_window(ridge_small, graphite, cfg):
 
 def test_pairs_draw_zeros_in_proportion_to_their_weights(graphite, cfg):
     ridge = Ridge(np.array([9.8, 10.6]), np.zeros(2), np.array([1.0, 3.0]), np.full(2, 1.6e4))
-    trig, _herald = _pairs(ridge, graphite, cfg, 2, pair_rate=1000.0, duration_s=10.0)
+    trig, *_heralds = _pairs(ridge, graphite, cfg, 2, pair_rate=1000.0, duration_s=10.0)
     n = len(trig)
     at_low = int(np.sum(trig.energy_kev == cfg.spdc.pump_energy_kev - 9.8))
     assert np.isin(trig.energy_kev, cfg.spdc.pump_energy_kev - ridge.energies).all()
@@ -206,16 +213,16 @@ def test_heralded_energies_follow_the_w_port_spectra(ridge_small, graphite, cfg)
     # tails the spectra carry across bin edges (up to a few percent of a
     # line whose zero lies within an eV of an edge), which adds about 10 to
     # chi^2 at 4e5 pairs.
-    trig, herald = _pairs(ridge_small, graphite, cfg, 4, pair_rate=40_000.0, duration_s=10.0)
+    trig, at_trans, at_ref = _pairs(ridge_small, graphite, cfg, 4, pair_rate=40_000.0, duration_s=10.0)
     n_pairs = len(trig)  # no flight-path loss: one trigger per pair
     energies, refl, trans = port_energy_spectra(ridge_small, SMALL_GRID, cfg.splitter, graphite)
     cells_per_bin = 10
     assert SMALL_GRID.n_energy % cells_per_bin == 0
     edges = SMALL_GRID.energy_edges()[::cells_per_bin]
     chi2, dof = 0.0, 0
-    for det, density in ((mc.DET_REF, refl), (mc.DET_TRANS, trans)):
+    for herald, density in ((at_ref, refl), (at_trans, trans)):
         want = n_pairs * density.reshape(-1, cells_per_bin).sum(axis=1) * SMALL_GRID.d_energy
-        got = np.histogram(herald.energy_kev[herald.detector == det], edges)[0]
+        got = np.histogram(herald.energy_kev, edges)[0]
         kept = want >= 5.0
         chi2 += float(np.sum((got[kept] - want[kept]) ** 2 / want[kept]))
         dof += int(kept.sum())
@@ -228,47 +235,53 @@ def test_merge_streams_sorts_by_time():
     b = _photons([2.0, 7.0])
     merged = mc.merge_streams(a, b)
     assert np.all(np.diff(merged.time_ns) >= 0)
-    assert len(mc.merge_streams()) == 0
+    assert merged.logic is None
+    # Pulse streams keep their logic pulses.
+    pulses = mc.merge_streams(_photons([5.0, 9.0], logic=True), _photons([7.0], logic=False))
+    assert pulses.logic.tolist() == [True, False, True]
 
 
-def _merge_like_simulate(trig, herald, stray):
-    """The one merge of ``cli.simulate_events``: the pair parts (trigger,
-    herald), then the stray parts (TRIG, TRANS, REF)."""
-    return mc.merge_streams(trig, herald, *stray)
+def _merge_like_simulate(pairs, stray):
+    """The one merge of ``cli._slice_pulses``: the pair parts (trigger,
+    TRANS herald, REF herald), then the stray parts (TRIG, TRANS, REF)."""
+    return mc.merge_streams(*pairs, *stray)
+
+
+_PART_ORIGINS = (mc.ORIGIN_PAIR_TRIGGER,) + (mc.ORIGIN_PAIR_HERALD,) * 2 + (mc.ORIGIN_STRAY,) * 3
 
 
 def test_merge_tie_order_hand_built():
-    # Every photon at one instant: trigger before herald, pairs before
-    # stray, stray in TRIG, TRANS, REF order.
+    # Every pulse at one instant: pairs before stray, each in TRIG, TRANS,
+    # REF order.
     t = [100.0]
-    merged = _merge_like_simulate(
-        _photons(t, 1.0, mc.DET_TRIG, mc.ORIGIN_PAIR_TRIGGER),
-        _photons(t, 2.0, mc.DET_REF, mc.ORIGIN_PAIR_HERALD),
-        [_photons(t, 3.0 + d, d, mc.ORIGIN_STRAY) for d in (mc.DET_TRIG, mc.DET_TRANS, mc.DET_REF)],
-    )
-    assert merged.energy_kev.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
-    assert merged.detector.tolist() == [mc.DET_TRIG, mc.DET_REF, mc.DET_TRIG, mc.DET_TRANS, mc.DET_REF]
-    assert merged.origin.tolist() == [mc.ORIGIN_PAIR_TRIGGER, mc.ORIGIN_PAIR_HERALD] + [mc.ORIGIN_STRAY] * 3
+    parts = [_photons(t, 1.0 + k, det, origin, logic=k % 2 == 0)
+             for k, (det, origin) in enumerate(zip(2 * mc.DETECTORS, _PART_ORIGINS))]
+    merged = _merge_like_simulate(parts[:3], parts[3:])
+    assert merged.energy_kev.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    assert merged.detector.tolist() == 2 * list(mc.DETECTORS)
+    assert merged.origin.tolist() == list(_PART_ORIGINS)
+    assert merged.logic.tolist() == [True, False] * 3
 
 
 @settings(max_examples=60, deadline=None)
-@given(sizes=st.lists(st.integers(0, 12), min_size=5, max_size=5), seed=st.integers(0, 2**32 - 1))
+@given(sizes=st.lists(st.integers(0, 12), min_size=6, max_size=6), seed=st.integers(0, 2**32 - 1))
 def test_merge_tie_order_matches_one_stable_sort(sizes, seed):
-    """Times on a 4-point lattice, so most photons tie; the five-part merge
+    """Times on a 4-point lattice, so most pulses tie; the six-part merge
     equals one stable argsort of the concatenation on every column.  Each
-    photon's energy is its serial number, so any reordering shows."""
+    pulse's energy is its serial number, so any reordering shows."""
     rng = np.random.default_rng(seed)
     first = np.cumsum([0] + sizes)
-    origins = (mc.ORIGIN_PAIR_TRIGGER, mc.ORIGIN_PAIR_HERALD) + (mc.ORIGIN_STRAY,) * 3
     parts = [
         _photons(np.sort(rng.integers(0, 4, n) * 100.0), np.arange(first[k], first[k] + n),
-                 rng.integers(0, 3, n), origin)
-        for k, (n, origin) in enumerate(zip(sizes, origins))
+                 det, origin, rng.random(n) < 0.5)
+        for k, (n, det, origin) in enumerate(zip(sizes, 2 * mc.DETECTORS, _PART_ORIGINS))
     ]
-    merged = _merge_like_simulate(parts[0], parts[1], parts[2:])
-    whole = [np.concatenate([getattr(p, c) for p in parts]) for c in PHOTON_COLUMNS]
+    merged = _merge_like_simulate(parts[:3], parts[3:])
+    names = PHOTON_COLUMNS + ("logic",)
+    whole = [np.concatenate([getattr(p, c) for p in parts]) for c in names]
     order = np.argsort(whole[0], kind="stable")
-    for column, expected in zip(_columns(merged), whole):
+    for name, expected in zip(names, whole):
+        column = getattr(merged, name)
         assert column.dtype == expected.dtype
         np.testing.assert_array_equal(column, expected[order])
 
@@ -278,96 +291,70 @@ def test_detect_quantum_efficiency_and_logic(cfg):
     spec = replace(
         cfg.detectors[mc.DET_TRIG], quantum_efficiency=0.25, resolution_fwhm_ev=1.0
     )
-    pulses = mc.detect(photons, {mc.DET_TRIG: spec}, np.random.default_rng(1))
+    pulses = mc.detect(photons, spec, np.random.default_rng(1))
     assert len(pulses) == pytest.approx(2500, abs=200)
     in_band = np.abs(pulses.energy_kev - 10.5) < 0.5
     assert np.all(pulses.logic[in_band])
     assert not np.any(pulses.logic[~in_band])
 
 
-def _detect_per_detector_masks(photons, specs, rng):
-    """Reference: the per-detector masked formula, (time, energy, detector,
-    origin, logic) columns of the pulses."""
-    n = len(photons)
-    qe, sigma, sca_lo, sca_hi = (np.empty(n) for _ in range(4))
-    for det, spec in specs.items():
-        mask = photons.detector == det
-        qe[mask] = spec.quantum_efficiency
-        sigma[mask] = spec.sigma_kev(photons.energy_kev[mask])
-        sca_lo[mask] = spec.sca_window_kev[0]
-        sca_hi[mask] = spec.sca_window_kev[1]
-    alive = rng.random(n) < qe
-    measured = photons.energy_kev[alive] + rng.standard_normal(int(alive.sum())) * sigma[alive]
-    logic = (measured >= sca_lo[alive]) & (measured <= sca_hi[alive])
+def _detect_reference(photons, spec, rng):
+    """Reference: (time, energy, detector, origin, logic) columns of the
+    pulses, each surviving photon measured at E + z * sigma_kev(E)."""
+    alive = rng.random(len(photons)) < spec.quantum_efficiency
+    energy = photons.energy_kev[alive]
+    measured = energy + rng.standard_normal(energy.size) * spec.sigma_kev(energy)
+    logic = (measured >= spec.sca_window_kev[0]) & (measured <= spec.sca_window_kev[1])
     return (photons.time_ns[alive], measured, photons.detector[alive], photons.origin[alive], logic)
 
 
-def _assert_detect_matches_reference(photons, specs):
-    rng_new, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
-    pulses = mc.detect(photons, specs, rng_new)
-    expected = _detect_per_detector_masks(photons, specs, rng_ref)
-    for name, column in zip(PHOTON_COLUMNS + ("logic",), expected):
-        got = getattr(pulses, name)
-        assert got.dtype == column.dtype, name
-        assert got.tobytes() == column.tobytes(), name
-    # Same random-number consumption.
-    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
-    return pulses
-
-
-def _edge_photons(seed, n=30000):
-    """Photons on every detector, with energies on and around 0: energies
+def _edge_photons(seed, detector, n=30000):
+    """One detector's photons, with energies on and around 0: energies
     <= 0 have zero noise, so some pulses sit exactly on an SCA edge."""
     rng = np.random.default_rng(seed)
     energy = rng.uniform(-3.0, 25.0, n)
     energy[::7] = 0.0
     energy[::11] = -0.0
     energy[::13] = -1.0
-    return _photons(np.sort(rng.uniform(0, 1e9, n)), energy, rng.integers(0, 3, n),
-                    rng.integers(0, 3, n))
+    return _photons(np.sort(rng.uniform(0, 1e9, n)), energy, detector, rng.integers(0, 3, n))
 
 
 def test_detect_matches_per_detector_masks_bit_for_bit():
-    specs = {
-        mc.DET_TRIG: mc.DetectorSpec(quantum_efficiency=0.9, resolution_fwhm_ev=150.0,
-                                     reference_energy_kev=5.9, sca_window_kev=(6.0, 15.0)),
-        mc.DET_TRANS: mc.DetectorSpec(quantum_efficiency=0.55, resolution_fwhm_ev=420.0,
-                                      reference_energy_kev=10.5, sca_window_kev=(8.5, 12.0)),
-        mc.DET_REF: mc.DetectorSpec(quantum_efficiency=0.3, resolution_fwhm_ev=999.0,
-                                    reference_energy_kev=22.1, sca_window_kev=(-1.0, 0.0)),
-    }
-    photons = _edge_photons(12)
-    assert 0 < len(_assert_detect_matches_reference(photons, specs)) < len(photons)
+    # One spec per detector, each detecting that detector's photons; the
+    # last with QE 1, so that no photon is dropped, and one without noise.
+    specs = [
+        mc.DetectorSpec(quantum_efficiency=0.9, resolution_fwhm_ev=150.0,
+                        reference_energy_kev=5.9, sca_window_kev=(6.0, 15.0)),
+        mc.DetectorSpec(quantum_efficiency=0.55, resolution_fwhm_ev=420.0,
+                        reference_energy_kev=10.5, sca_window_kev=(8.5, 12.0)),
+        mc.DetectorSpec(quantum_efficiency=0.3, resolution_fwhm_ev=999.0,
+                        reference_energy_kev=22.1, sca_window_kev=(-1.0, 0.0)),
+        mc.DetectorSpec(quantum_efficiency=0.3, resolution_fwhm_ev=0.0,
+                        reference_energy_kev=10.5, sca_window_kev=(0.0, 12.0)),
+        mc.DetectorSpec(quantum_efficiency=1.0, resolution_fwhm_ev=300.0,
+                        reference_energy_kev=10.5, sca_window_kev=(0.0, 22.0)),
+    ]
+    for seed, (spec, det) in enumerate(zip(specs, 2 * mc.DETECTORS)):
+        photons = _edge_photons(12 + seed, det)
+        rng_new, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
+        pulses = mc.detect(photons, spec, rng_new)
+        expected = _detect_reference(photons, spec, rng_ref)
+        for name, column in zip(PHOTON_COLUMNS + ("logic",), expected):
+            got = getattr(pulses, name)
+            assert got.dtype == column.dtype, name
+            assert got.tobytes() == column.tobytes(), name
+        # Same random-number consumption.
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+        assert 0 < pulses.logic.sum() < len(pulses)
+        if spec.quantum_efficiency < 1:
+            assert 0 < len(pulses) < len(photons)
+        else:  # every photon survives: the pulses share the photons' columns
+            assert all(getattr(pulses, c) is getattr(photons, c)
+                       for c in ("time_ns", "detector", "origin"))
 
 
-def test_detect_with_one_shared_spec_matches_per_detector_masks():
-    # Every value is one number: no lookup by detector, and with QE 1 no
-    # photon is dropped.
-    spec = mc.DetectorSpec(quantum_efficiency=1.0, resolution_fwhm_ev=300.0,
-                           reference_energy_kev=10.5, sca_window_kev=(0.0, 22.0))
-    specs = dict.fromkeys((mc.DET_TRIG, mc.DET_TRANS, mc.DET_REF), spec)
-    photons = _edge_photons(13)
-    pulses = _assert_detect_matches_reference(photons, specs)
-    assert len(pulses) == len(photons)
-    assert 0 < pulses.logic.sum() < len(pulses)
-
-
-def test_detect_with_some_shared_values_matches_per_detector_masks():
-    # Shared SCA edges and reference energy; QE below 1 and resolution differ.
-    shared = dict(reference_energy_kev=10.5, sca_window_kev=(0.0, 12.0))
-    specs = {
-        mc.DET_TRIG: mc.DetectorSpec(quantum_efficiency=0.9, resolution_fwhm_ev=150.0, **shared),
-        mc.DET_TRANS: mc.DetectorSpec(quantum_efficiency=0.55, resolution_fwhm_ev=420.0, **shared),
-        mc.DET_REF: mc.DetectorSpec(quantum_efficiency=0.3, resolution_fwhm_ev=0.0, **shared),
-    }
-    photons = _edge_photons(14)
-    pulses = _assert_detect_matches_reference(photons, specs)
-    assert 0 < len(pulses) < len(photons)
-    assert 0 < pulses.logic.sum() < len(pulses)
-
-
-def test_detect_of_an_empty_stream_without_specs():
-    pulses = mc.detect(_photons([]), {}, np.random.default_rng(0))
+def test_detect_of_an_empty_stream():
+    pulses = mc.detect(_photons([]), mc.DetectorSpec(), np.random.default_rng(0))
     assert len(pulses) == 0
     assert [c.dtype for c in _columns(pulses)] == [np.float64, np.float64, np.int8, np.int8]
     assert pulses.logic.dtype == bool and len(pulses.logic) == 0
@@ -376,17 +363,11 @@ def test_detect_of_an_empty_stream_without_specs():
 def test_detect_energy_blur_scale(cfg):
     photons = _photons(np.zeros(40000), 10.5, mc.DET_REF)
     spec = cfg.detectors[mc.DET_REF]
-    pulses = mc.detect(photons, {mc.DET_REF: spec}, np.random.default_rng(2))
+    pulses = mc.detect(photons, spec, np.random.default_rng(2))
     measured = pulses.energy_kev
     expected_sigma = spec.resolution_fwhm_ev / 1000.0 / mc.FWHM_TO_SIGMA
     assert np.std(measured) == pytest.approx(expected_sigma, rel=0.05)
     assert np.mean(measured) == pytest.approx(10.5, abs=0.01)
-
-
-def test_detect_rejects_unknown_detector(cfg):
-    photons = _photons([0.0], detector=9)
-    with pytest.raises(ValueError):
-        mc.detect(photons, cfg.detectors, np.random.default_rng(0))
 
 
 def test_detector_spec_validation():

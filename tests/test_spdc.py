@@ -282,8 +282,7 @@ def _bisected_ridge(kin, grid):
     ``spdc._ridge``: every zero of ``half_phase`` in 0 < E < E_pump,
     bracketed between the 63 nodes E_pump / 64 apart and bisected down to
     adjacent floats.  Returns (e0, slope, column, row, key), in the order
-    row, then bracket, then column; ``key`` (``_ridge_key``) rises along
-    that order."""
+    of ``key`` (``_ridge_key``): row, then column."""
     tx = grid.theta_x_centers()
     ty = grid.theta_y_centers()[grid.n_y // 2 :]
     nodes = np.linspace(0.0, kin.pump_kev, 65)[1:-1]
@@ -303,15 +302,14 @@ def _bisected_ridge(kin, grid):
         hi = np.where(right, hi, mid)
         mid = 0.5 * (lo + hi)
     slope = np.abs(kin.half_phase_slope(mid, theta_x, theta_y))
-    return mid, slope, column, row, _ridge_key(kin, grid, mid, column, row)
+    key = _ridge_key(grid, column, row)
+    order = np.argsort(key, kind="stable")
+    return mid[order], slope[order], column[order], row[order], key[order]
 
 
-def _ridge_key(kin, grid, e0, column, row):
-    """(row, bracket, column) of each zero as one integer, the bracket
-    being the node interval that holds E0."""
-    nodes = np.linspace(0.0, kin.pump_kev, 65)[1:-1]
-    bracket = np.searchsorted(nodes, e0, side="right") - 1
-    return (row * nodes.size + bracket) * grid.n_x + column
+def _ridge_key(grid, column, row):
+    """(row, column) of each zero as one integer."""
+    return row * grid.n_x + column
 
 
 def _in_window(grid, e0):
@@ -389,7 +387,7 @@ def test_pair_intensity_kernel_matches_3d_reference(lo, width, n_energy, n_x, n_
     e0, slope, _column, row, key = reference
     inside = _in_window(grid, e0)
     solved_e0, _slope, solved_column, solved_row = spdc._ridge(kin, grid)
-    assert np.array_equal(_ridge_key(kin, grid, solved_e0, solved_column, solved_row), key[inside])
+    assert np.array_equal(_ridge_key(grid, solved_column, solved_row), key[inside])
 
     X = spdc.LINE_HALF_WIDTH
     window = np.array([grid.energy_lo_kev, grid.energy_hi_kev])
@@ -464,7 +462,7 @@ def test_ridge_solve_matches_bisection(grid):
     inside = _in_window(grid, ref_e0)
     assert inside.any() == (grid is not RIDGE_GRIDS["above_ridge"])
     assert np.all(np.diff(ref_key) > 0)
-    assert np.array_equal(_ridge_key(kin, grid, e0, column, row), ref_key[inside])
+    assert np.array_equal(_ridge_key(grid, column, row), ref_key[inside])
     np.testing.assert_allclose(e0, ref_e0[inside], rtol=0.0, atol=1e-10)
     np.testing.assert_allclose(slope, ref_slope[inside], rtol=1e-9)
 
