@@ -319,23 +319,12 @@ def _edge_photons(seed, detector, n=30000):
     return _photons(np.sort(rng.uniform(0, 1e9, n)), energy, detector, rng.integers(0, 3, n))
 
 
-def test_detect_matches_per_detector_masks_bit_for_bit():
-    # One spec per detector, each detecting that detector's photons; the
-    # last with QE 1, so that no photon is dropped, and one without noise.
-    specs = [
-        mc.DetectorSpec(quantum_efficiency=0.9, resolution_fwhm_ev=150.0,
-                        reference_energy_kev=5.9, sca_window_kev=(6.0, 15.0)),
-        mc.DetectorSpec(quantum_efficiency=0.55, resolution_fwhm_ev=420.0,
-                        reference_energy_kev=10.5, sca_window_kev=(8.5, 12.0)),
-        mc.DetectorSpec(quantum_efficiency=0.3, resolution_fwhm_ev=999.0,
-                        reference_energy_kev=22.1, sca_window_kev=(-1.0, 0.0)),
-        mc.DetectorSpec(quantum_efficiency=0.3, resolution_fwhm_ev=0.0,
-                        reference_energy_kev=10.5, sca_window_kev=(0.0, 12.0)),
-        mc.DetectorSpec(quantum_efficiency=1.0, resolution_fwhm_ev=300.0,
-                        reference_energy_kev=10.5, sca_window_kev=(0.0, 22.0)),
-    ]
-    for seed, (spec, det) in enumerate(zip(specs, 2 * mc.DETECTORS)):
-        photons = _edge_photons(12 + seed, det)
+def _assert_detect_matches_reference(specs, seed):
+    """Each spec detects one detector's ``_edge_photons``: ``detect``
+    equals E + z * sigma_kev(E) bit for bit, with the same random-number
+    consumption."""
+    for k, (spec, det) in enumerate(zip(specs, mc.DETECTORS)):
+        photons = _edge_photons(seed + k, det)
         rng_new, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
         pulses = mc.detect(photons, spec, rng_new)
         expected = _detect_reference(photons, spec, rng_ref)
@@ -351,6 +340,35 @@ def test_detect_matches_per_detector_masks_bit_for_bit():
         else:  # every photon survives: the pulses share the photons' columns
             assert all(getattr(pulses, c) is getattr(photons, c)
                        for c in ("time_ns", "detector", "origin"))
+
+
+def test_detect_matches_per_detector_masks_bit_for_bit():
+    _assert_detect_matches_reference([
+        mc.DetectorSpec(quantum_efficiency=0.9, resolution_fwhm_ev=150.0,
+                        reference_energy_kev=5.9, sca_window_kev=(6.0, 15.0)),
+        mc.DetectorSpec(quantum_efficiency=0.55, resolution_fwhm_ev=420.0,
+                        reference_energy_kev=10.5, sca_window_kev=(8.5, 12.0)),
+        mc.DetectorSpec(quantum_efficiency=0.3, resolution_fwhm_ev=999.0,
+                        reference_energy_kev=22.1, sca_window_kev=(-1.0, 0.0)),
+    ], seed=12)
+
+
+def test_detect_with_one_shared_spec_matches_per_detector_masks():
+    # One spec on every detector; with QE 1 no photon is dropped.
+    spec = mc.DetectorSpec(quantum_efficiency=1.0, resolution_fwhm_ev=300.0,
+                           reference_energy_kev=10.5, sca_window_kev=(0.0, 22.0))
+    _assert_detect_matches_reference([spec] * len(mc.DETECTORS), seed=15)
+
+
+def test_detect_with_some_shared_values_matches_per_detector_masks():
+    # Shared SCA edges and reference energy; QE below 1 and resolution
+    # differ, the last without noise.
+    shared = dict(reference_energy_kev=10.5, sca_window_kev=(0.0, 12.0))
+    _assert_detect_matches_reference([
+        mc.DetectorSpec(quantum_efficiency=0.9, resolution_fwhm_ev=150.0, **shared),
+        mc.DetectorSpec(quantum_efficiency=0.55, resolution_fwhm_ev=420.0, **shared),
+        mc.DetectorSpec(quantum_efficiency=0.3, resolution_fwhm_ev=0.0, **shared),
+    ], seed=18)
 
 
 def test_detect_of_an_empty_stream():
