@@ -105,36 +105,66 @@ def cmd_model(cfg: RunConfig, outdir: str) -> None:
         fh.write(f"r_transmitted = {r_trans:.6f}\n")
 
 
+# The origin of each of a slice's six parts: the pair parts (TRIG, TRANS,
+# REF), then the stray parts.
+_PART_ORIGINS = (mc.ORIGIN_PAIR_TRIGGER,) + (mc.ORIGIN_PAIR_HERALD,) * 2 + (mc.ORIGIN_STRAY,) * 3
+
+
 def _slice_pulses(cfg: RunConfig, ridge: spdc_mod.Ridge, tally: np.ndarray):
     """Yield (end_ns, pulses) per time slice of the run (``slice_edges_s``),
     adding each slice's pulses to ``tally`` by (detector, origin, logic).
 
     Slice k draws from three generators (pairs, stray, detect) spawned from
-    the k-th child of the run seed.  Each of its six photon parts holds one
-    detector's photons and is detected with that detector's spec; the
-    pulse parts are then merged once.
+    the k-th child of the run seed.  It first draws the pairs and the
+    trigger detector's background over the whole slice and detects the
+    trigger parts.  An output pulse farther than ``DaqConfig.reach_ns`` from
+    every trigger logic pulse changes no capture, so the output detectors'
+    background is drawn only on the windows within that reach of a trigger
+    logic pulse or of a slice edge (``reach_windows``); the edges keep the
+    pulses that events across them need.  Outside the windows it is only
+    counted (``count_stray``), into ``tally``.  Each of the six photon
+    parts holds one detector's photons and is detected with that detector's
+    spec; the pulse parts are then merged once.
     """
     edges = mc.slice_edges_s(cfg.source)
     graphite, air, helium = load_table("graphite"), load_table("air"), load_table("helium")
+    outputs = (mc.DET_TRANS, mc.DET_REF)
+    p_logic = {det: mc.sca_probability(cfg.source.spectrum, cfg.detectors[det]) for det in outputs}
     for k, window in enumerate(zip(edges[:-1].tolist(), edges[1:].tolist())):
         seeds = np.random.SeedSequence(cfg.source.rng_seed, spawn_key=(k,)).spawn(3)
         rng_pairs, rng_stray, rng_detect = (np.random.default_rng(s) for s in seeds)
+        t0, t1 = (t * 1e9 for t in window)
         pairs = mc.generate_pairs(
             ridge, cfg.spdc.pump_energy_kev, cfg.splitter, cfg.source, graphite,
             air=air, helium=helium, rng=rng_pairs, window_s=window,
         )
-        stray = mc.generate_stray(cfg.source, rng=rng_stray, window_s=window)
-        # Both generators return their parts in TRIG, TRANS, REF order.
-        parts = [mc.detect(part, cfg.detectors[det], rng_detect)
-                 for part, det in zip(pairs + stray, 2 * mc.DETECTORS)]
-        del pairs, stray  # hold one copy of the slice per stage
-        # One stable sort; equal times keep the part order.
+        (trig_stray,) = mc.generate_stray(cfg.source, (mc.DET_TRIG,), rng=rng_stray,
+                                          windows_ns=([t0], [t1]))
+        trig = [mc.detect(part, cfg.detectors[mc.DET_TRIG], rng_detect)
+                for part in (pairs[0], trig_stray)]
+        # Two sorted runs, which the stable sort merges in one pass.
+        starts = np.sort(np.concatenate([p.time_ns[p.logic] for p in trig]), kind="stable")
+        windows = mc.reach_windows(starts, cfg.daq.reach_ns(), t0, t1)
+        # Rounding may take a fully covered slice's rest below 0.
+        uncovered = max(0.0, (t1 - t0) - float(np.sum(windows[1] - windows[0])))
+        stray = mc.generate_stray(cfg.source, outputs, rng=rng_stray, windows_ns=windows)
+        for det in outputs:
+            analog, logic = mc.count_stray(cfg.source, det, cfg.detectors[det], p_logic[det],
+                                           uncovered, rng=rng_stray)
+            tally[det, mc.ORIGIN_STRAY] += (analog - logic, logic)
+        outs = [mc.detect(part, cfg.detectors[det], rng_detect)
+                for part, det in zip((*pairs[1:], *stray), 2 * outputs)]
+        del pairs, trig_stray, stray  # hold one copy of the slice per stage
+        # Pairs, then stray, each in TRIG, TRANS, REF order: one stable sort
+        # keeps that order among equal times.
+        parts = [trig[0], *outs[:2], trig[1], *outs[2:]]
+        del trig, outs
+        for part, det, origin in zip(parts, 2 * mc.DETECTORS, _PART_ORIGINS):
+            logic = int(np.count_nonzero(part.logic))
+            tally[det, origin] += (len(part) - logic, logic)
         pulses = mc.merge_streams(*parts)
         del parts
-        # int8 arithmetic: the cells run to 17.
-        cell = (pulses.detector * mc.N_ORIGINS + pulses.origin) * 2 + pulses.logic
-        tally += np.bincount(cell, minlength=tally.size).reshape(tally.shape)
-        yield window[1] * 1e9, pulses
+        yield t1, pulses
 
 
 def cmd_simulate(cfg: RunConfig, outdir: str) -> np.ndarray:
@@ -142,7 +172,9 @@ def cmd_simulate(cfg: RunConfig, outdir: str) -> np.ndarray:
     Monte Carlo chain draws its pairs from the ridge zeros
     (``spdc.pair_ridge``) and runs one time slice at a time; each slice's
     events are written as they are built, so memory does not grow with the
-    run length.  Returns the pulse counts by [detector, origin, logic]."""
+    run length.  Returns the pulse counts by [detector, origin, logic],
+    which include the output detectors' background that was only counted
+    (``_slice_pulses``); ``pulse_summary.txt`` sums them per detector."""
     ridge = spdc_mod.pair_ridge(cfg.spdc, cfg.grid)
     ridge.total()  # a window without a zero exits before any file is written
     tally = np.zeros((len(mc.DETECTOR_NAMES), mc.N_ORIGINS, 2), dtype=np.int64)

@@ -50,6 +50,16 @@ class DaqConfig:
         if not 1 <= self.max_event_rate_hz < np.inf:
             raise ValueError(f"max_event_rate_hz must be finite and at least 1, got {self.max_event_rate_hz}")
 
+    def reach_ns(self) -> float:
+        """How far from an overlap point a pulse can matter to it: 2 logic
+        widths + half a window + an analog width.  The point lies within a
+        logic width after its trigger pulse starts; the pulses that decide
+        it start within a logic width of that, and those it captures peak
+        within half a window of it, half an analog width after they start.
+        So an output pulse farther than this from every trigger logic pulse
+        changes no capture."""
+        return 2.0 * self.logic_width_ns + self.half_window_ns + self.analog_width_ns
+
 
 OUTPUT_PORTS = (DET_TRANS, DET_REF)
 
@@ -192,8 +202,8 @@ def find_triggers(pulses: Stream, cfg: DaqConfig, span=None):
     # the running count of output pulses at a trigger pulse is the number
     # ahead of it.  The sentinels stand in for missing neighbours.  The count
     # is int32, which holds for fewer than 2**31 output pulses per call
-    # (``simulate`` passes one time slice, about 25k): it runs about 3x
-    # faster than the default int64 count.
+    # (``simulate`` passes one time slice, about 21k pulses on the bundled
+    # profile): it runs about 3x faster than the default int64 count.
     padded = np.concatenate(([-np.inf], start.take(np.flatnonzero(is_output)), [np.inf]))
     ahead = np.cumsum(is_output, dtype=np.int32).take(trig)
     w = cfg.logic_width_ns
@@ -263,12 +273,12 @@ def build_events_in_slices(slices, cfg: DaqConfig):
     A point depends on the pulses starting up to 2 logic widths before it
     (its trigger pulse and the output pulses ahead of that) and on those
     whose peaks lie within half a window of it.  So each slice is built
-    together with the pulses within ``reach`` of its ends: carried over
-    from the previous slice, and looked ahead into the next, which is read
-    before the slice is built.  At most three slices are held at once, and
-    every slice must be longer than ``reach`` (a few microseconds).
+    together with the pulses within ``cfg.reach_ns()`` of its ends: carried
+    over from the previous slice, and looked ahead into the next, which is
+    read before the slice is built.  At most three slices are held at once,
+    and every slice must be longer than that reach (a few microseconds).
     """
-    reach = 2.0 * cfg.logic_width_ns + cfg.half_window_ns + cfg.analog_width_ns
+    reach = cfg.reach_ns()
     slices = iter(slices)
     lo, behind = -np.inf, None
     current = next(slices, None)

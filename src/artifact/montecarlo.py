@@ -1,14 +1,19 @@
 """Seeded stochastic generation of photon streams and detector pulses.
 
 Photon and pulse streams are ``Stream``s: one contiguous numpy column per
-field (cheap for tens of millions of entries).  The generators draw over a
-window [t0, t1) of the run (``simulate`` runs it in the time slices of
-``slice_edges_s``) and return their parts, each in time order and of one
-detector, in TRIG, TRANS, REF order; ``detect`` turns one part into
-pulses with its detector's spec and keeps the order, and
-``merge_streams`` is the one place that orders a stream.  Every generator
-takes the ``numpy.random.Generator`` it draws from, so identical (config,
-generator state) pairs produce bit-identical streams.
+field (cheap for tens of millions of entries).  ``generate_pairs`` draws
+over a window [t0, t1) seconds of the run (``simulate`` runs it in the
+time slices of ``slice_edges_s``) and returns three parts in TRIG, TRANS,
+REF order; ``generate_stray`` draws each given detector's background on a
+union of disjoint windows in ns, such as one whole slice or the windows
+``reach_windows`` sets around the trigger logic pulses.  Each part is in
+time order and of one detector; ``detect`` turns one part into pulses with
+its detector's spec and keeps the order, and ``merge_streams`` is the one
+place that orders a stream.  Background outside the drawn windows is
+counted, not drawn (``count_stray``), with the probability of a logic
+pulse from ``sca_probability``.  Every generator takes the
+``numpy.random.Generator`` it draws from, so identical (config, generator
+state) pairs produce bit-identical streams.
 """
 
 from __future__ import annotations
@@ -171,16 +176,17 @@ def merge_streams(*streams: Stream) -> Stream:
     return Stream(*(None if c is None else c[order] for c in joined._columns()))
 
 
-# Photons expected per time slice of ``simulate``; the slice length follows
-# from the source's photon rate (``slice_edges_s``).  Part of the stream
-# definition: each slice draws from its own generators.  Measured with
-# ``cli.cmd_simulate`` on the reference profile, 600 s at seed 7, one pinned
-# CPU, Python 3.11 and numpy 2.4 on a 2-CPU x86-64 host (wall time after the
-# pair intensity, median of 3, and peak RSS): 25k photons 0.91-0.99 s /
-# 49 MB, 50k 0.74-0.76 s / 56 MB, 100k 0.73-0.75 s / 66 MB, 200k
-# 0.70-0.73 s / 71 MB, 400k 0.74 s / 97 MB, one slice 0.87-0.90 s / 463 MB.
-# Before the first slice, after solving the pair ridge, the process peaks
-# at 30 MB, so the slices set the peak.
+# Photons expected per time slice of ``simulate`` before the output
+# detectors' background is cut to the windows near trigger pulses; the
+# slice length follows from the source's photon rate (``slice_edges_s``).
+# Part of the stream definition: each slice draws from its own generators.
+# Measured with ``cli.cmd_simulate`` on the reference profile, 600 s at
+# seed 7, one pinned CPU, Python 3.11 and numpy 2.4 on a 2-CPU x86-64 host
+# (wall time after the pair ridge, median of 3, and peak RSS): 25k photons
+# 0.66 s / 42 MB, 50k 0.52 s / 44 MB, 100k 0.47 s / 53 MB, 200k 0.45 s /
+# 56 MB, 400k 0.48 s / 73 MB, one slice 0.55 s / 308 MB.  Before the first
+# slice, after solving the pair ridge, the process peaks at 31 MB, so the
+# slices set the peak.
 PHOTONS_PER_SLICE = 50_000
 
 
@@ -193,10 +199,40 @@ def slice_edges_s(source: SourceConfig) -> np.ndarray:
     return np.append(np.arange(0.0, source.duration_s, length), source.duration_s)
 
 
-def _poisson_times(rng, rate_hz, window_s):
-    t0, t1 = window_s
-    n = rng.poisson(rate_hz * (t1 - t0))
-    return np.sort(rng.uniform(t0 * 1e9, t1 * 1e9, n))
+def _union(windows_ns):
+    """The disjoint windows ``windows_ns`` = (lo, hi) arrays in ns, each
+    window [lo[i], hi[i]) and the windows in time order, laid end to end on
+    [0, summed length): (cumulative length at each window's start and at
+    the end, shift from there to each window's start)."""
+    lo, hi = (np.asarray(edges, dtype=float) for edges in windows_ns)
+    cumulative = np.concatenate(([0.0], np.cumsum(hi - lo)))
+    return cumulative, lo - cumulative[:-1]
+
+
+def _poisson_times(rng, rate_hz, union):
+    """Sorted times in ns of a Poisson process at ``rate_hz`` on a
+    ``_union`` of windows: one Poisson count over their summed length,
+    placed uniformly on it."""
+    cumulative, shift = union
+    n = rng.poisson(rate_hz * cumulative[-1] * 1e-9)
+    u = np.sort(rng.uniform(0.0, cumulative[-1], n))
+    # Window k takes the u in [cumulative[k], cumulative[k + 1]); the last
+    # one also takes a u rounded up to the summed length.
+    u += shift[np.searchsorted(cumulative[1:-1], u, side="right")]
+    return u
+
+
+def reach_windows(starts_ns, reach_ns: float, t0_ns: float, t1_ns: float):
+    """The union of [t - reach_ns, t + reach_ns) over the times t of the
+    sorted ``starts_ns`` and over t0_ns and t1_ns, clipped to [t0_ns,
+    t1_ns), as (lo, hi) arrays of its disjoint windows in time order."""
+    t = np.concatenate(([t0_ns], starts_ns, [t1_ns]))
+    # A new window begins where a time lies more than 2 reach after the
+    # one before it.
+    gap = np.flatnonzero(np.diff(t) > 2.0 * reach_ns)
+    lo = np.concatenate(([t0_ns], t[gap + 1] - reach_ns))
+    hi = np.concatenate((t[gap] + reach_ns, [t1_ns]))
+    return lo, hi
 
 
 def generate_pairs(
@@ -229,7 +265,8 @@ def generate_pairs(
     """
     routes = ((DET_TRIG, ORIGIN_PAIR_TRIGGER), (DET_TRANS, ORIGIN_PAIR_HERALD),
               (DET_REF, ORIGIN_PAIR_HERALD))
-    times = _poisson_times(rng, source.pair_rate, window_s)
+    t0, t1 = window_s
+    times = _poisson_times(rng, source.pair_rate, _union(([t0 * 1e9], [t1 * 1e9])))
     n = len(times)
     if n == 0:
         # Most slices of the reference profile draw no pair; skip their
@@ -258,16 +295,109 @@ def generate_pairs(
     )
 
 
-def generate_stray(source: SourceConfig, *, rng: np.random.Generator, window_s: tuple[float, float]):
-    """Independent Poisson background per detector with i.i.d. energies over
-    ``window_s`` = [t0, t1) seconds, as three time-ordered parts (TRIG,
-    TRANS, REF)."""
+def generate_stray(source: SourceConfig, detectors, *, rng: np.random.Generator, windows_ns):
+    """Independent Poisson background per detector with i.i.d. energies on
+    the union of the disjoint windows ``windows_ns`` = (lo, hi) arrays in
+    ns, in time order (one whole window [t0, t1) is ([t0], [t1])): one
+    time-ordered part per detector of ``detectors``, in their order."""
+    union = _union(windows_ns)
     parts = []
-    for det, rate in zip(DETECTORS, source.stray_rates):
-        times = _poisson_times(rng, rate, window_s)
-        energies = source.spectrum.sample(rng, len(times))
-        parts.append(_photons(times, energies, det, ORIGIN_STRAY))
+    for det in detectors:
+        times = _poisson_times(rng, source.stray_rates[det], union)
+        parts.append(_photons(times, source.spectrum.sample(rng, len(times)), det, ORIGIN_STRAY))
     return tuple(parts)
+
+
+def count_stray(source: SourceConfig, det: int, spec: DetectorSpec, p_logic: float,
+                length_ns: float, *, rng: np.random.Generator):
+    """(analog, logic) pulse counts of detector ``det``'s background over
+    ``length_ns`` of time that is counted, not drawn: a Poisson number of
+    photons, each kept with ``spec``'s quantum efficiency and, as in
+    ``detect``, given a logic pulse with probability ``p_logic``
+    (``sca_probability``)."""
+    n = rng.poisson(source.stray_rates[det] * length_ns * 1e-9)
+    analog = rng.binomial(n, spec.quantum_efficiency)
+    return int(analog), int(rng.binomial(analog, p_logic))
+
+
+def _gauss_legendre(n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]:
+    the eigenvalues of the Jacobi matrix of the Legendre recurrence, and
+    twice the squared first components of its eigenvectors (Golub and
+    Welsch, 1969)."""
+    k = np.arange(1.0, n)
+    nodes, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    return nodes, 2.0 * vectors[0] ** 2
+
+
+# ``sca_probability``'s flat-band rule: 10-point Gauss-Legendre panels, and
+# the distance in sigmas beyond which a photon counts as surely inside or
+# outside an SCA edge (Phi(-8) = 6.2e-16).
+_GAUSS_NODES, _GAUSS_WEIGHTS = _gauss_legendre(10)
+_EDGE_SIGMAS = 8.0
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
+def _measured_below(edge_kev: float, energy_kev, c: float):
+    """P(E + z c sqrt(E) <= edge_kev) for true energies E > 0 and c > 0."""
+    return 0.5 * _erfc((energy_kev - edge_kev) / (c * np.sqrt(energy_kev)) / math.sqrt(2.0))
+
+
+def _flat_measured_below(edge_kev: float, lo_kev: float, hi_kev: float, c: float) -> float:
+    """The integral over E in [lo_kev, hi_kev] of ``_measured_below``.
+
+    |E - edge| <= K c sqrt(E) (K = ``_EDGE_SIGMAS``) holds on one band of E,
+    sqrt(E) from |r - Kc| / 2 to (r + Kc) / 2 with r = sqrt(K^2 c^2 + 4
+    edge), or nowhere when r is not real.  Below that band the integrand is
+    1 within Phi(-K) if the edge is positive and 0 otherwise, above it 0;
+    on it, Gauss-Legendre panels no wider than sigma at the band's lower
+    end integrate it.
+    """
+    k_c = _EDGE_SIGMAS * c
+    r_sq = k_c * k_c + 4.0 * edge_kev
+    if r_sq < 0.0:
+        return 0.0
+    r = math.sqrt(r_sq)
+    band_lo, band_hi = max(lo_kev, (r - k_c) ** 2 / 4.0), min(hi_kev, (r + k_c) ** 2 / 4.0)
+    below = max(0.0, min(hi_kev, band_lo) - lo_kev) if edge_kev > 0.0 else 0.0
+    if band_lo >= band_hi:
+        return below
+    panels = math.ceil((band_hi - band_lo) / (c * math.sqrt(band_lo)))
+    half = 0.5 * (band_hi - band_lo) / panels
+    centres = band_lo + half * (2.0 * np.arange(panels) + 1.0)
+    energies = (centres[:, None] + half * _GAUSS_NODES).ravel()
+    return below + half * float(np.dot(np.tile(_GAUSS_WEIGHTS, panels),
+                                       _measured_below(edge_kev, energies, c)))
+
+
+def sca_probability(spectrum: StraySpectrum, spec: DetectorSpec) -> float:
+    """Probability that ``detect`` gives a stray photon a logic pulse, given
+    its analog pulse: that E + z sigma(E) lies in ``spec``'s SCA window,
+    for E drawn from ``spectrum`` and z standard normal.
+
+    The line term is closed form in erfc.  The flat band's is not, since
+    sigma grows as sqrt(E); ``_flat_measured_below`` integrates it with
+    10-point Gauss-Legendre panels no wider than one sigma, over the band
+    of E within 8 sigma of each SCA edge, and counts the band's outside as
+    surely in or out.  Per edge, that cut costs at most Phi(-8) = 6.2e-16;
+    the panels agree with panels ten times narrower within 1e-15 for
+    sigma(7 keV) from 2.6 eV to 26 keV and edges from -0.5 to 15 keV.  The
+    stated error bound is 1e-9, which the tests check against composite
+    Simpson.  At zero resolution the SCA test is exact and so is the
+    result.
+    """
+    sca_lo, sca_hi = spec.sca_window_kev
+    flat_lo, flat_hi = spectrum.flat_lo_kev, spectrum.flat_hi_kev
+    line = spectrum.line_energy_kev
+    if spec.resolution_fwhm_ev == 0.0:
+        p_line = float(sca_lo <= line <= sca_hi)
+        p_flat = max(0.0, min(flat_hi, sca_hi) - max(flat_lo, sca_lo)) / (flat_hi - flat_lo)
+    else:
+        c = spec.resolution_fwhm_ev / FWHM_TO_SIGMA / 1000.0 / math.sqrt(spec.reference_energy_kev)
+        p_line = float(_measured_below(sca_hi, line, c) - _measured_below(sca_lo, line, c))
+        p_flat = (_flat_measured_below(sca_hi, flat_lo, flat_hi, c)
+                  - _flat_measured_below(sca_lo, flat_lo, flat_hi, c)) / (flat_hi - flat_lo)
+    return spectrum.line_fraction * p_line + (1.0 - spectrum.line_fraction) * p_flat
 
 
 def detect(photons: Stream, spec: DetectorSpec, rng: np.random.Generator) -> Stream:

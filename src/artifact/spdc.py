@@ -309,26 +309,6 @@ class _Kinematics:
         dkz = self.k_pz - kz_h - kz_t
         return np.where(bad, np.nan, dkz * self.half_length)
 
-    def half_phase_slope(self, energy_kev, theta_x, theta_y):
-        """d(half_phase)/dE in 1/keV on broadcastable arrays, where the
-        partner propagates.
-
-        The heralded wave vector scales with E at fixed angles, so
-        d(kz_h)/dE = kz_h / E; the partner's k_t falls with E while its
-        transverse momentum s_total - s_h falls and q_y rises.
-        """
-        dk = 2.0 * math.pi / HC_KEV_ANGSTROM  # dk/dE
-        k_h = wavenumber(energy_kev)
-        k_t = wavenumber(self.pump_kev - energy_kev)
-        sin_h = np.sin(self.theta_h0 + theta_x)
-        sin_y = np.sin(theta_y)
-        s_t = self.s_total - k_h * sin_h
-        q_y = k_h * sin_y
-        kz_h = k_h * np.sqrt(1.0 - sin_h**2 - sin_y**2)
-        kz_t = np.sqrt(k_t**2 - s_t**2 - q_y**2)
-        dkz_t = dk * (s_t * sin_h - k_t - q_y * sin_y) / kz_t
-        return -(kz_h / energy_kev + dkz_t) * self.half_length
-
 
 @dataclass(frozen=True)
 class Ridge:
@@ -389,7 +369,8 @@ def _ridge(kin: _Kinematics, grid: GridSpec):
     tx = grid.theta_x_centers()
     ty = grid.theta_y_centers()[grid.n_y // 2 :]
     sigma = np.sin(kin.theta_h0 + tx)
-    c_sq = 1.0 - sigma**2 - np.sin(ty)[:, None] ** 2
+    eta = np.sin(ty)
+    c_sq = 1.0 - sigma**2 - eta[:, None] ** 2
     c = np.sqrt(np.where(c_sq > 0, c_sq, 0.0))
     denominator = 2.0 * a * (k_p - kin.k_pz * c - kin.s_total * sigma)
     e0 = (k_p**2 - kin.k_pz**2 - kin.s_total**2) / np.where(denominator == 0, 1.0, denominator)
@@ -397,7 +378,19 @@ def _ridge(kin: _Kinematics, grid: GridSpec):
     found &= (e0 >= grid.energy_lo_kev) & (e0 <= grid.energy_hi_kev)  # lo > 0 bounds E0 below
     row, column = np.nonzero(found)
     e0 = e0[row, column]
-    slope = np.abs(kin.half_phase_slope(e0, tx[column], ty[row]))
+    # The slope dx/dE at the zeros, from sigma, eta and c gathered there:
+    # the heralded kz_h = k_h c scales with E, so d(kz_h)/dE = kz_h / E;
+    # the partner's k_t falls with E while its transverse momentum S - k_h
+    # sigma falls and q_y = k_h eta rises.
+    sigma, eta = sigma[column], eta[row]
+    k_h = wavenumber(e0)
+    k_t = wavenumber(kin.pump_kev - e0)
+    s_t = kin.s_total - k_h * sigma
+    q_y = k_h * eta
+    kz_h = k_h * c[row, column]
+    kz_t = np.sqrt(k_t**2 - s_t**2 - q_y**2)
+    dkz_t = a * (s_t * sigma - k_t - q_y * eta) / kz_t
+    slope = np.abs(-(kz_h / e0 + dkz_t) * kin.half_length)
     return e0, slope, column, row
 
 

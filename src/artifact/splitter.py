@@ -51,9 +51,10 @@ def reflectivity(spec: SplitterSpec, energy_kev, dtheta_deg):
     where the wavelength exceeds 2d and no Bragg reflection exists.
 
     ``dtheta_deg`` is the deviation of the incidence angle from the nominal
-    mount angle, and arg = dtheta + theta_B(nominal) - theta_B(energy) in
-    degrees: the reflectivity peaks on the locus where the incidence angle
-    equals the Bragg angle for ``energy_kev``.
+    mount angle, and arg = dtheta + theta_B(nominal) + mount offset -
+    theta_B(energy) in degrees: the reflectivity peaks on the locus where
+    the incidence angle on the planes, as ``response`` takes it, equals the
+    Bragg angle for ``energy_kev``.
     """
     # sin(theta_B) as xoptics.bragg_angle takes it; R = 0 where it exceeds 1.
     s = wavelength(energy_kev) / (2.0 * spec.lattice.d_spacing)
@@ -62,6 +63,7 @@ def reflectivity(spec: SplitterSpec, energy_kev, dtheta_deg):
     r = np.asarray(
         np.asarray(dtheta_deg, dtype=float)
         + spec.nominal_bragg_deg()
+        + spec.mount_offset_deg
         - np.degrees(np.arcsin(np.minimum(s, 1.0)))
     )
     r /= spec.width_deg

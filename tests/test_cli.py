@@ -8,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from artifact import daq, montecarlo as mc, spdc
-from artifact.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SCHEMA, main
+from artifact import daq, montecarlo as mc, spdc, stats
+from artifact.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SCHEMA, main, simulate_events
 from artifact.config import load_default_config
 from artifact.xoptics import load_table
 
@@ -357,25 +357,98 @@ def test_model_sweep_follows_air_path(tmp_path):
 
 
 def test_simulate_merges_photon_streams_once(tmp_path, monkeypatch):
-    # Each whole-second time slice draws its photons over its own window,
-    # detects each of its six parts and orders the pulses with one merge;
-    # a run shorter than one slice is a single slice.
+    # Each whole-second time slice draws the trigger detector's background
+    # over its whole window, then each output detector's on the windows
+    # around the trigger logic pulses inside it; it detects each of its six
+    # parts and orders the pulses with one merge.  A run shorter than one
+    # slice is a single slice.
     merge, stray = mc.merge_streams, mc.generate_stray
-    merges, windows = [], []
+    merges, draws = [], []
     monkeypatch.setattr(mc, "merge_streams", lambda *s: merges.append(len(s)) or merge(*s))
     monkeypatch.setattr(mc, "generate_stray",
-                        lambda source, **kw: windows.append(kw["window_s"]) or stray(source, **kw))
+                        lambda source, dets, **kw: draws.append((dets, kw["windows_ns"]))
+                        or stray(source, dets, **kw))
     rate = load_default_config([a for a in FAST if a != "--set"]).source.photon_rate_hz()
     length = math.floor(mc.PHOTONS_PER_SLICE / rate)
     assert length > 5.0  # so the 5 s run is shorter than one slice
     for duration_s in (5.0, 20.0, 47.5):
         merges.clear()
-        windows.clear()
+        draws.clear()
         args = FAST + ["--set", f"source.duration_s={duration_s}"]
         assert main(["simulate", "--outdir", str(tmp_path / str(duration_s))] + args) == EXIT_OK
         edges = [*range(0, math.ceil(duration_s / length) * length, length), duration_s]
-        assert windows == list(zip(edges[:-1], edges[1:]))
-        assert merges == [6] * len(windows)
+        per_slice = [(mc.DET_TRIG,), (mc.DET_TRANS, mc.DET_REF)]
+        assert [dets for dets, _ in draws] == per_slice * (len(edges) - 1)
+        windows = [w for _, w in draws]
+        for t0, t1, whole, (lo, hi) in zip(edges[:-1], edges[1:], windows[::2], windows[1::2]):
+            assert whole == ([t0 * 1e9], [t1 * 1e9])
+            assert lo[0] == t0 * 1e9 and hi[-1] == t1 * 1e9 and 1 < lo.size
+            assert np.sum(hi - lo) < 0.1 * (t1 - t0) * 1e9
+        assert merges == [6] * (len(edges) - 1)
+
+
+def _open_sigma(events, window_ns, output):
+    """sigma = Var(N_t - N_h) / Mean(N_t + N_h) over every event with a
+    photon within ``window_ns``, as ``stats.sigma_curves`` takes it in open
+    mode, and its standard error from the linearised ratio."""
+    counts = events.counts(np.abs(events.offset_ns) <= window_ns)
+    n_t, n_h = counts[:, mc.DET_TRIG], counts[:, output]
+    seen = n_t + n_h > 0
+    d, total = (n_t - n_h)[seen].astype(float), (n_t + n_h)[seen].astype(float)
+    mean = total.mean()
+    value = d.var() / mean
+    influence = ((d - d.mean()) ** 2 - d.var()) / mean - value * (total - mean) / mean
+    return value, influence.std() / math.sqrt(d.size)
+
+
+def test_restricted_output_background_matches_the_whole_slice_draw(monkeypatch):
+    """Drawing the output detectors' background only near trigger logic
+    pulses, and counting it elsewhere, changes no distribution: at 3 seeds,
+    runs with the windows and runs whose windows are the whole slice agree
+    within 4 sigma on events, rows per detector, alpha, sigma at 800 ns
+    and each pulse tally, and in rows per event (chi^2)."""
+    runs = {}
+    for whole in (False, True):
+        with monkeypatch.context() as patch:
+            if whole:
+                patch.setattr(mc, "reach_windows",
+                              lambda starts, reach, t0, t1: (np.array([t0]), np.array([t1])))
+            for seed in (3, 4, 5):
+                cfg = load_default_config(["grid.n_energy=400", "grid.n_x=60", "grid.n_y=12",
+                                           "source.duration_s=100", "source.pair_rate_hz=3",
+                                           f"run.seed={seed}"])
+                events, _rate, _empty, tally = simulate_events(cfg)
+                runs[whole, seed] = (events, tally)
+
+    def z(a, b, var_a, var_b):
+        return abs(a - b) / math.sqrt(var_a + var_b) if var_a + var_b > 0 else 0.0
+
+    for seed in (3, 4, 5):
+        (restricted, tally_r), (full, tally_f) = runs[False, seed], runs[True, seed]
+        assert len(restricted) > 3000
+        assert z(len(restricted), len(full), len(restricted), len(full)) < 4
+        for a, b in zip(restricted.counts().sum(axis=0), full.counts().sum(axis=0)):
+            assert z(a, b, a, b) < 4
+        alpha_r, alpha_f = (stats.alpha(stats.counts_from_events(e)) for e in (restricted, full))
+        assert z(alpha_r.alpha, alpha_f.alpha, alpha_r.sigma ** 2, alpha_f.sigma ** 2) < 4
+        for output in (mc.DET_TRANS, mc.DET_REF):
+            (s_r, e_r), (s_f, e_f) = (_open_sigma(e, 800.0, output) for e in (restricted, full))
+            table = stats.sigma_curves(restricted, [800.0], outputs=[output], energy_modes=["open"])
+            assert s_r == pytest.approx(table[0, 0, 0], rel=1e-12)
+            assert z(s_r, s_f, e_r ** 2, e_f ** 2) < 4
+        # The trigger and pair cells are drawn alike in both runs.
+        for a, b in zip(tally_r.ravel(), tally_f.ravel()):
+            assert z(a, b, a, b) < 4
+        assert tally_r[mc.DET_TRANS, mc.ORIGIN_STRAY, 1] > 1e5
+        # Two-sample chi^2 of the rows-per-event histograms.
+        rows_r, rows_f = (np.bincount(np.diff(e.start), minlength=12)[:12]
+                          for e in (restricted, full))
+        kept = rows_r + rows_f >= 10
+        a, b = rows_r[kept], rows_f[kept]
+        scale = math.sqrt(b.sum() / a.sum())
+        chi2 = float(np.sum((a * scale - b / scale) ** 2 / (a + b)))
+        dof = int(kept.sum()) - 1
+        assert dof >= 2 and chi2 < dof + 4.0 * math.sqrt(2.0 * dof)
 
 
 @pytest.mark.parametrize("name", ["ref", "trans"])

@@ -286,6 +286,56 @@ def test_build_events_over_slices_matches_whole_stream(seed, lengths_s, per_edge
     _assert_slices_match_whole(pulses, ends_ns, cfg)
 
 
+def _far_outputs_removed(pulses, reach_ns):
+    """``pulses`` without the output pulses farther than ``reach_ns`` from
+    every trigger logic pulse: those outside [t - reach, t + reach) of each
+    trigger logic start t."""
+    t = pulses.time_ns
+    trig = t[(pulses.detector == DET_TRIG) & pulses.logic]
+    near = ((t[:, None] >= trig - reach_ns) & (t[:, None] < trig + reach_ns)).any(axis=1)
+    keep = near | (pulses.detector == DET_TRIG)
+    return Stream(*(c[keep] for c in pulses._columns()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       lengths_s=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+       per_edge=st.integers(0, 40), n_inner=st.integers(0, 60),
+       logic_width_ns=st.sampled_from([100.0, 1000.0, 2500.0]),
+       half_window_ns=st.sampled_from([50.0, 800.0, 3000.0]),
+       analog_width_ns=st.sampled_from([10.0, 200.0, 1500.0]),
+       cap_hz=st.sampled_from([1.0, 2.5, 200.0]))
+def test_output_pulses_beyond_reach_change_no_event(seed, lengths_s, per_edge, n_inner,
+                                                   logic_width_ns, half_window_ns,
+                                                   analog_width_ns, cap_hz):
+    """Removing every output pulse farther than ``reach_ns`` from each
+    trigger logic pulse leaves the events and drops of ``build_events``
+    and of ``build_events_in_slices`` as they were.  Pulses crowd the slice
+    edges and each other on a 50 ns lattice, so many lie near that reach."""
+    rng = np.random.default_rng(seed)
+    cfg = daq.DaqConfig(logic_width_ns=logic_width_ns, half_window_ns=half_window_ns,
+                        analog_width_ns=analog_width_ns, max_event_rate_hz=cap_hz)
+    ends_ns = np.cumsum(lengths_s) * 1e9
+    centres = np.r_[0.0, ends_ns, rng.uniform(0, ends_ns[-1], n_inner)]
+    t = np.repeat(centres, per_edge) + 50.0 * rng.integers(-200, 200, per_edge * centres.size)
+    t = np.sort(t[t >= 0])
+    pulses = Stream(t, rng.uniform(7, 17, len(t)), rng.integers(0, 3, len(t)).astype(np.int8),
+                    rng.integers(0, 3, len(t)).astype(np.int8), rng.random(len(t)) < 0.9)
+    pruned = _far_outputs_removed(pulses, cfg.reach_ns())
+
+    whole, rate_dropped, empty_dropped = daq.build_events(pulses, cfg)
+    kept, kept_rate, kept_empty = daq.build_events(pruned, cfg)
+    assert (kept_rate, kept_empty) == (rate_dropped, empty_dropped)
+    for column in ("trigger_ns", "start", "detector", "energy_kev", "offset_ns", "origin"):
+        np.testing.assert_array_equal(getattr(kept, column), getattr(whole, column), column)
+    # And in slices: the pruned stream's slices build its whole events.
+    _assert_slices_match_whole(pruned, ends_ns, cfg)
+
+
+def test_reach_is_two_logic_widths_half_a_window_and_an_analog_width():
+    assert CFG.reach_ns() == 2 * 1000.0 + 800.0 + 200.0
+
+
 def test_slice_carry_over_covers_two_logic_widths():
     """A trigger pulse just before an edge with its only overlap further
     back: the next slice must see that output pulse too, or it takes the
@@ -325,8 +375,15 @@ def test_simulate_equals_one_build_over_its_joined_slices(tmp_path, monkeypatch)
     for column in ("trigger_ns", "start", "detector", "energy_kev", "offset_ns", "origin",
                    "passes_acceptance", "passes_sum", "herald_kev"):
         np.testing.assert_array_equal(getattr(events, column), getattr(whole, column), column)
+    # The tally adds to the pulses the output detectors' background that
+    # was counted, not drawn: only in those cells, and never negative.
     cell = (pulses.detector.astype(np.intp) * mc.N_ORIGINS + pulses.origin) * 2 + pulses.logic
-    np.testing.assert_array_equal(pulse_counts.ravel(), np.bincount(cell, minlength=pulse_counts.size))
+    made = np.bincount(cell, minlength=pulse_counts.size).reshape(pulse_counts.shape)
+    counted_only = pulse_counts - made
+    assert counted_only.min() >= 0
+    assert counted_only[[DET_TRANS, DET_REF], mc.ORIGIN_STRAY].min() > 0
+    counted_only[[DET_TRANS, DET_REF], mc.ORIGIN_STRAY] = 0
+    assert not counted_only.any()
 
 
 def test_energy_select_acceptance_and_sum():

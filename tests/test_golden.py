@@ -43,34 +43,34 @@ REFERENCE_MODEL_GOLDEN = {
 GOLDEN = {
     77: {
         "simulate": {
-            "events.csv": "2c5614aa64bbbefd41bfb28e80ff1d8873cb790918998a35f8eef7f90b8fbdfd",
-            "pulse_summary.txt": "94b4abc687c82459661ef189e9ce64b78cd0b4f50cdc77f9cfe30714027f82af",
-            "run_meta.txt": "0f03f39f0e7b50000af69f877adb41f863874f89edb253ac4b3e2ba1fc2e8226",
+            "events.csv": "e2743b56cf3f96c2b551b2d17c73daa7f31b49d0f17ac6fb7972a76007abb79a",
+            "pulse_summary.txt": "99f798283f330f0a53a59533f401bf108375e310e1127a873bf2da44eaee92b9",
+            "run_meta.txt": "151a481274035767dec2f76891fadcf853638eaabac5db2816ab781a3fd46aac",
         },
         "analyze": {
-            "alpha_report.txt": "02e1c77c22aebf7b55dc9bedb9f9e194c9d6d62906d92be42739d48c390f81bc",
-            "counts_all.csv": "3283ecf5cc0face3c0952cb8c8384721cae7d37b786ba47ad53227beda8b1f09",
+            "alpha_report.txt": "f008119085b38ffb3c409371eb32f36899dcad2eddeb0c7af706d333600f9e62",
+            "counts_all.csv": "5361c97932e2b4cb8c9ff0a74cec73b16174fb6d3781c3e0bde799c86312fc5b",
             "counts_heralded.csv": "3a02f8ef0a7178ca7d5fb48fedbd40ea145e1a620c30e2202470fbb9a85c0d94",
             "rates.txt": "0d3721ca36daa55110ea5579ba804242d7f5f9d495aca3293e2eb52ca5aec212",
-            "sigma_curves.csv": "02e8a1a52fd50ebb92f84f5bbeb0d187233ed3425ca3558a39f96be3caa100ae",
-            "spectrum_ref.csv": "9b794091b9937d319035b5a294325afa17884bca2f1e96dbd8bc8bf29a716576",
-            "spectrum_trans.csv": "24671749edcbf6a5e37069f7fca531c1cd8a8747006baf33ff40433db591266b",
+            "sigma_curves.csv": "4b7b6a6ea50ecde1f8b4d8f0d65cae446ab034bdb570111f07934f42830af74a",
+            "spectrum_ref.csv": "e3ae19904212ae308b3af29fbb2dcb12f567ae7ee5e12dfd25164dbd8271278e",
+            "spectrum_trans.csv": "0f43d7b27b39b61dff600c54e47b882fab5f5aef50a6899167ddb83a6e64e589",
         },
     },
     78: {
         "simulate": {
-            "events.csv": "a30e338a374da771c0c12ff42fc3e27cfb0a6863cc3d71450d4b76e7cc4ea474",
-            "pulse_summary.txt": "7f21768a9086829993551359e5f411fa56b0c876bb16ca4c99d0c5f48e888725",
-            "run_meta.txt": "8b79ed91b23d5e2026ca92c14ae0593b0da16347bd0454a7b6711dc1c4465687",
+            "events.csv": "fb4405456e49f3ad2be137f5bd2d8fe43e350a9f2b1f7b673b2a5e95f9fe1454",
+            "pulse_summary.txt": "b7cd699b2a943519549c29dcac0dc1bb51aac71ee850d545f7ef4c8686182fa4",
+            "run_meta.txt": "b3ec7ecf330811b21c3aab88bad2ac4192b1cb306a1e0c235041d5822027ae07",
         },
         "analyze": {
-            "alpha_report.txt": "815e272a46de7e709bd780b071f3ae0759a1886552c12b61e3abb3885ca54bf4",
-            "counts_all.csv": "44dde358668374ec3f6cd7a4b6f1008a3c7d52808e89f50f4282bc2a0f22f620",
+            "alpha_report.txt": "29b7cb598e489df469689bae2b0bb3a435359ca6edc61ac813337182a8e3b45a",
+            "counts_all.csv": "3c5d622192ca5f2552064d4a94156042f7218c5a3039a5570fd5a8720f2dafaa",
             "counts_heralded.csv": "9d92d6c4fdf151e68366cf87ebfe62ab3e5b2e2f2a0bbba717bdafd5d942c58b",
             "rates.txt": "57f8846726eec78f8dba5b8d01a6f20044221244b90df2ab25a273fa6e210f0d",
-            "sigma_curves.csv": "5df79f7592ae41dc11b047f4d4f50f6e6bc7e5d2d0dcf9fb11bb99f27032224f",
-            "spectrum_ref.csv": "e5467167d620df4bae8c20e62c33d35caf65955bd98c489f2d154c7d4a478ccb",
-            "spectrum_trans.csv": "17b998dc28dd1d9f07a9eb2a13776fdc1c22a676d8db62ca894b5a24c38451f8",
+            "sigma_curves.csv": "b854f3d0baf21c51a1562563001404834c8ff8613df4e1fa6f79676c4451ea45",
+            "spectrum_ref.csv": "1f8c2284234bdf03d421ec7a1fe2bc8f08b5a71c04b646299692df98f8edf03a",
+            "spectrum_trans.csv": "f61bc308242ca153bbf3f138787b79c55df4ca60268c1378754cb71b2ad29877",
         },
     },
 }
@@ -83,13 +83,13 @@ SELECTION = [
     "--set", "daq.acceptance_hi_kev=16.5",
 ]
 SELECTION_GOLDEN = {
-    "alpha_report.txt": "bc5967e5fd0852f955e9acdcd1698bea065448ceb84fcbfd633dc5c85d4e6532",
-    "counts_all.csv": "3283ecf5cc0face3c0952cb8c8384721cae7d37b786ba47ad53227beda8b1f09",
-    "counts_heralded.csv": "bea330118abbafd09f1de07667a8fdd7fee0bd740e08e84a61fa722045280593",
-    "rates.txt": "dd9b12c1a3876b45cf0ebb738de4f706798902f295fc337214d170e6d0adffbc",
-    "sigma_curves.csv": "33983618d7b7cb178916fd025f9fcf6f5fd6eb155a5cc67bc7b2a0d523600ddd",
-    "spectrum_ref.csv": "84ae5216d3ed0730cd3b5c43f59ef8c5d247644b62930a6a228af51f2f812890",
-    "spectrum_trans.csv": "2f5edc58e97f8d9f0d830263744116b47d58c532df58288d56fbd3441437d634",
+    "alpha_report.txt": "78b8e6ee5d8e3001d8fae88905f6e964c20b97c6641a7c61c2777805984bcf87",
+    "counts_all.csv": "5361c97932e2b4cb8c9ff0a74cec73b16174fb6d3781c3e0bde799c86312fc5b",
+    "counts_heralded.csv": "e8bd4f9b6c96df7bcb90ea74d2346c88d4f08f80a818346c78b0fa72217b2088",
+    "rates.txt": "1369c1846b987e4762c3a25c1a224963d1a1c41978f95d2f72b73bd1c93b380c",
+    "sigma_curves.csv": "5819b98b3a3f1ad4af98b8beb258d7b5f4c591a1faeaddffe223a65c3bb2fd9e",
+    "spectrum_ref.csv": "960dc35508d0fb89f59a85b06ee85b9ff341e19d61524374f982eca4474ef70c",
+    "spectrum_trans.csv": "30427bd9ba329145ad8a1f6f6201fa23d418a23d1cced3c170c2bdfb83085883",
 }
 
 

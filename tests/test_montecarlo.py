@@ -66,6 +66,13 @@ def _pairs(ridge_small, graphite, cfg, seed, window_s=None, **source_kw):
                              window_s=window_s or (0.0, source.duration_s))
 
 
+def _stray(source, seed, window_s):
+    """The three stray parts (TRIG, TRANS, REF) over the whole ``window_s``."""
+    whole = ([window_s[0] * 1e9], [window_s[1] * 1e9])
+    rng = np.random.default_rng(seed)
+    return mc.generate_stray(source, mc.DETECTORS, rng=rng, windows_ns=whole)
+
+
 def test_stray_spectrum_band_and_line():
     spec = mc.StraySpectrum()
     rng = np.random.default_rng(0)
@@ -106,7 +113,7 @@ def test_pairs_conserve_energy_and_time(ridge_small, graphite, cfg):
 
 def test_generators_return_time_ordered_parts(ridge_small, graphite, cfg):
     pairs = _pairs(ridge_small, graphite, cfg, 6, pair_rate=200.0, duration_s=5.0)
-    stray = mc.generate_stray(cfg.source, rng=np.random.default_rng(6), window_s=(0.0, 0.5))
+    stray = _stray(cfg.source, 6, (0.0, 0.5))
     parts = [*pairs, *stray]
     origins = [mc.ORIGIN_PAIR_TRIGGER] + [mc.ORIGIN_PAIR_HERALD] * 2 + [mc.ORIGIN_STRAY] * 3
     assert all(len(p) > 0 for p in parts)
@@ -133,14 +140,14 @@ def test_pairs_in_a_window_without_a_pair(ridge_small, graphite, cfg):
     for part in parts:
         assert len(part) == 0
         assert [c.dtype for c in _columns(part)] == [np.float64, np.float64, np.int8, np.int8]
-    stray = mc.generate_stray(cfg.source, rng=np.random.default_rng(1), window_s=(0.0, 0.01))
+    stray = _stray(cfg.source, 1, (0.0, 0.01))
     merged = mc.merge_streams(*parts, *stray)
     for column, expected in zip(_columns(merged), _columns(mc.merge_streams(*stray))):
         assert column.dtype == expected.dtype
         np.testing.assert_array_equal(column, expected)
     # Only the Poisson draws were made.
     reference = np.random.default_rng(seed)
-    mc._poisson_times(reference, rate, (0.0, 1.0))
+    mc._poisson_times(reference, rate, mc._union(([0.0], [1e9])))
     assert rng.random() == reference.random()
 
 
@@ -148,7 +155,7 @@ def test_generators_draw_inside_their_window(ridge_small, graphite, cfg):
     t0, t1 = 7.0, 9.0
     source = replace(cfg.source, pair_rate=200.0)
     pairs = _pairs(ridge_small, graphite, cfg, 3, window_s=(t0, t1), pair_rate=200.0)
-    stray = mc.generate_stray(source, rng=np.random.default_rng(4), window_s=(t0, t1))
+    stray = _stray(source, 4, (t0, t1))
     for part in (*pairs, *stray):
         assert len(part) > 0
         assert np.all((part.time_ns >= t0 * 1e9) & (part.time_ns < t1 * 1e9))
@@ -396,3 +403,152 @@ def test_detector_spec_validation():
     with pytest.raises(ValueError):
         mc.DetectorSpec(reference_energy_kev=0.0)
 
+
+
+def _covered(x, starts, reach, t0, t1):
+    """Brute force: x lies in [t - reach, t + reach) of some t among
+    ``starts``, t0 and t1, and in [t0, t1)."""
+    t = np.r_[t0, starts, t1]
+    near = ((t[None, :] - reach <= x[:, None]) & (x[:, None] < t[None, :] + reach)).any(axis=1)
+    return near & (x >= t0) & (x < t1)
+
+
+def test_reach_windows_merge_overlaps_and_clip_to_the_slice():
+    lo, hi = mc.reach_windows(np.array([10e3, 12e3, 30e3]), 3e3, 0.0, 1e6)
+    # The edges count as starts; 10 and 12 us overlap into one window.
+    assert lo.tolist() == [0.0, 7e3, 27e3, 997e3]
+    assert hi.tolist() == [3e3, 15e3, 33e3, 1e6]
+
+
+def test_reach_windows_at_the_slice_edges():
+    t0, t1 = 5e9, 9e9
+    lo, hi = mc.reach_windows(np.array([t0, t0 + 1e3, t1 - 500.0]), 3e3, t0, t1)
+    assert lo.tolist() == [t0, t1 - 3.5e3]
+    assert hi.tolist() == [t0 + 4e3, t1]
+    # Starts exactly 2 reach apart touch and make one window.
+    lo, hi = mc.reach_windows(np.array([t0 + 6e3]), 3e3, t0, t1)
+    assert lo.tolist() == [t0, t1 - 3e3] and hi.tolist() == [t0 + 9e3, t1]
+
+
+def test_reach_windows_of_an_empty_trigger_part():
+    lo, hi = mc.reach_windows(np.zeros(0), 3e3, 0.0, 4e9)
+    assert lo.tolist() == [0.0, 4e9 - 3e3]
+    assert hi.tolist() == [3e3, 4e9]
+
+
+def test_reach_windows_cover_the_slice():
+    # Starts closer than 2 reach everywhere, or a slice shorter than 2 reach.
+    lo, hi = mc.reach_windows(np.arange(4e3, 1e6, 5e3), 3e3, 0.0, 1e6)
+    assert (lo.tolist(), hi.tolist()) == ([0.0], [1e6])
+    lo, hi = mc.reach_windows(np.zeros(0), 3e3, 0.0, 5e3)
+    assert (lo.tolist(), hi.tolist()) == ([0.0], [5e3])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 40),
+       reach=st.sampled_from([1.0, 300.0, 3000.0]))
+def test_reach_windows_are_the_union_of_the_start_windows(seed, n, reach):
+    rng = np.random.default_rng(seed)
+    t0, t1 = 1e9, 1e9 + 2e5
+    starts = np.sort(t0 + 100.0 * rng.integers(0, 2000, n))  # ties and touching windows
+    lo, hi = mc.reach_windows(starts, reach, t0, t1)
+    assert lo[0] == t0 and hi[-1] == t1
+    assert np.all(lo < hi) and np.all(lo[1:] > hi[:-1])  # disjoint, in time order
+    x = np.r_[rng.uniform(t0 - 1e4, t1 + 1e4, 4000), starts - reach, starts + reach, lo, hi]
+    k = np.searchsorted(lo, x, side="right") - 1
+    inside = (k >= 0) & (x < hi[np.maximum(k, 0)])
+    np.testing.assert_array_equal(inside, _covered(x, starts, reach, t0, t1))
+
+
+def test_union_sampler_is_poisson_and_uniform_over_the_union():
+    """Counts over many draws are Poisson with mean rate x covered length,
+    and the times fall uniformly on the union: per window in proportion to
+    its length, and uniform within the windows."""
+    rng = np.random.default_rng(11)
+    starts = np.sort(rng.uniform(0.0, 1e8, 300))
+    lo, hi = mc.reach_windows(starts, 2e4, 0.0, 1e8)
+    length = float(np.sum(hi - lo))
+    rate_hz, draws = 2e5, 400
+    mean = rate_hz * length * 1e-9
+    counts, times = [], []
+    for _ in range(draws):
+        t = mc._poisson_times(rng, rate_hz, mc._union((lo, hi)))
+        assert np.all(np.diff(t) >= 0)
+        counts.append(len(t))
+        times.append(t)
+    counts, times = np.array(counts), np.concatenate(times)
+    assert abs(counts.mean() - mean) < 4.0 * math.sqrt(mean / draws)
+    # Poisson dispersion: (draws - 1) s^2 / mean is chi^2 with draws - 1 dof.
+    dispersion = (draws - 1) * counts.var(ddof=1) / mean
+    assert abs(dispersion - (draws - 1)) < 4.0 * math.sqrt(2.0 * (draws - 1))
+    k = np.searchsorted(lo, times, side="right") - 1
+    assert np.all(k >= 0) and np.all(times < hi[k])
+    # Uniform on the union: the times mapped back onto [0, length) fill 40
+    # equal bins alike, and each window holds its share.
+    cumulative = np.r_[0.0, np.cumsum(hi - lo)]
+    u = cumulative[k] + (times - lo[k])
+    for got, share in ((np.histogram(u, 40, (0.0, length))[0], np.full(40, 1 / 40)),
+                       (np.bincount(k, minlength=lo.size), (hi - lo) / length)):
+        want = share * len(times)
+        kept = want >= 5
+        chi2 = float(np.sum((got[kept] - want[kept]) ** 2 / want[kept]))
+        dof = int(kept.sum()) - 1
+        assert chi2 < dof + 4.0 * math.sqrt(2.0 * dof)
+
+
+def test_one_window_draws_the_whole_window():
+    # The pair and trigger draws: one window is one uniform sample on it.
+    a, b = np.random.default_rng(4), np.random.default_rng(4)
+    t = mc._poisson_times(a, 3000.0, mc._union(([2e9], [6e9])))
+    n = b.poisson(3000.0 * 4e9 * 1e-9)
+    np.testing.assert_array_equal(t, 2e9 + np.sort(b.uniform(0.0, 4e9, n)))
+
+
+def test_count_stray_thins_a_poisson_count(cfg):
+    source = replace(cfg.source, stray_rates=(0.0, 50.0, 0.0))
+    spec = replace(cfg.detectors[mc.DET_TRANS], quantum_efficiency=0.6)
+    rng = np.random.default_rng(8)
+    draws = np.array([mc.count_stray(source, mc.DET_TRANS, spec, 0.3, 2e9, rng=rng)
+                      for _ in range(4000)])
+    assert np.all((0 <= draws[:, 1]) & (draws[:, 1] <= draws[:, 0]))
+    for column, mean in ((0, 100.0 * 0.6), (1, 100.0 * 0.6 * 0.3)):
+        # Thinned Poisson counts stay Poisson.
+        assert abs(draws[:, column].mean() - mean) < 4.0 * math.sqrt(mean / len(draws))
+        assert draws[:, column].var() == pytest.approx(mean, rel=0.1)
+    assert mc.count_stray(source, mc.DET_REF, spec, 0.3, 2e9, rng=rng) == (0, 0)
+
+
+_SCA_SPECS = {
+    "default": {},
+    # The line sits on the closed upper edge.
+    "no resolution": {"resolution_fwhm_ev": 0.0, "sca_window_kev": (8.0, 21.0)},
+    "edges in the flat band and by the line": {"sca_window_kev": (8.5, 21.2)},
+    "coarse resolution": {"resolution_fwhm_ev": 2500.0, "sca_window_kev": (9.0, 20.0)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCA_SPECS))
+def test_sca_probability_matches_detect(cfg, name):
+    spec = replace(cfg.detectors[mc.DET_TRANS], quantum_efficiency=1.0, **_SCA_SPECS[name])
+    spectrum, n = cfg.source.spectrum, 2_000_000
+    rng = np.random.default_rng(21)
+    photons = _photons(np.zeros(n), spectrum.sample(rng, n), mc.DET_TRANS)
+    observed = mc.detect(photons, spec, rng).logic.mean()
+    p = mc.sca_probability(spectrum, spec)
+    assert abs(observed - p) < 4.0 * math.sqrt(p * (1.0 - p) / n)
+
+
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
+@pytest.mark.parametrize("c", [0.001, 0.0393, 0.5])
+@pytest.mark.parametrize("edge", [-0.5, 3.0, 7.0, 7.05, 8.5, 10.0, 10.2, 12.0])
+def test_flat_band_rule_is_within_1e_9(edge, c):
+    """The flat-band integral of P(E + z c sqrt(E) <= edge) over 7-10 keV
+    against composite Simpson with 40 steps per sigma at 7 keV, whose own
+    error, rounding included, stays below 1e-10."""
+    steps = 2 * max(1000, math.ceil(3.0 / (c * math.sqrt(7.0)) * 20.0))
+    e = np.linspace(7.0, 10.0, steps + 1)
+    f = 0.5 * _erfc((e - edge) / (c * np.sqrt(e)) / math.sqrt(2.0))
+    simpson = (e[1] - e[0]) / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum())
+    assert abs(mc._flat_measured_below(edge, 7.0, 10.0, c) - simpson) < 1e-9

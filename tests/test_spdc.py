@@ -21,7 +21,14 @@ from artifact.spdc import (
     _Kinematics,
 )
 from artifact.splitter import reflectivity, response
-from artifact.xoptics import LatticeSpec, bragg_angle, transmittance, wavelength
+from artifact.xoptics import (
+    HC_KEV_ANGSTROM,
+    LatticeSpec,
+    bragg_angle,
+    transmittance,
+    wavelength,
+    wavenumber,
+)
 
 SMALL_GRID = GridSpec(9.5, 11.5, 200, 5.0e-3, 40, 10)
 
@@ -239,24 +246,38 @@ def test_half_phase_is_even_in_theta_y_bit_for_bit(energy, theta_x, theta_y):
 
 
 @pytest.mark.parametrize("n_y", [1, 2, 5, 6])
-def test_kernel_evaluates_the_non_negative_theta_y_half(monkeypatch, n_y):
-    # The ridge is solved on the non-negative theta_y rows only.
+def test_kernel_evaluates_the_non_negative_theta_y_half(n_y):
+    # The ridge is solved on the non-negative theta_y rows only: its row
+    # indices run over theta_y_centers()[n_y // 2:], each row holds at most
+    # one zero per theta_x column, and the mismatch vanishes there.
     grid = GridSpec(8.5, 12.5, 30, 5.0e-3, 7, n_y)
-    evaluated = []
-    half_phase, slope = _Kinematics.half_phase, _Kinematics.half_phase_slope
-
-    def recording(method):
-        def call(self, energy_kev, theta_x, theta_y):
-            evaluated.append(np.unique(theta_y))
-            return method(self, energy_kev, theta_x, theta_y)
-        return call
-
-    monkeypatch.setattr(_Kinematics, "half_phase", recording(half_phase))
-    monkeypatch.setattr(_Kinematics, "half_phase_slope", recording(slope))
-    pair_ridge(SpdcConfig(), grid)
+    kin = _Kinematics(SpdcConfig())
+    e0, _slope, column, row = spdc._ridge(kin, grid)
     rows = grid.theta_y_centers()[n_y // 2 :]
     assert rows.size == math.ceil(n_y / 2) and np.all(rows > -1e-15)
-    assert np.array_equal(np.unique(np.concatenate(evaluated)), rows)
+    assert np.array_equal(np.unique(row), np.arange(rows.size))
+    assert np.unique(row * grid.n_x + column).size == e0.size <= grid.n_x * rows.size
+    assert np.all(np.abs(kin.half_phase(e0, grid.theta_x_centers()[column], rows[row])) < 1e-5)
+
+
+def _half_phase_slope(kin, energy_kev, theta_x, theta_y):
+    """Reference d(half_phase)/dE in 1/keV, where the partner propagates.
+
+    The heralded wave vector scales with E at fixed angles, so
+    d(kz_h)/dE = kz_h / E; the partner's k_t falls with E while its
+    transverse momentum s_total - s_h falls and q_y rises.
+    """
+    dk = 2.0 * math.pi / HC_KEV_ANGSTROM  # dk/dE
+    k_h = wavenumber(energy_kev)
+    k_t = wavenumber(kin.pump_kev - energy_kev)
+    sin_h = np.sin(kin.theta_h0 + theta_x)
+    sin_y = np.sin(theta_y)
+    s_t = kin.s_total - k_h * sin_h
+    q_y = k_h * sin_y
+    kz_h = k_h * np.sqrt(1.0 - sin_h**2 - sin_y**2)
+    kz_t = np.sqrt(k_t**2 - s_t**2 - q_y**2)
+    dkz_t = dk * (s_t * sin_h - k_t - q_y * sin_y) / kz_t
+    return -(kz_h / energy_kev + dkz_t) * kin.half_length
 
 
 def _exact_cell_average(cfg, grid, sub_kev):
@@ -301,7 +322,7 @@ def _bisected_ridge(kin, grid):
         lo = np.where(right, mid, lo)
         hi = np.where(right, hi, mid)
         mid = 0.5 * (lo + hi)
-    slope = np.abs(kin.half_phase_slope(mid, theta_x, theta_y))
+    slope = np.abs(_half_phase_slope(kin, mid, theta_x, theta_y))
     key = _ridge_key(grid, column, row)
     order = np.argsort(key, kind="stable")
     return mid[order], slope[order], column[order], row[order], key[order]

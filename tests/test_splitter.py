@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from artifact.splitter import SplitterSpec, reflectivity, response
-from artifact.xoptics import LatticeSpec, bragg_angle, load_table
+from artifact.xoptics import HC_KEV_ANGSTROM, LatticeSpec, bragg_angle, load_table
 
 HOPG = LatticeSpec(3.354, "HOPG(002)")
 
@@ -91,6 +91,24 @@ def test_response_is_reflectivity_and_absorbed_remainder(spec, graphite, offset_
     assert np.array_equal(r.view(np.uint64), reflectivity(mounted, e, d).view(np.uint64))
     np.testing.assert_allclose(t, (1.0 - r) * _absorption(mounted, e, d, graphite),
                                rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("offset_deg", [-3.0, 0.5, 4.0])
+def test_mount_offset_rotates_the_rocking_curve(spec, graphite, offset_deg):
+    # The offset turns the plate: R at offset delta and dtheta is R at
+    # offset 0 and dtheta + delta, and with dtheta = 0 the peak A moves to
+    # the energy whose Bragg angle is theta_B(nominal) + delta.
+    mounted = replace(spec, mount_offset_deg=offset_deg)
+    e = np.linspace(6.0, 14.0, 161)[:, None]
+    d = np.linspace(-2.0, 2.0, 9)[None, :]
+    np.testing.assert_allclose(reflectivity(mounted, e, d), reflectivity(spec, e, d + offset_deg),
+                               rtol=1e-12, atol=1e-300)
+    theta = math.radians(spec.nominal_bragg_deg() + offset_deg)
+    e_peak = HC_KEV_ANGSTROM / (2.0 * HOPG.d_spacing * math.sin(theta))
+    assert bragg_angle(e_peak, HOPG) == pytest.approx(math.degrees(theta), rel=1e-12)
+    assert response(mounted, e_peak, 0.0, graphite)[0] == pytest.approx(0.5, rel=1e-12)
+    fine = np.linspace(e_peak - 0.5, e_peak + 0.5, 1001)
+    assert abs(fine[np.argmax(reflectivity(mounted, fine, 0.0))] - e_peak) <= 1e-3
 
 
 def test_transmission_complements_reflection(spec, graphite):
