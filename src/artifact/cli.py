@@ -105,66 +105,79 @@ def cmd_model(cfg: RunConfig, outdir: str) -> None:
         fh.write(f"r_transmitted = {r_trans:.6f}\n")
 
 
-# The origin of each of a slice's six parts: the pair parts (TRIG, TRANS,
-# REF), then the stray parts.
-_PART_ORIGINS = (mc.ORIGIN_PAIR_TRIGGER,) + (mc.ORIGIN_PAIR_HERALD,) * 2 + (mc.ORIGIN_STRAY,) * 3
+def _drawn_on(background: mc.StrayBackground, logic: bool, union, length_ns: float,
+             tally: np.ndarray, rng: np.random.Generator) -> mc.Stream:
+    """``background``'s pulses with (``logic``) or without a logic pulse,
+    drawn on the ``mc.window_union`` ``union`` inside a slice ``length_ns``
+    long and only counted on the rest of it; both go to ``tally``."""
+    times = background.times(logic, union, rng)
+    # Rounding may take a fully covered slice's rest below 0.
+    rest = max(0.0, length_ns - float(union[0][-1]))
+    tally[background.detector, mc.ORIGIN_STRAY, int(logic)] += (
+        len(times) + background.count(logic, rest, rng))
+    return background.pulses(logic, times, rng)
 
 
 def _slice_pulses(cfg: RunConfig, ridge: spdc_mod.Ridge, tally: np.ndarray):
     """Yield (end_ns, pulses) per time slice of the run (``slice_edges_s``),
     adding each slice's pulses to ``tally`` by (detector, origin, logic).
 
-    Slice k draws from three generators (pairs, stray, detect) spawned from
-    the k-th child of the run seed.  It first draws the pairs and the
-    trigger detector's background over the whole slice and detects the
-    trigger parts.  An output pulse farther than ``DaqConfig.reach_ns`` from
-    every trigger logic pulse changes no capture, so the output detectors'
-    background is drawn only on the windows within that reach of a trigger
-    logic pulse or of a slice edge (``reach_windows``); the edges keep the
-    pulses that events across them need.  Outside the windows it is only
-    counted (``count_stray``), into ``tally``.  Each of the six photon
-    parts holds one detector's photons and is detected with that detector's
-    spec; the pulse parts are then merged once.
+    Slice k draws from one generator, seeded with the k-th child of the run
+    seed (one, not one per stage: each costs about 25 us to set up).  The
+    background is drawn directly as pulses (``mc.StrayBackground``).  A
+    pulse can change a capture only within ``DaqConfig.reach_ns`` of a
+    logic pulse of the other side, so after drawing and detecting the
+    pairs, a slice
+      1. draws the trigger detector's background logic pulses over the
+         whole slice, as times only;
+      2. draws the output detectors' background pulses on the windows
+         within that reach of a trigger logic pulse or a slice edge
+         (``reach_windows``);
+      3. keeps, and gives energies to, the trigger logic pulses within
+         that reach of an output logic pulse or a slice edge, and draws the
+         trigger's pulses without a logic pulse there.
+    The edges keep the pulses that events across them need.  Background
+    pulses that are not drawn are counted into ``tally``, as are all the
+    trigger logic pulses of step 1.  The nine parts (the three pair parts,
+    then per detector the background with and without a logic pulse) are
+    merged once.
     """
     edges = mc.slice_edges_s(cfg.source)
     graphite, air, helium = load_table("graphite"), load_table("air"), load_table("helium")
-    outputs = (mc.DET_TRANS, mc.DET_REF)
-    p_logic = {det: mc.sca_probability(cfg.source.spectrum, cfg.detectors[det]) for det in outputs}
+    reach = cfg.daq.reach_ns()
+    trig, *outputs = (mc.StrayBackground.of(cfg.source, det, cfg.detectors[det])
+                      for det in mc.DETECTORS)
+    origins = (mc.ORIGIN_PAIR_TRIGGER, mc.ORIGIN_PAIR_HERALD, mc.ORIGIN_PAIR_HERALD)
     for k, window in enumerate(zip(edges[:-1].tolist(), edges[1:].tolist())):
-        seeds = np.random.SeedSequence(cfg.source.rng_seed, spawn_key=(k,)).spawn(3)
-        rng_pairs, rng_stray, rng_detect = (np.random.default_rng(s) for s in seeds)
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.source.rng_seed, spawn_key=(k,)))
         t0, t1 = (t * 1e9 for t in window)
-        pairs = mc.generate_pairs(
+        photons = mc.generate_pairs(
             ridge, cfg.spdc.pump_energy_kev, cfg.splitter, cfg.source, graphite,
-            air=air, helium=helium, rng=rng_pairs, window_s=window,
+            air=air, helium=helium, rng=rng, window_s=window,
         )
-        (trig_stray,) = mc.generate_stray(cfg.source, (mc.DET_TRIG,), rng=rng_stray,
-                                          windows_ns=([t0], [t1]))
-        trig = [mc.detect(part, cfg.detectors[mc.DET_TRIG], rng_detect)
-                for part in (pairs[0], trig_stray)]
-        # Two sorted runs, which the stable sort merges in one pass.
-        starts = np.sort(np.concatenate([p.time_ns[p.logic] for p in trig]), kind="stable")
-        windows = mc.reach_windows(starts, cfg.daq.reach_ns(), t0, t1)
-        # Rounding may take a fully covered slice's rest below 0.
-        uncovered = max(0.0, (t1 - t0) - float(np.sum(windows[1] - windows[0])))
-        stray = mc.generate_stray(cfg.source, outputs, rng=rng_stray, windows_ns=windows)
-        for det in outputs:
-            analog, logic = mc.count_stray(cfg.source, det, cfg.detectors[det], p_logic[det],
-                                           uncovered, rng=rng_stray)
-            tally[det, mc.ORIGIN_STRAY] += (analog - logic, logic)
-        outs = [mc.detect(part, cfg.detectors[det], rng_detect)
-                for part, det in zip((*pairs[1:], *stray), 2 * outputs)]
-        del pairs, trig_stray, stray  # hold one copy of the slice per stage
-        # Pairs, then stray, each in TRIG, TRANS, REF order: one stable sort
-        # keeps that order among equal times.
-        parts = [trig[0], *outs[:2], trig[1], *outs[2:]]
-        del trig, outs
-        for part, det, origin in zip(parts, 2 * mc.DETECTORS, _PART_ORIGINS):
+        pairs = [mc.detect(part, cfg.detectors[det], rng)
+                 for part, det in zip(photons, mc.DETECTORS)]
+        del photons
+        for part, det, origin in zip(pairs, mc.DETECTORS, origins):
             logic = int(np.count_nonzero(part.logic))
             tally[det, origin] += (len(part) - logic, logic)
-        pulses = mc.merge_streams(*parts)
-        del parts
-        yield t1, pulses
+        trig_logic = trig.times(True, mc.window_union(([t0], [t1])), rng)
+        tally[mc.DET_TRIG, mc.ORIGIN_STRAY, 1] += len(trig_logic)
+        # Sorted runs of logic starts, which the stable sort merges.
+        starts = np.sort(np.concatenate((pairs[0].time_ns[pairs[0].logic], trig_logic)),
+                         kind="stable")
+        union = mc.window_union(mc.reach_windows(starts, reach, t0, t1))
+        outs = [_drawn_on(background, logic, union, t1 - t0, tally, rng)
+                for background in outputs for logic in (True, False)]
+        starts = np.sort(np.concatenate([p.time_ns[p.logic] for p in (*pairs[1:], *outs)]),
+                         kind="stable")
+        windows = mc.reach_windows(starts, reach, t0, t1)
+        trigs = [trig.pulses(True, mc.in_windows(trig_logic, windows), rng),
+                 _drawn_on(trig, False, mc.window_union(windows), t1 - t0, tally, rng)]
+        del trig_logic
+        # Pairs, then the background, each in TRIG, TRANS, REF order: one
+        # stable sort keeps that order among equal times.
+        yield t1, mc.merge_streams(*pairs, *trigs, *outs)
 
 
 def cmd_simulate(cfg: RunConfig, outdir: str) -> np.ndarray:
@@ -172,9 +185,11 @@ def cmd_simulate(cfg: RunConfig, outdir: str) -> np.ndarray:
     Monte Carlo chain draws its pairs from the ridge zeros
     (``spdc.pair_ridge``) and runs one time slice at a time; each slice's
     events are written as they are built, so memory does not grow with the
-    run length.  Returns the pulse counts by [detector, origin, logic],
-    which include the output detectors' background that was only counted
-    (``_slice_pulses``); ``pulse_summary.txt`` sums them per detector."""
+    run length.  Returns the pulse counts by [detector, origin, logic]:
+    every background pulse, whether drawn, drawn as a trigger logic time
+    and not kept, or only counted (``_slice_pulses``), so the counts follow
+    the full background rates; ``pulse_summary.txt`` sums them per
+    detector."""
     ridge = spdc_mod.pair_ridge(cfg.spdc, cfg.grid)
     ridge.total()  # a window without a zero exits before any file is written
     tally = np.zeros((len(mc.DETECTOR_NAMES), mc.N_ORIGINS, 2), dtype=np.int64)

@@ -202,7 +202,7 @@ def find_triggers(pulses: Stream, cfg: DaqConfig, span=None):
     # the running count of output pulses at a trigger pulse is the number
     # ahead of it.  The sentinels stand in for missing neighbours.  The count
     # is int32, which holds for fewer than 2**31 output pulses per call
-    # (``simulate`` passes one time slice, about 21k pulses on the bundled
+    # (``simulate`` passes one time slice, about 4.6k pulses on the bundled
     # profile): it runs about 3x faster than the default int64 count.
     padded = np.concatenate(([-np.inf], start.take(np.flatnonzero(is_output)), [np.inf]))
     ahead = np.cumsum(is_output, dtype=np.int32).take(trig)

@@ -4,14 +4,14 @@ Photon and pulse streams are ``Stream``s: one contiguous numpy column per
 field (cheap for tens of millions of entries).  ``generate_pairs`` draws
 over a window [t0, t1) seconds of the run (``simulate`` runs it in the
 time slices of ``slice_edges_s``) and returns three parts in TRIG, TRANS,
-REF order; ``generate_stray`` draws each given detector's background on a
-union of disjoint windows in ns, such as one whole slice or the windows
-``reach_windows`` sets around the trigger logic pulses.  Each part is in
-time order and of one detector; ``detect`` turns one part into pulses with
-its detector's spec and keeps the order, and ``merge_streams`` is the one
-place that orders a stream.  Background outside the drawn windows is
-counted, not drawn (``count_stray``), with the probability of a logic
-pulse from ``sca_probability``.  Every generator takes the
+REF order; ``detect`` turns one such part into pulses with its detector's
+spec and keeps the order.  The background is drawn directly as pulses
+(``StrayBackground``): per detector, the pulses with and without a logic
+pulse are two independent Poisson processes, drawn on a union of disjoint
+windows in ns (one whole slice, or the windows ``reach_windows`` sets) and
+only counted elsewhere, with energies from ``stray_energies``.  Each part
+is in time order and of one detector, and ``merge_streams`` is the one
+place that orders a stream.  Every generator takes the
 ``numpy.random.Generator`` it draws from, so identical (config, generator
 state) pairs produce bit-identical streams.
 """
@@ -176,18 +176,22 @@ def merge_streams(*streams: Stream) -> Stream:
     return Stream(*(None if c is None else c[order] for c in joined._columns()))
 
 
-# Photons expected per time slice of ``simulate`` before the output
-# detectors' background is cut to the windows near trigger pulses; the
-# slice length follows from the source's photon rate (``slice_edges_s``).
-# Part of the stream definition: each slice draws from its own generators.
-# Measured with ``cli.cmd_simulate`` on the reference profile, 600 s at
-# seed 7, one pinned CPU, Python 3.11 and numpy 2.4 on a 2-CPU x86-64 host
-# (wall time after the pair ridge, median of 3, and peak RSS): 25k photons
-# 0.66 s / 42 MB, 50k 0.52 s / 44 MB, 100k 0.47 s / 53 MB, 200k 0.45 s /
-# 56 MB, 400k 0.48 s / 73 MB, one slice 0.55 s / 308 MB.  Before the first
-# slice, after solving the pair ridge, the process peaks at 31 MB, so the
-# slices set the peak.
-PHOTONS_PER_SLICE = 50_000
+# Photons expected per time slice of ``simulate`` before its background is
+# cut to the windows near logic pulses; the slice length follows from the
+# source's photon rate (``slice_edges_s``).  Part of the stream definition:
+# each slice draws from its own generator.  The slices keep about 4.6k
+# pulses, but the trigger logic times of a slice are drawn whole, so the
+# slice length still sets the peak memory.  Measured with
+# ``cli.cmd_simulate`` on the reference profile at seed 7, one pinned CPU,
+# Python 3.11 and numpy 2.4 on a 2-CPU x86-64 host, in process, sizes run
+# alternately (median wall time of 5 runs at 600 s and of 3 at 3000 s, and
+# max RSS, at 600 s / 3000 s): 50k photons 0.51 / 2.87 s, 40.5 / 41.6 MB;
+# 100k 0.51 / 2.29 s, 43.4 / 44.4 MB; 150k 0.53 / 2.18 s, 45.5 / 46.4 MB;
+# 200k 0.45 / 2.43 s, 47.9 / 48.8 MB; the code before the trigger cut, at
+# 50k, 0.79 / 3.62 s, 44.6 / 46.1 MB.  The wall times spread by 20-40% on
+# that host.  150k is the largest size whose max RSS stays within 5% of
+# the latter's at both lengths.
+PHOTONS_PER_SLICE = 150_000
 
 
 def slice_edges_s(source: SourceConfig) -> np.ndarray:
@@ -199,7 +203,7 @@ def slice_edges_s(source: SourceConfig) -> np.ndarray:
     return np.append(np.arange(0.0, source.duration_s, length), source.duration_s)
 
 
-def _union(windows_ns):
+def window_union(windows_ns):
     """The disjoint windows ``windows_ns`` = (lo, hi) arrays in ns, each
     window [lo[i], hi[i]) and the windows in time order, laid end to end on
     [0, summed length): (cumulative length at each window's start and at
@@ -211,7 +215,7 @@ def _union(windows_ns):
 
 def _poisson_times(rng, rate_hz, union):
     """Sorted times in ns of a Poisson process at ``rate_hz`` on a
-    ``_union`` of windows: one Poisson count over their summed length,
+    ``window_union``: one Poisson count over their summed length,
     placed uniformly on it."""
     cumulative, shift = union
     n = rng.poisson(rate_hz * cumulative[-1] * 1e-9)
@@ -225,7 +229,13 @@ def _poisson_times(rng, rate_hz, union):
 def reach_windows(starts_ns, reach_ns: float, t0_ns: float, t1_ns: float):
     """The union of [t - reach_ns, t + reach_ns) over the times t of the
     sorted ``starts_ns`` and over t0_ns and t1_ns, clipped to [t0_ns,
-    t1_ns), as (lo, hi) arrays of its disjoint windows in time order."""
+    t1_ns), as (lo, hi) arrays of its disjoint windows in time order.
+
+    ``simulate`` takes it twice per slice, with reach ``DaqConfig.reach_ns``:
+    around the trigger logic starts, where it draws the output detectors'
+    background, and then around the output logic starts, where it keeps
+    the trigger detector's background.  The slice edges count as starts,
+    so the pulses that events across an edge need are always drawn."""
     t = np.concatenate(([t0_ns], starts_ns, [t1_ns]))
     # A new window begins where a time lies more than 2 reach after the
     # one before it.
@@ -233,6 +243,16 @@ def reach_windows(starts_ns, reach_ns: float, t0_ns: float, t1_ns: float):
     lo = np.concatenate(([t0_ns], t[gap + 1] - reach_ns))
     hi = np.concatenate((t[gap] + reach_ns, [t1_ns]))
     return lo, hi
+
+
+def in_windows(times_ns: np.ndarray, windows_ns) -> np.ndarray:
+    """The sorted ``times_ns`` that fall in the disjoint windows
+    ``windows_ns`` = (lo, hi) arrays in ns, each [lo, hi) and in time
+    order.  The window edges are looked up in the times, not the other way
+    round, so the cost follows the windows and the times kept."""
+    lo, hi = (np.searchsorted(times_ns, edges, side="left") for edges in windows_ns)
+    sizes = hi - lo
+    return times_ns[np.arange(sizes.sum()) + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)]
 
 
 def generate_pairs(
@@ -266,7 +286,7 @@ def generate_pairs(
     routes = ((DET_TRIG, ORIGIN_PAIR_TRIGGER), (DET_TRANS, ORIGIN_PAIR_HERALD),
               (DET_REF, ORIGIN_PAIR_HERALD))
     t0, t1 = window_s
-    times = _poisson_times(rng, source.pair_rate, _union(([t0 * 1e9], [t1 * 1e9])))
+    times = _poisson_times(rng, source.pair_rate, window_union(([t0 * 1e9], [t1 * 1e9])))
     n = len(times)
     if n == 0:
         # Most slices of the reference profile draw no pair; skip their
@@ -295,29 +315,78 @@ def generate_pairs(
     )
 
 
-def generate_stray(source: SourceConfig, detectors, *, rng: np.random.Generator, windows_ns):
-    """Independent Poisson background per detector with i.i.d. energies on
-    the union of the disjoint windows ``windows_ns`` = (lo, hi) arrays in
-    ns, in time order (one whole window [t0, t1) is ([t0], [t1])): one
-    time-ordered part per detector of ``detectors``, in their order."""
-    union = _union(windows_ns)
-    parts = []
-    for det in detectors:
-        times = _poisson_times(rng, source.stray_rates[det], union)
-        parts.append(_photons(times, source.spectrum.sample(rng, len(times)), det, ORIGIN_STRAY))
-    return tuple(parts)
+@dataclass(frozen=True)
+class StrayBackground:
+    """One detector's background, drawn directly as pulses.
+
+    A stray photon arrives at ``photon_rate_hz``, is detected with
+    ``spec``'s quantum efficiency and gives a logic pulse with probability
+    ``p_logic`` (``sca_probability``), each independently of its time.  So
+    the pulses without and with a logic pulse are two independent Poisson
+    processes (thinning), at rates R QE (1 - p) and R QE p: ``times`` draws
+    one of them on a union of windows, ``count`` counts it over time that
+    is not drawn, and ``pulses`` gives drawn times their measured energies.
+    """
+
+    detector: int
+    spectrum: StraySpectrum
+    spec: DetectorSpec
+    photon_rate_hz: float
+    p_logic: float
+
+    @classmethod
+    def of(cls, source: SourceConfig, det: int, spec: DetectorSpec) -> StrayBackground:
+        """Detector ``det``'s background under ``source``, seen with ``spec``."""
+        # Rounding may take the probability a few ulp past 0 or 1.
+        p_logic = min(1.0, max(0.0, sca_probability(source.spectrum, spec)))
+        return cls(det, source.spectrum, spec, source.stray_rates[det], p_logic)
+
+    def rate_hz(self, logic: bool) -> float:
+        """Rate of the pulses with (``logic``) or without a logic pulse."""
+        p = self.p_logic if logic else 1.0 - self.p_logic
+        return self.photon_rate_hz * self.spec.quantum_efficiency * p
+
+    def times(self, logic: bool, union, rng: np.random.Generator) -> np.ndarray:
+        """Sorted start times in ns of those pulses on a ``window_union``."""
+        return _poisson_times(rng, self.rate_hz(logic), union)
+
+    def count(self, logic: bool, length_ns: float, rng: np.random.Generator) -> int:
+        """Number of those pulses in ``length_ns`` of time that is counted,
+        not drawn: one Poisson count."""
+        return int(rng.poisson(self.rate_hz(logic) * length_ns * 1e-9))
+
+    def pulses(self, logic: bool, times_ns, rng: np.random.Generator) -> Stream:
+        """Pulses at the sorted ``times_ns``, all with (``logic``) or all
+        without a logic pulse, with energies from ``stray_energies``."""
+        n = len(times_ns)
+        energy = stray_energies(self.spectrum, self.spec, n, logic, self.p_logic, rng)
+        return Stream(times_ns, energy, np.full(n, self.detector, np.int8),
+                      np.full(n, ORIGIN_STRAY, np.int8), np.full(n, logic))
 
 
-def count_stray(source: SourceConfig, det: int, spec: DetectorSpec, p_logic: float,
-                length_ns: float, *, rng: np.random.Generator):
-    """(analog, logic) pulse counts of detector ``det``'s background over
-    ``length_ns`` of time that is counted, not drawn: a Poisson number of
-    photons, each kept with ``spec``'s quantum efficiency and, as in
-    ``detect``, given a logic pulse with probability ``p_logic``
-    (``sca_probability``)."""
-    n = rng.poisson(source.stray_rates[det] * length_ns * 1e-9)
-    analog = rng.binomial(n, spec.quantum_efficiency)
-    return int(analog), int(rng.binomial(analog, p_logic))
+# Photons ``stray_energies`` measures at most per batch, so that a rare
+# logic flag costs batches, not memory.
+_ENERGY_BATCH = 65_536
+
+
+def stray_energies(spectrum: StraySpectrum, spec: DetectorSpec, n: int, logic: bool,
+                   p_logic: float, rng: np.random.Generator) -> np.ndarray:
+    """``n`` measured energies of detected background photons whose logic
+    flag is ``logic``: batches of ``spectrum.sample`` photons, measured as
+    ``detect`` measures them, of which the first ``n`` with that flag are
+    kept.  ``p_logic`` (``sca_probability``) only sizes the batches."""
+    p = p_logic if logic else 1.0 - p_logic
+    kept, need = [np.zeros(0)], n
+    while need > 0:
+        # About 10% more photons than ``need`` expects, so one batch nearly
+        # always suffices.
+        size = _ENERGY_BATCH
+        if 1.1 * need < p * _ENERGY_BATCH:
+            size = min(size, math.ceil(1.1 * need / p) + 16)
+        measured, flag = _measure(spectrum.sample(rng, size), spec, rng)
+        kept.append(measured[flag == logic][:need])
+        need -= kept[-1].size
+    return np.concatenate(kept)
 
 
 def _gauss_legendre(n: int):
@@ -400,6 +469,20 @@ def sca_probability(spectrum: StraySpectrum, spec: DetectorSpec) -> float:
     return spectrum.line_fraction * p_line + (1.0 - spectrum.line_fraction) * p_flat
 
 
+def _measure(energy_kev, spec: DetectorSpec, rng: np.random.Generator):
+    """Measured energies E + z * ``spec.sigma_kev``(E), z standard normal,
+    and whether each falls inside ``spec``'s SCA window (a logic pulse)."""
+    # sigma_kev(E), in place.
+    noise = np.maximum(energy_kev, 0.0)
+    noise /= spec.reference_energy_kev
+    np.sqrt(noise, out=noise)
+    noise *= spec.resolution_fwhm_ev / FWHM_TO_SIGMA / 1000.0
+    noise *= rng.standard_normal(len(noise))
+    measured = energy_kev + noise
+    sca_lo, sca_hi = spec.sca_window_kev
+    return measured, (measured >= sca_lo) & (measured <= sca_hi)
+
+
 def detect(photons: Stream, spec: DetectorSpec, rng: np.random.Generator) -> Stream:
     """Convert a time-ordered stream of one detector's photons to a pulse
     stream in the same order.
@@ -415,12 +498,5 @@ def detect(photons: Stream, spec: DetectorSpec, rng: np.random.Generator) -> Str
     if not alive.all():  # with QE 1 every photon survives: no column is copied
         columns = tuple(c[alive] for c in columns)
     time_ns, energy, detector, origin = columns
-    # sigma_kev(E), in place.
-    noise = np.maximum(energy, 0.0)
-    noise /= spec.reference_energy_kev
-    np.sqrt(noise, out=noise)
-    noise *= spec.resolution_fwhm_ev / FWHM_TO_SIGMA / 1000.0
-    noise *= rng.standard_normal(len(noise))
-    measured = energy + noise
-    sca_lo, sca_hi = spec.sca_window_kev
-    return Stream(time_ns, measured, detector, origin, (measured >= sca_lo) & (measured <= sca_hi))
+    measured, logic = _measure(energy, spec, rng)
+    return Stream(time_ns, measured, detector, origin, logic)

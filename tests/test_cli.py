@@ -357,34 +357,43 @@ def test_model_sweep_follows_air_path(tmp_path):
 
 
 def test_simulate_merges_photon_streams_once(tmp_path, monkeypatch):
-    # Each whole-second time slice draws the trigger detector's background
-    # over its whole window, then each output detector's on the windows
-    # around the trigger logic pulses inside it; it detects each of its six
-    # parts and orders the pulses with one merge.  A run shorter than one
-    # slice is a single slice.
-    merge, stray = mc.merge_streams, mc.generate_stray
-    merges, draws = [], []
+    # Each whole-second time slice draws its pairs and the trigger
+    # detector's background logic pulses over its whole window, then each
+    # output detector's background (with, then without a logic pulse) on
+    # the windows around those trigger logic pulses, then the trigger's
+    # pulses without a logic pulse on the windows around the output logic
+    # pulses.  It orders its nine parts with one merge.  A run shorter than
+    # one slice is a single slice.
+    merge, union, times = mc.merge_streams, mc.window_union, mc.StrayBackground.times
+    merges, unions, draws = [], [], []
     monkeypatch.setattr(mc, "merge_streams", lambda *s: merges.append(len(s)) or merge(*s))
-    monkeypatch.setattr(mc, "generate_stray",
-                        lambda source, dets, **kw: draws.append((dets, kw["windows_ns"]))
-                        or stray(source, dets, **kw))
+    monkeypatch.setattr(mc, "window_union", lambda w: unions.append(w) or union(w))
+    monkeypatch.setattr(mc.StrayBackground, "times",
+                        lambda self, logic, u, rng: draws.append((self.detector, logic))
+                        or times(self, logic, u, rng))
     rate = load_default_config([a for a in FAST if a != "--set"]).source.photon_rate_hz()
     length = math.floor(mc.PHOTONS_PER_SLICE / rate)
     assert length > 5.0  # so the 5 s run is shorter than one slice
     for duration_s in (5.0, 20.0, 47.5):
         merges.clear()
+        unions.clear()
         draws.clear()
         args = FAST + ["--set", f"source.duration_s={duration_s}"]
         assert main(["simulate", "--outdir", str(tmp_path / str(duration_s))] + args) == EXIT_OK
         edges = [*range(0, math.ceil(duration_s / length) * length, length), duration_s]
-        per_slice = [(mc.DET_TRIG,), (mc.DET_TRANS, mc.DET_REF)]
-        assert [dets for dets, _ in draws] == per_slice * (len(edges) - 1)
-        windows = [w for _, w in draws]
-        for t0, t1, whole, (lo, hi) in zip(edges[:-1], edges[1:], windows[::2], windows[1::2]):
-            assert whole == ([t0 * 1e9], [t1 * 1e9])
-            assert lo[0] == t0 * 1e9 and hi[-1] == t1 * 1e9 and 1 < lo.size
-            assert np.sum(hi - lo) < 0.1 * (t1 - t0) * 1e9
-        assert merges == [6] * (len(edges) - 1)
+        per_slice = [(mc.DET_TRIG, True), (mc.DET_TRANS, True), (mc.DET_TRANS, False),
+                     (mc.DET_REF, True), (mc.DET_REF, False), (mc.DET_TRIG, False)]
+        assert draws == per_slice * (len(edges) - 1)
+        # Per slice: the pairs and the trigger logic pulses on the whole
+        # slice, then the output windows, then the trigger windows.
+        assert len(unions) == 4 * (len(edges) - 1)
+        for k, (t0, t1) in enumerate(zip(edges[:-1], edges[1:])):
+            pairs, trig, *windows = unions[4 * k:4 * k + 4]
+            assert trig == ([t0 * 1e9], [t1 * 1e9]) and pairs == trig
+            for lo, hi in windows:
+                assert lo[0] == t0 * 1e9 and hi[-1] == t1 * 1e9 and 1 < lo.size
+                assert np.sum(hi - lo) < 0.1 * (t1 - t0) * 1e9
+        assert merges == [9] * (len(edges) - 1)
 
 
 def _open_sigma(events, window_ns, output):
@@ -403,10 +412,11 @@ def _open_sigma(events, window_ns, output):
 
 def test_restricted_output_background_matches_the_whole_slice_draw(monkeypatch):
     """Drawing the output detectors' background only near trigger logic
-    pulses, and counting it elsewhere, changes no distribution: at 3 seeds,
-    runs with the windows and runs whose windows are the whole slice agree
-    within 4 sigma on events, rows per detector, alpha, sigma at 800 ns
-    and each pulse tally, and in rows per event (chi^2)."""
+    pulses, and the trigger detector's only near output logic pulses, and
+    counting it elsewhere, changes no distribution: at 3 seeds, runs with
+    the windows and runs whose windows (both sets) are the whole slice
+    agree within 4 sigma on events, rows per detector, alpha, sigma at 800
+    ns and each pulse tally, and in rows per event (chi^2)."""
     runs = {}
     for whole in (False, True):
         with monkeypatch.context() as patch:
@@ -436,7 +446,7 @@ def test_restricted_output_background_matches_the_whole_slice_draw(monkeypatch):
             table = stats.sigma_curves(restricted, [800.0], outputs=[output], energy_modes=["open"])
             assert s_r == pytest.approx(table[0, 0, 0], rel=1e-12)
             assert z(s_r, s_f, e_r ** 2, e_f ** 2) < 4
-        # The trigger and pair cells are drawn alike in both runs.
+        # Every cell has one distribution in both runs.
         for a, b in zip(tally_r.ravel(), tally_f.ravel()):
             assert z(a, b, a, b) < 4
         assert tally_r[mc.DET_TRANS, mc.ORIGIN_STRAY, 1] > 1e5

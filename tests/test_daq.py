@@ -332,6 +332,52 @@ def test_output_pulses_beyond_reach_change_no_event(seed, lengths_s, per_edge, n
     _assert_slices_match_whole(pruned, ends_ns, cfg)
 
 
+def _far_triggers_removed(pulses, reach_ns):
+    """``pulses`` without the trigger pulses, with or without a logic
+    pulse, farther than ``reach_ns`` from every output logic pulse: those
+    outside [t - reach, t + reach) of each output logic start t."""
+    t = pulses.time_ns
+    outputs = t[(pulses.detector != DET_TRIG) & pulses.logic]
+    near = ((t[:, None] >= outputs - reach_ns) & (t[:, None] < outputs + reach_ns)).any(axis=1)
+    keep = near | (pulses.detector != DET_TRIG)
+    return Stream(*(c[keep] for c in pulses._columns()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       lengths_s=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+       per_edge=st.integers(0, 40), n_inner=st.integers(0, 60),
+       logic_width_ns=st.sampled_from([100.0, 1000.0, 2500.0]),
+       half_window_ns=st.sampled_from([50.0, 800.0, 3000.0]),
+       analog_width_ns=st.sampled_from([10.0, 200.0, 1500.0]),
+       cap_hz=st.sampled_from([1.0, 2.5, 200.0]))
+def test_trigger_pulses_beyond_reach_of_the_outputs_change_no_event(
+        seed, lengths_s, per_edge, n_inner, logic_width_ns, half_window_ns, analog_width_ns,
+        cap_hz):
+    """The mirror of the output cut, applied after it: removing every
+    trigger pulse farther than ``reach_ns`` from each remaining output
+    logic pulse leaves the events and drops of ``build_events`` and of
+    ``build_events_in_slices`` as they were.  Pulses crowd the slice edges
+    and each other on a 50 ns lattice, so many lie near that reach."""
+    rng = np.random.default_rng(seed)
+    cfg = daq.DaqConfig(logic_width_ns=logic_width_ns, half_window_ns=half_window_ns,
+                        analog_width_ns=analog_width_ns, max_event_rate_hz=cap_hz)
+    ends_ns = np.cumsum(lengths_s) * 1e9
+    centres = np.r_[0.0, ends_ns, rng.uniform(0, ends_ns[-1], n_inner)]
+    t = np.repeat(centres, per_edge) + 50.0 * rng.integers(-200, 200, per_edge * centres.size)
+    t = np.sort(t[t >= 0])
+    pulses = Stream(t, rng.uniform(7, 17, len(t)), rng.integers(0, 3, len(t)).astype(np.int8),
+                    rng.integers(0, 3, len(t)).astype(np.int8), rng.random(len(t)) < 0.9)
+    pruned = _far_triggers_removed(_far_outputs_removed(pulses, cfg.reach_ns()), cfg.reach_ns())
+
+    whole, rate_dropped, empty_dropped = daq.build_events(pulses, cfg)
+    kept, kept_rate, kept_empty = daq.build_events(pruned, cfg)
+    assert (kept_rate, kept_empty) == (rate_dropped, empty_dropped)
+    for column in ("trigger_ns", "start", "detector", "energy_kev", "offset_ns", "origin"):
+        np.testing.assert_array_equal(getattr(kept, column), getattr(whole, column), column)
+    _assert_slices_match_whole(pruned, ends_ns, cfg)
+
+
 def test_reach_is_two_logic_widths_half_a_window_and_an_analog_width():
     assert CFG.reach_ns() == 2 * 1000.0 + 800.0 + 200.0
 
@@ -353,7 +399,7 @@ def test_simulate_equals_one_build_over_its_joined_slices(tmp_path, monkeypatch)
     build over the whole pulse stream its slices make up, saved and read
     back."""
     cfg = load_default_config(["grid.n_energy=400", "grid.n_x=60", "grid.n_y=12",
-                               "source.duration_s=20", "source.pair_rate_hz=5", "run.seed=5"])
+                               "source.duration_s=30", "source.pair_rate_hz=5", "run.seed=5"])
     slices = []
     build = daq.build_events_in_slices
 
@@ -364,7 +410,7 @@ def test_simulate_equals_one_build_over_its_joined_slices(tmp_path, monkeypatch)
     events, rate_dropped, empty_dropped, pulse_counts = simulate_events(cfg)
 
     assert len(slices) >= 3
-    # Each slice draws from its own generators.
+    # Each slice draws from its own generator.
     assert not np.array_equal(slices[0].energy_kev[:50], slices[1].energy_kev[:50])
     pulses = mc.join_streams(*slices)
     whole, whole_rate, whole_empty = daq.build_events(pulses, cfg.daq)
@@ -375,14 +421,15 @@ def test_simulate_equals_one_build_over_its_joined_slices(tmp_path, monkeypatch)
     for column in ("trigger_ns", "start", "detector", "energy_kev", "offset_ns", "origin",
                    "passes_acceptance", "passes_sum", "herald_kev"):
         np.testing.assert_array_equal(getattr(events, column), getattr(whole, column), column)
-    # The tally adds to the pulses the output detectors' background that
-    # was counted, not drawn: only in those cells, and never negative.
+    # The tally adds to the pulses the background that was counted, not
+    # drawn, and the trigger logic pulses drawn as times but not kept: only
+    # in the stray cells, and never negative.
     cell = (pulses.detector.astype(np.intp) * mc.N_ORIGINS + pulses.origin) * 2 + pulses.logic
     made = np.bincount(cell, minlength=pulse_counts.size).reshape(pulse_counts.shape)
     counted_only = pulse_counts - made
     assert counted_only.min() >= 0
-    assert counted_only[[DET_TRANS, DET_REF], mc.ORIGIN_STRAY].min() > 0
-    counted_only[[DET_TRANS, DET_REF], mc.ORIGIN_STRAY] = 0
+    assert counted_only[:, mc.ORIGIN_STRAY].min() > 0
+    counted_only[:, mc.ORIGIN_STRAY] = 0
     assert not counted_only.any()
 
 

@@ -43,34 +43,34 @@ REFERENCE_MODEL_GOLDEN = {
 GOLDEN = {
     77: {
         "simulate": {
-            "events.csv": "e2743b56cf3f96c2b551b2d17c73daa7f31b49d0f17ac6fb7972a76007abb79a",
-            "pulse_summary.txt": "99f798283f330f0a53a59533f401bf108375e310e1127a873bf2da44eaee92b9",
-            "run_meta.txt": "151a481274035767dec2f76891fadcf853638eaabac5db2816ab781a3fd46aac",
+            "events.csv": "1d3a28aae7f21aee09e80864ab142f11814f1902dcece3ac7037f61d93ab7144",
+            "pulse_summary.txt": "fdd974131a8413fe23f6344629af937f549b6b9c54819b803d3c011b5d208550",
+            "run_meta.txt": "50ddc09c3c5587c54cf343f9257ab523d9fba326f64017b5a63a4d126e037e86",
         },
         "analyze": {
-            "alpha_report.txt": "f008119085b38ffb3c409371eb32f36899dcad2eddeb0c7af706d333600f9e62",
-            "counts_all.csv": "5361c97932e2b4cb8c9ff0a74cec73b16174fb6d3781c3e0bde799c86312fc5b",
-            "counts_heralded.csv": "3a02f8ef0a7178ca7d5fb48fedbd40ea145e1a620c30e2202470fbb9a85c0d94",
-            "rates.txt": "0d3721ca36daa55110ea5579ba804242d7f5f9d495aca3293e2eb52ca5aec212",
-            "sigma_curves.csv": "4b7b6a6ea50ecde1f8b4d8f0d65cae446ab034bdb570111f07934f42830af74a",
-            "spectrum_ref.csv": "e3ae19904212ae308b3af29fbb2dcb12f567ae7ee5e12dfd25164dbd8271278e",
-            "spectrum_trans.csv": "0f43d7b27b39b61dff600c54e47b882fab5f5aef50a6899167ddb83a6e64e589",
+            "alpha_report.txt": "7aa4611045d20cc4c467537fcf2db498de7d8db70eb61c6744606ec9149a1a46",
+            "counts_all.csv": "0ef1bc72e1ac451dd0c0ac18479a94d79bebb9fc2cc1d2d75ebf46aeadcabe84",
+            "counts_heralded.csv": "48d84505fd10c839b642158fe96b7dac90edebaf8a69c0847582ec3ef7deded1",
+            "rates.txt": "ecd27e654f8dcccaea19e3b143eae8371ec187707e1819422208f238f88d5a97",
+            "sigma_curves.csv": "d54fa38e0fc535525d7a0e74a80ceed58054d42141b1db612b53a0d800dd4c23",
+            "spectrum_ref.csv": "9610dc1237b4bea82093abe7d75acc465970bb671275d8004ef3ed950a7b39ad",
+            "spectrum_trans.csv": "c8d0b8e028be5dd16744fa596a68b6e2b88e729f1b071d398c1de640e2bbfe16",
         },
     },
     78: {
         "simulate": {
-            "events.csv": "fb4405456e49f3ad2be137f5bd2d8fe43e350a9f2b1f7b673b2a5e95f9fe1454",
-            "pulse_summary.txt": "b7cd699b2a943519549c29dcac0dc1bb51aac71ee850d545f7ef4c8686182fa4",
-            "run_meta.txt": "b3ec7ecf330811b21c3aab88bad2ac4192b1cb306a1e0c235041d5822027ae07",
+            "events.csv": "2ed6a0e98ca0f8dbda2bb23658e6df285157996214fe99b99d303a00a51732b6",
+            "pulse_summary.txt": "6a2479e0485932d083dcefab8655df0bdf974a0bc80396156ae71fc7641ffcc5",
+            "run_meta.txt": "dbda45a2561bd78fcbc5ef813ff32011c3707330bddb49e88975a63f0fc42b5c",
         },
         "analyze": {
-            "alpha_report.txt": "29b7cb598e489df469689bae2b0bb3a435359ca6edc61ac813337182a8e3b45a",
-            "counts_all.csv": "3c5d622192ca5f2552064d4a94156042f7218c5a3039a5570fd5a8720f2dafaa",
-            "counts_heralded.csv": "9d92d6c4fdf151e68366cf87ebfe62ab3e5b2e2f2a0bbba717bdafd5d942c58b",
-            "rates.txt": "57f8846726eec78f8dba5b8d01a6f20044221244b90df2ab25a273fa6e210f0d",
-            "sigma_curves.csv": "b854f3d0baf21c51a1562563001404834c8ff8613df4e1fa6f79676c4451ea45",
-            "spectrum_ref.csv": "1f8c2284234bdf03d421ec7a1fe2bc8f08b5a71c04b646299692df98f8edf03a",
-            "spectrum_trans.csv": "f61bc308242ca153bbf3f138787b79c55df4ca60268c1378754cb71b2ad29877",
+            "alpha_report.txt": "7777f3d070ef45c59c54a3f62b98836758f9ba3f6b5b491a75434917a02c17db",
+            "counts_all.csv": "e7d8dc2f7fe11c3671708bf2cfcd4775b09981352a0141cf42eb19b3f17da362",
+            "counts_heralded.csv": "9ce93ce43eb817a867ac240654929e00e22cab370b670ddc4c431dd219bbb68f",
+            "rates.txt": "306e60e530171843a5838390de99e9725298ccc00edae79565aea89a002ff0a1",
+            "sigma_curves.csv": "cc946349f52f29e037a30abd59f5b1f5994cd93384303b7a59595a7a0655c301",
+            "spectrum_ref.csv": "04148abfe86ba66302469e9c7c04ac78584672aefa00eeb2f59e4087bd60a12f",
+            "spectrum_trans.csv": "023ebbc5fbf15c4c84b48f58925bd0e14fde54d6d4538b4a0104300885d2818f",
         },
     },
 }
@@ -83,13 +83,13 @@ SELECTION = [
     "--set", "daq.acceptance_hi_kev=16.5",
 ]
 SELECTION_GOLDEN = {
-    "alpha_report.txt": "78b8e6ee5d8e3001d8fae88905f6e964c20b97c6641a7c61c2777805984bcf87",
-    "counts_all.csv": "5361c97932e2b4cb8c9ff0a74cec73b16174fb6d3781c3e0bde799c86312fc5b",
-    "counts_heralded.csv": "e8bd4f9b6c96df7bcb90ea74d2346c88d4f08f80a818346c78b0fa72217b2088",
-    "rates.txt": "1369c1846b987e4762c3a25c1a224963d1a1c41978f95d2f72b73bd1c93b380c",
-    "sigma_curves.csv": "5819b98b3a3f1ad4af98b8beb258d7b5f4c591a1faeaddffe223a65c3bb2fd9e",
-    "spectrum_ref.csv": "960dc35508d0fb89f59a85b06ee85b9ff341e19d61524374f982eca4474ef70c",
-    "spectrum_trans.csv": "30427bd9ba329145ad8a1f6f6201fa23d418a23d1cced3c170c2bdfb83085883",
+    "alpha_report.txt": "0037088d6a193747f822dd511d155b40c286dfa02858032187943c3441314478",
+    "counts_all.csv": "0ef1bc72e1ac451dd0c0ac18479a94d79bebb9fc2cc1d2d75ebf46aeadcabe84",
+    "counts_heralded.csv": "6945cd696f344da6db6fc3a4ed4f10672884a801fd3bef7eafe7f11fdbe1e9ae",
+    "rates.txt": "d686c8cae7ded8e8b59d640c4bb55ecad883c889bac8b004484d4deeb54c3c5a",
+    "sigma_curves.csv": "baadc390a093086c154329418db3a093c7262d995dff00cb13391635e36a9910",
+    "spectrum_ref.csv": "a396706743b8a80a6549385d4aa01d743844d6fec4be47fe4ebac16b7eb80d55",
+    "spectrum_trans.csv": "99c19a6cdb94520d3cdf14dd5deae1be518936a7343184adeae334e45ec7f4b5",
 }
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from artifact import montecarlo as mc
+from artifact import cli, montecarlo as mc
 from artifact.config import load_default_config
 from artifact.spdc import (
     GridSpec,
@@ -67,10 +67,23 @@ def _pairs(ridge_small, graphite, cfg, seed, window_s=None, **source_kw):
 
 
 def _stray(source, seed, window_s):
-    """The three stray parts (TRIG, TRANS, REF) over the whole ``window_s``."""
-    whole = ([window_s[0] * 1e9], [window_s[1] * 1e9])
+    """Each detector's background pulses over the whole ``window_s``, with
+    the default detector spec: per detector (TRIG, TRANS, REF), the pulses
+    with and then those without a logic pulse."""
+    union = mc.window_union(([window_s[0] * 1e9], [window_s[1] * 1e9]))
     rng = np.random.default_rng(seed)
-    return mc.generate_stray(source, mc.DETECTORS, rng=rng, windows_ns=whole)
+    parts = []
+    for det in mc.DETECTORS:
+        background = mc.StrayBackground.of(source, det, mc.DetectorSpec())
+        for logic in (True, False):
+            parts.append(background.pulses(logic, background.times(logic, union, rng), rng))
+    return tuple(parts)
+
+
+# The detector and origin of each of the nine parts ``cli._slice_pulses``
+# merges: the pair parts, then the stray parts as ``_stray`` returns them.
+_PART_DETECTORS = mc.DETECTORS + tuple(np.repeat(mc.DETECTORS, 2).tolist())
+_PART_ORIGINS = (mc.ORIGIN_PAIR_TRIGGER,) + (mc.ORIGIN_PAIR_HERALD,) * 2 + (mc.ORIGIN_STRAY,) * 6
 
 
 def test_stray_spectrum_band_and_line():
@@ -115,13 +128,15 @@ def test_generators_return_time_ordered_parts(ridge_small, graphite, cfg):
     pairs = _pairs(ridge_small, graphite, cfg, 6, pair_rate=200.0, duration_s=5.0)
     stray = _stray(cfg.source, 6, (0.0, 0.5))
     parts = [*pairs, *stray]
-    origins = [mc.ORIGIN_PAIR_TRIGGER] + [mc.ORIGIN_PAIR_HERALD] * 2 + [mc.ORIGIN_STRAY] * 3
     assert all(len(p) > 0 for p in parts)
-    # Each part holds one detector's photons, in TRIG, TRANS, REF order.
-    for part, origin, det in zip(parts, origins, 2 * mc.DETECTORS):
+    # Each part holds one detector's photons or pulses, in TRIG, TRANS, REF
+    # order; each detector's stray pulses with, then without a logic pulse.
+    for part, origin, det in zip(parts, _PART_ORIGINS, _PART_DETECTORS):
         assert np.all(np.diff(part.time_ns) >= 0)
         assert np.all(part.origin == origin)
         assert np.all(part.detector == det)
+    for k, part in enumerate(stray):
+        assert part.logic.dtype == bool and np.all(part.logic == (k % 2 == 0))
     # No pairs: still three parts, empty, with the photon dtypes.
     for part in _pairs(ridge_small, graphite, cfg, 6, pair_rate=0.0):
         assert len(part) == 0
@@ -141,13 +156,14 @@ def test_pairs_in_a_window_without_a_pair(ridge_small, graphite, cfg):
         assert len(part) == 0
         assert [c.dtype for c in _columns(part)] == [np.float64, np.float64, np.int8, np.int8]
     stray = _stray(cfg.source, 1, (0.0, 0.01))
-    merged = mc.merge_streams(*parts, *stray)
-    for column, expected in zip(_columns(merged), _columns(mc.merge_streams(*stray))):
+    pulses = [mc.detect(part, mc.DetectorSpec(), np.random.default_rng(0)) for part in parts]
+    merged, alone = mc.merge_streams(*pulses, *stray), mc.merge_streams(*stray)
+    for column, expected in zip(_columns(merged) + [merged.logic], _columns(alone) + [alone.logic]):
         assert column.dtype == expected.dtype
         np.testing.assert_array_equal(column, expected)
     # Only the Poisson draws were made.
     reference = np.random.default_rng(seed)
-    mc._poisson_times(reference, rate, mc._union(([0.0], [1e9])))
+    mc._poisson_times(reference, rate, mc.window_union(([0.0], [1e9])))
     assert rng.random() == reference.random()
 
 
@@ -159,8 +175,9 @@ def test_generators_draw_inside_their_window(ridge_small, graphite, cfg):
     for part in (*pairs, *stray):
         assert len(part) > 0
         assert np.all((part.time_ns >= t0 * 1e9) & (part.time_ns < t1 * 1e9))
-    # Mean counts follow the window length, not the run length.
-    assert abs(len(stray[0]) - 2.0 * source.stray_rates[0]) < 5 * np.sqrt(2.0 * source.stray_rates[0])
+    # Mean counts follow the window length, not the run length (QE 1).
+    trig = len(stray[0]) + len(stray[1])
+    assert abs(trig - 2.0 * source.stray_rates[0]) < 5 * np.sqrt(2.0 * source.stray_rates[0])
 
 
 def test_slice_edges_follow_the_photon_rate(cfg):
@@ -250,11 +267,9 @@ def test_merge_streams_sorts_by_time():
 
 def _merge_like_simulate(pairs, stray):
     """The one merge of ``cli._slice_pulses``: the pair parts (trigger,
-    TRANS herald, REF herald), then the stray parts (TRIG, TRANS, REF)."""
+    TRANS herald, REF herald), then the stray parts (TRIG, TRANS, REF, each
+    with and then without a logic pulse)."""
     return mc.merge_streams(*pairs, *stray)
-
-
-_PART_ORIGINS = (mc.ORIGIN_PAIR_TRIGGER,) + (mc.ORIGIN_PAIR_HERALD,) * 2 + (mc.ORIGIN_STRAY,) * 3
 
 
 def test_merge_tie_order_hand_built():
@@ -262,18 +277,18 @@ def test_merge_tie_order_hand_built():
     # REF order.
     t = [100.0]
     parts = [_photons(t, 1.0 + k, det, origin, logic=k % 2 == 0)
-             for k, (det, origin) in enumerate(zip(2 * mc.DETECTORS, _PART_ORIGINS))]
+             for k, (det, origin) in enumerate(zip(_PART_DETECTORS, _PART_ORIGINS))]
     merged = _merge_like_simulate(parts[:3], parts[3:])
-    assert merged.energy_kev.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-    assert merged.detector.tolist() == 2 * list(mc.DETECTORS)
+    assert merged.energy_kev.tolist() == [1.0 + k for k in range(9)]
+    assert merged.detector.tolist() == list(_PART_DETECTORS)
     assert merged.origin.tolist() == list(_PART_ORIGINS)
-    assert merged.logic.tolist() == [True, False] * 3
+    assert merged.logic.tolist() == [k % 2 == 0 for k in range(9)]
 
 
 @settings(max_examples=60, deadline=None)
-@given(sizes=st.lists(st.integers(0, 12), min_size=6, max_size=6), seed=st.integers(0, 2**32 - 1))
+@given(sizes=st.lists(st.integers(0, 12), min_size=9, max_size=9), seed=st.integers(0, 2**32 - 1))
 def test_merge_tie_order_matches_one_stable_sort(sizes, seed):
-    """Times on a 4-point lattice, so most pulses tie; the six-part merge
+    """Times on a 4-point lattice, so most pulses tie; the nine-part merge
     equals one stable argsort of the concatenation on every column.  Each
     pulse's energy is its serial number, so any reordering shows."""
     rng = np.random.default_rng(seed)
@@ -281,7 +296,7 @@ def test_merge_tie_order_matches_one_stable_sort(sizes, seed):
     parts = [
         _photons(np.sort(rng.integers(0, 4, n) * 100.0), np.arange(first[k], first[k] + n),
                  det, origin, rng.random(n) < 0.5)
-        for k, (n, det, origin) in enumerate(zip(sizes, 2 * mc.DETECTORS, _PART_ORIGINS))
+        for k, (n, det, origin) in enumerate(zip(sizes, _PART_DETECTORS, _PART_ORIGINS))
     ]
     merged = _merge_like_simulate(parts[:3], parts[3:])
     names = PHOTON_COLUMNS + ("logic",)
@@ -472,7 +487,7 @@ def test_union_sampler_is_poisson_and_uniform_over_the_union():
     mean = rate_hz * length * 1e-9
     counts, times = [], []
     for _ in range(draws):
-        t = mc._poisson_times(rng, rate_hz, mc._union((lo, hi)))
+        t = mc._poisson_times(rng, rate_hz, mc.window_union((lo, hi)))
         assert np.all(np.diff(t) >= 0)
         counts.append(len(t))
         times.append(t)
@@ -499,23 +514,28 @@ def test_union_sampler_is_poisson_and_uniform_over_the_union():
 def test_one_window_draws_the_whole_window():
     # The pair and trigger draws: one window is one uniform sample on it.
     a, b = np.random.default_rng(4), np.random.default_rng(4)
-    t = mc._poisson_times(a, 3000.0, mc._union(([2e9], [6e9])))
+    t = mc._poisson_times(a, 3000.0, mc.window_union(([2e9], [6e9])))
     n = b.poisson(3000.0 * 4e9 * 1e-9)
     np.testing.assert_array_equal(t, 2e9 + np.sort(b.uniform(0.0, 4e9, n)))
 
 
 def test_count_stray_thins_a_poisson_count(cfg):
+    # The background pulses without and with a logic pulse are the stray
+    # photons thinned by QE and then split by the logic probability.
     source = replace(cfg.source, stray_rates=(0.0, 50.0, 0.0))
     spec = replace(cfg.detectors[mc.DET_TRANS], quantum_efficiency=0.6)
+    background = mc.StrayBackground(mc.DET_TRANS, source.spectrum, spec, 50.0, 0.3)
     rng = np.random.default_rng(8)
-    draws = np.array([mc.count_stray(source, mc.DET_TRANS, spec, 0.3, 2e9, rng=rng)
+    draws = np.array([[background.count(logic, 2e9, rng) for logic in (False, True)]
                       for _ in range(4000)])
-    assert np.all((0 <= draws[:, 1]) & (draws[:, 1] <= draws[:, 0]))
-    for column, mean in ((0, 100.0 * 0.6), (1, 100.0 * 0.6 * 0.3)):
+    for column, mean in ((0, 100.0 * 0.6 * 0.7), (1, 100.0 * 0.6 * 0.3)):
         # Thinned Poisson counts stay Poisson.
         assert abs(draws[:, column].mean() - mean) < 4.0 * math.sqrt(mean / len(draws))
         assert draws[:, column].var() == pytest.approx(mean, rel=0.1)
-    assert mc.count_stray(source, mc.DET_REF, spec, 0.3, 2e9, rng=rng) == (0, 0)
+    # The two counts are independent.
+    assert abs(np.corrcoef(draws.T)[0, 1]) < 4.0 / math.sqrt(len(draws))
+    silent = mc.StrayBackground.of(source, mc.DET_REF, spec)
+    assert [silent.count(logic, 2e9, rng) for logic in (False, True)] == [0, 0]
 
 
 _SCA_SPECS = {
@@ -552,3 +572,77 @@ def test_flat_band_rule_is_within_1e_9(edge, c):
     f = 0.5 * _erfc((e - edge) / (c * np.sqrt(e)) / math.sqrt(2.0))
     simpson = (e[1] - e[0]) / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum())
     assert abs(mc._flat_measured_below(edge, 7.0, 10.0, c) - simpson) < 1e-9
+
+
+def _two_sample_chi2(a, b, bins=40):
+    """Two-sample chi^2 of the samples ``a`` and ``b`` over bins of equal
+    pooled counts (bins with fewer than 10 entries dropped), and its dof."""
+    edges = np.unique(np.quantile(np.concatenate((a, b)), np.linspace(0.0, 1.0, bins + 1)))
+    count_a, count_b = np.histogram(a, edges)[0], np.histogram(b, edges)[0]
+    kept = count_a + count_b >= 10
+    count_a, count_b = count_a[kept], count_b[kept]
+    scale = math.sqrt(count_b.sum() / count_a.sum())
+    chi2 = float(np.sum((count_a * scale - count_b / scale) ** 2 / (count_a + count_b)))
+    return chi2, int(kept.sum()) - 1
+
+
+_SAMPLER_SPECS = {
+    "default": {},
+    "QE 0.5": {"quantum_efficiency": 0.5},
+    "SCA edges in the flat band and by the line": {"sca_window_kev": (8.5, 21.2)},
+    # The line sits on the closed upper edge.
+    "no resolution": {"resolution_fwhm_ev": 0.0, "sca_window_kev": (8.0, 21.0)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SAMPLER_SPECS))
+def test_stray_energies_follow_detect_given_the_logic_flag(cfg, name):
+    """``stray_energies`` (n = 2e5 per flag) against the energies ``detect``
+    measures on 1e6 ``StraySpectrum.sample`` photons with that flag: a
+    two-sample chi^2 over 40 bins of equal pooled counts."""
+    spec = replace(cfg.detectors[mc.DET_TRANS], **_SAMPLER_SPECS[name])
+    spectrum, m, n = cfg.source.spectrum, 1_000_000, 200_000
+    rng = np.random.default_rng(31)
+    pulses = mc.detect(_photons(np.zeros(m), spectrum.sample(rng, m), mc.DET_TRANS), spec, rng)
+    p = mc.sca_probability(spectrum, spec)
+    sca_lo, sca_hi = spec.sca_window_kev
+    for logic in (False, True):
+        sampled = mc.stray_energies(spectrum, spec, n, logic, p, rng)
+        assert sampled.shape == (n,)
+        assert np.all(((sampled >= sca_lo) & (sampled <= sca_hi)) == logic)
+        chi2, dof = _two_sample_chi2(sampled, pulses.energy_kev[pulses.logic == logic])
+        assert dof >= 10 and chi2 < dof + 4.0 * math.sqrt(2.0 * dof)
+
+
+def test_stray_energies_of_a_rare_flag_stay_within_the_batch_cap(cfg, monkeypatch):
+    # An SCA edge below the flat band leaves about 1e-4 of the photons
+    # without a logic pulse; drawing 200 of them takes many capped batches.
+    sca = (6.75, 22.0)
+    spec = replace(cfg.detectors[mc.DET_TRANS], sca_window_kev=sca)
+    spectrum = cfg.source.spectrum
+    p = mc.sca_probability(spectrum, spec)
+    assert 5e-5 < 1.0 - p < 2e-4
+    sizes, sample = [], mc.StraySpectrum.sample
+    monkeypatch.setattr(mc.StraySpectrum, "sample",
+                        lambda self, rng, n: sizes.append(n) or sample(self, rng, n))
+    energies = mc.stray_energies(spectrum, spec, 200, False, p, np.random.default_rng(5))
+    assert energies.shape == (200,)
+    assert np.all((energies < sca[0]) | (energies > sca[1]))
+    assert len(sizes) > 1 and max(sizes) <= mc._ENERGY_BATCH
+
+
+def test_trigger_tally_follows_the_thinned_rates():
+    """Over 200 s, the trigger detector's background tally (drawn, kept or
+    only counted) has mean R T QE pulses, R T QE p of them with a logic
+    pulse."""
+    cfg = load_default_config(["grid.n_energy=400", "grid.n_x=60", "grid.n_y=12",
+                               "source.duration_s=200", "detector.trig.quantum_efficiency=0.5"])
+    tally = np.zeros((len(mc.DETECTORS), mc.N_ORIGINS, 2), dtype=np.int64)
+    for _end, _pulses in cli._slice_pulses(cfg, pair_ridge(cfg.spdc, cfg.grid), tally):
+        pass
+    spec = cfg.detectors[mc.DET_TRIG]
+    mean = cfg.source.stray_rates[mc.DET_TRIG] * 200.0 * spec.quantum_efficiency
+    p = mc.sca_probability(cfg.source.spectrum, spec)
+    stray = tally[mc.DET_TRIG, mc.ORIGIN_STRAY]
+    for count, expected in ((stray.sum(), mean), (stray[1], mean * p)):
+        assert abs(count - expected) < 4.0 * math.sqrt(expected)
