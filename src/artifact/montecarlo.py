@@ -1,19 +1,18 @@
 """Seeded stochastic generation of photon streams and detector pulses.
 
 Photon and pulse streams are ``Stream``s: one contiguous numpy column per
-field (cheap for tens of millions of entries).  ``generate_pairs`` draws
-over a window [t0, t1) seconds of the run (``simulate`` runs it in the
-time slices of ``slice_edges_s``) and returns three parts in TRIG, TRANS,
-REF order; ``detect`` turns one such part into pulses with its detector's
-spec and keeps the order.  The background is drawn directly as pulses
-(``StrayBackground``): per detector, the pulses with and without a logic
-pulse are two independent Poisson processes, drawn on a union of disjoint
-windows in ns (one whole slice, or the windows ``reach_windows`` sets) and
-only counted elsewhere, with energies from ``stray_energies``.  Each part
-is in time order and of one detector, and ``merge_streams`` is the one
-place that orders a stream.  Every generator takes the
-``numpy.random.Generator`` it draws from, so identical (config, generator
-state) pairs produce bit-identical streams.
+field.  ``generate_pairs`` draws over a window [t0, t1) seconds of the run
+(``simulate`` runs it in the time slices of ``slice_edges_s``) and returns
+three parts in TRIG, TRANS, REF order; ``detect`` turns one such part
+into pulses with its detector's spec and keeps the order.  The background
+is drawn directly as pulses (``StrayBackground``): per detector, the pulses
+with and without a logic pulse are two independent Poisson processes,
+drawn on a union of disjoint windows in ns (one whole slice, or the
+windows ``reach_windows`` sets) and only counted elsewhere, with energies
+from ``stray_energies``.  Each part is in time order and of one detector,
+and ``merge_streams`` is the one place that orders a stream.  Every
+generator takes the ``numpy.random.Generator`` it draws from, so identical
+(config, generator state) pairs produce bit-identical streams.
 """
 
 from __future__ import annotations
@@ -288,11 +287,6 @@ def generate_pairs(
     t0, t1 = window_s
     times = _poisson_times(rng, source.pair_rate, window_union(([t0 * 1e9], [t1 * 1e9])))
     n = len(times)
-    if n == 0:
-        # Most slices of the reference profile draw no pair; skip their
-        # splitter and flight-path lookups.  Draws of size 0 consume no
-        # random numbers, so the stream is the same either way.
-        return tuple(_photons(times, times, det, origin) for det, origin in routes)
     cdf = np.cumsum(ridge.weights)
     # u * cdf[-1] may round up to cdf[-1]: the last zero takes it.
     zero = np.minimum(np.searchsorted(cdf, rng.random(n) * cdf[-1], side="right"), cdf.size - 1)
@@ -453,7 +447,9 @@ def sca_probability(spectrum: StraySpectrum, spec: DetectorSpec) -> float:
     sigma(7 keV) from 2.6 eV to 26 keV and edges from -0.5 to 15 keV.  The
     stated error bound is 1e-9, which the tests check against composite
     Simpson.  At zero resolution the SCA test is exact and so is the
-    result.
+    result.  The coefficient c = sigma(E) / sqrt(E) is written out here,
+    not taken from ``DetectorSpec.sigma_kev``: p sets the background's
+    Poisson rates, so a change in its last bit would change every stream.
     """
     sca_lo, sca_hi = spec.sca_window_kev
     flat_lo, flat_hi = spectrum.flat_lo_kev, spectrum.flat_hi_kev
@@ -472,13 +468,7 @@ def sca_probability(spectrum: StraySpectrum, spec: DetectorSpec) -> float:
 def _measure(energy_kev, spec: DetectorSpec, rng: np.random.Generator):
     """Measured energies E + z * ``spec.sigma_kev``(E), z standard normal,
     and whether each falls inside ``spec``'s SCA window (a logic pulse)."""
-    # sigma_kev(E), in place.
-    noise = np.maximum(energy_kev, 0.0)
-    noise /= spec.reference_energy_kev
-    np.sqrt(noise, out=noise)
-    noise *= spec.resolution_fwhm_ev / FWHM_TO_SIGMA / 1000.0
-    noise *= rng.standard_normal(len(noise))
-    measured = energy_kev + noise
+    measured = energy_kev + rng.standard_normal(len(energy_kev)) * spec.sigma_kev(energy_kev)
     sca_lo, sca_hi = spec.sca_window_kev
     return measured, (measured >= sca_lo) & (measured <= sca_hi)
 
@@ -490,13 +480,9 @@ def detect(photons: Stream, spec: DetectorSpec, rng: np.random.Generator) -> Str
     Each photon survives with ``spec``'s quantum efficiency; the measured
     energy adds Gaussian noise z * ``spec.sigma_kev``(E); a logic pulse
     accompanies the analog pulse iff the measured energy falls inside the
-    SCA window.  When every photon survives, the pulses share the photons'
-    time, detector and origin arrays.
+    SCA window.
     """
     alive = rng.random(len(photons)) < spec.quantum_efficiency
-    columns = (photons.time_ns, photons.energy_kev, photons.detector, photons.origin)
-    if not alive.all():  # with QE 1 every photon survives: no column is copied
-        columns = tuple(c[alive] for c in columns)
-    time_ns, energy, detector, origin = columns
-    measured, logic = _measure(energy, spec, rng)
-    return Stream(time_ns, measured, detector, origin, logic)
+    measured, logic = _measure(photons.energy_kev[alive], spec, rng)
+    return Stream(photons.time_ns[alive], measured, photons.detector[alive],
+                  photons.origin[alive], logic)

@@ -58,21 +58,13 @@ def reflectivity(spec: SplitterSpec, energy_kev, dtheta_deg):
     """
     # sin(theta_B) as xoptics.bragg_angle takes it; R = 0 where it exceeds 1.
     s = wavelength(energy_kev) / (2.0 * spec.lattice.d_spacing)
-    # The chain works in one buffer.  asarray makes a scalar arg a writable
-    # 0-d array, and [()] returns a scalar for it again.
-    r = np.asarray(
+    arg = (
         np.asarray(dtheta_deg, dtype=float)
         + spec.nominal_bragg_deg()
         + spec.mount_offset_deg
         - np.degrees(np.arcsin(np.minimum(s, 1.0)))
     )
-    r /= spec.width_deg
-    np.square(r, out=r)
-    np.negative(r, out=r)
-    np.exp(r, out=r)
-    r *= spec.peak_reflectivity
-    r *= s <= 1.0
-    return r[()]
+    return np.exp(-np.square(arg / spec.width_deg)) * spec.peak_reflectivity * (s <= 1.0)
 
 
 def response(spec: SplitterSpec, energy_kev, dtheta_deg, material: AttenuationTable):
@@ -91,9 +83,6 @@ def response(spec: SplitterSpec, energy_kev, dtheta_deg, material: AttenuationTa
     if np.any((incidence_deg <= 0) | (incidence_deg >= 180)):
         raise ValueError("incidence angle to the planes must lie in (0, 180) degrees")
     slant_cm = (spec.thickness_mm / 10.0) / np.sin(np.radians(incidence_deg))
-    absorption = np.asarray(np.multiply(-material.linear_attenuation(energy_kev), slant_cm))
-    np.exp(absorption, out=absorption)
+    absorption = np.exp(-material.linear_attenuation(energy_kev) * slant_cm)
     r = reflectivity(spec, energy_kev, dtheta_deg)
-    t = np.subtract(1.0, r)
-    t *= absorption
-    return r, t
+    return r, (1.0 - r) * absorption

@@ -2,15 +2,30 @@
 and a reusable Monte Carlo run sized so that pair statistics dominate the
 event stream."""
 
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.errors import InvalidArgument
 
 from artifact import daq, spdc
 from artifact.cli import simulate_events
 from artifact.config import load_default_config
 from artifact.xoptics import load_table
+
+# In CI a failing property prints the @reproduce_failure blob that replays
+# it.  Recent Hypothesis releases register a "ci" profile of their own
+# (derandomized, no deadline, blob printed) and load it when CI is set;
+# this one keeps that profile's other settings where it exists.
+try:
+    _ci_parent = settings.get_profile("ci")
+except InvalidArgument:
+    _ci_parent = None
+settings.register_profile("ci", _ci_parent, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

@@ -222,6 +222,17 @@ _LATTICE = st.builds(lambda second, k: second * 1e9 + 250.0 * k,
          cap_hz=200.0)
 @example(rows=[(0.0, DET_TRIG, True), (0.0, DET_REF, True), (500.0, DET_TRIG, True)],
          span=None, cap_hz=1.0)
+# An output pulse within one logic width ahead of the trigger pulse and
+# none after it: the trigger pulse sets the point.
+@example(rows=[(250.0, DET_TRANS, True), (1000.0, DET_TRIG, True)], span=None, cap_hz=200.0)
+# An output pulse exactly one logic width after the trigger pulse does not
+# overlap it.
+@example(rows=[(1000.0, DET_TRIG, True), (2000.0, DET_TRANS, True)], span=None, cap_hz=200.0)
+# An output pulse with the trigger pulse's start, after it in the stream.
+@example(rows=[(1000.0, DET_TRIG, True), (1000.0, DET_TRANS, True)], span=None, cap_hz=200.0)
+# No output pulse starts after t - w: the lookup reaches past the last one.
+@example(rows=[(0.0, DET_REF, True), (1000.0, DET_TRIG, True), (1500.0, DET_TRANS, False)],
+         span=None, cap_hz=200.0)
 def test_find_triggers_matches_brute_force(rows, span, cap_hz):
     rows.sort(key=lambda row: row[0])  # stable: equal starts keep a random order
     pulses = Stream(np.array([r[0] for r in rows], dtype=float), np.full(len(rows), 10.0),
