@@ -73,13 +73,13 @@ _SCHEMA: dict[str, dict[str, type]] = {
         "quantum_efficiency": float,
         "resolution_fwhm_ev": float,
         "reference_energy_kev": float,
-        "analog_width_ns": float,
-        "logic_width_ns": float,
         "sca_lo_kev": float,
         "sca_hi_kev": float,
     },
     "daq": {
         "half_window_ns": float,
+        "logic_width_ns": float,
+        "analog_width_ns": float,
         "max_event_rate_hz": float,
         "acceptance_lo_kev": float,
         "acceptance_hi_kev": float,
@@ -100,11 +100,6 @@ _DETECTOR_SECTIONS = {
     "detector.trans": DET_TRANS,
     "detector.ref": DET_REF,
 }
-
-# The coincidence electronics take their pulse widths from the trigger
-# detector, so setting these for an output detector alone would do nothing.
-_TRIGGER_ONLY_KEYS = ("analog_width_ns", "logic_width_ns")
-_OUTPUT_DETECTOR_SECTIONS = ("detector.trans", "detector.ref")
 
 
 @dataclass(frozen=True)
@@ -140,12 +135,6 @@ def _validate(parser: configparser.ConfigParser):
         for key in parser[section]:
             if key not in allowed:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            if key in _TRIGGER_ONLY_KEYS and section in _OUTPUT_DETECTOR_SECTIONS:
-                raise ConfigError(
-                    f"key {key!r} in section [{section}] has no effect: the "
-                    "electronics use the trigger detector's pulse widths "
-                    "(set it in [detector] or [detector.trig])"
-                )
 
 
 def _get(parser, section, key, base=None):
@@ -165,17 +154,12 @@ def _get(parser, section, key, base=None):
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
 
 
-def _detector_get(parser, section: str, key: str):
-    """``key`` of a detector section; per-detector sections override
-    individual keys, and anything not set there falls back to the shared
-    [detector] section."""
-    use = section if parser.has_option(section, key) else "detector"
-    return _get(parser, use, key, "detector")
-
-
 def _detector_from(parser, section: str) -> DetectorSpec:
+    """The detector of a per-detector section: keys set there override the
+    shared [detector] section's."""
     def get(key):
-        return _detector_get(parser, section, key)
+        use = section if parser.has_option(section, key) else "detector"
+        return _get(parser, use, key, "detector")
 
     return DetectorSpec(
         quantum_efficiency=get("quantum_efficiency"),
@@ -281,8 +265,8 @@ def build_config(parser: configparser.ConfigParser) -> RunConfig:
                      for section, det in _DETECTOR_SECTIONS.items()}
         daq = DaqConfig(
             half_window_ns=_get(parser, "daq", "half_window_ns"),
-            logic_width_ns=_detector_get(parser, "detector.trig", "logic_width_ns"),
-            analog_width_ns=_detector_get(parser, "detector.trig", "analog_width_ns"),
+            logic_width_ns=_get(parser, "daq", "logic_width_ns"),
+            analog_width_ns=_get(parser, "daq", "analog_width_ns"),
             max_event_rate_hz=_get(parser, "daq", "max_event_rate_hz"),
             acceptance_kev=(
                 _get(parser, "daq", "acceptance_lo_kev"),

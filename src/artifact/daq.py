@@ -29,8 +29,8 @@ class DaqConfig:
     """Trigger electronics, digitizer, and post-selection parameters."""
 
     half_window_ns: float = 800.0  # software registration window around the trigger
-    logic_width_ns: float = 1000.0
-    analog_width_ns: float = 200.0
+    logic_width_ns: float = 1000.0  # every detector's logic pulses
+    analog_width_ns: float = 200.0  # every detector's analog pulses
     max_event_rate_hz: float = 200.0  # digitizer capture limit
     acceptance_kev: tuple[float, float] = (7.0, 17.0)  # per-photon offline acceptance
     sum_halfwidth_kev: float = 0.5  # half of the pair-energy window

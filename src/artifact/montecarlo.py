@@ -91,8 +91,7 @@ class SourceConfig:
 class DetectorSpec:
     """Response of one energy-resolving detector and its SCA window.
 
-    The pulse widths the coincidence electronics use are the trigger
-    detector's and live in ``daq.DaqConfig``.
+    The pulse widths are the electronics' and live in ``daq.DaqConfig``.
     """
 
     quantum_efficiency: float = 1.0

@@ -1,10 +1,15 @@
 """Unit tests for configuration parsing, validation, and overrides."""
 
+import re
+
 import pytest
 
 from artifact.cli import EXIT_CONFIG, main
 from artifact.config import (
+    _SCHEMA,
     ConfigError,
+    _parser,
+    build_config,
     default_config_path,
     load_config,
     load_default_config,
@@ -36,18 +41,38 @@ def test_override_whitespace_is_stripped():
     assert cfg.source.duration_s == 5.0
 
 
-def test_output_detector_pulse_widths_rejected():
+def test_detector_pulse_widths_rejected_as_unknown_keys():
+    # The widths are the electronics', in [daq]; no detector section has them.
     for key in ("logic_width_ns", "analog_width_ns"):
-        for section in ("detector.ref", "detector.trans"):
-            with pytest.raises(ConfigError, match=key):
+        for section in ("detector", "detector.trig", "detector.trans", "detector.ref"):
+            with pytest.raises(ConfigError, match=re.escape(f"{key!r} in section [{section}]")):
                 load_default_config([f"{section}.{key}=500"])
 
 
-def test_trigger_detector_pulse_width_reaches_daq():
-    # [detector.trig] overrides a width; the other falls back to [detector].
-    cfg = load_default_config(["detector.trig.logic_width_ns=500", "detector.analog_width_ns=150"])
+def test_daq_pulse_widths_reach_daq_config():
+    cfg = load_default_config(["daq.logic_width_ns=500", "daq.analog_width_ns=150"])
     assert cfg.daq.logic_width_ns == 500.0
     assert cfg.daq.analog_width_ns == 150.0
+
+
+def _bundled_profile():
+    parser = _parser()
+    with open(default_config_path(), encoding="utf-8") as fh:
+        parser.read_file(fh)
+    return parser
+
+
+def test_every_bundled_key_is_read():
+    # The schema accepts exactly the profile's keys, and build_config reads
+    # each of them: a key that it never read would be accepted and ignored.
+    parser = _bundled_profile()
+    keys = {(section, key) for section in parser.sections() for key in parser[section]}
+    assert keys == {(section, key) for section, kinds in _SCHEMA.items() for key in kinds}
+    for section, key in sorted(keys):
+        partial = _bundled_profile()
+        partial.remove_option(section, key)
+        with pytest.raises(ConfigError, match=re.escape(f"missing config value [{section}] {key}")):
+            build_config(partial)
 
 
 def test_unknown_key_rejected():
@@ -83,8 +108,8 @@ def test_rate_cap_below_one_rejected(cap):
 
 @pytest.mark.parametrize("setting", [
     "daq.half_window_ns=nan",
-    "detector.trig.logic_width_ns=nan",
-    "detector.analog_width_ns=nan",
+    "daq.logic_width_ns=nan",
+    "daq.analog_width_ns=nan",
     "daq.sum_halfwidth_kev=nan",
     "daq.sum_halfwidth_kev=inf",
     "source.pair_rate_hz=nan",
@@ -99,8 +124,8 @@ def test_rate_cap_below_one_rejected(cap):
     # ``x > 0`` and ``x >= 1`` let infinity through to the electronics.
     "daq.max_event_rate_hz=inf",
     "daq.half_window_ns=inf",
-    "detector.trig.logic_width_ns=inf",
-    "detector.analog_width_ns=inf",
+    "daq.logic_width_ns=inf",
+    "daq.analog_width_ns=inf",
     "daq.acceptance_lo_kev=-inf",
     "daq.acceptance_hi_kev=inf",
     "run.seed=-5",  # numpy's SeedSequence raised after the pair intensity

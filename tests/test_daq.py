@@ -48,6 +48,20 @@ def test_partner_beyond_window_registers_single():
     assert events.detector.tolist() == [DET_TRIG]
 
 
+def test_window_is_closed_at_both_ends():
+    # Analog-only REF pulses peak exactly at point -+ half_window (registered)
+    # and 1 ns beyond each end (not registered); peaks lie 100 ns after starts.
+    point = 10_000.0
+    pulses = _pulses([(point - 901.0, 10.0, DET_REF, False), (point - 900.0, 10.1, DET_REF, False),
+                      (point, 10.4, DET_TRIG, True), (point, 10.6, DET_TRANS, True),
+                      (point + 700.0, 10.2, DET_REF, False), (point + 701.0, 10.3, DET_REF, False)])
+    events, _, _ = daq.build_events(pulses, CFG)
+    assert events.trigger_ns.tolist() == [point]
+    ref = events.detector == DET_REF
+    assert events.energy_kev[ref].tolist() == [10.1, 10.2]
+    assert events.offset_ns[ref].tolist() == [-800.0, 800.0]
+
+
 def test_no_overlap_no_event():
     pulses = _pulses([(0.0, 10.4, DET_REF, True), (1500.0, 10.6, DET_TRIG, True)])
     events, _, _ = daq.build_events(pulses, CFG)
@@ -233,6 +247,9 @@ _LATTICE = st.builds(lambda second, k: second * 1e9 + 250.0 * k,
 # No output pulse starts after t - w: the lookup reaches past the last one.
 @example(rows=[(0.0, DET_REF, True), (1000.0, DET_TRIG, True), (1500.0, DET_TRANS, False)],
          span=None, cap_hz=200.0)
+# Output pulses 1 ns inside the upper and the lower end of the overlap.
+@example(rows=[(1000.0, DET_TRIG, True), (1999.0, DET_TRANS, True)], span=None, cap_hz=200.0)
+@example(rows=[(1.0, DET_REF, True), (1000.0, DET_TRIG, True)], span=None, cap_hz=200.0)
 def test_find_triggers_matches_brute_force(rows, span, cap_hz):
     rows.sort(key=lambda row: row[0])  # stable: equal starts keep a random order
     pulses = Stream(np.array([r[0] for r in rows], dtype=float), np.full(len(rows), 10.0),
