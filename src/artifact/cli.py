@@ -105,16 +105,15 @@ def cmd_model(cfg: RunConfig, outdir: str) -> None:
         fh.write(f"r_transmitted = {r_trans:.6f}\n")
 
 
-def _drawn_on(background: mc.StrayBackground, logic: bool, union, length_ns: float,
-             tally: np.ndarray, rng: np.random.Generator) -> mc.Stream:
+def _drawn_near(background: mc.StrayBackground, logic: bool, starts_ns: np.ndarray,
+                reach_ns: float, rest_ns: float, tally: np.ndarray,
+                rng: np.random.Generator) -> mc.Stream:
     """``background``'s pulses with (``logic``) or without a logic pulse,
-    drawn on the ``mc.window_union`` ``union`` inside a slice ``length_ns``
-    long and only counted on the rest of it; both go to ``tally``."""
-    times = background.times(logic, union, rng)
-    # Rounding may take a fully covered slice's rest below 0.
-    rest = max(0.0, length_ns - float(union[0][-1]))
+    drawn on ``mc.reach_windows(starts_ns, reach_ns)`` and only counted on
+    the ``rest_ns`` of the slice outside them; both go to ``tally``."""
+    times = background.times_near(logic, starts_ns, reach_ns, rng)
     tally[background.detector, mc.ORIGIN_STRAY, int(logic)] += (
-        len(times) + background.count(logic, rest, rng))
+        len(times) + background.count(logic, rest_ns, rng))
     return background.pulses(logic, times, rng)
 
 
@@ -132,12 +131,14 @@ def _slice_pulses(cfg: RunConfig, ridge: spdc_mod.Ridge, tally: np.ndarray):
          whole slice, as times only;
       2. draws the output detectors' background pulses on the windows
          within that reach of a trigger logic pulse or a slice edge
-         (``reach_windows``);
+         (``mc.reach_windows``), straight from the sorted starts
+         (``mc.first_cover_times``), so the cost follows the pulses drawn;
       3. keeps, and gives energies to, the trigger logic pulses within
          that reach of an output logic pulse or a slice edge, and draws the
          trigger's pulses without a logic pulse there.
     The edges keep the pulses that events across them need.  Background
-    pulses that are not drawn are counted into ``tally``, as are all the
+    pulses that are not drawn are counted into ``tally`` over the rest of
+    the slice (``mc.reach_length``, once per set of starts), as are all the
     trigger logic pulses of step 1.  The nine parts (the three pair parts,
     then per detector the background with and without a logic pulse) are
     merged once.
@@ -161,19 +162,21 @@ def _slice_pulses(cfg: RunConfig, ridge: spdc_mod.Ridge, tally: np.ndarray):
         for part, det, origin in zip(pairs, mc.DETECTORS, origins):
             logic = int(np.count_nonzero(part.logic))
             tally[det, origin] += (len(part) - logic, logic)
-        trig_logic = trig.times(True, mc.window_union(([t0], [t1])), rng)
+        trig_logic = trig.times(True, (t0, t1), rng)
         tally[mc.DET_TRIG, mc.ORIGIN_STRAY, 1] += len(trig_logic)
-        # Sorted runs of logic starts, which the stable sort merges.
-        starts = np.sort(np.concatenate((pairs[0].time_ns[pairs[0].logic], trig_logic)),
-                         kind="stable")
-        union = mc.window_union(mc.reach_windows(starts, reach, t0, t1))
-        outs = [_drawn_on(background, logic, union, t1 - t0, tally, rng)
+        # Sorted runs of logic starts between the slice edges, which the
+        # stable sort merges.
+        starts = np.concatenate(([t0], pairs[0].time_ns[pairs[0].logic], trig_logic, [t1]))
+        starts.sort(kind="stable")
+        # Rounding may take a fully covered slice's rest below 0.
+        rest = max(0.0, t1 - t0 - mc.reach_length(starts, reach))
+        outs = [_drawn_near(background, logic, starts, reach, rest, tally, rng)
                 for background in outputs for logic in (True, False)]
-        starts = np.sort(np.concatenate([p.time_ns[p.logic] for p in (*pairs[1:], *outs)]),
-                         kind="stable")
-        windows = mc.reach_windows(starts, reach, t0, t1)
-        trigs = [trig.pulses(True, mc.in_windows(trig_logic, windows), rng),
-                 _drawn_on(trig, False, mc.window_union(windows), t1 - t0, tally, rng)]
+        starts = np.sort(np.concatenate(
+            [[t0], *(p.time_ns[p.logic] for p in (*pairs[1:], *outs)), [t1]]), kind="stable")
+        rest = max(0.0, t1 - t0 - mc.reach_length(starts, reach))
+        trigs = [trig.pulses(True, mc.in_windows(trig_logic, mc.reach_windows(starts, reach)), rng),
+                 _drawn_near(trig, False, starts, reach, rest, tally, rng)]
         del trig_logic
         # Pairs, then the background, each in TRIG, TRANS, REF order: one
         # stable sort keeps that order among equal times.

@@ -7,12 +7,14 @@ three parts in TRIG, TRANS, REF order; ``detect`` turns one such part
 into pulses with its detector's spec and keeps the order.  The background
 is drawn directly as pulses (``StrayBackground``): per detector, the pulses
 with and without a logic pulse are two independent Poisson processes,
-drawn on a union of disjoint windows in ns (one whole slice, or the
-windows ``reach_windows`` sets) and only counted elsewhere, with energies
-from ``stray_energies``.  Each part is in time order and of one detector,
-and ``merge_streams`` is the one place that orders a stream.  Every
-generator takes the ``numpy.random.Generator`` it draws from, so identical
-(config, generator state) pairs produce bit-identical streams.
+drawn on one whole slice (``poisson_times``) or on the windows within a
+reach of a set of starts (``reach_windows``), straight from the sorted
+starts by keeping each time only in the first window that covers it
+(``first_cover_times``), and only counted elsewhere (``reach_length``),
+with energies from ``stray_energies``.  Each part is in time order and of
+one detector, and ``merge_streams`` is the one place that orders a stream.
+Every generator takes the ``numpy.random.Generator`` it draws from, so
+identical (config, generator state) pairs produce bit-identical streams.
 """
 
 from __future__ import annotations
@@ -179,16 +181,19 @@ def merge_streams(*streams: Stream) -> Stream:
 # source's photon rate (``slice_edges_s``).  Part of the stream definition:
 # each slice draws from its own generator.  The slices keep about 4.6k
 # pulses, but the trigger logic times of a slice are drawn whole, so the
-# slice length still sets the peak memory.  Measured with
-# ``cli.cmd_simulate`` on the reference profile at seed 7, one pinned CPU,
-# Python 3.11 and numpy 2.4 on a 2-CPU x86-64 host, in process, sizes run
-# alternately (median wall time of 5 runs at 600 s and of 3 at 3000 s, and
-# max RSS, at 600 s / 3000 s): 50k photons 0.51 / 2.87 s, 40.5 / 41.6 MB;
-# 100k 0.51 / 2.29 s, 43.4 / 44.4 MB; 150k 0.53 / 2.18 s, 45.5 / 46.4 MB;
-# 200k 0.45 / 2.43 s, 47.9 / 48.8 MB; the code before the trigger cut, at
-# 50k, 0.79 / 3.62 s, 44.6 / 46.1 MB.  The wall times spread by 20-40% on
-# that host.  150k is the largest size whose max RSS stays within 5% of
-# the latter's at both lengths.
+# slice length still sets the peak memory.  Chosen with ``cli.cmd_simulate``
+# on the reference profile at seed 7, one pinned CPU, Python 3.11 and
+# numpy 2.4 on a 2-CPU x86-64 host, in process, sizes run alternately
+# (median wall time of 5 runs at 600 s and of 3 at 3000 s, and max RSS, at
+# 600 s / 3000 s), when the output background was drawn on explicit window
+# arrays: 50k photons 0.51 / 2.87 s, 40.5 / 41.6 MB; 100k 0.51 / 2.29 s,
+# 43.4 / 44.4 MB; 150k 0.53 / 2.18 s, 45.5 / 46.4 MB; 200k 0.45 / 2.43 s,
+# 47.9 / 48.8 MB; the code before the trigger cut, at 50k, 0.79 / 3.62 s,
+# 44.6 / 46.1 MB.  The wall times spread by 20-40% on that host.  150k is
+# the largest size whose max RSS stayed within 5% of the latter's at both
+# lengths.  Re-measured at 150k with the first-cover draws
+# (``first_cover_times``), against the window arrays in alternate runs:
+# 0.25 / 1.20 s (from 0.29 / 1.45 s) and 41.5 / 42.2 MB (from 45.7 / 46.5).
 PHOTONS_PER_SLICE = 150_000
 
 
@@ -201,46 +206,67 @@ def slice_edges_s(source: SourceConfig) -> np.ndarray:
     return np.append(np.arange(0.0, source.duration_s, length), source.duration_s)
 
 
-def window_union(windows_ns):
-    """The disjoint windows ``windows_ns`` = (lo, hi) arrays in ns, each
-    window [lo[i], hi[i]) and the windows in time order, laid end to end on
-    [0, summed length): (cumulative length at each window's start and at
-    the end, shift from there to each window's start)."""
-    lo, hi = (np.asarray(edges, dtype=float) for edges in windows_ns)
-    cumulative = np.concatenate(([0.0], np.cumsum(hi - lo)))
-    return cumulative, lo - cumulative[:-1]
+def poisson_times(rng, rate_hz, t0_ns: float, t1_ns: float):
+    """Sorted times in ns of a Poisson process at ``rate_hz`` on [t0_ns,
+    t1_ns): one Poisson count over its length, placed uniformly on it."""
+    length = t1_ns - t0_ns
+    times = rng.uniform(0.0, length, rng.poisson(rate_hz * length * 1e-9))
+    times.sort()
+    times += t0_ns
+    return times
 
 
-def _poisson_times(rng, rate_hz, union):
-    """Sorted times in ns of a Poisson process at ``rate_hz`` on a
-    ``window_union``: one Poisson count over their summed length,
-    placed uniformly on it."""
-    cumulative, shift = union
-    n = rng.poisson(rate_hz * cumulative[-1] * 1e-9)
-    u = np.sort(rng.uniform(0.0, cumulative[-1], n))
-    # Window k takes the u in [cumulative[k], cumulative[k + 1]); the last
-    # one also takes a u rounded up to the summed length.
-    u += shift[np.searchsorted(cumulative[1:-1], u, side="right")]
-    return u
-
-
-def reach_windows(starts_ns, reach_ns: float, t0_ns: float, t1_ns: float):
+def reach_windows(starts_ns, reach_ns: float):
     """The union of [t - reach_ns, t + reach_ns) over the times t of the
-    sorted ``starts_ns`` and over t0_ns and t1_ns, clipped to [t0_ns,
-    t1_ns), as (lo, hi) arrays of its disjoint windows in time order.
+    sorted ``starts_ns``, clipped to [starts_ns[0], starts_ns[-1]), as (lo,
+    hi) arrays of its disjoint windows in time order.
 
-    ``simulate`` takes it twice per slice, with reach ``DaqConfig.reach_ns``:
-    around the trigger logic starts, where it draws the output detectors'
-    background, and then around the output logic starts, where it keeps
-    the trigger detector's background.  The slice edges count as starts,
-    so the pulses that events across an edge need are always drawn."""
-    t = np.concatenate(([t0_ns], starts_ns, [t1_ns]))
+    ``simulate`` passes a slice's logic starts of one side with the slice
+    edges first and last, and reach ``DaqConfig.reach_ns``: the edges count
+    as starts, so the pulses that events across an edge need are always
+    drawn.  Around the trigger logic starts it draws the output detectors'
+    background (``first_cover_times``); around the output logic starts it
+    draws the trigger detector's background and keeps its logic pulses
+    (``in_windows``)."""
     # A new window begins where a time lies more than 2 reach after the
     # one before it.
-    gap = np.flatnonzero(np.diff(t) > 2.0 * reach_ns)
-    lo = np.concatenate(([t0_ns], t[gap + 1] - reach_ns))
-    hi = np.concatenate((t[gap] + reach_ns, [t1_ns]))
+    gap = np.flatnonzero(np.diff(starts_ns) > 2.0 * reach_ns)
+    lo = np.concatenate((starts_ns[:1], starts_ns[gap + 1] - reach_ns))
+    hi = np.concatenate((starts_ns[gap] + reach_ns, starts_ns[-1:]))
     return lo, hi
+
+
+def reach_length(starts_ns, reach_ns: float) -> float:
+    """Summed length in ns of ``reach_windows(starts_ns, reach_ns)``,
+    without building them.  Unclipped, the first window covers 2 reach and
+    each later one min(gap to the start before, 2 reach) beyond the windows
+    before it; the clip removes reach below the first start and reach above
+    the last."""
+    return float(np.minimum(np.diff(starts_ns), 2.0 * reach_ns).sum())
+
+
+def first_cover_times(rng, rate_hz, starts_ns, reach_ns: float):
+    """Sorted times in ns of a Poisson process at ``rate_hz`` on
+    ``reach_windows(starts_ns, reach_ns)``, drawn without building them.
+
+    Every window [t - reach_ns, t + reach_ns) gets its own Poisson process
+    at ``rate_hz``: one Poisson count over all their 2 reach_ns
+    len(starts_ns), each time placed uniformly in a window drawn uniformly.
+    A time is kept only in the first window that covers it, which for
+    sorted starts means at or after the end of the window before, and only
+    inside [starts_ns[0], starts_ns[-1]).  Disjoint restrictions of
+    independent Poisson processes are independent Poisson processes, so
+    the kept times are one Poisson process at ``rate_hz`` on the union: the
+    canonical-set test of Karp, Luby & Madras, J. Algorithms 10, 429
+    (1989).  The cost follows the times drawn, not the starts."""
+    n = rng.poisson(rate_hz * len(starts_ns) * 2.0 * reach_ns * 1e-9)
+    j = rng.integers(0, len(starts_ns), n)
+    centre = starts_ns[j]
+    x = centre + rng.uniform(-reach_ns, reach_ns, n)
+    # No window comes before window 0: only the clip at starts_ns[0] bounds it.
+    first = np.where(j > 0, starts_ns[j - 1] + reach_ns, starts_ns[0])
+    # Rounding may take centre + u up to the window's end, which is not in it.
+    return np.sort(x[(x >= first) & (x < np.minimum(centre + reach_ns, starts_ns[-1]))])
 
 
 def in_windows(times_ns: np.ndarray, windows_ns) -> np.ndarray:
@@ -284,7 +310,7 @@ def generate_pairs(
     routes = ((DET_TRIG, ORIGIN_PAIR_TRIGGER), (DET_TRANS, ORIGIN_PAIR_HERALD),
               (DET_REF, ORIGIN_PAIR_HERALD))
     t0, t1 = window_s
-    times = _poisson_times(rng, source.pair_rate, window_union(([t0 * 1e9], [t1 * 1e9])))
+    times = poisson_times(rng, source.pair_rate, t0 * 1e9, t1 * 1e9)
     n = len(times)
     cdf = np.cumsum(ridge.weights)
     # u * cdf[-1] may round up to cdf[-1]: the last zero takes it.
@@ -317,8 +343,9 @@ class StrayBackground:
     ``p_logic`` (``sca_probability``), each independently of its time.  So
     the pulses without and with a logic pulse are two independent Poisson
     processes (thinning), at rates R QE (1 - p) and R QE p: ``times`` draws
-    one of them on a union of windows, ``count`` counts it over time that
-    is not drawn, and ``pulses`` gives drawn times their measured energies.
+    one of them on a whole window and ``times_near`` on the windows within
+    a reach of a set of starts, ``count`` counts it over time that is not
+    drawn, and ``pulses`` gives drawn times their measured energies.
     """
 
     detector: int
@@ -339,9 +366,16 @@ class StrayBackground:
         p = self.p_logic if logic else 1.0 - self.p_logic
         return self.photon_rate_hz * self.spec.quantum_efficiency * p
 
-    def times(self, logic: bool, union, rng: np.random.Generator) -> np.ndarray:
-        """Sorted start times in ns of those pulses on a ``window_union``."""
-        return _poisson_times(rng, self.rate_hz(logic), union)
+    def times(self, logic: bool, window_ns, rng: np.random.Generator) -> np.ndarray:
+        """Sorted start times in ns of those pulses on ``window_ns`` =
+        [t0, t1) (``poisson_times``)."""
+        return poisson_times(rng, self.rate_hz(logic), *window_ns)
+
+    def times_near(self, logic: bool, starts_ns, reach_ns: float,
+                   rng: np.random.Generator) -> np.ndarray:
+        """Sorted start times in ns of those pulses on ``reach_windows``
+        (``first_cover_times``)."""
+        return first_cover_times(rng, self.rate_hz(logic), starts_ns, reach_ns)
 
     def count(self, logic: bool, length_ns: float, rng: np.random.Generator) -> int:
         """Number of those pulses in ``length_ns`` of time that is counted,

@@ -364,19 +364,27 @@ def test_simulate_merges_photon_streams_once(tmp_path, monkeypatch):
     # pulses without a logic pulse on the windows around the output logic
     # pulses.  It orders its nine parts with one merge.  A run shorter than
     # one slice is a single slice.
-    merge, union, times = mc.merge_streams, mc.window_union, mc.StrayBackground.times
-    merges, unions, draws = [], [], []
+    merge, whole, near = mc.merge_streams, mc.poisson_times, mc.first_cover_times
+    times, times_near = mc.StrayBackground.times, mc.StrayBackground.times_near
+    merges, wholes, covers, draws = [], [], [], []
     monkeypatch.setattr(mc, "merge_streams", lambda *s: merges.append(len(s)) or merge(*s))
-    monkeypatch.setattr(mc, "window_union", lambda w: unions.append(w) or union(w))
+    monkeypatch.setattr(mc, "poisson_times", lambda rng, rate, t0, t1:
+                        wholes.append((t0, t1)) or whole(rng, rate, t0, t1))
+    monkeypatch.setattr(mc, "first_cover_times", lambda rng, rate, starts, reach:
+                        covers.append(starts) or near(rng, rate, starts, reach))
     monkeypatch.setattr(mc.StrayBackground, "times",
-                        lambda self, logic, u, rng: draws.append((self.detector, logic))
-                        or times(self, logic, u, rng))
-    rate = load_default_config([a for a in FAST if a != "--set"]).source.photon_rate_hz()
-    length = math.floor(mc.PHOTONS_PER_SLICE / rate)
+                        lambda self, logic, w, rng: draws.append((self.detector, logic))
+                        or times(self, logic, w, rng))
+    monkeypatch.setattr(mc.StrayBackground, "times_near",
+                        lambda self, logic, s, r, rng: draws.append((self.detector, logic))
+                        or times_near(self, logic, s, r, rng))
+    cfg = load_default_config([a for a in FAST if a != "--set"])
+    length, reach = math.floor(mc.PHOTONS_PER_SLICE / cfg.source.photon_rate_hz()), cfg.daq.reach_ns()
     assert length > 5.0  # so the 5 s run is shorter than one slice
     for duration_s in (5.0, 20.0, 47.5):
         merges.clear()
-        unions.clear()
+        wholes.clear()
+        covers.clear()
         draws.clear()
         args = FAST + ["--set", f"source.duration_s={duration_s}"]
         assert main(["simulate", "--outdir", str(tmp_path / str(duration_s))] + args) == EXIT_OK
@@ -385,14 +393,17 @@ def test_simulate_merges_photon_streams_once(tmp_path, monkeypatch):
                      (mc.DET_REF, True), (mc.DET_REF, False), (mc.DET_TRIG, False)]
         assert draws == per_slice * (len(edges) - 1)
         # Per slice: the pairs and the trigger logic pulses on the whole
-        # slice, then the output windows, then the trigger windows.
-        assert len(unions) == 4 * (len(edges) - 1)
+        # slice, then four output draws around one set of starts, then the
+        # trigger draw around another.
+        assert len(wholes) == 2 * (len(edges) - 1) and len(covers) == 5 * (len(edges) - 1)
         for k, (t0, t1) in enumerate(zip(edges[:-1], edges[1:])):
-            pairs, trig, *windows = unions[4 * k:4 * k + 4]
-            assert trig == ([t0 * 1e9], [t1 * 1e9]) and pairs == trig
-            for lo, hi in windows:
-                assert lo[0] == t0 * 1e9 and hi[-1] == t1 * 1e9 and 1 < lo.size
-                assert np.sum(hi - lo) < 0.1 * (t1 - t0) * 1e9
+            assert wholes[2 * k:2 * k + 2] == [(t0 * 1e9, t1 * 1e9)] * 2
+            output, *same, trig = covers[5 * k:5 * k + 5]
+            assert all(s is output for s in same) and trig is not output
+            for starts in (output, trig):
+                assert starts[0] == t0 * 1e9 and starts[-1] == t1 * 1e9 and 2 < starts.size
+                assert np.all(np.diff(starts) >= 0)
+                assert mc.reach_length(starts, reach) < 0.1 * (t1 - t0) * 1e9
         assert merges == [9] * (len(edges) - 1)
 
 
@@ -421,8 +432,10 @@ def test_restricted_output_background_matches_the_whole_slice_draw(monkeypatch):
     for whole in (False, True):
         with monkeypatch.context() as patch:
             if whole:
-                patch.setattr(mc, "reach_windows",
-                              lambda starts, reach, t0, t1: (np.array([t0]), np.array([t1])))
+                patch.setattr(mc, "first_cover_times", lambda rng, rate, starts, reach:
+                              mc.poisson_times(rng, rate, starts[0], starts[-1]))
+                patch.setattr(mc, "reach_length", lambda starts, reach: starts[-1] - starts[0])
+                patch.setattr(mc, "reach_windows", lambda starts, reach: (starts[:1], starts[-1:]))
             for seed in (3, 4, 5):
                 cfg = load_default_config(["grid.n_energy=400", "grid.n_x=60", "grid.n_y=12",
                                            "source.duration_s=100", "source.pair_rate_hz=3",

@@ -43,32 +43,32 @@ REFERENCE_MODEL_GOLDEN = {
 GOLDEN = {
     77: {
         "simulate": {
-            "events.csv": "1d3a28aae7f21aee09e80864ab142f11814f1902dcece3ac7037f61d93ab7144",
-            "pulse_summary.txt": "fdd974131a8413fe23f6344629af937f549b6b9c54819b803d3c011b5d208550",
-            "run_meta.txt": "50ddc09c3c5587c54cf343f9257ab523d9fba326f64017b5a63a4d126e037e86",
+            "events.csv": "2643b768331eee91c8188b062c87d03b256b9c5d15514755a6d347641f06ad9b",
+            "pulse_summary.txt": "9569cc53c0e412bbea32d08b181f6cfc5f4f2dd2b7e37df7fd281aeaf8d574d3",
+            "run_meta.txt": "b492872a35889aad17c30decb54d6e60de74f3ef087ef3fe30e0b6ff08854146",
         },
         "analyze": {
-            "alpha_report.txt": "7aa4611045d20cc4c467537fcf2db498de7d8db70eb61c6744606ec9149a1a46",
-            "counts_all.csv": "0ef1bc72e1ac451dd0c0ac18479a94d79bebb9fc2cc1d2d75ebf46aeadcabe84",
+            "alpha_report.txt": "fbd71cdefeba10b541274270cda8acde044a75840baaf3a7f7dc6aa641e39c14",
+            "counts_all.csv": "fef04bc530c3cb84b9ac4c35c328eee96d7aa8636d5d466784985b97acd1cae0",
             "counts_heralded.csv": "48d84505fd10c839b642158fe96b7dac90edebaf8a69c0847582ec3ef7deded1",
             "rates.txt": "ecd27e654f8dcccaea19e3b143eae8371ec187707e1819422208f238f88d5a97",
-            "sigma_curves.csv": "d54fa38e0fc535525d7a0e74a80ceed58054d42141b1db612b53a0d800dd4c23",
+            "sigma_curves.csv": "e88f09a21dbed1e2cd26b371095781e8eb5aaad5f2c3fb09bd8e1887f97ea707",
             "spectrum_ref.csv": "9610dc1237b4bea82093abe7d75acc465970bb671275d8004ef3ed950a7b39ad",
             "spectrum_trans.csv": "c8d0b8e028be5dd16744fa596a68b6e2b88e729f1b071d398c1de640e2bbfe16",
         },
     },
     78: {
         "simulate": {
-            "events.csv": "2ed6a0e98ca0f8dbda2bb23658e6df285157996214fe99b99d303a00a51732b6",
-            "pulse_summary.txt": "6a2479e0485932d083dcefab8655df0bdf974a0bc80396156ae71fc7641ffcc5",
-            "run_meta.txt": "dbda45a2561bd78fcbc5ef813ff32011c3707330bddb49e88975a63f0fc42b5c",
+            "events.csv": "4efe723e0ee5cb82137edcf3cc630bd6cb3f60799026c39671cc4516015e6730",
+            "pulse_summary.txt": "ed45daae1106916d0ad8c39e71a7549b39f691d64597aac89b079db18a5a1fec",
+            "run_meta.txt": "40e72d6b347a2bd3bdaf8c9dffe5768f5f75a45b6146f626c99398a167e4c366",
         },
         "analyze": {
-            "alpha_report.txt": "7777f3d070ef45c59c54a3f62b98836758f9ba3f6b5b491a75434917a02c17db",
-            "counts_all.csv": "e7d8dc2f7fe11c3671708bf2cfcd4775b09981352a0141cf42eb19b3f17da362",
+            "alpha_report.txt": "45dfdec35c7a9b033e8ee3259b648dd7082197ac4b0b98f710a8353228c589e4",
+            "counts_all.csv": "0151b3080e64b5142fdb0b18f6790c1344514037b34e060b4250171d714138b8",
             "counts_heralded.csv": "9ce93ce43eb817a867ac240654929e00e22cab370b670ddc4c431dd219bbb68f",
             "rates.txt": "306e60e530171843a5838390de99e9725298ccc00edae79565aea89a002ff0a1",
-            "sigma_curves.csv": "cc946349f52f29e037a30abd59f5b1f5994cd93384303b7a59595a7a0655c301",
+            "sigma_curves.csv": "ad6827f46a792428e96f884ee9c4e1038ed3175aa8ebf3ee993e174d27317c9f",
             "spectrum_ref.csv": "04148abfe86ba66302469e9c7c04ac78584672aefa00eeb2f59e4087bd60a12f",
             "spectrum_trans.csv": "023ebbc5fbf15c4c84b48f58925bd0e14fde54d6d4538b4a0104300885d2818f",
         },
@@ -83,11 +83,11 @@ SELECTION = [
     "--set", "daq.acceptance_hi_kev=16.5",
 ]
 SELECTION_GOLDEN = {
-    "alpha_report.txt": "0037088d6a193747f822dd511d155b40c286dfa02858032187943c3441314478",
-    "counts_all.csv": "0ef1bc72e1ac451dd0c0ac18479a94d79bebb9fc2cc1d2d75ebf46aeadcabe84",
+    "alpha_report.txt": "8f16ff8ab3271d62066e662dbb3d4c18e34ba2205334f9bf8be58eecad90c156",
+    "counts_all.csv": "fef04bc530c3cb84b9ac4c35c328eee96d7aa8636d5d466784985b97acd1cae0",
     "counts_heralded.csv": "6945cd696f344da6db6fc3a4ed4f10672884a801fd3bef7eafe7f11fdbe1e9ae",
     "rates.txt": "d686c8cae7ded8e8b59d640c4bb55ecad883c889bac8b004484d4deeb54c3c5a",
-    "sigma_curves.csv": "baadc390a093086c154329418db3a093c7262d995dff00cb13391635e36a9910",
+    "sigma_curves.csv": "3561f4d471693ae08c78cb1e19e2a5ef08c535de83ba0795509d9d1a53a93bf8",
     "spectrum_ref.csv": "a396706743b8a80a6549385d4aa01d743844d6fec4be47fe4ebac16b7eb80d55",
     "spectrum_trans.csv": "99c19a6cdb94520d3cdf14dd5deae1be518936a7343184adeae334e45ec7f4b5",
 }

@@ -70,13 +70,13 @@ def _stray(source, seed, window_s):
     """Each detector's background pulses over the whole ``window_s``, with
     the default detector spec: per detector (TRIG, TRANS, REF), the pulses
     with and then those without a logic pulse."""
-    union = mc.window_union(([window_s[0] * 1e9], [window_s[1] * 1e9]))
+    window = (window_s[0] * 1e9, window_s[1] * 1e9)
     rng = np.random.default_rng(seed)
     parts = []
     for det in mc.DETECTORS:
         background = mc.StrayBackground.of(source, det, mc.DetectorSpec())
         for logic in (True, False):
-            parts.append(background.pulses(logic, background.times(logic, union, rng), rng))
+            parts.append(background.pulses(logic, background.times(logic, window, rng), rng))
     return tuple(parts)
 
 
@@ -163,7 +163,7 @@ def test_pairs_in_a_window_without_a_pair(ridge_small, graphite, cfg):
         np.testing.assert_array_equal(column, expected)
     # Only the Poisson draws were made.
     reference = np.random.default_rng(seed)
-    mc._poisson_times(reference, rate, mc.window_union(([0.0], [1e9])))
+    mc.poisson_times(reference, rate, 0.0, 1e9)
     assert rng.random() == reference.random()
 
 
@@ -435,7 +435,7 @@ def _covered(x, starts, reach, t0, t1):
 
 
 def test_reach_windows_merge_overlaps_and_clip_to_the_slice():
-    lo, hi = mc.reach_windows(np.array([10e3, 12e3, 30e3]), 3e3, 0.0, 1e6)
+    lo, hi = mc.reach_windows(np.array([0.0, 10e3, 12e3, 30e3, 1e6]), 3e3)
     # The edges count as starts; 10 and 12 us overlap into one window.
     assert lo.tolist() == [0.0, 7e3, 27e3, 997e3]
     assert hi.tolist() == [3e3, 15e3, 33e3, 1e6]
@@ -443,25 +443,25 @@ def test_reach_windows_merge_overlaps_and_clip_to_the_slice():
 
 def test_reach_windows_at_the_slice_edges():
     t0, t1 = 5e9, 9e9
-    lo, hi = mc.reach_windows(np.array([t0, t0 + 1e3, t1 - 500.0]), 3e3, t0, t1)
+    lo, hi = mc.reach_windows(np.array([t0, t0, t0 + 1e3, t1 - 500.0, t1]), 3e3)
     assert lo.tolist() == [t0, t1 - 3.5e3]
     assert hi.tolist() == [t0 + 4e3, t1]
     # Starts exactly 2 reach apart touch and make one window.
-    lo, hi = mc.reach_windows(np.array([t0 + 6e3]), 3e3, t0, t1)
+    lo, hi = mc.reach_windows(np.array([t0, t0 + 6e3, t1]), 3e3)
     assert lo.tolist() == [t0, t1 - 3e3] and hi.tolist() == [t0 + 9e3, t1]
 
 
 def test_reach_windows_of_an_empty_trigger_part():
-    lo, hi = mc.reach_windows(np.zeros(0), 3e3, 0.0, 4e9)
+    lo, hi = mc.reach_windows(np.array([0.0, 4e9]), 3e3)
     assert lo.tolist() == [0.0, 4e9 - 3e3]
     assert hi.tolist() == [3e3, 4e9]
 
 
 def test_reach_windows_cover_the_slice():
     # Starts closer than 2 reach everywhere, or a slice shorter than 2 reach.
-    lo, hi = mc.reach_windows(np.arange(4e3, 1e6, 5e3), 3e3, 0.0, 1e6)
+    lo, hi = mc.reach_windows(np.r_[0.0, np.arange(4e3, 1e6, 5e3), 1e6], 3e3)
     assert (lo.tolist(), hi.tolist()) == ([0.0], [1e6])
-    lo, hi = mc.reach_windows(np.zeros(0), 3e3, 0.0, 5e3)
+    lo, hi = mc.reach_windows(np.array([0.0, 5e3]), 3e3)
     assert (lo.tolist(), hi.tolist()) == ([0.0], [5e3])
 
 
@@ -472,7 +472,7 @@ def test_reach_windows_are_the_union_of_the_start_windows(seed, n, reach):
     rng = np.random.default_rng(seed)
     t0, t1 = 1e9, 1e9 + 2e5
     starts = np.sort(t0 + 100.0 * rng.integers(0, 2000, n))  # ties and touching windows
-    lo, hi = mc.reach_windows(starts, reach, t0, t1)
+    lo, hi = mc.reach_windows(np.r_[t0, starts, t1], reach)
     assert lo[0] == t0 and hi[-1] == t1
     assert np.all(lo < hi) and np.all(lo[1:] > hi[:-1])  # disjoint, in time order
     x = np.r_[rng.uniform(t0 - 1e4, t1 + 1e4, 4000), starts - reach, starts + reach, lo, hi]
@@ -482,18 +482,27 @@ def test_reach_windows_are_the_union_of_the_start_windows(seed, n, reach):
 
 
 def test_union_sampler_is_poisson_and_uniform_over_the_union():
-    """Counts over many draws are Poisson with mean rate x covered length,
-    and the times fall uniformly on the union: per window in proportion to
-    its length, and uniform within the windows."""
+    """First-cover draws on windows that overlap: counts over many draws are
+    Poisson with mean rate x covered length, and the times fall uniformly
+    on the union: per window in proportion to its length, and uniform
+    within the windows."""
     rng = np.random.default_rng(11)
-    starts = np.sort(rng.uniform(0.0, 1e8, 300))
-    lo, hi = mc.reach_windows(starts, 2e4, 0.0, 1e8)
+    t0, t1, reach = 0.0, 1e8, 1.7e5
+    starts = np.r_[t0, np.sort(rng.uniform(t0, t1, 300)), t1]
+    lo, hi = mc.reach_windows(starts, reach)
     length = float(np.sum(hi - lo))
-    rate_hz, draws = 2e5, 400
+    # Windows overlap: at least 30% of the union is covered twice or more,
+    # and the union leaves gaps.
+    x = np.linspace(t0, t1, 1_000_001)[:-1]
+    depth = (np.searchsorted(starts, x + reach, side="right")
+             - np.searchsorted(starts, x - reach, side="right"))
+    assert np.mean(depth >= 2) >= 0.3 * np.mean(depth >= 1)
+    assert lo.size > 10 and length < 0.9 * (t1 - t0)
+    rate_hz, draws = 2e4, 400
     mean = rate_hz * length * 1e-9
     counts, times = [], []
     for _ in range(draws):
-        t = mc._poisson_times(rng, rate_hz, mc.window_union((lo, hi)))
+        t = mc.first_cover_times(rng, rate_hz, starts, reach)
         assert np.all(np.diff(t) >= 0)
         counts.append(len(t))
         times.append(t)
@@ -517,10 +526,28 @@ def test_union_sampler_is_poisson_and_uniform_over_the_union():
         assert chi2 < dof + 4.0 * math.sqrt(2.0 * dof)
 
 
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 40),
+       reach=st.sampled_from([1.0, 300.0, 3000.0]))
+def test_first_cover_times_lie_on_the_reach_windows(seed, n, reach):
+    rng = np.random.default_rng(seed)
+    t0, t1 = 1e9, 1e9 + 2e5
+    # Ties, touching windows, and starts on the slice edges.
+    starts = np.r_[t0, np.sort(t0 + 100.0 * rng.integers(0, 2001, n)), t1]
+    lo, hi = mc.reach_windows(starts, reach)
+    assert mc.reach_length(starts, reach) == pytest.approx(float(np.sum(hi - lo)), rel=1e-12)
+    # About 300 times per draw.
+    t = mc.first_cover_times(rng, 300.0 / (starts.size * 2.0 * reach * 1e-9), starts, reach)
+    assert np.all(np.diff(t) >= 0)
+    assert np.all((t >= t0) & (t < t1))
+    k = np.searchsorted(lo, t, side="right") - 1
+    assert np.all(k >= 0) and np.all(t < hi[np.maximum(k, 0)])
+
+
 def test_one_window_draws_the_whole_window():
     # The pair and trigger draws: one window is one uniform sample on it.
     a, b = np.random.default_rng(4), np.random.default_rng(4)
-    t = mc._poisson_times(a, 3000.0, mc.window_union(([2e9], [6e9])))
+    t = mc.poisson_times(a, 3000.0, 2e9, 6e9)
     n = b.poisson(3000.0 * 4e9 * 1e-9)
     np.testing.assert_array_equal(t, 2e9 + np.sort(b.uniform(0.0, 4e9, n)))
 
