@@ -172,8 +172,8 @@ def _slice_pulses(cfg: RunConfig, ridge: spdc_mod.Ridge, tally: np.ndarray):
         rest = max(0.0, t1 - t0 - mc.reach_length(starts, reach))
         outs = [_drawn_near(background, logic, starts, reach, rest, tally, rng)
                 for background in outputs for logic in (True, False)]
-        starts = np.sort(np.concatenate(
-            [[t0], *(p.time_ns[p.logic] for p in (*pairs[1:], *outs)), [t1]]), kind="stable")
+        starts = np.concatenate([[t0], *(p.time_ns[p.logic] for p in (*pairs[1:], *outs)), [t1]])
+        starts.sort(kind="stable")
         rest = max(0.0, t1 - t0 - mc.reach_length(starts, reach))
         trigs = [trig.pulses(True, mc.in_windows(trig_logic, mc.reach_windows(starts, reach)), rng),
                  _drawn_near(trig, False, starts, reach, rest, tally, rng)]
