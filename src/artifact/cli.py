@@ -109,11 +109,13 @@ def _drawn_near(background: mc.StrayBackground, logic: bool, starts_ns: np.ndarr
                 reach_ns: float, rest_ns: float, tally: np.ndarray,
                 rng: np.random.Generator) -> mc.Stream:
     """``background``'s pulses with (``logic``) or without a logic pulse,
-    drawn on ``mc.reach_windows(starts_ns, reach_ns)`` and only counted on
-    the ``rest_ns`` of the slice outside them; both go to ``tally``."""
-    times = background.times_near(logic, starts_ns, reach_ns, rng)
+    drawn on ``mc.reach_windows(starts_ns, reach_ns)``
+    (``mc.first_cover_times``) and only counted on the ``rest_ns`` of the
+    slice outside them (one Poisson count); both go to ``tally``."""
+    rate = background.rate_hz(logic)
+    times = mc.first_cover_times(rng, rate, starts_ns, reach_ns)
     tally[background.detector, mc.ORIGIN_STRAY, int(logic)] += (
-        len(times) + background.count(logic, rest_ns, rng))
+        len(times) + int(rng.poisson(rate * rest_ns * 1e-9)))
     return background.pulses(logic, times, rng)
 
 
@@ -123,12 +125,13 @@ def _slice_pulses(cfg: RunConfig, ridge: spdc_mod.Ridge, tally: np.ndarray):
 
     Slice k draws from one generator, seeded with the k-th child of the run
     seed (one, not one per stage: each costs about 25 us to set up).  The
-    background is drawn directly as pulses (``mc.StrayBackground``).  A
-    pulse can change a capture only within ``DaqConfig.reach_ns`` of a
-    logic pulse of the other side, so after drawing and detecting the
-    pairs, a slice
+    background is drawn directly as pulses: the samplers draw its times at
+    ``mc.StrayBackground.rate_hz`` and ``StrayBackground.pulses`` gives
+    them energies.  A pulse can change a capture only within
+    ``DaqConfig.reach_ns`` of a logic pulse of the other side, so after
+    drawing and detecting the pairs, a slice
       1. draws the trigger detector's background logic pulses over the
-         whole slice, as times only;
+         whole slice (``mc.poisson_times``), as times only;
       2. draws the output detectors' background pulses on the windows
          within that reach of a trigger logic pulse or a slice edge
          (``mc.reach_windows``), straight from the sorted starts
@@ -154,7 +157,7 @@ def _slice_pulses(cfg: RunConfig, ridge: spdc_mod.Ridge, tally: np.ndarray):
         t0, t1 = (t * 1e9 for t in window)
         photons = mc.generate_pairs(
             ridge, cfg.spdc.pump_energy_kev, cfg.splitter, cfg.source, graphite,
-            air=air, helium=helium, rng=rng, window_s=window,
+            air=air, helium=helium, rng=rng, window_ns=(t0, t1),
         )
         pairs = [mc.detect(part, cfg.detectors[det], rng)
                  for part, det in zip(photons, mc.DETECTORS)]
@@ -162,7 +165,7 @@ def _slice_pulses(cfg: RunConfig, ridge: spdc_mod.Ridge, tally: np.ndarray):
         for part, det, origin in zip(pairs, mc.DETECTORS, origins):
             logic = int(np.count_nonzero(part.logic))
             tally[det, origin] += (len(part) - logic, logic)
-        trig_logic = trig.times(True, (t0, t1), rng)
+        trig_logic = mc.poisson_times(rng, trig.rate_hz(True), t0, t1)
         tally[mc.DET_TRIG, mc.ORIGIN_STRAY, 1] += len(trig_logic)
         # Sorted runs of logic starts between the slice edges, which the
         # stable sort merges.
@@ -237,10 +240,11 @@ def cmd_analyze(cfg: RunConfig, events_path: str, outdir: str) -> None:
         raise SchemaError(str(exc)) from exc
     events, heralded = daq_mod.energy_select(events, cfg.daq)
 
-    for det, stem in ((DET_TRANS, "trans"), (DET_REF, "ref")):
+    outputs = (DET_TRANS, DET_REF)
+    for det in outputs:
         hist = stats_mod.spectra(heralded, det, cfg.bin_width_kev)
         _write_rows(
-            os.path.join(outdir, f"spectrum_{stem}.csv"),
+            os.path.join(outdir, f"spectrum_{mc.DETECTOR_NAMES[det]}.csv"),
             "bin_lo_kev,bin_hi_kev,count",
             zip(
                 hist.edges[:-1].tolist(),
@@ -249,13 +253,12 @@ def cmd_analyze(cfg: RunConfig, events_path: str, outdir: str) -> None:
             ),
         )
 
-    names, modes = ("trans", "ref"), ("sum", "open")
-    table = stats_mod.sigma_curves(events, SIGMA_WINDOWS_NS, outputs=(DET_TRANS, DET_REF),
-                                   energy_modes=modes)
+    modes = ("sum", "open")
+    table = stats_mod.sigma_curves(events, SIGMA_WINDOWS_NS, outputs=outputs, energy_modes=modes)
     sigma_rows = [
-        (window, name, mode, value)
+        (window, mc.DETECTOR_NAMES[det], mode, value)
         for window, by_output in zip(SIGMA_WINDOWS_NS, table.tolist())
-        for name, by_mode in zip(names, by_output)
+        for det, by_mode in zip(outputs, by_output)
         for mode, value in zip(modes, by_mode)
     ]
     _write_rows(

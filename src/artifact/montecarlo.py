@@ -1,7 +1,7 @@
 """Seeded stochastic generation of photon streams and detector pulses.
 
 Photon and pulse streams are ``Stream``s: one contiguous numpy column per
-field.  ``generate_pairs`` draws over a window [t0, t1) seconds of the run
+field.  ``generate_pairs`` draws over a window [t0, t1) ns of the run
 (``simulate`` runs it in the time slices of ``slice_edges_s``) and returns
 three parts in TRIG, TRANS, REF order; ``detect`` turns one such part
 into pulses with its detector's spec and keeps the order.  The background
@@ -11,10 +11,11 @@ drawn on one whole slice (``poisson_times``) or on the windows within a
 reach of a set of starts (``reach_windows``), straight from the sorted
 starts by keeping each time only in the first window that covers it
 (``first_cover_times``), and only counted elsewhere (``reach_length``),
-with energies from ``stray_energies``.  Each part is in time order and of
-one detector, and ``merge_streams`` is the one place that orders a stream.
-Every generator takes the ``numpy.random.Generator`` it draws from, so
-identical (config, generator state) pairs produce bit-identical streams.
+with energies from ``StrayBackground.pulses``.  Each part is in time order
+and of one detector, and ``merge_streams`` is the one place that orders a
+stream.  Every generator takes the ``numpy.random.Generator`` it draws
+from, so identical (config, generator state) pairs produce bit-identical
+streams.
 """
 
 from __future__ import annotations
@@ -289,14 +290,14 @@ def generate_pairs(
     air: AttenuationTable,
     helium: AttenuationTable,
     rng: np.random.Generator,
-    window_s: tuple[float, float],
+    window_ns: tuple[float, float],
 ):
     """Photons from correlated pairs routed through the beam splitter, as
     three time-ordered parts: the triggers, the heralded photons at TRANS
     and those at REF.
 
     Pair creation times are a Poisson process at ``source.pair_rate`` over
-    ``window_s`` = [t0, t1) seconds; each pair is one zero of the
+    ``window_ns`` = [t0, t1) ns; each pair is one zero of the
     phase-matching ridge, drawn with probability proportional to its
     weight: the heralded photon takes its energy E0 and theta_x, the
     partner the energy ``pump_energy_kev`` - E0, and the two photons share
@@ -309,8 +310,7 @@ def generate_pairs(
     """
     routes = ((DET_TRIG, ORIGIN_PAIR_TRIGGER), (DET_TRANS, ORIGIN_PAIR_HERALD),
               (DET_REF, ORIGIN_PAIR_HERALD))
-    t0, t1 = window_s
-    times = poisson_times(rng, source.pair_rate, t0 * 1e9, t1 * 1e9)
+    times = poisson_times(rng, source.pair_rate, *window_ns)
     n = len(times)
     cdf = np.cumsum(ridge.weights)
     # u * cdf[-1] may round up to cdf[-1]: the last zero takes it.
@@ -342,10 +342,10 @@ class StrayBackground:
     ``spec``'s quantum efficiency and gives a logic pulse with probability
     ``p_logic`` (``sca_probability``), each independently of its time.  So
     the pulses without and with a logic pulse are two independent Poisson
-    processes (thinning), at rates R QE (1 - p) and R QE p: ``times`` draws
-    one of them on a whole window and ``times_near`` on the windows within
-    a reach of a set of starts, ``count`` counts it over time that is not
-    drawn, and ``pulses`` gives drawn times their measured energies.
+    processes (thinning), at rates R QE (1 - p) and R QE p (``rate_hz``).
+    The samplers draw their times (``poisson_times`` on a whole window,
+    ``first_cover_times`` near a set of starts), and ``pulses`` gives drawn
+    times their measured energies.
     """
 
     detector: int
@@ -366,54 +366,31 @@ class StrayBackground:
         p = self.p_logic if logic else 1.0 - self.p_logic
         return self.photon_rate_hz * self.spec.quantum_efficiency * p
 
-    def times(self, logic: bool, window_ns, rng: np.random.Generator) -> np.ndarray:
-        """Sorted start times in ns of those pulses on ``window_ns`` =
-        [t0, t1) (``poisson_times``)."""
-        return poisson_times(rng, self.rate_hz(logic), *window_ns)
-
-    def times_near(self, logic: bool, starts_ns, reach_ns: float,
-                   rng: np.random.Generator) -> np.ndarray:
-        """Sorted start times in ns of those pulses on ``reach_windows``
-        (``first_cover_times``)."""
-        return first_cover_times(rng, self.rate_hz(logic), starts_ns, reach_ns)
-
-    def count(self, logic: bool, length_ns: float, rng: np.random.Generator) -> int:
-        """Number of those pulses in ``length_ns`` of time that is counted,
-        not drawn: one Poisson count."""
-        return int(rng.poisson(self.rate_hz(logic) * length_ns * 1e-9))
-
     def pulses(self, logic: bool, times_ns, rng: np.random.Generator) -> Stream:
         """Pulses at the sorted ``times_ns``, all with (``logic``) or all
-        without a logic pulse, with energies from ``stray_energies``."""
+        without a logic pulse.  Their energies are measured on batches of
+        ``spectrum.sample`` photons, as ``detect`` measures them, of which
+        the first ``len(times_ns)`` with that flag are kept; ``p_logic``
+        only sizes the batches."""
         n = len(times_ns)
-        energy = stray_energies(self.spectrum, self.spec, n, logic, self.p_logic, rng)
-        return Stream(times_ns, energy, np.full(n, self.detector, np.int8),
+        p = self.p_logic if logic else 1.0 - self.p_logic
+        kept, need = [np.zeros(0)], n
+        while need > 0:
+            # About 10% more photons than ``need`` expects, so one batch
+            # nearly always suffices.
+            size = _ENERGY_BATCH
+            if 1.1 * need < p * _ENERGY_BATCH:
+                size = min(size, math.ceil(1.1 * need / p) + 16)
+            measured, flag = _measure(self.spectrum.sample(rng, size), self.spec, rng)
+            kept.append(measured[flag == logic][:need])
+            need -= kept[-1].size
+        return Stream(times_ns, np.concatenate(kept), np.full(n, self.detector, np.int8),
                       np.full(n, ORIGIN_STRAY, np.int8), np.full(n, logic))
 
 
-# Photons ``stray_energies`` measures at most per batch, so that a rare
-# logic flag costs batches, not memory.
+# Photons ``StrayBackground.pulses`` measures at most per batch, so that a
+# rare logic flag costs batches, not memory.
 _ENERGY_BATCH = 65_536
-
-
-def stray_energies(spectrum: StraySpectrum, spec: DetectorSpec, n: int, logic: bool,
-                   p_logic: float, rng: np.random.Generator) -> np.ndarray:
-    """``n`` measured energies of detected background photons whose logic
-    flag is ``logic``: batches of ``spectrum.sample`` photons, measured as
-    ``detect`` measures them, of which the first ``n`` with that flag are
-    kept.  ``p_logic`` (``sca_probability``) only sizes the batches."""
-    p = p_logic if logic else 1.0 - p_logic
-    kept, need = [np.zeros(0)], n
-    while need > 0:
-        # About 10% more photons than ``need`` expects, so one batch nearly
-        # always suffices.
-        size = _ENERGY_BATCH
-        if 1.1 * need < p * _ENERGY_BATCH:
-            size = min(size, math.ceil(1.1 * need / p) + 16)
-        measured, flag = _measure(spectrum.sample(rng, size), spec, rng)
-        kept.append(measured[flag == logic][:need])
-        need -= kept[-1].size
-    return np.concatenate(kept)
 
 
 def _gauss_legendre(n: int):

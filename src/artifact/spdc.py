@@ -72,7 +72,7 @@ class SpdcConfig:
     """Source crystal, geometry, and coupling of the parametric process."""
 
     pump_energy_kev: float = 21.0
-    crystal: LatticeSpec = LatticeSpec(3.56712 / math.sqrt(72.0), "C(660)")
+    crystal: LatticeSpec = LatticeSpec(0.4203892, "C(660)")  # diamond a = 3.56712 A, d = a/sqrt(72)
     thickness_mm: float = 0.8
     detune_deg: float = 0.008  # pump rotation away from the crystal Bragg angle
     theta_heralded_deg: float = 45.59  # central heralded-beam angle to the planes

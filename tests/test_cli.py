@@ -365,19 +365,17 @@ def test_simulate_merges_photon_streams_once(tmp_path, monkeypatch):
     # pulses.  It orders its nine parts with one merge.  A run shorter than
     # one slice is a single slice.
     merge, whole, near = mc.merge_streams, mc.poisson_times, mc.first_cover_times
-    times, times_near = mc.StrayBackground.times, mc.StrayBackground.times_near
+    rate_hz = mc.StrayBackground.rate_hz
     merges, wholes, covers, draws = [], [], [], []
     monkeypatch.setattr(mc, "merge_streams", lambda *s: merges.append(len(s)) or merge(*s))
     monkeypatch.setattr(mc, "poisson_times", lambda rng, rate, t0, t1:
                         wholes.append((t0, t1)) or whole(rng, rate, t0, t1))
     monkeypatch.setattr(mc, "first_cover_times", lambda rng, rate, starts, reach:
                         covers.append(starts) or near(rng, rate, starts, reach))
-    monkeypatch.setattr(mc.StrayBackground, "times",
-                        lambda self, logic, w, rng: draws.append((self.detector, logic))
-                        or times(self, logic, w, rng))
-    monkeypatch.setattr(mc.StrayBackground, "times_near",
-                        lambda self, logic, s, r, rng: draws.append((self.detector, logic))
-                        or times_near(self, logic, s, r, rng))
+    # Each drawn background process reads its rate once.
+    monkeypatch.setattr(mc.StrayBackground, "rate_hz",
+                        lambda self, logic: draws.append((self.detector, logic))
+                        or rate_hz(self, logic))
     cfg = load_default_config([a for a in FAST if a != "--set"])
     length, reach = math.floor(mc.PHOTONS_PER_SLICE / cfg.source.photon_rate_hz()), cfg.daq.reach_ns()
     assert length > 5.0  # so the 5 s run is shorter than one slice

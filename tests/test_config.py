@@ -1,6 +1,7 @@
 """Unit tests for configuration parsing, validation, and overrides."""
 
 import re
+from dataclasses import MISSING, fields
 
 import pytest
 
@@ -14,7 +15,17 @@ from artifact.config import (
     load_config,
     load_default_config,
 )
-from artifact.montecarlo import DET_REF, DET_TRANS, DET_TRIG
+from artifact.daq import DaqConfig
+from artifact.montecarlo import (
+    DET_REF,
+    DET_TRANS,
+    DET_TRIG,
+    DetectorSpec,
+    SourceConfig,
+    StraySpectrum,
+)
+from artifact.spdc import GridSpec, SpdcConfig
+from artifact.splitter import SplitterSpec
 
 
 def test_default_profile_loads():
@@ -23,6 +34,27 @@ def test_default_profile_loads():
     assert cfg.splitter.nominal_energy_kev == 10.5
     assert cfg.daq.acceptance_kev == (7.0, 17.0)
     assert set(cfg.detectors) == {DET_TRIG, DET_TRANS, DET_REF}
+
+
+def _field_defaults(cls):
+    """The fields of the dataclass ``cls`` that have a default, by name."""
+    return {f.name: f.default if f.default is not MISSING else f.default_factory()
+            for f in fields(cls) if f.default is not MISSING or f.default_factory is not MISSING}
+
+
+def test_dataclass_defaults_are_the_bundled_profile():
+    # One value per reference parameter: each default equals the profile's.
+    # ``SourceConfig.rng_seed`` is read from [run] seed.
+    cfg = load_default_config()
+    loaded = [(SpdcConfig, cfg.spdc), (GridSpec, cfg.grid), (SplitterSpec, cfg.splitter),
+              (SourceConfig, cfg.source), (StraySpectrum, cfg.source.spectrum),
+              (DaqConfig, cfg.daq)]
+    loaded += [(DetectorSpec, cfg.detectors[det]) for det in (DET_TRIG, DET_TRANS, DET_REF)]
+    for cls, value in loaded:
+        defaults = _field_defaults(cls)
+        assert defaults
+        for name, default in defaults.items():
+            assert default == getattr(value, name), f"{cls.__name__}.{name}"
 
 
 def test_default_path_matches_bundled_profile():

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from artifact import cli, montecarlo as mc
 from artifact.config import load_default_config
@@ -54,8 +54,8 @@ def cfg():
     return load_default_config()
 
 
-def _pairs(ridge_small, graphite, cfg, seed, window_s=None, **source_kw):
-    """The (trigger, TRANS herald, REF herald) parts over ``window_s``,
+def _pairs(ridge_small, graphite, cfg, seed, window_ns=None, **source_kw):
+    """The (trigger, TRANS herald, REF herald) parts over ``window_ns``,
     by default the whole run."""
     # Zero air and helium paths: exp(-0) = 1 exactly, so flight-path
     # absorption keeps every photon.
@@ -63,7 +63,7 @@ def _pairs(ridge_small, graphite, cfg, seed, window_s=None, **source_kw):
     return mc.generate_pairs(ridge_small, cfg.spdc.pump_energy_kev, cfg.splitter, source, graphite,
                              air=load_table("air"), helium=load_table("helium"),
                              rng=np.random.default_rng(seed),
-                             window_s=window_s or (0.0, source.duration_s))
+                             window_ns=window_ns or (0.0, source.duration_s * 1e9))
 
 
 def _stray(source, seed, window_s):
@@ -76,7 +76,8 @@ def _stray(source, seed, window_s):
     for det in mc.DETECTORS:
         background = mc.StrayBackground.of(source, det, mc.DetectorSpec())
         for logic in (True, False):
-            parts.append(background.pulses(logic, background.times(logic, window, rng), rng))
+            times = mc.poisson_times(rng, background.rate_hz(logic), *window)
+            parts.append(background.pulses(logic, times, rng))
     return tuple(parts)
 
 
@@ -151,7 +152,7 @@ def test_pairs_in_a_window_without_a_pair(ridge_small, graphite, cfg):
     parts = mc.generate_pairs(ridge_small, cfg.spdc.pump_energy_kev, cfg.splitter, cfg.source,
                               graphite,
                               air=load_table("air"), helium=load_table("helium"),
-                              rng=rng, window_s=(0.0, 1.0))
+                              rng=rng, window_ns=(0.0, 1e9))
     for part in parts:
         assert len(part) == 0
         assert [c.dtype for c in _columns(part)] == [np.float64, np.float64, np.int8, np.int8]
@@ -170,7 +171,7 @@ def test_pairs_in_a_window_without_a_pair(ridge_small, graphite, cfg):
 def test_generators_draw_inside_their_window(ridge_small, graphite, cfg):
     t0, t1 = 7.0, 9.0
     source = replace(cfg.source, pair_rate=200.0)
-    pairs = _pairs(ridge_small, graphite, cfg, 3, window_s=(t0, t1), pair_rate=200.0)
+    pairs = _pairs(ridge_small, graphite, cfg, 3, window_ns=(t0 * 1e9, t1 * 1e9), pair_rate=200.0)
     stray = _stray(source, 4, (t0, t1))
     for part in (*pairs, *stray):
         assert len(part) > 0
@@ -544,6 +545,23 @@ def test_first_cover_times_lie_on_the_reach_windows(seed, n, reach):
     assert np.all(k >= 0) and np.all(t < hi[np.maximum(k, 0)])
 
 
+# Starts at 1e4 ns with reach 300 ns give the window [9700, 10300) ns.
+@settings(max_examples=80, deadline=None)
+@example(times=[97, 97], starts=[100], reach=300.0)  # times on a window's lo
+@example(times=[103], starts=[100], reach=300.0)  # a time on a window's hi
+@given(times=st.lists(st.integers(-10, 210), max_size=60),
+       starts=st.lists(st.integers(0, 200), max_size=10),
+       reach=st.sampled_from([50.0, 100.0, 300.0]))
+def test_in_windows_keeps_the_times_inside_a_window(times, starts, reach):
+    # A 100 ns lattice with ties; a reach of 100 or 300 ns puts window
+    # edges on it.
+    t0, t1 = 0.0, 2e4
+    t = 100.0 * np.sort(np.array(times, dtype=float))
+    lo, hi = mc.reach_windows(np.r_[t0, 100.0 * np.sort(np.array(starts, dtype=float)), t1], reach)
+    inside = ((lo[None, :] <= t[:, None]) & (t[:, None] < hi[None, :])).any(axis=1)
+    np.testing.assert_array_equal(mc.in_windows(t, (lo, hi)), t[inside])
+
+
 def test_one_window_draws_the_whole_window():
     # The pair and trigger draws: one window is one uniform sample on it.
     a, b = np.random.default_rng(4), np.random.default_rng(4)
@@ -552,23 +570,18 @@ def test_one_window_draws_the_whole_window():
     np.testing.assert_array_equal(t, 2e9 + np.sort(b.uniform(0.0, 4e9, n)))
 
 
-def test_count_stray_thins_a_poisson_count(cfg):
+def test_rate_hz_thins_the_stray_rate(cfg):
     # The background pulses without and with a logic pulse are the stray
     # photons thinned by QE and then split by the logic probability.
     source = replace(cfg.source, stray_rates=(0.0, 50.0, 0.0))
     spec = replace(cfg.detectors[mc.DET_TRANS], quantum_efficiency=0.6)
     background = mc.StrayBackground(mc.DET_TRANS, source.spectrum, spec, 50.0, 0.3)
-    rng = np.random.default_rng(8)
-    draws = np.array([[background.count(logic, 2e9, rng) for logic in (False, True)]
-                      for _ in range(4000)])
-    for column, mean in ((0, 100.0 * 0.6 * 0.7), (1, 100.0 * 0.6 * 0.3)):
-        # Thinned Poisson counts stay Poisson.
-        assert abs(draws[:, column].mean() - mean) < 4.0 * math.sqrt(mean / len(draws))
-        assert draws[:, column].var() == pytest.approx(mean, rel=0.1)
-    # The two counts are independent.
-    assert abs(np.corrcoef(draws.T)[0, 1]) < 4.0 / math.sqrt(len(draws))
+    assert background.rate_hz(False) == 50.0 * 0.6 * (1.0 - 0.3)
+    assert background.rate_hz(True) == 50.0 * 0.6 * 0.3
+    p = mc.sca_probability(source.spectrum, spec)
+    assert mc.StrayBackground.of(source, mc.DET_TRANS, spec).rate_hz(True) == 50.0 * 0.6 * p
     silent = mc.StrayBackground.of(source, mc.DET_REF, spec)
-    assert [silent.count(logic, 2e9, rng) for logic in (False, True)] == [0, 0]
+    assert [silent.rate_hz(logic) for logic in (False, True)] == [0.0, 0.0]
 
 
 _SCA_SPECS = {
@@ -630,17 +643,19 @@ _SAMPLER_SPECS = {
 
 @pytest.mark.parametrize("name", sorted(_SAMPLER_SPECS))
 def test_stray_energies_follow_detect_given_the_logic_flag(cfg, name):
-    """``stray_energies`` (n = 2e5 per flag) against the energies ``detect``
-    measures on 1e6 ``StraySpectrum.sample`` photons with that flag: a
-    two-sample chi^2 over 40 bins of equal pooled counts."""
+    """``StrayBackground.pulses``' energies (n = 2e5 per flag) against the
+    energies ``detect`` measures on 1e6 ``StraySpectrum.sample`` photons
+    with that flag: a two-sample chi^2 over 40 bins of equal pooled
+    counts."""
     spec = replace(cfg.detectors[mc.DET_TRANS], **_SAMPLER_SPECS[name])
     spectrum, m, n = cfg.source.spectrum, 1_000_000, 200_000
     rng = np.random.default_rng(31)
     pulses = mc.detect(_photons(np.zeros(m), spectrum.sample(rng, m), mc.DET_TRANS), spec, rng)
-    p = mc.sca_probability(spectrum, spec)
+    background = mc.StrayBackground(mc.DET_TRANS, spectrum, spec, 1.0,
+                                    mc.sca_probability(spectrum, spec))
     sca_lo, sca_hi = spec.sca_window_kev
     for logic in (False, True):
-        sampled = mc.stray_energies(spectrum, spec, n, logic, p, rng)
+        sampled = background.pulses(logic, np.zeros(n), rng).energy_kev
         assert sampled.shape == (n,)
         assert np.all(((sampled >= sca_lo) & (sampled <= sca_hi)) == logic)
         chi2, dof = _two_sample_chi2(sampled, pulses.energy_kev[pulses.logic == logic])
@@ -658,7 +673,8 @@ def test_stray_energies_of_a_rare_flag_stay_within_the_batch_cap(cfg, monkeypatc
     sizes, sample = [], mc.StraySpectrum.sample
     monkeypatch.setattr(mc.StraySpectrum, "sample",
                         lambda self, rng, n: sizes.append(n) or sample(self, rng, n))
-    energies = mc.stray_energies(spectrum, spec, 200, False, p, np.random.default_rng(5))
+    background = mc.StrayBackground(mc.DET_TRANS, spectrum, spec, 1.0, p)
+    energies = background.pulses(False, np.zeros(200), np.random.default_rng(5)).energy_kev
     assert energies.shape == (200,)
     assert np.all((energies < sca[0]) | (energies > sca[1]))
     assert len(sizes) > 1 and max(sizes) <= mc._ENERGY_BATCH
