@@ -129,9 +129,11 @@ def _slice_pulses(cfg: RunConfig, ridge: spdc_mod.Ridge, tally: np.ndarray):
     ``mc.StrayBackground.rate_hz`` and ``StrayBackground.pulses`` gives
     them energies.  A pulse can change a capture only within
     ``DaqConfig.reach_ns`` of a logic pulse of the other side, so after
-    drawing and detecting the pairs, a slice
+    drawing the pairs (routed once per run: ``mc.PairRoutes``) and
+    detecting them, a slice
       1. draws the trigger detector's background logic pulses over the
-         whole slice (``mc.poisson_times``), as times only;
+         whole slice (``mc.poisson_times``), as times only, and puts the
+         pair trigger logic starts and the edges in (``mc.insert_starts``);
       2. draws the output detectors' background pulses on the windows
          within that reach of a trigger logic pulse or a slice edge
          (``mc.reach_windows``), straight from the sorted starts
@@ -147,7 +149,9 @@ def _slice_pulses(cfg: RunConfig, ridge: spdc_mod.Ridge, tally: np.ndarray):
     merged once.
     """
     edges = mc.slice_edges_s(cfg.source)
-    graphite, air, helium = load_table("graphite"), load_table("air"), load_table("helium")
+    routes = mc.PairRoutes.of(ridge, cfg.spdc.pump_energy_kev, cfg.splitter, cfg.source,
+                              load_table("graphite"), air=load_table("air"),
+                              helium=load_table("helium"))
     reach = cfg.daq.reach_ns()
     trig, *outputs = (mc.StrayBackground.of(cfg.source, det, cfg.detectors[det])
                       for det in mc.DETECTORS)
@@ -155,10 +159,7 @@ def _slice_pulses(cfg: RunConfig, ridge: spdc_mod.Ridge, tally: np.ndarray):
     for k, window in enumerate(zip(edges[:-1].tolist(), edges[1:].tolist())):
         rng = np.random.default_rng(np.random.SeedSequence(cfg.source.rng_seed, spawn_key=(k,)))
         t0, t1 = (t * 1e9 for t in window)
-        photons = mc.generate_pairs(
-            ridge, cfg.spdc.pump_energy_kev, cfg.splitter, cfg.source, graphite,
-            air=air, helium=helium, rng=rng, window_ns=(t0, t1),
-        )
+        photons = mc.generate_pairs(routes, cfg.source.pair_rate, rng=rng, window_ns=(t0, t1))
         pairs = [mc.detect(part, cfg.detectors[det], rng)
                  for part, det in zip(photons, mc.DETECTORS)]
         del photons
@@ -167,14 +168,12 @@ def _slice_pulses(cfg: RunConfig, ridge: spdc_mod.Ridge, tally: np.ndarray):
             tally[det, origin] += (len(part) - logic, logic)
         trig_logic = mc.poisson_times(rng, trig.rate_hz(True), t0, t1)
         tally[mc.DET_TRIG, mc.ORIGIN_STRAY, 1] += len(trig_logic)
-        # Sorted runs of logic starts between the slice edges, which the
-        # stable sort merges.
-        starts = np.concatenate(([t0], pairs[0].time_ns[pairs[0].logic], trig_logic, [t1]))
-        starts.sort(kind="stable")
+        starts = mc.insert_starts(trig_logic, pairs[0].time_ns[pairs[0].logic], t0, t1)
         # Rounding may take a fully covered slice's rest below 0.
         rest = max(0.0, t1 - t0 - mc.reach_length(starts, reach))
         outs = [_drawn_near(background, logic, starts, reach, rest, tally, rng)
                 for background in outputs for logic in (True, False)]
+        del starts  # the dense starts go before the output side's are built
         starts = np.concatenate([[t0], *(p.time_ns[p.logic] for p in (*pairs[1:], *outs)), [t1]])
         starts.sort(kind="stable")
         rest = max(0.0, t1 - t0 - mc.reach_length(starts, reach))

@@ -314,11 +314,13 @@ def energy_select(events: EventTable, cfg: DaqConfig):
 
 EVENT_FORMAT_HEADER = "# eventfile v1"
 EVENT_COLUMNS = "event,trigger_ns,detector,energy_kev,offset_ns,origin"
-_ROW_FORMAT = "%d,%.6f,%d,%.9g,%.6f,%d\n"
+# A row is its event's number and trigger time, then one photon's columns.
+_EVENT_FORMAT, _PHOTON_FORMAT = "%d,%.6f,", "%d,%.9g,%.6f,%d\n"
 _ROW_DTYPE = np.dtype(
     {"names": EVENT_COLUMNS.split(","), "formats": ["i8", "f8", "i8", "f8", "f8", "i8"]}
 )
-_ROWS_PER_WRITE = 1 << 16
+# Events per write: blocks of 32k raised a 3000 s run's max RSS by 1.2 MB.
+_EVENTS_PER_WRITE = 256
 
 
 def save_events(path, slices, *, live_time_s=None):
@@ -336,14 +338,18 @@ def save_events(path, slices, *, live_time_s=None):
     directory = os.path.dirname(os.path.abspath(path))
     with tempfile.TemporaryFile("w+", encoding="utf-8", dir=directory) as rows:
         for events, rate, empty in slices:
-            event = events.event_index()
-            columns = (event + n_events, events.trigger_ns[event], events.detector,
-                       events.energy_kev, events.offset_ns, events.origin)
-            # One %-format call per block of rows; astype(object) turns the
-            # numpy values into the Python ints and floats the format expects.
-            for lo in range(0, len(event), _ROWS_PER_WRITE):
-                block = np.column_stack([c[lo : lo + _ROWS_PER_WRITE].astype(object) for c in columns])
-                rows.write((_ROW_FORMAT * len(block)) % tuple(block.ravel()))
+            trigger, start = events.trigger_ns.tolist(), events.start.tolist()
+            photons = (events.detector, events.energy_kev, events.offset_ns, events.origin)
+            # Each event's number and trigger time are formatted once, into
+            # the format of its rows; one %-format call per block of events
+            # fills in the photons' columns, which astype(object) turns into
+            # the Python ints and floats the format expects.
+            for lo in range(0, len(events), _EVENTS_PER_WRITE):
+                hi = min(lo + _EVENTS_PER_WRITE, len(events))
+                fmt = "".join([(_EVENT_FORMAT % (n_events + e, trigger[e]) + _PHOTON_FORMAT)
+                               * (start[e + 1] - start[e]) for e in range(lo, hi)])
+                block = np.column_stack([c[start[lo] : start[hi]].astype(object) for c in photons])
+                rows.write(fmt % tuple(block.ravel()))
             n_events += len(events)
             rate_dropped += rate
             empty_dropped += empty

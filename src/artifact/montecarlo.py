@@ -2,8 +2,9 @@
 
 Photon and pulse streams are ``Stream``s: one contiguous numpy column per
 field.  ``generate_pairs`` draws over a window [t0, t1) ns of the run
-(``simulate`` runs it in the time slices of ``slice_edges_s``) and returns
-three parts in TRIG, TRANS, REF order; ``detect`` turns one such part
+(``simulate`` runs it in the time slices of ``slice_edges_s``), routes the
+pairs by the per-zero ``PairRoutes`` of the run and returns three parts
+in TRIG, TRANS, REF order; ``detect`` turns one such part
 into pulses with its detector's spec and keeps the order.  The background
 is drawn directly as pulses (``StrayBackground``): per detector, the pulses
 with and without a logic pulse are two independent Poisson processes,
@@ -180,21 +181,20 @@ def merge_streams(*streams: Stream) -> Stream:
 # Photons expected per time slice of ``simulate`` before its background is
 # cut to the windows near logic pulses; the slice length follows from the
 # source's photon rate (``slice_edges_s``).  Part of the stream definition:
-# each slice draws from its own generator.  The slices keep about 4.6k
-# pulses, but the trigger logic times of a slice are drawn whole, so the
-# slice length still sets the peak memory.  Chosen with ``cli.cmd_simulate``
-# on the reference profile at seed 7, one pinned CPU, Python 3.11 and
-# numpy 2.4 on a 2-CPU x86-64 host, in process, sizes run alternately
-# (median wall time of 5 runs at 600 s and of 3 at 3000 s, and max RSS, at
-# 600 s / 3000 s), when the output background was drawn on explicit window
-# arrays: 50k photons 0.51 / 2.87 s, 40.5 / 41.6 MB; 100k 0.51 / 2.29 s,
-# 43.4 / 44.4 MB; 150k 0.53 / 2.18 s, 45.5 / 46.4 MB; 200k 0.45 / 2.43 s,
-# 47.9 / 48.8 MB; the code before the trigger cut, at 50k, 0.79 / 3.62 s,
-# 44.6 / 46.1 MB.  The wall times spread by 20-40% on that host.  150k is
-# the largest size whose max RSS stayed within 5% of the latter's at both
-# lengths.  Re-measured at 150k with the first-cover draws
-# (``first_cover_times``), against the window arrays in alternate runs:
-# 0.25 / 1.20 s (from 0.29 / 1.45 s) and 41.5 / 42.2 MB (from 45.7 / 46.5).
+# each slice draws from its own generator.  The slices keep about 4.4k
+# pulses (209k in the 47 slices of a 600 s bundled run), but the trigger
+# logic times of a slice are drawn whole, so the slice length still sets
+# the peak memory.  Chosen with ``cli.cmd_simulate`` on the reference
+# profile at seed 7, one pinned CPU, Python 3.11 and numpy 2.4 on a 2-CPU
+# x86-64 host, in process (median wall time of 5 runs at 600 s and of 3 at
+# 3000 s, and max RSS, at 600 s / 3000 s), when the output background was
+# drawn on explicit window arrays: 50k photons 0.51 / 2.87 s, 40.5 / 41.6
+# MB; 100k 0.51 / 2.29 s, 43.4 / 44.4 MB; 150k 0.53 / 2.18 s, 45.5 / 46.4
+# MB; 200k 0.45 / 2.43 s, 47.9 / 48.8 MB; the code before the trigger cut,
+# at 50k, 0.79 / 3.62 s, 44.6 / 46.1 MB.  150k is the largest size whose
+# max RSS stayed within 5% of the latter's at both lengths.  Re-measured at
+# 150k, 5 runs each, with the trigger times merged once per slice and the
+# pairs routed once per run: 0.26 / 1.23 s and 40.7 / 41.5 MB.
 PHOTONS_PER_SLICE = 150_000
 
 
@@ -209,12 +209,21 @@ def slice_edges_s(source: SourceConfig) -> np.ndarray:
 
 def poisson_times(rng, rate_hz, t0_ns: float, t1_ns: float):
     """Sorted times in ns of a Poisson process at ``rate_hz`` on [t0_ns,
-    t1_ns): one Poisson count over its length, placed uniformly on it."""
-    length = t1_ns - t0_ns
-    times = rng.uniform(0.0, length, rng.poisson(rate_hz * length * 1e-9))
+    t1_ns): one Poisson count over its length L, placed uniformly on it in
+    one pass (t0_ns + L u: the bits of ``uniform(0, L)`` + t0_ns), though
+    rounding may take a time up to t1_ns."""
+    times = rng.uniform(t0_ns, t1_ns, rng.poisson(rate_hz * (t1_ns - t0_ns) * 1e-9))
     times.sort()
-    times += t0_ns
     return times
+
+
+def insert_starts(dense_ns, sparse_ns, t0_ns: float, t1_ns: float):
+    """``np.sort(np.concatenate(([t0_ns], sparse_ns, dense_ns, [t1_ns])))``
+    for sorted ``dense_ns`` and ``sparse_ns`` in [t0_ns, t1_ns]: the few
+    sparse times and the edges are looked up in the dense ones and put in
+    with one copy.  Equal times are equal bits, so their order is moot."""
+    few = np.concatenate(([t0_ns], sparse_ns, [t1_ns]))
+    return np.insert(dense_ns, np.searchsorted(dense_ns, few), few)
 
 
 def reach_windows(starts_ns, reach_ns: float):
@@ -243,7 +252,8 @@ def reach_length(starts_ns, reach_ns: float) -> float:
     each later one min(gap to the start before, 2 reach) beyond the windows
     before it; the clip removes reach below the first start and reach above
     the last."""
-    return float(np.minimum(np.diff(starts_ns), 2.0 * reach_ns).sum())
+    gaps = np.diff(starts_ns)
+    return float(np.minimum(gaps, 2.0 * reach_ns, out=gaps).sum())
 
 
 def first_cover_times(rng, rate_hz, starts_ns, reach_ns: float):
@@ -280,57 +290,67 @@ def in_windows(times_ns: np.ndarray, windows_ns) -> np.ndarray:
     return times_ns[np.arange(sizes.sum()) + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)]
 
 
-def generate_pairs(
-    ridge: Ridge,
-    pump_energy_kev: float,
-    splitter: SplitterSpec,
-    source: SourceConfig,
-    material: AttenuationTable,
-    *,
-    air: AttenuationTable,
-    helium: AttenuationTable,
-    rng: np.random.Generator,
-    window_ns: tuple[float, float],
-):
+@dataclass(frozen=True, eq=False)
+class PairRoutes:
+    """Per ridge zero, what ``generate_pairs`` routes a pair drawn at it
+    by, built once per run (``of``): the cumulative weights, E0 and the
+    trigger's E_pump - E0, R and T (``splitter.response``) and both photons'
+    flight-path survivals.  No zero raises: config validation keeps every
+    zero inside the attenuation tables and its incidence inside (0, 180)."""
+
+    cdf: np.ndarray
+    e_herald: np.ndarray
+    e_trig: np.ndarray
+    p_ref: np.ndarray
+    p_trans: np.ndarray
+    herald_survival: np.ndarray
+    trig_survival: np.ndarray
+
+    @classmethod
+    def of(cls, ridge: Ridge, pump_energy_kev: float, splitter: SplitterSpec, source: SourceConfig,
+           material: AttenuationTable, *, air: AttenuationTable, helium: AttenuationTable):
+        def path_survival(energy):
+            return (transmittance(energy, air, source.air_path_cm)
+                    * transmittance(energy, helium, source.helium_path_cm))
+
+        e_h = ridge.energies
+        e_t = pump_energy_kev - e_h
+        p_ref, p_trans = response(splitter, e_h, np.degrees(ridge.theta_x), material)
+        return cls(np.cumsum(ridge.weights), e_h, e_t, p_ref, p_trans,
+                   path_survival(e_h), path_survival(e_t))
+
+
+def generate_pairs(routes: PairRoutes, pair_rate_hz: float, *, rng: np.random.Generator,
+                   window_ns: tuple[float, float]):
     """Photons from correlated pairs routed through the beam splitter, as
     three time-ordered parts: the triggers, the heralded photons at TRANS
     and those at REF.
 
-    Pair creation times are a Poisson process at ``source.pair_rate`` over
-    ``window_ns`` = [t0, t1) ns; each pair is one zero of the
-    phase-matching ridge, drawn with probability proportional to its
-    weight: the heralded photon takes its energy E0 and theta_x, the
-    partner the energy ``pump_energy_kev`` - E0, and the two photons share
-    one creation time.  The heralded photon goes to the reflected port with
-    probability R and the transmitted port with probability T
-    (``splitter.response``), and is absorbed otherwise; both photons are
-    additionally thinned by flight-path absorption through
-    ``source.air_path_cm`` of ``air`` and ``source.helium_path_cm`` of
-    ``helium``.
+    Pair creation times are a Poisson process at ``pair_rate_hz`` over
+    ``window_ns`` = [t0, t1) ns; each pair is the ridge zero drawn with
+    probability proportional to its weight, and its photons share one
+    creation time.  The heralded photon (energy E0) goes to the reflected
+    port with probability R and the transmitted port with probability T,
+    and is absorbed otherwise; both photons survive their flight paths with
+    the probabilities ``routes`` gives at the zero.
     """
-    routes = ((DET_TRIG, ORIGIN_PAIR_TRIGGER), (DET_TRANS, ORIGIN_PAIR_HERALD),
-              (DET_REF, ORIGIN_PAIR_HERALD))
-    times = poisson_times(rng, source.pair_rate, *window_ns)
+    ports = ((DET_TRIG, ORIGIN_PAIR_TRIGGER), (DET_TRANS, ORIGIN_PAIR_HERALD),
+             (DET_REF, ORIGIN_PAIR_HERALD))
+    times = poisson_times(rng, pair_rate_hz, *window_ns)
     n = len(times)
-    cdf = np.cumsum(ridge.weights)
+    cdf = routes.cdf
     # u * cdf[-1] may round up to cdf[-1]: the last zero takes it.
     zero = np.minimum(np.searchsorted(cdf, rng.random(n) * cdf[-1], side="right"), cdf.size - 1)
-    e_h, t_x = ridge.energies[zero], ridge.theta_x[zero]
-    e_t = pump_energy_kev - e_h
-
-    def path_survival(energy):
-        return (transmittance(energy, air, source.air_path_cm)
-                * transmittance(energy, helium, source.helium_path_cm))
-
-    p_ref, p_trans = response(splitter, e_h, np.degrees(t_x), material)
+    p_ref, p_trans = routes.p_ref[zero], routes.p_trans[zero]
     u_route = rng.random(n)
-    herald_alive = rng.random(n) < path_survival(e_h)
-    trig_alive = rng.random(n) < path_survival(e_t)
+    herald_alive = rng.random(n) < routes.herald_survival[zero]
+    trig_alive = rng.random(n) < routes.trig_survival[zero]
     at_ref = herald_alive & (u_route < p_ref)
     at_trans = herald_alive & (u_route >= p_ref) & (u_route < p_ref + p_trans)
+    e_h, e_t = routes.e_herald[zero], routes.e_trig[zero]
     return tuple(
         _photons(times[alive], energy[alive], det, origin)
-        for alive, energy, (det, origin) in zip((trig_alive, at_trans, at_ref), (e_t, e_h, e_h), routes)
+        for alive, energy, (det, origin) in zip((trig_alive, at_trans, at_ref), (e_t, e_h, e_h), ports)
     )
 
 

@@ -75,6 +75,17 @@ GOLDEN = {
     },
 }
 
+# ``simulate`` at the benchmark's scale: 600 s at seed 7 on the bundled
+# profile, 47 time slices.  ``GOLDEN``'s 30 s runs cross only 2 slice edges;
+# this run crosses 46 and draws about 3 M trigger logic times, so it pins
+# the per-slice merges of the dense starts and the routing of every pair.
+LONG_SIMULATE = ["--seed", "7", "--set", "source.duration_s=600"]
+LONG_SIMULATE_GOLDEN = {
+    "events.csv": "c30efe4171940fc28a01e8d53c358969e79b8654660beb67db4cc8532e805fdd",
+    "pulse_summary.txt": "cbc75b1f435c0f2473701400c34f054f617acc99e010fbf528c382b9a7fafae1",
+    "run_meta.txt": "51f2b1bee6b263e4cce71bb863ec92f27724b397d8ac093d881e933098011e15",
+}
+
 # ``analyze`` of the seed-77 file under a non-default selection: spectra and
 # sigma read the band and the sum window from the flagged table, so a
 # version that falls back to the defaults changes the last three files.
@@ -118,6 +129,11 @@ def test_analyze_under_a_nondefault_selection_matches_golden_hashes(tmp_path):
     assert main(["analyze", "--outdir", str(ana),
                  "--events", str(sim / "events.csv")] + args + SELECTION) == EXIT_OK
     assert _digests(ana) == SELECTION_GOLDEN
+
+
+def test_benchmark_scale_simulate_matches_golden_hashes(tmp_path):
+    assert main(["simulate", "--outdir", str(tmp_path)] + LONG_SIMULATE) == EXIT_OK
+    assert _digests(tmp_path) == LONG_SIMULATE_GOLDEN
 
 
 def test_model_outputs_match_golden_hashes(tmp_path):

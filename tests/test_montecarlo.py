@@ -16,7 +16,8 @@ from artifact.spdc import (
     pair_ridge,
     port_energy_spectra,
 )
-from artifact.xoptics import load_table
+from artifact.splitter import response
+from artifact.xoptics import load_table, transmittance
 
 SMALL_GRID = GridSpec(9.5, 11.5, 200, 5.0e-3, 40, 10)
 PHOTON_COLUMNS = ("time_ns", "energy_kev", "detector", "origin")
@@ -60,9 +61,9 @@ def _pairs(ridge_small, graphite, cfg, seed, window_ns=None, **source_kw):
     # Zero air and helium paths: exp(-0) = 1 exactly, so flight-path
     # absorption keeps every photon.
     source = replace(cfg.source, air_path_cm=0.0, helium_path_cm=0.0, **source_kw)
-    return mc.generate_pairs(ridge_small, cfg.spdc.pump_energy_kev, cfg.splitter, source, graphite,
-                             air=load_table("air"), helium=load_table("helium"),
-                             rng=np.random.default_rng(seed),
+    routes = mc.PairRoutes.of(ridge_small, cfg.spdc.pump_energy_kev, cfg.splitter, source,
+                              graphite, air=load_table("air"), helium=load_table("helium"))
+    return mc.generate_pairs(routes, source.pair_rate, rng=np.random.default_rng(seed),
                              window_ns=window_ns or (0.0, source.duration_s * 1e9))
 
 
@@ -149,10 +150,9 @@ def test_pairs_in_a_window_without_a_pair(ridge_small, graphite, cfg):
     rate = cfg.source.pair_rate
     seed = next(s for s in range(100) if np.random.default_rng(s).poisson(rate) == 0)
     rng = np.random.default_rng(seed)
-    parts = mc.generate_pairs(ridge_small, cfg.spdc.pump_energy_kev, cfg.splitter, cfg.source,
-                              graphite,
-                              air=load_table("air"), helium=load_table("helium"),
-                              rng=rng, window_ns=(0.0, 1e9))
+    routes = mc.PairRoutes.of(ridge_small, cfg.spdc.pump_energy_kev, cfg.splitter, cfg.source,
+                              graphite, air=load_table("air"), helium=load_table("helium"))
+    parts = mc.generate_pairs(routes, rate, rng=rng, window_ns=(0.0, 1e9))
     for part in parts:
         assert len(part) == 0
         assert [c.dtype for c in _columns(part)] == [np.float64, np.float64, np.int8, np.int8]
@@ -209,6 +209,60 @@ def test_pair_stream_is_seed_deterministic(ridge_small, graphite, cfg):
     a, b, c = columns(7), columns(7), columns(8)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
     assert not all(np.array_equal(x, y) for x, y in zip(a, c))
+
+
+def _pairs_routed_per_draw(ridge, cfg, graphite, air, helium, rng, window_ns):
+    """The (time, energy) columns of the three pair parts as
+    ``generate_pairs`` drew them when it evaluated ``splitter.response``
+    and ``xoptics.transmittance`` on the drawn zeros of every window."""
+    source = cfg.source
+    times = mc.poisson_times(rng, source.pair_rate, *window_ns)
+    n = len(times)
+    cdf = np.cumsum(ridge.weights)
+    zero = np.minimum(np.searchsorted(cdf, rng.random(n) * cdf[-1], side="right"), cdf.size - 1)
+    e_h, t_x = ridge.energies[zero], ridge.theta_x[zero]
+    e_t = cfg.spdc.pump_energy_kev - e_h
+
+    def survival(energy):
+        return (transmittance(energy, air, source.air_path_cm)
+                * transmittance(energy, helium, source.helium_path_cm))
+
+    p_ref, p_trans = response(cfg.splitter, e_h, np.degrees(t_x), graphite)
+    u_route = rng.random(n)
+    herald_alive = rng.random(n) < survival(e_h)
+    trig_alive = rng.random(n) < survival(e_t)
+    at_ref = herald_alive & (u_route < p_ref)
+    at_trans = herald_alive & (u_route >= p_ref) & (u_route < p_ref + p_trans)
+    return [(times[alive], energy[alive])
+            for alive, energy in ((trig_alive, e_t), (at_trans, e_h), (at_ref, e_h))]
+
+
+def test_routes_built_once_per_run_change_no_bit(ridge_small, graphite, cfg):
+    """``PairRoutes`` evaluates the splitter response and the flight-path
+    survivals on every zero once per run, and ``generate_pairs`` only
+    gathers them: over several windows at 50 pairs/s, on the small and the
+    bundled ridge, with the bundled flight paths, its parts and the
+    generator state afterwards equal those of the draw that evaluated them
+    on the drawn zeros.  Evaluating every zero raises nothing new, since
+    config validation keeps every zero inside the attenuation tables and
+    its incidence inside (0, 180) degrees."""
+    cfg = replace(cfg, source=replace(cfg.source, pair_rate=50.0))
+    air, helium = load_table("air"), load_table("helium")
+    drawn = 0
+    for ridge in (ridge_small, pair_ridge(cfg.spdc, cfg.grid)):
+        routes = mc.PairRoutes.of(ridge, cfg.spdc.pump_energy_kev, cfg.splitter, cfg.source,
+                                  graphite, air=air, helium=helium)
+        for seed, window in enumerate([(0.0, 13e9), (13e9, 26e9), (598e9, 600e9), (5e9, 5e9 + 1.0)]):
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            parts = mc.generate_pairs(routes, cfg.source.pair_rate, rng=rng, window_ns=window)
+            want = _pairs_routed_per_draw(ridge, cfg, graphite, air, helium, reference, window)
+            for part, (time_ns, energy), det in zip(parts, want, mc.DETECTORS):
+                assert part.time_ns.tobytes() == time_ns.tobytes()
+                assert part.energy_kev.tobytes() == energy.tobytes()
+                assert np.all(part.detector == det)
+            assert rng.bit_generator.state == reference.bit_generator.state
+            drawn += sum(len(part) for part in parts)
+    assert drawn > 2000
 
 
 def test_heralded_energies_follow_amplitude_window(ridge_small, graphite, cfg):
@@ -568,6 +622,43 @@ def test_one_window_draws_the_whole_window():
     t = mc.poisson_times(a, 3000.0, 2e9, 6e9)
     n = b.poisson(3000.0 * 4e9 * 1e-9)
     np.testing.assert_array_equal(t, 2e9 + np.sort(b.uniform(0.0, 4e9, n)))
+
+
+@settings(max_examples=80, deadline=None)
+@example(t0=0.0, length=1.3e10, count=0.0)  # n = 0
+@example(t0=3e12, length=1.0, count=50.0)
+@given(t0=st.floats(0.0, 3e12), length=st.floats(1.0, 1.3e10), count=st.floats(0.0, 200.0))
+def test_poisson_times_match_the_reference_draw(t0, length, count):
+    # One pass of uniform(t0, t1) gives the bits of uniform(0, L) + t0 and
+    # leaves the generator where that draw does.
+    t1 = t0 + length
+    rate = count / (length * 1e-9)
+    rng, reference = np.random.default_rng(11), np.random.default_rng(11)
+    times = mc.poisson_times(rng, rate, t0, t1)
+    want = reference.uniform(0.0, t1 - t0, reference.poisson(rate * (t1 - t0) * 1e-9))
+    want.sort()
+    want += t0
+    assert times.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+@settings(max_examples=150, deadline=None)
+@example(dense=[], sparse=[0, 3], ends=[])  # no trigger times
+@example(dense=[0, 0, 5, 9], sparse=[], ends=[])  # no pair starts
+@example(dense=[0, 4, 4], sparse=[0, 4], ends=[2])  # ties, and a time rounded up to t1
+@given(dense=st.lists(st.integers(0, 9), max_size=30),
+       sparse=st.lists(st.integers(0, 9), max_size=5),
+       ends=st.lists(st.integers(1, 3), max_size=3))
+def test_insert_starts_matches_the_stable_sort(dense, sparse, ends):
+    # A 100 ns lattice from t0 up to t1 = t0 + 1000 ns: ties among and
+    # between the dense and sparse times, times on t0, and ``ends`` times
+    # on t1 at the end of the dense ones, as rounding may put them.
+    t0 = 7e9
+    t1 = t0 + 1000.0
+    dense_ns = np.r_[t0 + 100.0 * np.sort(np.array(dense, dtype=float)), np.full(len(ends), t1)]
+    sparse_ns = t0 + 100.0 * np.sort(np.array(sparse, dtype=float))
+    want = np.sort(np.concatenate(([t0], sparse_ns, dense_ns, [t1])), kind="stable")
+    assert mc.insert_starts(dense_ns, sparse_ns, t0, t1).tobytes() == want.tobytes()
 
 
 def test_rate_hz_thins_the_stray_rate(cfg):
