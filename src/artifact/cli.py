@@ -21,7 +21,6 @@ import argparse
 import locale  # noqa: F401
 import os
 import sys
-import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -216,18 +215,6 @@ def cmd_simulate(cfg: RunConfig, outdir: str) -> np.ndarray:
     return tally
 
 
-def simulate_events(cfg: RunConfig):
-    """The events ``xbsim simulate`` writes, read back from its event file
-    and energy-selected as ``analyze`` selects them.  Returns (events,
-    rate_dropped, empty_dropped, pulse_counts): the file's drop counts and
-    the pulses counted by [detector, origin, logic]."""
-    with tempfile.TemporaryDirectory() as outdir:
-        tally = cmd_simulate(cfg, outdir)
-        events, meta = daq_mod.load_events(os.path.join(outdir, "events.csv"))
-    events, _heralded = daq_mod.energy_select(events, cfg.daq)
-    return events, meta["rate_dropped"], meta["empty_dropped"], tally
-
-
 SIGMA_WINDOWS_NS = (100.0, 200.0, 400.0, 600.0, 800.0)
 
 
@@ -312,8 +299,8 @@ def cmd_sweep(cfg: RunConfig, outdir: str, start: float, stop: float, num: int, 
     """
     if num < 1:
         raise ConfigError(f"--num must be at least 1, got {num}")
-    if not width_scale > 0:
-        raise ConfigError(f"--width-scale must be positive, got {width_scale}")
+    if not 0 < width_scale < np.inf:
+        raise ConfigError(f"--width-scale must be finite and positive, got {width_scale}")
     angles = np.linspace(start, stop, num).tolist()
     if not all(0.0 < a < 90.0 for a in angles):
         raise ConfigError(f"sweep angles must lie in (0, 90) degrees, got {start}..{stop}")

@@ -315,14 +315,6 @@ def load_default_config(overrides: list[str] | None = None) -> RunConfig:
     return build_config(parser)
 
 
-def default_config_path() -> str:
-    """Filesystem path of the bundled defaults profile (for copying/editing)."""
-    with resources.as_file(
-        resources.files("artifact.data").joinpath("defaults.ini")
-    ) as path:
-        return str(path)
-
-
 def _apply_overrides(parser: configparser.ConfigParser, overrides: list[str]):
     for item in overrides:
         if "=" not in item or "." not in item.split("=", 1)[0]:

@@ -70,17 +70,10 @@ def _csr_start(sizes):
 
 
 class EventView(NamedTuple):
-    """One event of an ``EventTable``, built from its columns when indexed;
-    for inspection only.  The dicts map detector id to that detector's
-    photons; ``heralded_pairs`` lists every qualifying (port, E_trig, E_port)
-    pairing, and it and the flags stay empty/False before ``energy_select``."""
+    """One event of a flagged ``EventTable``, as iteration yields it:
+    ``heralded_pairs`` lists every qualifying (port, E_trig, E_port)
+    pairing, TRANS first."""
 
-    trigger_ns: float
-    energies: dict
-    offsets: dict
-    origins: dict
-    passes_acceptance: bool
-    passes_sum: bool
     heralded_pairs: list
 
 
@@ -95,7 +88,8 @@ class EventTable:
     ``selection`` (its config); ``herald_kev[i, port]`` is the output energy
     of the first qualifying pairing at ``port`` (trigger photon first, then
     output photon, in table order), NaN where none qualifies.  ``len()``
-    counts events; indexing and iteration build ``EventView``s.
+    counts events; iterating a flagged table yields an ``EventView`` per
+    event.
     """
 
     trigger_ns: np.ndarray
@@ -112,27 +106,21 @@ class EventTable:
     def __len__(self) -> int:
         return len(self.trigger_ns)
 
-    def __getitem__(self, i: int) -> EventView:
-        if not 0 <= i < len(self):
-            raise IndexError("event index out of range")
-        photons = slice(self.start[i], self.start[i + 1])
-        detector = self.detector[photons]
-        energies, offsets, origins = (
-            {d: column[photons][detector == d] for d in DETECTORS}
-            for column in (self.energy_kev, self.offset_ns, self.origin)
-        )
-        cfg, trigger = self.selection, float(self.trigger_ns[i])
+    def __iter__(self):
+        cfg = self.selection
         if cfg is None:
-            return EventView(trigger, energies, offsets, origins, False, False, [])
-        pairs = [
-            (port, float(e_t), float(e_o))
-            for port in OUTPUT_PORTS
-            for e_t in energies[DET_TRIG]
-            for e_o in energies[port]
-            if abs(e_t + e_o - cfg.pump_energy_kev) <= cfg.sum_halfwidth_kev
-        ]
-        flags = bool(self.passes_acceptance[i]), bool(self.passes_sum[i])
-        return EventView(trigger, energies, offsets, origins, *flags, pairs)
+            raise ValueError("iterating events needs a table flagged by energy_select")
+        pairs = [self.sum_window_pairs(port, cfg.pump_energy_kev, cfg.sum_halfwidth_kev)
+                 for port in OUTPUT_PORTS]
+        event, trig, out = (np.concatenate(c) for c in zip(*pairs))
+        port = np.repeat(OUTPUT_PORTS, [len(p[0]) for p in pairs])
+        # Stable: each event keeps TRANS before REF, then the pairs' order.
+        order = np.argsort(event, kind="stable")
+        e = self.energy_kev
+        rows = list(zip(port[order].tolist(), e[trig[order]].tolist(), e[out[order]].tolist()))
+        bounds = _csr_start(np.bincount(event, minlength=len(self))).tolist()
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            yield EventView(rows[lo:hi])
 
     def event_index(self) -> np.ndarray:
         """Event number of every photon."""
@@ -161,9 +149,10 @@ class EventTable:
         )
 
     def sum_window_pairs(self, port: int, pump_energy_kev: float, sum_halfwidth_kev: float):
-        """(event, ``port`` photon index) of every (trigger photon, ``port``
-        photon) pairing with |E_trig + E_port - E_pump| <= sum_halfwidth,
-        ordered by event, then trigger photon, then ``port`` photon."""
+        """(event, trigger photon index, ``port`` photon index) of every
+        (trigger photon, ``port`` photon) pairing with
+        |E_trig + E_port - E_pump| <= sum_halfwidth, ordered by event, then
+        trigger photon, then ``port`` photon."""
         counts = self.counts()
         block = self.start[:-1, None] + np.cumsum(counts, axis=1) - counts
         n_o = counts[:, port]
@@ -174,7 +163,7 @@ class EventTable:
         out = block[event, port] + k % n_o[event]
         e = self.energy_kev
         hit = np.abs(e[trig] + e[out] - pump_energy_kev) <= sum_halfwidth_kev
-        return event[hit], out[hit]
+        return event[hit], trig[hit], out[hit]
 
 
 def find_triggers(pulses: Stream, cfg: DaqConfig, span=None):
@@ -302,7 +291,7 @@ def energy_select(events: EventTable, cfg: DaqConfig):
     accepted = np.bincount(events.event_index()[outside], minlength=len(events)) == 0
     herald_kev = np.full((len(events), len(DETECTORS)), np.nan)
     for port in OUTPUT_PORTS:
-        event, photon = events.sum_window_pairs(port, cfg.pump_energy_kev, cfg.sum_halfwidth_kev)
+        event, _trig, photon = events.sum_window_pairs(port, cfg.pump_energy_kev, cfg.sum_halfwidth_kev)
         first = np.ones(len(event), dtype=bool)
         first[1:] = event[1:] != event[:-1]
         herald_kev[event[first], port] = e[photon[first]]

@@ -142,10 +142,6 @@ class Histogram:
     underflow: int
     overflow: int
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum()) + self.underflow + self.overflow
-
 
 def spectra(events, detector: int, bin_width_kev: float = 0.5) -> Histogram:
     """Energy histogram of the heralded photon at ``detector`` over the

@@ -3,6 +3,7 @@ and a reusable Monte Carlo run sized so that pair statistics dominate the
 event stream."""
 
 import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import settings
 from hypothesis.errors import InvalidArgument
 
 from artifact import daq, spdc
-from artifact.cli import simulate_events
+from artifact.cli import cmd_simulate
 from artifact.config import load_default_config
 from artifact.xoptics import load_table
 
@@ -59,15 +60,23 @@ def make_table(events):
     )
 
 
+def simulate_events(cfg):
+    """The events ``xbsim simulate`` writes, read back from its event file
+    and energy-selected as ``analyze`` selects them.  Returns (events,
+    heralded, rate_dropped, empty_dropped, pulse_counts): ``energy_select``'s
+    two tables, the file's drop counts and the pulses counted by [detector,
+    origin, logic]."""
+    with tempfile.TemporaryDirectory() as outdir:
+        tally = cmd_simulate(cfg, outdir)
+        events, meta = daq.load_events(os.path.join(outdir, "events.csv"))
+    events, heralded = daq.energy_select(events, cfg.daq)
+    return events, heralded, meta["rate_dropped"], meta["empty_dropped"], tally
+
+
 def run_chain(cfg, seed):
-    """``cli.simulate_events`` at ``seed``: pairs + stray -> detectors ->
-    coincidence electronics -> event file -> energy flags.  Returns (events,
-    heralded, rate_dropped, empty_dropped, pulse_counts), the counts by
-    [detector, origin, logic]."""
-    cfg = replace(cfg, source=replace(cfg.source, rng_seed=seed))
-    events, rate_dropped, empty_dropped, pulse_counts = simulate_events(cfg)
-    heralded = events.select(events.passes_acceptance & events.passes_sum)
-    return events, heralded, rate_dropped, empty_dropped, pulse_counts
+    """``simulate_events`` at ``seed``: pairs + stray -> detectors ->
+    coincidence electronics -> event file -> energy flags."""
+    return simulate_events(replace(cfg, source=replace(cfg.source, rng_seed=seed)))
 
 
 @pytest.fixture(scope="session")

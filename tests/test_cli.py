@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from artifact import daq, montecarlo as mc, spdc, stats
-from artifact.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SCHEMA, main, simulate_events
+from artifact.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SCHEMA, main
 from artifact.config import load_default_config
 from artifact.xoptics import load_table
+
+from conftest import simulate_events
 
 # Coarse grid + short run so simulate/analyze stay fast; physics fidelity is
 # covered elsewhere.
@@ -163,6 +165,7 @@ def test_sweep_command_writes_monotone_curve(tmp_path):
     ["--num", "-1"],
     ["--num", "0"],
     ["--width-scale", "0"],
+    ["--width-scale", "inf"],
 ])
 def test_sweep_rejects_bad_range_with_config_code(tmp_path, bounds):
     assert main(["sweep", "--outdir", str(tmp_path)] + bounds) == EXIT_CONFIG
@@ -438,7 +441,7 @@ def test_restricted_output_background_matches_the_whole_slice_draw(monkeypatch):
                 cfg = load_default_config(["grid.n_energy=400", "grid.n_x=60", "grid.n_y=12",
                                            "source.duration_s=100", "source.pair_rate_hz=3",
                                            f"run.seed={seed}"])
-                events, _rate, _empty, tally = simulate_events(cfg)
+                events, _heralded, _rate, _empty, tally = simulate_events(cfg)
                 runs[whole, seed] = (events, tally)
 
     def z(a, b, var_a, var_b):

@@ -2,6 +2,7 @@
 
 import re
 from dataclasses import MISSING, fields
+from importlib import resources
 
 import pytest
 
@@ -11,7 +12,6 @@ from artifact.config import (
     ConfigError,
     _parser,
     build_config,
-    default_config_path,
     load_config,
     load_default_config,
 )
@@ -26,6 +26,12 @@ from artifact.montecarlo import (
 )
 from artifact.spdc import GridSpec, SpdcConfig
 from artifact.splitter import SplitterSpec
+
+
+def default_config_path() -> str:
+    """Filesystem path of the bundled defaults profile."""
+    with resources.as_file(resources.files("artifact.data").joinpath("defaults.ini")) as path:
+        return str(path)
 
 
 def test_default_profile_loads():

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from artifact import daq, montecarlo as mc, stats
-from artifact.cli import SIGMA_WINDOWS_NS, cmd_simulate, simulate_events
+from artifact.cli import SIGMA_WINDOWS_NS, cmd_simulate
 from artifact.config import load_default_config
 from artifact.montecarlo import DET_REF, DET_TRANS, DET_TRIG, Stream
+
+from conftest import simulate_events
 
 CFG = daq.DaqConfig()
 
@@ -435,7 +437,7 @@ def test_simulate_equals_one_build_over_its_joined_slices(tmp_path, monkeypatch)
         return build(((end, slices.append(p) or p) for end, p in pulse_slices), daq_cfg)
 
     monkeypatch.setattr(daq, "build_events_in_slices", keeping)
-    events, rate_dropped, empty_dropped, pulse_counts = simulate_events(cfg)
+    events, _heralded, rate_dropped, empty_dropped, pulse_counts = simulate_events(cfg)
 
     assert len(slices) >= 3
     # Each slice draws from its own generator.
@@ -507,6 +509,20 @@ def test_energy_select_any_pairing_passes_triples():
     events, heralded = daq.energy_select(events, CFG)
     assert events.passes_sum.tolist() == [True]
     np.testing.assert_array_equal(events.herald_kev, [[np.nan, 10.6, np.nan]])  # TRANS only
+
+
+def test_iterating_needs_a_flagged_table():
+    # Twenty events pair their trigger photon at both ports; each lists its
+    # TRANS pairing first.
+    pulses = _pulses([row for t in range(20) for row in (
+        (1e4 * t, 10.4, DET_TRIG, True), (1e4 * t, 10.6, DET_TRANS, True),
+        (1e4 * t, 10.7, DET_REF, True))])
+    events, _, _ = daq.build_events(pulses, CFG)
+    with pytest.raises(ValueError, match="energy_select"):
+        list(events)
+    events, _heralded = daq.energy_select(events, CFG)
+    assert [rec.heralded_pairs for rec in events] == [
+        [(DET_TRANS, 10.4, 10.6), (DET_REF, 10.4, 10.7)]] * 20
 
 
 def test_event_roundtrip(tmp_path):

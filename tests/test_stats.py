@@ -162,9 +162,10 @@ def test_spectra_bins_heralded_pairs():
     hist = stats.spectra(events, DET_TRANS, 0.5)
     assert hist.counts.sum() == 4
     assert hist.underflow == 1 and hist.overflow == 1
-    assert hist.total == 6
+    assert hist.counts.sum() + hist.underflow + hist.overflow == 6
     assert hist.counts[np.searchsorted(hist.edges, 10.6, side="right") - 1] == 2
-    assert stats.spectra(events, DET_REF, 0.5).total == 0
+    ref = stats.spectra(events, DET_REF, 0.5)
+    assert ref.counts.sum() + ref.underflow + ref.overflow == 0
     with pytest.raises(ValueError):
         stats.spectra(events, DET_TRANS, 0.0)
 
@@ -175,7 +176,8 @@ def test_spectra_counts_a_value_at_hi_once_as_overflow():
     hist = stats.spectra(events, DET_TRANS, 0.5)
     assert hist.edges[-1] == 17.0
     assert hist.counts.sum() == 2 and hist.counts[0] == 1 and hist.counts[-1] == 1
-    assert (hist.underflow, hist.overflow, hist.total) == (0, 1, 3)
+    total = hist.counts.sum() + hist.underflow + hist.overflow
+    assert (hist.underflow, hist.overflow, total) == (0, 1, 3)
 
 
 def test_spectra_bins_the_selection_band():
@@ -296,7 +298,8 @@ def test_table_estimators_match_per_event_reference(raw):
         want = [first.get(port, math.nan) for first in ref["first"]]
         np.testing.assert_array_equal(table.herald_kev[:, port], want)
     for port in (DET_TRANS, DET_REF):
-        event, photon = table.sum_window_pairs(port, cfg.pump_energy_kev, cfg.sum_halfwidth_kev)
+        event, _trig, photon = table.sum_window_pairs(port, cfg.pump_energy_kev,
+                                                      cfg.sum_halfwidth_kev)
         want = [(i, e_o) for i, pairs in enumerate(ref["pairs"]) for p, _e_t, e_o in pairs
                 if p == port]
         assert list(zip(event.tolist(), table.energy_kev[photon].tolist())) == want
@@ -321,7 +324,7 @@ def test_table_estimators_match_per_event_reference(raw):
         np.testing.assert_array_equal(hist.counts, counts)
         assert hist.underflow == int((values < hist.edges[0]).sum())
         assert hist.overflow == int((values >= hist.edges[-1]).sum())
-        assert hist.total == len(values)
+        assert hist.counts.sum() + hist.underflow + hist.overflow == len(values)
 
 
 @settings(max_examples=80, deadline=None)
