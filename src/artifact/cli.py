@@ -39,6 +39,11 @@ EXIT_IO = 3
 EXIT_SCHEMA = 4
 
 
+# model's Bragg-angle sweep, and sweep's default one: start and stop in
+# degrees, number of angles.
+SWEEP_ANGLES = (5.0, 45.0, 81)
+
+
 class SchemaError(Exception):
     """Persisted-file format mismatch."""
 
@@ -88,7 +93,7 @@ def cmd_model(cfg: RunConfig, outdir: str) -> None:
     ridge zero, is written first."""
     grid = spdc_mod.sweep_grid(cfg.grid, cfg.splitter.width_deg)
     ridge = spdc_mod.pair_ridge(cfg.spdc, grid)
-    _write_sweep(cfg, outdir, ridge, cfg.splitter, np.linspace(5.0, 45.0, 81).tolist())
+    _write_sweep(cfg, outdir, ridge, cfg.splitter, np.linspace(*SWEEP_ANGLES).tolist())
 
     graphite = load_table("graphite")
     r_ref, r_trans = spdc_mod.port_rates(ridge, cfg.splitter, graphite)
@@ -226,7 +231,7 @@ def cmd_analyze(cfg: RunConfig, events_path: str, outdir: str) -> None:
         raise SchemaError(str(exc)) from exc
     events, heralded = daq_mod.energy_select(events, cfg.daq)
 
-    outputs = (DET_TRANS, DET_REF)
+    outputs = daq_mod.OUTPUT_PORTS
     for det in outputs:
         hist = stats_mod.spectra(heralded, det, cfg.bin_width_kev)
         _write_rows(
@@ -334,9 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--events", required=True, help="event CSV produced by simulate")
     p_sw = sub.add_parser("sweep", help="Bragg-angle sweep of the splitter")
     common(p_sw)
-    p_sw.add_argument("--start", type=float, default=5.0)
-    p_sw.add_argument("--stop", type=float, default=45.0)
-    p_sw.add_argument("--num", type=int, default=81)
+    start, stop, num = SWEEP_ANGLES
+    p_sw.add_argument("--start", type=float, default=start)
+    p_sw.add_argument("--stop", type=float, default=stop)
+    p_sw.add_argument("--num", type=int, default=num)
     p_sw.add_argument("--width-scale", type=float, default=1.0)
     return parser
 
@@ -354,7 +360,7 @@ def main(argv=None) -> int:
             cmd_analyze(cfg, args.events, outdir)
         elif args.command == "sweep":
             cmd_sweep(cfg, outdir, args.start, args.stop, args.num, args.width_scale)
-    except (ConfigError, spdc_mod.EmptyWindowError) as exc:
+    except (ConfigError, spdc_mod.EmptyWindowError, spdc_mod.GridTooFineError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SchemaError as exc:

@@ -1,8 +1,12 @@
 """Run-configuration file parsing and validation.
 
-The run configuration is a single INI-style file.  Every key is validated
-against a schema; unknown sections or keys are hard errors so that typos in
-physics parameters cannot pass silently.
+The run configuration is a single INI-style file.  The bundled profile
+(``artifact/data/defaults.ini``) is its schema: every key in it is accepted
+and required, and any other section or key is a hard error, so that typos
+in physics parameters cannot pass silently.  The per-detector sections
+``[detector.trig]``, ``[detector.trans]`` and ``[detector.ref]`` are
+optional and take ``[detector]``'s keys, each overriding that section's
+value for one detector.
 """
 
 from __future__ import annotations
@@ -13,14 +17,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .daq import DaqConfig
-from .montecarlo import (
-    DET_REF,
-    DET_TRANS,
-    DET_TRIG,
-    DetectorSpec,
-    SourceConfig,
-    StraySpectrum,
-)
+from .montecarlo import DETECTOR_NAMES, DetectorSpec, SourceConfig, StraySpectrum
 from .spdc import GridSpec, SpdcConfig
 from .splitter import SplitterSpec
 from .xoptics import LatticeSpec, load_table
@@ -28,78 +25,6 @@ from .xoptics import LatticeSpec, load_table
 
 class ConfigError(Exception):
     """Invalid, unknown, or missing configuration content."""
-
-
-_SCHEMA: dict[str, dict[str, type]] = {
-    "spdc": {
-        "pump_energy_kev": float,
-        "crystal_d_angstrom": float,
-        "crystal_name": str,
-        "thickness_mm": float,
-        "detune_deg": float,
-        "theta_heralded_deg": float,
-    },
-    "grid": {
-        "energy_lo_kev": float,
-        "energy_hi_kev": float,
-        "n_energy": int,
-        "angle_span_mrad": float,
-        "n_x": int,
-        "n_y": int,
-    },
-    "splitter": {
-        "d_angstrom": float,
-        "name": str,
-        "peak_reflectivity": float,
-        "width_deg": float,
-        "thickness_mm": float,
-        "nominal_energy_kev": float,
-        "mount_offset_deg": float,
-    },
-    "source": {
-        "pair_rate_hz": float,
-        "stray_rate_trig_hz": float,
-        "stray_rate_trans_hz": float,
-        "stray_rate_ref_hz": float,
-        "stray_flat_lo_kev": float,
-        "stray_flat_hi_kev": float,
-        "stray_line_kev": float,
-        "stray_line_fraction": float,
-        "duration_s": float,
-        "air_path_cm": float,
-        "helium_path_cm": float,
-    },
-    "detector": {
-        "quantum_efficiency": float,
-        "resolution_fwhm_ev": float,
-        "reference_energy_kev": float,
-        "sca_lo_kev": float,
-        "sca_hi_kev": float,
-    },
-    "daq": {
-        "half_window_ns": float,
-        "logic_width_ns": float,
-        "analog_width_ns": float,
-        "max_event_rate_hz": float,
-        "acceptance_lo_kev": float,
-        "acceptance_hi_kev": float,
-        "sum_halfwidth_kev": float,
-    },
-    "analysis": {
-        "bin_width_kev": float,
-        "baseline_rate_hz": float,
-        "baseline_rate_err_hz": float,
-    },
-    "run": {
-        "seed": int,
-    },
-}
-
-_DETECTOR_SECTIONS = {
-    "detector.trig": DET_TRIG,
-    "detector.trans": DET_TRANS,
-    "detector.ref": DET_REF,
-}
 
 
 @dataclass(frozen=True)
@@ -126,30 +51,28 @@ class RunConfig:
             raise ValueError("[analysis] baseline_rate_err_hz must be finite and non-negative")
 
 
-def _validate(parser: configparser.ConfigParser):
+def _validate(parser: configparser.ConfigParser, schema: dict[str, set[str]]):
+    """Reject a section or key of ``parser`` that ``schema`` (the bundled
+    profile's keys by section, ``_sections``) does not hold; each
+    ``[detector.<name>]`` takes ``[detector]``'s keys."""
+    per_detector = {f"detector.{name}" for name in DETECTOR_NAMES.values()}
     for section in parser.sections():
-        base = "detector" if section in _DETECTOR_SECTIONS else section
-        if base not in _SCHEMA:
+        allowed = schema.get("detector" if section in per_detector else section)
+        if allowed is None:
             raise ConfigError(f"unknown config section [{section}]")
-        allowed = _SCHEMA[base]
         for key in parser[section]:
             if key not in allowed:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
 
-def _get(parser, section, key, base=None):
-    base = base or section
-    kind = _SCHEMA[base][key]
+def _get(parser, section, key, kind=float):
+    """[section] key of ``parser``, read as ``kind``."""
     try:
         raw = parser.get(section, key)
     except (configparser.NoSectionError, configparser.NoOptionError) as exc:
         raise ConfigError(f"missing config value [{section}] {key}") from exc
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        return raw
+        return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
 
@@ -159,7 +82,7 @@ def _detector_from(parser, section: str) -> DetectorSpec:
     shared [detector] section's."""
     def get(key):
         use = section if parser.has_option(section, key) else "detector"
-        return _get(parser, use, key, "detector")
+        return _get(parser, use, key)
 
     return DetectorSpec(
         quantum_efficiency=get("quantum_efficiency"),
@@ -208,15 +131,16 @@ def _check_energy_windows(grid: GridSpec, pump_energy_kev: float):
                 )
 
 
-def build_config(parser: configparser.ConfigParser) -> RunConfig:
-    """Validate a parsed INI file and construct the typed configuration."""
-    _validate(parser)
+def build_config(parser: configparser.ConfigParser, schema: dict[str, set[str]]) -> RunConfig:
+    """Validate a parsed INI file against ``schema``, the bundled profile's
+    keys by section (``_sections``), and construct the typed configuration."""
+    _validate(parser, schema)
     try:
         spdc = SpdcConfig(
             pump_energy_kev=_get(parser, "spdc", "pump_energy_kev"),
             crystal=LatticeSpec(
                 _get(parser, "spdc", "crystal_d_angstrom"),
-                _get(parser, "spdc", "crystal_name"),
+                _get(parser, "spdc", "crystal_name", str),
             ),
             thickness_mm=_get(parser, "spdc", "thickness_mm"),
             detune_deg=_get(parser, "spdc", "detune_deg"),
@@ -225,15 +149,15 @@ def build_config(parser: configparser.ConfigParser) -> RunConfig:
         grid = GridSpec(
             energy_lo_kev=_get(parser, "grid", "energy_lo_kev"),
             energy_hi_kev=_get(parser, "grid", "energy_hi_kev"),
-            n_energy=_get(parser, "grid", "n_energy"),
+            n_energy=_get(parser, "grid", "n_energy", int),
             angle_span_rad=_get(parser, "grid", "angle_span_mrad") * 1e-3,
-            n_x=_get(parser, "grid", "n_x"),
-            n_y=_get(parser, "grid", "n_y"),
+            n_x=_get(parser, "grid", "n_x", int),
+            n_y=_get(parser, "grid", "n_y", int),
         )
         splitter = SplitterSpec(
             lattice=LatticeSpec(
                 _get(parser, "splitter", "d_angstrom"),
-                _get(parser, "splitter", "name"),
+                _get(parser, "splitter", "name", str),
             ),
             peak_reflectivity=_get(parser, "splitter", "peak_reflectivity"),
             width_deg=_get(parser, "splitter", "width_deg"),
@@ -257,12 +181,12 @@ def build_config(parser: configparser.ConfigParser) -> RunConfig:
                 line_fraction=_get(parser, "source", "stray_line_fraction"),
             ),
             duration_s=_get(parser, "source", "duration_s"),
-            rng_seed=_get(parser, "run", "seed"),
+            rng_seed=_get(parser, "run", "seed", int),
             air_path_cm=_get(parser, "source", "air_path_cm"),
             helium_path_cm=_get(parser, "source", "helium_path_cm"),
         )
-        detectors = {det: _detector_from(parser, section)
-                     for section, det in _DETECTOR_SECTIONS.items()}
+        detectors = {det: _detector_from(parser, f"detector.{name}")
+                     for det, name in DETECTOR_NAMES.items()}
         daq = DaqConfig(
             half_window_ns=_get(parser, "daq", "half_window_ns"),
             logic_width_ns=_get(parser, "daq", "logic_width_ns"),
@@ -294,6 +218,19 @@ def _parser() -> configparser.ConfigParser:
     return configparser.ConfigParser(interpolation=None)
 
 
+def _profile() -> configparser.ConfigParser:
+    """The bundled reference profile, parsed."""
+    parser = _parser()
+    parser.read_string(
+        resources.files("artifact.data").joinpath("defaults.ini").read_text(encoding="utf-8"))
+    return parser
+
+
+def _sections(parser: configparser.ConfigParser) -> dict[str, set[str]]:
+    """The keys of each section of ``parser``."""
+    return {section: set(parser[section]) for section in parser.sections()}
+
+
 def load_config(path, overrides: list[str] | None = None) -> RunConfig:
     """Load and validate a config file, applying ``section.key=value`` overrides."""
     parser = _parser()
@@ -303,16 +240,15 @@ def load_config(path, overrides: list[str] | None = None) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     _apply_overrides(parser, overrides or [])
-    return build_config(parser)
+    return build_config(parser, _sections(_profile()))
 
 
 def load_default_config(overrides: list[str] | None = None) -> RunConfig:
     """Load the bundled reference-configuration profile."""
-    ref = resources.files("artifact.data").joinpath("defaults.ini")
-    parser = _parser()
-    parser.read_string(ref.read_text(encoding="utf-8"))
+    parser = _profile()
+    schema = _sections(parser)  # taken before the overrides add to it
     _apply_overrides(parser, overrides or [])
-    return build_config(parser)
+    return build_config(parser, schema)
 
 
 def _apply_overrides(parser: configparser.ConfigParser, overrides: list[str]):

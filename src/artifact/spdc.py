@@ -67,6 +67,17 @@ class EmptyWindowError(ValueError):
     normalize by."""
 
 
+class GridTooFineError(ValueError):
+    """A rocking width asks ``sweep_grid`` for more points than
+    ``MAX_SWEEP_POINTS``."""
+
+
+def _centers(lo, hi, n):
+    """The centres of ``n`` equal cells from ``lo`` to ``hi``."""
+    edges = np.linspace(lo, hi, n + 1)
+    return 0.5 * (edges[:-1] + edges[1:])
+
+
 @dataclass(frozen=True)
 class SpdcConfig:
     """Source crystal, geometry, and coupling of the parametric process."""
@@ -116,18 +127,13 @@ class GridSpec:
         return np.linspace(self.energy_lo_kev, self.energy_hi_kev, self.n_energy + 1)
 
     def energy_centers(self):
-        e = self.energy_edges()
-        return 0.5 * (e[:-1] + e[1:])
+        return _centers(self.energy_lo_kev, self.energy_hi_kev, self.n_energy)
 
     def theta_x_centers(self):
-        half = 0.5 * self.angle_span_rad
-        edges = np.linspace(-half, half, self.n_x + 1)
-        return 0.5 * (edges[:-1] + edges[1:])
+        return _centers(-0.5 * self.angle_span_rad, 0.5 * self.angle_span_rad, self.n_x)
 
     def theta_y_centers(self):
-        half = 0.5 * self.angle_span_rad
-        edges = np.linspace(-half, half, self.n_y + 1)
-        return 0.5 * (edges[:-1] + edges[1:])
+        return _centers(-0.5 * self.angle_span_rad, 0.5 * self.angle_span_rad, self.n_y)
 
     @property
     def d_energy(self):
@@ -520,6 +526,13 @@ def _retuned(base: SplitterSpec, theta_b_deg: float) -> SplitterSpec:
 # value moves by 10% from n_x = 1000 to 2000 (17 to 34 cells per width).
 CELLS_PER_ROCKING_WIDTH = 50
 
+# (theta_x, theta_y >= 0) points, n_x (n_y // 2 + 1), of a grid that
+# ``sweep_grid`` refines.  The ridge solve and the model's fold of it peak
+# at about 130 bytes per point (391 MiB traced by ``model`` at 3.1M points,
+# x0.0002 of the bundled width), so this allows about 0.5 GiB: on the
+# reference window (n_y = 40) widths down to x0.00015 of the bundled one.
+MAX_SWEEP_POINTS = 1 << 22
+
 
 def sweep_grid(grid: GridSpec, width_deg: float) -> GridSpec:
     """``grid`` with at least CELLS_PER_ROCKING_WIDTH theta_x cells per
@@ -527,9 +540,19 @@ def sweep_grid(grid: GridSpec, width_deg: float) -> GridSpec:
 
     Returns ``grid`` itself when it is already fine enough, so a model run
     at the bundled width solves one ridge for the rates, spectra and sweep.
+    Raises ``GridTooFineError``, before any array is built, when the
+    refined grid has more than ``MAX_SWEEP_POINTS`` points.
     """
-    n_x = math.ceil(grid.angle_span_rad * CELLS_PER_ROCKING_WIDTH / math.radians(width_deg))
-    return grid if n_x <= grid.n_x else replace(grid, n_x=n_x)
+    n_x = grid.angle_span_rad * CELLS_PER_ROCKING_WIDTH / math.radians(width_deg)
+    if n_x <= grid.n_x:
+        return grid
+    rows = grid.n_y // 2 + 1
+    if not n_x <= MAX_SWEEP_POINTS // rows:  # as ceil(n_x) * rows <= the limit; inf fails
+        raise GridTooFineError(
+            f"a rocking width of {width_deg:g} deg needs {n_x:.3g} theta_x cells by {rows} "
+            f"theta_y rows, over the {MAX_SWEEP_POINTS} points a sweep grid may hold"
+        )
+    return replace(grid, n_x=math.ceil(n_x))
 
 
 def bragg_angle_sweep(

@@ -172,6 +172,18 @@ def test_sweep_rejects_bad_range_with_config_code(tmp_path, bounds):
     assert not (tmp_path / "bragg_sweep.csv").exists()
 
 
+@pytest.mark.parametrize("verb", [
+    ["sweep", "--width-scale", "1e-12"],
+    ["model", "--set", "splitter.width_deg=1e-12"],
+])
+def test_too_fine_sweep_grid_exits_config_code(tmp_path, capsys, verb):
+    # Either width asks sweep_grid for about 3e13 theta_x cells: numpy used
+    # to fail allocating the grid (exit 1) instead of a config error.
+    assert main(verb + ["--outdir", str(tmp_path)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_simulate_then_analyze_pipeline(tmp_path):
     out = tmp_path / "run"
     assert main(["simulate", "--outdir", str(out), "--seed", "21"] + FAST) == EXIT_OK

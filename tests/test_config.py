@@ -8,9 +8,9 @@ import pytest
 
 from artifact.cli import EXIT_CONFIG, main
 from artifact.config import (
-    _SCHEMA,
     ConfigError,
     _parser,
+    _sections,
     build_config,
     load_config,
     load_default_config,
@@ -101,16 +101,22 @@ def _bundled_profile():
 
 
 def test_every_bundled_key_is_read():
-    # The schema accepts exactly the profile's keys, and build_config reads
-    # each of them: a key that it never read would be accepted and ignored.
+    # The profile's keys are the schema: each is accepted, any other key is
+    # rejected in every section, and build_config reads each of them: a key
+    # that it never read would be accepted and ignored.
     parser = _bundled_profile()
     keys = {(section, key) for section in parser.sections() for key in parser[section]}
-    assert keys == {(section, key) for section, kinds in _SCHEMA.items() for key in kinds}
+    same = [f"{section}.{key}={parser[section][key]}" for section, key in sorted(keys)]
+    assert load_default_config(same) == load_default_config()
+    for section in parser.sections() + ["detector.trig", "detector.trans", "detector.ref"]:
+        with pytest.raises(ConfigError, match=re.escape(f"'made_up' in section [{section}]")):
+            load_default_config([f"{section}.made_up=1"])
+    schema = _sections(parser)
     for section, key in sorted(keys):
         partial = _bundled_profile()
         partial.remove_option(section, key)
         with pytest.raises(ConfigError, match=re.escape(f"missing config value [{section}] {key}")):
-            build_config(partial)
+            build_config(partial, schema)
 
 
 def test_unknown_key_rejected():
@@ -280,9 +286,18 @@ def test_unknown_section_rejected():
         load_default_config(["nonsense.value=1.0"])
 
 
-def test_bad_value_rejected():
-    with pytest.raises(ConfigError):
-        load_default_config(["source.duration_s=fast"])
+@pytest.mark.parametrize("setting", [
+    "source.duration_s=fast",
+    "grid.n_x=1.5",
+    "grid.n_energy=abc",
+    "run.seed=7.5",
+    "daq.half_window_ns=abc",
+    "detector.trig.quantum_efficiency=abc",
+])
+def test_bad_value_rejected(setting):
+    section, key = setting.split("=")[0].rsplit(".", 1)
+    with pytest.raises(ConfigError, match=re.escape(f"bad value for [{section}] {key}")):
+        load_default_config([setting])
 
 
 def test_invalid_physics_value_rejected():
